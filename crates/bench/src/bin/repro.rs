@@ -1,41 +1,98 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro <fig4|...|fig10|table1|table2|ablation|all> [--fast] [--out DIR]
+//! repro [fig4|...|fig10|table1|table2|ablation|all] [--fast] [--out DIR]
 //! ```
 //!
-//! Figures are printed as ASCII charts and written as CSV under `--out`
-//! (default `results/`).
+//! Paper-length windows unless `--fast`. Figures are printed as ASCII
+//! charts and written as CSV under `--out` (default `results/`).
 
 use hcc_bench::{figures, plot, tables, Effort, Figure};
 use std::path::PathBuf;
 use std::time::Instant;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let effort = if fast { Effort::Fast } else { Effort::Full };
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    let what = args
-        .iter()
-        .find(|a| {
-            !a.starts_with("--")
-                && Some(a.as_str())
-                    != args
-                        .iter()
-                        .position(|x| x == "--out")
-                        .and_then(|i| args.get(i + 1))
-                        .map(|s| s.as_str())
-        })
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+type FigureFn = fn(Effort) -> Figure;
+const FIGURES: [(&str, FigureFn); 7] = [
+    ("fig4", figures::fig4),
+    ("fig5", figures::fig5),
+    ("fig6", figures::fig6),
+    ("fig7", figures::fig7),
+    ("fig8", figures::fig8),
+    ("fig9", figures::fig9),
+    ("fig10", figures::fig10),
+];
+const TABLES: [&str; 3] = ["table1", "ablation", "table2"];
 
-    let run_figure = |f: fn(Effort) -> Figure| {
+#[derive(Debug, PartialEq)]
+struct Args {
+    target: String,
+    effort: Effort,
+    out_dir: PathBuf,
+}
+
+/// Anything not understood is an error naming the input: a typo must not
+/// silently run (or skip) something else.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        target: "all".to_string(),
+        effort: Effort::Full,
+        out_dir: PathBuf::from("results"),
+    };
+    let mut seen_target = false;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--fast" => parsed.effort = Effort::Fast,
+            "--out" => {
+                parsed.out_dir = it
+                    .next()
+                    .map(PathBuf::from)
+                    .ok_or("--out needs a directory")?;
+            }
+            flag if flag.starts_with("--") => {
+                return Err(format!(
+                    "unknown flag {flag:?} (expected --fast or --out DIR)"
+                ));
+            }
+            target => {
+                let known = target == "all"
+                    || TABLES.contains(&target)
+                    || FIGURES.iter().any(|(name, _)| *name == target);
+                if !known {
+                    let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+                    return Err(format!(
+                        "unknown target {target:?} (expected all, {} or {})",
+                        names.join(", "),
+                        TABLES.join(", ")
+                    ));
+                }
+                if seen_target {
+                    return Err(format!("more than one target: {target:?}"));
+                }
+                seen_target = true;
+                parsed.target = target.to_string();
+            }
+        }
+    }
+    Ok(parsed)
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        target,
+        effort,
+        out_dir,
+    } = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
+    });
+    let wanted = |name: &str| target == "all" || target == name;
+
+    for (name, f) in FIGURES {
+        if !wanted(name) {
+            continue;
+        }
         let t0 = Instant::now();
         let fig = f(effort);
         println!("{}", plot::ascii_chart(&fig));
@@ -50,31 +107,8 @@ fn main() {
             ),
             Err(e) => eprintln!("    csv write failed: {e}"),
         }
-    };
-
-    let all = what == "all";
-    if all || what == "fig4" {
-        run_figure(figures::fig4);
     }
-    if all || what == "fig5" {
-        run_figure(figures::fig5);
-    }
-    if all || what == "fig6" {
-        run_figure(figures::fig6);
-    }
-    if all || what == "fig7" {
-        run_figure(figures::fig7);
-    }
-    if all || what == "fig8" {
-        run_figure(figures::fig8);
-    }
-    if all || what == "fig9" {
-        run_figure(figures::fig9);
-    }
-    if all || what == "fig10" {
-        run_figure(figures::fig10);
-    }
-    if all || what == "table1" {
+    if wanted("table1") {
         let t0 = Instant::now();
         let cells = tables::table1(effort);
         println!("Table 1 — best scheme per workload regime (measured)\n");
@@ -85,13 +119,13 @@ fn main() {
             let _ = std::fs::write(out_dir.join("table1.json"), json);
         }
     }
-    if all || what == "ablation" {
+    if wanted("ablation") {
         let t0 = Instant::now();
         println!("Ablation — speculation depth limit (§5.3) and adaptive advisor (§5.7)\n");
         println!("{}", tables::ablation(effort));
         println!("    ({:.1}s)\n", t0.elapsed().as_secs_f64());
     }
-    if all || what == "table2" {
+    if wanted("table2") {
         let t = tables::table2(effort);
         println!("Table 2 — analytical model variables (measured on this system)\n");
         println!("{}", tables::render_table2(&t));
@@ -99,5 +133,46 @@ fn main() {
         if let Ok(json) = serde_json::to_string_pretty(&t) {
             let _ = std::fs::write(out_dir.join("table2.json"), json);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_args_accepts_the_documented_surface() {
+        assert_eq!(
+            parse(&[]),
+            Ok(Args {
+                target: "all".to_string(),
+                effort: Effort::Full,
+                out_dir: PathBuf::from("results"),
+            })
+        );
+        assert_eq!(
+            parse(&["--out", "/tmp/r", "fig10", "--fast"]),
+            Ok(Args {
+                target: "fig10".to_string(),
+                effort: Effort::Fast,
+                out_dir: PathBuf::from("/tmp/r"),
+            })
+        );
+    }
+
+    #[test]
+    fn parse_args_rejects_unknown_flags_and_targets_by_name() {
+        // The documented-but-never-parsed flag and the figure the paper
+        // does not have: both used to run to completion in silence.
+        let e = parse(&["--full"]).unwrap_err();
+        assert!(e.contains("--full"), "{e}");
+        let e = parse(&["fig11"]).unwrap_err();
+        assert!(e.contains("fig11"), "{e}");
+        assert!(parse(&["fig4", "fig5"]).is_err());
+        assert!(parse(&["--out"]).is_err());
     }
 }

@@ -539,12 +539,6 @@ pub struct SystemConfig {
     /// sequencing (the epoch merge order assumes a fixed MP admission
     /// protocol; enforced loudly by the drivers at startup).
     pub adaptive: AdaptiveConfig,
-    /// Reactor worker threads for the multiplexed backend. `0` (default)
-    /// means "auto": the host's available parallelism. Ignored by the
-    /// thread-per-actor backend and by the simulator (both are defined
-    /// independently of worker count — and results are required to be
-    /// bit-identical at *every* worker count regardless).
-    pub workers: u32,
     /// RNG seed for workload generation; a run is a pure function of
     /// (config, workload, seed).
     pub seed: u64,
@@ -571,7 +565,6 @@ impl SystemConfig {
             retry: RetryConfig::default(),
             sequencing: SequencingConfig::Off,
             adaptive: AdaptiveConfig::Off,
-            workers: 0,
             seed: 0xC0FFEE,
         }
     }
@@ -646,24 +639,6 @@ impl SystemConfig {
     #[inline]
     pub fn sequencing_active(&self) -> bool {
         self.sequencing.is_on() && self.scheme != Scheme::Locking
-    }
-
-    /// Reactor worker count for the multiplexed backend (0 = auto).
-    pub fn with_workers(mut self, n: u32) -> Self {
-        self.workers = n;
-        self
-    }
-
-    /// Resolves `workers` to a concrete count: explicit value, or the
-    /// host's available parallelism when 0 (floor 1).
-    pub fn resolved_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers as usize
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
     }
 
     /// The coordinator shard that owns a client's multi-partition

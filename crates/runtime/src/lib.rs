@@ -64,8 +64,7 @@ pub enum BackendChoice {
 
 impl BackendChoice {
     /// The multiplexed backend with automatic pool sizing (`workers == 0`
-    /// resolves through [`SystemConfig::resolved_workers`]: the config's
-    /// `workers` knob, else the host's available parallelism).
+    /// resolves to the host's available parallelism).
     pub const fn multiplexed() -> Self {
         BackendChoice::Multiplexed { workers: 0 }
     }

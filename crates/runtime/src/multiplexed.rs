@@ -391,8 +391,7 @@ where
 }
 
 /// All actors multiplexed onto a pool of worker threads with partition
-/// affinity. `workers == 0` means auto: `SystemConfig::resolved_workers`
-/// (the `workers` knob, else available parallelism).
+/// affinity. `workers == 0` means auto: the host's available parallelism.
 #[derive(Default)]
 pub struct MultiplexedBackend {
     pub workers: usize,
@@ -416,12 +415,10 @@ impl Backend for MultiplexedBackend {
         if let Err(e) = system.validate() {
             panic!("invalid SystemConfig: {e}");
         }
-        // Explicit backend choice wins, then the system config knob, then
-        // the host's available parallelism.
         let workers = if self.workers > 0 {
             self.workers
         } else {
-            system.resolved_workers()
+            std::thread::available_parallelism().map_or(1, usize::from)
         };
         let n = system.partitions as usize;
         let slots = system.replication.max(1) as usize;

@@ -106,33 +106,30 @@ fn partition_work_stays_on_home_workers() {
     }
 }
 
-/// Pool-size resolution precedence: an explicit worker count on the
-/// backend choice wins; `workers == 0` falls back to the system config's
-/// `workers` knob; the threaded backend reports no worker stats at all.
+/// Pool-size resolution: an explicit worker count on the backend choice
+/// is the pool size; `workers == 0` sizes the pool to the host's
+/// available parallelism; the threaded backend reports no worker stats
+/// at all.
 #[test]
-fn pool_size_resolution_precedence() {
+fn pool_size_resolution() {
     let base = SystemConfig::new(Scheme::Blocking)
         .with_partitions(2)
         .with_clients(4)
         .with_seed(0x7007);
 
-    // Explicit backend count wins over the config knob.
-    let cfg = RuntimeConfig::fixed_work(
-        base.clone().with_workers(5),
-        BackendChoice::Multiplexed { workers: 2 },
-        10,
-    );
+    let cfg =
+        RuntimeConfig::fixed_work(base.clone(), BackendChoice::Multiplexed { workers: 3 }, 10);
     let r = run_pool(cfg);
-    assert_eq!(r.workers.len(), 2, "explicit backend count must win");
+    assert_eq!(
+        r.workers.len(),
+        3,
+        "explicit backend count is the pool size"
+    );
 
-    // Auto resolves through the config knob.
-    let cfg = RuntimeConfig::fixed_work(
-        base.clone().with_workers(3),
-        BackendChoice::multiplexed(),
-        10,
-    );
+    let cfg = RuntimeConfig::fixed_work(base.clone(), BackendChoice::multiplexed(), 10);
     let r = run_pool(cfg);
-    assert_eq!(r.workers.len(), 3, "auto must use SystemConfig::workers");
+    let host = std::thread::available_parallelism().map_or(1, usize::from);
+    assert_eq!(r.workers.len(), host, "auto = host parallelism");
 
     // Threaded runs have no reactor and report no worker stats.
     let cfg = RuntimeConfig::fixed_work(base, BackendChoice::Threaded, 10);

@@ -3,7 +3,7 @@
 //! what makes every figure in EXPERIMENTS.md exactly reproducible.
 
 use hcc_common::{Nanos, Scheme, SystemConfig};
-use hcc_sim::{SimConfig, Simulation};
+use hcc_sim::{run_with, SimConfig, Simulation};
 use hcc_workloads::micro::{MicroConfig, MicroWorkload};
 
 fn run(scheme: Scheme, seed: u64) -> (u64, u64, u64, Vec<u64>) {
@@ -219,52 +219,64 @@ fn sharded_coordinators_are_deterministic_per_shard_count() {
     );
 }
 
-/// The `workers` knob sizes the *runtime's* reactor pool; the simulator
-/// models partition/coordinator service times, not host threads, so the
-/// knob must be completely invisible to it — same counts, same
-/// fingerprints, and the same latency distribution (p50/p99/p999 in
-/// virtual nanoseconds) at every setting. This is the sim half of the
-/// vertical-scale contract: results are a function of (seed, workload),
-/// never of how many cores the host happens to run the actors on.
+/// Coordinator scale-out shape (§5.1: "the central coordinator uses 100%
+/// of the CPU and cannot handle more messages"): at 100% multi-partition
+/// the singleton is the measured bottleneck; with clients aligned to the
+/// data partitioning (4 affinity groups on 8 partitions, so shards own
+/// disjoint partition subsets) 2 and 4 shards each nearly double the
+/// previous; unaligned, the §4.2.2 same-coordinator-chain rule bites
+/// (cross-shard waits) and sharding buys almost nothing.
 #[test]
-fn worker_knob_is_invisible_to_the_simulator() {
-    let run_w = |workers: u32| {
+fn aligned_shards_scale_past_the_saturated_singleton() {
+    let point = |coordinators: u32, aligned: bool| {
         let micro = MicroConfig {
-            mp_fraction: 0.3,
-            abort_prob: 0.05,
-            clients: 24,
-            seed: 0xD5,
+            partitions: 8,
+            clients: 128,
+            mp_fraction: 1.0,
+            affinity_groups: if aligned { 4 } else { 1 },
+            seed: 0x94,
             ..Default::default()
         };
         let system = SystemConfig::new(Scheme::Speculative)
-            .with_partitions(2)
-            .with_clients(24)
-            .with_seed(0xD5)
-            .with_workers(workers);
+            .with_partitions(8)
+            .with_clients(128)
+            .with_seed(0x94)
+            .with_coordinators(coordinators);
         let cfg =
-            SimConfig::new(system).with_window(Nanos::from_millis(20), Nanos::from_millis(100));
+            SimConfig::new(system).with_window(Nanos::from_millis(30), Nanos::from_millis(150));
         let builder = MicroWorkload::new(micro);
-        let (r, _, engines, _) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+        run_with(cfg, MicroWorkload::new(micro), move |p| {
             builder.build_engine(p)
         })
-        .run();
-        let lat = r.latency.summary();
-        (
-            r.committed,
-            r.user_aborts,
-            r.events_processed,
-            [lat.p50.0, lat.p99.0, lat.p999.0],
-            engines.iter().map(|e| e.fingerprint()).collect::<Vec<_>>(),
-        )
     };
-    let baseline = run_w(0);
-    for workers in [1u32, 2, 4, 8] {
-        assert_eq!(
-            run_w(workers),
-            baseline,
-            "workers={workers} leaked into the simulation"
+    let single = point(1, true);
+    assert!(
+        single.coordinator_utilization > 0.9,
+        "singleton coordinator should saturate at mp=1.0 (got {:.0}%)",
+        single.coordinator_utilization * 100.0
+    );
+    let mut prev = single.throughput_tps;
+    for n in [2u32, 4] {
+        let tps = point(n, true).throughput_tps;
+        assert!(
+            tps > 1.6 * prev,
+            "{n} aligned shards should ~double {} ({tps:.0} vs {prev:.0} tps)",
+            n / 2
         );
+        prev = tps;
     }
+    let unaligned = point(2, false);
+    assert!(
+        unaligned.sched.cross_coord_waits > 0,
+        "unaligned sharding must exhibit cross-shard waits"
+    );
+    assert!(
+        unaligned.throughput_tps < 1.5 * single.throughput_tps,
+        "unaligned sharding should NOT scale like aligned ({:.0} vs {:.0} tps) — \
+         that's the dependency protocol breaking, not a regression",
+        unaligned.throughput_tps,
+        single.throughput_tps
+    );
 }
 
 #[test]

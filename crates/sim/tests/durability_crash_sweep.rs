@@ -14,7 +14,7 @@ use hcc_common::{
     SystemConfig, TxnId,
 };
 use hcc_core::{recover_partition, ReplicaCore};
-use hcc_sim::{CrashHarvest, SimConfig, Simulation};
+use hcc_sim::{run_with, CrashHarvest, SimConfig, Simulation};
 use hcc_storage::FaultMode;
 use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroFragment, MicroWorkload};
 
@@ -204,6 +204,39 @@ fn crash_harvest_is_deterministic() {
         assert_eq!(a.durable, b.durable, "{scheme}");
         assert_eq!(a.acked, b.acked, "{scheme}");
         assert_eq!(a.appended, b.appended, "{scheme}");
+    }
+}
+
+/// Command logging must stay cheap (the paper's premise): syncs are off
+/// the execution critical path — only result *release* waits — so the
+/// default 500 µs group commit keeps well over half the memory-only
+/// throughput under every scheme.
+#[test]
+fn group_commit_keeps_most_of_the_memory_only_throughput() {
+    for scheme in SCHEMES {
+        let point = |dur: Option<DurabilityConfig>| {
+            let mc = micro(24);
+            let mut system = SystemConfig::new(scheme)
+                .with_partitions(2)
+                .with_clients(24)
+                .with_seed(0xC4A5);
+            system.durability = dur;
+            let cfg =
+                SimConfig::new(system).with_window(Nanos::from_millis(30), Nanos::from_millis(150));
+            let builder = MicroWorkload::new(mc);
+            run_with(cfg, MicroWorkload::new(mc), move |p| {
+                builder.build_engine(p)
+            })
+        };
+        let off = point(None);
+        let on = point(Some(DurabilityConfig::default()));
+        assert!(on.durability.syncs > 0, "{scheme}: no syncs recorded");
+        assert!(
+            on.throughput_tps > 0.5 * off.throughput_tps,
+            "{scheme}: group commit halved throughput ({:.0} vs {:.0} tps)",
+            on.throughput_tps,
+            off.throughput_tps
+        );
     }
 }
 

@@ -100,15 +100,26 @@ fn scan_heavy_mix_is_deterministic_for_all_schemes() {
 /// scans stretch every 2PC stall relative to useful work — blocking
 /// wastes the whole stall, speculation hides it — so the
 /// speculation/blocking throughput ratio must *grow* with scan length.
+/// The crossover shifts the same way: locking's edge over speculation on
+/// short fragments erodes as scans lengthen (it pays per-row lock
+/// overhead on every scanned granule).
 #[test]
 fn longer_scans_widen_the_blocking_vs_speculation_gap() {
+    let tput = |scheme: Scheme, len: u32| run_scan(scheme, len, 0.5, 0x5CA, false).throughput;
     let ratio = |len: u32| {
-        let b = run_scan(Scheme::Blocking, len, 0.5, 0x5CA, false).throughput;
-        let s = run_scan(Scheme::Speculative, len, 0.5, 0x5CA, false).throughput;
+        let b = tput(Scheme::Blocking, len);
+        let s = tput(Scheme::Speculative, len);
         (s / b, b, s)
     };
     let (short_ratio, sb, ss) = ratio(4);
     let (long_ratio, lb, ls) = ratio(96);
+    let edge_short = tput(Scheme::Locking, 4) / ss;
+    let edge_long = tput(Scheme::Locking, 96) / ls;
+    assert!(
+        edge_long < edge_short,
+        "locking's short-fragment edge must erode with scan length: \
+         len=4 → {edge_short:.2}, len=96 → {edge_long:.2}"
+    );
     assert!(
         long_ratio > short_ratio,
         "gap must widen with scan length: len=4 → {short_ratio:.3} \

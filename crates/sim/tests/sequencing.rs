@@ -10,7 +10,7 @@
 //! sequenced execution, and failover mid-epoch.
 
 use hcc_common::{Nanos, PartitionId, Scheme, SequencingConfig, SystemConfig};
-use hcc_sim::{SimConfig, SimReport, Simulation};
+use hcc_sim::{run_with, SimConfig, SimReport, Simulation};
 use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
 
 const EPOCH64: SequencingConfig = SequencingConfig::Epoch { batch: 64 };
@@ -55,16 +55,13 @@ fn unaligned_sharded(
 /// and the freed retry budget must show up as throughput.
 #[test]
 fn sequencing_eliminates_the_unaligned_retry_storm() {
-    // All-MP unaligned traffic with a tight expiry (the default 20 ms
-    // timeout outlives most stalls in a 150 ms window; 2 ms is the
-    // retry-storm shape PR 4 measured, where merely-slow cross-shard
-    // chains get expired and resubmitted over and over).
-    let storm = |sequencing: SequencingConfig| {
+    // 8 partitions, 128 clients, 4 shards; aligned = 4 affinity groups.
+    let point = |sequencing: SequencingConfig, mp: f64, aligned: bool, lock_timeout: Nanos| {
         let micro = MicroConfig {
             partitions: 8,
             clients: 128,
-            mp_fraction: 1.0,
-            affinity_groups: 1,
+            mp_fraction: mp,
+            affinity_groups: if aligned { 4 } else { 1 },
             seed: 0x94,
             ..Default::default()
         };
@@ -74,16 +71,19 @@ fn sequencing_eliminates_the_unaligned_retry_storm() {
             .with_seed(0x94)
             .with_coordinators(4)
             .with_sequencing(sequencing);
-        system.lock_timeout = Nanos::from_millis(2);
+        system.lock_timeout = lock_timeout;
         let cfg =
             SimConfig::new(system).with_window(Nanos::from_millis(30), Nanos::from_millis(150));
         let builder = MicroWorkload::new(micro);
-        let (r, _, _, _) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+        run_with(cfg, MicroWorkload::new(micro), move |p| {
             builder.build_engine(p)
         })
-        .run();
-        r
     };
+    // All-MP unaligned traffic with a tight expiry (the default 20 ms
+    // timeout outlives most stalls in a 150 ms window; 2 ms is the
+    // retry-storm shape PR 4 measured, where merely-slow cross-shard
+    // chains get expired and resubmitted over and over).
+    let storm = |sequencing| point(sequencing, 1.0, false, Nanos::from_millis(2));
     let off = storm(SequencingConfig::Off);
     assert!(
         off.sequencer.cross_coord_aborts > 50,
@@ -101,10 +101,45 @@ fn sequencing_eliminates_the_unaligned_retry_storm() {
     assert_eq!(on.retries, 0, "no expiry aborts, no retry storm");
     assert!(on.sequencer.epochs_closed > 0, "epochs must actually close");
     assert!(
-        on.committed as f64 > 1.5 * off.committed as f64,
+        on.committed as f64 >= 2.0 * off.committed as f64,
         "sequencing must unlock unaligned throughput ({} vs {} committed)",
         on.committed,
         off.committed
+    );
+
+    // The moderate shape (half the traffic multi-partition, default
+    // expiry): the off baseline stalls behind cross-shard chains, the
+    // sequenced run neither aborts nor loses throughput.
+    let default_timeout = SystemConfig::new(Scheme::Speculative).lock_timeout;
+    let half = |sequencing, aligned| point(sequencing, 0.5, aligned, default_timeout);
+    let off = half(SequencingConfig::Off, false);
+    let on = half(EPOCH64, false);
+    assert!(
+        off.sched.cross_coord_waits > 0,
+        "the off baseline must reproduce the PR 4 cross-shard stalls"
+    );
+    assert_eq!(on.sequencer.cross_coord_aborts, 0, "mp=0.5");
+    assert_eq!(on.retries, 0, "mp=0.5: no expiry aborts");
+    assert!(
+        on.throughput_tps >= off.throughput_tps,
+        "sequencing must not lose throughput at mp=0.5 ({:.0} vs {:.0} tps)",
+        on.throughput_tps,
+        off.throughput_tps
+    );
+
+    // Aligned traffic pays the deterministic-ordering tax (epoch hold +
+    // globally ordered MP dispatch) without needing it — cross-shard
+    // conflicts never materialize when clients are partition-aligned, so
+    // such deployments leave the knob off. The bound is a regression
+    // fence around the measured ~0.5× tax, not a claim that sequencing
+    // is free.
+    let aligned_off = half(SequencingConfig::Off, true);
+    let aligned_on = half(EPOCH64, true);
+    assert!(
+        aligned_on.throughput_tps > 0.45 * aligned_off.throughput_tps,
+        "sequencing's ordering tax on aligned traffic regressed ({:.0} vs {:.0} tps)",
+        aligned_on.throughput_tps,
+        aligned_off.throughput_tps
     );
 }
 

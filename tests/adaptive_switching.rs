@@ -7,6 +7,8 @@
 //! resuming in the same scheme at the same transition epoch.
 
 use hcc::prelude::*;
+use hcc::sim::run_with;
+use hcc::workloads::micro::{MicroConfig, MicroWorkload};
 use hcc::workloads::phased::PhasedMicroWorkload;
 use hcc_common::AdaptiveConfig;
 
@@ -95,6 +97,95 @@ fn adaptive_sim_switches_on_phase_shift() {
         let expect: Vec<u32> = (1..=epochs.len() as u32).collect();
         assert_eq!(epochs, expect, "P{p}: transition epochs not dense");
     }
+}
+
+/// Steady mixes, one row each: the three phases of the standard schedule
+/// run alone, then a single-partition-heavy mix whose incumbent already
+/// wins. Per phase, adaptive started from a losing pin must actually
+/// switch, reach 0.9× the best pinned scheme, and clear the
+/// mispin-rescue bar: 1.3× the worst pin, capped at 0.95× the best
+/// (blocking country is low-contrast — the other schemes' overheads are
+/// small there — so 1.3× worst can exceed the best pin). On the last row
+/// hysteresis must hold: windows close and nothing switches.
+#[test]
+fn adaptive_tracks_the_best_pinned_scheme_on_steady_mixes() {
+    let steady = |micro: MicroConfig, scheme: Scheme, adaptive: bool| {
+        let mut system = SystemConfig::new(scheme)
+            .with_partitions(2)
+            .with_clients(micro.clients);
+        if adaptive {
+            system = system.with_adaptive(fast_adaptive());
+        }
+        // 50 ms of warm-up is long enough for an adaptive run to converge
+        // on the winner before the measured window opens.
+        let cfg =
+            SimConfig::new(system).with_window(Nanos::from_millis(50), Nanos::from_millis(250));
+        let builder = MicroWorkload::new(micro);
+        run_with(cfg, MicroWorkload::new(micro), move |p| {
+            builder.build_engine(p)
+        })
+    };
+    // (phase, scheme adaptive starts from). Blocking is the worst pin of
+    // the first two mixes. On conflicted-aborts the worst pin is locking,
+    // but blocking observes no lock conflicts, so from a locking start
+    // the measured conflict signal fades with the incumbent and the model
+    // wobbles between the two; speculation keeps the abort/conflict
+    // signal visible and converges.
+    let starts = [
+        ("conflicted-one-round", Scheme::Blocking),
+        ("two-round-general", Scheme::Blocking),
+        ("conflicted-aborts", Scheme::Speculative),
+    ];
+    let schedule = PhasedMicroWorkload::standard(2, 40, 42, 1);
+    for (name, start) in starts {
+        let ph = schedule
+            .phases()
+            .iter()
+            .find(|ph| ph.name == name)
+            .expect("phase of the standard schedule");
+        let micro = ph.micro_config(2, 40, 42);
+        let pinned = [
+            Scheme::Blocking,
+            Scheme::Speculative,
+            Scheme::Locking,
+            Scheme::Occ,
+        ]
+        .map(|s| steady(micro, s, false).throughput_tps);
+        let best = pinned.iter().copied().fold(f64::MIN, f64::max);
+        let worst = pinned.iter().copied().fold(f64::MAX, f64::min);
+        let a = steady(micro, start, true);
+        assert!(
+            a.adaptive.switches >= 1,
+            "{name}: adaptive started from {start} but never switched ({} windows evaluated)",
+            a.adaptive.windows_evaluated
+        );
+        assert!(
+            a.throughput_tps >= 0.9 * best,
+            "{name}: adaptive {:.0} tps < 0.9× best pinned ({best:.0} tps)",
+            a.throughput_tps
+        );
+        let rescue_bar = (1.3 * worst).min(0.95 * best);
+        assert!(
+            a.throughput_tps >= rescue_bar,
+            "{name}: adaptive {:.0} tps < rescue bar {rescue_bar:.0} (worst pin {worst:.0}, \
+             best {best:.0}) — the switch must rescue a mispinned deployment",
+            a.throughput_tps
+        );
+    }
+    let sp_heavy = MicroConfig {
+        mp_fraction: 0.05,
+        ..Default::default()
+    };
+    let r = steady(sp_heavy, Scheme::Speculative, true);
+    assert!(
+        r.adaptive.windows_evaluated > 0,
+        "steady run closed no windows"
+    );
+    assert_eq!(
+        r.adaptive.switches, 0,
+        "a winning incumbent must never be switched away from (hysteresis failed after {} windows)",
+        r.adaptive.windows_evaluated
+    );
 }
 
 /// Virtual time: an adaptive run is as deterministic as a pinned one.
