@@ -75,29 +75,33 @@ pub enum PendingRequest<F, R> {
     },
 }
 
-impl<F: Clone, R> PendingRequest<F, R> {
-    /// Snapshot a request so it can be re-submitted on retry.
-    pub fn from_request(req: &Request<F, R>) -> Self {
+/// Snapshot a request so it can be re-submitted on retry. Takes the
+/// request by value: each attempt then costs the one clone in
+/// [`PendingRequest::to_request`].
+impl<F, R> From<Request<F, R>> for PendingRequest<F, R> {
+    fn from(req: Request<F, R>) -> Self {
         match req {
             Request::SinglePartition {
                 partition,
                 fragment,
                 can_abort,
             } => PendingRequest::SinglePartition {
-                partition: *partition,
-                fragment: fragment.clone(),
-                can_abort: *can_abort,
+                partition,
+                fragment,
+                can_abort,
             },
             Request::MultiPartition {
                 procedure,
                 can_abort,
             } => PendingRequest::MultiPartition {
-                procedure: procedure.clone_box(),
-                can_abort: *can_abort,
+                procedure,
+                can_abort,
             },
         }
     }
+}
 
+impl<F: Clone, R> PendingRequest<F, R> {
     /// Turn the snapshot back into a request (cloning so the snapshot can
     /// serve further retries).
     pub fn to_request(&self) -> Request<F, R> {
@@ -406,7 +410,7 @@ mod tests {
             fragment: TestFragment::add(5, 1),
             can_abort: true,
         };
-        let pending = PendingRequest::from_request(&req);
+        let pending = PendingRequest::from(req);
         match pending.to_request() {
             Request::SinglePartition {
                 partition,
@@ -428,7 +432,7 @@ mod tests {
             }),
             can_abort: false,
         };
-        let pending = PendingRequest::from_request(&req);
+        let pending = PendingRequest::from(req);
         match pending.to_request() {
             Request::MultiPartition { procedure, .. } => {
                 assert_eq!(procedure.participants(), vec![PartitionId(0)]);

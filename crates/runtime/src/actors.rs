@@ -42,6 +42,17 @@
 //! tells the dead node to rejoin, and fans an epoch-stamped
 //! [`Msg::RoutingUpdate`] out to **every coordinator shard**, each of
 //! which aborts its own in-flight transactions touching the dead node.
+//! A shard learns of the failover some time *after* the routing table has
+//! flipped, and until then what it sends the group lands on the promoted
+//! primary although the shard's failover bookkeeping will file it under
+//! "sent to the dead node". The promoted primary therefore starts
+//! *fenced*: it bounces every fragment of a shard, exactly as the dead
+//! node would, until that shard's [`Msg::RoutingApplied`] marker arrives
+//! on the same FIFO link — so what a shard believes died with the old
+//! primary really did. (Without the fence a shard that is slow to hear
+//! re-delivers, as in-doubt, commits the promoted primary has itself just
+//! processed; the duplicate waits for a decision nobody will send, and the
+//! partition stalls behind it.)
 //! Failure *detection* is modeled as reliable and immediate — the dying
 //! node's last act is notifying the membership actor — which keeps the
 //! kill → promote → recover scenario deterministic.
@@ -156,6 +167,12 @@ pub enum Msg<E: ExecutionEngine> {
     /// in-flight transactions touching it and re-delivers unacknowledged
     /// commits.
     RoutingUpdate { partition: PartitionId, epoch: u32 },
+    /// Coordinator shard → promoted primary, first thing on a
+    /// [`Msg::RoutingUpdate`]: everything this shard sent the group before
+    /// this marker was addressed to the dead node (the shard had not heard
+    /// of the failover), everything after it to the promoted one. Lifts the
+    /// promoted primary's fence on the shard.
+    RoutingApplied { shard: CoordinatorId },
     /// Primary → coordinator shard: the commit decision for `txn` was
     /// processed (its commit record is in the group's log) — the
     /// transaction leaves the 2PC in-doubt window.
@@ -198,12 +215,14 @@ pub struct RunControl {
     pub stop: AtomicBool,
     /// True during the measurement window (timed mode).
     pub window_open: AtomicBool,
-    /// Commits observed while the window was open, sharded by client id so
-    /// clients stepped on different workers never contend on (or
+    /// Per shard, commits observed while the window was open and a
+    /// progress beacon bumped on every final outcome; sharded by client id
+    /// so clients stepped on different workers never contend on (or
     /// false-share) a single counter line. Read via
     /// [`committed_in_window`](Self::committed_in_window) after the window
-    /// closes.
-    commit_shards: Vec<CachePadded<AtomicU64>>,
+    /// closes, and via [`progress`](Self::progress) by the drivers' hang
+    /// watchdog.
+    commit_shards: Vec<CachePadded<(AtomicU64, AtomicU64)>>,
     /// Clients that have not yet retired. Padded: decremented from worker
     /// threads while the driver spin-reads it.
     pub live_clients: CachePadded<AtomicUsize>,
@@ -226,7 +245,7 @@ impl RunControl {
             stop: AtomicBool::new(false),
             window_open: AtomicBool::new(false),
             commit_shards: (0..COMMIT_SHARDS)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .map(|_| CachePadded::new((AtomicU64::new(0), AtomicU64::new(0))))
                 .collect(),
             live_clients: CachePadded::new(AtomicUsize::new(clients)),
             recovery_done: AtomicBool::new(false),
@@ -234,9 +253,19 @@ impl RunControl {
         }
     }
 
-    /// Count one commit inside the measurement window.
-    pub fn note_window_commit(&self, client: ClientId) {
-        self.commit_shards[client.as_usize() & (COMMIT_SHARDS - 1)].fetch_add(1, Ordering::Relaxed);
+    /// `client` reached a final outcome (commit or user abort): bump the
+    /// progress beacon and, if it is a commit inside the measurement
+    /// window, count one window commit. The beacon is a plain load and
+    /// store, not an RMW — two clients of one shard may lose an update,
+    /// which still leaves the value changed, and a change is all the
+    /// watchdog reads from it.
+    pub fn note_outcome(&self, client: ClientId, window_commit: bool) {
+        let shard = &self.commit_shards[client.as_usize() & (COMMIT_SHARDS - 1)];
+        let beacon = shard.1.load(Ordering::Relaxed);
+        shard.1.store(beacon.wrapping_add(1), Ordering::Relaxed);
+        if window_commit {
+            shard.0.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Total commits observed while the window was open (sums the shards;
@@ -244,8 +273,17 @@ impl RunControl {
     pub fn committed_in_window(&self) -> u64 {
         self.commit_shards
             .iter()
-            .map(|s| s.load(Ordering::SeqCst))
+            .map(|s| s.0.load(Ordering::SeqCst))
             .sum()
+    }
+
+    /// Sum of the progress beacons: stands still only while no client
+    /// reaches a final outcome. Not a count (see
+    /// [`note_outcome`](Self::note_outcome)).
+    pub fn progress(&self) -> u64 {
+        self.commit_shards
+            .iter()
+            .fold(0, |sum, s| sum.wrapping_add(s.1.load(Ordering::Relaxed)))
     }
 
     /// A client entered a retry backoff and needs future ticks.
@@ -400,7 +438,7 @@ where
             Msg::Start => {
                 debug_assert!(self.pending.is_none());
                 let req = ctx.workload.lock().next_request(self.core.id);
-                self.pending = Some(PendingRequest::from_request(&req));
+                self.pending = Some(req.into());
                 self.submitted_at = now;
                 self.dispatch(now, out);
             }
@@ -486,9 +524,8 @@ where
                 }
             }
             NextAction::NewRequest => {
-                if in_window && result.is_committed() {
-                    ctx.ctl.note_window_commit(self.core.id);
-                }
+                ctx.ctl
+                    .note_outcome(self.core.id, in_window && result.is_committed());
                 let retire = match self.remaining.as_mut() {
                     Some(k) => {
                         *k -= 1;
@@ -504,7 +541,7 @@ where
                 } else {
                     let req = wl.next_request(self.core.id);
                     drop(wl);
-                    self.pending = Some(PendingRequest::from_request(&req));
+                    self.pending = Some(req.into());
                     self.submitted_at = now;
                     self.dispatch(now, out);
                 }
@@ -777,6 +814,12 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
                 }
             }
             Msg::RoutingUpdate { partition, epoch } => {
+                // The marker goes first: the re-deliveries queued below
+                // must find the promoted primary's fence already down.
+                out.push(OutMsg {
+                    dest: ActorId::Partition(partition),
+                    msg: Msg::RoutingApplied { shard: self.id },
+                });
                 let _aborted = self
                     .coord
                     .on_partition_failed(partition, epoch, &mut self.scratch);
@@ -1007,6 +1050,11 @@ pub struct ReplicaActor<E: ExecutionEngine> {
     /// Crash after shipping this many commit records (fault injection;
     /// armed only on the initial primary of the failed group).
     crash_after: Option<u64>,
+    /// Coordinator shards that have not yet sent this promoted primary
+    /// their [`Msg::RoutingApplied`]: their fragments are bounced as the
+    /// dead node would bounce them (see the module docs). Empty on a
+    /// primary that was never promoted.
+    fenced: Vec<CoordinatorId>,
     /// Durable command log + group-commit state (primary with durability
     /// on; a node promoted mid-run starts a fresh log — the prefix it
     /// applied as a backup is covered by the dead primary's log).
@@ -1084,6 +1132,7 @@ where
             role,
             epoch: 0,
             crash_after,
+            fenced: Vec::new(),
             dur: (slot == 0)
                 .then(|| system.durability.map(Durability::new))
                 .flatten(),
@@ -1516,6 +1565,11 @@ where
         debug_assert!(self.outbox.messages.is_empty());
         match msg {
             Msg::Fragment(task) => {
+                if matches!(task.coordinator, CoordinatorRef::Central(k) if self.fenced.contains(&k))
+                {
+                    self.bounce(&task, out);
+                    return;
+                }
                 // Exactly-once guard for in-doubt redelivery: if this
                 // (promoted) primary already applied the transaction as a
                 // backup — its commit record reached the group before the
@@ -1552,6 +1606,10 @@ where
                 } else {
                     self.admit_fragment(task, now);
                 }
+            }
+            Msg::RoutingApplied { shard } => {
+                self.fenced.retain(|k| *k != shard);
+                return;
             }
             Msg::EpochLog(log) => {
                 let released = match &mut self.seq {
@@ -1835,6 +1893,9 @@ where
                     acks.add_backup(s as usize, watermark);
                 }
                 self.epoch = epoch;
+                self.fenced = (0..self.system.coordinators.max(1))
+                    .map(CoordinatorId)
+                    .collect();
                 self.repl_counters.promotions += 1;
                 self.role = Role::Primary {
                     sched: make_scheduler_send_resumed::<E>(&self.system, self.group, resume),

@@ -14,14 +14,16 @@
 //!   client counts, but a run with `C` clients costs `C + partitions + 2`
 //!   threads: the host drowns well before "millions of users".
 //! * [`multiplexed::MultiplexedBackend`] — every actor multiplexed onto a
-//!   small fixed worker pool via per-actor mailboxes and a ready queue
-//!   (an epoll-style reactor, hand-rolled — the build is offline). Memory
-//!   and thread count stay flat as clients grow, which is what lets a
-//!   single host drive thousands of closed-loop clients.
+//!   small fixed worker pool: clients and partitions owned by one worker
+//!   each, batched worker-to-worker mail, and a mailbox plus ready list
+//!   only for the coordinator shards and the membership actor (a
+//!   hand-rolled reactor — the build is offline). Memory and thread count
+//!   stay flat as clients grow, which is what lets a single host drive
+//!   thousands of closed-loop clients.
 //!
-//! Crossbeam channels (threaded) and the mailbox queues (multiplexed)
-//! both preserve per-link FIFO order, the property the speculation
-//! protocol relies on.
+//! Crossbeam channels (threaded) and the worker queues and inboxes
+//! (multiplexed) both preserve per-link FIFO order, the property the
+//! speculation protocol relies on.
 //!
 //! The runtime is the "it actually runs" build: examples and soak tests
 //! use it, and the backup- and backend-equivalence checks run against it.
@@ -42,7 +44,7 @@ pub mod threaded;
 pub use multiplexed::MultiplexedBackend;
 pub use threaded::ThreadedBackend;
 
-use crate::actors::ReplicaParts;
+use crate::actors::{ReplicaParts, RunControl};
 use hcc_common::stats::{
     AdaptiveStats, DurabilityCounters, LatencySummary, ReplicationCounters, SchedulerCounters,
     SequencerStats,
@@ -50,6 +52,7 @@ use hcc_common::stats::{
 use hcc_common::{FailurePlan, Nanos, PartitionId, SystemConfig};
 use hcc_core::client::ClientStats;
 use hcc_core::{ExecutionEngine, RequestGenerator};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Which backend drives the actors. Every runtime entry point takes one
@@ -181,10 +184,13 @@ impl RuntimeConfig {
 
 /// Per-worker reactor counters from a multiplexed run (empty for the
 /// threaded backend). `loops` counts scheduling iterations, `steps`
-/// messages processed, `parks` condvar sleeps, `steals` tokens taken from
-/// another worker's shared queue, and `busy_ns` wall time spent stepping
-/// actors. The no-busy-spin invariant is `loops <= steps + parks + slack`:
-/// every iteration either processes mail or goes to sleep.
+/// messages processed, `parks` sleeps, `steals` runs of a shared actor
+/// (coordinator shard or membership) this worker popped from the ready
+/// list after a *different* worker published it, and `busy_ns` wall time
+/// from each wake-up to the end of the last step before the next park
+/// (stepping, routing and polling alike). The no-busy-spin invariant is
+/// `loops <= steps + parks + slack`: every iteration either processes
+/// mail or goes to sleep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     pub loops: u64,
@@ -227,8 +233,8 @@ pub struct RuntimeReport<E: ExecutionEngine> {
     /// run-ending primary never logged — e.g. torn down mid-failover).
     pub logs: Vec<Option<Vec<u8>>>,
     /// Per-worker reactor counters (multiplexed backend only; empty for
-    /// threaded runs). Index = worker id; partitions pin to
-    /// `group % workers.len()`.
+    /// threaded runs). Index = worker id; partitions home on
+    /// `group % workers.len()`, clients on `client % workers.len()`.
     pub workers: Vec<WorkerStats>,
     /// Epoch-sequencing counters summed across coordinator shards and
     /// partition gates (all zero when `SystemConfig::sequencing` is off,
@@ -287,6 +293,49 @@ where
 
 pub(crate) fn now_ns(epoch: Instant) -> Nanos {
     Nanos(epoch.elapsed().as_nanos() as u64)
+}
+
+/// How long a driver's wait loop tolerates no progress at all before it
+/// declares the run hung.
+const HANG_AFTER: Duration = Duration::from_secs(30);
+
+/// The drivers' wait loop: sleep-poll until `done()`. A run in which
+/// `live_clients`, `pending` (the backend's undelivered-message count, if
+/// it keeps one) and the clients' progress beacon all stand still for
+/// [`HANG_AFTER`] is hung; panic with the backend's `dump()` rather than
+/// sit forever.
+pub(crate) fn drain_until(
+    ctl: &RunControl,
+    pending: impl Fn() -> i64,
+    done: impl Fn() -> bool,
+    dump: impl Fn() -> String,
+) {
+    let progress = || {
+        (
+            ctl.live_clients.load(Ordering::SeqCst),
+            pending(),
+            ctl.progress(),
+        )
+    };
+    let mut seen = (progress(), Instant::now());
+    while !done() {
+        std::thread::sleep(Duration::from_micros(200));
+        let at = progress();
+        if at != seen.0 {
+            seen = (at, Instant::now());
+        } else if seen.1.elapsed() >= HANG_AFTER {
+            panic!(
+                "run hung: no progress for {HANG_AFTER:?} (live_clients {}, pending {}, \
+                 progress beacon {}, backoff_waiters {}, recovery_done {})\n{}",
+                at.0,
+                at.1,
+                at.2,
+                ctl.backoff_waiters(),
+                ctl.recovery_done.load(Ordering::SeqCst),
+                dump()
+            );
+        }
+    }
 }
 
 /// Sort the harvested replica nodes into the report shape: the primary

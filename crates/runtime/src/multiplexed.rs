@@ -1,397 +1,463 @@
-//! Multiplexed reactor backend: every actor on a configurable worker
-//! pool with partition affinity.
+//! Multiplexed reactor backend: a shared-nothing worker pool.
 //!
 //! The ROADMAP's "async backend", hand-rolled because the build is
-//! offline (no tokio, and the vendored crossbeam has no `Select`): each
-//! actor owns a mailbox (`Mutex<VecDeque>` + a `scheduled` bit) and the
-//! indices of actors with undelivered mail circulate through per-worker
-//! run queues. Workers pop an index, drain that mailbox, step the actor,
-//! and route its outputs — the classic epoll/ready-list shape, with the
-//! mailbox bit playing the role of edge-triggered readiness (an actor is
-//! enqueued exactly once per busy period, never concurrently stepped).
+//! offline (no tokio, and the vendored crossbeam has no `Select`). The
+//! paper's point — a partition run by one thread needs no latches —
+//! applied to the runtime itself: only the actors whose load cannot be
+//! placed statically sit behind a lock.
 //!
 //! # Placement
 //!
-//! Every actor has a *home worker*. Replica actors are **pinned**: a
-//! whole group (primary + backups) homes on `group % workers`, its ready
-//! tokens go only to that worker's private pinned queue, and only that
-//! worker ever pops them — so a partition's scheduler, engine, and
-//! group-commit sequencer run on one core for the life of the run (cache
-//! residency for the hot single-partition path, and no cross-core
-//! migration of engine state). Clients, coordinator shards, and the
-//! membership actor are **stealable**: their tokens go to their home
-//! worker's shared queue, but any worker whose own queues are empty may
-//! steal them, keeping the pool busy when client load is skewed.
+//! * **Owned** — client `c` lives on worker `c % workers`, every slot of
+//!   replica group `g` (across failovers) on worker `g % workers`, as plain
+//!   data inside the worker: moved in at spawn, returned at join. A message
+//!   between two actors of one worker is a push on its private `VecDeque`;
+//!   one to another worker goes to a per-destination outbound buffer that
+//!   is appended to the destination's single inbox when the step ends (one
+//!   lock per destination per step). A worker takes its whole inbox with
+//!   one swap per loop iteration, then steps what its queue holds at that
+//!   point: a batch that grows with load, with no knob. (Holding outbound
+//!   mail until the batch ends was measured and dropped: the sibling runs
+//!   dry behind a long batch and parks four times as often.)
+//! * **Shared** — coordinator shards and the membership actor keep a
+//!   mailbox with a `scheduled` bit and one global ready list that every
+//!   worker pops at the top of its loop and before parking; `steals`
+//!   counts runs popped by a worker other than the publisher. Measured
+//!   reason (30 % multi-partition microbenchmark, `multiplexed:2`): homed
+//!   on one worker, the coordinator leaves that worker 0.98 busy and its
+//!   sibling 0.49, and costs 12 % throughput against the parent commit;
+//!   shared, both sit at 0.88 and throughput gains 14 %.
+//!
+//! # Ordering
+//!
+//! 1. **Per-link FIFO.** An owned actor never changes worker, and queue,
+//!    outbound buffer and inbox are each FIFO (a swapped-out inbox goes
+//!    *behind* the local queue), so every owned → owned link is FIFO. A
+//!    shared actor may run on any worker, so its outputs are published
+//!    after every message, in program order, while it is exclusively held
+//!    — always through the destination's inbox, never the stepping
+//!    worker's local queue, so they reach an owned actor by one path.
+//! 2. **Promote before redirected traffic.** [`ActorId::Partition`] is
+//!    resolved to a slot by the group's home worker at *delivery*, and the
+//!    [`ActorId::Control`] flip travels there as a message on the same
+//!    link as the promotion emitted before it: the home worker sees
+//!    promote, flip, then whatever the flip redirects. An outbox publishes
+//!    worker-bound mail before mailbox-bound mail, so a coordinator told of
+//!    the failover finds the flip already queued.
+//! 3. **Quiescence** and 4. **Parking**, below.
 //!
 //! # Parking
 //!
-//! An idle worker *parks* on a condvar instead of spinning: it raises its
-//! `parked` flag, re-checks every queue it may pop from (the Dekker-style
-//! re-check that closes the sleep/wake race), and only then waits. A
-//! sender wakes the home worker for pinned work, or the home-else-any
-//! parked worker for stealable work. Client backoff ticks are gated on
-//! [`RunControl::backoff_waiters`], so a quiescent system delivers no
-//! messages at all and every worker stays parked — the no-busy-spin
-//! invariant `loops ≤ steps + parks (+ startup slack)` that the idle soak
-//! test asserts.
+//! An idle worker parks instead of spinning: it raises its `parked` flag,
+//! polls inbox and ready list once more (the Dekker-style re-check that
+//! closes the sleep/wake race), then sleeps. Publishers load `parked`
+//! after publishing and swap it only when it reads true. A ready token is
+//! popped under the list's lock and the poll decides from what it got, so
+//! every loop iteration steps a message or parks: `loops ≤ steps + parks
+//! (+ startup slack)`, which the idle soak asserts. Client backoff ticks
+//! are gated on [`RunControl::backoff_waiters`]: a quiescent system sends
+//! nothing.
 //!
-//! Per-actor cost is two mutex hops per message instead of a parked
-//! thread per actor, so thread count and stack memory stay flat as
-//! clients grow. Mailbox FIFO order per link preserves the delivery
-//! guarantee the speculation protocol needs.
+//! # Quiescence
 //!
-//! Replica groups occupy `replication` slab slots per partition; the
-//! logical [`ActorId::Partition`] address resolves through a membership
-//! table of atomics, flipped by the coordinator's [`ActorId::Control`]
-//! message on failover (inside the sender's routing pass, so the
-//! promotion is in the new primary's mailbox before any redirected
-//! traffic).
-//!
-//! Quiescence (shutdown without losing in-flight decisions) uses a global
-//! undelivered-message count: a worker decrements it only *after* routing
-//! the outputs of the message it consumed, so `live_clients == 0 &&
-//! pending == 0` proves the run has fully drained — including a
-//! kill → promote → recover chain, which is itself just messages. The
-//! count stays a *single* padded atomic on purpose: sharding it would
-//! admit transient zero reads and a false quiescence.
+//! `pending` counts undelivered messages in one padded atomic (sharding
+//! it would admit transient zero reads). A message is counted *before*
+//! another thread can see it, and a consumed message stays counted until
+//! what it produced is: its unit passes to an output, the worker adds
+//! units only when a step produces more than the batch has consumed so
+//! far, and returns the surplus in one RMW when the batch ends — no RMW at
+//! all for single-partition traffic, where every step consumes one message
+//! and produces one. The count never reads below the true backlog, so
+//! `live_clients == 0 && pending == 0` proves a drained run, the
+//! kill → promote → rejoin chain included.
 
 use crate::actors::{
     ActorId, ClientActor, ClientCtx, CoordinatorActor, MembershipActor, Msg, OutMsg, ReplicaActor,
     ReplicaParts, RunControl,
 };
 use crate::{
-    assemble_replicas, finish_report, now_ns, Backend, RunMode, RuntimeConfig, RuntimeReport,
-    WorkerStats,
+    assemble_replicas, drain_until, finish_report, now_ns, Backend, RunMode, RuntimeConfig,
+    RuntimeReport, WorkerStats,
 };
 use hcc_common::stats::SequencerStats;
-use hcc_common::{CachePadded, ClientId, CoordinatorId, PartitionId, Scheme};
+use hcc_common::{CachePadded, ClientId, CoordinatorId, Nanos, PartitionId, Scheme};
 use hcc_core::client::ClientStats;
 use hcc_core::{ExecutionEngine, RequestGenerator};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
+enum SharedActor<E: ExecutionEngine> {
+    Coordinator(Box<CoordinatorActor<E>>),
+    Membership(MembershipActor),
+}
+
+/// A shared actor and its mail. The actor rides in its own mailbox: the
+/// worker that pops its ready token takes it out along with the mail and
+/// puts it back when it unschedules, so holding it needs no second lock.
 struct Mailbox<E: ExecutionEngine> {
     queue: VecDeque<Msg<E>>,
-    /// True while the actor is in a run queue or being stepped; the
-    /// single-enqueuer invariant that keeps an actor on one worker at a
-    /// time.
+    /// True while the actor is on the ready list or being stepped — the
+    /// single-enqueuer invariant that keeps it on one worker at a time.
     scheduled: bool,
+    actor: Option<SharedActor<E>>,
 }
 
-enum AnyActor<W: RequestGenerator> {
-    // Clients dominate the slab at scale; boxing them (and the now
-    // role-carrying replicas) keeps every slot at the small variants'
-    // size.
-    Client(Box<ClientActor<W>>),
-    Coordinator(Box<CoordinatorActor<W::Engine>>),
-    Membership(Box<MembershipActor>),
-    Replica(Box<ReplicaActor<W::Engine>>),
-}
-
-/// Condvar-based sleep/wake with a sticky token, so a wake that lands
-/// before the sleeper reaches `wait` is never lost.
-struct Parker {
-    lock: std::sync::Mutex<bool>,
-    cv: std::sync::Condvar,
-}
-
-impl Parker {
-    fn new() -> Self {
-        Parker {
-            lock: std::sync::Mutex::new(false),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    fn wake(&self) {
-        let mut token = self.lock.lock().expect("parker poisoned");
-        *token = true;
-        self.cv.notify_one();
-    }
-
-    fn park(&self) {
-        let mut token = self.lock.lock().expect("parker poisoned");
-        while !*token {
-            token = self.cv.wait(token).expect("parker poisoned");
-        }
-        *token = false;
-    }
-}
-
-/// One worker's scheduling state. Padded as a unit: a worker hammers its
-/// own queues and flag; neighbours must not ride the same line.
-struct WorkerState {
-    /// Ready tokens for replica actors homed here. Only this worker pops.
-    pinned: Mutex<VecDeque<usize>>,
-    /// Ready tokens for stealable actors homed here. Any worker may pop.
-    shared: Mutex<VecDeque<usize>>,
-    /// Raised before the pre-park re-check; a waker that swaps it off
+/// What the rest of the system can touch of one worker. Padded as a unit.
+struct Port<E: ExecutionEngine> {
+    inbox: Mutex<Vec<OutMsg<E>>>,
+    /// Raised before the pre-park re-check; a publisher that swaps it off
     /// owns the wake.
     parked: AtomicBool,
-    parker: Parker,
-    /// Flushed once by the worker thread as it exits.
-    stats: Mutex<WorkerStats>,
-}
-
-impl WorkerState {
-    fn new() -> Self {
-        WorkerState {
-            pinned: Mutex::new(VecDeque::new()),
-            shared: Mutex::new(VecDeque::new()),
-            parked: AtomicBool::new(false),
-            parker: Parker::new(),
-            stats: Mutex::new(WorkerStats::default()),
-        }
-    }
+    /// The worker's thread, set before it first raises `parked`. Parking is
+    /// `std::thread::park`, whose sticky token keeps a wake that lands
+    /// before the sleeper sleeps.
+    thread: OnceLock<Thread>,
+    /// Local-queue length as of the owner's last poll (hang dump only).
+    local_len: AtomicUsize,
 }
 
 struct Shared<W: RequestGenerator> {
-    actors: Vec<CachePadded<Mutex<AnyActor<W>>>>,
+    ports: Vec<CachePadded<Port<W::Engine>>>,
+    /// The coordinator shards, then the membership actor.
     mail: Vec<CachePadded<Mutex<Mailbox<W::Engine>>>>,
-    workers: Vec<CachePadded<WorkerState>>,
-    /// Messages sent but not yet fully processed (outputs routed). A
-    /// single padded atomic — see the module docs on quiescence.
-    pending: CachePadded<AtomicU64>,
+    /// Scheduled shared actors, each with the worker that published the
+    /// token (`None`: driver or timer).
+    ready: Mutex<VecDeque<(usize, Option<usize>)>>,
+    /// Undelivered messages — see the module docs on quiescence.
+    pending: CachePadded<AtomicI64>,
     /// Set by the driver once `pending` hits zero; parked workers exit.
     shutdown: AtomicBool,
     ctl: RunControl,
     workload: Mutex<W>,
     epoch: Instant,
-    /// Actor-index layout: clients, then the coordinator shards, then the
-    /// membership actor, then replica groups (`replication` slots each,
-    /// group-major).
-    clients: usize,
-    coordinators: usize,
     slots_per_group: usize,
-    /// Current primary slot per group.
+    /// Current primary slot per group. Read and written by the group's
+    /// home worker alone (hence `Relaxed`); atomic only for the hang dump.
     membership: Vec<CachePadded<AtomicU32>>,
 }
 
-impl<W: RequestGenerator> Shared<W>
-where
-    W::Engine: Send + 'static,
-    <W::Engine as ExecutionEngine>::Fragment: Send,
-    <W::Engine as ExecutionEngine>::Output: Send,
-{
-    fn replica_base(&self) -> usize {
-        self.clients + self.coordinators + 1
-    }
-
-    fn replica_index(&self, p: PartitionId, slot: usize) -> usize {
-        self.replica_base() + p.as_usize() * self.slots_per_group + slot
-    }
-
-    fn index_of(&self, id: ActorId) -> usize {
-        match id {
-            ActorId::Client(c) => c.as_usize(),
-            ActorId::Coordinator(k) => self.clients + k.as_usize(),
-            ActorId::Membership => self.clients + self.coordinators,
-            ActorId::Partition(p) => {
-                let slot = self.membership[p.as_usize()].load(Ordering::Acquire) as usize;
-                self.replica_index(p, slot)
-            }
-            ActorId::Replica(p, s) => self.replica_index(p, s as usize),
-            ActorId::Control => unreachable!("control messages are handled in send()"),
-        }
-    }
-
-    /// Home worker and pinned-ness of an actor index. Replica groups pin
-    /// group-major so every slot of a group (primary and backups, across
-    /// failovers) shares one home; everything else hashes round-robin and
-    /// is stealable.
-    fn placement(&self, idx: usize) -> (usize, bool) {
-        let base = self.replica_base();
-        if idx >= base {
-            (
-                ((idx - base) / self.slots_per_group) % self.workers.len(),
-                true,
-            )
-        } else {
-            (idx % self.workers.len(), false)
-        }
-    }
-
-    /// Deliver one message: count it, enqueue it, and schedule the actor
-    /// if nothing else already has. Control messages mutate the routing
-    /// table in place instead of being delivered.
-    fn send(&self, m: OutMsg<W::Engine>) {
-        if m.dest == ActorId::Control {
-            if let Msg::Promoted { partition, slot } = m.msg {
-                self.membership[partition.as_usize()].store(slot, Ordering::Release);
-            }
-            return;
-        }
-        let idx = self.index_of(m.dest);
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        let mut mb = self.mail[idx].lock();
-        mb.queue.push_back(m.msg);
-        if !mb.scheduled {
-            mb.scheduled = true;
-            drop(mb);
-            self.schedule(idx);
-        }
-    }
-
-    /// Publish a ready token to the actor's home queue and wake a worker
-    /// that can pop it.
-    fn schedule(&self, idx: usize) {
-        let (home, pinned) = self.placement(idx);
-        if pinned {
-            self.workers[home].pinned.lock().push_back(idx);
-            self.wake(home);
-        } else {
-            self.workers[home].shared.lock().push_back(idx);
-            // Prefer the home worker (affinity), else hand the wake to
-            // any parked worker — stealable work shouldn't wait behind a
-            // busy home while siblings sleep.
-            if !self.wake(home) {
-                for w in 0..self.workers.len() {
-                    if w != home && self.wake(w) {
-                        break;
-                    }
-                }
-            }
-        }
+impl<W: RequestGenerator> Shared<W> {
+    /// Home worker of an owned destination; `None` for a shared actor.
+    fn home(&self, m: &OutMsg<W::Engine>) -> Option<usize> {
+        let group = match (m.dest, &m.msg) {
+            (ActorId::Client(c), _) => c.as_usize(),
+            (ActorId::Partition(p) | ActorId::Replica(p, _), _) => p.as_usize(),
+            (ActorId::Control, Msg::Promoted { partition, .. }) => partition.as_usize(),
+            (ActorId::Control, _) => unreachable!("the only control message is Promoted"),
+            (ActorId::Coordinator(_) | ActorId::Membership, _) => return None,
+        };
+        Some(group % self.ports.len())
     }
 
     /// Wake worker `w` if it is parked (or about to park). Returns true
     /// if this call owned the wake.
     fn wake(&self, w: usize) -> bool {
-        let ws = &self.workers[w];
-        if ws.parked.swap(false, Ordering::SeqCst) {
-            ws.parker.wake();
-            true
-        } else {
-            false
+        let port = &self.ports[w];
+        let won = port.parked.load(Ordering::SeqCst) && port.parked.swap(false, Ordering::SeqCst);
+        if won {
+            port.thread.get().expect("set before parking").unpark();
         }
+        won
     }
 
-    /// Pop the next actor index worker `me` may run: own pinned, own
-    /// shared, then steal from siblings' shared queues.
-    fn next_ready(&self, me: usize, stats: &mut WorkerStats) -> Option<usize> {
-        if let Some(idx) = self.workers[me].pinned.lock().pop_front() {
-            return Some(idx);
-        }
-        if let Some(idx) = self.workers[me].shared.lock().pop_front() {
-            return Some(idx);
-        }
-        let n = self.workers.len();
-        for off in 1..n {
-            let victim = (me + off) % n;
-            if let Some(idx) = self.workers[victim].shared.lock().pop_front() {
-                stats.steals += 1;
-                return Some(idx);
-            }
-        }
-        None
+    /// Put a newly scheduled shared actor on the ready list. Any parked
+    /// worker but the publisher may run it; with none parked, whoever loops
+    /// first (the publisher included) pops it.
+    fn schedule(&self, idx: usize, publisher: Option<usize>) {
+        self.ready.lock().push_back((idx, publisher));
+        let _ = (0..self.ports.len()).any(|w| publisher != Some(w) && self.wake(w));
     }
 
-    /// Step one actor for one message, routing its outputs.
-    fn process(&self, idx: usize, msg: Msg<W::Engine>, out: &mut Vec<OutMsg<W::Engine>>) {
-        let now = now_ns(self.epoch);
-        let mut actor = self.actors[idx].lock();
-        match &mut *actor {
-            AnyActor::Client(c) => {
-                let ctx = ClientCtx {
-                    workload: &self.workload,
-                    ctl: &self.ctl,
-                };
-                c.step(msg, now, &ctx, out);
-            }
-            AnyActor::Coordinator(c) => c.step(msg, now, out),
-            AnyActor::Membership(m) => m.step(msg, out),
-            AnyActor::Replica(r) => r.step(msg, now, &self.ctl, out),
-        }
-    }
-
-    /// Drain and step one scheduled actor, then unschedule or requeue it.
-    fn run_actor(
+    /// Count and publish messages from outside the pool (driver, timer).
+    fn inject(
         &self,
-        idx: usize,
-        batch: &mut Vec<Msg<W::Engine>>,
-        out: &mut Vec<OutMsg<W::Engine>>,
-        stats: &mut WorkerStats,
+        outbox: &mut Outbox<W::Engine>,
+        msgs: impl Iterator<Item = OutMsg<W::Engine>>,
     ) {
-        // Drain the mailbox snapshot, then step message by message. The
-        // consumed message stays in `pending` until its outputs are
-        // routed — that ordering is what makes `pending == 0` mean
-        // "fully drained".
-        debug_assert!(batch.is_empty());
-        batch.extend(self.mail[idx].lock().queue.drain(..));
-        let pinned = idx >= self.replica_base();
-        for msg in batch.drain(..) {
-            self.process(idx, msg, out);
-            for m in out.drain(..) {
-                self.send(m);
-            }
-            self.pending.fetch_sub(1, Ordering::SeqCst);
-            stats.steps += 1;
-            if pinned {
-                stats.pinned_steps += 1;
+        let sent = msgs.map(|m| outbox.push(self, m)).count() as i64;
+        self.pending.fetch_add(sent, Ordering::SeqCst);
+        outbox.publish(self, None);
+    }
+
+    /// One screen of scheduling state for the hang watchdog.
+    fn dump(&self) -> String {
+        let pending = self.pending.load(Ordering::SeqCst);
+        let mut s = format!("pending {pending} ready {:?}\n", self.ready.lock());
+        for (w, p) in self.ports.iter().enumerate() {
+            let (parked, inbox) = (p.parked.load(Ordering::SeqCst), p.inbox.lock().len());
+            let local = p.local_len.load(Ordering::Relaxed);
+            let _ = writeln!(s, "worker {w}: parked {parked} inbox {inbox} local {local}");
+        }
+        for (i, mb) in self.mail.iter().enumerate() {
+            let mb = mb.lock();
+            let (mail, sched, held) = (mb.queue.len(), mb.scheduled, mb.actor.is_none());
+            let _ = writeln!(s, "shared {i}: mail {mail} scheduled {sched} held {held}");
+        }
+        let primaries = self.membership.iter().map(|m| m.load(Ordering::Relaxed));
+        let _ = writeln!(s, "membership {:?}", primaries.collect::<Vec<_>>());
+        s
+    }
+}
+
+/// Routed but unpublished messages of one sender (a worker, the timer or
+/// the driver).
+struct Outbox<E: ExecutionEngine> {
+    to_worker: Vec<Vec<OutMsg<E>>>,
+    to_shared: Vec<OutMsg<E>>,
+}
+
+impl<E: ExecutionEngine> Outbox<E> {
+    fn new(workers: usize) -> Self {
+        Outbox {
+            to_worker: (0..workers).map(|_| Vec::new()).collect(),
+            to_shared: Vec::new(),
+        }
+    }
+
+    fn push<W: RequestGenerator<Engine = E>>(&mut self, shared: &Shared<W>, m: OutMsg<E>) {
+        match shared.home(&m) {
+            Some(w) => self.to_worker[w].push(m),
+            None => self.to_shared.push(m),
+        }
+    }
+
+    /// Make everything pushed so far visible, one inbox lock per
+    /// destination worker; the caller has already counted it in `pending`.
+    /// Worker-bound buffers go first (ordering rule 2).
+    fn publish<W: RequestGenerator<Engine = E>>(&mut self, shared: &Shared<W>, me: Option<usize>) {
+        for (w, buf) in self.to_worker.iter_mut().enumerate() {
+            if !buf.is_empty() {
+                shared.ports[w].inbox.lock().append(buf);
+                if me != Some(w) {
+                    shared.wake(w);
+                }
             }
         }
-        // Unschedule, or requeue if mail arrived while we were stepping
-        // (requeued to the actor's *home*, preserving affinity; the
-        // round-robin push_back keeps it fair).
-        let mut mb = self.mail[idx].lock();
-        if mb.queue.is_empty() {
-            mb.scheduled = false;
-        } else {
-            drop(mb);
-            self.schedule(idx);
+        for m in self.to_shared.drain(..) {
+            let idx = match m.dest {
+                ActorId::Coordinator(k) => k.as_usize(),
+                _ => shared.mail.len() - 1,
+            };
+            let mut mb = shared.mail[idx].lock();
+            mb.queue.push_back(m.msg);
+            if !mb.scheduled {
+                mb.scheduled = true;
+                drop(mb);
+                shared.schedule(idx, me);
+            }
         }
     }
 }
 
-fn worker_loop<W>(shared: &Shared<W>, me: usize)
+/// The actors one worker owns: its clients and its replicas.
+type Owned<W> = (
+    Vec<ClientActor<W>>,
+    Vec<ReplicaActor<<W as RequestGenerator>::Engine>>,
+);
+
+/// One worker thread's private state: the actors it owns and their queue.
+struct Worker<'a, W: RequestGenerator> {
+    shared: &'a Shared<W>,
+    me: usize,
+    /// Client `c` of the run sits at `c / workers`.
+    clients: Vec<ClientActor<W>>,
+    /// Slot `s` of group `g` sits at `(g / workers) * slots_per_group + s`.
+    replicas: Vec<ReplicaActor<W::Engine>>,
+    local: VecDeque<OutMsg<W::Engine>>,
+    /// Ready shared actor taken by the last poll.
+    token: Option<usize>,
+    outbox: Outbox<W::Engine>,
+    /// Scratch: one step's outputs, the swapped-out inbox, a shared
+    /// actor's swapped-out mail.
+    out: Vec<OutMsg<W::Engine>>,
+    mail_in: Vec<OutMsg<W::Engine>>,
+    shared_mail: VecDeque<Msg<W::Engine>>,
+    /// The one clock reading per step: this step's `now`, and the end of
+    /// the previous step's busy interval.
+    now: Nanos,
+    /// Units of `pending` held for messages this batch has consumed beyond
+    /// those it has produced; returned when the batch ends.
+    surplus: i64,
+    stats: WorkerStats,
+}
+
+impl<W: RequestGenerator> Worker<'_, W>
 where
-    W: RequestGenerator,
     W::Engine: Send + 'static,
     <W::Engine as ExecutionEngine>::Fragment: Send,
     <W::Engine as ExecutionEngine>::Output: Send,
 {
-    let ws = &shared.workers[me];
-    let mut out = Vec::new();
-    let mut batch = Vec::new();
-    let mut stats = WorkerStats::default();
-    loop {
-        stats.loops += 1;
-        if let Some(idx) = shared.next_ready(me, &mut stats) {
-            let busy = Instant::now();
-            shared.run_actor(idx, &mut batch, &mut out, &mut stats);
-            stats.busy_ns += busy.elapsed().as_nanos() as u64;
-            continue;
+    fn run(mut self) -> (Owned<W>, WorkerStats) {
+        let port = &self.shared.ports[self.me];
+        let thread = std::thread::current();
+        port.thread.set(thread).expect("one thread per worker");
+        loop {
+            self.stats.loops += 1;
+            if !self.poll() {
+                // Nothing runnable: raise the flag *first*, then poll
+                // again. A publisher either sees the flag (and wakes us)
+                // or published before the re-check (and we find it).
+                port.parked.store(true, Ordering::SeqCst);
+                if !self.poll() {
+                    if self.shared.shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    self.stats.parks += 1;
+                    std::thread::park();
+                    // A waker claimed the flag, or the shutdown broadcast
+                    // left it raised; clear it and rescan.
+                    port.parked.store(false, Ordering::SeqCst);
+                    self.now = now_ns(self.shared.epoch);
+                    continue;
+                }
+                port.parked.store(false, Ordering::SeqCst);
+            }
+            self.work();
         }
-        // Nothing runnable: raise the parked flag *first*, then re-check
-        // every queue. A sender either sees the flag (and wakes us) or
-        // published its token before we re-checked (and we find it) —
-        // never neither.
-        ws.parked.store(true, Ordering::SeqCst);
-        if let Some(idx) = shared.next_ready(me, &mut stats) {
-            ws.parked.store(false, Ordering::SeqCst);
-            let busy = Instant::now();
-            shared.run_actor(idx, &mut batch, &mut out, &mut stats);
-            stats.busy_ns += busy.elapsed().as_nanos() as u64;
-            continue;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            ws.parked.store(false, Ordering::SeqCst);
-            break;
-        }
-        stats.parks += 1;
-        ws.parker.park();
-        // Either a waker claimed our flag (it is already false) or the
-        // shutdown broadcast left it raised; clear it and rescan.
-        ws.parked.store(false, Ordering::SeqCst);
+        ((self.clients, self.replicas), self.stats)
     }
-    *ws.stats.lock() = stats;
+
+    /// Take one ready shared actor and the whole inbox. True if there is
+    /// anything to step.
+    fn poll(&mut self) -> bool {
+        let sh = self.shared;
+        let popped = sh.ready.lock().pop_front();
+        if let Some((idx, publisher)) = popped {
+            self.stats.steals += u64::from(publisher.is_some_and(|p| p != self.me));
+            self.token = Some(idx);
+        }
+        let port = &sh.ports[self.me];
+        std::mem::swap(&mut *port.inbox.lock(), &mut self.mail_in);
+        self.local.extend(self.mail_in.drain(..));
+        port.local_len.store(self.local.len(), Ordering::Relaxed);
+        self.token.is_some() || !self.local.is_empty()
+    }
+
+    fn work(&mut self) {
+        if let Some(idx) = self.token.take() {
+            self.run_shared(idx);
+        }
+        // The batch is what the queue holds now; what these steps send to
+        // this worker's own actors waits for the next one.
+        for _ in 0..self.local.len() {
+            let OutMsg { dest, msg } = self.local.pop_front().expect("counted above");
+            self.step_owned(dest, msg);
+            self.finish_step(true);
+        }
+        if self.surplus > 0 {
+            let sh = self.shared;
+            sh.pending.fetch_sub(self.surplus, Ordering::SeqCst);
+            self.surplus = 0;
+        }
+    }
+
+    /// Close the step that just filled `out`: count the outputs, make them
+    /// visible, read the clock.
+    fn finish_step(&mut self, owned: bool) {
+        let sh = self.shared;
+        // Quiescence: the consumed message's unit of `pending`, and any
+        // surplus from earlier steps of the batch, pass to the outputs;
+        // only a shortfall is an RMW (subtracting a negative surplus).
+        self.surplus += 1 - self.out.len() as i64;
+        if self.surplus < 0 {
+            sh.pending.fetch_sub(self.surplus, Ordering::SeqCst);
+            self.surplus = 0;
+        }
+        // Ordering rule 1: an owned actor's mail for this worker's actors
+        // stays local; a shared actor's goes through the inbox.
+        for m in self.out.drain(..) {
+            if owned && sh.home(&m) == Some(self.me) {
+                self.local.push_back(m);
+            } else {
+                self.outbox.push(sh, m);
+            }
+        }
+        self.outbox.publish(sh, Some(self.me));
+        // One clock reading ends this step's busy interval and is the next
+        // step's `now`.
+        let t = now_ns(sh.epoch);
+        self.stats.busy_ns += t.0 - self.now.0;
+        self.now = t;
+        self.stats.steps += 1;
+    }
+
+    fn step_owned(&mut self, dest: ActorId, msg: Msg<W::Engine>) {
+        let sh = self.shared;
+        match dest {
+            ActorId::Client(c) => {
+                let ctx = ClientCtx {
+                    workload: &sh.workload,
+                    ctl: &sh.ctl,
+                };
+                self.clients[c.as_usize() / sh.ports.len()].step(
+                    msg,
+                    self.now,
+                    &ctx,
+                    &mut self.out,
+                );
+            }
+            // Ordering rule 2: the logical address resolves here, at the
+            // group's home, and the flip arrives as a message.
+            ActorId::Partition(p) => {
+                let primary = sh.membership[p.as_usize()].load(Ordering::Relaxed);
+                self.step_replica(p, primary, msg);
+            }
+            ActorId::Replica(p, slot) => self.step_replica(p, slot, msg),
+            ActorId::Control => {
+                if let Msg::Promoted { partition, slot } = msg {
+                    sh.membership[partition.as_usize()].store(slot, Ordering::Relaxed);
+                }
+            }
+            ActorId::Coordinator(_) | ActorId::Membership => {
+                unreachable!("shared actors receive through their mailboxes")
+            }
+        }
+    }
+
+    fn step_replica(&mut self, group: PartitionId, slot: u32, msg: Msg<W::Engine>) {
+        let sh = self.shared;
+        let at = (group.as_usize() / sh.ports.len()) * sh.slots_per_group + slot as usize;
+        self.replicas[at].step(msg, self.now, &sh.ctl, &mut self.out);
+        self.stats.pinned_steps += 1;
+    }
+
+    /// Step a scheduled shared actor through a snapshot of its mail, then
+    /// unschedule it or hand it back to the ready list.
+    fn run_shared(&mut self, idx: usize) {
+        let sh = self.shared;
+        let mut actor = {
+            let mut mb = sh.mail[idx].lock();
+            std::mem::swap(&mut mb.queue, &mut self.shared_mail);
+            mb.actor.take().expect("a ready shared actor is at rest")
+        };
+        while let Some(msg) = self.shared_mail.pop_front() {
+            match &mut actor {
+                SharedActor::Coordinator(c) => c.step(msg, self.now, &mut self.out),
+                SharedActor::Membership(m) => m.step(msg, &mut self.out),
+            }
+            self.finish_step(false);
+        }
+        let mut mb = sh.mail[idx].lock();
+        mb.actor = Some(actor);
+        if mb.queue.is_empty() {
+            mb.scheduled = false;
+        } else {
+            // Mail arrived meanwhile: back of the ready list, so other
+            // shared actors and this worker's own batch get their turn.
+            drop(mb);
+            sh.schedule(idx, Some(self.me));
+        }
+    }
 }
 
-/// All actors multiplexed onto a pool of worker threads with partition
-/// affinity. `workers == 0` means auto: the host's available parallelism.
+/// All actors multiplexed onto a pool of worker threads that own their
+/// clients and partitions. `workers == 0` means auto: the host's
+/// available parallelism.
 #[derive(Default)]
 pub struct MultiplexedBackend {
     pub workers: usize,
@@ -435,18 +501,38 @@ impl Backend for MultiplexedBackend {
             RunMode::Timed { .. } => None,
         };
 
-        // Actor slab: clients, coordinator shards, membership, replica
-        // groups.
-        let mut actors: Vec<CachePadded<Mutex<AnyActor<W>>>> = Vec::new();
+        // Owned actors, dealt to their home workers in index order.
+        let mut owned: Vec<Owned<W>> = (0..workers).map(|_| (Vec::new(), Vec::new())).collect();
         for c in 0..clients {
-            actors.push(CachePadded::new(Mutex::new(AnyActor::Client(Box::new(
-                ClientActor::new(ClientId(c as u32), system, per_client),
-            )))));
+            let actor = ClientActor::new(ClientId(c as u32), system, per_client);
+            owned[c % workers].0.push(actor);
         }
+        for p in 0..n {
+            let group = PartitionId(p as u32);
+            for s in 0..slots {
+                let crash_after = cfg
+                    .failure
+                    .filter(|f| f.partition == group && s == 0)
+                    .map(|f| f.after_commits);
+                let actor =
+                    ReplicaActor::new(group, s as u32, system, build_engine(group), crash_after);
+                owned[p % workers].1.push(actor);
+            }
+        }
+
+        // Shared actors: coordinator shards, then membership.
         let shards = system.coordinators.max(1) as usize;
         let track_in_doubt = cfg.failure.is_some();
         let seq_on = system.sequencing_active();
         let coord_expiry = (shards > 1 && !seq_on).then_some(system.lock_timeout);
+        let at_rest = |actor| {
+            CachePadded::new(Mutex::new(Mailbox {
+                queue: VecDeque::new(),
+                scheduled: false,
+                actor: Some(actor),
+            }))
+        };
+        let mut mail = Vec::new();
         for k in 0..shards {
             let mut coord: CoordinatorActor<W::Engine> = CoordinatorActor::new(
                 system.costs,
@@ -458,58 +544,57 @@ impl Backend for MultiplexedBackend {
             if seq_on {
                 coord.enable_sequencing(system);
             }
-            actors.push(CachePadded::new(Mutex::new(AnyActor::Coordinator(
-                Box::new(coord),
-            ))));
+            mail.push(at_rest(SharedActor::Coordinator(Box::new(coord))));
         }
-        actors.push(CachePadded::new(Mutex::new(AnyActor::Membership(
-            Box::new(MembershipActor::new(system.coordinators)),
-        ))));
-        for p in 0..n {
-            let group = PartitionId(p as u32);
-            for s in 0..slots {
-                let crash_after = cfg
-                    .failure
-                    .filter(|f| f.partition == group && s == 0)
-                    .map(|f| f.after_commits);
-                actors.push(CachePadded::new(Mutex::new(AnyActor::Replica(Box::new(
-                    ReplicaActor::new(group, s as u32, system, build_engine(group), crash_after),
-                )))));
-            }
-        }
+        let membership = MembershipActor::new(system.coordinators);
+        mail.push(at_rest(SharedActor::Membership(membership)));
 
-        let total = actors.len();
         let shared = Arc::new(Shared {
-            mail: (0..total)
+            ports: (0..workers)
                 .map(|_| {
-                    CachePadded::new(Mutex::new(Mailbox {
-                        queue: VecDeque::new(),
-                        scheduled: false,
-                    }))
+                    CachePadded::new(Port {
+                        inbox: Mutex::new(Vec::new()),
+                        parked: AtomicBool::new(false),
+                        thread: OnceLock::new(),
+                        local_len: AtomicUsize::new(0),
+                    })
                 })
                 .collect(),
-            actors,
-            workers: (0..workers)
-                .map(|_| CachePadded::new(WorkerState::new()))
-                .collect(),
-            pending: CachePadded::new(AtomicU64::new(0)),
+            mail,
+            ready: Mutex::new(VecDeque::new()),
+            pending: CachePadded::new(AtomicI64::new(0)),
             shutdown: AtomicBool::new(false),
             ctl: RunControl::new(clients),
             workload: Mutex::new(workload),
             epoch: Instant::now(),
-            clients,
-            coordinators: shards,
             slots_per_group: slots,
             membership: (0..n)
                 .map(|_| CachePadded::new(AtomicU32::new(0)))
                 .collect(),
         });
 
-        // Worker pool.
+        // Worker pool: each thread takes its actors and gives them back.
         let mut handles = Vec::new();
-        for me in 0..workers {
+        for (me, (clients, replicas)) in owned.into_iter().enumerate() {
             let shared = shared.clone();
-            handles.push(std::thread::spawn(move || worker_loop(&shared, me)));
+            handles.push(std::thread::spawn(move || {
+                Worker {
+                    shared: &shared,
+                    me,
+                    clients,
+                    replicas,
+                    local: VecDeque::new(),
+                    token: None,
+                    outbox: Outbox::new(workers),
+                    out: Vec::new(),
+                    mail_in: Vec::new(),
+                    shared_mail: VecDeque::new(),
+                    now: now_ns(shared.epoch),
+                    surplus: 0,
+                    stats: WorkerStats::default(),
+                }
+                .run()
+            }));
         }
 
         // Tick timer: the locking scheme needs periodic lock-timeout scans
@@ -531,6 +616,7 @@ impl Backend for MultiplexedBackend {
         // is actually parked (`backoff_waiters`), so an idle system sends
         // nothing and the workers stay parked.
         let tick_clients = system.replication > 1 || shards > 1 || system.durability.is_some();
+        let to = |dest, msg| OutMsg { dest, msg };
         let timer = (tick_partitions || tick_coords || tick_clients).then(|| {
             let shared = shared.clone();
             let stop = timer_stop.clone();
@@ -545,49 +631,29 @@ impl Backend for MultiplexedBackend {
                 // buffered invoke never waits much past its deadline.
                 tick_nanos = tick_nanos.min(system.sequencing.max_delay().0 / 2);
             }
-            let tick_every = Duration::from_nanos(tick_nanos).max(
-                // Don't busy-spin on sub-microsecond timeouts.
-                Duration::from_micros(100),
-            );
-            let parts = n;
+            // Don't busy-spin on sub-microsecond timeouts.
+            let tick_every = Duration::from_nanos(tick_nanos.max(100_000));
             std::thread::spawn(move || {
+                let mut outbox = Outbox::new(workers);
                 while !stop.load(Ordering::SeqCst) {
                     std::thread::sleep(tick_every);
-                    if tick_partitions {
-                        for p in 0..parts {
-                            shared.send(OutMsg {
-                                dest: ActorId::Partition(PartitionId(p as u32)),
-                                msg: Msg::Tick,
-                            });
-                        }
-                    }
-                    if tick_coords {
-                        for k in 0..shards {
-                            shared.send(OutMsg {
-                                dest: ActorId::Coordinator(CoordinatorId(k as u32)),
-                                msg: Msg::Tick,
-                            });
-                        }
-                    }
-                    if tick_clients && shared.ctl.backoff_waiters() > 0 {
-                        for c in 0..shared.clients {
-                            shared.send(OutMsg {
-                                dest: ActorId::Client(ClientId(c as u32)),
-                                msg: Msg::Tick,
-                            });
-                        }
-                    }
+                    let backoff = tick_clients && shared.ctl.backoff_waiters() > 0;
+                    let parts = (0..n).filter(|_| tick_partitions);
+                    let coords = (0..shards).filter(|_| tick_coords);
+                    let waiters = (0..clients).filter(|_| backoff);
+                    let ticks = parts
+                        .map(|p| ActorId::Partition(PartitionId(p as u32)))
+                        .chain(coords.map(|k| ActorId::Coordinator(CoordinatorId(k as u32))))
+                        .chain(waiters.map(|c| ActorId::Client(ClientId(c as u32))))
+                        .map(|dest| to(dest, Msg::Tick));
+                    shared.inject(&mut outbox, ticks);
                 }
             })
         });
 
         // Kick every client.
-        for c in 0..clients {
-            shared.send(OutMsg {
-                dest: ActorId::Client(ClientId(c as u32)),
-                msg: Msg::Start,
-            });
-        }
+        let kicks = (0..clients).map(|c| to(ActorId::Client(ClientId(c as u32)), Msg::Start));
+        shared.inject(&mut Outbox::new(workers), kicks);
 
         // Measurement protocol.
         let started = Instant::now();
@@ -599,9 +665,9 @@ impl Backend for MultiplexedBackend {
             shared.ctl.stop.store(true, Ordering::SeqCst);
         }
         // Clients finish their in-flight transactions and retire.
-        while shared.ctl.live_clients.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        let pending = || shared.pending.load(Ordering::SeqCst);
+        let live = || shared.ctl.live_clients.load(Ordering::SeqCst);
+        drain_until(&shared.ctl, pending, || live() == 0, || shared.dump());
         let elapsed = started.elapsed();
         // No transactions in flight: stop the tick source, then drain the
         // trailing decisions, commit records, and (after an injected
@@ -611,9 +677,7 @@ impl Backend for MultiplexedBackend {
         if let Some(t) = timer {
             t.join().expect("timer thread");
         }
-        while shared.pending.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        drain_until(&shared.ctl, pending, || pending() == 0, || shared.dump());
         if cfg.failure.is_some() {
             assert!(
                 shared.ctl.recovery_done.load(Ordering::SeqCst),
@@ -622,28 +686,29 @@ impl Backend for MultiplexedBackend {
             );
         }
         shared.shutdown.store(true, Ordering::SeqCst);
-        for ws in &shared.workers {
-            ws.parker.wake();
-        }
-        for h in handles {
-            h.join().expect("worker thread");
+        for port in &shared.ports {
+            // A worker yet to name its thread has yet to park, and reads
+            // the flag first.
+            port.thread.get().inspect(|t| t.unpark());
         }
 
-        // Harvest.
-        let committed_in_window = shared.ctl.committed_in_window();
-        let shared =
-            Arc::try_unwrap(shared).unwrap_or_else(|_| unreachable!("all worker handles joined"));
-        let worker_stats: Vec<WorkerStats> =
-            shared.workers.iter().map(|ws| *ws.stats.lock()).collect();
+        // Harvest: the workers hand their actors back.
+        let mut worker_stats = Vec::new();
         let mut clients_stats = ClientStats::default();
         let mut sequencer = SequencerStats::default();
         let mut parts: Vec<ReplicaParts<W::Engine>> = Vec::new();
-        for slot in shared.actors {
-            match slot.into_inner().into_inner() {
-                AnyActor::Client(c) => clients_stats.merge(&c.into_stats()),
-                AnyActor::Coordinator(c) => sequencer.merge(&c.seq_stats()),
-                AnyActor::Membership(_) => {}
-                AnyActor::Replica(r) => parts.push(r.into_parts()),
+        for h in handles {
+            let ((clients, replicas), stats) = h.join().expect("worker thread");
+            worker_stats.push(stats);
+            for c in clients {
+                clients_stats.merge(&c.into_stats());
+            }
+            parts.extend(replicas.into_iter().map(ReplicaActor::into_parts));
+        }
+        let committed_in_window = shared.ctl.committed_in_window();
+        for mb in &shared.mail {
+            if let Some(SharedActor::Coordinator(c)) = &mb.lock().actor {
+                sequencer.merge(&c.seq_stats());
             }
         }
         let (engines, backups, sched, repl, dur, logs, part_seq, adaptive) =

@@ -23,7 +23,8 @@ use crate::actors::{
     ReplicaParts, RunControl,
 };
 use crate::{
-    assemble_replicas, finish_report, now_ns, Backend, RunMode, RuntimeConfig, RuntimeReport,
+    assemble_replicas, drain_until, finish_report, now_ns, Backend, RunMode, RuntimeConfig,
+    RuntimeReport,
 };
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use hcc_common::stats::SequencerStats;
@@ -99,6 +100,34 @@ impl<E: ExecutionEngine> Router<E> {
         for m in buf.drain(..) {
             self.send(m);
         }
+    }
+
+    /// One screen of routing state for the hang watchdog: every channel
+    /// holding undelivered mail, and the membership table.
+    fn dump(&self) -> String {
+        let depth = |name: &str, txs: &[Sender<Wire<E>>]| {
+            let busy: Vec<_> = txs
+                .iter()
+                .map(Sender::len)
+                .enumerate()
+                .filter(|(_, queued)| *queued > 0)
+                .collect();
+            format!("{name} (index, queued) {busy:?}\n")
+        };
+        let mut s = depth("clients", &self.clients) + &depth("coordinators", &self.coords);
+        s += &depth(
+            "membership actor",
+            std::slice::from_ref(&self.control_plane),
+        );
+        for (g, slots) in self.replicas.iter().enumerate() {
+            s += &depth(&format!("group {g} slots"), slots);
+        }
+        let primaries: Vec<u32> = self
+            .membership
+            .iter()
+            .map(|m| m.load(Ordering::Acquire))
+            .collect();
+        s + &format!("membership {primaries:?}\n")
     }
 }
 
@@ -334,6 +363,10 @@ impl Backend for ThreadedBackend {
             // Stop clients (each finishes its in-flight transaction first).
             ctl.stop.store(true, Ordering::SeqCst);
         }
+        // Clients finish their in-flight transactions and retire (each
+        // client thread exits right after its actor does).
+        let live = || ctl.live_clients.load(Ordering::SeqCst);
+        drain_until(&ctl, || 0, || live() == 0, || router.dump());
         let mut clients = ClientStats::default();
         for h in client_handles {
             clients.merge(&h.join().expect("client thread"));
@@ -346,15 +379,9 @@ impl Backend for ThreadedBackend {
         // for the recovering node to finish rejoining before tearing the
         // system down.
         if cfg.failure.is_some() {
-            let deadline = Instant::now() + Duration::from_secs(60);
-            while !ctl.recovery_done.load(Ordering::SeqCst) {
-                assert!(
-                    Instant::now() < deadline,
-                    "injected failure never finished recovering — \
-                     was the crash threshold reachable for this workload?"
-                );
-                std::thread::sleep(Duration::from_micros(200));
-            }
+            let recovered = || ctl.recovery_done.load(Ordering::SeqCst);
+            let dump = || format!("injected failure never recovered\n{}", router.dump());
+            drain_until(&ctl, || 0, recovered, dump);
         }
 
         // Quiesced: shut down the control plane and the coordinator

@@ -120,6 +120,22 @@ fn scan_heavy_failover_seed_sweep_is_bit_deterministic() {
     );
 }
 
+/// The ROADMAP's failover-deadlock item as a test: the same kill →
+/// promote → rejoin run, 40 times per backend. A lost wake-up, a false
+/// quiescence or a failover race shows as one run in dozens (this loop is
+/// what exposed the late-`RoutingUpdate` stall on the threaded backend),
+/// and a run that hangs fails by itself — the drivers' watchdog panics
+/// after 30 s without progress, with a dump of the scheduling state —
+/// instead of sitting at 0 % CPU until someone kills the test binary.
+#[test]
+fn failover_loop_never_hangs() {
+    for backend in BACKENDS {
+        for i in 0..40u64 {
+            scan_failover_run(Scheme::Speculative, backend, 0x5CA0 + (i & 7));
+        }
+    }
+}
+
 /// Cross-backend equivalence extends to scans: for every scheme, the
 /// threaded and multiplexed backends must commit the same final state on
 /// the scan-heavy mix (no failure injection — pure wiring check).

@@ -1394,7 +1394,7 @@ where
                         self.workload.on_result(c, txn, result.is_committed());
                         if !self.draining {
                             let req = self.workload.next_request(c);
-                            self.clients[ci].pending = Some(PendingRequest::from_request(&req));
+                            self.clients[ci].pending = Some(req.into());
                             self.clients[ci].submitted_at = at;
                             self.dispatch(ci, at);
                         }
@@ -1563,7 +1563,7 @@ where
         // Kick off every client at t = 0.
         for c in 0..self.clients.len() {
             let req = self.workload.next_request(ClientId(c as u32));
-            self.clients[c].pending = Some(PendingRequest::from_request(&req));
+            self.clients[c].pending = Some(req.into());
             self.clients[c].submitted_at = Nanos::ZERO;
             self.dispatch(c, Nanos::ZERO);
         }
