@@ -22,6 +22,7 @@
 use crate::config::Scheme;
 use crate::ids::{ClientId, CoordinatorId, CoordinatorRef, PartitionId, TxnId};
 use crate::msg::{CommitRecord, FragmentTask, SchemeSwitch};
+use std::sync::Arc;
 
 /// Binary round-tripping for values stored in the durable command log.
 ///
@@ -91,12 +92,19 @@ impl LogEncode for bool {
     }
 }
 
+/// The sequence encoding — a `u32` length, then each item — that every
+/// sequence type shares, so a payload can change how it holds its items
+/// (`Vec`, `Arc<[T]>`, inline) without moving a byte of the log.
+pub fn encode_slice<T: LogEncode>(items: &[T], out: &mut Vec<u8>) {
+    (items.len() as u32).encode(out);
+    for item in items {
+        item.encode(out);
+    }
+}
+
 impl<T: LogEncode> LogEncode for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        encode_slice(self, out);
     }
     fn decode(input: &mut &[u8]) -> Option<Self> {
         let n = u32::decode(input)? as usize;
@@ -110,6 +118,15 @@ impl<T: LogEncode> LogEncode for Vec<T> {
             v.push(T::decode(input)?);
         }
         Some(v)
+    }
+}
+
+impl<T: LogEncode> LogEncode for Arc<[T]> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_slice(self, out);
+    }
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Vec::decode(input).map(Arc::from)
     }
 }
 
@@ -275,6 +292,12 @@ mod tests {
         roundtrip(true);
         roundtrip(String::from("warehouse-7"));
         roundtrip(vec![1u32, 2, 3]);
+        roundtrip(Arc::<[u32]>::from([1, 2, 3]));
+        assert_eq!(
+            encode_to_vec(&Arc::<[u32]>::from([1, 2, 3])),
+            encode_to_vec(&vec![1u32, 2, 3]),
+            "a shared slice encodes as the Vec it replaces"
+        );
         roundtrip(Option::<u32>::None);
         roundtrip(Some(9u64));
     }

@@ -103,7 +103,10 @@ impl<F, R> From<Request<F, R>> for PendingRequest<F, R> {
 
 impl<F: Clone, R> PendingRequest<F, R> {
     /// Turn the snapshot back into a request (cloning so the snapshot can
-    /// serve further retries).
+    /// serve further retries). This runs once per attempt, first included:
+    /// a fragment never changes once generated, so workloads are expected
+    /// to make the clone a reference count (`MicroFragment` shares its op
+    /// list) rather than a copy.
     pub fn to_request(&self) -> Request<F, R> {
         match self {
             PendingRequest::SinglePartition {

@@ -206,6 +206,17 @@ impl<F, R> MpTxn<F, R> {
     }
 }
 
+/// The per-transaction vectors of [`MpTxn`] (`settled_rounds`,
+/// `participants`, `dispatched`, `responses`), emptied when a transaction
+/// is decided and handed to the next invocation, so a transaction costs
+/// the coordinator no allocation for its own bookkeeping.
+type TxnBuffers<R> = (
+    Vec<RoundOutputs<R>>,
+    Vec<PartitionId>,
+    Vec<PartitionId>,
+    Vec<(PartitionId, FragmentResponse<R>)>,
+);
+
 /// How many decided transactions to remember for dependency validation.
 /// In-flight dependencies only reference recently decided transactions
 /// (the window is bounded by network latency × throughput); 1 << 16 is
@@ -263,6 +274,9 @@ pub struct Coordinator<F, R> {
     /// CPU charged per message handled.
     per_msg: Nanos,
     txns: FxHashMap<TxnId, MpTxn<F, R>>,
+    /// Buffers of decided transactions awaiting reuse; never more than the
+    /// peak number of transactions in flight.
+    spare: Vec<TxnBuffers<R>>,
     /// Per committed transaction: the execution attempt committed at each
     /// partition (for dependency validation).
     committed: FxHashMap<TxnId, Vec<(PartitionId, u32)>>,
@@ -333,6 +347,7 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
             coord_ref,
             per_msg,
             txns: FxHashMap::default(),
+            spare: Vec::new(),
             committed: FxHashMap::default(),
             aborted: FxHashSet::default(),
             history_order: VecDeque::new(),
@@ -426,15 +441,17 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
         self.counters.invocations += 1;
         self.cpu += self.per_msg; // receive cost
         let step = procedure.step(&[]);
+        let (settled_rounds, participants, dispatched, responses) =
+            self.spare.pop().unwrap_or_default();
         let mut entry = MpTxn {
             client,
             procedure,
             can_abort,
             started: now,
-            settled_rounds: Vec::new(),
-            participants: Vec::new(),
-            dispatched: Vec::new(),
-            responses: Vec::new(),
+            settled_rounds,
+            participants,
+            dispatched,
+            responses,
             sent: Vec::new(),
             round: 0,
             is_final: false,
@@ -446,7 +463,7 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
             } => {
                 debug_assert!(!fragments.is_empty(), "empty round-0 for {txn}");
                 entry.is_final = is_final;
-                entry.participants = fragments.iter().map(|(p, _)| *p).collect();
+                entry.participants.extend(fragments.iter().map(|(p, _)| *p));
                 for i in 0..entry.participants.len() {
                     let p = entry.participants[i];
                     entry.note_dispatched(p);
@@ -899,7 +916,8 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
                     "new participants joining mid-transaction"
                 );
                 t.is_final = is_final;
-                t.participants = fragments.iter().map(|(p, _)| *p).collect();
+                t.participants.clear();
+                t.participants.extend(fragments.iter().map(|(p, _)| *p));
                 for i in 0..t.participants.len() {
                     let p = t.participants[i];
                     t.note_dispatched(p);
@@ -954,22 +972,21 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
         let mut t = self.txns.remove(&txn).expect("finishing known txn");
         let commit = outcome.is_ok();
         let mut msgs = 0u64;
-        let mut participants: Vec<PartitionId> = t.dispatched.clone();
-        participants.sort_unstable();
+        t.dispatched.sort_unstable();
         if commit && self.wants_acks() {
             // The transaction enters the 2PC in-doubt window until every
             // participant acks its commit decision.
             self.in_doubt.insert(
                 txn,
                 InDoubt {
-                    unacked: participants.clone(),
+                    unacked: t.dispatched.clone(),
                     tasks: std::mem::take(&mut t.sent),
                     held: None,
                 },
             );
         }
-        for p in participants {
-            out.push(self.decision_out(p, txn, commit));
+        for p in &t.dispatched {
+            out.push(self.decision_out(*p, txn, commit));
             msgs += 1;
         }
         let result = if commit {
@@ -1026,6 +1043,12 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
         msgs += self.notify_peers(txn, commit, out);
         self.charge_msgs(msgs);
         self.gc();
+        t.settled_rounds.clear();
+        t.participants.clear();
+        t.dispatched.clear();
+        t.responses.clear();
+        self.spare
+            .push((t.settled_rounds, t.participants, t.dispatched, t.responses));
     }
 
     /// Broadcast this decision to peer shards (sequencing runs; no-op

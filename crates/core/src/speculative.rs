@@ -83,8 +83,9 @@ struct Uncommitted<E: ExecutionEngine> {
     /// Responses of a *different-coordinator* multi-partition transaction,
     /// held until promotion to head.
     held_responses: Vec<FragmentResponse<E::Output>>,
-    /// Round-0 fragments, kept for re-execution after a squash.
-    executed_tasks: Vec<FragmentTask<E::Fragment>>,
+    /// The round-0 fragment, kept for re-execution after a squash (later
+    /// rounds are never re-run from here: the coordinator re-drives them).
+    first_task: FragmentTask<E::Fragment>,
     /// Continuation fragments that arrived while speculative; run at
     /// promotion.
     pending_continuations: VecDeque<FragmentTask<E::Fragment>>,
@@ -349,7 +350,7 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
             finished_locally: finished,
             buffered_result: None,
             held_responses: Vec::new(),
-            executed_tasks: vec![task],
+            first_task: task,
             pending_continuations: VecDeque::new(),
             lock_set,
         });
@@ -387,10 +388,11 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
             finished_locally: task.last_fragment,
             buffered_result: None,
             held_responses: Vec::new(),
-            executed_tasks: Vec::new(),
+            first_task: task,
             pending_continuations: VecDeque::new(),
             lock_set,
         };
+        let task = &entry.first_task;
 
         if !task.multi_partition {
             // Local speculation: buffer the client result until promotion.
@@ -398,9 +400,9 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
             // procedure aborts can depend on speculative state, so the
             // outcome is only final once it becomes non-speculative.)
             entry.finished_locally = true;
-            entry.buffered_result = Some(match &outcome.result {
-                Ok(p) => TxnResult::Committed(p.clone()),
-                Err(r) => TxnResult::Aborted(*r),
+            entry.buffered_result = Some(match outcome.result {
+                Ok(p) => TxnResult::Committed(p),
+                Err(r) => TxnResult::Aborted(r),
             });
         } else {
             // Multi-partition speculation (§4.2.2): release the response,
@@ -430,7 +432,6 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
         if !entry.finished_locally {
             self.unfinished += 1;
         }
-        entry.executed_tasks.push(task);
         self.uncommitted.push_back(entry);
     }
 
@@ -565,10 +566,8 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
             self.attempts.insert(u.txn, u.attempt + 1);
             // Re-queue round-0 work; parked continuations are stale (the
             // coordinator re-drives later rounds from fresh responses).
-            debug_assert!(u.executed_tasks.iter().all(|t| t.round == 0));
-            for task in u.executed_tasks.into_iter().rev() {
-                self.unexecuted.push_front(task);
-            }
+            debug_assert_eq!(u.first_task.round, 0);
+            self.unexecuted.push_front(u.first_task);
         }
         // Survivors return in their original order.
         for u in kept.into_iter().rev() {

@@ -95,6 +95,13 @@ pub struct LockManager {
     /// Registered multi-partition transactions (victim selection prefers
     /// killing single-partition transactions).
     multi_partition: FxHashMap<TxnId, bool>,
+    /// Emptied entries and held-key lists of finished transactions, kept
+    /// for the next key and transaction: an entry lives only while its key
+    /// is locked, so without these every lock taken allocates a grant
+    /// list and every transaction a key list. Never more than the peak
+    /// number of locked keys / active transactions.
+    spare_entries: Vec<LockEntry>,
+    spare_held: Vec<Vec<LockKey>>,
     pub stats: LockStats,
 }
 
@@ -149,7 +156,11 @@ impl LockManager {
             "{txn} issued a lock request while already waiting"
         );
         self.stats.acquires += 1;
-        let entry = self.table.entry(key).or_default();
+        let spare_entries = &mut self.spare_entries;
+        let entry = self
+            .table
+            .entry(key)
+            .or_insert_with(|| spare_entries.pop().unwrap_or_default());
 
         if let Some(held) = entry.holds(txn) {
             if held.covers(mode) {
@@ -180,7 +191,7 @@ impl LockManager {
         // the request is compatible with every current holder.
         if entry.queue.is_empty() && entry.grantable(txn, mode) {
             entry.granted.push((txn, mode));
-            self.held.entry(txn).or_default().push(key);
+            Self::note_held(&mut self.held, &mut self.spare_held, txn, key);
             self.stats.immediate_grants += 1;
             return AcquireOutcome::Granted;
         }
@@ -208,15 +219,18 @@ impl LockManager {
             if let Some(entry) = self.table.get_mut(&key) {
                 entry.queue.retain(|q| q.txn != txn);
                 // Removing a queue head may unblock followers.
-                Self::promote(&mut self.table, &mut self.held, key, &mut woken);
+                self.promote(key, &mut woken);
             }
         }
 
-        for key in self.held.remove(&txn).unwrap_or_default() {
-            if let Some(entry) = self.table.get_mut(&key) {
-                entry.granted.retain(|(t, _)| *t != txn);
-                Self::promote(&mut self.table, &mut self.held, key, &mut woken);
+        if let Some(mut keys) = self.held.remove(&txn) {
+            for key in keys.drain(..) {
+                if let Some(entry) = self.table.get_mut(&key) {
+                    entry.granted.retain(|(t, _)| *t != txn);
+                    self.promote(key, &mut woken);
+                }
             }
+            self.spare_held.push(keys);
         }
         self.multi_partition.remove(&txn);
 
@@ -235,14 +249,21 @@ impl LockManager {
         woken
     }
 
-    /// Grant queued requests at `key` that are now compatible, FIFO.
-    fn promote(
-        table: &mut FxHashMap<LockKey, LockEntry>,
+    /// Record that `txn` now holds `key`.
+    fn note_held(
         held: &mut FxHashMap<TxnId, Vec<LockKey>>,
+        spare_held: &mut Vec<Vec<LockKey>>,
+        txn: TxnId,
         key: LockKey,
-        woken: &mut Vec<TxnId>,
     ) {
-        let Some(entry) = table.get_mut(&key) else {
+        held.entry(txn)
+            .or_insert_with(|| spare_held.pop().unwrap_or_default())
+            .push(key);
+    }
+
+    /// Grant queued requests at `key` that are now compatible, FIFO.
+    fn promote(&mut self, key: LockKey, woken: &mut Vec<TxnId>) {
+        let Some(entry) = self.table.get_mut(&key) else {
             return;
         };
         while let Some(head) = entry.queue.front().copied() {
@@ -260,12 +281,12 @@ impl LockManager {
                 entry.granted[0].1 = LockMode::Exclusive;
             } else {
                 entry.granted.push((head.txn, head.mode));
-                held.entry(head.txn).or_default().push(key);
+                Self::note_held(&mut self.held, &mut self.spare_held, head.txn, key);
             }
             woken.push(head.txn);
         }
         if entry.granted.is_empty() && entry.queue.is_empty() {
-            table.remove(&key);
+            self.spare_entries.extend(self.table.remove(&key));
         }
     }
 

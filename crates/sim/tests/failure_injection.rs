@@ -8,8 +8,10 @@ use hcc_common::{ClientId, Nanos, PartitionId, Scheme, SystemConfig, TxnId};
 use hcc_core::{Request, RequestGenerator};
 use hcc_sim::{SimConfig, Simulation};
 use hcc_workloads::micro::{
-    make_key, MicroConfig, MicroEngine, MicroFragment, MicroOp, MicroWorkload, SimpleMicroProcedure,
+    make_key, MicroConfig, MicroEngine, MicroFragment, MicroOp, MicroOutput, MicroWorkload,
+    SimpleMicroProcedure,
 };
+use std::sync::Arc;
 
 /// Clients 0..4 issue single-partition transactions on P0 only; client 5
 /// issues two-partition transactions. Tracks outcomes per kind.
@@ -34,7 +36,7 @@ impl SplitWorkload {
 impl RequestGenerator for SplitWorkload {
     type Engine = MicroEngine;
 
-    fn next_request(&mut self, client: ClientId) -> Request<MicroFragment, Vec<u32>> {
+    fn next_request(&mut self, client: ClientId) -> Request<MicroFragment, MicroOutput> {
         if client.0 < 5 {
             self.last_kind_mp.insert(client.0, false);
             Request::SinglePartition {
@@ -51,7 +53,7 @@ impl RequestGenerator for SplitWorkload {
             self.last_kind_mp.insert(client.0, true);
             Request::MultiPartition {
                 procedure: Box::new(SimpleMicroProcedure {
-                    fragments: vec![
+                    fragments: Arc::from([
                         (
                             PartitionId(0),
                             MicroFragment {
@@ -70,7 +72,7 @@ impl RequestGenerator for SplitWorkload {
                                 fail: false,
                             },
                         ),
-                    ],
+                    ]),
                 }),
                 can_abort: false,
             }

@@ -82,7 +82,7 @@ impl OrderedIndex {
     /// yields nothing. Yields owned [`Bytes`] (refcount bumps): the
     /// iterator holds an epoch pin, not a lock, so concurrent writers
     /// are never blocked by an in-progress scan.
-    pub fn range(&self, start: &[u8], end: &[u8]) -> impl Iterator<Item = Bytes> + '_ {
+    pub fn range<'a>(&'a self, start: &'a [u8], end: &'a [u8]) -> impl Iterator<Item = Bytes> + 'a {
         // An inverted range yields nothing (BTreeSet::range would panic).
         let end = if end < start { start } else { end };
         self.keys.range_from(start, Some(end))

@@ -434,7 +434,7 @@ impl SkipList {
     /// Keys in `[start, end)` ascending; `end = None` means unbounded.
     /// The iterator holds an epoch guard: O(1) setup, no copying, and
     /// nodes it can reach are not freed while it lives.
-    pub fn range_from(&self, start: &[u8], end: Option<&[u8]>) -> Range<'_> {
+    pub fn range_from<'a>(&'a self, start: &[u8], end: Option<&'a [u8]>) -> Range<'a> {
         let guard = epoch::pin();
         // Seek under *this* guard; the raw pointer stays valid while the
         // iterator (and thus the guard) lives.
@@ -451,7 +451,7 @@ impl SkipList {
             _list: self,
             guard,
             curr: first,
-            end: end.map(|e| e.to_vec()),
+            end,
         }
     }
 
@@ -473,7 +473,7 @@ pub struct Range<'a> {
     /// Next node to consider; null = exhausted. Valid while `guard` lives.
     curr: *const Node,
     /// Exclusive upper bound.
-    end: Option<Vec<u8>>,
+    end: Option<&'a [u8]>,
 }
 
 impl Iterator for Range<'_> {
@@ -487,8 +487,8 @@ impl Iterator for Range<'_> {
             // SAFETY: `curr` was reached through loads under `self.guard`,
             // which has been continuously pinned; the node is not freed.
             let node = unsafe { &*self.curr };
-            if let Some(end) = &self.end {
-                if &*node.key >= end.as_slice() {
+            if let Some(end) = self.end {
+                if &*node.key >= end {
                     self.curr = std::ptr::null();
                     return None;
                 }

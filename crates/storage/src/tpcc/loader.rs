@@ -181,7 +181,9 @@ fn load_warehouse(store: &mut TpccStore, w_id: WId, scale: &TpccScale, rng: &mut
             );
             store
                 .customer_by_name
-                .entry((w_id, d_id, last))
+                .entry((w_id, d_id))
+                .or_default()
+                .entry(last)
                 .or_default()
                 .push(c_id);
 
@@ -198,23 +200,14 @@ fn load_warehouse(store: &mut TpccStore, w_id: WId, scale: &TpccScale, rng: &mut
         }
 
         // Sort the by-name index by customer first name (clause 2.5.2.2).
-        let mut names: Vec<String> = store
-            .customer_by_name
-            .keys()
-            .filter(|(w, dd, _)| *w == w_id && *dd == d_id)
-            .map(|(_, _, l)| l.clone())
-            .collect();
-        names.sort();
-        for l in names {
-            let key = (w_id, d_id, l);
-            if let Some(ids) = store.customer_by_name.get(&key) {
-                let mut ids = ids.clone();
+        let customers = &store.customer;
+        if let Some(by_name) = store.customer_by_name.get_mut(&(w_id, d_id)) {
+            for ids in by_name.values_mut() {
                 ids.sort_by(|a, b| {
-                    store.customer[&(w_id, d_id, *a)]
+                    customers[&(w_id, d_id, *a)]
                         .first
-                        .cmp(&store.customer[&(w_id, d_id, *b)].first)
+                        .cmp(&customers[&(w_id, d_id, *b)].first)
                 });
-                store.customer_by_name.insert(key, ids);
             }
         }
 
@@ -342,14 +335,16 @@ mod tests {
     #[test]
     fn by_name_index_sorted_by_first_name() {
         let s = tiny_store();
-        for ((w, d, _), ids) in s.customer_by_name.iter() {
-            let firsts: Vec<&String> = ids
-                .iter()
-                .map(|c| &s.customer[&(*w, *d, *c)].first)
-                .collect();
-            let mut sorted = firsts.clone();
-            sorted.sort();
-            assert_eq!(firsts, sorted);
+        for ((w, d), by_name) in s.customer_by_name.iter() {
+            for ids in by_name.values() {
+                let firsts: Vec<&String> = ids
+                    .iter()
+                    .map(|c| &s.customer[&(*w, *d, *c)].first)
+                    .collect();
+                let mut sorted = firsts.clone();
+                sorted.sort();
+                assert_eq!(firsts, sorted);
+            }
         }
     }
 

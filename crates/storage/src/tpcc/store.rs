@@ -70,9 +70,12 @@ pub struct TpccStore {
     pub warehouse: FxHashMap<WId, Warehouse>,
     pub district: FxHashMap<DistrictKey, District>,
     pub customer: FxHashMap<CustomerKey, Customer>,
-    /// Secondary index: (w, d, last name) → customer ids, sorted by first
-    /// name (clause 2.5.2.2 requires "ordered by C_FIRST").
-    pub customer_by_name: FxHashMap<(WId, DId, String), Vec<CId>>,
+    /// Secondary index: (w, d) → last name → customer ids, sorted by first
+    /// name (clause 2.5.2.2 requires "ordered by C_FIRST"). Nested so a
+    /// lookup borrows the name it was given instead of building an owned
+    /// key: 60 % of payments and order-status calls come through here, on
+    /// primary and backup.
+    pub customer_by_name: FxHashMap<(WId, DId), FxHashMap<String, Vec<CId>>>,
     pub history: Vec<History>,
     pub order: FxHashMap<OrderKey, Order>,
     /// Secondary index for "most recent order of a customer".
@@ -129,7 +132,8 @@ impl TpccStore {
     /// Customer ids with the given last name, sorted by first name.
     pub fn customers_by_last_name(&self, w: WId, d: DId, last: &str) -> &[CId] {
         self.customer_by_name
-            .get(&(w, d, last.to_string()))
+            .get(&(w, d))
+            .and_then(|by_name| by_name.get(last))
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
@@ -652,7 +656,9 @@ mod tests {
             );
         }
         s.customer_by_name
-            .insert((1, 1, "SAME".into()), vec![1, 2, 3]);
+            .entry((1, 1))
+            .or_default()
+            .insert("SAME".into(), vec![1, 2, 3]);
         // ceil(3/2) = 2nd in first-name order = c_id 2.
         assert_eq!(s.customer_by_name_midpoint(1, 1, "SAME"), Some(2));
         assert_eq!(s.customer_by_name_midpoint(1, 1, "NOBODY"), None);

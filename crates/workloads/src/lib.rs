@@ -18,6 +18,7 @@
 //!   adaptive scheme selection.
 
 pub mod micro;
+pub mod output;
 pub mod phased;
 pub mod tpcc;
 pub mod ycsb;

@@ -26,6 +26,9 @@ use hcc_locking::{granule, LockMode};
 use hcc_storage::{KvStore, KvUndo};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+
+pub use crate::output::MicroOutput;
 
 /// A microbenchmark key: (client, partition, index), packed.
 pub type MicroKey = u64;
@@ -63,9 +66,15 @@ pub enum MicroOp {
 }
 
 /// A unit of work at one partition.
+///
+/// The op list never changes once the generator built it, so it is shared:
+/// the client's retry copy, every dispatch attempt and the partition's
+/// task hold one block, cloning costs a reference count, and the block is
+/// freed by whoever lets go last — in the closed loop, the client that
+/// allocated it.
 #[derive(Debug, Clone, Default)]
 pub struct MicroFragment {
-    pub ops: Vec<MicroOp>,
+    pub ops: Arc<[MicroOp]>,
     /// Forced abort at the beginning of execution (§5.3).
     pub fail: bool,
 }
@@ -124,14 +133,11 @@ impl LogEncode for MicroFragment {
     }
     fn decode(input: &mut &[u8]) -> Option<Self> {
         Some(MicroFragment {
-            ops: Vec::decode(input)?,
+            ops: Arc::decode(input)?,
             fail: bool::decode(input)?,
         })
     }
 }
-
-/// Values read, in op order.
-pub type MicroOutput = Vec<u32>;
 
 /// The microbenchmark execution engine: byte-string KV store plus
 /// per-transaction undo buffers.
@@ -272,7 +278,7 @@ impl ExecutionEngine for MicroEngine {
                 ops: 1,
             };
         }
-        let mut out = Vec::with_capacity(fragment.ops.len());
+        let mut out = MicroOutput::new();
         // Split borrow: we need &mut kv and &mut undo entry together.
         let kv = &mut self.kv;
         let pool = &mut self.undo_pool;
@@ -290,7 +296,7 @@ impl ExecutionEngine for MicroEngine {
             buf
         });
         let mut ops = 0u32;
-        for op in &fragment.ops {
+        for op in fragment.ops.iter() {
             match *op {
                 MicroOp::Rmw(k) => {
                     // One table probe for the read and the write.
@@ -389,7 +395,6 @@ impl ExecutionEngine for MicroEngine {
     }
 
     fn lock_set(&self, fragment: &MicroFragment) -> Vec<(LockKey, LockMode)> {
-        let mut locks: Vec<(LockKey, LockMode)> = Vec::with_capacity(fragment.ops.len());
         if self.scan_mode {
             // Stripe granularity: scans pre-declare shared locks covering
             // their whole `[start, end)` range, and every other op locks
@@ -398,7 +403,17 @@ impl ExecutionEngine for MicroEngine {
             // (adjacent keys share a granule), which only *adds*
             // conflicts: conservative, as the engine contract permits.
             let stripe = |k: MicroKey| granule::stripe_key(k, SCAN_STRIPE_SHIFT);
-            for op in &fragment.ops {
+            // Sized for the stripes named, not the ops: one scan op covers
+            // several stripes, and growing the set op by op is a `realloc`
+            // per locked transaction.
+            let stripes = fragment.ops.iter().map(|op| match *op {
+                MicroOp::Scan(start, end) => {
+                    granule::stripe_range(start, end, SCAN_STRIPE_SHIFT).count()
+                }
+                _ => 1,
+            });
+            let mut locks = Vec::with_capacity(stripes.sum());
+            for op in fragment.ops.iter() {
                 match *op {
                     MicroOp::Read(k) => {
                         granule::merge_lock(&mut locks, stripe(k), LockMode::Shared)
@@ -418,7 +433,8 @@ impl ExecutionEngine for MicroEngine {
             }
             return locks;
         }
-        for op in &fragment.ops {
+        let mut locks = Vec::with_capacity(fragment.ops.len());
+        for op in fragment.ops.iter() {
             let (k, mode) = match *op {
                 MicroOp::Rmw(k)
                 | MicroOp::Write(k, _)
@@ -438,9 +454,22 @@ impl ExecutionEngine for MicroEngine {
 }
 
 /// A simple (one-round) multi-partition microbenchmark transaction.
+///
+/// The per-partition fragments are shared like their op lists: a retry
+/// copy ([`Procedure::clone_box`]) is the box and a reference count.
 #[derive(Debug, Clone)]
 pub struct SimpleMicroProcedure {
-    pub fragments: Vec<(PartitionId, MicroFragment)>,
+    pub fragments: Arc<[(PartitionId, MicroFragment)]>,
+}
+
+/// The transaction's result: every participant's values, in participant
+/// order.
+fn concat_outputs(round: &RoundOutputs<MicroOutput>) -> MicroOutput {
+    let mut all = MicroOutput::new();
+    for (_, r) in &round.by_partition {
+        all.extend(r.iter().copied());
+    }
+    all
 }
 
 impl Procedure<MicroFragment, MicroOutput> for SimpleMicroProcedure {
@@ -451,15 +480,11 @@ impl Procedure<MicroFragment, MicroOutput> for SimpleMicroProcedure {
     fn step(&self, prior: &[RoundOutputs<MicroOutput>]) -> Step<MicroFragment, MicroOutput> {
         if prior.is_empty() {
             Step::Round {
-                fragments: self.fragments.clone(),
+                fragments: self.fragments.to_vec(),
                 is_final: true,
             }
         } else {
-            let mut all = Vec::new();
-            for (_, r) in &prior[0].by_partition {
-                all.extend(r.iter().copied());
-            }
-            Step::Finish(all)
+            Step::Finish(concat_outputs(&prior[0]))
         }
     }
 }
@@ -470,10 +495,10 @@ impl Procedure<MicroFragment, MicroOutput> for SimpleMicroProcedure {
 /// writes as a second round."
 #[derive(Debug, Clone)]
 pub struct TwoRoundMicroProcedure {
-    /// Keys per participating partition; `fail_at` injects a §5.3 abort at
-    /// one participant in round 0.
-    pub reads: Vec<(PartitionId, Vec<MicroKey>)>,
-    pub fail_at: Option<PartitionId>,
+    /// Round 0: per participant, a [`MicroOp::Read`] of each of its keys
+    /// (with the §5.3 abort, if any, injected at one participant). Round 1
+    /// writes the same keys.
+    pub reads: Arc<[(PartitionId, MicroFragment)]>,
 }
 
 impl Procedure<MicroFragment, MicroOutput> for TwoRoundMicroProcedure {
@@ -484,35 +509,23 @@ impl Procedure<MicroFragment, MicroOutput> for TwoRoundMicroProcedure {
     fn step(&self, prior: &[RoundOutputs<MicroOutput>]) -> Step<MicroFragment, MicroOutput> {
         match prior.len() {
             0 => Step::Round {
-                fragments: self
-                    .reads
-                    .iter()
-                    .map(|(p, keys)| {
-                        (
-                            *p,
-                            MicroFragment {
-                                ops: keys.iter().map(|&k| MicroOp::Read(k)).collect(),
-                                fail: self.fail_at == Some(*p),
-                            },
-                        )
-                    })
-                    .collect(),
+                fragments: self.reads.to_vec(),
                 is_final: false,
             },
             1 => Step::Round {
                 fragments: self
                     .reads
                     .iter()
-                    .map(|(p, keys)| {
+                    .map(|(p, reads)| {
                         let read = prior[0].get(*p).expect("round-0 output");
+                        let ops = reads.ops.iter().zip(read.iter()).map(|(op, &v)| match *op {
+                            MicroOp::Read(k) => MicroOp::Write(k, v.wrapping_add(1)),
+                            other => panic!("round 0 only reads, found {other:?}"),
+                        });
                         (
                             *p,
                             MicroFragment {
-                                ops: keys
-                                    .iter()
-                                    .zip(read.iter())
-                                    .map(|(&k, &v)| MicroOp::Write(k, v.wrapping_add(1)))
-                                    .collect(),
+                                ops: ops.collect(),
                                 fail: false,
                             },
                         )
@@ -520,13 +533,7 @@ impl Procedure<MicroFragment, MicroOutput> for TwoRoundMicroProcedure {
                     .collect(),
                 is_final: true,
             },
-            _ => {
-                let mut all = Vec::new();
-                for (_, r) in &prior[0].by_partition {
-                    all.extend(r.iter().copied());
-                }
-                Step::Finish(all)
-            }
+            _ => Step::Finish(concat_outputs(&prior[0])),
         }
     }
 }
@@ -631,18 +638,45 @@ impl MicroWorkload {
         (self.cfg.conflict_prob > 0.0 && client < self.cfg.partitions.min(2)).then_some(client)
     }
 
-    fn keys_for(&mut self, client: u32, partition: u32, n: u32) -> Vec<MicroKey> {
+    /// The op list over `client`'s next `n` keys at `partition`, built in
+    /// place in the one block the fragment will share. With `conflicts`,
+    /// §5.2 injection replaces each key slot, with probability
+    /// `conflict_prob`, by the same slot of the client pinned to
+    /// `partition` — slot order is preserved, so all conflicted
+    /// transactions acquire pinned keys in ascending index order and
+    /// deadlock is impossible; at p = 1 a conflicted transaction writes
+    /// exactly the pinned client's key set.
+    fn ops_for(
+        &mut self,
+        client: u32,
+        partition: u32,
+        n: u32,
+        conflicts: bool,
+        op: impl Fn(MicroKey) -> MicroOp,
+    ) -> Arc<[MicroOp]> {
         // Pinned clients always write their first keys in index order (the
         // paper: their keys are "nearly always being written"; fixed order
         // also makes deadlock impossible in the conflict workload, §5.2).
         if self.pinned_partition(client).is_some() {
-            return (0..n).map(|i| make_key(client, partition, i)).collect();
+            return (0..n).map(|i| op(make_key(client, partition, i))).collect();
         }
         let c = &mut self.counters[client as usize];
         let start = *c;
         *c = (*c + n) % KEYS_PER_CLIENT;
+        let p = if conflicts {
+            self.cfg.conflict_prob
+        } else {
+            0.0
+        };
+        let rng = &mut self.rngs[client as usize];
         (0..n)
-            .map(|i| make_key(client, partition, (start + i) % KEYS_PER_CLIENT))
+            .map(|i| {
+                op(if p > 0.0 && rng.gen_bool(p) {
+                    make_key(partition, partition, i)
+                } else {
+                    make_key(client, partition, (start + i) % KEYS_PER_CLIENT)
+                })
+            })
             .collect()
     }
 
@@ -653,29 +687,6 @@ impl MicroWorkload {
         let span = self.cfg.partitions / groups;
         let g = client % groups;
         (g * span, span)
-    }
-
-    /// §5.2 conflict injection: replace key slots with the pinned client's
-    /// keys of `conflict_partition`, each with probability `p`, preserving
-    /// slot order (all conflicted transactions acquire pinned keys in
-    /// ascending index order, so deadlock is impossible). At p = 1 a
-    /// conflicted transaction writes exactly the pinned client's key set.
-    fn inject_conflicts(
-        &mut self,
-        client: u32,
-        keys: &mut [MicroKey],
-        conflict_partition: u32,
-        slot_base: u32,
-    ) {
-        let p = self.cfg.conflict_prob;
-        if p <= 0.0 || self.pinned_partition(client).is_some() {
-            return;
-        }
-        for (i, k) in keys.iter_mut().enumerate() {
-            if self.rngs[client as usize].gen_bool(p) {
-                *k = make_key(conflict_partition, conflict_partition, slot_base + i as u32);
-            }
-        }
     }
 }
 
@@ -698,13 +709,10 @@ impl RequestGenerator for MicroWorkload {
                     base + self.rngs[c as usize].gen_range(0..span)
                 }
             };
-            let mut keys = self.keys_for(c, partition, cfg.keys_per_txn);
-            // §5.2 conflict injection against the pinned client's keys.
-            self.inject_conflicts(c, &mut keys, partition, 0);
             return Request::SinglePartition {
                 partition: PartitionId(partition),
                 fragment: MicroFragment {
-                    ops: keys.into_iter().map(MicroOp::Rmw).collect(),
+                    ops: self.ops_for(c, partition, cfg.keys_per_txn, true, MicroOp::Rmw),
                     fail: aborts,
                 },
                 can_abort: aborts,
@@ -726,51 +734,41 @@ impl RequestGenerator for MicroWorkload {
             (base + a, base + b)
         };
         let half = cfg.keys_per_txn / 2;
-        let mut keys0 = self.keys_for(c, p0, half);
-        let mut keys1 = self.keys_for(c, p1, half);
         // "each transaction only conflicts at one of the partitions" —
         // pick which side at random, keeping load symmetric.
-        if cfg.conflict_prob > 0.0 && self.pinned_partition(c).is_none() {
-            if self.rngs[c as usize].gen_bool(0.5) {
-                self.inject_conflicts(c, &mut keys0, p0, 0);
+        let conflict_side = (cfg.conflict_prob > 0.0 && self.pinned_partition(c).is_none())
+            .then(|| self.rngs[c as usize].gen_bool(0.5));
+        let op = move |k| {
+            if cfg.two_round {
+                MicroOp::Read(k)
             } else {
-                self.inject_conflicts(c, &mut keys1, p1, 0);
+                MicroOp::Rmw(k)
             }
-        }
+        };
+        let ops0 = self.ops_for(c, p0, half, conflict_side == Some(true), op);
+        let ops1 = self.ops_for(c, p1, half, conflict_side == Some(false), op);
         // §5.3: "When a multi-partition transaction is selected, only one
         // partition will abort locally."
         let fail_at = aborts.then(|| {
             if self.rngs[c as usize].gen_bool(0.5) {
-                PartitionId(p0)
+                p0
             } else {
-                PartitionId(p1)
+                p1
             }
         });
-
+        let fragments = Arc::from([(p0, ops0), (p1, ops1)].map(|(p, ops)| {
+            (
+                PartitionId(p),
+                MicroFragment {
+                    ops,
+                    fail: fail_at == Some(p),
+                },
+            )
+        }));
         let procedure: Box<dyn Procedure<MicroFragment, MicroOutput>> = if cfg.two_round {
-            Box::new(TwoRoundMicroProcedure {
-                reads: vec![(PartitionId(p0), keys0), (PartitionId(p1), keys1)],
-                fail_at,
-            })
+            Box::new(TwoRoundMicroProcedure { reads: fragments })
         } else {
-            Box::new(SimpleMicroProcedure {
-                fragments: vec![
-                    (
-                        PartitionId(p0),
-                        MicroFragment {
-                            ops: keys0.into_iter().map(MicroOp::Rmw).collect(),
-                            fail: fail_at == Some(PartitionId(p0)),
-                        },
-                    ),
-                    (
-                        PartitionId(p1),
-                        MicroFragment {
-                            ops: keys1.into_iter().map(MicroOp::Rmw).collect(),
-                            fail: fail_at == Some(PartitionId(p1)),
-                        },
-                    ),
-                ],
-            })
+            Box::new(SimpleMicroProcedure { fragments })
         };
         Request::MultiPartition {
             procedure,
@@ -796,7 +794,7 @@ mod tests {
         let mut e = engine();
         let k = make_key(0, 0, 0);
         let frag = MicroFragment {
-            ops: vec![MicroOp::Rmw(k), MicroOp::Rmw(k)],
+            ops: vec![MicroOp::Rmw(k), MicroOp::Rmw(k)].into(),
             fail: false,
         };
         let out = e.execute(txid(1), &frag, false);
@@ -813,7 +811,7 @@ mod tests {
         e.execute(
             txid(1),
             &MicroFragment {
-                ops: vec![MicroOp::Rmw(k), MicroOp::Write(k, 99)],
+                ops: vec![MicroOp::Rmw(k), MicroOp::Write(k, 99)].into(),
                 fail: false,
             },
             true,
@@ -831,7 +829,7 @@ mod tests {
         let out = e.execute(
             txid(1),
             &MicroFragment {
-                ops: vec![],
+                ops: vec![].into(),
                 fail: true,
             },
             true,
@@ -850,7 +848,8 @@ mod tests {
                 MicroOp::Rmw(2),
                 MicroOp::Read(2), // subsumed by the RMW's X lock
                 MicroOp::Write(3, 0),
-            ],
+            ]
+            .into(),
             fail: false,
         };
         let locks = e.lock_set(&frag);
@@ -870,7 +869,7 @@ mod tests {
         let out = e.execute(
             txid(1),
             &MicroFragment {
-                ops: vec![MicroOp::Scan(1, 9)],
+                ops: vec![MicroOp::Scan(1, 9)].into(),
                 fail: false,
             },
             false,
@@ -893,7 +892,8 @@ mod tests {
                     MicroOp::Insert(2, 22),
                     MicroOp::Delete(4),
                     MicroOp::Insert(6, 66),
-                ],
+                ]
+                .into(),
                 fail: false,
             },
             true,
@@ -917,7 +917,7 @@ mod tests {
         e.execute(
             txid(1),
             &MicroFragment {
-                ops: vec![MicroOp::Insert(3, 33), MicroOp::Delete(8)],
+                ops: vec![MicroOp::Insert(3, 33), MicroOp::Delete(8)].into(),
                 fail: false,
             },
             true,
@@ -925,7 +925,7 @@ mod tests {
         e.execute(
             txid(2),
             &MicroFragment {
-                ops: vec![MicroOp::Rmw(3), MicroOp::Insert(5, 55)],
+                ops: vec![MicroOp::Rmw(3), MicroOp::Insert(5, 55)].into(),
                 fail: false,
             },
             true,
@@ -945,14 +945,14 @@ mod tests {
         e.enable_scans();
         // Stripe shift 4: scan [3, 40) covers stripes 0..=2.
         let locks = e.lock_set(&MicroFragment {
-            ops: vec![MicroOp::Scan(3, 40)],
+            ops: vec![MicroOp::Scan(3, 40)].into(),
             fail: false,
         });
         assert_eq!(locks.len(), 3);
         assert!(locks.iter().all(|(_, m)| *m == LockMode::Shared));
         // An insert at key 17 (stripe 1) conflicts with the scan.
         let ins = e.lock_set(&MicroFragment {
-            ops: vec![MicroOp::Insert(17, 0)],
+            ops: vec![MicroOp::Insert(17, 0)].into(),
             fail: false,
         });
         assert_eq!(ins.len(), 1);
@@ -960,7 +960,7 @@ mod tests {
         assert!(locks.iter().any(|(k, _)| *k == ins[0].0));
         // An insert far outside does not.
         let far = e.lock_set(&MicroFragment {
-            ops: vec![MicroOp::Insert(1000, 0)],
+            ops: vec![MicroOp::Insert(1000, 0)].into(),
             fail: false,
         });
         assert!(locks.iter().all(|(k, _)| *k != far[0].0));
@@ -971,9 +971,59 @@ mod tests {
     fn point_mode_rejects_scan_lock_sets() {
         let e = MicroEngine::new();
         e.lock_set(&MicroFragment {
-            ops: vec![MicroOp::Scan(0, 4)],
+            ops: vec![MicroOp::Scan(0, 4)].into(),
             fail: false,
         });
+    }
+
+    /// Commit records, replica shipping and recovery all carry fragments
+    /// in this encoding; how a fragment *holds* its ops must never show in
+    /// it. The bytes below are what the `Vec`-backed fragment produced.
+    #[test]
+    fn log_encoding_is_pinned_byte_for_byte() {
+        use hcc_common::codec::{decode_exact, encode_to_vec};
+        let golden: [(MicroOp, &[u8]); 6] = [
+            (
+                MicroOp::Rmw(0x0102_0304_0506_0708),
+                &[0, 8, 7, 6, 5, 4, 3, 2, 1],
+            ),
+            (MicroOp::Read(1), &[1, 1, 0, 0, 0, 0, 0, 0, 0]),
+            (
+                MicroOp::Write(2, 0xAABB_CCDD),
+                &[2, 2, 0, 0, 0, 0, 0, 0, 0, 0xDD, 0xCC, 0xBB, 0xAA],
+            ),
+            (
+                MicroOp::Scan(3, 1 << 32),
+                &[3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
+            ),
+            (
+                MicroOp::Insert(4, 5),
+                &[4, 4, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0],
+            ),
+            (MicroOp::Delete(6), &[5, 6, 0, 0, 0, 0, 0, 0, 0]),
+        ];
+        for (op, bytes) in golden {
+            assert_eq!(encode_to_vec(&op), bytes, "{op:?}");
+            assert_eq!(decode_exact::<MicroOp>(bytes), Some(op));
+        }
+
+        let frag = MicroFragment {
+            ops: golden.map(|(op, _)| op).into(),
+            fail: true,
+        };
+        // u32 op count, the ops back to back, the fail flag.
+        let mut expected = vec![6, 0, 0, 0];
+        for (_, bytes) in golden {
+            expected.extend_from_slice(bytes);
+        }
+        expected.push(1);
+        assert_eq!(encode_to_vec(&frag), expected);
+        let back: MicroFragment = decode_exact(&expected).expect("decodes");
+        assert_eq!(&*back.ops, &*frag.ops);
+        assert!(back.fail);
+
+        let empty = MicroFragment::default();
+        assert_eq!(encode_to_vec(&empty), [0, 0, 0, 0, 0]);
     }
 
     #[test]
@@ -1000,7 +1050,7 @@ mod tests {
         match req {
             Request::SinglePartition { fragment, .. } => {
                 assert_eq!(fragment.ops.len(), 12);
-                for op in &fragment.ops {
+                for op in fragment.ops.iter() {
                     match op {
                         MicroOp::Rmw(k) => assert_eq!(k >> 24, 3, "client 3's own keys"),
                         _ => panic!("SP ops are RMW"),
@@ -1133,7 +1183,7 @@ mod tests {
                 let outs = RoundOutputs {
                     by_partition: fragments
                         .iter()
-                        .map(|(p, f)| (*p, vec![7u32; f.ops.len()]))
+                        .map(|(p, f)| (*p, MicroOutput::from(vec![7u32; f.ops.len()])))
                         .collect(),
                 };
                 let Step::Round {

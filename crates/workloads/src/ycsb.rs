@@ -26,6 +26,7 @@ use crate::micro::{MicroEngine, MicroFragment, MicroOp, MicroOutput, SimpleMicro
 use hcc_common::rng::{SplitMix64, Zipfian};
 use hcc_common::{ClientId, PartitionId};
 use hcc_core::{Procedure, Request, RequestGenerator};
+use std::sync::Arc;
 
 /// A YCSB key: partition in the high half, record index in the low half —
 /// disjoint from the microbenchmark's (client, partition, index) packing.
@@ -104,17 +105,19 @@ impl YcsbWorkload {
     /// read-mostly.
     fn fragment(&mut self, client: u32, partition: u32, n: u32) -> MicroFragment {
         let rng = &mut self.rngs[client as usize];
-        let mut ops = Vec::with_capacity(n as usize);
-        for _ in 0..n {
+        let ops = (0..n).map(|_| {
             let rank = self.zipf.sample(rng);
             let key = ycsb_key(partition, rank);
             if rng.next_f64() < self.cfg.read_fraction {
-                ops.push(MicroOp::Read(key));
+                MicroOp::Read(key)
             } else {
-                ops.push(MicroOp::Rmw(key));
+                MicroOp::Rmw(key)
             }
+        });
+        MicroFragment {
+            ops: ops.collect(),
+            fail: false,
         }
-        MicroFragment { ops, fail: false }
     }
 }
 
@@ -142,10 +145,10 @@ impl RequestGenerator for YcsbWorkload {
         let half = (cfg.ops_per_txn / 2).max(1);
         let procedure: Box<dyn Procedure<MicroFragment, MicroOutput>> =
             Box::new(SimpleMicroProcedure {
-                fragments: vec![
+                fragments: Arc::from([
                     (PartitionId(p0), self.fragment(c, p0, half)),
                     (PartitionId(p1), self.fragment(c, p1, half)),
-                ],
+                ]),
             });
         Request::MultiPartition {
             procedure,
@@ -287,10 +290,10 @@ impl YcsbEWorkload {
         let start = self.zipf.sample(&mut self.rngs[client as usize]);
         let end = (start + len).min(self.slots());
         MicroFragment {
-            ops: vec![MicroOp::Scan(
+            ops: Arc::from([MicroOp::Scan(
                 ycsb_key(partition, start),
                 ycsb_key(partition, end.max(start + 1)),
-            )],
+            )]),
             fail: false,
         }
     }
@@ -330,7 +333,7 @@ impl RequestGenerator for YcsbEWorkload {
             let f1 = self.scan_fragment(c, p1, half);
             return Request::MultiPartition {
                 procedure: Box::new(SimpleMicroProcedure {
-                    fragments: vec![(PartitionId(p0), f0), (PartitionId(p1), f1)],
+                    fragments: Arc::from([(PartitionId(p0), f0), (PartitionId(p1), f1)]),
                 }),
                 can_abort: false,
             };
@@ -362,7 +365,7 @@ impl RequestGenerator for YcsbEWorkload {
         Request::SinglePartition {
             partition: PartitionId(p),
             fragment: MicroFragment {
-                ops: vec![op],
+                ops: Arc::from([op]),
                 fail: false,
             },
             can_abort: false,
@@ -395,7 +398,7 @@ mod tests {
         for _ in 0..500 {
             match w.next_request(ClientId(0)) {
                 Request::SinglePartition { fragment, .. } => {
-                    for op in &fragment.ops {
+                    for op in fragment.ops.iter() {
                         match op {
                             MicroOp::Read(_) => reads += 1,
                             MicroOp::Rmw(_) => rmws += 1,
@@ -421,7 +424,7 @@ mod tests {
         let mut total = 0u64;
         for _ in 0..2_000 {
             if let Request::SinglePartition { fragment, .. } = w.next_request(ClientId(1)) {
-                for op in &fragment.ops {
+                for op in fragment.ops.iter() {
                     let k = match op {
                         MicroOp::Read(k) | MicroOp::Rmw(k) => *k,
                         _ => unreachable!(),
