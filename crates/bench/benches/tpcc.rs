@@ -93,7 +93,9 @@ fn bench_transactions(c: &mut Criterion) {
                 d_id: ((n % 10) + 1) as u8,
                 c_w_id: 1,
                 c_d_id: ((n % 10) + 1) as u8,
-                customer: CustomerSel::ByName(hcc_storage::tpcc::last_name((n % 300) as u64)),
+                customer: CustomerSel::ByName(
+                    hcc_storage::tpcc::last_name((n % 300) as u64).into(),
+                ),
                 amount_cents: 1000,
                 customer_is_local: true,
             };

@@ -130,15 +130,31 @@ impl<T: LogEncode> LogEncode for Arc<[T]> {
     }
 }
 
+/// The text encoding — a `u32` byte length, then the bytes — that every
+/// string type shares, for the same reason as [`encode_slice`].
+fn encode_str(text: &str, out: &mut Vec<u8>) {
+    (text.len() as u32).encode(out);
+    out.extend_from_slice(text.as_bytes());
+}
+
 impl LogEncode for String {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).encode(out);
-        out.extend_from_slice(self.as_bytes());
+        encode_str(self, out);
     }
     fn decode(input: &mut &[u8]) -> Option<Self> {
         let n = u32::decode(input)? as usize;
         let bytes = take(input, n)?;
         String::from_utf8(bytes.to_vec()).ok()
+    }
+}
+
+impl LogEncode for Arc<str> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_str(self, out);
+    }
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        let n = u32::decode(input)? as usize;
+        std::str::from_utf8(take(input, n)?).ok().map(Arc::from)
     }
 }
 
@@ -298,6 +314,13 @@ mod tests {
             encode_to_vec(&vec![1u32, 2, 3]),
             "a shared slice encodes as the Vec it replaces"
         );
+        roundtrip(Arc::<str>::from("BARBARBAR"));
+        assert_eq!(
+            encode_to_vec(&Arc::<str>::from("BARBARBAR")),
+            encode_to_vec(&String::from("BARBARBAR")),
+            "shared text encodes as the String it replaces"
+        );
+        assert_eq!(decode_exact::<Arc<str>>(&[1, 0, 0, 0, 0xFF]), None);
         roundtrip(Option::<u32>::None);
         roundtrip(Some(9u64));
     }

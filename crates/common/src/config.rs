@@ -186,27 +186,23 @@ pub struct FailurePlan {
 /// When present, every partition appends one encoded
 /// [`crate::CommitRecord`] per commit to an injectable durable log and
 /// *holds the client-visible result* until the record's group-commit
-/// batch is synced — the classic group-commit trade: results gain up to
-/// `group_commit_interval` of latency, and in exchange a crash loses no
-/// acknowledged transaction. `None` (the default) is the paper's
-/// configuration: memory-only, replication as the sole failure story,
-/// and bit-identical behaviour to every pre-durability run (the golden
-/// determinism tests pin this).
+/// batch is synced, so a crash loses no acknowledged transaction. What
+/// closes a batch is not configured: the driver syncs whenever it has
+/// nothing more to hand the partition (see `hcc_core::group_commit`), so a
+/// lone commit waits for one sync and a loaded partition amortises one
+/// sync over everything committed meanwhile. `None` (the default) is the
+/// paper's configuration: memory-only, replication as the sole failure
+/// story, and bit-identical behaviour to every pre-durability run (the
+/// golden determinism tests pin this).
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct DurabilityConfig {
-    /// Time between group-commit syncs. Appended records become durable
-    /// at the next sync boundary; held results release then.
-    pub group_commit_interval: Nanos,
-    /// Sync early once this many records are waiting in the open batch
-    /// (`u64::MAX` = time-only batching).
-    pub max_batch: u64,
     /// Virtual latency of the sync itself (the fsync stand-in charged by
     /// the simulator's in-memory log; the live runtime pays the real
     /// device instead).
     pub sync_latency: Nanos,
-    /// Stalled-log guard: if a batch has been waiting longer than this
-    /// past its sync boundary (a stalled or failed device), the partition
-    /// aborts the held batch with the retryable
+    /// Stalled-log guard: if the oldest unsynced record has been waiting
+    /// longer than this (a stalled or failed device), the partition aborts
+    /// the held batch with the retryable
     /// [`crate::AbortReason::LogStalled`] instead of wedging its commit
     /// chain. `None` disables the guard (a stalled log then holds results
     /// forever).
@@ -216,11 +212,6 @@ pub struct DurabilityConfig {
 impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
-            // One sync per ~8 t_sp: small enough to stay off the latency
-            // critical path in the paper's workloads, large enough that a
-            // batch amortizes many records.
-            group_commit_interval: Nanos::from_micros(500),
-            max_batch: 64,
             sync_latency: Nanos::from_micros(100),
             sync_deadline: Some(Nanos::from_millis(10)),
         }
@@ -228,16 +219,6 @@ impl Default for DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    pub fn with_interval(mut self, interval: Nanos) -> Self {
-        self.group_commit_interval = interval;
-        self
-    }
-
-    pub fn with_max_batch(mut self, n: u64) -> Self {
-        self.max_batch = n;
-        self
-    }
-
     pub fn with_sync_deadline(mut self, deadline: Option<Nanos>) -> Self {
         self.sync_deadline = deadline;
         self

@@ -2,18 +2,26 @@
 //! "transactions are committed in batches ... the log is synced once per
 //! batch, amortizing the disk latency over the group").
 //!
-//! The policy is a pure state machine shared by both drivers: it watches
-//! appends accumulate and decides *when* the log should be synced — when the
-//! batch fills ([`DurabilityConfig::max_batch`]) or when the oldest unsynced
-//! record has waited [`DurabilityConfig::group_commit_interval`]. The driver
-//! owns the [`DurableLog`](hcc_storage::DurableLog) itself and performs the
-//! sync; results for records in the batch are parked until the sync
-//! completes (clients only see a commit once it is durable).
+//! The policy is a pure state machine shared by all three drivers, and it
+//! is self-clocked: a batch is what was committed while the driver was
+//! busy, closed when the driver has nothing more to hand the partition.
+//! Each driver asks [`GroupCommit::on_drained`] at its natural boundary —
+//! the reactor when a worker's step batch ends, the thread-per-actor
+//! backend when the replica's channel runs empty, the simulator after an
+//! append and when a sync completes — and syncs iff records are pending
+//! and no sync is in flight. So the batch grows with load and there is
+//! nothing to tune: a lone transaction is synced at once, and with a
+//! blocking device the batch is whatever arrived during the previous
+//! sync. The driver owns the [`DurableLog`](hcc_storage::DurableLog)
+//! itself and performs the sync; results for records in the batch are
+//! parked until the sync completes (clients only see a commit once it is
+//! durable).
 //!
 //! The **stall guard** is the robustness half: a log whose sync does not
 //! complete within [`DurabilityConfig::sync_deadline`] must not wedge every
-//! client parked behind it. When [`GroupCommit::stalled`] fires, the driver
-//! aborts the in-flight batch with the retryable
+//! client parked behind it. A failed sync stays in flight — `on_drained`
+//! does not retry a dead device — and when [`GroupCommit::stalled`] fires,
+//! the driver aborts the in-flight batch with the retryable
 //! [`AbortReason::LogStalled`](hcc_common::AbortReason::LogStalled) instead
 //! of holding results forever. The records may still be on disk (append
 //! succeeded, sync never confirmed), so a stalled-batch abort is the one
@@ -28,7 +36,7 @@ use hcc_common::{DurabilityConfig, Nanos};
 pub enum FlushDecision {
     /// Keep accumulating; nothing to do.
     None,
-    /// Sync the log now (batch full or interval elapsed).
+    /// Sync the log now: the batch is closed.
     SyncNow,
 }
 
@@ -40,8 +48,8 @@ pub struct GroupCommit {
     pending: u64,
     /// When the oldest unsynced record was appended.
     first_pending_at: Option<Nanos>,
-    /// When the in-flight sync was issued (`None` if no sync outstanding).
-    sync_issued_at: Option<Nanos>,
+    /// A sync was issued and has neither completed nor been given up on.
+    sync_in_flight: bool,
     pub counters: DurabilityCounters,
 }
 
@@ -51,7 +59,7 @@ impl GroupCommit {
             cfg,
             pending: 0,
             first_pending_at: None,
-            sync_issued_at: None,
+            sync_in_flight: false,
             counters: DurabilityCounters::default(),
         }
     }
@@ -65,49 +73,28 @@ impl GroupCommit {
         self.pending
     }
 
-    /// A commit record was appended at `now`. Returns [`FlushDecision::SyncNow`]
-    /// when the batch is full.
-    pub fn on_append(&mut self, now: Nanos) -> FlushDecision {
+    /// A commit record was appended at `now`.
+    pub fn on_append(&mut self, now: Nanos) {
         self.pending += 1;
         self.counters.records_appended += 1;
         if self.first_pending_at.is_none() {
             self.first_pending_at = Some(now);
         }
-        if self.pending >= self.cfg.max_batch && self.sync_issued_at.is_none() {
+    }
+
+    /// The driver has nothing more to hand this partition right now: close
+    /// the batch. Returns [`FlushDecision::SyncNow`] iff records are pending
+    /// and no sync is in flight, and counts the sync the driver must now
+    /// perform as in flight: it ends with [`on_synced`](Self::on_synced),
+    /// or — a failed sync is not retried — when the stall guard gives up on
+    /// its batch.
+    pub fn on_drained(&mut self) -> FlushDecision {
+        if self.pending > 0 && !self.sync_in_flight {
+            self.sync_in_flight = true;
             FlushDecision::SyncNow
         } else {
             FlushDecision::None
         }
-    }
-
-    /// Time-based poll (the driver's flush tick). Returns
-    /// [`FlushDecision::SyncNow`] when the oldest unsynced record has waited
-    /// a full group-commit interval and no sync is already in flight.
-    pub fn poll(&mut self, now: Nanos) -> FlushDecision {
-        match self.first_pending_at {
-            Some(first)
-                if self.sync_issued_at.is_none()
-                    && now >= first + self.cfg.group_commit_interval =>
-            {
-                FlushDecision::SyncNow
-            }
-            _ => FlushDecision::None,
-        }
-    }
-
-    /// When the next flush tick is needed (`None` when nothing is pending or
-    /// a sync is already in flight). Drivers with timer wheels schedule a
-    /// tick here; drivers with periodic ticks just call [`poll`](Self::poll).
-    pub fn flush_deadline(&self) -> Option<Nanos> {
-        match (self.first_pending_at, self.sync_issued_at) {
-            (Some(first), None) => Some(first + self.cfg.group_commit_interval),
-            _ => None,
-        }
-    }
-
-    /// The driver issued a sync at `now` (it may complete asynchronously).
-    pub fn on_sync_issued(&mut self, now: Nanos) {
-        self.sync_issued_at = Some(now);
     }
 
     /// The sync completed: the batch is durable.
@@ -115,7 +102,7 @@ impl GroupCommit {
         self.counters.syncs += 1;
         self.pending = 0;
         self.first_pending_at = None;
-        self.sync_issued_at = None;
+        self.sync_in_flight = false;
     }
 
     /// Absolute deadline after which the in-flight batch counts as stalled
@@ -140,7 +127,7 @@ impl GroupCommit {
         self.counters.stalled_aborts += aborted;
         self.pending = 0;
         self.first_pending_at = None;
-        self.sync_issued_at = None;
+        self.sync_in_flight = false;
     }
 }
 
@@ -149,43 +136,51 @@ mod tests {
     use super::*;
 
     fn cfg() -> DurabilityConfig {
-        DurabilityConfig::default()
-            .with_interval(Nanos::from_micros(500))
-            .with_max_batch(4)
-            .with_sync_deadline(Some(Nanos::from_millis(10)))
+        DurabilityConfig::default().with_sync_deadline(Some(Nanos::from_millis(10)))
     }
 
     #[test]
-    fn batch_fills_then_syncs() {
+    fn drained_with_nothing_pending_does_nothing() {
+        let mut gc = GroupCommit::new(cfg());
+        assert_eq!(gc.on_drained(), FlushDecision::None);
+        gc.on_append(Nanos::from_micros(1));
+        assert_eq!(gc.on_drained(), FlushDecision::SyncNow);
+        gc.on_synced();
+        assert_eq!(gc.on_drained(), FlushDecision::None, "batch is durable");
+    }
+
+    #[test]
+    fn drained_closes_whatever_accumulated() {
         let mut gc = GroupCommit::new(cfg());
         let t = Nanos::from_micros(1);
-        assert_eq!(gc.on_append(t), FlushDecision::None);
-        assert_eq!(gc.on_append(t), FlushDecision::None);
-        assert_eq!(gc.on_append(t), FlushDecision::None);
-        assert_eq!(gc.on_append(t), FlushDecision::SyncNow);
-        gc.on_sync_issued(t);
-        // More appends while a sync is in flight never double-issue.
-        assert_eq!(gc.on_append(t), FlushDecision::None);
+        for _ in 0..3 {
+            gc.on_append(t);
+        }
+        assert_eq!(gc.pending(), 3);
+        assert_eq!(gc.on_drained(), FlushDecision::SyncNow);
+        // Appends while a sync is in flight never double-issue.
+        gc.on_append(t);
+        assert_eq!(gc.on_drained(), FlushDecision::None, "sync in flight");
         gc.on_synced();
         assert_eq!(gc.counters.syncs, 1);
-        assert_eq!(gc.counters.records_appended, 5);
+        assert_eq!(gc.counters.records_appended, 4);
     }
 
     #[test]
-    fn interval_elapses_for_partial_batch() {
+    fn failed_sync_stays_in_flight_until_the_stall_guard_aborts() {
         let mut gc = GroupCommit::new(cfg());
-        let t0 = Nanos::from_micros(100);
+        let t0 = Nanos::from_micros(7);
         gc.on_append(t0);
-        assert_eq!(gc.poll(t0 + Nanos::from_micros(499)), FlushDecision::None);
-        assert_eq!(gc.flush_deadline(), Some(t0 + Nanos::from_micros(500)));
-        assert_eq!(
-            gc.poll(t0 + Nanos::from_micros(500)),
-            FlushDecision::SyncNow
-        );
-        gc.on_sync_issued(t0 + Nanos::from_micros(500));
-        assert_eq!(gc.flush_deadline(), None, "sync in flight");
-        gc.on_synced();
-        assert_eq!(gc.poll(t0 + Nanos::from_millis(5)), FlushDecision::None);
+        assert_eq!(gc.on_drained(), FlushDecision::SyncNow);
+        // The sync fails: the driver never calls `on_synced`.
+        gc.on_append(t0 + Nanos::from_micros(1));
+        assert_eq!(gc.on_drained(), FlushDecision::None, "no retry loop");
+        assert!(gc.stalled(t0 + Nanos::from_millis(10)));
+        gc.on_stall_abort(2);
+        assert_eq!(gc.on_drained(), FlushDecision::None, "slate wiped");
+        // The next batch is tried afresh.
+        gc.on_append(t0 + Nanos::from_millis(11));
+        assert_eq!(gc.on_drained(), FlushDecision::SyncNow);
     }
 
     #[test]

@@ -68,7 +68,7 @@
 //! One failover per group per run is supported (the `FailurePlan` is
 //! one-shot).
 
-use hcc_common::codec::encode_to_vec;
+use hcc_common::codec::LogEncode;
 use hcc_common::stats::SequencerStats;
 use hcc_common::stats::{
     AdaptiveStats, DurabilityCounters, ReplicationCounters, SchedulerCounters,
@@ -977,7 +977,9 @@ enum Role<E: ExecutionEngine> {
 /// `SystemConfig::durability` is on.
 ///
 /// The primary appends one framed commit record per committed transaction
-/// and syncs in batches under the shared [`GroupCommit`] policy. Committed
+/// and syncs in batches under the shared [`GroupCommit`] policy: the
+/// backend calls [`ReplicaActor::on_drained`] when it has nothing more to
+/// hand the node, and that closes the batch. Committed
 /// single-partition results park in `held` until their record's batch is
 /// durable; 2PC decision acks park in `pending_acks` the same way, which
 /// transitively parks the result the coordinator (or the locking client's
@@ -997,6 +999,9 @@ struct Durability<E: ExecutionEngine> {
     /// `LogStalled` (or their acks released undurable) and must not park
     /// again when a late result shows up.
     abandoned_below: u64,
+    /// Scratch: the commit record being appended, encoded. Reused so a
+    /// commit does not grow a fresh buffer through five reallocations.
+    encode_buf: Vec<u8>,
 }
 
 impl<E: ExecutionEngine> Durability<E> {
@@ -1008,7 +1013,15 @@ impl<E: ExecutionEngine> Durability<E> {
             held: VecDeque::new(),
             pending_acks: VecDeque::new(),
             abandoned_below: 0,
+            encode_buf: Vec::new(),
         }
+    }
+
+    /// May what waits on log record `seq` leave this node? Once the record
+    /// is durable — or was in a batch the stall guard abandoned, which
+    /// gives up durability rather than wedge the commit chain.
+    fn released(&self, seq: u64) -> bool {
+        seq <= self.log.durable() || seq <= self.abandoned_below
     }
 }
 
@@ -1298,79 +1311,68 @@ where
         });
     }
 
-    /// Primary-side: the transaction committed here — ship its commit
-    /// record to every backup, remember its seq for the hold decision, and
-    /// append it to the durable log.
+    /// Primary-side: the transaction committed here — append its commit
+    /// record to the durable log, ship it to every backup, and remember its
+    /// seq for the hold decisions.
     fn ship_commit(&mut self, txn: TxnId, now: Nanos, out: &mut Vec<OutMsg<E>>) {
-        let mut log_bytes: Option<Vec<u8>> = None;
-        {
-            let Role::Primary {
-                session: Some(session),
-                targets,
-                shipped_seq,
-                ..
-            } = &mut self.role
-            else {
-                return;
-            };
-            let Some(record) = session.on_commit(txn) else {
-                return;
-            };
-            if self.dur.is_some() {
-                log_bytes = Some(encode_to_vec(&record));
+        let Role::Primary {
+            session: Some(session),
+            targets,
+            shipped_seq,
+            ..
+        } = &mut self.role
+        else {
+            return;
+        };
+        let Some(record) = session.on_commit(txn) else {
+            return;
+        };
+        if let Some(dur) = &mut self.dur {
+            dur.encode_buf.clear();
+            record.encode(&mut dur.encode_buf);
+            // An append *error* (injected write failure) leaves the record
+            // without durability: the transaction already committed in the
+            // engine, so it is released as if durability were off — the
+            // sim's fault harness pins the stricter bounce semantics.
+            if let Ok(seq) = dur.log.append(&dur.encode_buf) {
+                dur.logged_seq.insert(txn, seq);
+                dur.gc.on_append(now);
             }
-            // Clone per extra backup; the last (commonly only) target moves
-            // the record — zero allocations on the k=1 hot path.
-            if let Some((&last, rest)) = targets.split_last() {
-                shipped_seq.insert(txn, record.seq);
-                self.repl_counters.records_shipped += 1;
-                for &slot in rest {
-                    out.push(OutMsg {
-                        dest: ActorId::Replica(self.group, slot),
-                        msg: Msg::Commit {
-                            from_slot: self.slot,
-                            record: record.clone(),
-                        },
-                    });
-                }
+        }
+        // Clone per extra backup; the last (commonly only) target moves
+        // the record — zero allocations on the k=1 hot path.
+        if let Some((&last, rest)) = targets.split_last() {
+            shipped_seq.insert(txn, record.seq);
+            self.repl_counters.records_shipped += 1;
+            for &slot in rest {
                 out.push(OutMsg {
-                    dest: ActorId::Replica(self.group, last),
+                    dest: ActorId::Replica(self.group, slot),
                     msg: Msg::Commit {
                         from_slot: self.slot,
-                        record,
+                        record: record.clone(),
                     },
                 });
             }
-        }
-        if let Some(bytes) = log_bytes {
-            self.log_append(txn, &bytes, now, out);
-        }
-    }
-
-    /// Append a committed transaction's record to the durable log and run
-    /// the group-commit policy. An append *error* (injected write failure)
-    /// leaves the record without durability: the transaction already
-    /// committed in the engine, so it is released as if durability were
-    /// off — the sim's fault harness pins the stricter bounce semantics.
-    fn log_append(&mut self, txn: TxnId, bytes: &[u8], now: Nanos, out: &mut Vec<OutMsg<E>>) {
-        let Some(dur) = &mut self.dur else { return };
-        let Ok(seq) = dur.log.append(bytes) else {
-            return;
-        };
-        dur.logged_seq.insert(txn, seq);
-        if dur.gc.on_append(now) == FlushDecision::SyncNow {
-            self.sync_log(now, out);
+            out.push(OutMsg {
+                dest: ActorId::Replica(self.group, last),
+                msg: Msg::Commit {
+                    from_slot: self.slot,
+                    record,
+                },
+            });
         }
     }
 
-    /// Issue a log sync. In the live runtime the sync call is synchronous:
-    /// it either completes here — releasing everything its batch gated —
-    /// or fails (injected stall), in which case the batch stays pending
-    /// until the tick-driven stall guard gives up on it.
-    fn sync_log(&mut self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
+    /// The backend has nothing more to hand this node right now: close the
+    /// group-commit batch. A logging primary with unsynced records syncs
+    /// them — in the live runtime the sync call is synchronous: it either
+    /// completes here, releasing everything its batch gated, or fails
+    /// (injected stall), in which case the batch stays in flight until the
+    /// tick-driven stall guard gives up on it. Every other node returns at
+    /// once.
+    pub fn on_drained(&mut self, out: &mut Vec<OutMsg<E>>) {
         let Some(dur) = &mut self.dur else { return };
-        dur.gc.on_sync_issued(now);
-        if dur.log.sync().is_ok() {
+        if dur.gc.on_drained() == FlushDecision::SyncNow && dur.log.sync().is_ok() {
             dur.gc.on_synced();
             self.release_durable(out);
         }
@@ -1435,6 +1437,11 @@ where
                             return;
                         }
                     }
+                    debug_assert!(
+                        !result.is_committed() || seq <= dur.log.durable(),
+                        "{txn}: commit leaving {} above the durable watermark",
+                        self.group
+                    );
                 }
             }
         }
@@ -1444,20 +1451,12 @@ where
         });
     }
 
-    /// Tick-driven log maintenance: flush a batch whose group-commit
-    /// interval elapsed, then fire the stall guard if the oldest unsynced
-    /// append blew past the sync deadline — bounce every parked result
-    /// with `LogStalled`, release the deferred acks (giving up durability
-    /// for those decisions rather than wedging 2PC), and wipe the batch
-    /// slate so the log can accept new work.
-    fn poll_log(&mut self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
-        let flush = match &mut self.dur {
-            Some(dur) => dur.gc.poll(now) == FlushDecision::SyncNow,
-            None => return,
-        };
-        if flush {
-            self.sync_log(now, out);
-        }
+    /// Tick-driven stall guard: if the oldest unsynced append blew past the
+    /// sync deadline, bounce every parked result with `LogStalled`, release
+    /// the deferred acks (giving up durability for those decisions rather
+    /// than wedging 2PC), and wipe the batch slate so the log can accept
+    /// new work.
+    fn check_log_stall(&mut self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
         let group = self.group;
         let Some(dur) = &mut self.dur else { return };
         if !dur.gc.stalled(now) {
@@ -1654,13 +1653,18 @@ where
                         // committed result until every participant acks.
                         let deferred = match &mut self.dur {
                             Some(dur) => match dur.logged_seq.remove(&d.txn) {
-                                Some(seq)
-                                    if seq > dur.log.durable() && seq > dur.abandoned_below =>
-                                {
+                                Some(seq) if !dur.released(seq) => {
                                     dur.pending_acks.push_back((seq, d.txn, ack_to));
                                     true
                                 }
-                                _ => false,
+                                logged => {
+                                    debug_assert!(
+                                        logged.is_none_or(|seq| dur.released(seq)),
+                                        "{}: ack leaving above the durable watermark",
+                                        d.txn
+                                    );
+                                    false
+                                }
                             },
                             None => false,
                         };
@@ -1677,7 +1681,7 @@ where
                     };
                     let _ = sched.on_tick(&mut self.engine, now, &mut self.outbox);
                 }
-                self.poll_log(now, out);
+                self.check_log_stall(now, out);
             }
             Msg::CommitAck { slot, seq } => {
                 let mut released = Vec::new();
@@ -1954,5 +1958,108 @@ where
             }
             _ => debug_assert!(false, "unexpected message at backup {}", self.group),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hcc_core::{Request, RequestGenerator};
+    use hcc_storage::FaultMode;
+    use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
+
+    /// The part of the stall guard both live backends share: a sync that
+    /// fails is not retried when the node is drained again, everything its
+    /// batch parked is bounced once the tick finds it past the deadline,
+    /// and the log then takes new work.
+    #[test]
+    fn stalled_sync_is_not_retried_and_the_tick_bounces_its_batch() {
+        let mc = MicroConfig {
+            partitions: 1,
+            clients: 1,
+            ..Default::default()
+        };
+        let dur = DurabilityConfig::default();
+        let deadline = dur.sync_deadline.expect("guard on by default");
+        let system = SystemConfig::new(Scheme::Speculative)
+            .with_partitions(1)
+            .with_clients(1)
+            .with_durability(dur);
+        let mut workload = MicroWorkload::new(mc);
+        let engine = workload.build_engine(PartitionId(0));
+        let mut node: ReplicaActor<MicroEngine> =
+            ReplicaActor::new(PartitionId(0), 0, &system, engine, None);
+        let stall = |node: &mut ReplicaActor<MicroEngine>, on: bool| {
+            node.dur.as_mut().expect("logging primary").log.fault = FaultMode {
+                stall_syncs_after: on.then_some(0),
+                ..FaultMode::default()
+            };
+        };
+        let ctl = RunControl::new(1);
+        let mut out = Vec::new();
+        let mut commit = |node: &mut ReplicaActor<MicroEngine>, seq: u32, now: Nanos| {
+            let Request::SinglePartition { fragment, .. } = workload.next_request(ClientId(0))
+            else {
+                panic!("one partition: every request is single-partition");
+            };
+            let task = FragmentTask {
+                txn: TxnId::new(ClientId(0), seq),
+                coordinator: CoordinatorRef::Client(ClientId(0)),
+                client: ClientId(0),
+                fragment,
+                multi_partition: false,
+                last_fragment: true,
+                round: 0,
+                can_abort: false,
+            };
+            let mut out = Vec::new();
+            node.step(Msg::Fragment(task), now, &ctl, &mut out);
+            assert!(out.is_empty(), "a committed result waits for its sync");
+        };
+        let t0 = Nanos::from_micros(10);
+        stall(&mut node, true);
+        commit(&mut node, 1, t0);
+        node.on_drained(&mut out);
+        assert!(out.is_empty(), "the sync stalled");
+        // The device would answer now, but the failed sync is the stall
+        // guard's to give up on, not the next drain's to retry.
+        stall(&mut node, false);
+        commit(&mut node, 2, t0 + Nanos::from_micros(5));
+        node.on_drained(&mut out);
+        assert!(out.is_empty(), "no retry while a sync is in flight");
+
+        let just_before = t0 + deadline - Nanos(1);
+        node.step(Msg::Tick, just_before, &ctl, &mut out);
+        assert!(out.is_empty());
+        node.step(Msg::Tick, t0 + deadline, &ctl, &mut out);
+        let bounced = |m: &OutMsg<MicroEngine>| {
+            matches!(
+                m.msg,
+                Msg::Result {
+                    result: TxnResult::Aborted(AbortReason::LogStalled),
+                    ..
+                }
+            )
+        };
+        assert!(out.len() == 2 && out.iter().all(bounced));
+        out.clear();
+
+        commit(&mut node, 3, t0 + deadline + Nanos::from_micros(1));
+        node.on_drained(&mut out);
+        assert!(
+            matches!(
+                out[..],
+                [OutMsg {
+                    msg: Msg::Result {
+                        result: TxnResult::Committed(_),
+                        ..
+                    },
+                    ..
+                }]
+            ),
+            "the next batch syncs and releases"
+        );
+        let counters = node.into_parts().dur;
+        assert_eq!((counters.syncs, counters.stalled_aborts), (1, 2));
     }
 }

@@ -18,7 +18,11 @@
 //!   one swap per loop iteration, then steps what its queue holds at that
 //!   point: a batch that grows with load, with no knob. (Holding outbound
 //!   mail until the batch ends was measured and dropped: the sibling runs
-//!   dry behind a long batch and parks four times as often.)
+//!   dry behind a long batch and parks four times as often.) With a
+//!   durable log, the end of the batch is also what closes the worker's
+//!   group-commit batches: what its primaries committed during the batch is
+//!   synced once, and the results that waited for it are published like a
+//!   step's outputs.
 //! * **Shared** — coordinator shards and the membership actor keep a
 //!   mailbox with a `scheduled` bit and one global ready list that every
 //!   worker pops at the top of its loop and before parking; `steals`
@@ -283,6 +287,9 @@ struct Worker<'a, W: RequestGenerator> {
     /// Units of `pending` held for messages this batch has consumed beyond
     /// those it has produced; returned when the batch ends.
     surplus: i64,
+    /// The run keeps a durable log: the end of a batch closes the
+    /// group-commit batches of this worker's primaries.
+    logging: bool,
     stats: WorkerStats,
 }
 
@@ -349,6 +356,9 @@ where
             self.step_owned(dest, msg);
             self.finish_step(true);
         }
+        if self.logging {
+            self.close_log_batches();
+        }
         if self.surplus > 0 {
             let sh = self.shared;
             sh.pending.fetch_sub(self.surplus, Ordering::SeqCst);
@@ -384,6 +394,37 @@ where
         self.stats.busy_ns += t.0 - self.now.0;
         self.now = t;
         self.stats.steps += 1;
+    }
+
+    /// The batch is over and there is nothing more to hand the partitions:
+    /// sync what their primaries committed during it, and publish what
+    /// that releases the way a step's outputs are — except that no message
+    /// was consumed, so the released results take their units of `pending`
+    /// from the steps that parked them (the batch's surplus). Kept apart
+    /// from [`finish_step`](Self::finish_step) rather than sharing its body:
+    /// the shared form cost the workloads that never log ±3 % depending on
+    /// how it was inlined (`micro_mp`, `ycsbe_lock`; ten pairs each way).
+    fn close_log_batches(&mut self) {
+        let sh = self.shared;
+        for at in 0..self.replicas.len() {
+            self.replicas[at].on_drained(&mut self.out);
+            if self.out.is_empty() {
+                continue;
+            }
+            self.surplus -= self.out.len() as i64;
+            if self.surplus < 0 {
+                sh.pending.fetch_sub(self.surplus, Ordering::SeqCst);
+                self.surplus = 0;
+            }
+            for m in self.out.drain(..) {
+                if sh.home(&m) == Some(self.me) {
+                    self.local.push_back(m);
+                } else {
+                    self.outbox.push(sh, m);
+                }
+            }
+            self.outbox.publish(sh, Some(self.me));
+        }
     }
 
     fn step_owned(&mut self, dest: ActorId, msg: Msg<W::Engine>) {
@@ -574,6 +615,7 @@ impl Backend for MultiplexedBackend {
         });
 
         // Worker pool: each thread takes its actors and gives them back.
+        let logging = system.durability.is_some();
         let mut handles = Vec::new();
         for (me, (clients, replicas)) in owned.into_iter().enumerate() {
             let shared = shared.clone();
@@ -591,6 +633,7 @@ impl Backend for MultiplexedBackend {
                     shared_mail: VecDeque::new(),
                     now: now_ns(shared.epoch),
                     surplus: 0,
+                    logging,
                     stats: WorkerStats::default(),
                 }
                 .run()
@@ -621,10 +664,9 @@ impl Backend for MultiplexedBackend {
             let shared = shared.clone();
             let stop = timer_stop.clone();
             let mut tick_nanos = system.lock_timeout.0 / 4;
-            if let Some(d) = system.durability {
-                // Group-commit flushes ride the same timer; tick at least
-                // twice per interval so batch latency stays near the knob.
-                tick_nanos = tick_nanos.min(d.group_commit_interval.0 / 2);
+            if let Some(deadline) = system.durability.and_then(|d| d.sync_deadline) {
+                // The log's stall guard rides the same timer.
+                tick_nanos = tick_nanos.min(deadline.0 / 2);
             }
             if seq_on {
                 // Epoch age-closes fire at half the max delay so a lone

@@ -4,7 +4,10 @@
 //! channel; the thread's whole job is `recv → step → route`. Channels
 //! preserve per-link FIFO order, which is the delivery guarantee the
 //! speculation protocol needs. The protocol logic itself lives in
-//! [`crate::actors`] — this file only moves messages.
+//! [`crate::actors`] — this file only moves messages. (One thing rides on
+//! the moving: in a durable run, a replica thread whose channel runs empty
+//! tells its actor so before blocking, which is what closes the node's
+//! group-commit batch.)
 //!
 //! Replica groups get one thread per node (`replication` threads per
 //! partition). Routing to the logical [`ActorId::Partition`] address goes
@@ -221,12 +224,11 @@ impl Backend for ThreadedBackend {
                 ReplicaActor::new(group, s as u32, system, build_engine(group), crash_after);
             let router = router.clone();
             let ctl = ctl.clone();
-            // Locking needs lock-timeout scans; durability needs group-commit
-            // flush polls (at least twice per interval, floored to keep the
-            // wake-up rate sane).
+            // Locking needs lock-timeout scans; durability needs the log's
+            // stall guard polled (floored to keep the wake-up rate sane).
             let mut tick_nanos = system.lock_timeout.0 / 4;
-            if let Some(d) = system.durability {
-                tick_nanos = tick_nanos.min(d.group_commit_interval.0 / 2);
+            if let Some(deadline) = system.durability.and_then(|d| d.sync_deadline) {
+                tick_nanos = tick_nanos.min(deadline.0 / 2);
             }
             let tick_every = Duration::from_nanos(tick_nanos.max(100_000));
             // An adaptive partition can be (or become) Locking at any time,
@@ -234,8 +236,10 @@ impl Backend for ThreadedBackend {
             let ticks = system.scheme == Scheme::Locking
                 || system.adaptive.is_on()
                 || system.durability.is_some();
+            let tick = ticks.then_some(tick_every);
+            let logging = system.durability.is_some();
             replica_handles[p][s] = Some(std::thread::spawn(move || {
-                replica_thread(actor, rx, router, ctl, epoch, ticks, tick_every)
+                replica_thread(actor, rx, router, ctl, epoch, tick, logging)
             }));
         }
 
@@ -440,8 +444,8 @@ fn replica_thread<E>(
     router: Router<E>,
     ctl: Arc<RunControl>,
     epoch: Instant,
-    ticks: bool,
-    tick_every: Duration,
+    tick: Option<Duration>,
+    logging: bool,
 ) -> ReplicaParts<E>
 where
     E: ExecutionEngine + Send + 'static,
@@ -450,20 +454,26 @@ where
 {
     let mut buf = Vec::new();
     loop {
-        let msg = if ticks {
+        if logging && rx.is_empty() {
+            // About to block with nothing more to hand the actor: close its
+            // group-commit batch. (A message that lands between the check
+            // and the receive only means this batch closed one early.)
+            actor.on_drained(&mut buf);
+            router.route(&mut buf);
+        }
+        let msg = match tick {
             // The locking scheme needs periodic lock-timeout scans; a recv
             // timeout doubles as the tick timer. Non-primary roles ignore
             // ticks.
-            match rx.recv_timeout(tick_every) {
+            Some(every) => match rx.recv_timeout(every) {
                 Ok(Wire::Actor(m)) => m,
                 Ok(Wire::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
                 Err(RecvTimeoutError::Timeout) => Msg::Tick,
-            }
-        } else {
-            match rx.recv() {
+            },
+            None => match rx.recv() {
                 Ok(Wire::Actor(m)) => m,
                 _ => break,
-            }
+            },
         };
         actor.step(msg, now_ns(epoch), &ctl, &mut buf);
         router.route(&mut buf);

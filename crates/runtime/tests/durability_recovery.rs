@@ -99,6 +99,59 @@ fn durable_log_replays_to_live_state_multiplexed() {
     }
 }
 
+/// Group commit is clocked by the backend, not by a timer: a batch closes
+/// when the backend has nothing more to hand the partition. So it never
+/// over-holds — with one client per partition every commit finds the
+/// partition drained and is synced alone — and it still batches: under
+/// load one sync covers what committed while the backend was busy.
+#[test]
+fn group_commit_batches_under_load_and_never_over_holds() {
+    let run_with = |backend: BackendChoice, clients: u32, requests: u64| {
+        let mc = MicroConfig {
+            partitions: 2,
+            clients,
+            mp_fraction: 0.0,
+            abort_prob: 0.0,
+            // §5.2 pinning: client 0 only ever asks partition 0, client 1
+            // partition 1; the rest pick at random.
+            conflict_prob: 0.5,
+            seed: 0xD0C5,
+            ..Default::default()
+        };
+        let system = SystemConfig::new(Scheme::Speculative)
+            .with_partitions(2)
+            .with_clients(clients)
+            .with_seed(0xD0C5)
+            .with_durability(DurabilityConfig::default());
+        let cfg = RuntimeConfig::fixed_work(system, backend, requests);
+        let builder = MicroWorkload::new(mc);
+        let r = run(cfg, MicroWorkload::new(mc), move |p| {
+            builder.build_engine(p)
+        });
+        // Quiescence was reached, so nothing is still parked behind a sync.
+        let done = r.clients.committed + r.clients.user_aborted;
+        assert_eq!(done, u64::from(clients) * requests, "{backend}");
+        assert_eq!(r.durability.records_appended, done, "{backend}");
+        assert_eq!(r.durability.stalled_aborts, 0, "{backend}");
+        r.durability
+    };
+    for backend in [
+        BackendChoice::Threaded,
+        BackendChoice::Multiplexed { workers: 2 },
+    ] {
+        let lone = run_with(backend, 2, 200);
+        assert_eq!(lone.syncs, lone.records_appended, "{backend}: over-held");
+        assert_eq!(lone.results_held, lone.records_appended, "{backend}");
+        let loaded = run_with(backend, 64, 40);
+        assert!(
+            loaded.syncs < loaded.records_appended,
+            "{backend}: {} syncs for {} records — no batching under load",
+            loaded.syncs,
+            loaded.records_appended
+        );
+    }
+}
+
 /// Every prefix of a real run's log is a valid recovery point: re-frame
 /// the first k records, recover from that image alone, and check the
 /// result against an independent serial replay of the same k records.

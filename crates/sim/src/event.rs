@@ -81,11 +81,6 @@ pub enum Ev<E: ExecutionEngine> {
     Tick {
         p: PartitionId,
     },
-    /// Group-commit flush deadline for partition `p`'s durable log: the
-    /// oldest unsynced record has waited a full group-commit interval.
-    SyncDue {
-        p: PartitionId,
-    },
     /// A previously issued log sync for partition `p` completes
     /// (`DurabilityConfig::sync_latency` after it was issued).
     SyncDone {

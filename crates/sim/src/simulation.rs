@@ -220,8 +220,6 @@ pub struct Simulation<W: RequestGenerator> {
     /// when durability is off (every path below is then inert, keeping
     /// the golden event stream untouched).
     logs: Option<Vec<(MemLog, GroupCommit)>>,
-    /// Whether a group-commit flush deadline event is already queued.
-    sync_due_pending: Vec<bool>,
     /// Participants of each in-flight transaction, from delivered
     /// fragments (the sim is omniscient: it knows which partitions must
     /// log a record before the result may be released).
@@ -383,7 +381,6 @@ where
                     .map(|_| (MemLog::new(), GroupCommit::new(d)))
                     .collect()
             }),
-            sync_due_pending: vec![false; n],
             txn_parts: FxHashMap::default(),
             txn_seqs: FxHashMap::default(),
             parked: FxHashMap::default(),
@@ -740,63 +737,26 @@ where
             self.crashed = true;
             return;
         }
-        match self.logs.as_mut().expect("checked above")[p]
+        self.logs.as_mut().expect("checked above")[p]
             .1
-            .on_append(at)
-        {
-            FlushDecision::SyncNow => self.issue_sync(p, at),
-            FlushDecision::None => self.schedule_sync_due(p, at),
-        }
+            .on_append(at);
+        self.close_log_batch(p, at);
     }
 
-    /// Schedule the group-commit flush deadline for partition `p` (at most
-    /// one outstanding per partition).
-    fn schedule_sync_due(&mut self, p: usize, at: Nanos) {
-        if self.sync_due_pending[p] {
-            return;
-        }
-        let Some(deadline) = self.logs.as_ref().expect("durability on")[p]
-            .1
-            .flush_deadline()
-        else {
-            return;
-        };
-        self.sync_due_pending[p] = true;
-        self.push(
-            deadline.max(at),
-            Ev::SyncDue {
-                p: PartitionId(p as u32),
-            },
-        );
-    }
-
-    /// Issue a log sync for partition `p`; it completes `sync_latency`
-    /// later ([`Ev::SyncDone`]).
-    fn issue_sync(&mut self, p: usize, at: Nanos) {
-        let latency = {
-            let gc = &mut self.logs.as_mut().expect("durability on")[p].1;
-            gc.on_sync_issued(at);
-            gc.config().sync_latency
-        };
-        self.push(
-            at + latency,
-            Ev::SyncDone {
-                p: PartitionId(p as u32),
-            },
-        );
-    }
-
-    fn handle_sync_due(&mut self, p: PartitionId, at: Nanos) {
-        let pi = p.as_usize();
-        self.sync_due_pending[pi] = false;
-        if self.logs.is_none() {
-            return;
-        }
-        match self.logs.as_mut().expect("checked above")[pi].1.poll(at) {
-            FlushDecision::SyncNow => self.issue_sync(pi, at),
-            // Batch drained early (size-triggered sync) or restarted:
-            // re-arm for the current deadline, if any.
-            FlushDecision::None => self.schedule_sync_due(pi, at),
+    /// Partition `p` has nothing more to append right now (the event loop
+    /// hands it one event at a time): if a batch is open and no sync is in
+    /// flight, issue one; it completes `sync_latency` later
+    /// ([`Ev::SyncDone`]). Records appended meanwhile ride the same sync.
+    fn close_log_batch(&mut self, p: usize, at: Nanos) {
+        let gc = &mut self.logs.as_mut().expect("durability on")[p].1;
+        if gc.on_drained() == FlushDecision::SyncNow {
+            let latency = gc.config().sync_latency;
+            self.push(
+                at + latency,
+                Ev::SyncDone {
+                    p: PartitionId(p as u32),
+                },
+            );
         }
     }
 
@@ -816,9 +776,11 @@ where
             }
         };
         if synced {
-            // Records appended while the sync was in flight start a new
-            // batch; re-arm its flush deadline.
-            self.schedule_sync_due(pi, at);
+            // Drained again; the policy decides. (This log's sync covers
+            // everything appended by the time it completes, so nothing is
+            // left open here — a device that covered only what preceded the
+            // issue would start its next batch at this point.)
+            self.close_log_batch(pi, at);
             self.release_parked(at);
         } else {
             // Stalled (or failing) device: arm the stall guard. When it
@@ -1530,7 +1492,6 @@ where
             Ev::ToCoordinator { k, msg } => self.handle_coordinator(k, msg, at),
             Ev::ToClient { c, msg } => self.handle_client(c, msg, at),
             Ev::Tick { p } => self.handle_tick(p, at),
-            Ev::SyncDue { p } => self.handle_sync_due(p, at),
             Ev::SyncDone { p } => self.handle_sync_done(p, at),
             Ev::StallCheck { p } => self.handle_stall_check(p, at),
             Ev::EpochClose { k } => self.handle_epoch_close(k, at),

@@ -207,10 +207,50 @@ fn crash_harvest_is_deterministic() {
     }
 }
 
+/// Group commit is self-clocked: a commit that finds no sync in flight is
+/// synced at once, so a lone closed-loop client waits for its request to
+/// commit, then for one sync, and not a nanosecond of batching delay. (The
+/// sim gates a result where it is delivered, so the hop back to the client
+/// overlaps the sync instead of following it.)
+#[test]
+fn lone_commit_waits_for_one_sync_and_nothing_else() {
+    let point = |dur: Option<DurabilityConfig>| {
+        let mc = MicroConfig {
+            mp_fraction: 0.0,
+            abort_prob: 0.0,
+            ..micro(1)
+        };
+        let mut system = SystemConfig::new(Scheme::Speculative)
+            .with_partitions(2)
+            .with_clients(1)
+            .with_seed(0xC4A5);
+        system.durability = dur;
+        let cfg = SimConfig::new(system).with_window(Nanos::from_millis(1), Nanos::from_millis(20));
+        let builder = MicroWorkload::new(mc);
+        run_with(cfg, MicroWorkload::new(mc), move |p| {
+            builder.build_engine(p)
+        })
+    };
+    let dur = DurabilityConfig::default();
+    let hop_back = SystemConfig::new(Scheme::Speculative).network.one_way;
+    assert!(dur.sync_latency > hop_back);
+    let (off, on) = (point(None), point(Some(dur)));
+    assert!(off.committed > 50 && on.committed > 50);
+    // Every transaction of the lone client costs the same, so the mean is
+    // each one's latency, to the nanosecond.
+    assert_eq!(off.latency.quantile(0.0), off.latency.quantile(1.0));
+    assert_eq!(on.latency.quantile(0.0), on.latency.quantile(1.0));
+    let committed_after = off.latency.mean() - hop_back;
+    assert_eq!(on.latency.mean(), committed_after + dur.sync_latency);
+    // One sync per record, each waited for by exactly its own result.
+    assert_eq!(on.durability.syncs, on.durability.records_appended);
+    assert_eq!(on.durability.results_held, on.durability.records_appended);
+}
+
 /// Command logging must stay cheap (the paper's premise): syncs are off
-/// the execution critical path — only result *release* waits — so the
-/// default 500 µs group commit keeps well over half the memory-only
-/// throughput under every scheme.
+/// the execution critical path — only result *release* waits — so group
+/// commit keeps well over half the memory-only throughput under every
+/// scheme.
 #[test]
 fn group_commit_keeps_most_of_the_memory_only_throughput() {
     for scheme in SCHEMES {

@@ -20,6 +20,13 @@ fn rand_str(rng: &mut SplitMix64, lo: usize, hi: usize) -> String {
     String::from_utf8_lossy(&buf[..n]).into_owned()
 }
 
+/// A `CHAR(24)` column: the draws of `rand_str(rng, 24, 24)`, kept inline.
+fn dist_info(rng: &mut SplitMix64) -> DistInfo {
+    let mut buf = DistInfo::default();
+    rng.alnum_into(&mut buf, 24, 24);
+    buf
+}
+
 fn zip(rng: &mut SplitMix64) -> String {
     format!("{:04}11111", rng.range_inclusive(0, 9999))
 }
@@ -45,6 +52,7 @@ pub fn load_partition(
     seed: u64,
 ) {
     store.local_warehouses = local_warehouses.to_vec();
+    store.districts_per_warehouse = scale.districts_per_warehouse;
 
     // Replicated tables use a seed independent of the local warehouse set
     // so every partition holds the identical copy.
@@ -73,7 +81,7 @@ pub fn load_partition(
     }
     for w_id in 1..=all_warehouses {
         for i_id in 1..=scale.items {
-            let dists = std::array::from_fn(|_| rand_str(&mut rrng, 24, 24));
+            let dists = std::array::from_fn(|_| dist_info(&mut rrng));
             let data = if rrng.next_f64() < 0.10 {
                 format!(
                     "{}ORIGINAL{}",
@@ -261,7 +269,7 @@ fn load_warehouse(store: &mut TpccStore, w_id: WId, scale: &TpccScale, rng: &mut
                         } else {
                             rng.range_inclusive(1, 999_999) as i64
                         },
-                        dist_info: rand_str(rng, 24, 24),
+                        dist_info: dist_info(rng),
                     },
                     None,
                 );

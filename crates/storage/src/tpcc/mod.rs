@@ -19,4 +19,4 @@ pub mod store;
 pub use loader::load_partition;
 pub use scale::TpccScale;
 pub use schema::*;
-pub use store::{TpccStore, TpccUndo, TpccUndoBuf};
+pub use store::{CustomerCounters, TpccStore, TpccUndo, TpccUndoBuf};

@@ -18,6 +18,10 @@ pub type OrderKey = (WId, DId, OId);
 pub type OrderLineKey = (WId, DId, OId, u8);
 pub type StockKey = (WId, IId);
 
+/// `S_DIST_xx` / `OL_DIST_INFO`: `CHAR(24)`, held inline so copying one
+/// into an order line allocates nothing.
+pub type DistInfo = [u8; 24];
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Warehouse {
     pub w_id: WId,
@@ -105,7 +109,7 @@ pub struct Order {
     pub all_local: bool,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrderLine {
     pub w_id: WId,
     pub d_id: DId,
@@ -116,7 +120,7 @@ pub struct OrderLine {
     pub delivery_d: Option<u64>,
     pub quantity: u8,
     pub amount_cents: i64,
-    pub dist_info: String,
+    pub dist_info: DistInfo,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,14 +146,14 @@ pub struct StockMut {
 /// strings and the data column, available at every partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StockInfo {
-    pub dists: [String; 10],
+    pub dists: [DistInfo; 10],
     pub data: String,
 }
 
 impl StockInfo {
     /// The `S_DIST_xx` string for a district (1-based district id).
-    pub fn dist_for(&self, d_id: DId) -> &str {
-        &self.dists[(d_id - 1) as usize]
+    pub fn dist_for(&self, d_id: DId) -> DistInfo {
+        self.dists[(d_id - 1) as usize]
     }
 }
 
@@ -279,10 +283,10 @@ mod tests {
     #[test]
     fn stock_info_dist_for() {
         let info = StockInfo {
-            dists: std::array::from_fn(|i| format!("dist{i}")),
+            dists: std::array::from_fn(|i| [i as u8; 24]),
             data: String::new(),
         };
-        assert_eq!(info.dist_for(1), "dist0");
-        assert_eq!(info.dist_for(10), "dist9");
+        assert_eq!(info.dist_for(1), [0; 24]);
+        assert_eq!(info.dist_for(10), [9; 24]);
     }
 }

@@ -12,18 +12,30 @@ use super::schema::*;
 use hcc_common::FxHashMap;
 use std::collections::BTreeMap;
 
-/// One undoable mutation. Pre-image variants store the full prior row;
-/// insert variants store the key to remove.
+/// The customer columns a transaction may change besides `data`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CustomerCounters {
+    pub balance_cents: i64,
+    pub ytd_payment_cents: i64,
+    pub payment_cnt: u32,
+    pub delivery_cnt: u32,
+}
+
+/// One undoable mutation. Update variants store the row's key and the
+/// prior value of the columns a TPC-C transaction can change — never the
+/// row; insert variants store the key to remove.
 #[derive(Debug, Clone)]
 pub enum TpccUndo {
-    WarehousePre(Warehouse),
-    DistrictPre(District),
-    CustomerPre(Box<Customer>),
+    WarehouseYtd(WId, i64),
+    /// `ytd_cents`, `next_o_id`.
+    DistrictPre(DistrictKey, i64, OId),
+    /// `data` is carried only when the update was about to rewrite it.
+    CustomerPre(CustomerKey, CustomerCounters, Option<Box<str>>),
     StockPre(StockKey, StockMut),
     OrderInserted(OrderKey, CId),
-    OrderPre(Box<Order>),
+    OrderCarrier(OrderKey, Option<u8>),
     OrderLineInserted(OrderLineKey),
-    OrderLinePre(Box<OrderLine>),
+    OrderLineDelivery(OrderLineKey, Option<u64>),
     NewOrderInserted(OrderKey),
     NewOrderDeleted(OrderKey),
     HistoryAppended,
@@ -67,6 +79,8 @@ impl TpccUndoBuf {
 pub struct TpccStore {
     /// Warehouse ids whose partitioned data lives here.
     pub local_warehouses: Vec<WId>,
+    /// Districts `1..=n` of every local warehouse (set by the loader).
+    pub districts_per_warehouse: DId,
     pub warehouse: FxHashMap<WId, Warehouse>,
     pub district: FxHashMap<DistrictKey, District>,
     pub customer: FxHashMap<CustomerKey, Customer>,
@@ -111,6 +125,16 @@ impl TpccStore {
 
     pub fn district(&self, w: WId, d: DId) -> Option<&District> {
         self.district.get(&(w, d))
+    }
+
+    /// District ids of warehouse `w`, ascending; empty if `w` is not local.
+    pub fn districts_of(&self, w: WId) -> std::ops::RangeInclusive<DId> {
+        let n = if self.warehouse.contains_key(&w) {
+            self.districts_per_warehouse
+        } else {
+            0
+        };
+        1..=n
     }
 
     pub fn customer(&self, w: WId, d: DId, c: CId) -> Option<&Customer> {
@@ -190,7 +214,10 @@ impl TpccStore {
     // Mutations (all optionally undo-logged)
     // ------------------------------------------------------------------
 
-    /// Apply `f` to the warehouse row, recording the pre-image.
+    // An update's undo record restores the columns named on its variant;
+    // `f` must change no others.
+
+    /// Apply `f` (which may change `ytd_cents`) to the warehouse row.
     pub fn update_warehouse(
         &mut self,
         w: WId,
@@ -199,7 +226,7 @@ impl TpccStore {
     ) -> bool {
         match self.warehouse.get_mut(&w) {
             Some(row) => {
-                Self::push_undo(undo, TpccUndo::WarehousePre(row.clone()));
+                Self::push_undo(undo, TpccUndo::WarehouseYtd(w, row.ytd_cents));
                 f(row);
                 true
             }
@@ -207,6 +234,8 @@ impl TpccStore {
         }
     }
 
+    /// Apply `f` (which may change `ytd_cents` and `next_o_id`) to the
+    /// district row.
     pub fn update_district(
         &mut self,
         w: WId,
@@ -216,7 +245,8 @@ impl TpccStore {
     ) -> bool {
         match self.district.get_mut(&(w, d)) {
             Some(row) => {
-                Self::push_undo(undo, TpccUndo::DistrictPre(row.clone()));
+                let pre = TpccUndo::DistrictPre((w, d), row.ytd_cents, row.next_o_id);
+                Self::push_undo(undo, pre);
                 f(row);
                 true
             }
@@ -224,6 +254,8 @@ impl TpccStore {
         }
     }
 
+    /// Apply `f` (which may change the [`CustomerCounters`] columns) to the
+    /// customer row.
     pub fn update_customer(
         &mut self,
         w: WId,
@@ -232,9 +264,34 @@ impl TpccStore {
         undo: Option<&mut TpccUndoBuf>,
         f: impl FnOnce(&mut Customer),
     ) -> bool {
+        self.update_customer_and_data(w, d, c, undo, |_| false, f)
+    }
+
+    /// As [`update_customer`](Self::update_customer), for an `f` that also
+    /// rewrites `data` on the rows `rewrites_data` accepts: only those pay
+    /// for a copy of it.
+    pub fn update_customer_and_data(
+        &mut self,
+        w: WId,
+        d: DId,
+        c: CId,
+        undo: Option<&mut TpccUndoBuf>,
+        rewrites_data: impl FnOnce(&Customer) -> bool,
+        f: impl FnOnce(&mut Customer),
+    ) -> bool {
         match self.customer.get_mut(&(w, d, c)) {
             Some(row) => {
-                Self::push_undo(undo, TpccUndo::CustomerPre(Box::new(row.clone())));
+                if let Some(u) = undo {
+                    let counters = CustomerCounters {
+                        balance_cents: row.balance_cents,
+                        ytd_payment_cents: row.ytd_payment_cents,
+                        payment_cnt: row.payment_cnt,
+                        delivery_cnt: row.delivery_cnt,
+                    };
+                    let data = rewrites_data(row).then(|| row.data.as_str().into());
+                    u.records
+                        .push(TpccUndo::CustomerPre((w, d, c), counters, data));
+                }
                 f(row);
                 true
             }
@@ -259,6 +316,7 @@ impl TpccStore {
         }
     }
 
+    /// Apply `f` (which may change `carrier_id`) to the order row.
     pub fn update_order(
         &mut self,
         key: OrderKey,
@@ -267,7 +325,7 @@ impl TpccStore {
     ) -> bool {
         match self.order.get_mut(&key) {
             Some(row) => {
-                Self::push_undo(undo, TpccUndo::OrderPre(Box::new(row.clone())));
+                Self::push_undo(undo, TpccUndo::OrderCarrier(key, row.carrier_id));
                 f(row);
                 true
             }
@@ -275,20 +333,23 @@ impl TpccStore {
         }
     }
 
-    pub fn update_order_line(
+    /// Stamp `date` on every line of order `(w, d, o)` in one pass over its
+    /// key range. Returns the number of lines and the sum of their amounts.
+    pub fn deliver_order_lines(
         &mut self,
-        key: OrderLineKey,
-        undo: Option<&mut TpccUndoBuf>,
-        f: impl FnOnce(&mut OrderLine),
-    ) -> bool {
-        match self.order_line.get_mut(&key) {
-            Some(row) => {
-                Self::push_undo(undo, TpccUndo::OrderLinePre(Box::new(row.clone())));
-                f(row);
-                true
-            }
-            None => false,
+        (w, d, o): OrderKey,
+        date: u64,
+        mut undo: Option<&mut TpccUndoBuf>,
+    ) -> (u32, i64) {
+        let (mut lines, mut amount) = (0u32, 0i64);
+        for (key, ol) in self.order_line.range_mut((w, d, o, 0)..=(w, d, o, u8::MAX)) {
+            let pre = TpccUndo::OrderLineDelivery(*key, ol.delivery_d);
+            Self::push_undo(undo.as_deref_mut(), pre);
+            ol.delivery_d = Some(date);
+            lines += 1;
+            amount += ol.amount_cents;
         }
+        (lines, amount)
     }
 
     pub fn insert_order(&mut self, row: Order, undo: Option<&mut TpccUndoBuf>) {
@@ -350,33 +411,44 @@ impl TpccStore {
         }
     }
 
+    /// Every record names a row its transaction updated or inserted, and
+    /// rows are never deleted, so a missing row is a broken undo chain.
     fn apply_undo(&mut self, rec: TpccUndo) {
+        const LIVE: &str = "undo record names a live row";
         match rec {
-            TpccUndo::WarehousePre(row) => {
-                self.warehouse.insert(row.w_id, row);
+            TpccUndo::WarehouseYtd(w, ytd) => {
+                self.warehouse.get_mut(&w).expect(LIVE).ytd_cents = ytd;
             }
-            TpccUndo::DistrictPre(row) => {
-                self.district.insert((row.w_id, row.d_id), row);
+            TpccUndo::DistrictPre(key, ytd, next_o_id) => {
+                let row = self.district.get_mut(&key).expect(LIVE);
+                row.ytd_cents = ytd;
+                row.next_o_id = next_o_id;
             }
-            TpccUndo::CustomerPre(row) => {
-                self.customer.insert((row.w_id, row.d_id, row.c_id), *row);
+            TpccUndo::CustomerPre(key, counters, data) => {
+                let row = self.customer.get_mut(&key).expect(LIVE);
+                row.balance_cents = counters.balance_cents;
+                row.ytd_payment_cents = counters.ytd_payment_cents;
+                row.payment_cnt = counters.payment_cnt;
+                row.delivery_cnt = counters.delivery_cnt;
+                if let Some(data) = data {
+                    row.data = data.into();
+                }
             }
             TpccUndo::StockPre(key, row) => {
-                self.stock.insert(key, row);
+                *self.stock.get_mut(&key).expect(LIVE) = row;
             }
             TpccUndo::OrderInserted(key, c_id) => {
                 self.order.remove(&key);
                 self.order_by_customer.remove(&(key.0, key.1, c_id, key.2));
             }
-            TpccUndo::OrderPre(row) => {
-                self.order.insert((row.w_id, row.d_id, row.o_id), *row);
+            TpccUndo::OrderCarrier(key, carrier_id) => {
+                self.order.get_mut(&key).expect(LIVE).carrier_id = carrier_id;
             }
             TpccUndo::OrderLineInserted(key) => {
                 self.order_line.remove(&key);
             }
-            TpccUndo::OrderLinePre(row) => {
-                self.order_line
-                    .insert((row.w_id, row.d_id, row.o_id, row.ol_number), *row);
+            TpccUndo::OrderLineDelivery(key, delivery_d) => {
+                self.order_line.get_mut(&key).expect(LIVE).delivery_d = delivery_d;
             }
             TpccUndo::NewOrderInserted(key) => {
                 self.new_order.remove(&key);
@@ -555,7 +627,7 @@ mod tests {
                 delivery_d: None,
                 quantity: 5,
                 amount_cents: 100,
-                dist_info: String::new(),
+                dist_info: [0; 24],
             },
             Some(&mut undo),
         );
@@ -621,6 +693,38 @@ mod tests {
         assert_eq!(undo.len(), 4);
         s.rollback(undo);
         assert_eq!(s.fingerprint(), fp);
+    }
+
+    /// An undo record is a key and a few columns, never a row.
+    #[test]
+    fn undo_records_hold_columns_not_rows() {
+        let size = std::mem::size_of::<TpccUndo>();
+        assert!(size <= 56, "TpccUndo grew to {size} bytes");
+    }
+
+    #[test]
+    fn deliver_order_lines_stamps_one_order_and_rolls_back() {
+        let mut s = store();
+        let before = s.order_line.clone();
+        let o = s.oldest_new_order(1, 1).unwrap();
+        let want: Vec<_> = s.order_lines(1, 1, o).map(|ol| ol.amount_cents).collect();
+        let mut undo = TpccUndoBuf::new();
+        let (lines, amount) = s.deliver_order_lines((1, 1, o), 77, Some(&mut undo));
+        assert_eq!(lines as usize, want.len());
+        assert_eq!(amount, want.iter().sum::<i64>());
+        assert_eq!(undo.len(), want.len());
+        assert!(s.order_lines(1, 1, o).all(|ol| ol.delivery_d == Some(77)));
+        // Neighbouring orders are untouched.
+        assert!(s.order_lines(1, 1, o + 1).all(|ol| ol.delivery_d.is_none()));
+        s.rollback(undo);
+        assert!(s.order_line == before);
+    }
+
+    #[test]
+    fn districts_of_covers_local_warehouses_only() {
+        let s = store();
+        assert_eq!(s.districts_of(1).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(s.districts_of(9).count(), 0);
     }
 
     #[test]

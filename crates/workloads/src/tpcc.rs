@@ -23,8 +23,8 @@
 //! anyway ("nearly every transaction modifies the warehouse and district
 //! records", §5.5).
 
-use hcc_common::FxHashMap;
 use hcc_common::{AbortReason, ClientId, LockKey, LogEncode, PartitionId, TxnId};
+use hcc_common::{FxHashMap, FxHashSet};
 use hcc_core::{
     ExecOutcome, ExecutionEngine, Procedure, Request, RequestGenerator, RoundOutputs, Step,
 };
@@ -35,6 +35,7 @@ use hcc_storage::tpcc::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Stock-level's whole-warehouse stock granule (see module docs).
 fn stock_wh_lock(w: WId) -> LockKey {
@@ -50,7 +51,7 @@ fn customers_lock(w: WId, d: DId) -> LockKey {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CustomerSel {
     ById(CId),
-    ByName(String),
+    ByName(Arc<str>),
 }
 
 /// One requested order line.
@@ -61,7 +62,9 @@ pub struct OrderLineReq {
     pub quantity: u8,
 }
 
-/// A unit of TPC-C work at one partition.
+/// A unit of TPC-C work at one partition. What it carries by reference is
+/// shared, not copied, by every clone — one per dispatch attempt and one
+/// into the commit record.
 #[derive(Debug, Clone)]
 pub enum TpccFragment {
     /// New-order at the home warehouse: full transaction logic; stock
@@ -70,12 +73,12 @@ pub enum TpccFragment {
         w_id: WId,
         d_id: DId,
         c_id: CId,
-        lines: Vec<OrderLineReq>,
+        lines: Arc<[OrderLineReq]>,
     },
     /// Stock updates for supply warehouses owned by a remote partition.
     NewOrderRemote {
         home_w_id: WId,
-        lines: Vec<OrderLineReq>,
+        lines: Arc<[OrderLineReq]>,
     },
     /// Payment at the home warehouse (warehouse/district YTD + history;
     /// customer too if the customer's warehouse lives here).
@@ -151,7 +154,7 @@ impl LogEncode for CustomerSel {
         *input = rest;
         Some(match tag {
             0 => CustomerSel::ById(CId::decode(input)?),
-            1 => CustomerSel::ByName(String::decode(input)?),
+            1 => CustomerSel::ByName(Arc::decode(input)?),
             _ => return None,
         })
     }
@@ -248,11 +251,11 @@ impl LogEncode for TpccFragment {
                 w_id: WId::decode(input)?,
                 d_id: DId::decode(input)?,
                 c_id: CId::decode(input)?,
-                lines: Vec::decode(input)?,
+                lines: Arc::decode(input)?,
             },
             1 => TpccFragment::NewOrderRemote {
                 home_w_id: WId::decode(input)?,
-                lines: Vec::decode(input)?,
+                lines: Arc::decode(input)?,
             },
             2 => TpccFragment::PaymentHome {
                 w_id: WId::decode(input)?,
@@ -333,6 +336,11 @@ pub struct TpccEngine {
     undo_pool: Vec<TpccUndoBuf>,
     /// Monotone stamp for undo-buffer creation order (see `KvUndo::birth`).
     undo_births: u64,
+    /// Scratch: the item prices new-order's validation pass read, one per
+    /// order line (a decoded fragment may carry any number of lines).
+    prices: Vec<i64>,
+    /// Scratch: the distinct items stock-level has probed.
+    seen: FxHashSet<IId>,
 }
 
 impl TpccEngine {
@@ -342,6 +350,8 @@ impl TpccEngine {
             undo: FxHashMap::default(),
             undo_pool: Vec::new(),
             undo_births: 0,
+            prices: Vec::new(),
+            seen: FxHashSet::default(),
         }
     }
 
@@ -349,8 +359,10 @@ impl TpccEngine {
         self.undo.len()
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn exec_new_order_home(
         store: &mut TpccStore,
+        prices: &mut Vec<i64>,
         mut undo: Option<&mut TpccUndoBuf>,
         txn: TxnId,
         w_id: WId,
@@ -361,21 +373,28 @@ impl TpccEngine {
         let mut ops = 0u32;
 
         // Paper modification #1: validate every item id BEFORE any write,
-        // so the 1% "unused item number" abort needs no undo.
+        // so the 1% "unused item number" abort needs no undo. The prices
+        // this pass reads are kept for the line loop below.
+        prices.clear();
         for l in lines {
             ops += 1;
-            if store.item(l.i_id).is_none() {
-                return Err(AbortReason::User);
+            match store.item(l.i_id) {
+                Some(item) => prices.push(item.price_cents),
+                None => return Err(AbortReason::User),
             }
         }
 
         let w_tax = store.warehouse(w_id).ok_or(AbortReason::User)?.tax_bp;
         ops += 1;
-        let (d_tax, o_id) = {
-            let d = store.district(w_id, d_id).ok_or(AbortReason::User)?;
-            (d.tax_bp, d.next_o_id)
-        };
-        store.update_district(w_id, d_id, undo.as_deref_mut(), |d| d.next_o_id += 1);
+        let (mut d_tax, mut o_id) = (0, 0);
+        let bumped = store.update_district(w_id, d_id, undo.as_deref_mut(), |d| {
+            d_tax = d.tax_bp;
+            o_id = d.next_o_id;
+            d.next_o_id += 1;
+        });
+        if !bumped {
+            return Err(AbortReason::User);
+        }
         ops += 1;
         let discount = store
             .customer(w_id, d_id, c_id)
@@ -401,30 +420,17 @@ impl TpccEngine {
         ops += 2;
 
         let mut total = 0i64;
-        for (i, l) in lines.iter().enumerate() {
-            let price = store.item(l.i_id).expect("validated").price_cents;
+        for (i, (l, &price)) in lines.iter().zip(prices.iter()).enumerate() {
             // Local stock update (remote supply warehouses are handled by
             // the NewOrderRemote fragment at their partition).
-            if store.stock.contains_key(&(l.supply_w_id, l.i_id)) {
-                let remote = l.supply_w_id != w_id;
-                store.update_stock(l.supply_w_id, l.i_id, undo.as_deref_mut(), |s| {
-                    s.quantity -= l.quantity as i32;
-                    if s.quantity < 10 {
-                        s.quantity += 91;
-                    }
-                    s.ytd += l.quantity as u32;
-                    s.order_cnt += 1;
-                    if remote {
-                        s.remote_cnt += 1;
-                    }
-                });
+            if Self::take_stock(store, undo.as_deref_mut(), w_id, l) {
                 ops += 1;
             }
             let amount = l.quantity as i64 * price;
             total += amount;
             let dist_info = store
                 .stock_info_row(l.supply_w_id, l.i_id)
-                .map(|si| si.dist_for(d_id).to_string())
+                .map(|si| si.dist_for(d_id))
                 .unwrap_or_default();
             store.insert_order_line(
                 OrderLine {
@@ -457,32 +463,40 @@ impl TpccEngine {
         ))
     }
 
+    /// Take one order line's quantity out of its supply warehouse's stock,
+    /// if that warehouse lives here (one probe decides and updates).
+    fn take_stock(
+        store: &mut TpccStore,
+        undo: Option<&mut TpccUndoBuf>,
+        home_w_id: WId,
+        l: &OrderLineReq,
+    ) -> bool {
+        store.update_stock(l.supply_w_id, l.i_id, undo, |s| {
+            s.quantity -= l.quantity as i32;
+            if s.quantity < 10 {
+                s.quantity += 91;
+            }
+            s.ytd += l.quantity as u32;
+            s.order_cnt += 1;
+            if l.supply_w_id != home_w_id {
+                s.remote_cnt += 1;
+            }
+        })
+    }
+
     fn exec_new_order_remote(
         store: &mut TpccStore,
         mut undo: Option<&mut TpccUndoBuf>,
         home_w_id: WId,
         lines: &[OrderLineReq],
     ) -> Result<(TpccOutput, u32), AbortReason> {
-        let mut ops = 0u32;
         let mut items = 0u32;
         for l in lines {
-            if store.stock.contains_key(&(l.supply_w_id, l.i_id)) {
-                store.update_stock(l.supply_w_id, l.i_id, undo.as_deref_mut(), |s| {
-                    s.quantity -= l.quantity as i32;
-                    if s.quantity < 10 {
-                        s.quantity += 91;
-                    }
-                    s.ytd += l.quantity as u32;
-                    s.order_cnt += 1;
-                    if l.supply_w_id != home_w_id {
-                        s.remote_cnt += 1;
-                    }
-                });
-                ops += 1;
+            if Self::take_stock(store, undo.as_deref_mut(), home_w_id, l) {
                 items += 1;
             }
         }
-        Ok((TpccOutput::StockUpdated { items }, ops))
+        Ok((TpccOutput::StockUpdated { items }, items))
     }
 
     fn resolve_customer(
@@ -516,11 +530,12 @@ impl TpccEngine {
             ops += 1; // index lookup
         }
         let mut balance = 0;
-        let updated = store.update_customer(c_w_id, c_d_id, c_id, undo, |c| {
+        let bad_credit = |c: &db::Customer| c.credit == db::Credit::Bad;
+        let pay = |c: &mut db::Customer| {
             c.balance_cents -= amount;
             c.ytd_payment_cents += amount;
             c.payment_cnt += 1;
-            if c.credit == db::Credit::Bad {
+            if bad_credit(c) {
                 // Clause 2.5.2.2: bad-credit customers accumulate history
                 // in C_DATA (truncated to 500 bytes).
                 let entry = format!("{c_id},{c_d_id},{c_w_id},{d_id},{w_id},{amount};");
@@ -528,8 +543,8 @@ impl TpccEngine {
                 c.data.truncate(500);
             }
             balance = c.balance_cents;
-        });
-        if !updated {
+        };
+        if !store.update_customer_and_data(c_w_id, c_d_id, c_id, undo, bad_credit, pay) {
             return Err(AbortReason::User);
         }
         Ok((
@@ -648,15 +663,7 @@ impl TpccEngine {
     ) -> Result<(TpccOutput, u32), AbortReason> {
         let mut ops = 0u32;
         let mut delivered = 0u32;
-        let districts: Vec<DId> = store
-            .district
-            .keys()
-            .filter(|(w, _)| *w == w_id)
-            .map(|(_, d)| *d)
-            .collect();
-        let mut districts = districts;
-        districts.sort_unstable();
-        for d_id in districts {
+        for d_id in store.districts_of(w_id) {
             let Some(o_id) = store.oldest_new_order(w_id, d_id) else {
                 ops += 1;
                 continue;
@@ -669,18 +676,9 @@ impl TpccEngine {
             });
             ops += 2;
             // Sum the lines and stamp delivery dates.
-            let line_keys: Vec<u8> = store
-                .order_lines(w_id, d_id, o_id)
-                .map(|ol| ol.ol_number)
-                .collect();
-            let mut amount_sum = 0i64;
-            for ol_number in line_keys {
-                store.update_order_line((w_id, d_id, o_id, ol_number), undo.as_deref_mut(), |ol| {
-                    ol.delivery_d = Some(txn.0);
-                    amount_sum += ol.amount_cents;
-                });
-                ops += 1;
-            }
+            let (lines, amount_sum) =
+                store.deliver_order_lines((w_id, d_id, o_id), txn.0, undo.as_deref_mut());
+            ops += lines;
             store.update_customer(w_id, d_id, c_id, undo.as_deref_mut(), |c| {
                 c.balance_cents += amount_sum;
                 c.delivery_cnt += 1;
@@ -698,6 +696,7 @@ impl TpccEngine {
 
     fn exec_stock_level(
         store: &TpccStore,
+        seen: &mut FxHashSet<IId>,
         w_id: WId,
         d_id: DId,
         threshold: i32,
@@ -705,7 +704,7 @@ impl TpccEngine {
     ) -> Result<(TpccOutput, u32), AbortReason> {
         let d = store.district(w_id, d_id).ok_or(AbortReason::User)?;
         let mut ops = 1u32;
-        let mut seen = std::collections::HashSet::new();
+        seen.clear();
         let mut low = 0u32;
         for ol in store.recent_order_lines(w_id, d_id, d.next_o_id, depth) {
             ops += 1;
@@ -763,7 +762,16 @@ impl ExecutionEngine for TpccEngine {
                 d_id,
                 c_id,
                 lines,
-            } => Self::exec_new_order_home(store, undo_ref, txn, *w_id, *d_id, *c_id, lines),
+            } => Self::exec_new_order_home(
+                store,
+                &mut self.prices,
+                undo_ref,
+                txn,
+                *w_id,
+                *d_id,
+                *c_id,
+                lines,
+            ),
             TpccFragment::NewOrderRemote { home_w_id, lines } => {
                 Self::exec_new_order_remote(store, undo_ref, *home_w_id, lines)
             }
@@ -817,7 +825,7 @@ impl ExecutionEngine for TpccEngine {
                 d_id,
                 threshold,
                 depth,
-            } => Self::exec_stock_level(store, *w_id, *d_id, *threshold, *depth),
+            } => Self::exec_stock_level(store, &mut self.seen, *w_id, *d_id, *threshold, *depth),
         };
         match r {
             // One row operation = one cost unit (TPC-C's hash/B-tree row
@@ -880,12 +888,7 @@ impl ExecutionEngine for TpccEngine {
         for u in live {
             store.rollback_copy(u);
         }
-        TpccEngine {
-            store,
-            undo: FxHashMap::default(),
-            undo_pool: Vec::new(),
-            undo_births: 0,
-        }
+        TpccEngine::new(store)
     }
 
     fn lock_set(&self, fragment: &TpccFragment) -> Vec<(LockKey, LockMode)> {
@@ -901,7 +904,7 @@ impl ExecutionEngine for TpccEngine {
                     (db::district_lock(*w_id, *d_id), X),
                     (db::orders_lock(*w_id, *d_id), X),
                 ];
-                for l in lines {
+                for l in lines.iter() {
                     if self.store.stock.contains_key(&(l.supply_w_id, l.i_id)) {
                         locks.push((db::stock_lock(l.supply_w_id, l.i_id), X));
                         locks.push((stock_wh_lock(l.supply_w_id), S));
@@ -911,7 +914,7 @@ impl ExecutionEngine for TpccEngine {
             }
             TpccFragment::NewOrderRemote { lines, .. } => {
                 let mut locks = Vec::new();
-                for l in lines {
+                for l in lines.iter() {
                     if self.store.stock.contains_key(&(l.supply_w_id, l.i_id)) {
                         locks.push((db::stock_lock(l.supply_w_id, l.i_id), X));
                         locks.push((stock_wh_lock(l.supply_w_id), S));
@@ -948,15 +951,7 @@ impl ExecutionEngine for TpccEngine {
             ],
             TpccFragment::Delivery { w_id, .. } => {
                 let mut locks = Vec::new();
-                let mut districts: Vec<DId> = self
-                    .store
-                    .district
-                    .keys()
-                    .filter(|(w, _)| *w == *w_id)
-                    .map(|(_, d)| *d)
-                    .collect();
-                districts.sort_unstable();
-                for d in districts {
+                for d in self.store.districts_of(*w_id) {
                     locks.push((db::orders_head_lock(*w_id, d), X));
                     // Shared on the tail granule: when the district's queue
                     // is nearly empty, the oldest undelivered order may be
@@ -1253,7 +1248,7 @@ impl TpccWorkload {
         if rng.gen_bool(0.6) {
             let max = scale.max_name_number;
             let num = nurand(rng, scale.nurand_a_name, 223, 0, max - 1);
-            CustomerSel::ByName(last_name(num))
+            CustomerSel::ByName(last_name(num).into())
         } else {
             CustomerSel::ById(nurand(
                 rng,
@@ -1280,39 +1275,41 @@ impl TpccWorkload {
         let ol_cnt = rng.gen_range(5..=15u32);
         let invalid = rng.gen_bool(cfg.invalid_item_prob);
 
-        let mut lines = Vec::with_capacity(ol_cnt as usize);
-        for i in 0..ol_cnt {
-            let mut i_id = nurand(
-                rng,
-                cfg.scale.nurand_a_i_id,
-                7911,
-                1,
-                cfg.scale.items as u64,
-            ) as IId;
-            if invalid && i == ol_cnt - 1 {
-                i_id = INVALID_ITEM; // "unused item number" → user abort
-            }
-            let supply_w_id = if cfg.warehouses > 1 && rng.gen_bool(cfg.remote_item_prob) {
-                let mut w = rng.gen_range(1..cfg.warehouses);
-                if w >= w_id {
-                    w += 1;
+        // Built in place in the block the fragment will share.
+        let lines: Arc<[OrderLineReq]> = (0..ol_cnt)
+            .map(|i| {
+                let mut i_id = nurand(
+                    rng,
+                    cfg.scale.nurand_a_i_id,
+                    7911,
+                    1,
+                    cfg.scale.items as u64,
+                ) as IId;
+                if invalid && i == ol_cnt - 1 {
+                    i_id = INVALID_ITEM; // "unused item number" → user abort
                 }
-                w
-            } else {
-                w_id
-            };
-            lines.push(OrderLineReq {
-                i_id,
-                supply_w_id,
-                quantity: rng.gen_range(1..=10u8),
-            });
-        }
+                let supply_w_id = if cfg.warehouses > 1 && rng.gen_bool(cfg.remote_item_prob) {
+                    let mut w = rng.gen_range(1..cfg.warehouses);
+                    if w >= w_id {
+                        w += 1;
+                    }
+                    w
+                } else {
+                    w_id
+                };
+                OrderLineReq {
+                    i_id,
+                    supply_w_id,
+                    quantity: rng.gen_range(1..=10u8),
+                }
+            })
+            .collect();
 
         // Group remote lines by partition. Lines whose supply warehouse is
         // co-located with the home partition execute in the home fragment.
         let home_p = cfg.partition_of(w_id);
         let mut remote: FxHashMap<PartitionId, Vec<OrderLineReq>> = FxHashMap::default();
-        for l in &lines {
+        for l in lines.iter() {
             let p = cfg.partition_of(l.supply_w_id);
             if p != home_p {
                 remote.entry(p).or_default().push(*l);
@@ -1359,7 +1356,7 @@ impl TpccWorkload {
                     p,
                     TpccFragment::NewOrderRemote {
                         home_w_id: w_id,
-                        lines: ls,
+                        lines: ls.into(),
                     },
                 )
             })
@@ -1557,7 +1554,7 @@ mod tests {
         TxnId::new(ClientId(0), n)
     }
 
-    fn lines(w: WId, items: &[IId]) -> Vec<OrderLineReq> {
+    fn lines(w: WId, items: &[IId]) -> Arc<[OrderLineReq]> {
         items
             .iter()
             .map(|&i| OrderLineReq {
@@ -1611,17 +1608,11 @@ mod tests {
     fn invalid_item_aborts_without_effects() {
         let mut e = engine1();
         let before = e.store.fingerprint();
-        let mut ls = lines(1, &[1, 2, 3, 4]);
-        ls.push(OrderLineReq {
-            i_id: INVALID_ITEM,
-            supply_w_id: 1,
-            quantity: 1,
-        });
         let frag = TpccFragment::NewOrderHome {
             w_id: 1,
             d_id: 1,
             c_id: 1,
-            lines: ls,
+            lines: lines(1, &[1, 2, 3, 4, INVALID_ITEM]),
         };
         // Even with undo enabled, the reordered validation means no
         // mutation ever happens.
@@ -1639,11 +1630,11 @@ mod tests {
             w_id: 1,
             d_id: 1,
             c_id: 1,
-            lines: vec![OrderLineReq {
+            lines: Arc::new([OrderLineReq {
                 i_id: 1,
                 supply_w_id: 1,
                 quantity: 5,
-            }],
+            }]),
         };
         e.execute(txid(4), &frag, false).result.unwrap();
         let after = e.store.stock_mut_row(1, 1).unwrap();
@@ -1701,7 +1692,7 @@ mod tests {
             d_id: 1,
             c_w_id: 1,
             c_d_id: 1,
-            customer: CustomerSel::ByName(name),
+            customer: CustomerSel::ByName(name.into()),
             amount_cents: 100,
             customer_is_local: true,
         };
@@ -1941,11 +1932,11 @@ mod tests {
         let before = e1.store.stock_mut_row(2, 1).unwrap().quantity;
         let frag = TpccFragment::NewOrderRemote {
             home_w_id: 1,
-            lines: vec![OrderLineReq {
+            lines: Arc::new([OrderLineReq {
                 i_id: 1,
                 supply_w_id: 2,
                 quantity: 4,
-            }],
+            }]),
         };
         let TpccOutput::StockUpdated { items } = e1.execute(txid(20), &frag, true).result.unwrap()
         else {
@@ -2048,6 +2039,40 @@ mod tests {
         );
     }
 
+    /// Sharing what a fragment carries must not move a byte of the log.
+    #[test]
+    fn log_encoding_is_pinned_byte_for_byte() {
+        use hcc_common::codec::{decode_exact, encode_to_vec};
+        let new_order = TpccFragment::NewOrderHome {
+            w_id: 2,
+            d_id: 9,
+            c_id: 0x0102,
+            lines: Arc::new([OrderLineReq {
+                i_id: 7,
+                supply_w_id: 3,
+                quantity: 5,
+            }]),
+        };
+        #[rustfmt::skip]
+        let want = [
+            0, 2, 0, 0, 0, 9, 2, 1, 0, 0, // tag, w_id, d_id, c_id
+            1, 0, 0, 0, 7, 0, 0, 0, 3, 0, 0, 0, 5, // one line
+        ];
+        assert_eq!(encode_to_vec(&new_order), want);
+        let by_name = TpccFragment::OrderStatus {
+            w_id: 1,
+            d_id: 4,
+            customer: CustomerSel::ByName("ABLE".into()),
+        };
+        #[rustfmt::skip]
+        let want = [4, 1, 0, 0, 0, 4, 1, 4, 0, 0, 0, b'A', b'B', b'L', b'E'];
+        assert_eq!(encode_to_vec(&by_name), want);
+        for frag in [new_order, by_name] {
+            let back: TpccFragment = decode_exact(&encode_to_vec(&frag)).expect("decodes");
+            assert_eq!(format!("{back:?}"), format!("{frag:?}"));
+        }
+    }
+
     #[test]
     fn generator_is_deterministic() {
         let mut a = TpccWorkload::new(cfg_tiny(2, 2));
@@ -2057,6 +2082,182 @@ mod tests {
             let rb = format!("{:?}", b.next_request(ClientId(i % 5)));
             assert_eq!(ra, rb);
         }
+    }
+
+    /// Table-by-table equality: `fingerprint()` does not see `c_data`
+    /// contents, names or `dist_info`, and says nothing about which table
+    /// differs.
+    fn assert_same_tables(a: &TpccStore, b: &TpccStore, what: &str) {
+        assert!(a.warehouse == b.warehouse, "warehouse differs {what}");
+        assert!(a.district == b.district, "district differs {what}");
+        assert!(a.customer == b.customer, "customer differs {what}");
+        assert!(a.stock == b.stock, "stock differs {what}");
+        assert!(a.order == b.order, "order differs {what}");
+        assert!(
+            a.order_by_customer == b.order_by_customer,
+            "order_by_customer differs {what}"
+        );
+        assert!(a.new_order == b.new_order, "new_order differs {what}");
+        assert!(a.order_line == b.order_line, "order_line differs {what}");
+        assert!(a.history == b.history, "history differs {what}");
+    }
+
+    /// The fragments of one generated request, with their partitions.
+    fn fragments_of(req: Request<TpccFragment, TpccOutput>) -> Vec<(PartitionId, TpccFragment)> {
+        match req {
+            Request::SinglePartition {
+                partition,
+                fragment,
+                ..
+            } => vec![(partition, fragment)],
+            Request::MultiPartition { procedure, .. } => match procedure.step(&[]) {
+                Step::Round { fragments, .. } => fragments,
+                Step::Finish(_) => panic!("a procedure starts with a round"),
+            },
+        }
+    }
+
+    /// The first `n` requests of the standard mix at tiny scale, two
+    /// warehouses on two partitions, as per-partition fragments.
+    fn standard_stream(n: u32) -> Vec<Vec<(PartitionId, TpccFragment)>> {
+        let mut w = TpccWorkload::new(cfg_tiny(2, 2));
+        (0..n)
+            .map(|i| fragments_of(w.next_request(ClientId(i % 8))))
+            .collect()
+    }
+
+    fn engines2() -> [TpccEngine; 2] {
+        let w = TpccWorkload::new(cfg_tiny(2, 2));
+        [
+            w.build_engine(PartitionId(0)),
+            w.build_engine(PartitionId(1)),
+        ]
+    }
+
+    #[test]
+    fn field_level_undo_restores_every_table() {
+        const REQUESTS: u32 = 2_000;
+        let stream = standard_stream(REQUESTS);
+        let mut engines = engines2();
+        // What the stream must contain for the test to mean anything.
+        let (mut bad_by_id, mut bad_by_name, mut deliveries) = (0, 0, 0);
+        let (mut remote_new_order, mut remote_payment, mut invalid_items) = (0, 0, 0);
+        for (n, frags) in stream.iter().enumerate() {
+            let txn = txid(n as u32 + 1);
+            for (p, frag) in frags {
+                let e = &mut engines[p.as_usize()];
+                match frag {
+                    TpccFragment::PaymentHome {
+                        c_w_id,
+                        c_d_id,
+                        customer,
+                        customer_is_local: true,
+                        ..
+                    }
+                    | TpccFragment::PaymentCustomer {
+                        c_w_id,
+                        c_d_id,
+                        customer,
+                        ..
+                    } => {
+                        let c = TpccEngine::resolve_customer(&e.store, *c_w_id, *c_d_id, customer)
+                            .expect("generated customers exist");
+                        let bad = e.store.customer(*c_w_id, *c_d_id, c).unwrap().credit
+                            == db::Credit::Bad;
+                        match customer {
+                            CustomerSel::ById(_) => bad_by_id += u32::from(bad),
+                            CustomerSel::ByName(_) => bad_by_name += u32::from(bad),
+                        }
+                        remote_payment +=
+                            u32::from(matches!(frag, TpccFragment::PaymentCustomer { .. }));
+                    }
+                    TpccFragment::Delivery { .. } => deliveries += 1,
+                    TpccFragment::NewOrderRemote { .. } => remote_new_order += 1,
+                    _ => {}
+                }
+                let before = e.store.clone();
+                let what = format!("after rolling back request {n}: {frag:?}");
+                let attempt = e.execute(txn, frag, true);
+                if attempt.result.is_err() {
+                    invalid_items += 1;
+                    assert_eq!(e.live_undo_buffers(), 0, "{what}");
+                } else {
+                    e.rollback(txn);
+                }
+                assert_same_tables(&e.store, &before, &what);
+                // Advance the state so later requests see earlier ones.
+                let applied = e.execute(txn, frag, false);
+                assert_eq!(applied.ops, attempt.ops, "{what}");
+                assert_eq!(applied.result, attempt.result, "{what}");
+            }
+        }
+        assert!(bad_by_id > 0 && bad_by_name > 0, "bad-credit payments");
+        assert!(deliveries > 0 && remote_new_order > 0 && remote_payment > 0);
+        assert!(invalid_items > 0, "the 1 % invalid-item aborts");
+
+        // Recording undo must not change what executes: the same stream,
+        // executed and forgotten, with and without undo.
+        let (mut with_undo, mut without) = (engines2(), engines2());
+        for (n, frags) in stream.iter().enumerate() {
+            let txn = txid(n as u32 + 1);
+            for (p, frag) in frags {
+                let a = with_undo[p.as_usize()].execute(txn, frag, true);
+                let b = without[p.as_usize()].execute(txn, frag, false);
+                assert_eq!((a.ops, &a.result), (b.ops, &b.result), "request {n}");
+                with_undo[p.as_usize()].forget(txn);
+            }
+        }
+        for p in 0..2 {
+            let what = format!("between undo and no-undo engines of partition {p}");
+            assert_same_tables(&with_undo[p].store, &without[p].store, &what);
+            assert_same_tables(&with_undo[p].store, &engines[p].store, &what);
+            assert_eq!(with_undo[p].live_undo_buffers(), 0);
+        }
+    }
+
+    /// The §3.3 snapshot path (`rollback_copy` on a clone, youngest buffer
+    /// first) lands where consuming rollbacks of the same buffers do.
+    #[test]
+    fn rollback_copy_matches_rollback_with_live_buffers() {
+        let mut e = engine1();
+        // A bad-credit customer, so one buffer carries a `c_data` copy.
+        let bad = (1..=30)
+            .find(|c| e.store.customer(1, 1, *c).unwrap().credit == db::Credit::Bad)
+            .expect("tiny scale loads a bad-credit customer in district 1");
+        let committed = e.store.clone();
+        let live = [
+            TpccFragment::PaymentHome {
+                w_id: 1,
+                d_id: 1,
+                c_w_id: 1,
+                c_d_id: 1,
+                customer: CustomerSel::ById(bad),
+                amount_cents: 4_200,
+                customer_is_local: true,
+            },
+            TpccFragment::NewOrderHome {
+                w_id: 1,
+                d_id: 1,
+                c_id: bad,
+                lines: lines(1, &[3, 4, 5, 6, 7]),
+            },
+            // Touches the same customer table, district 1's order queue
+            // and the lines of its oldest order.
+            TpccFragment::Delivery {
+                w_id: 1,
+                carrier_id: 2,
+            },
+        ];
+        for (n, frag) in live.iter().enumerate() {
+            e.execute(txid(50 + n as u32), frag, true).result.unwrap();
+        }
+        assert_eq!(e.live_undo_buffers(), 3);
+        let snapshot = e.snapshot();
+        assert_same_tables(&snapshot.store, &committed, "in the snapshot");
+        for n in (0..live.len()).rev() {
+            assert!(e.rollback(txid(50 + n as u32)) > 0);
+        }
+        assert_same_tables(&e.store, &snapshot.store, "after consuming rollbacks");
     }
 
     #[test]
@@ -2109,7 +2310,7 @@ mod full_scale_tests {
             d_id: 10,
             c_w_id: 1,
             c_d_id: 10,
-            customer: CustomerSel::ByName(last_name(999)),
+            customer: CustomerSel::ByName(last_name(999).into()),
             amount_cents: 5_000,
             customer_is_local: true,
         };
