@@ -5,6 +5,8 @@
 //! (x, throughput) points, plus the sweep metadata. The `repro` binary
 //! renders them as ASCII charts and CSV files under `results/`.
 
+#![forbid(unsafe_code)]
+
 pub mod figures;
 pub mod plot;
 pub mod tables;

@@ -13,6 +13,8 @@
 //! central coordinator for multi-partition transactions, two-phase commit,
 //! and primary/backup replication.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod config;
 pub mod hash;

@@ -12,6 +12,8 @@
 //! deadlocks (preferring single-partition victims, "as that will result in
 //! less wasted work"), and wait timeouts for distributed deadlocks.
 
+#![forbid(unsafe_code)]
+
 pub mod deadlock;
 pub mod granule;
 pub mod manager;

@@ -11,6 +11,8 @@
 //! All formulas are straight from §6; parameters default to the measured
 //! values of Table 2.
 
+#![forbid(unsafe_code)]
+
 use hcc_common::Nanos;
 
 /// Model parameters (paper Table 2).

@@ -267,7 +267,9 @@ fn steady_state_transactions_stay_within_their_allocation_budget() {
     // 0.243 / 0.16–0.18; its cross-thread frees are the same kind — half
     // its clients live on the other worker than their warehouse, and either
     // the client or the backup's commit record lets go of the order lines
-    // last.
+    // last. `ycsbe_lock` (parent commit: 2.82–2.84) was seen between 2.68
+    // and 2.77: the index no longer allocates for an insert of a key it
+    // already holds.
     let cases = [
         (
             "micro_sp",
@@ -291,7 +293,7 @@ fn steady_state_transactions_stay_within_their_allocation_budget() {
             "ycsbe_lock",
             ycsbe_lock(),
             Counts {
-                allocs: 3.2,
+                allocs: 3.0,
                 reallocs: 0.05,
                 cross_frees: 0.15,
             },

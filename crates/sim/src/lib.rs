@@ -29,6 +29,7 @@
 // Associated-type generics make some signatures long; aliases would
 // obscure more than they clarify here.
 #![allow(clippy::type_complexity)]
+#![forbid(unsafe_code)]
 
 mod event;
 mod report;

@@ -19,7 +19,6 @@
 use crate::ordered::OrderedIndex;
 use crate::table::Table;
 use bytes::Bytes;
-use std::cell::Cell;
 
 /// One recorded pre-image: the value (or absence) a key had before a
 /// mutation.
@@ -71,33 +70,19 @@ impl KvUndo {
 
 /// An in-memory hash table of byte-string keys and values, with an
 /// optional ordered key view for range scans.
-#[derive(Debug, Default)]
+///
+/// `Clone` copies the table and the index as they are: committed-state
+/// snapshots (§3.3; failover and rejoin only) clone the store and roll
+/// the live undo buffers back on the copy with
+/// [`rollback_copy`](KvStore::rollback_copy), which maintains the copied
+/// index like any other mutation.
+#[derive(Debug, Default, Clone)]
 pub struct KvStore {
     map: Table,
     /// Ordered key index (see [`OrderedIndex`]), maintained by every
     /// mutation path — including undo replay — once enabled. `None` keeps
     /// point-only stores at their original hot-path cost.
     ordered: Option<OrderedIndex>,
-    /// Set when a clone deferred its index build (see [`Clone`] below):
-    /// mutations skip a stale index, and the first ordered read rebuilds
-    /// it from the map. `Cell` keeps rebuilds possible through `&self`
-    /// (the store stays `Send`; engines are thread-owned, never shared).
-    ordered_stale: Cell<bool>,
-}
-
-impl Clone for KvStore {
-    fn clone(&self) -> Self {
-        // O(1) index "clone": committed-state snapshots (§3.3) clone the
-        // store and roll live undo buffers back on the copy. Copying the
-        // whole ordered index for that was the scaling bottleneck — the
-        // copy instead starts with an *empty* index marked stale and lazily
-        // rebuilds it from the (post-rollback) map on first ordered read.
-        KvStore {
-            map: self.map.clone(),
-            ordered: self.ordered.as_ref().map(|_| OrderedIndex::new()),
-            ordered_stale: Cell::new(self.ordered.is_some()),
-        }
-    }
 }
 
 impl KvStore {
@@ -110,7 +95,6 @@ impl KvStore {
         KvStore {
             map: Table::with_capacity(n),
             ordered: None,
-            ordered_stale: Cell::new(false),
         }
     }
 
@@ -122,37 +106,10 @@ impl KvStore {
             ix.insert(k.clone());
         }
         self.ordered = Some(ix);
-        self.ordered_stale.set(false);
     }
 
     pub fn has_ordered_index(&self) -> bool {
         self.ordered.is_some()
-    }
-
-    /// The index to maintain on mutation: `None` while stale (a deferred
-    /// clone rebuild captures the final map state anyway).
-    #[inline]
-    fn live_index(&self) -> Option<&OrderedIndex> {
-        if self.ordered_stale.get() {
-            None
-        } else {
-            self.ordered.as_ref()
-        }
-    }
-
-    /// Rebuilds a stale (clone-deferred) index from the map. Every ordered
-    /// read goes through here; fresh indexes pay one `Cell` load.
-    fn ensure_ordered_fresh(&self) {
-        if !self.ordered_stale.get() {
-            return;
-        }
-        if let Some(ix) = self.ordered.as_ref() {
-            debug_assert!(ix.is_empty(), "stale index must start empty");
-            for (k, _) in self.map.iter() {
-                ix.insert(k.clone());
-            }
-        }
-        self.ordered_stale.set(false);
     }
 
     /// Rows with keys in `[start, end)`, ascending by key byte order.
@@ -166,7 +123,6 @@ impl KvStore {
         start: &'a [u8],
         end: &'a [u8],
     ) -> impl Iterator<Item = (&'a Bytes, &'a Bytes)> {
-        self.ensure_ordered_fresh();
         let ix = self
             .ordered
             .as_ref()
@@ -185,7 +141,6 @@ impl KvStore {
     /// snapshot, or recovery shows up even when the order-independent
     /// [`fingerprint`](KvStore::fingerprint) still matches.
     pub fn ordered_fingerprint(&self) -> u64 {
-        self.ensure_ordered_fresh();
         let ix = self
             .ordered
             .as_ref()
@@ -215,9 +170,6 @@ impl KvStore {
     /// Index/table consistency check for tests: every indexed key has a
     /// row and every row is indexed. `Ok(())` when no index is enabled.
     pub fn check_ordered_invariants(&self) -> Result<(), String> {
-        if self.ordered.is_some() {
-            self.ensure_ordered_fresh();
-        }
         let Some(ix) = self.ordered.as_ref() else {
             return Ok(());
         };
@@ -252,10 +204,12 @@ impl KvStore {
 
     /// Write a value, optionally recording the pre-image for rollback.
     pub fn put(&mut self, key: Bytes, value: Bytes, undo: Option<&mut KvUndo>) {
-        if let Some(ix) = self.live_index() {
+        let prior = self.map.insert(key.clone(), value);
+        // The table's answer says whether the key set changed: an
+        // overwrite leaves the index alone.
+        if let (None, Some(ix)) = (&prior, &self.ordered) {
             ix.insert(key.clone());
         }
-        let prior = self.map.insert(key.clone(), value);
         if let Some(u) = undo {
             u.records.push(UndoRecord { key, prior });
         }
@@ -294,10 +248,10 @@ impl KvStore {
     /// Delete a key, optionally recording the pre-image. Returns the removed
     /// value, if any.
     pub fn delete(&mut self, key: &Bytes, undo: Option<&mut KvUndo>) -> Option<Bytes> {
-        if let Some(ix) = self.live_index() {
+        let prior = self.map.remove(key);
+        if let (Some(_), Some(ix)) = (&prior, &self.ordered) {
             ix.remove(key);
         }
-        let prior = self.map.remove(key);
         if let Some(u) = undo {
             u.records.push(UndoRecord {
                 key: key.clone(),
@@ -337,16 +291,14 @@ impl KvStore {
     fn apply_undo_record(&mut self, key: Bytes, prior: Option<Bytes>) {
         match prior {
             Some(v) => {
-                if let Some(ix) = self.live_index() {
-                    ix.insert(key.clone());
+                if let (None, Some(ix)) = (self.map.insert(key.clone(), v), &self.ordered) {
+                    ix.insert(key);
                 }
-                self.map.insert(key, v);
             }
             None => {
-                if let Some(ix) = self.live_index() {
+                if let (Some(_), Some(ix)) = (self.map.remove(&key), &self.ordered) {
                     ix.remove(&key);
                 }
-                self.map.remove(&key);
             }
         }
     }

@@ -18,10 +18,11 @@
 //! non-speculative fast path the schedulers skip undo recording entirely,
 //! which is where the paper's low overhead comes from.
 
+#![forbid(unsafe_code)]
+
 pub mod durable;
 pub mod kv;
 pub mod ordered;
-pub mod skiplist;
 pub mod table;
 pub mod tpcc;
 

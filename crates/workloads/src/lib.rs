@@ -17,6 +17,8 @@
 //!   (the mix shifts mid-run), the driving workload for §5.7-style
 //!   adaptive scheme selection.
 
+#![forbid(unsafe_code)]
+
 pub mod micro;
 pub mod output;
 pub mod phased;

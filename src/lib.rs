@@ -46,6 +46,8 @@
 //! walkthroughs, and `crates/bench` for the harness that regenerates every
 //! figure and table of the paper.
 
+#![forbid(unsafe_code)]
+
 pub use hcc_common as common;
 pub use hcc_core as core;
 pub use hcc_locking as locking;
