@@ -624,10 +624,15 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
                         .iter()
                         .find(|(p, _)| *p == resp.partition)
                         .map(|(_, a)| *a);
-                    if committed_attempt == Some(dep.attempt) {
-                        Settle::Settled
-                    } else {
-                        Settle::Stale
+                    match committed_attempt {
+                        Some(attempt) if attempt == dep.attempt => Settle::Settled,
+                        Some(_) => Settle::Stale,
+                        // Committed, but its execution at this partition
+                        // died with a failed primary and the re-execution
+                        // has not been voted yet (a peer shard's
+                        // redelivery): hold until its owner says which
+                        // attempt took its place.
+                        None => Settle::Hold,
                     }
                 } else if self.aborted.contains(&dep.txn) {
                     Settle::Stale
@@ -731,6 +736,9 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
                             None => attempts.push((resp.partition, resp.attempt)),
                         }
                     }
+                    // Peer shards validate dependencies on it too.
+                    let notes = self.notify_peers(txn, true, out);
+                    self.charge_msgs(notes);
                 }
                 self.redeliveries.remove(&txn);
                 return true;
@@ -778,17 +786,25 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
     /// A participant acknowledged processing a commit decision: its share
     /// of the transaction is durably in its replica group's log, so it
     /// leaves the in-doubt window. In durable-release mode the final ack
-    /// emits the parked client result.
+    /// emits the parked client result. `logged` is false when the
+    /// participant committed but could not append the record to its durable
+    /// log: the chain is not wedged (the ack still counts), but the parked
+    /// result is released as the retryable `LogStalled` — no client sees
+    /// `Committed` for a transaction a participant's log does not hold.
     pub fn on_decision_ack(
         &mut self,
         txn: TxnId,
         partition: PartitionId,
+        logged: bool,
         out: &mut Vec<CoordOut<F, R>>,
     ) {
         self.counters.decision_acks += 1;
         self.cpu += self.per_msg;
         if let Some(d) = self.in_doubt.get_mut(&txn) {
             d.unacked.retain(|p| *p != partition);
+            if let (false, Some((_, result))) = (logged, &mut d.held) {
+                *result = TxnResult::Aborted(AbortReason::LogStalled);
+            }
             if d.unacked.is_empty() {
                 let entry = self.in_doubt.remove(&txn).expect("present above");
                 if let Some((client, result)) = entry.held {
@@ -1083,12 +1099,15 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
     /// responses holding on the peer's transaction can settle.
     pub fn on_peer_decision(&mut self, note: PeerNote, out: &mut Vec<CoordOut<F, R>>) {
         self.cpu += self.per_msg;
-        if note.commit {
-            self.committed.entry(note.txn).or_insert(note.attempts);
-        } else {
+        // A commit can be noted again: its owner re-delivers it to a promoted
+        // primary and says which attempt there is now the committed one.
+        let renoted = note.commit && self.committed.insert(note.txn, note.attempts).is_some();
+        if !note.commit {
             self.aborted.insert(note.txn);
         }
-        self.history_order.push_back(note.txn);
+        if !renoted {
+            self.history_order.push_back(note.txn);
+        }
         self.gc();
         self.progress(out);
     }
@@ -1196,6 +1215,16 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
                         sent: (first_round, 0),
                     },
                 );
+                // The committed execution at `failed` died with the old
+                // primary: until the re-execution is voted, no attempt
+                // there is this transaction's — which the peer shards must
+                // hear before a dependent's response can cite the
+                // re-execution (the note travels with the fragment).
+                if let Some(attempts) = self.committed.get_mut(&txn) {
+                    attempts.retain(|(p, _)| *p != failed);
+                }
+                let notes = self.notify_peers(txn, true, out);
+                self.charge_msgs(notes);
             }
         }
         if self.recheck_redeliveries(out) {
@@ -1835,9 +1864,9 @@ mod tests {
         let mut c = tracking_shard();
         commit_one(&mut c, 1);
         assert_eq!(c.in_doubt_len(), 1, "committed but unacked");
-        c.on_decision_ack(txid(1), PartitionId(0), &mut Vec::new());
+        c.on_decision_ack(txid(1), PartitionId(0), true, &mut Vec::new());
         assert_eq!(c.in_doubt_len(), 1, "one participant still unacked");
-        c.on_decision_ack(txid(1), PartitionId(1), &mut Vec::new());
+        c.on_decision_ack(txid(1), PartitionId(1), true, &mut Vec::new());
         assert_eq!(c.in_doubt_len(), 0);
         assert_eq!(c.counters.decision_acks, 2);
     }
@@ -1846,7 +1875,7 @@ mod tests {
     fn unacked_commit_is_redelivered_after_failover_and_recommitted() {
         let mut c = tracking_shard();
         commit_one(&mut c, 1);
-        c.on_decision_ack(txid(1), PartitionId(0), &mut Vec::new());
+        c.on_decision_ack(txid(1), PartitionId(0), true, &mut Vec::new());
         // P1's primary dies holding the unacked commit decision.
         let mut out = Vec::new();
         let aborted = c.on_partition_failed(PartitionId(1), 1, &mut out);
@@ -1881,8 +1910,60 @@ mod tests {
         );
         assert_eq!(c.counters.in_doubt_commits_recovered, 1);
         // The fresh ack finally closes the window.
-        c.on_decision_ack(txid(1), PartitionId(1), &mut Vec::new());
+        c.on_decision_ack(txid(1), PartitionId(1), true, &mut Vec::new());
         assert_eq!(c.in_doubt_len(), 0);
+    }
+
+    /// Cross-shard (sequencing) failover: a peer's in-doubt commit is
+    /// re-executed at the promoted primary under a new attempt, and this
+    /// shard's transactions chain on the re-execution. The owner's notes —
+    /// "its execution there is void" when the redelivery starts, the new
+    /// attempt when it is voted — must hold the dependent and then settle
+    /// it; judged against the dead primary's attempt it would be discarded
+    /// as stale and never re-sent.
+    #[test]
+    fn dependency_on_a_peers_redelivered_commit_holds_then_settles() {
+        let peer_txn = TxnId::new(ClientId(7), 0);
+        let note = |attempts| PeerNote {
+            txn: peer_txn,
+            commit: true,
+            attempts,
+        };
+        let dep = Some(hcc_common::SpecDep {
+            txn: peer_txn,
+            attempt: 0,
+        });
+        let mut c = tracking_shard();
+        let mut out = Vec::new();
+        // Committed at the old primary of P1 as attempt 1 …
+        c.on_peer_decision(
+            note(vec![(PartitionId(0), 0), (PartitionId(1), 1)]),
+            &mut out,
+        );
+        // … which died: the owner re-delivers it.
+        c.on_peer_decision(note(vec![(PartitionId(0), 0)]), &mut out);
+        c.on_invoke(txid(1), ClientId(1), simple_proc(), false, &mut out);
+        c.on_response(
+            ok_response(txid(1), 0, 0, Some(Vote::Commit), None),
+            &mut out,
+        );
+        out.clear();
+        // Our transaction ran at the promoted primary behind the
+        // re-execution (attempt 0 there).
+        c.on_response(
+            ok_response(txid(1), 1, 0, Some(Vote::Commit), dep),
+            &mut out,
+        );
+        assert!(out.is_empty(), "held, not decided");
+        assert_eq!(c.counters.stale_responses_discarded, 0, "and not discarded");
+        c.on_peer_decision(
+            note(vec![(PartitionId(0), 0), (PartitionId(1), 0)]),
+            &mut out,
+        );
+        assert!(out.iter().any(|o| matches!(
+            o,
+            CoordOut::Decision(_, d, _) if d.commit && d.txn == txid(1)
+        )));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! busy, closed when the driver has nothing more to hand the partition.
 //! Each driver asks [`GroupCommit::on_drained`] at its natural boundary —
 //! the reactor when a worker's step batch ends, the thread-per-actor
-//! backend when the replica's channel runs empty, the simulator after an
-//! append and when a sync completes — and syncs iff records are pending
+//! backend when the replica's channel runs empty, the simulator when the
+//! device it models would answer — and syncs iff records are pending
 //! and no sync is in flight. So the batch grows with load and there is
 //! nothing to tune: a lone transaction is synced at once, and with a
 //! blocking device the batch is whatever arrived during the previous
@@ -62,10 +62,6 @@ impl GroupCommit {
             sync_in_flight: false,
             counters: DurabilityCounters::default(),
         }
-    }
-
-    pub fn config(&self) -> &DurabilityConfig {
-        &self.cfg
     }
 
     /// Records appended but not yet durable.

@@ -24,8 +24,9 @@
 //!
 //! None of these types know about threads, channels, clocks, or sockets:
 //! they consume protocol events and emit protocol messages through an
-//! [`outbox::Outbox`], and are driven by `hcc-sim` (discrete-event
-//! simulation) and `hcc-runtime` (OS threads + channels) identically.
+//! [`outbox::Outbox`], pricing their own work in virtual nanoseconds.
+//! `hcc-runtime` wraps them in actors once; OS threads, the reactor and
+//! `hcc-sim`'s virtual-time heap all drive those same actors.
 
 // Associated-type generics make some signatures long; aliases would
 // obscure more than they clarify here.
@@ -62,10 +63,7 @@ pub use recovery::{
     recover_partition, recover_partitions_parallel, PartitionLog, RecoveryError, RecoveryOutcome,
 };
 pub use replica::{AckTracker, ReplayError, ReplicaCore, ReplicationSession};
-pub use scheduler::{
-    make_scheduler, make_scheduler_resumed, make_scheduler_send, make_scheduler_send_resumed,
-    Scheduler,
-};
+pub use scheduler::{make_scheduler, make_scheduler_send, make_scheduler_send_resumed, Scheduler};
 pub use sequencer::{
     broadcast_dests, Admit, CloseKind, ClosedEpoch, EpochLog, EpochLogDest, PartitionSequencer,
     PendingInvoke, ShardSequencer,

@@ -385,8 +385,15 @@ impl<E: ExecutionEngine> Scheduler<E> for LockingScheduler<E> {
         out: &mut Outbox<E::Output>,
     ) {
         let Some(t) = self.txns.get(&decision.txn) else {
-            // Already aborted locally (deadlock victim / timeout) — the
-            // coordinator's abort raced with ours. Idempotent.
+            // An abort for a transaction already aborted locally (deadlock
+            // victim / timeout): the coordinator's abort raced with ours.
+            // Idempotent. A *commit* cannot race like that — we would have
+            // voted abort — so it is for a transaction that died with a
+            // crashed predecessor: a stray, which the driver must not
+            // acknowledge (the coordinator is about to re-deliver it).
+            if decision.commit {
+                self.counters.stray_decisions += 1;
+            }
             return;
         };
         if decision.commit {
@@ -415,7 +422,17 @@ impl<E: ExecutionEngine> Scheduler<E> for LockingScheduler<E> {
         // distributed deadlock this partition cannot see (§4.3).
         let expired = self.lm.expired_waits(now, self.lock_timeout);
         for txn in expired {
-            if self.lm.is_multi_partition(txn) {
+            // Aborting an earlier victim releases its locks and may have
+            // resumed this one: it has run and voted since the scan, and a
+            // prepared transaction is the coordinator's to decide.
+            let waiting = matches!(
+                self.txns.get(&txn),
+                Some(LockTxn {
+                    phase: Phase::Waiting { .. },
+                    ..
+                })
+            );
+            if waiting && self.lm.is_multi_partition(txn) {
                 self.lm.stats.timeouts += 1;
                 self.abort_txn(txn, AbortReason::LockTimeout, engine, now, out);
             }
@@ -440,7 +457,7 @@ impl<E: ExecutionEngine> Scheduler<E> for LockingScheduler<E> {
 mod tests {
     use super::*;
     use crate::outbox::PartitionOut;
-    use crate::testkit::{TestEngine, TestFragment};
+    use crate::testkit::{TestEngine, TestFragment, TestOp};
     use hcc_common::{ClientId, CoordinatorRef};
 
     const NOW: Nanos = Nanos(0);
@@ -724,6 +741,80 @@ mod tests {
         )));
         // t1 unaffected.
         assert_eq!(s.active_txns(), 1);
+    }
+
+    /// One sweep finds two expired waits, and aborting the first victim
+    /// releases the lock the second was waiting for: the second runs and
+    /// votes commit inside the sweep. It is the coordinator's to decide
+    /// now — aborting it too (silently, as the stale scan once did) would
+    /// roll back a transaction the coordinator goes on to commit.
+    #[test]
+    fn timeout_sweep_spares_a_waiter_its_first_victim_resumed() {
+        let (mut s, mut e, mut out) = setup();
+        // Locks are taken in canonical order: `low` before `high`.
+        let lock = |e: &TestEngine, k| e.lock_set(&TestFragment::add(k, 0))[0].0;
+        let (low, high) = if lock(&e, 1) < lock(&e, 2) {
+            (1, 2)
+        } else {
+            (2, 1)
+        };
+        // t1 holds `high` between rounds; t2 takes `low` and waits for
+        // `high`; t3 waits for `low`.
+        s.on_fragment(
+            mp(1, TestFragment::add(high, 1), false, 0),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        let both = TestFragment {
+            ops: vec![TestOp::Add(low, 1), TestOp::Add(high, 1)],
+            fail: false,
+        };
+        s.on_fragment(mp(2, both, true, 0), &mut e, NOW, &mut out);
+        s.on_fragment(
+            mp(3, TestFragment::add(low, 5), true, 0),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        out.take();
+        let before = e.get(low);
+        s.on_tick(&mut e, Nanos::from_millis(6), &mut out);
+        assert_eq!(s.counters().lock_timeouts, 1, "only t2 times out");
+        let (msgs, _) = out.take();
+        assert!(msgs.iter().any(|m| matches!(
+            m,
+            PartitionOut::ToCoordinator { response, .. }
+                if response.txn == txid(3) && response.vote == Some(Vote::Commit)
+        )));
+        let commit = Decision {
+            txn: txid(3),
+            commit: true,
+        };
+        s.on_decision(commit, &mut e, Nanos::from_millis(7), &mut out);
+        assert_eq!(
+            e.get(low),
+            before + 5,
+            "t3's prepared write survives to its commit"
+        );
+        assert_eq!(s.counters().stray_decisions, 0);
+    }
+
+    /// A commit for a transaction this scheduler never saw died with a
+    /// crashed predecessor: it is counted (the driver must not acknowledge
+    /// it — the coordinator is about to re-deliver it). An abort for one is
+    /// the ordinary race with a local deadlock or timeout abort.
+    #[test]
+    fn a_commit_for_an_unknown_transaction_is_a_stray() {
+        let (mut s, mut e, mut out) = setup();
+        let decide = |commit| Decision {
+            txn: txid(9),
+            commit,
+        };
+        s.on_decision(decide(false), &mut e, NOW, &mut out);
+        assert_eq!(s.counters().stray_decisions, 0);
+        s.on_decision(decide(true), &mut e, NOW, &mut out);
+        assert_eq!(s.counters().stray_decisions, 1);
     }
 
     #[test]

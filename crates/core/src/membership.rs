@@ -41,8 +41,7 @@ pub struct MembershipUpdate {
 }
 
 /// Membership/epoch state for every replica group, owned by exactly one
-/// process per run (a dedicated actor in the runtime, a field of the
-/// simulation driver in the sim).
+/// process per run (`hcc-runtime`'s membership actor).
 #[derive(Debug, Default)]
 pub struct MembershipCore {
     /// Failovers performed per group. Absent = epoch 0 (initial primary).

@@ -1,9 +1,8 @@
 //! The shared replication core (paper §3.2–§3.3).
 //!
-//! Before this module, the repo modeled primary/backup replication twice:
-//! the simulator applied committed fragments inline to a "shadow replica"
-//! and the runtime had a minimal backup actor that swallowed replay
-//! failures behind a `debug_assert`. Both drivers now speak one protocol:
+//! One protocol for primary/backup replication, spoken by the replica
+//! actors of `hcc-runtime` under every driver (threads, reactor,
+//! simulator):
 //!
 //! * [`ReplicationSession`] — the **primary side**. Buffers each in-flight
 //!   transaction's fragments (latest fragment per round wins, so a squashed
@@ -162,8 +161,8 @@ impl<F: Clone> Default for ReplicationSession<F> {
 }
 
 /// Replica-side replay state for one partition: the sequence-checked
-/// applier. The engine itself is owned by the driver (an actor or the
-/// simulator) and passed in per record, which is what lets a role change
+/// applier. The engine itself is owned by the replica actor and passed in
+/// per record, which is what lets a role change
 /// (backup → primary, failed → recovering) reuse the same engine slot.
 #[derive(Debug, Default)]
 pub struct ReplicaCore {
@@ -264,8 +263,7 @@ impl ReplicaCore {
 /// Where the failover bounce of one in-flight transaction must go — the
 /// "your participant's node just died" signal a crashing primary sends for
 /// everything in its [`ReplicationSession`] (and a dead node keeps sending
-/// for late-arriving fragments). Shared by the runtime and the simulator
-/// so the two drivers cannot drift.
+/// for late-arriving fragments).
 pub enum FailoverBounce<R> {
     /// Single-partition work: the client is waiting on this node directly.
     ToClient { client: ClientId },

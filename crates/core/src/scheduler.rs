@@ -110,18 +110,6 @@ pub fn make_scheduler<E: ExecutionEngine + 'static>(
     build_scheduler!(config, me, None)
 }
 
-/// As [`make_scheduler`], but resuming from the last [`SchemeSwitch`] a
-/// replica applied — what a promoted backup passes so it continues in the
-/// scheme (and at the transition epoch) its failed primary had reached.
-/// Ignored unless adaptive selection is on (the scheme is static then).
-pub fn make_scheduler_resumed<E: ExecutionEngine + 'static>(
-    config: &SystemConfig,
-    me: hcc_common::PartitionId,
-    resume: Option<SchemeSwitch>,
-) -> Box<dyn Scheduler<E>> {
-    build_scheduler!(config, me, resume)
-}
-
 /// As [`make_scheduler`], but a `Send` trait object, for drivers that move
 /// partition state machines across threads (the live runtime's backends).
 pub fn make_scheduler_send<E>(
@@ -136,7 +124,10 @@ where
     build_scheduler!(config, me, None)
 }
 
-/// [`make_scheduler_resumed`], `Send` variant (see [`make_scheduler_send`]).
+/// As [`make_scheduler_send`], but resuming from the last [`SchemeSwitch`] a
+/// replica applied — what a promoted backup passes so it continues in the
+/// scheme (and at the transition epoch) its failed primary had reached.
+/// Ignored unless adaptive selection is on (the scheme is static then).
 pub fn make_scheduler_send_resumed<E>(
     config: &SystemConfig,
     me: hcc_common::PartitionId,

@@ -165,21 +165,8 @@ impl<F, R> ShardSequencer<F, R> {
         self.shard
     }
 
-    /// Current sequencing era (= membership updates consumed).
-    pub fn era(&self) -> u32 {
-        self.era
-    }
-
-    /// The open (not yet closed) epoch number within the current era.
-    /// Together with [`ShardSequencer::era`] this identifies the epoch an
-    /// age-close timer was armed for — a close in the meantime advances
-    /// it, invalidating the timer.
-    pub fn open_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// True when no invocation is buffered (drivers schedule an age-close
-    /// exactly when a push makes this transition false).
+    /// True when no invocation is buffered (nothing for an age-close to
+    /// close).
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }

@@ -13,7 +13,7 @@
 
 use crate::coordinator::{CoordOut, Coordinator};
 use crate::procedure::Procedure;
-use hcc_common::{ClientId, CostModel, FragmentResponse, TxnId, TxnResult};
+use hcc_common::{ClientId, CostModel, FragmentResponse, TxnId};
 
 /// Drives the multi-partition transactions of one client under the locking
 /// scheme.
@@ -44,8 +44,8 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> TxnDriver<F, R> {
 
     /// Feed a partition's response; may emit more fragments, decisions,
     /// and finally a `CoordOut::ClientResult` destined for this client
-    /// itself. The caller extracts the result with
-    /// [`TxnDriver::take_result`].
+    /// itself — mail from the client's driver to the client, which never
+    /// crosses the network.
     pub fn on_response(&mut self, resp: FragmentResponse<R>, out: &mut Vec<CoordOut<F, R>>) {
         self.inner.on_response(resp, out);
     }
@@ -59,15 +59,17 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> TxnDriver<F, R> {
         self.inner.set_hold_results(on);
     }
 
-    /// A participant acknowledged (durably logged) a commit decision; the
-    /// final ack releases the parked result into `out`.
+    /// A participant acknowledged a commit decision (`logged`: its record
+    /// is in its durable log); the final ack releases the parked result
+    /// into `out`.
     pub fn on_decision_ack(
         &mut self,
         txn: TxnId,
         partition: hcc_common::PartitionId,
+        logged: bool,
         out: &mut Vec<CoordOut<F, R>>,
     ) {
-        self.inner.on_decision_ack(txn, partition, out);
+        self.inner.on_decision_ack(txn, partition, logged, out);
     }
 
     /// Number of undecided transactions (0 or 1 for closed-loop clients).
@@ -79,10 +81,19 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> TxnDriver<F, R> {
     pub fn take_cpu(&mut self) -> hcc_common::Nanos {
         self.inner.take_cpu()
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::{SimpleMpProcedure, TestFragment, TestOutput};
+    use hcc_common::{AbortReason, CoordinatorRef, PartitionId, TxnResult, Vote};
 
     /// Split driver outputs into network messages and the final result (if
     /// the transaction just decided).
-    pub fn take_result(out: &mut Vec<CoordOut<F, R>>) -> Option<(TxnId, TxnResult<R>)> {
+    fn take_result(
+        out: &mut Vec<CoordOut<TestFragment, TestOutput>>,
+    ) -> Option<(TxnId, TxnResult<TestOutput>)> {
         let pos = out
             .iter()
             .position(|o| matches!(o, CoordOut::ClientResult { .. }))?;
@@ -91,13 +102,6 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> TxnDriver<F, R> {
             _ => unreachable!(),
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::testkit::{SimpleMpProcedure, TestFragment, TestOutput};
-    use hcc_common::{AbortReason, CoordinatorRef, PartitionId, Vote};
 
     fn driver() -> TxnDriver<TestFragment, TestOutput> {
         TxnDriver::new(CostModel::default(), ClientId(5))
@@ -153,9 +157,9 @@ mod tests {
         d.begin(txn, proc2(), false, &mut out);
         out.clear();
         d.on_response(resp(txn, 0, Vote::Commit), &mut out);
-        assert!(TxnDriver::take_result(&mut out).is_none());
+        assert!(take_result(&mut out).is_none());
         d.on_response(resp(txn, 1, Vote::Commit), &mut out);
-        let (id, result) = TxnDriver::take_result(&mut out).expect("decided");
+        let (id, result) = take_result(&mut out).expect("decided");
         assert_eq!(id, txn);
         assert!(result.is_committed());
         // Two commit decisions remain in the outbox.
@@ -178,7 +182,7 @@ mod tests {
         d.on_response(resp(txn, 0, Vote::Commit), &mut out);
         d.on_response(resp(txn, 1, Vote::Commit), &mut out);
         // Decided, but the result is parked until both participants ack.
-        assert!(TxnDriver::take_result(&mut out).is_none());
+        assert!(take_result(&mut out).is_none());
         // Decisions carry a client ack address.
         let acked = out
             .iter()
@@ -188,12 +192,31 @@ mod tests {
             .count();
         assert_eq!(acked, 2);
         out.clear();
-        d.on_decision_ack(txn, PartitionId(0), &mut out);
-        assert!(TxnDriver::take_result(&mut out).is_none());
-        d.on_decision_ack(txn, PartitionId(1), &mut out);
-        let (id, result) = TxnDriver::take_result(&mut out).expect("released");
+        d.on_decision_ack(txn, PartitionId(0), true, &mut out);
+        assert!(take_result(&mut out).is_none());
+        d.on_decision_ack(txn, PartitionId(1), true, &mut out);
+        let (id, result) = take_result(&mut out).expect("released");
         assert_eq!(id, txn);
         assert!(result.is_committed());
+    }
+
+    #[test]
+    fn an_unlogged_ack_releases_the_held_result_as_log_stalled() {
+        let mut d = driver();
+        d.set_hold_results(true);
+        let mut out = Vec::new();
+        let txn = TxnId::new(ClientId(5), 0);
+        d.begin(txn, proc2(), false, &mut out);
+        d.on_response(resp(txn, 0, Vote::Commit), &mut out);
+        d.on_response(resp(txn, 1, Vote::Commit), &mut out);
+        out.clear();
+        // P0 committed but could not append the record: the chain is not
+        // wedged, and the client must not read `Committed`.
+        d.on_decision_ack(txn, PartitionId(0), false, &mut out);
+        assert!(take_result(&mut out).is_none());
+        d.on_decision_ack(txn, PartitionId(1), true, &mut out);
+        let (_, result) = take_result(&mut out).expect("released");
+        assert_eq!(result, TxnResult::Aborted(AbortReason::LogStalled));
     }
 
     #[test]
@@ -208,7 +231,7 @@ mod tests {
             resp(txn, 1, Vote::Abort(AbortReason::LockTimeout)),
             &mut out,
         );
-        let (_, result) = TxnDriver::take_result(&mut out).expect("decided");
+        let (_, result) = take_result(&mut out).expect("decided");
         assert_eq!(result, TxnResult::Aborted(AbortReason::LockTimeout));
         let aborts = out
             .iter()

@@ -1,13 +1,28 @@
 //! Backend-agnostic, poll-driven actor state machines.
 //!
-//! The runtime is three kinds of actor — clients, the central coordinator,
-//! and replicas — wrapped around the runtime-agnostic cores from
-//! `hcc-core`. Every actor exposes a non-blocking
-//! [`step`](ReplicaActor::step): consume one message, emit any number of
-//! [`OutMsg`]s. Nothing here blocks, sleeps, or spawns; *how* messages
-//! move between actors is entirely the backend's business
-//! ([`crate::threaded`] parks one OS thread per actor on a channel,
-//! [`crate::multiplexed`] drives every actor from a small worker pool).
+//! The system is four kinds of actor — clients, coordinator shards, the
+//! membership authority and replicas — wrapped around the
+//! runtime-agnostic cores from `hcc-core`. Every actor exposes a
+//! non-blocking [`step`](ReplicaActor::step): consume one message, emit
+//! any number of [`OutMsg`]s. Nothing here blocks, sleeps, or spawns; *how*
+//! messages move between actors, and what time it is, is entirely the
+//! driver's business — and there are three, all built by
+//! [`crate::build_actors`] and ticked per [`crate::TickPlan`]:
+//! [`crate::threaded`] parks one OS thread per actor on a channel,
+//! [`crate::multiplexed`] drives every actor from a small worker pool, and
+//! `hcc-sim` steps them single-threaded off a virtual-time heap.
+//!
+//! # The returned `Nanos`
+//!
+//! `now` is an argument of every `step`, and every `step` returns the
+//! **virtual CPU** it cost: what the cores charged for the work under the
+//! calibrated Table-2 [`CostModel`] (a partition's fragment execution,
+//! undo, lock overhead; a coordinator's or a client-side 2PC driver's
+//! per-message cost; zero for replay, role changes and bookkeeping, which
+//! the model does not price). The live drivers read the wall clock and
+//! ignore the number; the simulator advances the actor's busy-until clock
+//! by it, which is all it takes for the simulator to run this code rather
+//! than a copy of it.
 //!
 //! # Replica groups, failover, recovery
 //!
@@ -94,7 +109,7 @@ use hcc_core::{
     make_scheduler_send, make_scheduler_send_resumed, ExecutionEngine, Outbox, PartitionOut,
     Procedure, Request, RequestGenerator, Scheduler,
 };
-use hcc_storage::{DurableLog, MemLog};
+use hcc_storage::DurableLog;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -173,10 +188,16 @@ pub enum Msg<E: ExecutionEngine> {
     /// of the failover), everything after it to the promoted one. Lifts the
     /// promoted primary's fence on the shard.
     RoutingApplied { shard: CoordinatorId },
-    /// Primary → coordinator shard: the commit decision for `txn` was
-    /// processed (its commit record is in the group's log) — the
-    /// transaction leaves the 2PC in-doubt window.
-    DecisionAck { txn: TxnId, partition: PartitionId },
+    /// Primary → coordinator (shard or client driver): the commit decision
+    /// for `txn` was processed — the transaction leaves the 2PC in-doubt
+    /// window. `logged` is false when durability is on and the record could
+    /// not be appended to the durable log: the ack still counts (the chain
+    /// is not wedged) but the held result is released as `LogStalled`.
+    DecisionAck {
+        txn: TxnId,
+        partition: PartitionId,
+        logged: bool,
+    },
     /// Coordinator → backup: you are the group's primary now.
     Promote { epoch: u32 },
     /// Coordinator → failed node: rejoin the group as a backup by copying
@@ -414,25 +435,38 @@ where
         self.retry_at
     }
 
+    /// Outcome counters so far (the simulator diffs them at the edges of
+    /// its measurement window).
+    pub fn stats(&self) -> &ClientStats {
+        &self.core.stats
+    }
+
     pub fn into_stats(self) -> ClientStats {
         self.core.stats
     }
 
+    /// Consume one message. Returns the virtual CPU the step cost (nonzero
+    /// only while this client drives its own 2PC).
     pub fn step(
         &mut self,
         msg: Msg<W::Engine>,
         now: Nanos,
         ctx: &ClientCtx<'_, W>,
         out: &mut Vec<OutMsg<W::Engine>>,
-    ) {
+    ) -> Nanos {
         if self.done {
-            // Shared timer threads may tick a retired client; anything
-            // else arriving here is a routing bug.
+            // Shared timer threads may tick a retired client, and a crashing
+            // participant may still bounce (or ack) a transaction this
+            // client's driver decided long ago; a result or anything else
+            // arriving here is a routing bug.
             debug_assert!(
-                matches!(msg, Msg::Tick),
+                matches!(
+                    msg,
+                    Msg::Tick | Msg::FragResponse(_) | Msg::DecisionAck { .. }
+                ),
                 "message delivered to a retired client"
             );
-            return;
+            return Nanos::ZERO;
         }
         match msg {
             Msg::Start => {
@@ -453,40 +487,26 @@ where
                     self.dispatch(now, out);
                 }
             }
-            Msg::FragResponse(r) => {
-                debug_assert!(self.scratch.is_empty());
-                let mut scratch = std::mem::take(&mut self.scratch);
-                self.driver.on_response(r, &mut scratch);
-                let _ = self.driver.take_cpu();
-                let decided = TxnDriver::take_result(&mut scratch);
-                // Route the driver's messages (commit/abort decisions)
-                // before acting on the result, so decisions precede the
-                // next request's fragments at every partition.
-                for o in scratch.drain(..) {
-                    push_coord_out(o, out);
-                }
-                self.scratch = scratch;
-                if let Some((txn, result)) = decided {
-                    self.handle_result(txn, result, now, ctx, out);
-                }
-            }
-            Msg::DecisionAck { txn, partition } => {
-                // Durable release (locking): a participant durably logged
-                // our commit decision; the final ack releases the parked
-                // result.
-                debug_assert!(self.scratch.is_empty());
-                let mut scratch = std::mem::take(&mut self.scratch);
-                self.driver.on_decision_ack(txn, partition, &mut scratch);
-                let _ = self.driver.take_cpu();
-                let decided = TxnDriver::take_result(&mut scratch);
-                debug_assert!(scratch.is_empty(), "acks emit only the held result");
-                self.scratch = scratch;
-                if let Some((txn, result)) = decided {
-                    self.handle_result(txn, result, now, ctx, out);
-                }
-            }
+            // The driver's decisions leave with this step; its result for
+            // this client is mail to the client itself (`Msg::Result`, one
+            // local hop), so the decisions are on their way before the next
+            // request is even generated.
+            Msg::FragResponse(r) => self.driver.on_response(r, &mut self.scratch),
+            // Durable release (locking): a participant durably logged our
+            // commit decision; the final ack releases the parked result.
+            Msg::DecisionAck {
+                txn,
+                partition,
+                logged,
+            } => self
+                .driver
+                .on_decision_ack(txn, partition, logged, &mut self.scratch),
             _ => debug_assert!(false, "unexpected message at client {}", self.core.id),
         }
+        for o in self.scratch.drain(..) {
+            push_coord_out(o, out);
+        }
+        self.driver.take_cpu()
     }
 
     fn handle_result(
@@ -589,16 +609,9 @@ where
                 procedure,
                 can_abort,
             } => match self.client_2pc {
-                true => {
-                    debug_assert!(self.scratch.is_empty());
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    self.driver.begin(txn, procedure, can_abort, &mut scratch);
-                    let _ = self.driver.take_cpu();
-                    for o in scratch.drain(..) {
-                        push_coord_out(o, out);
-                    }
-                    self.scratch = scratch;
-                }
+                true => self
+                    .driver
+                    .begin(txn, procedure, can_abort, &mut self.scratch),
                 false => {
                     out.push(OutMsg {
                         dest: ActorId::Coordinator(self.coord_shard),
@@ -627,12 +640,13 @@ where
 pub struct CoordinatorActor<E: ExecutionEngine> {
     coord: Coordinator<E::Fragment, E::Output>,
     id: CoordinatorId,
-    /// Stall expiry for cross-shard distributed deadlocks (`Some` only
-    /// with N > 1 shards and sequencing off; the singleton's global
-    /// dispatch order cannot deadlock, and under sequencing the merged
-    /// epoch order leaves nothing for expiry to break). Driven by
-    /// `Msg::Tick`.
-    expiry: Option<Nanos>,
+    /// Stall expiry, driven by `Msg::Tick`: transactions pending longer
+    /// than the timeout are aborted with the reason. The live backends pass
+    /// [`cross_shard_expiry`](crate::cross_shard_expiry) — the retryable
+    /// `CrossCoordinator` breaker for distributed deadlocks across shards;
+    /// the simulator's unreplicated partition crash passes a final
+    /// `RemoteAbort` (§3.3: the survivors roll back and continue).
+    expiry: Option<(Nanos, AbortReason)>,
     /// Epoch sequencer (invocation buffer + log emitter); `None` when
     /// sequencing is off. Age-boundary closes ride `Msg::Tick`.
     seq: Option<ShardSequencer<E::Fragment, E::Output>>,
@@ -652,7 +666,7 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
         id: CoordinatorId,
         track_in_doubt: bool,
         hold_results: bool,
-        expiry: Option<Nanos>,
+        expiry: Option<(Nanos, AbortReason)>,
     ) -> Self {
         let mut coord = Coordinator::shard(costs, id, track_in_doubt);
         coord.set_hold_results(hold_results);
@@ -689,6 +703,23 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
         }
     }
 
+    /// The core's 2PC counters, for the run report.
+    pub fn counters(&self) -> &hcc_core::coordinator::CoordCounters {
+        &self.coord.counters
+    }
+
+    /// Commits some participant has yet to acknowledge (failover runs track
+    /// them; a drained run must leave none).
+    pub fn in_doubt(&self) -> usize {
+        self.coord.in_doubt_len()
+    }
+
+    /// True when nothing here could need a [`Msg::Tick`]: no transaction is
+    /// pending (stall expiry) and no invocation is buffered (age-close).
+    pub fn is_idle(&self) -> bool {
+        self.coord.pending() == 0 && self.seq.as_ref().is_none_or(|s| s.is_empty())
+    }
+
     /// Sequencer counters for the run report (zero when sequencing is
     /// off, except `cross_coord_aborts`, counted in any mode).
     pub fn seq_stats(&self) -> SequencerStats {
@@ -711,17 +742,7 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
         now: Nanos,
         out: &mut Vec<OutMsg<E>>,
     ) {
-        for dest in broadcast_dests(self.partitions, self.shards, self.id) {
-            let (dest, msg) = match dest {
-                EpochLogDest::Partition(p) => {
-                    (ActorId::Partition(p), Msg::EpochLog(closed.log.clone()))
-                }
-                EpochLogDest::Shard(k) => {
-                    (ActorId::Coordinator(k), Msg::EpochLog(closed.log.clone()))
-                }
-            };
-            out.push(OutMsg { dest, msg });
-        }
+        self.broadcast(&closed.log, out);
         for inv in closed.invokes {
             self.coord.on_invoke_at(
                 inv.txn,
@@ -734,7 +755,25 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
         }
     }
 
-    pub fn step(&mut self, msg: Msg<E>, now: Nanos, out: &mut Vec<OutMsg<E>>) {
+    /// Send `log` to every partition and every peer shard, charging the
+    /// fan-out to this shard's virtual clock and message counter.
+    fn broadcast(&mut self, log: &EpochLog, out: &mut Vec<OutMsg<E>>) {
+        let before = out.len();
+        for dest in broadcast_dests(self.partitions, self.shards, self.id) {
+            let dest = match dest {
+                EpochLogDest::Partition(p) => ActorId::Partition(p),
+                EpochLogDest::Shard(k) => ActorId::Coordinator(k),
+            };
+            out.push(OutMsg {
+                dest,
+                msg: Msg::EpochLog(log.clone()),
+            });
+        }
+        self.coord.charge_extra_msgs((out.len() - before) as u64);
+    }
+
+    /// Consume one message. Returns the virtual CPU the step cost.
+    pub fn step(&mut self, msg: Msg<E>, now: Nanos, out: &mut Vec<OutMsg<E>>) -> Nanos {
         debug_assert!(self.scratch.is_empty());
         match msg {
             Msg::Invoke {
@@ -765,18 +804,14 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
             }
             Msg::Response(r) => self.coord.on_response(r, &mut self.scratch),
             Msg::Tick => {
-                if let Some(timeout) = self.expiry {
-                    // Presumed distributed deadlock across shards: abort
-                    // with the retryable CrossCoordinator so the clients
-                    // re-submit (§4.3's timeout resolution, applied to
-                    // coordinator chains).
+                if let Some((timeout, reason)) = self.expiry {
+                    // Presumed stalled for good (a distributed deadlock
+                    // across shards, or a dead participant): abort with the
+                    // configured reason — §4.3's timeout resolution, applied
+                    // to coordinator chains.
                     let before = self.scratch.len();
-                    self.coord.expire_stalled(
-                        now,
-                        timeout,
-                        AbortReason::CrossCoordinator,
-                        &mut self.scratch,
-                    );
+                    self.coord
+                        .expire_stalled(now, timeout, reason, &mut self.scratch);
                     let expired = self.scratch[before..]
                         .iter()
                         .filter(|m| {
@@ -829,17 +864,7 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
                     // the new era; the era-end marker tells every
                     // partition where the old era's merge stops.
                     let (marker, bounced) = seq.on_era_change();
-                    for dest in broadcast_dests(self.partitions, self.shards, self.id) {
-                        let (dest, msg) = match dest {
-                            EpochLogDest::Partition(p) => {
-                                (ActorId::Partition(p), Msg::EpochLog(marker.clone()))
-                            }
-                            EpochLogDest::Shard(k) => {
-                                (ActorId::Coordinator(k), Msg::EpochLog(marker.clone()))
-                            }
-                        };
-                        out.push(OutMsg { dest, msg });
-                    }
+                    self.broadcast(&marker, out);
                     for inv in bounced {
                         out.push(OutMsg {
                             dest: ActorId::Client(inv.client),
@@ -851,10 +876,13 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
                     }
                 }
             }
-            Msg::DecisionAck { txn, partition } => {
-                self.coord
-                    .on_decision_ack(txn, partition, &mut self.scratch)
-            }
+            Msg::DecisionAck {
+                txn,
+                partition,
+                logged,
+            } => self
+                .coord
+                .on_decision_ack(txn, partition, logged, &mut self.scratch),
             Msg::EpochLog(log) => {
                 let closed = match &mut self.seq {
                     Some(seq) => seq.on_peer_log(&log, now),
@@ -867,10 +895,10 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
             Msg::PeerNote(note) => self.coord.on_peer_decision(note, &mut self.scratch),
             _ => debug_assert!(false, "unexpected message at coordinator"),
         }
-        let _ = self.coord.take_cpu();
         for o in self.scratch.drain(..) {
             push_coord_out(o, out);
         }
+        self.coord.take_cpu()
     }
 }
 
@@ -943,6 +971,27 @@ impl MembershipActor {
 // Replica
 // ---------------------------------------------------------------------
 
+/// A decision ack from `group` to whoever coordinated the transaction (a
+/// central shard or, for client-driven 2PC, the client's driver).
+fn decision_ack<E: ExecutionEngine>(
+    group: PartitionId,
+    txn: TxnId,
+    ack_to: CoordinatorRef,
+    logged: bool,
+) -> OutMsg<E> {
+    OutMsg {
+        dest: match ack_to {
+            CoordinatorRef::Central(k) => ActorId::Coordinator(k),
+            CoordinatorRef::Client(c) => ActorId::Client(c),
+        },
+        msg: Msg::DecisionAck {
+            txn,
+            partition: group,
+            logged,
+        },
+    }
+}
+
 /// The role a replica node currently plays; see the module docs.
 enum Role<E: ExecutionEngine> {
     Primary {
@@ -985,10 +1034,12 @@ enum Role<E: ExecutionEngine> {
 /// transitively parks the result the coordinator (or the locking client's
 /// driver) is holding for the transaction.
 struct Durability<E: ExecutionEngine> {
-    log: MemLog,
+    log: Box<dyn DurableLog + Send>,
     gc: GroupCommit,
-    /// Log seq of each appended-but-not-yet-released commit record.
-    logged_seq: FxHashMap<TxnId, u64>,
+    /// Log seq of each appended-but-not-yet-released commit record; `None`
+    /// for a record whose append failed (its result bounces with
+    /// `LogStalled`, its decision ack says so).
+    logged_seq: FxHashMap<TxnId, Option<u64>>,
     /// Committed single-partition results awaiting durability, in log-seq
     /// order (commit order == append order, so pushes stay sorted).
     held: VecDeque<(u64, ClientId, TxnId, TxnResult<E::Output>)>,
@@ -1005,9 +1056,9 @@ struct Durability<E: ExecutionEngine> {
 }
 
 impl<E: ExecutionEngine> Durability<E> {
-    fn new(cfg: DurabilityConfig) -> Self {
+    fn new(cfg: DurabilityConfig, log: Box<dyn DurableLog + Send>) -> Self {
         Durability {
-            log: MemLog::new(),
+            log,
             gc: GroupCommit::new(cfg),
             logged_seq: FxHashMap::default(),
             held: VecDeque::new(),
@@ -1068,9 +1119,10 @@ pub struct ReplicaActor<E: ExecutionEngine> {
     /// dead node would bounce them (see the module docs). Empty on a
     /// primary that was never promoted.
     fenced: Vec<CoordinatorId>,
-    /// Durable command log + group-commit state (primary with durability
-    /// on; a node promoted mid-run starts a fresh log — the prefix it
-    /// applied as a backup is covered by the dead primary's log).
+    /// Durable command log + group-commit state (durability on). Every
+    /// node is built with its own log and only a primary writes to it, so a
+    /// node promoted mid-run logs into a log that is empty until then — the
+    /// prefix it applied as a backup is covered by the dead primary's log.
     dur: Option<Durability<E>>,
     outbox: Outbox<E::Output>,
     scratch: Vec<PartitionOut<E::Output>>,
@@ -1098,12 +1150,16 @@ where
     E::Output: Send,
 {
     /// Build the node for (group, slot). Slot 0 starts as primary, other
-    /// slots as backups (only created when `system.replication > 1`).
+    /// slots as backups (only created when `system.replication > 1`). `log`
+    /// is the node's durable command log, used when `system.durability` is
+    /// on (the live backends pass `MemLog::new()`, the simulator a log it
+    /// keeps a handle on to inject faults and harvest crash images).
     pub fn new(
         group: PartitionId,
         slot: u32,
         system: &SystemConfig,
         engine: E,
+        log: Box<dyn DurableLog + Send>,
         crash_after: Option<u64>,
     ) -> Self {
         let replicate = system.replication > 1;
@@ -1146,9 +1202,7 @@ where
             epoch: 0,
             crash_after,
             fenced: Vec::new(),
-            dur: (slot == 0)
-                .then(|| system.durability.map(Durability::new))
-                .flatten(),
+            dur: system.durability.map(|cfg| Durability::new(cfg, log)),
             outbox: Outbox::new(system.costs),
             scratch: Vec::new(),
             sched_counters: SchedulerCounters::default(),
@@ -1183,7 +1237,7 @@ where
                 if d.gc.pending() > 0 && d.log.sync().is_ok() {
                     d.gc.on_synced();
                 }
-                (Some(d.log.full_image()), d.gc.counters)
+                (is_primary.then(|| d.log.crash_image()), d.gc.counters)
             }
             None => (None, DurabilityCounters::default()),
         };
@@ -1206,11 +1260,33 @@ where
         }
     }
 
+    /// True while this node is its group's primary.
+    pub fn is_primary(&self) -> bool {
+        matches!(self.role, Role::Primary { .. })
+    }
+
+    /// True unless this node is a primary with a transaction active, queued
+    /// or awaiting a decision (what a drained run must leave behind).
+    pub fn is_idle(&self) -> bool {
+        match &self.role {
+            Role::Primary { sched, .. } => sched.is_idle(),
+            _ => true,
+        }
+    }
+
+    /// True while the durable log holds appended records no sync has
+    /// covered: a driver that models the device's latency issues a sync
+    /// when it sees this and calls [`on_drained`](Self::on_drained) when
+    /// the device would answer.
+    pub fn has_unsynced(&self) -> bool {
+        self.dur.as_ref().is_some_and(|d| d.gc.pending() > 0)
+    }
+
     /// Bounce one in-flight transaction with `PartitionFailed`: the
     /// retryable "your participant's node just died" signal, addressed to
     /// whoever is waiting on this node (the client for single-partition
-    /// work, the 2PC coordinator otherwise). The bounce shape itself is
-    /// shared with the simulator (`hcc_core::replica::failover_bounce`).
+    /// work, the 2PC coordinator otherwise; see
+    /// `hcc_core::replica::failover_bounce`).
     fn bounce(&mut self, task: &FragmentTask<E::Fragment>, out: &mut Vec<OutMsg<E>>) {
         let txn = task.txn;
         let Some(bounce) = failover_bounce(self.group, txn, std::slice::from_ref(task)) else {
@@ -1238,25 +1314,12 @@ where
         });
     }
 
-    /// Route a decision ack to whoever coordinated the transaction (a
-    /// central shard or, for client-driven 2PC, the client's driver).
-    fn emit_decision_ack(&self, txn: TxnId, ack_to: CoordinatorRef, out: &mut Vec<OutMsg<E>>) {
-        out.push(OutMsg {
-            dest: match ack_to {
-                CoordinatorRef::Central(k) => ActorId::Coordinator(k),
-                CoordinatorRef::Client(c) => ActorId::Client(c),
-            },
-            msg: Msg::DecisionAck {
-                txn,
-                partition: self.group,
-            },
-        });
-    }
-
     /// The injected crash: flush results whose records are already at the
     /// backups, bounce everything still in flight, notify the coordinator
-    /// (the "failure detector"), and go dark.
-    fn crash(&mut self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
+    /// (the "failure detector"), and go dark. Fires by itself after
+    /// `crash_after` commits; a driver that kills by the clock (the
+    /// simulator) calls it on the group's primary at the chosen time.
+    pub fn crash(&mut self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
         let old = std::mem::replace(&mut self.role, Role::Failed);
         let Role::Primary {
             sched,
@@ -1265,7 +1328,7 @@ where
             ..
         } = old
         else {
-            unreachable!("crash is armed only on a primary");
+            unreachable!("only a primary is crashed");
         };
         self.sched_counters.merge(&sched.counters());
         if let Some(a) = sched.adaptive_stats(now) {
@@ -1299,7 +1362,7 @@ where
                 });
             }
             for (_, txn, ack_to) in dur.pending_acks.drain(..) {
-                self.emit_decision_ack(txn, ack_to, out);
+                out.push(decision_ack(self.group, txn, ack_to, true));
             }
         }
         self.repl_counters.failed_at_ns = now.0;
@@ -1331,11 +1394,11 @@ where
             dur.encode_buf.clear();
             record.encode(&mut dur.encode_buf);
             // An append *error* (injected write failure) leaves the record
-            // without durability: the transaction already committed in the
-            // engine, so it is released as if durability were off — the
-            // sim's fault harness pins the stricter bounce semantics.
-            if let Ok(seq) = dur.log.append(&dur.encode_buf) {
-                dur.logged_seq.insert(txn, seq);
+            // out of the log although the engine committed: whoever waits
+            // on it is told so (`None`), and no client reads `Committed`.
+            let seq = dur.log.append(&dur.encode_buf).ok();
+            dur.logged_seq.insert(txn, seq);
+            if seq.is_some() {
                 dur.gc.on_append(now);
             }
         }
@@ -1365,11 +1428,13 @@ where
 
     /// The backend has nothing more to hand this node right now: close the
     /// group-commit batch. A logging primary with unsynced records syncs
-    /// them — in the live runtime the sync call is synchronous: it either
-    /// completes here, releasing everything its batch gated, or fails
-    /// (injected stall), in which case the batch stays in flight until the
-    /// tick-driven stall guard gives up on it. Every other node returns at
-    /// once.
+    /// them — the sync call is synchronous: it either completes here,
+    /// releasing everything its batch gated, or fails (injected stall), in
+    /// which case the batch stays in flight until the tick-driven stall
+    /// guard gives up on it. Every other node returns at once. (The live
+    /// drivers call this when the node's queue runs dry; the simulator,
+    /// which models the device's latency, when the device would answer —
+    /// see [`has_unsynced`](Self::has_unsynced).)
     pub fn on_drained(&mut self, out: &mut Vec<OutMsg<E>>) {
         let Some(dur) = &mut self.dur else { return };
         if dur.gc.on_drained() == FlushDecision::SyncNow && dur.log.sync().is_ok() {
@@ -1399,23 +1464,14 @@ where
                 break;
             }
             let (_, txn, ack_to) = dur.pending_acks.pop_front().expect("checked front");
-            out.push(OutMsg {
-                dest: match ack_to {
-                    CoordinatorRef::Central(k) => ActorId::Coordinator(k),
-                    CoordinatorRef::Client(c) => ActorId::Client(c),
-                },
-                msg: Msg::DecisionAck {
-                    txn,
-                    partition: group,
-                },
-            });
+            out.push(decision_ack(group, txn, ack_to, true));
         }
     }
 
     /// Final durability gate for a committed result on its way to the
-    /// client: deliver if its record is durable (or durability is off /
-    /// the append failed), park until the batch syncs, or — for records in
-    /// a batch the stall guard abandoned — bounce with the retryable
+    /// client: deliver if its record is durable (or durability is off),
+    /// park until the batch syncs, or — for a record whose append failed or
+    /// whose batch the stall guard abandoned — bounce with the retryable
     /// `LogStalled`.
     fn deliver_result(
         &mut self,
@@ -1426,22 +1482,21 @@ where
     ) {
         if result.is_committed() {
             if let Some(dur) = &mut self.dur {
-                if let Some(seq) = dur.logged_seq.remove(&txn) {
-                    if seq > dur.log.durable() {
-                        if seq <= dur.abandoned_below {
-                            dur.gc.counters.stalled_aborts += 1;
-                            result = TxnResult::Aborted(AbortReason::LogStalled);
-                        } else {
-                            dur.gc.counters.results_held += 1;
-                            dur.held.push_back((seq, client, txn, result));
-                            return;
-                        }
+                match dur.logged_seq.remove(&txn) {
+                    // Not this node's to log, or durable already.
+                    None => {}
+                    Some(Some(seq)) if seq <= dur.log.durable() => {}
+                    Some(Some(seq)) if seq > dur.abandoned_below => {
+                        dur.gc.counters.results_held += 1;
+                        dur.held.push_back((seq, client, txn, result));
+                        return;
                     }
-                    debug_assert!(
-                        !result.is_committed() || seq <= dur.log.durable(),
-                        "{txn}: commit leaving {} above the durable watermark",
-                        self.group
-                    );
+                    // The append failed, or the stall guard abandoned the
+                    // record's batch.
+                    Some(_) => {
+                        dur.gc.counters.stalled_aborts += 1;
+                        result = TxnResult::Aborted(AbortReason::LogStalled);
+                    }
                 }
             }
         }
@@ -1476,20 +1531,20 @@ where
             });
         }
         for (_, txn, ack_to) in acks {
-            out.push(OutMsg {
-                dest: match ack_to {
-                    CoordinatorRef::Central(k) => ActorId::Coordinator(k),
-                    CoordinatorRef::Client(c) => ActorId::Client(c),
-                },
-                msg: Msg::DecisionAck {
-                    txn,
-                    partition: group,
-                },
-            });
+            out.push(decision_ack(group, txn, ack_to, true));
         }
     }
 
-    pub fn step(&mut self, msg: Msg<E>, now: Nanos, ctl: &RunControl, out: &mut Vec<OutMsg<E>>) {
+    /// Consume one message. Returns the virtual CPU the step cost: what the
+    /// scheduler charged for the work it did (zero for replay, role changes
+    /// and bookkeeping, which the cost model does not price).
+    pub fn step(
+        &mut self,
+        msg: Msg<E>,
+        now: Nanos,
+        ctl: &RunControl,
+        out: &mut Vec<OutMsg<E>>,
+    ) -> Nanos {
         self.last_now = now;
         // Dispatch on a copy of the role discriminant so the arms are free
         // to replace `self.role` (promotion, crash, rejoin).
@@ -1506,7 +1561,7 @@ where
             Role::Recovering => Kind::Recovering,
         };
         match kind {
-            Kind::Primary => self.step_primary(msg, now, out),
+            Kind::Primary => return self.step_primary(msg, now, out),
             Kind::Backup => self.step_backup(msg, now, ctl, out),
             Kind::Failed => match msg {
                 Msg::Fragment(task) => self.bounce(&task, out),
@@ -1541,6 +1596,7 @@ where
                 _ => {}
             },
         }
+        Nanos::ZERO
     }
 
     /// Hand a fragment to the scheduler (recording it for replication
@@ -1560,14 +1616,14 @@ where
         sched.on_fragment(task, &mut self.engine, now, &mut self.outbox);
     }
 
-    fn step_primary(&mut self, msg: Msg<E>, now: Nanos, out: &mut Vec<OutMsg<E>>) {
+    fn step_primary(&mut self, msg: Msg<E>, now: Nanos, out: &mut Vec<OutMsg<E>>) -> Nanos {
         debug_assert!(self.outbox.messages.is_empty());
         match msg {
             Msg::Fragment(task) => {
                 if matches!(task.coordinator, CoordinatorRef::Central(k) if self.fenced.contains(&k))
                 {
                     self.bounce(&task, out);
-                    return;
+                    return Nanos::ZERO;
                 }
                 // Exactly-once guard for in-doubt redelivery: if this
                 // (promoted) primary already applied the transaction as a
@@ -1577,16 +1633,11 @@ where
                 if task.multi_partition {
                     if let Role::Primary { applied, .. } = &self.role {
                         if applied.contains(&task.txn) {
-                            if let CoordinatorRef::Central(k) = task.coordinator {
-                                out.push(OutMsg {
-                                    dest: ActorId::Coordinator(k),
-                                    msg: Msg::DecisionAck {
-                                        txn: task.txn,
-                                        partition: self.group,
-                                    },
-                                });
+                            if let CoordinatorRef::Central(_) = task.coordinator {
+                                let to = task.coordinator;
+                                out.push(decision_ack(self.group, task.txn, to, true));
                             }
-                            return;
+                            return Nanos::ZERO;
                         }
                     }
                 }
@@ -1608,7 +1659,7 @@ where
             }
             Msg::RoutingApplied { shard } => {
                 self.fenced.retain(|k| *k != shard);
-                return;
+                return Nanos::ZERO;
             }
             Msg::EpochLog(log) => {
                 let released = match &mut self.seq {
@@ -1651,25 +1702,22 @@ where
                         // record's batch syncs — the coordinator (or the
                         // locking client's driver) is holding the
                         // committed result until every participant acks.
-                        let deferred = match &mut self.dur {
+                        let logged = match &mut self.dur {
                             Some(dur) => match dur.logged_seq.remove(&d.txn) {
-                                Some(seq) if !dur.released(seq) => {
+                                Some(Some(seq)) if !dur.released(seq) => {
                                     dur.pending_acks.push_back((seq, d.txn, ack_to));
-                                    true
+                                    None
                                 }
-                                logged => {
-                                    debug_assert!(
-                                        logged.is_none_or(|seq| dur.released(seq)),
-                                        "{}: ack leaving above the durable watermark",
-                                        d.txn
-                                    );
-                                    false
+                                Some(None) => {
+                                    dur.gc.counters.stalled_aborts += 1;
+                                    Some(false)
                                 }
+                                _ => Some(true),
                             },
-                            None => false,
+                            None => Some(true),
                         };
-                        if !deferred {
-                            self.emit_decision_ack(d.txn, ack_to, out);
+                        if let Some(logged) = logged {
+                            out.push(decision_ack(self.group, d.txn, ack_to, logged));
                         }
                     }
                 }
@@ -1712,12 +1760,12 @@ where
                 for (_, client, txn, result) in released {
                     self.deliver_result(client, txn, result, out);
                 }
-                return; // pure bookkeeping: no scheduler outputs to drain
+                return Nanos::ZERO; // pure bookkeeping: no scheduler outputs to drain
             }
             Msg::Promote { .. } => {
                 // Already primary (initial slot-0 primary is never sent
                 // this; defensive for re-deliveries).
-                return;
+                return Nanos::ZERO;
             }
             Msg::FetchState { requester_slot } => {
                 let seq = {
@@ -1745,11 +1793,11 @@ where
                         seq,
                     },
                 });
-                return;
+                return Nanos::ZERO;
             }
             _ => {
                 debug_assert!(false, "unexpected message at primary {}", self.group);
-                return;
+                return Nanos::ZERO;
             }
         }
         // Adaptive runs: a scheme swap may have completed inside the
@@ -1775,7 +1823,7 @@ where
         // transactions, hold committed results that are not yet under the
         // acked watermark, route the rest.
         let mut scratch = std::mem::take(&mut self.scratch);
-        let _cpu = self.outbox.take_into(&mut scratch);
+        let cpu = self.outbox.take_into(&mut scratch);
         for m in scratch.drain(..) {
             match m {
                 PartitionOut::ToClient {
@@ -1846,6 +1894,7 @@ where
                 self.crash(now, out);
             }
         }
+        cpu
     }
 
     fn step_backup(
@@ -1910,11 +1959,10 @@ where
                     shipped_seq: FxHashMap::default(),
                     applied,
                 };
-                // A promoted primary logs from here on into a fresh log;
-                // the prefix it applied as a backup lives in the dead
-                // node's log (correlated-crash recovery of a failed-over
+                // A promoted primary logs from here on into its own, so far
+                // empty, log; the prefix it applied as a backup lives in the
+                // dead node's log (correlated-crash recovery of a failed-over
                 // group needs both, which the harness does not exercise).
-                self.dur = self.system.durability.map(Durability::new);
                 // The dead primary's merge position and held fragments are
                 // lost with it: start unsynced and join the merge at the
                 // first complete post-failover era.
@@ -1965,8 +2013,9 @@ where
 mod tests {
     use super::*;
     use hcc_core::{Request, RequestGenerator};
-    use hcc_storage::FaultMode;
+    use hcc_storage::{FaultMode, MemLog};
     use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
+    use std::sync::{Arc, Mutex as StdMutex};
 
     /// The part of the stall guard both live backends share: a sync that
     /// fails is not retried when the node is drained again, everything its
@@ -1987,10 +2036,17 @@ mod tests {
             .with_durability(dur);
         let mut workload = MicroWorkload::new(mc);
         let engine = workload.build_engine(PartitionId(0));
-        let mut node: ReplicaActor<MicroEngine> =
-            ReplicaActor::new(PartitionId(0), 0, &system, engine, None);
-        let stall = |node: &mut ReplicaActor<MicroEngine>, on: bool| {
-            node.dur.as_mut().expect("logging primary").log.fault = FaultMode {
+        let log = Arc::new(StdMutex::new(MemLog::new()));
+        let mut node: ReplicaActor<MicroEngine> = ReplicaActor::new(
+            PartitionId(0),
+            0,
+            &system,
+            engine,
+            Box::new(log.clone()),
+            None,
+        );
+        let stall = |_: &mut ReplicaActor<MicroEngine>, on: bool| {
+            log.lock().unwrap().fault = FaultMode {
                 stall_syncs_after: on.then_some(0),
                 ..FaultMode::default()
             };

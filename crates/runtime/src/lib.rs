@@ -1,12 +1,14 @@
-//! The live runtime: the same concurrency control state machines as the
-//! simulator, driven on real OS threads — behind pluggable backends.
+//! The system's actors and the live runtime that drives them on real OS
+//! threads, behind pluggable backends.
 //!
 //! The actor model mirrors the paper: one single-threaded execution engine
 //! per partition (§2.3), one central coordinator (§3.3), closed-loop
 //! clients (§5), and — when replication is enabled — one backup per
 //! partition applying committed transactions in commit order (§3.2). All
 //! of that protocol logic lives in [`actors`] as poll-driven state
-//! machines over the cores from `hcc-core`; a [`Backend`] decides how the
+//! machines over the cores from `hcc-core`, wired once
+//! ([`build_actors`], [`TickPlan`]) for every driver — the two backends
+//! here and `hcc-sim`'s virtual-time driver. A [`Backend`] decides how the
 //! actors get CPU:
 //!
 //! * [`threaded::ThreadedBackend`] — one OS thread per actor, parked on a
@@ -27,8 +29,9 @@
 //!
 //! The runtime is the "it actually runs" build: examples and soak tests
 //! use it, and the backup- and backend-equivalence checks run against it.
-//! Calibrated performance curves come from `hcc-sim`, whose virtual clock
-//! reproduces the paper's hardware ratios; the runtime measures whatever
+//! Calibrated performance curves come from `hcc-sim`, which steps these
+//! same actors on a virtual clock that reproduces the paper's hardware
+//! ratios (the `Nanos` every `step` returns); the runtime measures whatever
 //! the host delivers (in-process message passing is ~100× faster than the
 //! paper's Ethernet, so its multi-partition stalls are proportionally
 //! smaller).
@@ -45,14 +48,19 @@ pub mod threaded;
 pub use multiplexed::MultiplexedBackend;
 pub use threaded::ThreadedBackend;
 
-use crate::actors::{ReplicaParts, RunControl};
+use crate::actors::{
+    ClientActor, CoordinatorActor, MembershipActor, ReplicaActor, ReplicaParts, RunControl,
+};
 use hcc_common::stats::{
     AdaptiveStats, DurabilityCounters, LatencySummary, ReplicationCounters, SchedulerCounters,
     SequencerStats,
 };
-use hcc_common::{FailurePlan, Nanos, PartitionId, SystemConfig};
+use hcc_common::{
+    AbortReason, ClientId, CoordinatorId, FailurePlan, Nanos, PartitionId, Scheme, SystemConfig,
+};
 use hcc_core::client::ClientStats;
 use hcc_core::{ExecutionEngine, RequestGenerator};
+use hcc_storage::DurableLog;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -292,6 +300,157 @@ where
     }
 }
 
+/// The actors of one run, as every driver addresses them: clients by id,
+/// coordinator shards by id, replicas in (group, slot) order
+/// (`group * replication + slot`).
+pub struct Actors<W: RequestGenerator> {
+    pub clients: Vec<ClientActor<W>>,
+    pub coordinators: Vec<CoordinatorActor<W::Engine>>,
+    pub membership: MembershipActor,
+    pub replicas: Vec<ReplicaActor<W::Engine>>,
+}
+
+/// The coordinators' stall expiry in a healthy deployment: with N > 1
+/// shards and sequencing off, a transaction pending longer than
+/// `lock_timeout` is presumed caught in a distributed deadlock across
+/// shards and aborted with the retryable `CrossCoordinator`. `None` for the
+/// paper's singleton (its global dispatch order cannot deadlock) and under
+/// sequencing (the merged epoch order leaves nothing for expiry to break).
+pub fn cross_shard_expiry(system: &SystemConfig) -> Option<(Nanos, AbortReason)> {
+    (system.coordinators > 1 && !system.sequencing_active())
+        .then_some((system.lock_timeout, AbortReason::CrossCoordinator))
+}
+
+/// Build every actor of a run — the one wiring the threaded backend, the
+/// reactor and the simulator share. `failure` arms the count-triggered
+/// crash on its group's initial primary and turns on in-doubt commit
+/// tracking at the coordinators (a driver that kills by the clock passes a
+/// plan whose count is never reached); `expiry` is the coordinators' stall
+/// expiry ([`cross_shard_expiry`] in a healthy deployment); `log` supplies
+/// each replica node's durable command log, in (group, slot) order.
+pub fn build_actors<W: RequestGenerator>(
+    system: &SystemConfig,
+    mode: RunMode,
+    failure: Option<FailurePlan>,
+    expiry: Option<(Nanos, AbortReason)>,
+    build_engine: impl Fn(PartitionId) -> W::Engine,
+    mut log: impl FnMut() -> Box<dyn DurableLog + Send>,
+) -> Actors<W>
+where
+    W::Engine: Send + 'static,
+    <W::Engine as ExecutionEngine>::Fragment: Send,
+    <W::Engine as ExecutionEngine>::Output: Send,
+{
+    if let Err(e) = system.validate() {
+        panic!("invalid SystemConfig: {e}");
+    }
+    if let Some(plan) = failure {
+        assert!(
+            system.replication >= 2,
+            "failure injection needs a backup to fail over to"
+        );
+        assert!(plan.partition.0 < system.partitions && plan.after_commits >= 1);
+    }
+    let requests = match mode {
+        RunMode::FixedRequests(k) => Some(k),
+        RunMode::Timed { .. } => None,
+    };
+    let clients = (0..system.clients)
+        .map(|c| ClientActor::new(ClientId(c), system, requests))
+        .collect();
+    let coordinators = (0..system.coordinators.max(1))
+        .map(|k| {
+            let mut coord = CoordinatorActor::new(
+                system.costs,
+                CoordinatorId(k),
+                failure.is_some(),
+                system.durability.is_some(),
+                expiry,
+            );
+            if system.sequencing_active() {
+                coord.enable_sequencing(system);
+            }
+            coord
+        })
+        .collect();
+    let mut replicas = Vec::new();
+    for group in (0..system.partitions).map(PartitionId) {
+        for slot in 0..system.replication.max(1) {
+            let crash_after = failure
+                .filter(|f| f.partition == group && slot == 0)
+                .map(|f| f.after_commits);
+            let (engine, log) = (build_engine(group), log());
+            replicas.push(ReplicaActor::new(
+                group,
+                slot,
+                system,
+                engine,
+                log,
+                crash_after,
+            ));
+        }
+    }
+    Actors {
+        clients,
+        coordinators,
+        membership: MembershipActor::new(system.coordinators),
+        replicas,
+    }
+}
+
+/// Who needs periodic [`Msg::Tick`](actors::Msg::Tick)s, and how often:
+/// one policy for every driver. The threaded backend turns it into receive
+/// timeouts, the reactor into its timer thread, the simulator into heap
+/// entries. (Clients additionally expose their exact backoff deadline,
+/// [`ClientActor::retry_wake`], for drivers with a per-actor timer.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TickPlan {
+    /// Each group's current primary: lock-timeout scans (the locking
+    /// scheme, and an adaptive partition can become Locking at any time)
+    /// and the durable log's stall guard.
+    pub partitions: bool,
+    /// Coordinator shards: stall expiry, and epoch age-closes under
+    /// sequencing.
+    pub coordinators: bool,
+    /// Clients parked in a retry backoff: only configurations that can
+    /// produce infrastructure aborts (failover, cross-shard expiry, a
+    /// stalled log) ever park one.
+    pub clients: bool,
+    /// The period: a quarter of the lock timeout, and at most half of every
+    /// other deadline a tick serves (sync deadline, epoch age boundary,
+    /// coordinator expiry), so none is overshot by more than half. Floored
+    /// at 100 µs — the reactor's floor, which the benchmark and the soaks
+    /// run on, and exactly half the sequencer's age boundary; the threaded
+    /// backend's coordinator threads used 50 µs, a difference that only
+    /// showed below a 400 µs lock timeout, which nothing configures.
+    pub every: Nanos,
+}
+
+impl TickPlan {
+    pub fn new(system: &SystemConfig, expiry: Option<(Nanos, AbortReason)>) -> Self {
+        let seq_on = system.sequencing_active();
+        let halves = [
+            system.durability.and_then(|d| d.sync_deadline),
+            seq_on.then(|| system.sequencing.max_delay()),
+            expiry.map(|(timeout, _)| timeout),
+        ];
+        let every = halves
+            .into_iter()
+            .flatten()
+            .fold(system.lock_timeout.0 / 4, |every, d| every.min(d.0 / 2));
+        TickPlan {
+            partitions: system.scheme == Scheme::Locking
+                || system.adaptive.is_on()
+                || system.durability.is_some(),
+            coordinators: expiry.is_some() || seq_on,
+            clients: system.replication > 1
+                || system.coordinators > 1
+                || system.durability.is_some(),
+            every: Nanos(every.max(100_000)),
+        }
+    }
+}
+
 pub(crate) fn now_ns(epoch: Instant) -> Nanos {
     Nanos(epoch.elapsed().as_nanos() as u64)
 }
@@ -342,7 +501,7 @@ pub(crate) fn drain_until(
 /// Sort the harvested replica nodes into the report shape: the primary
 /// engine per group, the live backups in (group, slot) order, and the
 /// merged counter blocks.
-pub(crate) fn assemble_replicas<E: ExecutionEngine>(
+pub fn assemble_replicas<E: ExecutionEngine>(
     mut parts: Vec<ReplicaParts<E>>,
     groups: usize,
 ) -> (

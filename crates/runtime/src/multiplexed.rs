@@ -80,13 +80,14 @@ use crate::actors::{
     ReplicaParts, RunControl,
 };
 use crate::{
-    assemble_replicas, drain_until, finish_report, now_ns, Backend, RunMode, RuntimeConfig,
-    RuntimeReport, WorkerStats,
+    assemble_replicas, build_actors, cross_shard_expiry, drain_until, finish_report, now_ns,
+    Backend, RunMode, RuntimeConfig, RuntimeReport, TickPlan, WorkerStats,
 };
 use hcc_common::stats::SequencerStats;
-use hcc_common::{CachePadded, ClientId, CoordinatorId, Nanos, PartitionId, Scheme};
+use hcc_common::{CachePadded, ClientId, CoordinatorId, Nanos, PartitionId};
 use hcc_core::client::ClientStats;
 use hcc_core::{ExecutionEngine, RequestGenerator};
+use hcc_storage::MemLog;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -478,7 +479,9 @@ where
         };
         while let Some(msg) = self.shared_mail.pop_front() {
             match &mut actor {
-                SharedActor::Coordinator(c) => c.step(msg, self.now, &mut self.out),
+                SharedActor::Coordinator(c) => {
+                    c.step(msg, self.now, &mut self.out);
+                }
                 SharedActor::Membership(m) => m.step(msg, &mut self.out),
             }
             self.finish_step(false);
@@ -519,9 +522,6 @@ impl Backend for MultiplexedBackend {
         B: Fn(PartitionId) -> W::Engine,
     {
         let system = &cfg.system;
-        if let Err(e) = system.validate() {
-            panic!("invalid SystemConfig: {e}");
-        }
         let workers = if self.workers > 0 {
             self.workers
         } else {
@@ -530,42 +530,22 @@ impl Backend for MultiplexedBackend {
         let n = system.partitions as usize;
         let slots = system.replication.max(1) as usize;
         let clients = system.clients as usize;
-        if let Some(plan) = cfg.failure {
-            assert!(
-                system.replication >= 2,
-                "failure injection needs a backup to fail over to"
-            );
-            assert!((plan.partition.as_usize()) < n && plan.after_commits >= 1);
-        }
-        let per_client = match cfg.mode {
-            RunMode::FixedRequests(k) => Some(k),
-            RunMode::Timed { .. } => None,
-        };
+        let expiry = cross_shard_expiry(system);
+        let actors = build_actors::<W>(system, cfg.mode, cfg.failure, expiry, build_engine, || {
+            Box::new(MemLog::new())
+        });
 
         // Owned actors, dealt to their home workers in index order.
         let mut owned: Vec<Owned<W>> = (0..workers).map(|_| (Vec::new(), Vec::new())).collect();
-        for c in 0..clients {
-            let actor = ClientActor::new(ClientId(c as u32), system, per_client);
+        for (c, actor) in actors.clients.into_iter().enumerate() {
             owned[c % workers].0.push(actor);
         }
-        for p in 0..n {
-            let group = PartitionId(p as u32);
-            for s in 0..slots {
-                let crash_after = cfg
-                    .failure
-                    .filter(|f| f.partition == group && s == 0)
-                    .map(|f| f.after_commits);
-                let actor =
-                    ReplicaActor::new(group, s as u32, system, build_engine(group), crash_after);
-                owned[p % workers].1.push(actor);
-            }
+        for (at, actor) in actors.replicas.into_iter().enumerate() {
+            owned[(at / slots) % workers].1.push(actor);
         }
 
         // Shared actors: coordinator shards, then membership.
-        let shards = system.coordinators.max(1) as usize;
-        let track_in_doubt = cfg.failure.is_some();
-        let seq_on = system.sequencing_active();
-        let coord_expiry = (shards > 1 && !seq_on).then_some(system.lock_timeout);
+        let shards = actors.coordinators.len();
         let at_rest = |actor| {
             CachePadded::new(Mutex::new(Mailbox {
                 queue: VecDeque::new(),
@@ -573,22 +553,12 @@ impl Backend for MultiplexedBackend {
                 actor: Some(actor),
             }))
         };
-        let mut mail = Vec::new();
-        for k in 0..shards {
-            let mut coord: CoordinatorActor<W::Engine> = CoordinatorActor::new(
-                system.costs,
-                CoordinatorId(k as u32),
-                track_in_doubt,
-                system.durability.is_some(),
-                coord_expiry,
-            );
-            if seq_on {
-                coord.enable_sequencing(system);
-            }
-            mail.push(at_rest(SharedActor::Coordinator(Box::new(coord))));
-        }
-        let membership = MembershipActor::new(system.coordinators);
-        mail.push(at_rest(SharedActor::Membership(membership)));
+        let mut mail: Vec<_> = actors
+            .coordinators
+            .into_iter()
+            .map(|coord| at_rest(SharedActor::Coordinator(Box::new(coord))))
+            .collect();
+        mail.push(at_rest(SharedActor::Membership(actors.membership)));
 
         let shared = Arc::new(Shared {
             ports: (0..workers)
@@ -640,48 +610,26 @@ impl Backend for MultiplexedBackend {
             }));
         }
 
-        // Tick timer: the locking scheme needs periodic lock-timeout scans
-        // at each group's current primary, and sharded coordinators need
-        // periodic stall expiry (cross-shard deadlock resolution). Runs
-        // until every client has retired (after which no transaction can
-        // be waiting on a lock or a cross-shard chain).
+        // Tick timer, for whoever the plan says needs ticks. Runs until
+        // every client has retired (after which no transaction can be
+        // waiting on a lock or a cross-shard chain). Clients are ticked
+        // only while at least one is actually parked in a backoff
+        // (`backoff_waiters`), so an idle system sends nothing and the
+        // workers stay parked.
         let timer_stop = Arc::new(AtomicBool::new(false));
-        // An adaptive partition can be (or become) Locking at any time, so
-        // it needs the lock-timeout scans too.
-        let tick_partitions = system.scheme == Scheme::Locking
-            || system.adaptive.is_on()
-            || system.durability.is_some();
-        // Sequencing coordinators tick too: epoch age-closes ride Tick.
-        let tick_coords = shards > 1 || seq_on;
-        // Clients park during backoff retries (infrastructure aborts) and
-        // need a wake-up tick; only configurations that can produce such
-        // aborts pay for the ticking — and only while at least one client
-        // is actually parked (`backoff_waiters`), so an idle system sends
-        // nothing and the workers stay parked.
-        let tick_clients = system.replication > 1 || shards > 1 || system.durability.is_some();
+        let plan = TickPlan::new(system, expiry);
         let to = |dest, msg| OutMsg { dest, msg };
-        let timer = (tick_partitions || tick_coords || tick_clients).then(|| {
+        let timer = (plan.partitions || plan.coordinators || plan.clients).then(|| {
             let shared = shared.clone();
             let stop = timer_stop.clone();
-            let mut tick_nanos = system.lock_timeout.0 / 4;
-            if let Some(deadline) = system.durability.and_then(|d| d.sync_deadline) {
-                // The log's stall guard rides the same timer.
-                tick_nanos = tick_nanos.min(deadline.0 / 2);
-            }
-            if seq_on {
-                // Epoch age-closes fire at half the max delay so a lone
-                // buffered invoke never waits much past its deadline.
-                tick_nanos = tick_nanos.min(system.sequencing.max_delay().0 / 2);
-            }
-            // Don't busy-spin on sub-microsecond timeouts.
-            let tick_every = Duration::from_nanos(tick_nanos.max(100_000));
+            let tick_every = Duration::from_nanos(plan.every.0);
             std::thread::spawn(move || {
                 let mut outbox = Outbox::new(workers);
                 while !stop.load(Ordering::SeqCst) {
                     std::thread::sleep(tick_every);
-                    let backoff = tick_clients && shared.ctl.backoff_waiters() > 0;
-                    let parts = (0..n).filter(|_| tick_partitions);
-                    let coords = (0..shards).filter(|_| tick_coords);
+                    let backoff = plan.clients && shared.ctl.backoff_waiters() > 0;
+                    let parts = (0..n).filter(|_| plan.partitions);
+                    let coords = (0..shards).filter(|_| plan.coordinators);
                     let waiters = (0..clients).filter(|_| backoff);
                     let ticks = parts
                         .map(|p| ActorId::Partition(PartitionId(p as u32)))

@@ -21,19 +21,17 @@
 //! somewhere in the hundreds of clients; beyond that, use
 //! [`crate::multiplexed`].
 
-use crate::actors::{
-    ActorId, ClientActor, ClientCtx, CoordinatorActor, MembershipActor, Msg, OutMsg, ReplicaActor,
-    ReplicaParts, RunControl,
-};
+use crate::actors::{ActorId, ClientCtx, Msg, OutMsg, ReplicaActor, ReplicaParts, RunControl};
 use crate::{
-    assemble_replicas, drain_until, finish_report, now_ns, Backend, RunMode, RuntimeConfig,
-    RuntimeReport,
+    assemble_replicas, build_actors, cross_shard_expiry, drain_until, finish_report, now_ns,
+    Backend, RunMode, RuntimeConfig, RuntimeReport, TickPlan,
 };
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use hcc_common::stats::SequencerStats;
-use hcc_common::{ClientId, CoordinatorId, PartitionId, Scheme};
+use hcc_common::PartitionId;
 use hcc_core::client::ClientStats;
 use hcc_core::{ExecutionEngine, RequestGenerator};
+use hcc_storage::MemLog;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -153,22 +151,15 @@ impl Backend for ThreadedBackend {
     {
         type E<W> = <W as RequestGenerator>::Engine;
         let system = &cfg.system;
-        if let Err(e) = system.validate() {
-            panic!("invalid SystemConfig: {e}");
-        }
         let n = system.partitions as usize;
         let slots = system.replication.max(1) as usize;
-        if let Some(plan) = cfg.failure {
-            assert!(
-                system.replication >= 2,
-                "failure injection needs a backup to fail over to"
-            );
-            assert!((plan.partition.as_usize()) < n && plan.after_commits >= 1);
-        }
-        let per_client = match cfg.mode {
-            RunMode::FixedRequests(k) => Some(k),
-            RunMode::Timed { .. } => None,
-        };
+        let expiry = cross_shard_expiry(system);
+        let actors = build_actors::<W>(system, cfg.mode, cfg.failure, expiry, build_engine, || {
+            Box::new(MemLog::new())
+        });
+        // A receive timeout doubles as the tick timer.
+        let plan = TickPlan::new(system, expiry);
+        let tick_every = Duration::from_nanos(plan.every.0);
 
         // Channels.
         let mut replica_txs: Vec<Vec<Sender<Wire<E<W>>>>> = Vec::new();
@@ -214,63 +205,22 @@ impl Backend for ThreadedBackend {
         // role lives in the actor).
         let mut replica_handles: Vec<Vec<Option<std::thread::JoinHandle<ReplicaParts<E<W>>>>>> =
             (0..n).map(|_| (0..slots).map(|_| None).collect()).collect();
-        for (p, s, rx) in replica_rxs {
-            let group = PartitionId(p as u32);
-            let crash_after = cfg
-                .failure
-                .filter(|f| f.partition == group && s == 0)
-                .map(|f| f.after_commits);
-            let actor =
-                ReplicaActor::new(group, s as u32, system, build_engine(group), crash_after);
+        for ((p, s, rx), actor) in replica_rxs.into_iter().zip(actors.replicas) {
             let router = router.clone();
             let ctl = ctl.clone();
-            // Locking needs lock-timeout scans; durability needs the log's
-            // stall guard polled (floored to keep the wake-up rate sane).
-            let mut tick_nanos = system.lock_timeout.0 / 4;
-            if let Some(deadline) = system.durability.and_then(|d| d.sync_deadline) {
-                tick_nanos = tick_nanos.min(deadline.0 / 2);
-            }
-            let tick_every = Duration::from_nanos(tick_nanos.max(100_000));
-            // An adaptive partition can be (or become) Locking at any time,
-            // so it needs the lock-timeout scans too.
-            let ticks = system.scheme == Scheme::Locking
-                || system.adaptive.is_on()
-                || system.durability.is_some();
-            let tick = ticks.then_some(tick_every);
+            let tick = plan.partitions.then_some(tick_every);
             let logging = system.durability.is_some();
             replica_handles[p][s] = Some(std::thread::spawn(move || {
                 replica_thread(actor, rx, router, ctl, epoch, tick, logging)
             }));
         }
 
-        // Coordinator shard threads. With N > 1 shards, each also ticks
-        // itself to expire cross-shard distributed deadlocks — unless the
-        // sequencer is on, which replaces expiry with epoch age-closes
-        // (also tick-driven).
-        let track_in_doubt = cfg.failure.is_some();
-        let seq_on = system.sequencing_active();
-        let coord_expiry = (shards > 1 && !seq_on).then_some(system.lock_timeout);
+        // Coordinator shard threads, ticking themselves for stall expiry
+        // and epoch age-closes where the plan says so.
         let mut coord_handles = Vec::new();
-        for (k, rx) in coord_rxs.into_iter().enumerate() {
-            let mut actor: CoordinatorActor<E<W>> = CoordinatorActor::new(
-                system.costs,
-                CoordinatorId(k as u32),
-                track_in_doubt,
-                system.durability.is_some(),
-                coord_expiry,
-            );
-            if seq_on {
-                actor.enable_sequencing(system);
-            }
+        for (rx, mut actor) in coord_rxs.into_iter().zip(actors.coordinators) {
             let router = router.clone();
-            let mut tick_nanos = system.lock_timeout.0 / 4;
-            if seq_on {
-                // Age-closes fire at half the max epoch delay so a lone
-                // buffered invoke never waits much past its deadline.
-                tick_nanos = tick_nanos.min(system.sequencing.max_delay().0 / 2);
-            }
-            let tick_every = Duration::from_nanos(tick_nanos.max(50_000));
-            let ticks = coord_expiry.is_some() || seq_on;
+            let ticks = plan.coordinators;
             coord_handles.push(std::thread::spawn(move || {
                 let mut buf = Vec::new();
                 loop {
@@ -295,7 +245,7 @@ impl Backend for ThreadedBackend {
 
         // Control-plane membership thread.
         let control_handle = {
-            let mut actor = MembershipActor::new(system.coordinators);
+            let mut actor = actors.membership;
             let router = router.clone();
             std::thread::spawn(move || {
                 let mut buf: Vec<OutMsg<E<W>>> = Vec::new();
@@ -313,9 +263,7 @@ impl Backend for ThreadedBackend {
 
         // Client threads.
         let mut client_handles = Vec::new();
-        for (c, rx) in client_rxs.into_iter().enumerate() {
-            let mut actor: ClientActor<W> =
-                ClientActor::new(ClientId(c as u32), system, per_client);
+        for (rx, mut actor) in client_rxs.into_iter().zip(actors.clients) {
             let router = router.clone();
             let ctl = ctl.clone();
             let wl = workload.clone();

@@ -10,13 +10,13 @@
 //! of this test exercises the same crash points.
 
 use hcc_common::{
-    CommitRecord, DurabilityConfig, FxHashMap, Nanos, PartitionId, RetryConfig, Scheme,
+    ClientId, CommitRecord, DurabilityConfig, FxHashMap, Nanos, PartitionId, RetryConfig, Scheme,
     SystemConfig, TxnId,
 };
-use hcc_core::{recover_partition, ReplicaCore};
+use hcc_core::{recover_partition, ReplicaCore, Request, RequestGenerator};
 use hcc_sim::{run_with, CrashHarvest, SimConfig, Simulation};
 use hcc_storage::FaultMode;
-use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroFragment, MicroWorkload};
+use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroFragment, MicroOutput, MicroWorkload};
 
 const SCHEMES: [Scheme; 4] = [
     Scheme::Blocking,
@@ -210,8 +210,9 @@ fn crash_harvest_is_deterministic() {
 /// Group commit is self-clocked: a commit that finds no sync in flight is
 /// synced at once, so a lone closed-loop client waits for its request to
 /// commit, then for one sync, and not a nanosecond of batching delay. (The
-/// sim gates a result where it is delivered, so the hop back to the client
-/// overlaps the sync instead of following it.)
+/// gate is the production one, at the node that emits the result, so the
+/// hop back to the client follows the sync; the old simulator gated the
+/// result where it was delivered and let the two overlap.)
 #[test]
 fn lone_commit_waits_for_one_sync_and_nothing_else() {
     let point = |dur: Option<DurabilityConfig>| {
@@ -241,7 +242,10 @@ fn lone_commit_waits_for_one_sync_and_nothing_else() {
     assert_eq!(off.latency.quantile(0.0), off.latency.quantile(1.0));
     assert_eq!(on.latency.quantile(0.0), on.latency.quantile(1.0));
     let committed_after = off.latency.mean() - hop_back;
-    assert_eq!(on.latency.mean(), committed_after + dur.sync_latency);
+    assert_eq!(
+        on.latency.mean(),
+        committed_after + dur.sync_latency + hop_back
+    );
     // One sync per record, each waited for by exactly its own result.
     assert_eq!(on.durability.syncs, on.durability.records_appended);
     assert_eq!(on.durability.results_held, on.durability.records_appended);
@@ -324,5 +328,103 @@ fn stalled_log_aborts_retryably_and_drains() {
         // The healthy partition kept committing and syncing throughout.
         assert!(report.committed > 0, "{scheme}");
         assert!(report.durability.syncs > 3, "{scheme}");
+    }
+}
+
+/// What a client was told, for the append-failure case below: the
+/// partitions each finally committed transaction touched.
+struct Committed {
+    inner: MicroWorkload,
+    /// Per client: the partitions of its request in flight.
+    touches: Vec<Vec<usize>>,
+    committed: Vec<(TxnId, Vec<usize>)>,
+}
+
+impl RequestGenerator for Committed {
+    type Engine = MicroEngine;
+
+    fn next_request(&mut self, c: ClientId) -> Request<MicroFragment, MicroOutput> {
+        let request = self.inner.next_request(c);
+        self.touches[c.as_usize()] = match &request {
+            Request::SinglePartition { partition, .. } => vec![partition.as_usize()],
+            // The microbenchmark's multi-partition transactions use both
+            // of its two partitions.
+            Request::MultiPartition { .. } => vec![0, 1],
+        };
+        request
+    }
+
+    fn on_result(&mut self, c: ClientId, txn: TxnId, committed: bool) {
+        if committed {
+            let touched = self.touches[c.as_usize()].clone();
+            self.committed.push((txn, touched));
+        }
+        self.inner.on_result(c, txn, committed);
+    }
+}
+
+/// An append that fails after the engine committed has one answer, the
+/// strict one: the record is not in the log, so no client reads
+/// `Committed` — a single-partition result bounces at the partition, a 2PC
+/// participant's ack says "not logged" and the coordinator (central shard,
+/// or the locking client's own driver) releases the held result as
+/// `LogStalled`. The 2PC chain is not wedged, every client reaches a final
+/// outcome after retrying, and the run drains.
+#[test]
+fn failed_append_never_reads_as_committed() {
+    const GOOD_APPENDS: u64 = 40;
+    for scheme in SCHEMES {
+        let build = || {
+            let mc = micro(12);
+            let system = SystemConfig::new(scheme)
+                .with_partitions(2)
+                .with_clients(12)
+                .with_seed(0xC4A5)
+                .with_durability(DurabilityConfig::default())
+                .with_retry(RetryConfig::default().with_max_attempts(3));
+            let cfg =
+                SimConfig::new(system).with_window(Nanos::from_millis(1), Nanos::from_millis(6));
+            let builder = MicroWorkload::new(mc);
+            let probe = Committed {
+                inner: MicroWorkload::new(mc),
+                touches: vec![Vec::new(); 12],
+                committed: Vec::new(),
+            };
+            let mut s = Simulation::new(cfg, probe, move |p| builder.build_engine(p));
+            // P0's device rejects every write after the first forty.
+            s.set_log_fault(
+                PartitionId(0),
+                FaultMode {
+                    fail_appends_after: Some(GOOD_APPENDS),
+                    ..FaultMode::default()
+                },
+            );
+            s
+        };
+        // Deterministic, so the drained run and the harvested logs are one
+        // run seen twice: once for what the clients were told, once for
+        // what the logs hold.
+        let (report, told, _, _) = build().run();
+        let logs = build().run_to_crash(u64::MAX);
+        assert!(!logs.crashed, "{scheme}: the run must drain");
+        assert_eq!(logs.history[0].len() as u64, GOOD_APPENDS, "{scheme}");
+        assert!(
+            logs.history[1].len() as u64 > GOOD_APPENDS,
+            "{scheme}: the healthy partition keeps logging"
+        );
+        assert!(!told.committed.is_empty(), "{scheme}");
+        for (txn, touched) in &told.committed {
+            for &p in touched {
+                assert!(
+                    logs.history[p].iter().any(|r| r.txn == *txn),
+                    "{scheme}: a client read Committed for {txn:?}, which P{p}'s log does not hold"
+                );
+            }
+        }
+        // Everything that touched P0 after the fault bounced, was retried
+        // with backoff, and ended as a final (exhausted) abort.
+        assert!(report.durability.stalled_aborts > 0, "{scheme}");
+        assert!(report.backoff_retries > 0, "{scheme}");
+        assert!(report.retry_exhausted > 0, "{scheme}");
     }
 }

@@ -362,61 +362,61 @@ fn golden_fixed_seed_with_sequencing_on() {
         (
             Scheme::Blocking,
             SeqGolden {
-                committed: 1345,
-                user_aborts: 60,
+                committed: 1349,
+                user_aborts: 63,
                 retries: 0,
                 committed_mp: 524,
                 fingerprints: [
-                    0xbf712aabffdb60be,
-                    0xa6f43318179aca12,
-                    0x138b5595156840ac,
-                    0x48668900cf6767fa,
+                    0xf5512885007b4ad8,
+                    0xe8c32b7b49d395bc,
+                    0x6bedbc8df2cf2d22,
+                    0x765e3766af415c5e,
                 ],
-                latency_ns: [2_300_000, 3_410_000, 3_670_000],
-                epochs_closed: 520,
-                batch_sum: 665,
+                latency_ns: [2_260_000, 3_510_000, 3_910_000],
+                epochs_closed: 460,
+                batch_sum: 672,
                 batch_max: 7,
-                hold_ns: [200_000, 256_000],
+                hold_ns: [200_000, 314_000],
             },
         ),
         (
             Scheme::Speculative,
             SeqGolden {
-                committed: 1961,
-                user_aborts: 100,
+                committed: 1932,
+                user_aborts: 98,
                 retries: 0,
-                committed_mp: 769,
+                committed_mp: 768,
                 fingerprints: [
-                    0x4daf3ea33a9ab426,
-                    0xe78230f9c56e37f6,
-                    0x269cfab11aced782,
-                    0x38620889835e3a6e,
+                    0xcd79bfb0643a965c,
+                    0x66d7707bc579b5de,
+                    0xe00276a4e86805da,
+                    0xfcc2712369e971c8,
                 ],
-                latency_ns: [1_360_000, 4_220_000, 4_710_000],
-                epochs_closed: 394,
-                batch_sum: 998,
-                batch_max: 11,
-                hold_ns: [188_000, 472_000],
+                latency_ns: [1_390_000, 4_660_000, 6_400_000],
+                epochs_closed: 356,
+                batch_sum: 981,
+                batch_max: 9,
+                hold_ns: [204_000, 479_000],
             },
         ),
         (
             Scheme::Occ,
             SeqGolden {
-                committed: 1236,
-                user_aborts: 53,
+                committed: 1225,
+                user_aborts: 52,
                 retries: 0,
-                committed_mp: 480,
+                committed_mp: 475,
                 fingerprints: [
-                    0x06be8838c7131720,
-                    0xdf8bce381a303706,
-                    0xc464a16099d5cff4,
-                    0x549c45fb666b6b2c,
+                    0xfb1baa49b925ed7a,
+                    0xb771a9fc192139ca,
+                    0x20dc20a1d3726452,
+                    0xb02e30d46b552184,
                 ],
-                latency_ns: [2_470_000, 4_070_000, 4_600_000],
-                epochs_closed: 394,
-                batch_sum: 611,
+                latency_ns: [2_490_000, 4_110_000, 4_870_000],
+                epochs_closed: 368,
+                batch_sum: 616,
                 batch_max: 7,
-                hold_ns: [200_000, 323_000],
+                hold_ns: [200_000, 396_000],
             },
         ),
     ];

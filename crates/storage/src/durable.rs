@@ -30,6 +30,7 @@
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 /// Bytes of framing per record: `u32` length + `u64` checksum.
 pub const FRAME_HEADER: usize = 4 + 8;
@@ -90,6 +91,32 @@ pub trait DurableLog {
     /// crash right now. (Appended-but-unsynced records are excluded; a
     /// torn-tail fault may append a partial frame, see [`MemLog`].)
     fn crash_image(&mut self) -> Vec<u8>;
+}
+
+/// A log behind a shared handle: the node that owns the log appends and
+/// syncs through one clone while a harness (the simulator, a fault test)
+/// keeps another to flip [`MemLog::fault`] mid-run and to read the images
+/// back after a crash.
+impl<L: DurableLog> DurableLog for Arc<Mutex<L>> {
+    fn append(&mut self, payload: &[u8]) -> Result<u64, LogError> {
+        self.lock().expect("log mutex poisoned").append(payload)
+    }
+
+    fn sync(&mut self) -> Result<u64, LogError> {
+        self.lock().expect("log mutex poisoned").sync()
+    }
+
+    fn appended(&self) -> u64 {
+        self.lock().expect("log mutex poisoned").appended()
+    }
+
+    fn durable(&self) -> u64 {
+        self.lock().expect("log mutex poisoned").durable()
+    }
+
+    fn crash_image(&mut self) -> Vec<u8> {
+        self.lock().expect("log mutex poisoned").crash_image()
+    }
 }
 
 /// Split a log byte image into record payloads.

@@ -17,8 +17,8 @@
 //! | [`locking`] | single-threaded lock manager + deadlock detection |
 //! | [`core`] | the schedulers, coordinator, client-side 2PC |
 //! | [`workloads`] | the paper's microbenchmark and modified TPC-C |
-//! | [`sim`] | deterministic discrete-event driver (calibrated to Table 2) |
-//! | [`runtime`] | live driver: thread-per-actor and multiplexed backends |
+//! | [`sim`] | virtual-time driver of the runtime's actors (calibrated to Table 2) |
+//! | [`runtime`] | the actors and their live drivers: thread-per-actor and multiplexed |
 //! | [`model`] | the §6 analytical throughput model |
 //!
 //! ## Quickstart
