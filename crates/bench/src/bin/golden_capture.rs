@@ -1,6 +1,6 @@
 //! Prints the golden determinism values asserted by
-//! `crates/sim/tests/determinism.rs::golden_*` and (sequencing-on
-//! scenario) `crates/sim/tests/sequencing.rs::golden_*`. The scenarios
+//! `crates/runtime/tests/determinism.rs::golden_*` and (sequencing-on
+//! scenario) `crates/runtime/tests/sequencing.rs::golden_*`. The scenarios
 //! below must stay in lockstep with those tests' — if you change either,
 //! change both and re-capture. For each scheme it prints the
 //! committed/aborted/retry counts and the final primary + shadow replica
@@ -8,7 +8,7 @@
 //! build; the optimized build must reproduce them bit-for-bit.
 
 use hcc_common::{Nanos, Scheme, SequencingConfig, SystemConfig};
-use hcc_sim::{SimConfig, Simulation};
+use hcc_runtime::{run, BackendChoice, RuntimeConfig};
 use hcc_workloads::micro::{MicroConfig, MicroWorkload};
 
 fn main() {
@@ -30,18 +30,15 @@ fn main() {
             .with_partitions(2)
             .with_clients(24)
             .with_seed(0xD5);
-        let cfg = SimConfig::new(system)
-            .with_window(Nanos::from_millis(20), Nanos::from_millis(100))
-            .with_shadow();
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
+            .with_window(Nanos::from_millis(20), Nanos::from_millis(100));
         let builder = MicroWorkload::new(micro);
-        let (r, _, engines, shadow) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+        let r = run(cfg, MicroWorkload::new(micro), move |p| {
             builder.build_engine(p)
-        })
-        .run();
-        let shadow = shadow.expect("shadow enabled");
-        let fps: Vec<u64> = engines.iter().map(|e| e.fingerprint()).collect();
-        let sfps: Vec<u64> = shadow.iter().map(|e| e.fingerprint()).collect();
-        let lat = r.latency.summary();
+        });
+        let fps: Vec<u64> = r.engines.iter().map(|e| e.fingerprint()).collect();
+        let sfps: Vec<u64> = r.backups.iter().map(|e| e.fingerprint()).collect();
+        let lat = r.latency();
         println!(
             "({:?}, Golden {{ committed: {}, user_aborts: {}, retries: {}, committed_mp: {}, fingerprints: [{:#018x}, {:#018x}], latency_ns: [{}, {}, {}] }}),",
             scheme,
@@ -76,18 +73,15 @@ fn main() {
             .with_seed(0xE8)
             .with_coordinators(2)
             .with_sequencing(SequencingConfig::Epoch { batch: 64 });
-        let cfg = SimConfig::new(system)
-            .with_window(Nanos::from_millis(20), Nanos::from_millis(100))
-            .with_shadow();
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
+            .with_window(Nanos::from_millis(20), Nanos::from_millis(100));
         let builder = MicroWorkload::new(micro);
-        let (r, _, engines, shadow) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+        let r = run(cfg, MicroWorkload::new(micro), move |p| {
             builder.build_engine(p)
-        })
-        .run();
-        let shadow = shadow.expect("shadow enabled");
-        let fps: Vec<u64> = engines.iter().map(|e| e.fingerprint()).collect();
-        let sfps: Vec<u64> = shadow.iter().map(|e| e.fingerprint()).collect();
-        let lat = r.latency.summary();
+        });
+        let fps: Vec<u64> = r.engines.iter().map(|e| e.fingerprint()).collect();
+        let sfps: Vec<u64> = r.backups.iter().map(|e| e.fingerprint()).collect();
+        let lat = r.latency();
         let hold = r.sequencer.seq_hold.summary();
         println!(
             "({:?}, SeqGolden {{ committed: {}, user_aborts: {}, retries: {}, committed_mp: {}, \

@@ -1,5 +1,6 @@
 //! The experiment harness: regenerates every table and figure of the
-//! paper's evaluation (Figures 4–10, Tables 1–2) on the simulator.
+//! paper's evaluation (Figures 4–10, Tables 1–2) on the simulator
+//! (`BackendChoice::Sim`).
 //!
 //! Each `figN()` function returns a [`Figure`]: named series of
 //! (x, throughput) points, plus the sweep metadata. The `repro` binary
@@ -12,9 +13,9 @@ pub mod plot;
 pub mod tables;
 
 use hcc_common::{Nanos, Scheme, SystemConfig};
-use hcc_sim::{SimConfig, SimReport, Simulation};
-use hcc_workloads::micro::{MicroConfig, MicroWorkload};
-use hcc_workloads::tpcc::{TpccConfig, TpccWorkload};
+use hcc_runtime::{run, BackendChoice, RuntimeConfig, RuntimeReport};
+use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
+use hcc_workloads::tpcc::{TpccConfig, TpccEngine, TpccWorkload};
 
 /// One plotted series.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -56,8 +57,14 @@ impl Effort {
     }
 }
 
+/// The simulator run of `system` over one effort's window.
+fn sim_config(system: SystemConfig, effort: Effort) -> RuntimeConfig {
+    let (warmup, measure) = effort.window();
+    RuntimeConfig::new(system, BackendChoice::Sim { shadow: false }).with_window(warmup, measure)
+}
+
 /// Run the microbenchmark once and return the report.
-pub fn run_micro(scheme: Scheme, micro: MicroConfig, effort: Effort) -> SimReport {
+pub fn run_micro(scheme: Scheme, micro: MicroConfig, effort: Effort) -> RuntimeReport<MicroEngine> {
     run_micro_with(scheme, micro, effort, |_| {})
 }
 
@@ -67,22 +74,27 @@ pub fn run_micro_with(
     micro: MicroConfig,
     effort: Effort,
     tweak: impl FnOnce(&mut SystemConfig),
-) -> SimReport {
+) -> RuntimeReport<MicroEngine> {
     let mut system = SystemConfig::new(scheme)
         .with_partitions(micro.partitions)
         .with_clients(micro.clients)
         .with_seed(micro.seed);
     tweak(&mut system);
-    let (warmup, measure) = effort.window();
-    let cfg = SimConfig::new(system).with_window(warmup, measure);
-    let workload = MicroWorkload::new(micro);
     let builder = MicroWorkload::new(micro);
-    let (report, _, _, _) = Simulation::new(cfg, workload, move |p| builder.build_engine(p)).run();
-    report
+    run(
+        sim_config(system, effort),
+        MicroWorkload::new(micro),
+        move |p| builder.build_engine(p),
+    )
 }
 
 /// Run TPC-C once and return the report.
-pub fn run_tpcc(scheme: Scheme, tpcc: TpccConfig, clients: u32, effort: Effort) -> SimReport {
+pub fn run_tpcc(
+    scheme: Scheme,
+    tpcc: TpccConfig,
+    clients: u32,
+    effort: Effort,
+) -> RuntimeReport<TpccEngine> {
     let mut system = SystemConfig::new(scheme)
         .with_partitions(tpcc.partitions)
         .with_clients(clients)
@@ -98,12 +110,12 @@ pub fn run_tpcc(scheme: Scheme, tpcc: TpccConfig, clients: u32, effort: Effort) 
     // ~25-30 rows; the higher per-lock rate matches the paper's measured
     // 34%-of-execution-time lock overhead at the same granule count.
     system.costs.per_lock = hcc_common::Nanos(1_800);
-    let (warmup, measure) = effort.window();
-    let cfg = SimConfig::new(system).with_window(warmup, measure);
-    let workload = TpccWorkload::new(tpcc);
     let builder = TpccWorkload::new(tpcc);
-    let (report, _, _, _) = Simulation::new(cfg, workload, move |p| builder.build_engine(p)).run();
-    report
+    run(
+        sim_config(system, effort),
+        TpccWorkload::new(tpcc),
+        move |p| builder.build_engine(p),
+    )
 }
 
 /// The multi-partition fractions swept on the x-axes of Figures 4–7.

@@ -42,18 +42,26 @@ impl std::fmt::Display for Scheme {
     }
 }
 
-/// Network model for the simulator: fixed one-way latency between any two
-/// processes, mirroring the paper's single gigabit switch (measured 40 µs
-/// RTT, so 20 µs one way).
+/// Network model for the simulator (the live drivers move mail in process
+/// and ignore it): fixed one-way latency between any two processes,
+/// mirroring the paper's single gigabit switch (measured 40 µs RTT, so
+/// 20 µs one way).
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct NetworkModel {
     pub one_way: Nanos,
+    /// §3.3's "the network splits during execution": from the given time
+    /// on, every message addressed to the partition is dropped. The
+    /// coordinator then aborts what stalls behind it with a final
+    /// `RemoteAbort` after [`SystemConfig::lock_timeout`], and the
+    /// survivors roll back and continue. A single-coordinator scenario.
+    pub split: Option<(Nanos, PartitionId)>,
 }
 
 impl Default for NetworkModel {
     fn default() -> Self {
         NetworkModel {
             one_way: Nanos::from_micros(20),
+            split: None,
         }
     }
 }
@@ -162,23 +170,34 @@ impl CostModel {
     }
 }
 
-/// Failure injection for the live runtime: crash the primary of one
-/// replica group at a deterministic point in its own history.
+/// Failure injection, honoured by every driver: crash the primary of one
+/// replica group, fail over to its first backup, and rejoin the dead node.
 ///
-/// The trigger is a count of shipped commit records rather than a wall
-/// clock so the crash lands at the same *logical* point on every backend
-/// and host speed: after the primary ships its `after_commits`-th commit
-/// record it flushes results already replicated, bounces every in-flight
-/// transaction with [`crate::AbortReason::PartitionFailed`], notifies the
-/// coordinator (standing in for the failure detector), and goes dark. The
-/// coordinator then promotes the first backup and tells the dead node to
-/// rejoin via a §3.3 state copy. Requires `replication >= 2`.
+/// At the crash the primary flushes results already replicated, bounces
+/// every in-flight transaction with [`crate::AbortReason::PartitionFailed`],
+/// notifies the membership actor (standing in for the failure detector),
+/// and goes dark. The membership actor promotes the first backup and tells
+/// the dead node to rejoin via a §3.3 state copy once `rejoin_delay` has
+/// passed. Requires a backup to promote (`replication >= 2`, or the
+/// simulator's shadow).
 #[derive(Debug, Clone, Copy)]
 pub struct FailurePlan {
     /// Replica group whose primary crashes.
     pub partition: PartitionId,
-    /// Crash after this many commit records have been shipped (>= 1).
-    pub after_commits: u64,
+    pub at: FailAt,
+    /// How long the failed node stays down before it starts rejoining.
+    pub rejoin_delay: Nanos,
+}
+
+/// When a [`FailurePlan`]'s primary crashes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailAt {
+    /// Once it has shipped this many commit records (>= 1): the same
+    /// *logical* point on every driver and host speed.
+    Commits(u64),
+    /// At this time since the run started, on the driver's clock (virtual
+    /// in the simulator, the wall clock in the live drivers).
+    Time(Nanos),
 }
 
 /// Durable command logging with group commit (ISSUE 6).
@@ -468,8 +487,7 @@ impl Serialize for AdaptiveConfig {
     }
 }
 
-/// Top-level system configuration shared by the simulator and the threaded
-/// runtime.
+/// Top-level system configuration shared by every driver.
 #[derive(Debug, Clone, Serialize)]
 pub struct SystemConfig {
     pub scheme: Scheme,

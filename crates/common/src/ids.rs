@@ -7,7 +7,7 @@ use std::fmt;
 /// The paper's prototype runs one primary process per partition; we use the
 /// same identifier for the primary and (together with a replica index) for
 /// its backups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize)]
 pub struct PartitionId(pub u32);
 
 impl PartitionId {

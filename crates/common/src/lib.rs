@@ -4,7 +4,7 @@
 //! protocol messages, configuration, and statistics helpers shared by every
 //! other crate in the workspace. It deliberately contains **no** concurrency
 //! control logic: the state machines in `hcc-core` and the drivers in
-//! `hcc-sim` / `hcc-runtime` communicate exclusively through the types
+//! `hcc-runtime` communicate exclusively through the types
 //! defined here, which is what keeps the core schedulers runtime-agnostic.
 //!
 //! The system reproduced here is the one described in Jones, Abadi and
@@ -26,11 +26,11 @@ pub mod stats;
 pub mod time;
 
 pub use codec::LogEncode;
-pub use config::FailurePlan;
 pub use config::{
     bad_knob, AdaptiveConfig, CostModel, DurabilityConfig, NetworkModel, RetryConfig, Scheme,
     SequencingConfig, SystemConfig,
 };
+pub use config::{FailAt, FailurePlan};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use ids::{ClientId, CoordinatorId, CoordinatorRef, LockKey, PartitionId, TxnId};
 pub use pad::CachePadded;

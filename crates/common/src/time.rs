@@ -91,6 +91,12 @@ impl Sub for Nanos {
     }
 }
 
+impl From<Nanos> for std::time::Duration {
+    fn from(n: Nanos) -> Self {
+        std::time::Duration::from_nanos(n.0)
+    }
+}
+
 impl fmt::Display for Nanos {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 >= NANOS_PER_SEC {

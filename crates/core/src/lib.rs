@@ -26,7 +26,7 @@
 //! they consume protocol events and emit protocol messages through an
 //! [`outbox::Outbox`], pricing their own work in virtual nanoseconds.
 //! `hcc-runtime` wraps them in actors once; OS threads, the reactor and
-//! `hcc-sim`'s virtual-time heap all drive those same actors.
+//! the simulator's virtual-time heap all drive those same actors.
 
 // Associated-type generics make some signatures long; aliases would
 // obscure more than they clarify here.

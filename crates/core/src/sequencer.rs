@@ -161,10 +161,6 @@ impl<F, R> ShardSequencer<F, R> {
         }
     }
 
-    pub fn shard(&self) -> CoordinatorId {
-        self.shard
-    }
-
     /// True when no invocation is buffered (nothing for an age-close to
     /// close).
     pub fn is_empty(&self) -> bool {
@@ -268,10 +264,6 @@ impl<F, R> ShardSequencer<F, R> {
 
     pub fn stats(&self) -> &SequencerStats {
         &self.stats
-    }
-
-    pub fn stats_mut(&mut self) -> &mut SequencerStats {
-        &mut self.stats
     }
 }
 
@@ -548,10 +540,6 @@ impl<F> PartitionSequencer<F> {
 
     pub fn stats(&self) -> &SequencerStats {
         &self.stats
-    }
-
-    pub fn stats_mut(&mut self) -> &mut SequencerStats {
-        &mut self.stats
     }
 }
 

@@ -10,7 +10,7 @@
 //! [`crate::build_actors`] and ticked per [`crate::TickPlan`]:
 //! [`crate::threaded`] parks one OS thread per actor on a channel,
 //! [`crate::multiplexed`] drives every actor from a small worker pool, and
-//! `hcc-sim` steps them single-threaded off a virtual-time heap.
+//! [`crate::sim`] steps them single-threaded off a virtual-time heap.
 //!
 //! # The returned `Nanos`
 //!
@@ -54,7 +54,9 @@
 //! [`MembershipActor`] (wrapping `hcc_core::MembershipCore`): on
 //! `PrimaryFailed` it bumps the group's epoch, promotes the first backup,
 //! flips the backends' routing table (via a [`ActorId::Control`] message),
-//! tells the dead node to rejoin, and fans an epoch-stamped
+//! tells the dead node to rejoin (through the same channel: the driver
+//! holds the [`Msg::Rejoin`] for the plan's `rejoin_delay`), and fans an
+//! epoch-stamped
 //! [`Msg::RoutingUpdate`] out to **every coordinator shard**, each of
 //! which aborts its own in-flight transactions touching the dead node.
 //! A shard learns of the failover some time *after* the routing table has
@@ -83,6 +85,7 @@
 //! One failover per group per run is supported (the `FailurePlan` is
 //! one-shot).
 
+use crate::RunMode;
 use hcc_common::codec::LogEncode;
 use hcc_common::stats::SequencerStats;
 use hcc_common::stats::{
@@ -174,6 +177,11 @@ pub enum Msg<E: ExecutionEngine> {
     },
     /// Cumulative replay acknowledgement, backup → primary.
     CommitAck { slot: u32, seq: u64 },
+    /// Driver → a group's primary: die now (a [`FailAt::Time`] crash,
+    /// injected on the driver's clock).
+    ///
+    /// [`FailAt::Time`]: hcc_common::FailAt::Time
+    Crash,
     /// A dying primary's last gasp, to the membership actor (stands in
     /// for the failure detector, keeping the scenario deterministic).
     PrimaryFailed { partition: PartitionId },
@@ -200,16 +208,23 @@ pub enum Msg<E: ExecutionEngine> {
     },
     /// Coordinator → backup: you are the group's primary now.
     Promote { epoch: u32 },
-    /// Coordinator → failed node: rejoin the group as a backup by copying
-    /// state from the new primary (§3.3).
-    Rejoin { epoch: u32, primary_slot: u32 },
+    /// Membership → failed node (`slot` of group `partition`), via the
+    /// driver's [`ActorId::Control`] channel, which holds it for the
+    /// failure plan's `rejoin_delay`: rejoin the group as a backup by
+    /// copying state from the new primary (§3.3).
+    Rejoin {
+        partition: PartitionId,
+        slot: u32,
+        epoch: u32,
+        primary_slot: u32,
+    },
     /// Recovering node → new primary: send me your committed state.
     FetchState { requester_slot: u32 },
     /// New primary → recovering node: committed state as of log position
     /// `seq`. Records `> seq` follow on the same FIFO link.
     Snapshot { engine: Box<E>, seq: u64 },
-    /// Backend control (dest [`ActorId::Control`]): group `0` now answers
-    /// to the given slot — flip the routing table.
+    /// Backend control (dest [`ActorId::Control`]): group `partition` now
+    /// answers to the given slot — flip the routing table.
     Promoted { partition: PartitionId, slot: u32 },
     /// A closed sequencing epoch log: shard → every partition (merge
     /// input) and every peer shard (cascade-close input). Sequencing runs
@@ -227,23 +242,23 @@ pub struct OutMsg<E: ExecutionEngine> {
 }
 
 /// Run-wide control state shared between the driver and the actors: the
-/// measurement protocol (stop flag, measurement window, in-window commit
-/// counter), the count of clients still running, and the failover gate
+/// measurement protocol (stop flag, measurement window, in-window outcome
+/// counters), the count of clients still running, and the failover gate
 /// (set once the injected failure's recovery completes, so drivers can
 /// drain the kill → promote → recover chain before shutdown).
 pub struct RunControl {
     /// Clients finish their in-flight transaction, then retire.
     pub stop: AtomicBool,
-    /// True during the measurement window (timed mode).
+    /// True during the measurement window: from the start of a fixed-work
+    /// run, between warm-up and stop in a timed one.
     pub window_open: AtomicBool,
-    /// Per shard, commits observed while the window was open and a
+    /// Per shard, the outcomes observed while the window was open and a
     /// progress beacon bumped on every final outcome; sharded by client id
     /// so clients stepped on different workers never contend on (or
     /// false-share) a single counter line. Read via
-    /// [`committed_in_window`](Self::committed_in_window) after the window
-    /// closes, and via [`progress`](Self::progress) by the drivers' hang
-    /// watchdog.
-    commit_shards: Vec<CachePadded<(AtomicU64, AtomicU64)>>,
+    /// [`in_window`](Self::in_window) after the window closes, and via
+    /// [`progress`](Self::progress) by the drivers' hang watchdog.
+    outcome_shards: Vec<CachePadded<OutcomeShard>>,
     /// Clients that have not yet retired. Padded: decremented from worker
     /// threads while the driver spin-reads it.
     pub live_clients: CachePadded<AtomicUsize>,
@@ -255,18 +270,41 @@ pub struct RunControl {
     backoff_waiters: CachePadded<AtomicUsize>,
 }
 
-/// Shard count for the in-window commit counter: enough stripes that
+/// What a client's result was, as the measurement window counts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// A single-partition request committed.
+    Committed,
+    /// A multi-partition request committed.
+    CommittedMp,
+    /// A final abort: the user's, or retries exhausted.
+    UserAborted,
+    /// A scheduling or infrastructure abort the client retries.
+    Retried,
+}
+
+/// One stripe of [`RunControl`]'s outcome counters.
+#[derive(Default)]
+struct OutcomeShard {
+    /// In-window count per [`Outcome`], indexed by its discriminant.
+    counts: [AtomicU64; 4],
+    beacon: AtomicU64,
+}
+
+/// Shard count for the in-window outcome counters: enough stripes that
 /// clients on different workers rarely collide, small enough that the
 /// end-of-run sum is trivial. Must be a power of two.
-const COMMIT_SHARDS: usize = 16;
+const OUTCOME_SHARDS: usize = 16;
 
 impl RunControl {
-    pub fn new(clients: usize) -> Self {
+    /// The control block of a run in `mode` with `clients` clients: a
+    /// fixed-work run's window is open from the start.
+    pub fn new(clients: usize, mode: RunMode) -> Self {
         RunControl {
             stop: AtomicBool::new(false),
-            window_open: AtomicBool::new(false),
-            commit_shards: (0..COMMIT_SHARDS)
-                .map(|_| CachePadded::new((AtomicU64::new(0), AtomicU64::new(0))))
+            window_open: AtomicBool::new(matches!(mode, RunMode::FixedRequests(_))),
+            outcome_shards: (0..OUTCOME_SHARDS)
+                .map(|_| CachePadded::new(OutcomeShard::default()))
                 .collect(),
             live_clients: CachePadded::new(AtomicUsize::new(clients)),
             recovery_done: AtomicBool::new(false),
@@ -274,37 +312,40 @@ impl RunControl {
         }
     }
 
-    /// `client` reached a final outcome (commit or user abort): bump the
-    /// progress beacon and, if it is a commit inside the measurement
-    /// window, count one window commit. The beacon is a plain load and
-    /// store, not an RMW — two clients of one shard may lose an update,
-    /// which still leaves the value changed, and a change is all the
-    /// watchdog reads from it.
-    pub fn note_outcome(&self, client: ClientId, window_commit: bool) {
-        let shard = &self.commit_shards[client.as_usize() & (COMMIT_SHARDS - 1)];
-        let beacon = shard.1.load(Ordering::Relaxed);
-        shard.1.store(beacon.wrapping_add(1), Ordering::Relaxed);
-        if window_commit {
-            shard.0.fetch_add(1, Ordering::Relaxed);
+    /// `client` saw a result: count it if the window was open when it
+    /// arrived, and bump the progress beacon if it is final. The beacon is
+    /// a plain load and store, not an RMW — two clients of one shard may
+    /// lose an update, which still leaves the value changed, and a change
+    /// is all the watchdog reads from it.
+    pub fn note_outcome(&self, client: ClientId, outcome: Outcome, in_window: bool) {
+        let shard = &self.outcome_shards[client.as_usize() & (OUTCOME_SHARDS - 1)];
+        if outcome != Outcome::Retried {
+            let beacon = shard.beacon.load(Ordering::Relaxed);
+            shard
+                .beacon
+                .store(beacon.wrapping_add(1), Ordering::Relaxed);
+        }
+        if in_window {
+            shard.counts[outcome as usize].fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Total commits observed while the window was open (sums the shards;
-    /// call only after the window has closed and clients have quiesced).
-    pub fn committed_in_window(&self) -> u64 {
-        self.commit_shards
-            .iter()
-            .map(|s| s.0.load(Ordering::SeqCst))
-            .sum()
+    /// How many results of this kind arrived while the window was open
+    /// (sums the shards; call only after the window has closed and clients
+    /// have quiesced).
+    pub fn in_window(&self, outcome: Outcome) -> u64 {
+        let count =
+            |s: &CachePadded<OutcomeShard>| s.counts[outcome as usize].load(Ordering::SeqCst);
+        self.outcome_shards.iter().map(count).sum()
     }
 
     /// Sum of the progress beacons: stands still only while no client
     /// reaches a final outcome. Not a count (see
     /// [`note_outcome`](Self::note_outcome)).
     pub fn progress(&self) -> u64 {
-        self.commit_shards
-            .iter()
-            .fold(0, |sum, s| sum.wrapping_add(s.1.load(Ordering::Relaxed)))
+        self.outcome_shards.iter().fold(0, |sum, s| {
+            sum.wrapping_add(s.beacon.load(Ordering::Relaxed))
+        })
     }
 
     /// A client entered a retry backoff and needs future ticks.
@@ -435,12 +476,6 @@ where
         self.retry_at
     }
 
-    /// Outcome counters so far (the simulator diffs them at the edges of
-    /// its measurement window).
-    pub fn stats(&self) -> &ClientStats {
-        &self.core.stats
-    }
-
     pub fn into_stats(self) -> ClientStats {
         self.core.stats
     }
@@ -531,6 +566,8 @@ where
             .on_result_at(&result, self.submitted_at, now, record)
         {
             NextAction::Retry { after } => {
+                ctx.ctl
+                    .note_outcome(self.core.id, Outcome::Retried, in_window);
                 // Fixed-work clients must drive every request to a final
                 // outcome (the reproducibility contract); timed clients
                 // honour the stop flag instead.
@@ -544,8 +581,13 @@ where
                 }
             }
             NextAction::NewRequest => {
-                ctx.ctl
-                    .note_outcome(self.core.id, in_window && result.is_committed());
+                let mp = matches!(self.pending, Some(PendingRequest::MultiPartition { .. }));
+                let outcome = match (result.is_committed(), mp) {
+                    (true, false) => Outcome::Committed,
+                    (true, true) => Outcome::CommittedMp,
+                    (false, _) => Outcome::UserAborted,
+                };
+                ctx.ctl.note_outcome(self.core.id, outcome, in_window);
                 let retire = match self.remaining.as_mut() {
                     Some(k) => {
                         *k -= 1;
@@ -641,11 +683,10 @@ pub struct CoordinatorActor<E: ExecutionEngine> {
     coord: Coordinator<E::Fragment, E::Output>,
     id: CoordinatorId,
     /// Stall expiry, driven by `Msg::Tick`: transactions pending longer
-    /// than the timeout are aborted with the reason. The live backends pass
-    /// [`cross_shard_expiry`](crate::cross_shard_expiry) — the retryable
-    /// `CrossCoordinator` breaker for distributed deadlocks across shards;
-    /// the simulator's unreplicated partition crash passes a final
-    /// `RemoteAbort` (§3.3: the survivors roll back and continue).
+    /// than the timeout are aborted with the reason
+    /// ([`coordinator_expiry`](crate::coordinator_expiry): the retryable
+    /// `CrossCoordinator` breaker for distributed deadlocks across shards,
+    /// or a final `RemoteAbort` when the network splits).
     expiry: Option<(Nanos, AbortReason)>,
     /// Epoch sequencer (invocation buffer + log emitter); `None` when
     /// sequencing is off. Age-boundary closes ride `Msg::Tick`.
@@ -946,8 +987,10 @@ impl MembershipActor {
                     },
                 });
                 out.push(OutMsg {
-                    dest: ActorId::Replica(partition, up.failed_slot),
+                    dest: ActorId::Control,
                     msg: Msg::Rejoin {
+                        partition,
+                        slot: up.failed_slot,
                         epoch: up.epoch,
                         primary_slot: up.new_primary_slot,
                     },
@@ -1315,11 +1358,12 @@ where
     }
 
     /// The injected crash: flush results whose records are already at the
-    /// backups, bounce everything still in flight, notify the coordinator
-    /// (the "failure detector"), and go dark. Fires by itself after
-    /// `crash_after` commits; a driver that kills by the clock (the
-    /// simulator) calls it on the group's primary at the chosen time.
-    pub fn crash(&mut self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
+    /// backups, bounce everything still in flight, notify the membership
+    /// actor (the "failure detector"), and go dark. Fires by itself after
+    /// `crash_after` commits, or on a [`Msg::Crash`] a driver sends by its
+    /// clock. Once per run at most: kept out of the step's hot body.
+    #[cold]
+    fn crash(&mut self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
         let old = std::mem::replace(&mut self.role, Role::Failed);
         let Role::Primary {
             sched,
@@ -1568,6 +1612,7 @@ where
                 Msg::Rejoin {
                     epoch,
                     primary_slot,
+                    ..
                 } => {
                     self.epoch = epoch;
                     self.role = Role::Recovering;
@@ -1659,6 +1704,10 @@ where
             }
             Msg::RoutingApplied { shard } => {
                 self.fenced.retain(|k| *k != shard);
+                return Nanos::ZERO;
+            }
+            Msg::Crash => {
+                self.crash(now, out);
                 return Nanos::ZERO;
             }
             Msg::EpochLog(log) => {
@@ -2051,7 +2100,7 @@ mod tests {
                 ..FaultMode::default()
             };
         };
-        let ctl = RunControl::new(1);
+        let ctl = RunControl::new(1, RunMode::FixedRequests(1));
         let mut out = Vec::new();
         let mut commit = |node: &mut ReplicaActor<MicroEngine>, seq: u32, now: Nanos| {
             let Request::SinglePartition { fragment, .. } = workload.next_request(ClientId(0))

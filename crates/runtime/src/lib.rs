@@ -1,5 +1,6 @@
-//! The system's actors and the live runtime that drives them on real OS
-//! threads, behind pluggable backends.
+//! The system's actors and the three drivers that step them: one config
+//! ([`RuntimeConfig`]), one report ([`RuntimeReport`]), one failure
+//! vocabulary ([`FailurePlan`]).
 //!
 //! The actor model mirrors the paper: one single-threaded execution engine
 //! per partition (§2.3), one central coordinator (§3.3), closed-loop
@@ -7,34 +8,38 @@
 //! partition applying committed transactions in commit order (§3.2). All
 //! of that protocol logic lives in [`actors`] as poll-driven state
 //! machines over the cores from `hcc-core`, wired once
-//! ([`build_actors`], [`TickPlan`]) for every driver — the two backends
-//! here and `hcc-sim`'s virtual-time driver. A [`Backend`] decides how the
-//! actors get CPU:
+//! ([`build_actors`], [`TickPlan`]) for every driver. [`BackendChoice`]
+//! picks the driver per run, and [`run`] dispatches to it:
 //!
-//! * [`threaded::ThreadedBackend`] — one OS thread per actor, parked on a
+//! * [`threaded`] — one OS thread per actor, parked on a
 //!   channel. Faithful to the paper's process model and fastest at small
 //!   client counts, but a run with `C` clients costs `C + partitions + 2`
 //!   threads: the host drowns well before "millions of users".
-//! * [`multiplexed::MultiplexedBackend`] — every actor multiplexed onto a
+//! * [`multiplexed`] — every actor multiplexed onto a
 //!   small fixed worker pool: clients and partitions owned by one worker
 //!   each, batched worker-to-worker mail, and a mailbox plus ready list
 //!   only for the coordinator shards and the membership actor (a
 //!   hand-rolled reactor — the build is offline). Memory and thread count
 //!   stay flat as clients grow, which is what lets a single host drive
 //!   thousands of closed-loop clients.
+//! * [`sim::Simulation`] — single-threaded, off a virtual-time heap that
+//!   charges the `Nanos` every `step` returns: the calibrated Table-2
+//!   costs, so its curves reproduce the paper's hardware ratios where the
+//!   live drivers measure whatever the host delivers (in-process message
+//!   passing is ~100× faster than the paper's Ethernet, so their
+//!   multi-partition stalls are proportionally smaller). A run is a pure
+//!   function of `(config, seed)`.
 //!
-//! Crossbeam channels (threaded) and the worker queues and inboxes
-//! (multiplexed) both preserve per-link FIFO order, the property the
-//! speculation protocol relies on.
+//! Crossbeam channels (threaded), the worker queues and inboxes
+//! (multiplexed) and the heap's constant latency (sim) all preserve
+//! per-link FIFO order, the property the speculation protocol relies on.
 //!
-//! The runtime is the "it actually runs" build: examples and soak tests
-//! use it, and the backup- and backend-equivalence checks run against it.
-//! Calibrated performance curves come from `hcc-sim`, which steps these
-//! same actors on a virtual clock that reproduces the paper's hardware
-//! ratios (the `Nanos` every `step` returns); the runtime measures whatever
-//! the host delivers (in-process message passing is ~100× faster than the
-//! paper's Ethernet, so its multi-partition stalls are proportionally
-//! smaller).
+//! Every driver counts the measurement window's outcomes through the same
+//! [`RunControl`](actors::RunControl), harvests the same actors and honours
+//! every field of the same [`FailurePlan`], each on its own clock. What
+//! only one driver has, the report marks as such: per-worker reactor
+//! counters ([`RuntimeReport::workers`]) and virtual-time figures
+//! ([`RuntimeReport::virtual_time`]).
 
 // Associated-type generics make some signatures long; aliases would
 // obscure more than they clarify here.
@@ -43,35 +48,48 @@
 
 pub mod actors;
 pub mod multiplexed;
+pub mod sim;
 pub mod threaded;
 
-pub use multiplexed::MultiplexedBackend;
-pub use threaded::ThreadedBackend;
+pub use sim::Simulation;
 
 use crate::actors::{
-    ClientActor, CoordinatorActor, MembershipActor, ReplicaActor, ReplicaParts, RunControl,
+    ActorId, ClientActor, CoordinatorActor, MembershipActor, Msg, OutMsg, Outcome, ReplicaActor,
+    ReplicaParts, RunControl,
 };
 use hcc_common::stats::{
     AdaptiveStats, DurabilityCounters, LatencySummary, ReplicationCounters, SchedulerCounters,
     SequencerStats,
 };
 use hcc_common::{
-    AbortReason, ClientId, CoordinatorId, FailurePlan, Nanos, PartitionId, Scheme, SystemConfig,
+    AbortReason, ClientId, CoordinatorId, FailAt, FailurePlan, Nanos, PartitionId, Scheme,
+    SystemConfig,
 };
 use hcc_core::client::ClientStats;
+use hcc_core::coordinator::CoordCounters;
 use hcc_core::{ExecutionEngine, RequestGenerator};
 use hcc_storage::DurableLog;
+use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-/// Which backend drives the actors. Every runtime entry point takes one
-/// explicitly — there is no implicit thread-per-actor default.
+/// Which driver steps the actors. Every runtime entry point takes one
+/// explicitly — there is no implicit default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendChoice {
     /// One OS thread per actor.
     Threaded,
     /// All actors on a fixed pool of `workers` threads.
     Multiplexed { workers: usize },
+    /// The virtual-time simulator. With `shadow`, every partition keeps a
+    /// backup that costs no virtual time, for state comparison (the
+    /// paper's §3.2 backups replay the commit order one transaction at a
+    /// time, so primary ≡ backup doubles as a serializability check): with
+    /// `system.replication == 1` it is a real `ReplicaActor` co-located
+    /// with its primary, whose group-internal mail is delivered at once and
+    /// for free. With `system.replication >= 2` the backups exist anyway,
+    /// remote, and every `Commit` / `CommitAck` pays the network.
+    Sim { shadow: bool },
 }
 
 impl BackendChoice {
@@ -81,14 +99,16 @@ impl BackendChoice {
         BackendChoice::Multiplexed { workers: 0 }
     }
 
-    /// Parse a CLI-style backend name (`threaded` | `multiplexed[:N]`,
-    /// where a bare `multiplexed` or `:0` sizes the pool automatically).
-    /// Rejects anything else with a message naming the bad input — a typo
-    /// must not silently fall back to a default backend.
+    /// Parse a CLI-style backend name (`threaded` | `multiplexed[:N]` |
+    /// `sim[:shadow]`, where a bare `multiplexed` or `:0` sizes the pool
+    /// automatically). Rejects anything else with a message naming the bad
+    /// input — a typo must not silently fall back to a default backend.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "threaded" => Ok(BackendChoice::Threaded),
             "multiplexed" => Ok(BackendChoice::multiplexed()),
+            "sim" => Ok(BackendChoice::Sim { shadow: false }),
+            "sim:shadow" => Ok(BackendChoice::Sim { shadow: true }),
             _ => match s.strip_prefix("multiplexed:") {
                 Some(n) => n
                     .parse()
@@ -97,7 +117,7 @@ impl BackendChoice {
                         format!("bad worker count {n:?} in backend {s:?} (expected multiplexed:N)")
                     }),
                 None => Err(format!(
-                    "unknown backend {s:?} (expected `threaded` or `multiplexed[:N]`)"
+                    "unknown backend {s:?} (expected `threaded`, `multiplexed[:N]` or `sim[:shadow]`)"
                 )),
             },
         }
@@ -110,34 +130,38 @@ impl std::fmt::Display for BackendChoice {
             BackendChoice::Threaded => f.write_str("threaded"),
             BackendChoice::Multiplexed { workers: 0 } => f.write_str("multiplexed"),
             BackendChoice::Multiplexed { workers } => write!(f, "multiplexed:{workers}"),
+            BackendChoice::Sim { shadow: false } => f.write_str("sim"),
+            BackendChoice::Sim { shadow: true } => f.write_str("sim:shadow"),
         }
     }
 }
 
-/// How long a run lasts.
+/// How long a run lasts, on the driver's clock (the simulator's is
+/// virtual).
 #[derive(Debug, Clone, Copy)]
 pub enum RunMode {
-    /// Warm up, then measure for a fixed wall-clock window (throughput
-    /// runs; the committed count and latency samples come from the
-    /// window).
+    /// Warm up, then measure for a fixed window (throughput runs; the
+    /// in-window counts and latency samples come from the window).
     Timed { warmup: Duration, measure: Duration },
     /// Every client drives exactly this many requests to a final outcome
     /// (commit or user abort; transparent retries don't count), then the
     /// run drains. Total work is a pure function of the workload seed, so
-    /// two backends given the same inputs must agree on the final
-    /// committed state — the cross-backend equivalence contract.
+    /// two drivers given the same inputs must agree on the final
+    /// committed state — the cross-driver equivalence contract. The window
+    /// is the whole run.
     FixedRequests(u64),
 }
 
-/// Runtime configuration: the system under test, the backend that drives
-/// it, the measurement protocol, and optional fault injection.
+/// Run configuration: the system under test, the driver that steps it,
+/// the measurement protocol, and optional fault injection.
 #[derive(Clone)]
 pub struct RuntimeConfig {
     pub system: SystemConfig,
     pub backend: BackendChoice,
     pub mode: RunMode,
-    /// Kill one group's primary at a deterministic point and drive the
-    /// promote → recover protocol (requires `system.replication >= 2`).
+    /// Kill one group's primary and drive the promote → recover protocol
+    /// (requires a backup: `system.replication >= 2`, or the simulator's
+    /// shadow).
     pub failure: Option<FailurePlan>,
 }
 
@@ -178,8 +202,16 @@ impl RuntimeConfig {
         }
     }
 
-    pub fn with_window(mut self, warmup: Duration, measure: Duration) -> Self {
-        self.mode = RunMode::Timed { warmup, measure };
+    /// A timed window, as a `Duration` or the simulator's `Nanos`.
+    pub fn with_window(
+        mut self,
+        warmup: impl Into<Duration>,
+        measure: impl Into<Duration>,
+    ) -> Self {
+        self.mode = RunMode::Timed {
+            warmup: warmup.into(),
+            measure: measure.into(),
+        };
         self
     }
 
@@ -192,7 +224,7 @@ impl RuntimeConfig {
 }
 
 /// Per-worker reactor counters from a multiplexed run (empty for the
-/// threaded backend). `loops` counts scheduling iterations, `steps`
+/// other drivers). `loops` counts scheduling iterations, `steps`
 /// messages processed, `parks` sleeps, `steals` runs of a shared actor
 /// (coordinator shard or membership) this worker popped from the ready
 /// list after a *different* worker published it, and `busy_ns` wall time
@@ -212,17 +244,44 @@ pub struct WorkerStats {
     pub busy_ns: u64,
 }
 
-/// What a run produced.
+/// What only virtual time can say about a simulated run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VirtualTime {
+    /// Virtual time simulated: the window's close (timed), or the drained
+    /// run's end (fixed work).
+    pub simulated: Nanos,
+    /// Heap events processed (sanity/perf diagnostics).
+    pub events: u64,
+    /// Fraction of the window each partition spent busy (mean across
+    /// partitions).
+    pub partition_utilization: f64,
+    /// Fraction of the window each coordinator shard spent busy (mean
+    /// across shards).
+    pub coordinator_utilization: f64,
+}
+
+/// What a run produced — the same report from every driver.
 pub struct RuntimeReport<E: ExecutionEngine> {
-    /// Transactions committed inside the measurement window (timed mode)
-    /// or in total (fixed-work mode).
+    /// Transactions committed inside the measurement window (for fixed
+    /// work, the whole run).
     pub committed: u64,
+    /// Final user aborts inside the window (retries exhausted included).
+    pub user_aborts: u64,
+    /// Results inside the window that the client retried (scheduling and
+    /// infrastructure aborts).
+    pub retries: u64,
+    /// The committed transactions that were multi-partition.
+    pub committed_mp: u64,
+    /// `committed` ÷ the window's length.
     pub throughput_tps: f64,
     /// Per-client stats merged (whole run), including the end-to-end
-    /// latency histogram of committed transactions.
+    /// latency histogram of committed transactions (in-window samples, or
+    /// every sample for fixed work).
     pub clients: ClientStats,
     /// Scheduler counters summed across partitions (whole run).
     pub sched: SchedulerCounters,
+    /// Coordinator shard counters summed across shards (whole run).
+    pub coord: CoordCounters,
     /// Replication counters summed across all replica nodes. Healthy runs
     /// must report `replay_failures == 0`; failover runs report one
     /// promotion and one recovery plus the crash/recovery timestamps.
@@ -230,7 +289,7 @@ pub struct RuntimeReport<E: ExecutionEngine> {
     /// Final primary engines per group (after a failover, the promoted
     /// backup's engine), for state inspection.
     pub engines: Vec<E>,
-    /// Final live-backup engines (when replication was enabled), in
+    /// Final live-backup engines (empty without replication), in
     /// (group, slot) order — after a recovery this includes the rejoined
     /// node.
     pub backups: Vec<E>,
@@ -241,9 +300,9 @@ pub struct RuntimeReport<E: ExecutionEngine> {
     /// sync (`None` per group when durability is off, or for a group whose
     /// run-ending primary never logged — e.g. torn down mid-failover).
     pub logs: Vec<Option<Vec<u8>>>,
-    /// Per-worker reactor counters (multiplexed backend only; empty for
-    /// threaded runs). Index = worker id; partitions home on
-    /// `group % workers.len()`, clients on `client % workers.len()`.
+    /// Per-worker reactor counters (multiplexed only; empty otherwise).
+    /// Index = worker id; partitions home on `group % workers.len()`,
+    /// clients on `client % workers.len()`.
     pub workers: Vec<WorkerStats>,
     /// Epoch-sequencing counters summed across coordinator shards and
     /// partition gates (all zero when `SystemConfig::sequencing` is off,
@@ -252,6 +311,8 @@ pub struct RuntimeReport<E: ExecutionEngine> {
     /// Adaptive scheme-selection statistics summed across partitions (all
     /// zero/empty when `SystemConfig::adaptive` is off).
     pub adaptive: AdaptiveStats,
+    /// Virtual-time figures (the simulator only; `None` otherwise).
+    pub virtual_time: Option<VirtualTime>,
 }
 
 impl<E: ExecutionEngine> RuntimeReport<E> {
@@ -259,31 +320,42 @@ impl<E: ExecutionEngine> RuntimeReport<E> {
     pub fn latency(&self) -> LatencySummary {
         self.clients.latency.summary()
     }
+
+    /// Measured multi-partition fraction of the window's commits.
+    pub fn mp_fraction(&self) -> f64 {
+        if self.committed == 0 {
+            0.0
+        } else {
+            self.committed_mp as f64 / self.committed as f64
+        }
+    }
+
+    /// One-line human summary.
+    pub fn summary(&self) -> String {
+        let mut s = format!(
+            "{:.0} tps ({} committed, {} user aborts, {} retries, mp {:.1}%, {}",
+            self.throughput_tps,
+            self.committed,
+            self.user_aborts,
+            self.retries,
+            self.mp_fraction() * 100.0,
+            self.latency(),
+        );
+        if let Some(v) = &self.virtual_time {
+            s += &format!(
+                ", part util {:.0}%, coord util {:.0}%",
+                v.partition_utilization * 100.0,
+                v.coordinator_utilization * 100.0,
+            );
+        }
+        s + ")"
+    }
 }
 
-/// A runtime backend: turns a configuration, a workload, and an engine
-/// builder into a finished run. Implemented by [`ThreadedBackend`] and
-/// [`MultiplexedBackend`]; select one per run via [`BackendChoice`] and
-/// [`run`], or call a backend directly.
-pub trait Backend {
-    fn run<W, B>(
-        &self,
-        cfg: &RuntimeConfig,
-        workload: W,
-        build_engine: B,
-    ) -> RuntimeReport<W::Engine>
-    where
-        W: RequestGenerator + Send + 'static,
-        W::Engine: Send + 'static,
-        <W::Engine as ExecutionEngine>::Fragment: Send + 'static,
-        <W::Engine as ExecutionEngine>::Output: Send + 'static,
-        B: Fn(PartitionId) -> W::Engine;
-}
-
-/// Run a workload on the backend selected by `cfg.backend`.
+/// Run a workload on the driver selected by `cfg.backend`.
 ///
-/// `build_engine` is called once per partition (plus once more per
-/// partition for its backup when `system.replication > 1`).
+/// `build_engine` is called once per replica node: once per partition,
+/// plus once per backup.
 pub fn run<W, B>(cfg: RuntimeConfig, workload: W, build_engine: B) -> RuntimeReport<W::Engine>
 where
     W: RequestGenerator + Send + 'static,
@@ -293,10 +365,11 @@ where
     B: Fn(PartitionId) -> W::Engine,
 {
     match cfg.backend {
-        BackendChoice::Threaded => ThreadedBackend.run(&cfg, workload, build_engine),
+        BackendChoice::Threaded => threaded::run(&cfg, workload, build_engine),
         BackendChoice::Multiplexed { workers } => {
-            MultiplexedBackend { workers }.run(&cfg, workload, build_engine)
+            multiplexed::run(workers, &cfg, workload, build_engine)
         }
+        BackendChoice::Sim { .. } => Simulation::new(cfg, workload, build_engine).run().0,
     }
 }
 
@@ -310,29 +383,38 @@ pub struct Actors<W: RequestGenerator> {
     pub replicas: Vec<ReplicaActor<W::Engine>>,
 }
 
-/// The coordinators' stall expiry in a healthy deployment: with N > 1
-/// shards and sequencing off, a transaction pending longer than
-/// `lock_timeout` is presumed caught in a distributed deadlock across
-/// shards and aborted with the retryable `CrossCoordinator`. `None` for the
-/// paper's singleton (its global dispatch order cannot deadlock) and under
-/// sequencing (the merged epoch order leaves nothing for expiry to break).
-pub fn cross_shard_expiry(system: &SystemConfig) -> Option<(Nanos, AbortReason)> {
+/// The coordinators' stall expiry: a transaction pending longer than
+/// `lock_timeout` is aborted. Under a planned network split
+/// ([`NetworkModel::split`](hcc_common::NetworkModel::split)) the abort is
+/// a final `RemoteAbort` — §3.3: the survivors roll back and continue — and
+/// needs the paper's singleton coordinator. Otherwise, with N > 1 shards
+/// and sequencing off, the transaction is presumed caught in a distributed
+/// deadlock across shards and aborted with the retryable
+/// `CrossCoordinator`. `None` for the healthy singleton (its global
+/// dispatch order cannot deadlock) and under sequencing (the merged epoch
+/// order leaves nothing for expiry to break).
+pub(crate) fn coordinator_expiry(system: &SystemConfig) -> Option<(Nanos, AbortReason)> {
+    if system.network.split.is_some() {
+        assert!(
+            system.coordinators <= 1,
+            "a network split is a single-coordinator scenario: its RemoteAbort expiry \
+             and the shards' CrossCoordinator expiry would share one timeout"
+        );
+        return Some((system.lock_timeout, AbortReason::RemoteAbort));
+    }
     (system.coordinators > 1 && !system.sequencing_active())
         .then_some((system.lock_timeout, AbortReason::CrossCoordinator))
 }
 
-/// Build every actor of a run — the one wiring the threaded backend, the
-/// reactor and the simulator share. `failure` arms the count-triggered
-/// crash on its group's initial primary and turns on in-doubt commit
-/// tracking at the coordinators (a driver that kills by the clock passes a
-/// plan whose count is never reached); `expiry` is the coordinators' stall
-/// expiry ([`cross_shard_expiry`] in a healthy deployment); `log` supplies
-/// each replica node's durable command log, in (group, slot) order.
+/// Build every actor of a run — the one wiring all three drivers share.
+/// `failure` arms a [`FailAt::Commits`] crash on its group's initial
+/// primary and turns on in-doubt commit tracking at the coordinators (a
+/// [`FailAt::Time`] crash is the driver's to send); `log` supplies each
+/// replica node's durable command log, in (group, slot) order.
 pub fn build_actors<W: RequestGenerator>(
     system: &SystemConfig,
     mode: RunMode,
     failure: Option<FailurePlan>,
-    expiry: Option<(Nanos, AbortReason)>,
     build_engine: impl Fn(PartitionId) -> W::Engine,
     mut log: impl FnMut() -> Box<dyn DurableLog + Send>,
 ) -> Actors<W>
@@ -349,7 +431,7 @@ where
             system.replication >= 2,
             "failure injection needs a backup to fail over to"
         );
-        assert!(plan.partition.0 < system.partitions && plan.after_commits >= 1);
+        assert!(plan.partition.0 < system.partitions && plan.at != FailAt::Commits(0));
     }
     let requests = match mode {
         RunMode::FixedRequests(k) => Some(k),
@@ -358,6 +440,7 @@ where
     let clients = (0..system.clients)
         .map(|c| ClientActor::new(ClientId(c), system, requests))
         .collect();
+    let expiry = coordinator_expiry(system);
     let coordinators = (0..system.coordinators.max(1))
         .map(|k| {
             let mut coord = CoordinatorActor::new(
@@ -376,9 +459,14 @@ where
     let mut replicas = Vec::new();
     for group in (0..system.partitions).map(PartitionId) {
         for slot in 0..system.replication.max(1) {
-            let crash_after = failure
-                .filter(|f| f.partition == group && slot == 0)
-                .map(|f| f.after_commits);
+            let crash_after = match failure {
+                Some(FailurePlan {
+                    partition,
+                    at: FailAt::Commits(k),
+                    ..
+                }) if partition == group && slot == 0 => Some(k),
+                _ => None,
+            };
             let (engine, log) = (build_engine(group), log());
             replicas.push(ReplicaActor::new(
                 group,
@@ -398,10 +486,10 @@ where
     }
 }
 
-/// Who needs periodic [`Msg::Tick`](actors::Msg::Tick)s, and how often:
-/// one policy for every driver. The threaded backend turns it into receive
-/// timeouts, the reactor into its timer thread, the simulator into heap
-/// entries. (Clients additionally expose their exact backoff deadline,
+/// Who needs periodic [`Msg::Tick`]s, and how often: one policy for every
+/// driver. The threaded backend turns it into receive timeouts, the
+/// reactor into its timer thread, the simulator into heap entries.
+/// (Clients additionally expose their exact backoff deadline,
 /// [`ClientActor::retry_wake`], for drivers with a per-actor timer.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TickPlan {
@@ -416,23 +504,23 @@ pub struct TickPlan {
     /// produce infrastructure aborts (failover, cross-shard expiry, a
     /// stalled log) ever park one.
     pub clients: bool,
-    /// The period: a quarter of the lock timeout, and at most half of every
-    /// other deadline a tick serves (sync deadline, epoch age boundary,
-    /// coordinator expiry), so none is overshot by more than half. Floored
-    /// at 100 µs — the reactor's floor, which the benchmark and the soaks
-    /// run on, and exactly half the sequencer's age boundary; the threaded
-    /// backend's coordinator threads used 50 µs, a difference that only
-    /// showed below a 400 µs lock timeout, which nothing configures.
+    /// The period: a quarter of the lock timeout (which is also the
+    /// coordinators' expiry), and at most half of every other deadline a
+    /// tick serves (sync deadline, epoch age boundary), so none is
+    /// overshot by more than half. Floored at 100 µs — the reactor's floor,
+    /// which the benchmark and the soaks run on, and exactly half the
+    /// sequencer's age boundary; the threaded backend's coordinator threads
+    /// used 50 µs, a difference that only showed below a 400 µs lock
+    /// timeout, which nothing configures.
     pub every: Nanos,
 }
 
 impl TickPlan {
-    pub fn new(system: &SystemConfig, expiry: Option<(Nanos, AbortReason)>) -> Self {
+    pub fn new(system: &SystemConfig) -> Self {
         let seq_on = system.sequencing_active();
         let halves = [
             system.durability.and_then(|d| d.sync_deadline),
             seq_on.then(|| system.sequencing.max_delay()),
-            expiry.map(|(timeout, _)| timeout),
         ];
         let every = halves
             .into_iter()
@@ -442,7 +530,7 @@ impl TickPlan {
             partitions: system.scheme == Scheme::Locking
                 || system.adaptive.is_on()
                 || system.durability.is_some(),
-            coordinators: expiry.is_some() || seq_on,
+            coordinators: coordinator_expiry(system).is_some() || seq_on,
             clients: system.replication > 1
                 || system.coordinators > 1
                 || system.durability.is_some(),
@@ -453,6 +541,79 @@ impl TickPlan {
 
 pub(crate) fn now_ns(epoch: Instant) -> Nanos {
     Nanos(epoch.elapsed().as_nanos() as u64)
+}
+
+/// Mail a live driver delivers by the wall clock rather than at once: a
+/// [`FailAt::Time`] crash, and the membership actor's `Rejoin`, held for
+/// the plan's `rejoin_delay` (the simulator keeps both on its event heap).
+/// Filled by the driver's [`ActorId::Control`] handler, emptied by the
+/// thread that already injects the driver's timed mail.
+pub(crate) struct TimedMail<E: ExecutionEngine> {
+    rejoin_delay: Nanos,
+    due: Mutex<Vec<(Nanos, OutMsg<E>)>>,
+}
+
+impl<E: ExecutionEngine> TimedMail<E> {
+    pub(crate) fn new(failure: Option<FailurePlan>) -> Self {
+        let crash = failure.and_then(|f| match f.at {
+            FailAt::Time(t) => Some((
+                t,
+                OutMsg {
+                    dest: ActorId::Partition(f.partition),
+                    msg: Msg::Crash,
+                },
+            )),
+            FailAt::Commits(_) => None,
+        });
+        TimedMail {
+            rejoin_delay: failure.map_or(Nanos::ZERO, |f| f.rejoin_delay),
+            due: Mutex::new(crash.into_iter().collect()),
+        }
+    }
+
+    /// Mail held right now.
+    pub(crate) fn len(&self) -> usize {
+        self.due.lock().len()
+    }
+
+    /// When the earliest mail held falls due.
+    pub(crate) fn next_due(&self) -> Option<Nanos> {
+        self.due.lock().iter().map(|(at, _)| *at).min()
+    }
+
+    /// A `Rejoin` reached the driver's [`ActorId::Control`] handler at
+    /// `now`: the mail for the failed node, to send at once — or `None`,
+    /// held until its downtime is over.
+    pub(crate) fn rejoin(&self, now: Nanos, msg: Msg<E>) -> Option<OutMsg<E>> {
+        let Msg::Rejoin {
+            partition, slot, ..
+        } = msg
+        else {
+            unreachable!("control mail is Promoted or Rejoin")
+        };
+        let m = OutMsg {
+            dest: ActorId::Replica(partition, slot),
+            msg,
+        };
+        if self.rejoin_delay == Nanos::ZERO {
+            return Some(m);
+        }
+        self.due.lock().push((now + self.rejoin_delay, m));
+        None
+    }
+
+    /// Move the mail due by `now` into `out`.
+    pub(crate) fn take_due(&self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
+        let mut due = self.due.lock();
+        let mut i = 0;
+        while i < due.len() {
+            if due[i].0 <= now {
+                out.push(due.remove(i).1);
+            } else {
+                i += 1;
+            }
+        }
+    }
 }
 
 /// How long a driver's wait loop tolerates no progress at all before it
@@ -498,92 +659,124 @@ pub(crate) fn drain_until(
     }
 }
 
-/// Sort the harvested replica nodes into the report shape: the primary
-/// engine per group, the live backups in (group, slot) order, and the
-/// merged counter blocks.
-pub fn assemble_replicas<E: ExecutionEngine>(
-    mut parts: Vec<ReplicaParts<E>>,
-    groups: usize,
-) -> (
-    Vec<E>,
-    Vec<E>,
-    SchedulerCounters,
-    ReplicationCounters,
-    DurabilityCounters,
-    Vec<Option<Vec<u8>>>,
-    SequencerStats,
-    AdaptiveStats,
-) {
-    parts.sort_by_key(|p| (p.group, p.slot));
-    let mut sched = SchedulerCounters::default();
-    let mut repl = ReplicationCounters::default();
-    let mut dur = DurabilityCounters::default();
-    let mut seq = SequencerStats::default();
-    let mut adaptive = AdaptiveStats::default();
-    let mut engines: Vec<Option<E>> = (0..groups).map(|_| None).collect();
-    let mut logs: Vec<Option<Vec<u8>>> = (0..groups).map(|_| None).collect();
-    let mut backups = Vec::new();
-    for part in parts {
-        sched.merge(&part.sched);
-        repl.merge(&part.repl);
-        dur.merge(&part.dur);
-        seq.merge(&part.seq);
-        adaptive.merge(&part.adaptive);
-        if part.is_primary {
-            let slot = engines
-                .get_mut(part.group.as_usize())
-                .expect("group in range");
-            debug_assert!(slot.is_none(), "two primaries in one group");
-            *slot = Some(part.engine);
-            logs[part.group.as_usize()] = part.log_image;
-        } else if part.is_backup {
-            backups.push(part.engine);
-        }
-        // Failed/recovering nodes that never finished rejoining (possible
-        // only when a timed run is torn down mid-recovery) hold stale
-        // state and are reported through the counters alone.
+/// The live drivers' measurement protocol, on the driver thread: a timed
+/// run warms up, opens the window for `measure`, then tells the clients to
+/// stop (each finishes its transaction in flight). A fixed-work run's
+/// window is open from the start and its clients stop by themselves.
+pub(crate) fn measure(mode: RunMode, ctl: &RunControl) {
+    if let RunMode::Timed { warmup, measure } = mode {
+        std::thread::sleep(warmup);
+        ctl.window_open.store(true, Ordering::SeqCst);
+        std::thread::sleep(measure);
+        ctl.window_open.store(false, Ordering::SeqCst);
+        ctl.stop.store(true, Ordering::SeqCst);
     }
-    let engines = engines
-        .into_iter()
-        .map(|e| e.expect("every group has a primary"))
-        .collect();
-    (engines, backups, sched, repl, dur, logs, seq, adaptive)
 }
 
-/// Finish a report from the pieces every backend harvests.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_report<E: ExecutionEngine>(
-    mode: &RunMode,
-    committed_in_window: u64,
-    elapsed: Duration,
+/// A live run's window in seconds: the configured measurement, or for
+/// fixed work the wall time its clients took.
+pub(crate) fn window_secs(mode: RunMode, elapsed: Duration) -> f64 {
+    match mode {
+        RunMode::Timed { measure, .. } => measure.as_secs_f64(),
+        RunMode::FixedRequests(_) => elapsed.as_secs_f64().max(1e-9),
+    }
+}
+
+/// What a driver collects from its actors once the run has drained;
+/// [`finish`](Self::finish) folds it into the report.
+pub(crate) struct Harvest<E: ExecutionEngine> {
     clients: ClientStats,
-    sched: SchedulerCounters,
-    replication: ReplicationCounters,
-    engines: Vec<E>,
-    backups: Vec<E>,
-    durability: DurabilityCounters,
-    logs: Vec<Option<Vec<u8>>>,
-    workers: Vec<WorkerStats>,
+    coord: CoordCounters,
     sequencer: SequencerStats,
-    adaptive: AdaptiveStats,
-) -> RuntimeReport<E> {
-    let (committed, secs) = match mode {
-        RunMode::Timed { measure, .. } => (committed_in_window, measure.as_secs_f64()),
-        RunMode::FixedRequests(_) => (clients.committed, elapsed.as_secs_f64().max(1e-9)),
-    };
-    RuntimeReport {
-        committed,
-        throughput_tps: committed as f64 / secs,
-        clients,
-        sched,
-        replication,
-        engines,
-        backups,
-        durability,
-        logs,
-        workers,
-        sequencer,
-        adaptive,
+    replicas: Vec<ReplicaParts<E>>,
+}
+
+impl<E: ExecutionEngine> Harvest<E> {
+    pub(crate) fn new() -> Self {
+        Harvest {
+            clients: ClientStats::default(),
+            coord: CoordCounters::default(),
+            sequencer: SequencerStats::default(),
+            replicas: Vec::new(),
+        }
+    }
+
+    pub(crate) fn client(&mut self, stats: &ClientStats) {
+        self.clients.merge(stats);
+    }
+
+    pub(crate) fn coordinator(&mut self, c: &CoordinatorActor<E>) {
+        self.coord.merge(c.counters());
+        self.sequencer.merge(&c.seq_stats());
+    }
+
+    pub(crate) fn replica(&mut self, parts: ReplicaParts<E>) {
+        self.replicas.push(parts);
+    }
+
+    /// The report of a run whose window `ctl` counted over `secs`: the
+    /// primary engine per group, the live backups in (group, slot) order,
+    /// and every counter block merged.
+    pub(crate) fn finish(self, ctl: &RunControl, secs: f64, groups: usize) -> RuntimeReport<E> {
+        let Harvest {
+            clients,
+            coord,
+            mut sequencer,
+            mut replicas,
+        } = self;
+        replicas.sort_by_key(|p| (p.group, p.slot));
+        let mut sched = SchedulerCounters::default();
+        let mut replication = ReplicationCounters::default();
+        let mut durability = DurabilityCounters::default();
+        let mut adaptive = AdaptiveStats::default();
+        let mut engines: Vec<Option<E>> = (0..groups).map(|_| None).collect();
+        let mut logs: Vec<Option<Vec<u8>>> = (0..groups).map(|_| None).collect();
+        let mut backups = Vec::new();
+        for part in replicas {
+            sched.merge(&part.sched);
+            replication.merge(&part.repl);
+            durability.merge(&part.dur);
+            sequencer.merge(&part.seq);
+            adaptive.merge(&part.adaptive);
+            if part.is_primary {
+                let slot = engines
+                    .get_mut(part.group.as_usize())
+                    .expect("group in range");
+                debug_assert!(slot.is_none(), "two primaries in one group");
+                *slot = Some(part.engine);
+                logs[part.group.as_usize()] = part.log_image;
+            } else if part.is_backup {
+                backups.push(part.engine);
+            }
+            // Failed/recovering nodes that never finished rejoining (possible
+            // only when a timed run is torn down mid-recovery) hold stale
+            // state and are reported through the counters alone.
+        }
+        let engines = engines
+            .into_iter()
+            .map(|e| e.expect("every group has a primary"))
+            .collect();
+        let committed_mp = ctl.in_window(Outcome::CommittedMp);
+        let committed = ctl.in_window(Outcome::Committed) + committed_mp;
+        RuntimeReport {
+            committed,
+            user_aborts: ctl.in_window(Outcome::UserAborted),
+            retries: ctl.in_window(Outcome::Retried),
+            committed_mp,
+            throughput_tps: committed as f64 / secs,
+            clients,
+            sched,
+            coord,
+            replication,
+            engines,
+            backups,
+            durability,
+            logs,
+            workers: Vec::new(),
+            sequencer,
+            adaptive,
+            virtual_time: None,
+        }
     }
 }
 
@@ -772,6 +965,8 @@ mod tests {
             BackendChoice::Threaded,
             BackendChoice::multiplexed(),
             BackendChoice::Multiplexed { workers: 7 },
+            BackendChoice::Sim { shadow: false },
+            BackendChoice::Sim { shadow: true },
         ] {
             assert_eq!(BackendChoice::parse(&b.to_string()), Ok(b));
         }

@@ -77,15 +77,13 @@
 
 use crate::actors::{
     ActorId, ClientActor, ClientCtx, CoordinatorActor, MembershipActor, Msg, OutMsg, ReplicaActor,
-    ReplicaParts, RunControl,
+    RunControl,
 };
 use crate::{
-    assemble_replicas, build_actors, cross_shard_expiry, drain_until, finish_report, now_ns,
-    Backend, RunMode, RuntimeConfig, RuntimeReport, TickPlan, WorkerStats,
+    build_actors, drain_until, measure, now_ns, window_secs, Harvest, RuntimeConfig, RuntimeReport,
+    TickPlan, TimedMail, WorkerStats,
 };
-use hcc_common::stats::SequencerStats;
 use hcc_common::{CachePadded, ClientId, CoordinatorId, Nanos, PartitionId};
-use hcc_core::client::ClientStats;
 use hcc_core::{ExecutionEngine, RequestGenerator};
 use hcc_storage::MemLog;
 use parking_lot::Mutex;
@@ -94,7 +92,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 enum SharedActor<E: ExecutionEngine> {
     Coordinator(Box<CoordinatorActor<E>>),
@@ -144,6 +142,9 @@ struct Shared<W: RequestGenerator> {
     /// Current primary slot per group. Read and written by the group's
     /// home worker alone (hence `Relaxed`); atomic only for the hang dump.
     membership: Vec<CachePadded<AtomicU32>>,
+    /// The failure plan's wall-clock mail, delivered by the tick thread.
+    /// Counted in `pending` while held.
+    timed: TimedMail<W::Engine>,
 }
 
 impl<W: RequestGenerator> Shared<W> {
@@ -152,8 +153,10 @@ impl<W: RequestGenerator> Shared<W> {
         let group = match (m.dest, &m.msg) {
             (ActorId::Client(c), _) => c.as_usize(),
             (ActorId::Partition(p) | ActorId::Replica(p, _), _) => p.as_usize(),
-            (ActorId::Control, Msg::Promoted { partition, .. }) => partition.as_usize(),
-            (ActorId::Control, _) => unreachable!("the only control message is Promoted"),
+            (ActorId::Control, Msg::Promoted { partition, .. } | Msg::Rejoin { partition, .. }) => {
+                partition.as_usize()
+            }
+            (ActorId::Control, _) => unreachable!("control mail is Promoted or Rejoin"),
             (ActorId::Coordinator(_) | ActorId::Membership, _) => return None,
         };
         Some(group % self.ports.len())
@@ -450,14 +453,28 @@ where
                 self.step_replica(p, primary, msg);
             }
             ActorId::Replica(p, slot) => self.step_replica(p, slot, msg),
-            ActorId::Control => {
-                if let Msg::Promoted { partition, slot } = msg {
-                    sh.membership[partition.as_usize()].store(slot, Ordering::Relaxed);
-                }
-            }
+            ActorId::Control => self.step_control(msg),
             ActorId::Coordinator(_) | ActorId::Membership => {
                 unreachable!("shared actors receive through their mailboxes")
             }
+        }
+    }
+
+    /// Mail for the driver itself, once per failover: kept out of the
+    /// step's hot body.
+    #[cold]
+    fn step_control(&mut self, msg: Msg<W::Engine>) {
+        let sh = self.shared;
+        match msg {
+            Msg::Promoted { partition, slot } => {
+                sh.membership[partition.as_usize()].store(slot, Ordering::Relaxed);
+            }
+            rejoin => match sh.timed.rejoin(self.now, rejoin) {
+                Some(m) => self.out.push(m),
+                // Held for the tick thread: the consumed message's unit of
+                // `pending` passes to it.
+                None => self.surplus -= 1,
+            },
         }
     }
 
@@ -499,134 +516,142 @@ where
     }
 }
 
-/// All actors multiplexed onto a pool of worker threads that own their
-/// clients and partitions. `workers == 0` means auto: the host's
-/// available parallelism.
-#[derive(Default)]
-pub struct MultiplexedBackend {
-    pub workers: usize,
-}
+/// Run `cfg` with every actor multiplexed onto a pool of `workers` threads
+/// that own their clients and partitions. `workers == 0` means auto: the
+/// host's available parallelism.
+pub(crate) fn run<W, B>(
+    workers: usize,
+    cfg: &RuntimeConfig,
+    workload: W,
+    build_engine: B,
+) -> RuntimeReport<W::Engine>
+where
+    W: RequestGenerator + Send + 'static,
+    W::Engine: Send + 'static,
+    <W::Engine as ExecutionEngine>::Fragment: Send + 'static,
+    <W::Engine as ExecutionEngine>::Output: Send + 'static,
+    B: Fn(PartitionId) -> W::Engine,
+{
+    let system = &cfg.system;
+    let workers = if workers > 0 {
+        workers
+    } else {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    };
+    let n = system.partitions as usize;
+    let slots = system.replication.max(1) as usize;
+    let clients = system.clients as usize;
+    let actors = build_actors::<W>(system, cfg.mode, cfg.failure, build_engine, || {
+        Box::new(MemLog::new())
+    });
+    let timed = TimedMail::new(cfg.failure);
 
-impl Backend for MultiplexedBackend {
-    fn run<W, B>(
-        &self,
-        cfg: &RuntimeConfig,
-        workload: W,
-        build_engine: B,
-    ) -> RuntimeReport<W::Engine>
-    where
-        W: RequestGenerator + Send + 'static,
-        W::Engine: Send + 'static,
-        <W::Engine as ExecutionEngine>::Fragment: Send + 'static,
-        <W::Engine as ExecutionEngine>::Output: Send + 'static,
-        B: Fn(PartitionId) -> W::Engine,
-    {
-        let system = &cfg.system;
-        let workers = if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        };
-        let n = system.partitions as usize;
-        let slots = system.replication.max(1) as usize;
-        let clients = system.clients as usize;
-        let expiry = cross_shard_expiry(system);
-        let actors = build_actors::<W>(system, cfg.mode, cfg.failure, expiry, build_engine, || {
-            Box::new(MemLog::new())
-        });
+    // Owned actors, dealt to their home workers in index order.
+    let mut owned: Vec<Owned<W>> = (0..workers).map(|_| (Vec::new(), Vec::new())).collect();
+    for (c, actor) in actors.clients.into_iter().enumerate() {
+        owned[c % workers].0.push(actor);
+    }
+    for (at, actor) in actors.replicas.into_iter().enumerate() {
+        owned[(at / slots) % workers].1.push(actor);
+    }
 
-        // Owned actors, dealt to their home workers in index order.
-        let mut owned: Vec<Owned<W>> = (0..workers).map(|_| (Vec::new(), Vec::new())).collect();
-        for (c, actor) in actors.clients.into_iter().enumerate() {
-            owned[c % workers].0.push(actor);
-        }
-        for (at, actor) in actors.replicas.into_iter().enumerate() {
-            owned[(at / slots) % workers].1.push(actor);
-        }
+    // Shared actors: coordinator shards, then membership.
+    let shards = actors.coordinators.len();
+    let at_rest = |actor| {
+        CachePadded::new(Mutex::new(Mailbox {
+            queue: VecDeque::new(),
+            scheduled: false,
+            actor: Some(actor),
+        }))
+    };
+    let mut mail: Vec<_> = actors
+        .coordinators
+        .into_iter()
+        .map(|coord| at_rest(SharedActor::Coordinator(Box::new(coord))))
+        .collect();
+    mail.push(at_rest(SharedActor::Membership(actors.membership)));
 
-        // Shared actors: coordinator shards, then membership.
-        let shards = actors.coordinators.len();
-        let at_rest = |actor| {
-            CachePadded::new(Mutex::new(Mailbox {
-                queue: VecDeque::new(),
-                scheduled: false,
-                actor: Some(actor),
-            }))
-        };
-        let mut mail: Vec<_> = actors
-            .coordinators
-            .into_iter()
-            .map(|coord| at_rest(SharedActor::Coordinator(Box::new(coord))))
-            .collect();
-        mail.push(at_rest(SharedActor::Membership(actors.membership)));
-
-        let shared = Arc::new(Shared {
-            ports: (0..workers)
-                .map(|_| {
-                    CachePadded::new(Port {
-                        inbox: Mutex::new(Vec::new()),
-                        parked: AtomicBool::new(false),
-                        thread: OnceLock::new(),
-                        local_len: AtomicUsize::new(0),
-                    })
+    let shared = Arc::new(Shared {
+        ports: (0..workers)
+            .map(|_| {
+                CachePadded::new(Port {
+                    inbox: Mutex::new(Vec::new()),
+                    parked: AtomicBool::new(false),
+                    thread: OnceLock::new(),
+                    local_len: AtomicUsize::new(0),
                 })
-                .collect(),
-            mail,
-            ready: Mutex::new(VecDeque::new()),
-            pending: CachePadded::new(AtomicI64::new(0)),
-            shutdown: AtomicBool::new(false),
-            ctl: RunControl::new(clients),
-            workload: Mutex::new(workload),
-            epoch: Instant::now(),
-            slots_per_group: slots,
-            membership: (0..n)
-                .map(|_| CachePadded::new(AtomicU32::new(0)))
-                .collect(),
-        });
+            })
+            .collect(),
+        mail,
+        ready: Mutex::new(VecDeque::new()),
+        pending: CachePadded::new(AtomicI64::new(timed.len() as i64)),
+        shutdown: AtomicBool::new(false),
+        ctl: RunControl::new(clients, cfg.mode),
+        workload: Mutex::new(workload),
+        epoch: Instant::now(),
+        slots_per_group: slots,
+        membership: (0..n)
+            .map(|_| CachePadded::new(AtomicU32::new(0)))
+            .collect(),
+        timed,
+    });
 
-        // Worker pool: each thread takes its actors and gives them back.
-        let logging = system.durability.is_some();
-        let mut handles = Vec::new();
-        for (me, (clients, replicas)) in owned.into_iter().enumerate() {
-            let shared = shared.clone();
-            handles.push(std::thread::spawn(move || {
-                Worker {
-                    shared: &shared,
-                    me,
-                    clients,
-                    replicas,
-                    local: VecDeque::new(),
-                    token: None,
-                    outbox: Outbox::new(workers),
-                    out: Vec::new(),
-                    mail_in: Vec::new(),
-                    shared_mail: VecDeque::new(),
-                    now: now_ns(shared.epoch),
-                    surplus: 0,
-                    logging,
-                    stats: WorkerStats::default(),
+    // Worker pool: each thread takes its actors and gives them back.
+    let logging = system.durability.is_some();
+    let mut handles = Vec::new();
+    for (me, (clients, replicas)) in owned.into_iter().enumerate() {
+        let shared = shared.clone();
+        handles.push(std::thread::spawn(move || {
+            Worker {
+                shared: &shared,
+                me,
+                clients,
+                replicas,
+                local: VecDeque::new(),
+                token: None,
+                outbox: Outbox::new(workers),
+                out: Vec::new(),
+                mail_in: Vec::new(),
+                shared_mail: VecDeque::new(),
+                now: now_ns(shared.epoch),
+                surplus: 0,
+                logging,
+                stats: WorkerStats::default(),
+            }
+            .run()
+        }));
+    }
+
+    // Tick timer, for whoever the plan says needs ticks, and courier of
+    // the failure plan's wall-clock mail. Ticks until every client has
+    // retired (after which no transaction can be waiting on a lock or a
+    // cross-shard chain); delivers timed mail until the run has drained
+    // (`pending` counts it while it waits). Clients are ticked only
+    // while at least one is actually parked in a backoff
+    // (`backoff_waiters`), so an idle system sends nothing and the
+    // workers stay parked.
+    let timer_stop = Arc::new(AtomicBool::new(false));
+    let plan = TickPlan::new(system);
+    let to = |dest, msg| OutMsg { dest, msg };
+    let ticking = plan.partitions || plan.coordinators || plan.clients;
+    let timer = (ticking || cfg.failure.is_some()).then(|| {
+        let shared = shared.clone();
+        let stop = timer_stop.clone();
+        std::thread::spawn(move || {
+            let mut outbox = Outbox::new(workers);
+            let mut due = Vec::new();
+            loop {
+                let now = now_ns(shared.epoch);
+                let nap = match shared.timed.next_due() {
+                    Some(at) => at.saturating_sub(now).min(plan.every),
+                    None => plan.every,
+                };
+                std::thread::sleep(nap.into());
+                let stopping = stop.load(Ordering::SeqCst);
+                if stopping && shared.pending.load(Ordering::SeqCst) == 0 {
+                    break;
                 }
-                .run()
-            }));
-        }
-
-        // Tick timer, for whoever the plan says needs ticks. Runs until
-        // every client has retired (after which no transaction can be
-        // waiting on a lock or a cross-shard chain). Clients are ticked
-        // only while at least one is actually parked in a backoff
-        // (`backoff_waiters`), so an idle system sends nothing and the
-        // workers stay parked.
-        let timer_stop = Arc::new(AtomicBool::new(false));
-        let plan = TickPlan::new(system, expiry);
-        let to = |dest, msg| OutMsg { dest, msg };
-        let timer = (plan.partitions || plan.coordinators || plan.clients).then(|| {
-            let shared = shared.clone();
-            let stop = timer_stop.clone();
-            let tick_every = Duration::from_nanos(plan.every.0);
-            std::thread::spawn(move || {
-                let mut outbox = Outbox::new(workers);
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick_every);
+                if !stopping {
                     let backoff = plan.clients && shared.ctl.backoff_waiters() > 0;
                     let parts = (0..n).filter(|_| plan.partitions);
                     let coords = (0..shards).filter(|_| plan.coordinators);
@@ -638,87 +663,69 @@ impl Backend for MultiplexedBackend {
                         .map(|dest| to(dest, Msg::Tick));
                     shared.inject(&mut outbox, ticks);
                 }
-            })
-        });
-
-        // Kick every client.
-        let kicks = (0..clients).map(|c| to(ActorId::Client(ClientId(c as u32)), Msg::Start));
-        shared.inject(&mut Outbox::new(workers), kicks);
-
-        // Measurement protocol.
-        let started = Instant::now();
-        if let RunMode::Timed { warmup, measure } = cfg.mode {
-            std::thread::sleep(warmup);
-            shared.ctl.window_open.store(true, Ordering::SeqCst);
-            std::thread::sleep(measure);
-            shared.ctl.window_open.store(false, Ordering::SeqCst);
-            shared.ctl.stop.store(true, Ordering::SeqCst);
-        }
-        // Clients finish their in-flight transactions and retire.
-        let pending = || shared.pending.load(Ordering::SeqCst);
-        let live = || shared.ctl.live_clients.load(Ordering::SeqCst);
-        drain_until(&shared.ctl, pending, || live() == 0, || shared.dump());
-        let elapsed = started.elapsed();
-        // No transactions in flight: stop the tick source, then drain the
-        // trailing decisions, commit records, and (after an injected
-        // failure) the promote/recover chain — all of which the pending
-        // count covers.
-        timer_stop.store(true, Ordering::SeqCst);
-        if let Some(t) = timer {
-            t.join().expect("timer thread");
-        }
-        drain_until(&shared.ctl, pending, || pending() == 0, || shared.dump());
-        if cfg.failure.is_some() {
-            assert!(
-                shared.ctl.recovery_done.load(Ordering::SeqCst),
-                "injected failure never finished recovering — \
-                 was the crash threshold reachable for this workload?"
-            );
-        }
-        shared.shutdown.store(true, Ordering::SeqCst);
-        for port in &shared.ports {
-            // A worker yet to name its thread has yet to park, and reads
-            // the flag first.
-            port.thread.get().inspect(|t| t.unpark());
-        }
-
-        // Harvest: the workers hand their actors back.
-        let mut worker_stats = Vec::new();
-        let mut clients_stats = ClientStats::default();
-        let mut sequencer = SequencerStats::default();
-        let mut parts: Vec<ReplicaParts<W::Engine>> = Vec::new();
-        for h in handles {
-            let ((clients, replicas), stats) = h.join().expect("worker thread");
-            worker_stats.push(stats);
-            for c in clients {
-                clients_stats.merge(&c.into_stats());
+                // Counted in `pending` since it was handed over.
+                shared.timed.take_due(now_ns(shared.epoch), &mut due);
+                for m in due.drain(..) {
+                    outbox.push(&shared, m);
+                }
+                outbox.publish(&shared, None);
             }
-            parts.extend(replicas.into_iter().map(ReplicaActor::into_parts));
-        }
-        let committed_in_window = shared.ctl.committed_in_window();
-        for mb in &shared.mail {
-            if let Some(SharedActor::Coordinator(c)) = &mb.lock().actor {
-                sequencer.merge(&c.seq_stats());
-            }
-        }
-        let (engines, backups, sched, repl, dur, logs, part_seq, adaptive) =
-            assemble_replicas(parts, n);
-        sequencer.merge(&part_seq);
+        })
+    });
 
-        finish_report(
-            &cfg.mode,
-            committed_in_window,
-            elapsed,
-            clients_stats,
-            sched,
-            repl,
-            engines,
-            backups,
-            dur,
-            logs,
-            worker_stats,
-            sequencer,
-            adaptive,
-        )
+    // Kick every client.
+    let kicks = (0..clients).map(|c| to(ActorId::Client(ClientId(c as u32)), Msg::Start));
+    shared.inject(&mut Outbox::new(workers), kicks);
+
+    let started = Instant::now();
+    measure(cfg.mode, &shared.ctl);
+    // Clients finish their in-flight transactions and retire.
+    let pending = || shared.pending.load(Ordering::SeqCst);
+    let live = || shared.ctl.live_clients.load(Ordering::SeqCst);
+    drain_until(&shared.ctl, pending, || live() == 0, || shared.dump());
+    let elapsed = started.elapsed();
+    // No transactions in flight: stop the ticks, then drain the
+    // trailing decisions, commit records, and (after an injected
+    // failure) the promote/recover chain — all of which the pending
+    // count covers, timed mail included.
+    timer_stop.store(true, Ordering::SeqCst);
+    drain_until(&shared.ctl, pending, || pending() == 0, || shared.dump());
+    if let Some(t) = timer {
+        t.join().expect("timer thread");
     }
+    if cfg.failure.is_some() {
+        assert!(
+            shared.ctl.recovery_done.load(Ordering::SeqCst),
+            "injected failure never finished recovering — \
+             was the crash threshold reachable for this workload?"
+        );
+    }
+    shared.shutdown.store(true, Ordering::SeqCst);
+    for port in &shared.ports {
+        // A worker yet to name its thread has yet to park, and reads
+        // the flag first.
+        port.thread.get().inspect(|t| t.unpark());
+    }
+
+    // Harvest: the workers hand their actors back.
+    let mut harvest = Harvest::new();
+    let mut worker_stats = Vec::new();
+    for h in handles {
+        let ((clients, replicas), stats) = h.join().expect("worker thread");
+        worker_stats.push(stats);
+        for c in clients {
+            harvest.client(&c.into_stats());
+        }
+        for r in replicas {
+            harvest.replica(r.into_parts());
+        }
+    }
+    for mb in &shared.mail {
+        if let Some(SharedActor::Coordinator(c)) = &mb.lock().actor {
+            harvest.coordinator(c);
+        }
+    }
+    let mut report = harvest.finish(&shared.ctl, window_secs(cfg.mode, elapsed), n);
+    report.workers = worker_stats;
+    report
 }

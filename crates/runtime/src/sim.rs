@@ -1,20 +1,81 @@
-//! The virtual-time driver: one thread, one heap, the production actors.
+//! The virtual-time driver: one thread, one heap, the production actors —
+//! [`BackendChoice::Sim`].
+//!
+//! Reproduces the paper's testbed — single-threaded partitions, a central
+//! coordinator, closed-loop clients, a switched network — on a virtual
+//! clock. **Only time is modeled**: the driver builds its actors with
+//! [`build_actors`], the one wiring the threaded backend and the reactor
+//! use, and steps the same `ClientActor` / `CoordinatorActor` /
+//! `MembershipActor` / `ReplicaActor` objects they step. Every transaction
+//! really executes against real storage, every `Promote`, `RoutingApplied`
+//! fence, `Commit` / `CommitAck`, `DecisionAck` and durability hold is the
+//! live runtime's, so correctness properties (serializability, 2PC
+//! atomicity, no acked commit lost, failover convergence) are checked on
+//! exactly the code the benchmarks measure. The run takes the same
+//! [`RuntimeConfig`] and hands back the same [`RuntimeReport`] as the live
+//! drivers, with [`RuntimeReport::virtual_time`] filled in.
+//!
+//! # Three timing rules
+//!
+//! Each actor has a busy-until clock, and each `step` returns the virtual
+//! CPU it cost (from the calibrated [`hcc_common::CostModel`]):
+//!
+//! 1. a message arriving at `t` starts at `max(t, busy)`;
+//! 2. the actor is busy for the virtual CPU its `step` returns;
+//! 3. every message it emitted departs then and arrives `one_way` later
+//!    (mail to oneself — a client's own 2PC driver reporting its result —
+//!    arrives at once), ties broken by push order.
+//!
+//! Constant latency, monotone departures and the tie-break keep every link
+//! FIFO, which the speculation protocol relies on. [`ActorId::Partition`]
+//! resolves to the group's current primary on delivery, and the membership
+//! actor's `Promoted` flip is mail like any other, so it lands right
+//! behind the `Promote` it follows.
+//!
+//! # Four driver-side models
+//!
+//! What the actors leave to their driver, this one models *around* the
+//! production call, never instead of it:
+//!
+//! * **sync latency** — a logging node left with unsynced records and no
+//!   sync at the device has one issued; the production `on_drained` runs
+//!   `sync_latency` later and covers whatever was appended by then;
+//! * **rejoin delay** — the membership actor's `Rejoin` (control mail,
+//!   like the `Promoted` flip) reaches the failed node the plan's
+//!   `rejoin_delay` after a normal hop would have; a [`FailAt::Time`]
+//!   crash is a [`Msg::Crash`] on the heap at the chosen virtual time;
+//! * **network split** — [`NetworkModel::split`] is the network dropping
+//!   mail for the partition, and the coordinator's stall expiry doing the
+//!   rest;
+//! * **crash counter** — [`Simulation::run_to_crash`] counts appends
+//!   across the injected logs and stops the world after the step that
+//!   lands the k-th (whole-cluster power loss, not a primary kill).
+//!
+//! Ticks follow [`TickPlan`]: an actor is ticked on the plan's period for
+//! as long as it has work a tick could matter to (clients at their exact
+//! backoff deadline), so the heap drains when the work does.
+//!
+//! With `BackendChoice::Sim { shadow: true }` each partition keeps a
+//! backup that costs no virtual time — a real `ReplicaActor` co-located
+//! with its primary — and comparing the two at the end doubles as a
+//! serializability check: the backup *is* the serial execution in commit
+//! order.
+//!
+//! [`NetworkModel::split`]: hcc_common::NetworkModel::split
 
-use crate::config::SimConfig;
-use crate::report::SimReport;
-use hcc_common::codec::decode_exact;
-use hcc_common::stats::SequencerStats;
-use hcc_common::{
-    AbortReason, ClientId, CommitRecord, FailurePlan, Nanos, PartitionId, TxnId, TxnResult,
-};
-use hcc_core::client::ClientStats;
-use hcc_core::coordinator::CoordCounters;
-use hcc_core::{ExecutionEngine, RequestGenerator};
-use hcc_runtime::actors::{
+use crate::actors::{
     ActorId, ClientActor, ClientCtx, CoordinatorActor, MembershipActor, Msg, OutMsg, ReplicaActor,
     RunControl,
 };
-use hcc_runtime::{assemble_replicas, build_actors, cross_shard_expiry, Actors, RunMode, TickPlan};
+use crate::{
+    build_actors, Actors, BackendChoice, Harvest, RunMode, RuntimeConfig, RuntimeReport, TickPlan,
+    VirtualTime,
+};
+use hcc_common::codec::decode_exact;
+use hcc_common::{
+    ClientId, CommitRecord, FailAt, FailurePlan, Nanos, PartitionId, TxnId, TxnResult,
+};
+use hcc_core::{ExecutionEngine, RequestGenerator};
 use hcc_storage::{decode_frames, DurableLog, FaultMode, MemLog};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -23,20 +84,23 @@ use std::sync::{Arc, Mutex as StdMutex};
 
 /// What a heap entry brings its addressee.
 enum Due<E: ExecutionEngine> {
-    /// A message an actor sent, or a tick one of the driver's timers raised.
+    /// A message an actor sent, or one of the driver's own: a tick its
+    /// timers raised, the failure plan's crash.
     Mail(Msg<E>),
     /// The log device answers the sync issued `sync_latency` ago.
     Synced,
-    /// `SimConfig::failover`: the addressed group's primary dies now.
-    Kill,
 }
 
 /// One run of the system under a workload: the production actors
-/// ([`hcc_runtime::build_actors`]) stepped on a virtual clock.
-/// Deterministic given the config and workload seed.
+/// ([`build_actors`]) stepped on a virtual clock. Deterministic given the
+/// config and workload seed. [`run`](crate::run) drives one to the end;
+/// this handle is for what only virtual time can do besides — a faulty
+/// log device, a whole-cluster crash, the workload handed back.
 pub struct Simulation<W: RequestGenerator> {
-    cfg: SimConfig,
+    cfg: RuntimeConfig,
     one_way: Nanos,
+    rejoin_delay: Nanos,
+    split: Option<(Nanos, PartitionId)>,
     workload: Mutex<W>,
     ctl: RunControl,
     clients: Vec<ClientActor<W>>,
@@ -45,9 +109,9 @@ pub struct Simulation<W: RequestGenerator> {
     /// (group, slot) order; `slots` per group.
     replicas: Vec<ReplicaActor<W::Engine>>,
     slots: usize,
-    /// The backups share their primaries' processes (see
-    /// [`SimConfig::shadow_replica`]): mail inside a group is stepped at
-    /// once, at no cost.
+    /// The backups share their primaries' processes (the `shadow` of
+    /// [`BackendChoice::Sim`]): mail inside a group is stepped at once, at
+    /// no cost.
     colocated: bool,
     /// Routing table: the slot [`ActorId::Partition`] resolves to, flipped
     /// by the membership actor's [`Msg::Promoted`].
@@ -83,12 +147,6 @@ pub struct Simulation<W: RequestGenerator> {
     // Observation.
     /// Measurement window in virtual time (all of it for fixed work).
     window: (Nanos, Nanos),
-    /// Clients' summed (user aborts, retries) at the window's edges.
-    at_open: Option<(u64, u64)>,
-    at_close: Option<(u64, u64)>,
-    /// Per client: its request in flight is multi-partition.
-    is_mp: Vec<bool>,
-    committed_mp: u64,
     /// Committed results delivered to clients.
     acked: Vec<TxnId>,
     events: u64,
@@ -100,49 +158,29 @@ where
     <W::Engine as ExecutionEngine>::Fragment: Send,
     <W::Engine as ExecutionEngine>::Output: Send,
 {
-    /// Build a simulation: `build_engine` constructs each node's loaded
-    /// engine (primaries and backups).
+    /// Build a simulation of a [`BackendChoice::Sim`] config:
+    /// `build_engine` constructs each node's loaded engine (primaries and
+    /// backups).
     pub fn new(
-        cfg: SimConfig,
+        cfg: RuntimeConfig,
         workload: W,
         build_engine: impl Fn(PartitionId) -> W::Engine,
     ) -> Self {
+        let BackendChoice::Sim { shadow } = cfg.backend else {
+            panic!("a Simulation runs BackendChoice::Sim, not {}", cfg.backend);
+        };
         let mut system = cfg.system.clone();
-        let colocated = cfg.shadow_replica && system.replication <= 1;
+        let colocated = shadow && system.replication <= 1;
         if colocated {
             system.replication = 2;
         }
-        if let Some(f) = cfg.failover {
-            assert!(
-                cfg.shadow_replica && f.partition.0 < system.partitions,
-                "failover requires a replica to promote"
-            );
-        }
-        // `with_partition_failure` models an unreplicated crash whose
-        // stalled transactions are finally aborted (RemoteAbort); sharded
-        // coordinators need the same expiry tick for their retryable
-        // CrossCoordinator aborts. One timeout cannot mean both.
-        assert!(
-            cfg.coordinator_timeout.is_none() || system.coordinators <= 1,
-            "partition-failure injection (coordinator_timeout) is a single-coordinator scenario"
-        );
-        let expiry = match cfg.coordinator_timeout {
-            Some(timeout) => Some((timeout, AbortReason::RemoteAbort)),
-            None => cross_shard_expiry(&system),
-        };
-        // The kill comes by the clock (`Due::Kill`), so the plan's count is
-        // never reached; the plan still arms in-doubt commit tracking.
-        let failure = cfg.failover.map(|f| FailurePlan {
-            partition: f.partition,
-            after_commits: u64::MAX,
-        });
         let mut logs = Vec::new();
         let Actors {
             clients,
             coordinators,
             membership,
             replicas,
-        } = build_actors::<W>(&system, cfg.mode, failure, expiry, build_engine, || {
+        } = build_actors::<W>(&system, cfg.mode, cfg.failure, build_engine, || {
             let log = Arc::new(StdMutex::new(MemLog::new()));
             logs.push(log.clone());
             Box::new(log)
@@ -157,12 +195,14 @@ where
         let actors = clients.len() + coordinators.len() + 1 + replicas.len();
         Simulation {
             one_way: system.network.one_way,
+            rejoin_delay: cfg.failure.map_or(Nanos::ZERO, |f| f.rejoin_delay),
+            split: system.network.split,
             workload: Mutex::new(workload),
-            ctl: RunControl::new(clients.len()),
+            ctl: RunControl::new(clients.len(), cfg.mode),
             slots: system.replication as usize,
             colocated,
             primary: vec![0; system.partitions as usize],
-            plan: TickPlan::new(&system, expiry),
+            plan: TickPlan::new(&system),
             heap: BTreeMap::new(),
             seq: 0,
             now: Nanos::ZERO,
@@ -175,10 +215,6 @@ where
             logs,
             crash_at: u64::MAX,
             window,
-            at_open: None,
-            at_close: None,
-            is_mp: vec![false; clients.len()],
-            committed_mp: 0,
             acked: Vec::new(),
             events: 0,
             cfg,
@@ -204,13 +240,6 @@ where
         self.logs.iter().map(appended).sum()
     }
 
-    /// Clients' summed (user aborts, retries) so far.
-    fn client_totals(&self) -> (u64, u64) {
-        self.clients.iter().fold((0, 0), |(aborts, retries), c| {
-            (aborts + c.stats().user_aborted, retries + c.stats().retries)
-        })
-    }
-
     /// Kick off the clients and drain the heap — to completion, or until
     /// the crash harness kills the group.
     fn event_loop(&mut self) {
@@ -218,8 +247,13 @@ where
             let to = ActorId::Client(ClientId(c as u32));
             self.push(Nanos::ZERO, to, Due::Mail(Msg::Start));
         }
-        if let Some(f) = self.cfg.failover {
-            self.push(f.at, ActorId::Partition(f.partition), Due::Kill);
+        if let Some(FailurePlan {
+            partition,
+            at: FailAt::Time(t),
+            ..
+        }) = self.cfg.failure
+        {
+            self.push(t, ActorId::Partition(partition), Due::Mail(Msg::Crash));
         }
         // Hard stop far beyond the window: if in-flight work has not
         // drained by then, something is livelocked (a bug tests should
@@ -237,16 +271,18 @@ where
             }
             self.now = at;
             self.events += 1;
-            if self.at_open.is_none() && at >= open {
-                self.ctl.window_open.store(true, Ordering::SeqCst);
-                self.at_open = Some(self.client_totals());
-            }
-            if self.at_close.is_none() && at >= close {
-                // Clients finish their transaction in flight, then retire;
-                // the run drains so final states are comparable.
-                self.ctl.window_open.store(false, Ordering::SeqCst);
-                self.ctl.stop.store(true, Ordering::SeqCst);
-                self.at_close = Some(self.client_totals());
+            // The measurement protocol on the virtual clock: the window
+            // opens with the first event at or after `open`; the first at
+            // or after `close` shuts it and stops the clients, which finish
+            // their transaction in flight and retire (the run drains so
+            // final states are comparable).
+            let ctl = &self.ctl;
+            let stopped = ctl.stop.load(Ordering::Relaxed);
+            if !stopped && at >= close {
+                ctl.window_open.store(false, Ordering::SeqCst);
+                ctl.stop.store(true, Ordering::SeqCst);
+            } else if !stopped && at >= open && !ctl.window_open.load(Ordering::Relaxed) {
+                ctl.window_open.store(true, Ordering::SeqCst);
             }
             self.deliver(at, to, due);
             if self.crash_at != u64::MAX && self.appended() >= self.crash_at {
@@ -271,14 +307,13 @@ where
             ActorId::Coordinator(k) => self.clients.len() + k.as_usize(),
             ActorId::Membership => self.clients.len() + shards,
             ActorId::Replica(p, s) => {
-                // The network drops mail for a dead address.
-                if matches!(self.cfg.fail_partition, Some((when, dead)) if dead == p && at >= when)
-                {
+                // The network drops mail for a split-off partition.
+                if matches!(self.split, Some((when, dead)) if dead == p && at >= when) {
                     return;
                 }
                 self.clients.len() + shards + 1 + self.replica_at(p, s)
             }
-            // Mail for the backend itself: the routing flip.
+            // Mail for the driver itself: the routing flip.
             ActorId::Control => {
                 if let Due::Mail(Msg::Promoted { partition, slot }) = due {
                     self.primary[partition.as_usize()] = slot;
@@ -291,7 +326,7 @@ where
         // whatever the node is executing.
         let start = match due {
             Due::Synced => at,
-            _ => at.max(self.busy[i]),
+            Due::Mail(_) => at.max(self.busy[i]),
         };
         if matches!(due, Due::Mail(Msg::Tick)) {
             self.ticking[i] = false;
@@ -306,7 +341,7 @@ where
                 Nanos::ZERO
             }
             (ActorId::Replica(p, s), due) => self.step_replica(p, s, due, start),
-            _ => unreachable!("the driver's own events address replicas"),
+            _ => unreachable!("the device answers replicas"),
         };
         let end = start + cpu;
         self.busy[i] = self.busy[i].max(end);
@@ -317,10 +352,18 @@ where
         // failed node's downtime.
         let mut out = std::mem::take(&mut self.out);
         for OutMsg { dest, msg } in out.drain(..) {
-            let delay = match (&msg, self.cfg.failover) {
-                _ if dest == to => Nanos::ZERO,
-                (Msg::Rejoin { .. }, Some(f)) => self.one_way + f.rejoin_delay,
-                _ => self.one_way,
+            let (dest, delay) = match (dest, &msg) {
+                _ if dest == to => (dest, Nanos::ZERO),
+                (
+                    ActorId::Control,
+                    &Msg::Rejoin {
+                        partition, slot, ..
+                    },
+                ) => (
+                    ActorId::Replica(partition, slot),
+                    self.one_way + self.rejoin_delay,
+                ),
+                _ => (dest, self.one_way),
             };
             self.push(end + delay, dest, Due::Mail(msg));
         }
@@ -347,7 +390,6 @@ where
     }
 
     fn step_client(&mut self, c: ClientId, msg: Msg<W::Engine>, now: Nanos) -> Nanos {
-        let ci = c.as_usize();
         if let Msg::Result {
             txn,
             result: TxnResult::Committed(_),
@@ -356,25 +398,16 @@ where
             // A committed result is always final, and it is only ever
             // delivered once every gate (replication, durability) let it by.
             self.acked.push(*txn);
-            if self.is_mp[ci] && self.ctl.window_open.load(Ordering::SeqCst) {
-                self.committed_mp += 1;
-            }
         }
-        let parked = self.clients[ci].retry_wake();
+        let client = &mut self.clients[c.as_usize()];
+        let parked = client.retry_wake();
         let ctx = ClientCtx {
             workload: &self.workload,
             ctl: &self.ctl,
         };
-        let cpu = self.clients[ci].step(msg, now, &ctx, &mut self.out);
-        for m in &self.out {
-            match &m.msg {
-                Msg::Invoke { .. } => self.is_mp[ci] = true,
-                Msg::Fragment(task) => self.is_mp[ci] = task.multi_partition,
-                _ => {}
-            }
-        }
+        let cpu = client.step(msg, now, &ctx, &mut self.out);
         // A backoff the step started ends with a tick at its exact deadline.
-        if let (None, Some(wake)) = (parked, self.clients[ci].retry_wake()) {
+        if let (None, Some(wake)) = (parked, client.retry_wake()) {
             self.push(wake, ActorId::Client(c), Due::Mail(Msg::Tick));
         }
         cpu
@@ -408,10 +441,6 @@ where
                 self.replicas[r].on_drained(&mut self.out);
                 Nanos::ZERO
             }
-            Due::Kill => {
-                self.replicas[r].crash(now, &mut self.out);
-                Nanos::ZERO
-            }
         };
         // Co-located backups: mail inside the group never leaves the
         // process, so it is stepped here and now and costs nothing. What it
@@ -433,16 +462,14 @@ where
     }
 
     /// Run to the end of the measurement window (or of the fixed work),
-    /// drain, and report: the report, the workload, each group's primary
-    /// engine and — when backups exist — their engines in (group, slot)
-    /// order.
-    pub fn run(mut self) -> (SimReport, W, Vec<W::Engine>, Option<Vec<W::Engine>>) {
+    /// drain, and report; hands back the workload too.
+    pub fn run(mut self) -> (RuntimeReport<W::Engine>, W) {
         self.event_loop();
         if cfg!(debug_assertions) {
             for (r, node) in self.replicas.iter().enumerate() {
-                // A crashed partition keeps whatever was in flight.
+                // A split-off partition keeps whatever was in flight.
                 let group = r / self.slots;
-                let dead = matches!(self.cfg.fail_partition, Some((_, p)) if p.as_usize() == group);
+                let dead = matches!(self.split, Some((_, p)) if p.as_usize() == group);
                 assert!(
                     dead || node.is_idle(),
                     "P{group} scheduler not idle after drain"
@@ -451,60 +478,45 @@ where
         }
         let unacked: usize = self.coordinators.iter().map(|c| c.in_doubt()).sum();
         assert_eq!(unacked, 0, "drained with commits still in doubt");
+        if self.cfg.failure.is_some() {
+            assert!(
+                self.ctl.recovery_done.load(Ordering::SeqCst),
+                "injected failure never finished recovering — \
+                 was the crash threshold reachable for this workload?"
+            );
+        }
         let (open, close) = self.window;
         let (span, simulated) = match self.cfg.mode {
             RunMode::Timed { .. } => (close.0 - open.0, close),
             RunMode::FixedRequests(_) => (self.now.0.max(1), self.now),
         };
-        let (aborts_open, retries_open) = self.at_open.unwrap_or((0, 0));
-        let (aborts_close, retries_close) = self.at_close.unwrap_or_else(|| self.client_totals());
-        let committed = self.ctl.committed_in_window();
-
-        let mut clients = ClientStats::default();
-        let mut coord = CoordCounters::default();
-        let mut sequencer = SequencerStats::default();
-        let (n_clients, shards) = (self.clients.len(), self.coordinators.len());
-        for c in self.clients {
-            clients.merge(&c.into_stats());
-        }
-        for c in &self.coordinators {
-            coord.merge(c.counters());
-            sequencer.merge(&c.seq_stats());
-        }
-        let groups = self.primary.len();
-        let parts = self
-            .replicas
-            .into_iter()
-            .map(ReplicaActor::into_parts)
-            .collect();
-        let (engines, backups, sched, replication, durability, _, gates, adaptive) =
-            assemble_replicas(parts, groups);
-        sequencer.merge(&gates);
+        let (clients, shards, groups) = (
+            self.clients.len(),
+            self.coordinators.len(),
+            self.primary.len(),
+        );
         let utilization = |used: &[u64], actors: usize| {
             used.iter().map(|&b| b as f64 / span as f64).sum::<f64>() / actors as f64
         };
-        let report = SimReport {
-            committed,
-            user_aborts: aborts_close - aborts_open,
-            retries: retries_close - retries_open,
-            backoff_retries: clients.backoff_retries,
-            retry_exhausted: clients.retry_exhausted,
-            durability,
-            committed_mp: self.committed_mp,
-            throughput_tps: committed as f64 / Nanos(span).as_secs_f64(),
-            latency: clients.latency,
-            sched,
-            coord,
-            replication,
-            sequencer,
-            adaptive,
+        let virtual_time = VirtualTime {
             simulated,
-            events_processed: self.events,
-            partition_utilization: utilization(&self.used[n_clients + shards + 1..], groups),
-            coordinator_utilization: utilization(&self.used[n_clients..n_clients + shards], shards),
+            events: self.events,
+            partition_utilization: utilization(&self.used[clients + shards + 1..], groups),
+            coordinator_utilization: utilization(&self.used[clients..clients + shards], shards),
         };
-        let backups = (!backups.is_empty()).then_some(backups);
-        (report, self.workload.into_inner(), engines, backups)
+        let mut harvest = Harvest::new();
+        for c in self.clients {
+            harvest.client(&c.into_stats());
+        }
+        for c in &self.coordinators {
+            harvest.coordinator(c);
+        }
+        for r in self.replicas {
+            harvest.replica(r.into_parts());
+        }
+        let mut report = harvest.finish(&self.ctl, Nanos(span).as_secs_f64(), groups);
+        report.virtual_time = Some(virtual_time);
+        (report, self.workload.into_inner())
     }
 
     /// Inject a fault into the durable log of partition `p`'s initial
@@ -576,17 +588,4 @@ pub struct CrashHarvest<E: ExecutionEngine> {
     pub acked: Vec<TxnId>,
     /// Total commit records appended across partitions when the sim froze.
     pub appended: u64,
-}
-
-/// Convenience: run a microbenchmark- or TPC-C-style workload where the
-/// workload itself knows how to build engines.
-pub fn run_with<W, B>(cfg: SimConfig, workload: W, build: B) -> SimReport
-where
-    W: RequestGenerator,
-    W::Engine: Send + 'static,
-    <W::Engine as ExecutionEngine>::Fragment: Send,
-    <W::Engine as ExecutionEngine>::Output: Send,
-    B: Fn(PartitionId) -> W::Engine,
-{
-    Simulation::new(cfg, workload, build).run().0
 }

@@ -3,7 +3,7 @@
 //! what makes every figure in EXPERIMENTS.md exactly reproducible.
 
 use hcc_common::{Nanos, Scheme, SystemConfig};
-use hcc_sim::{run_with, SimConfig, Simulation};
+use hcc_runtime::{BackendChoice, RuntimeConfig};
 use hcc_workloads::micro::{MicroConfig, MicroWorkload};
 
 fn run(scheme: Scheme, seed: u64) -> (u64, u64, u64, Vec<u64>) {
@@ -17,17 +17,17 @@ fn run(scheme: Scheme, seed: u64) -> (u64, u64, u64, Vec<u64>) {
         .with_partitions(2)
         .with_clients(40)
         .with_seed(seed);
-    let cfg = SimConfig::new(system).with_window(Nanos::from_millis(20), Nanos::from_millis(100));
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+        .with_window(Nanos::from_millis(20), Nanos::from_millis(100));
     let builder = MicroWorkload::new(micro);
-    let (r, _, engines, _) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+    let r = hcc_runtime::run(cfg, MicroWorkload::new(micro), move |p| {
         builder.build_engine(p)
-    })
-    .run();
+    });
     (
         r.committed,
-        r.events_processed,
+        r.virtual_time.unwrap().events,
         r.user_aborts,
-        engines.iter().map(|e| e.fingerprint()).collect(),
+        r.engines.iter().map(|e| e.fingerprint()).collect(),
     )
 }
 
@@ -118,15 +118,14 @@ fn golden_fixed_seed_results_survive_fast_path_rewrite() {
             .with_partitions(2)
             .with_clients(24)
             .with_seed(0xD5);
-        let cfg = SimConfig::new(system)
-            .with_window(Nanos::from_millis(20), Nanos::from_millis(100))
-            .with_shadow();
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
+            .with_window(Nanos::from_millis(20), Nanos::from_millis(100));
         let builder = MicroWorkload::new(micro);
-        let (r, _, engines, shadow) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+        let r = hcc_runtime::run(cfg, MicroWorkload::new(micro), move |p| {
             builder.build_engine(p)
-        })
-        .run();
-        let shadow = shadow.expect("shadow enabled");
+        });
+        let (engines, shadow) = (&r.engines, &r.backups);
+        assert_eq!(shadow.len(), engines.len(), "shadow enabled");
         let got = Golden {
             committed: r.committed,
             user_aborts: r.user_aborts,
@@ -134,7 +133,7 @@ fn golden_fixed_seed_results_survive_fast_path_rewrite() {
             committed_mp: r.committed_mp,
             fingerprints: [engines[0].fingerprint(), engines[1].fingerprint()],
             latency_ns: {
-                let lat = r.latency.summary();
+                let lat = r.latency();
                 [lat.p50.0, lat.p99.0, lat.p999.0]
             },
         };
@@ -181,15 +180,14 @@ fn sharded_coordinators_are_deterministic_per_shard_count() {
             .with_clients(24)
             .with_seed(0xC0)
             .with_coordinators(coordinators);
-        let cfg = SimConfig::new(system)
-            .with_window(Nanos::from_millis(20), Nanos::from_millis(100))
-            .with_shadow();
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
+            .with_window(Nanos::from_millis(20), Nanos::from_millis(100));
         let builder = MicroWorkload::new(micro);
-        let (r, _, engines, shadow) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+        let r = hcc_runtime::run(cfg, MicroWorkload::new(micro), move |p| {
             builder.build_engine(p)
-        })
-        .run();
-        let shadow = shadow.expect("shadow enabled");
+        });
+        let (engines, shadow) = (&r.engines, &r.backups);
+        assert_eq!(shadow.len(), engines.len(), "shadow enabled");
         for (i, (e, s)) in engines.iter().zip(shadow.iter()).enumerate() {
             assert_eq!(
                 e.fingerprint(),
@@ -201,7 +199,7 @@ fn sharded_coordinators_are_deterministic_per_shard_count() {
         (
             r.committed,
             r.user_aborts,
-            r.events_processed,
+            r.virtual_time.unwrap().events,
             engines.iter().map(|e| e.fingerprint()).collect::<Vec<_>>(),
         )
     };
@@ -242,18 +240,19 @@ fn aligned_shards_scale_past_the_saturated_singleton() {
             .with_clients(128)
             .with_seed(0x94)
             .with_coordinators(coordinators);
-        let cfg =
-            SimConfig::new(system).with_window(Nanos::from_millis(30), Nanos::from_millis(150));
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+            .with_window(Nanos::from_millis(30), Nanos::from_millis(150));
         let builder = MicroWorkload::new(micro);
-        run_with(cfg, MicroWorkload::new(micro), move |p| {
+        hcc_runtime::run(cfg, MicroWorkload::new(micro), move |p| {
             builder.build_engine(p)
         })
     };
     let single = point(1, true);
+    let coordinator_utilization = single.virtual_time.unwrap().coordinator_utilization;
     assert!(
-        single.coordinator_utilization > 0.9,
+        coordinator_utilization > 0.9,
         "singleton coordinator should saturate at mp=1.0 (got {:.0}%)",
-        single.coordinator_utilization * 100.0
+        coordinator_utilization * 100.0
     );
     let mut prev = single.throughput_tps;
     for n in [2u32, 4] {
@@ -303,17 +302,18 @@ fn zero_mp_throughput_is_the_t_sp_bound() {
     let system = SystemConfig::new(Scheme::Blocking)
         .with_partitions(2)
         .with_clients(40);
-    let cfg = SimConfig::new(system).with_window(Nanos::from_millis(50), Nanos::from_millis(500));
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+        .with_window(Nanos::from_millis(50), Nanos::from_millis(500));
     let builder = MicroWorkload::new(micro);
-    let (r, _, _, _) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+    let r = hcc_runtime::run(cfg, MicroWorkload::new(micro), move |p| {
         builder.build_engine(p)
-    })
-    .run();
+    });
     let err = (r.throughput_tps - 31_250.0).abs() / 31_250.0;
     assert!(err < 0.02, "measured {} tps", r.throughput_tps);
-    assert!(r.partition_utilization > 0.98, "partitions must saturate");
+    let vt = r.virtual_time.unwrap();
+    assert!(vt.partition_utilization > 0.98, "partitions must saturate");
     assert!(
-        r.coordinator_utilization < 0.01,
+        vt.coordinator_utilization < 0.01,
         "no MP work, no coordinator"
     );
 }
@@ -329,13 +329,12 @@ fn window_length_does_not_change_steady_state() {
         let system = SystemConfig::new(Scheme::Speculative)
             .with_partitions(2)
             .with_clients(40);
-        let cfg = SimConfig::new(system)
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
             .with_window(Nanos::from_millis(100), Nanos::from_millis(measure));
         let builder = MicroWorkload::new(micro);
-        let (r, _, _, _) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+        let r = hcc_runtime::run(cfg, MicroWorkload::new(micro), move |p| {
             builder.build_engine(p)
-        })
-        .run();
+        });
         rates.push(r.throughput_tps);
     }
     let diff = (rates[0] - rates[1]).abs() / rates[1];

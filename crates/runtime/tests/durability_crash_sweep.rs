@@ -14,7 +14,8 @@ use hcc_common::{
     SystemConfig, TxnId,
 };
 use hcc_core::{recover_partition, ReplicaCore, Request, RequestGenerator};
-use hcc_sim::{run_with, CrashHarvest, SimConfig, Simulation};
+use hcc_runtime::sim::{CrashHarvest, Simulation};
+use hcc_runtime::{run, BackendChoice, RuntimeConfig};
 use hcc_storage::FaultMode;
 use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroFragment, MicroOutput, MicroWorkload};
 
@@ -43,7 +44,8 @@ fn sim(scheme: Scheme, clients: u32, dur: DurabilityConfig) -> Simulation<MicroW
         .with_clients(clients)
         .with_seed(0xC4A5)
         .with_durability(dur);
-    let cfg = SimConfig::new(system).with_window(Nanos::from_micros(500), Nanos::from_millis(2));
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+        .with_window(Nanos::from_micros(500), Nanos::from_millis(2));
     let builder = MicroWorkload::new(mc);
     Simulation::new(cfg, MicroWorkload::new(mc), move |p| {
         builder.build_engine(p)
@@ -226,9 +228,10 @@ fn lone_commit_waits_for_one_sync_and_nothing_else() {
             .with_clients(1)
             .with_seed(0xC4A5);
         system.durability = dur;
-        let cfg = SimConfig::new(system).with_window(Nanos::from_millis(1), Nanos::from_millis(20));
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+            .with_window(Nanos::from_millis(1), Nanos::from_millis(20));
         let builder = MicroWorkload::new(mc);
-        run_with(cfg, MicroWorkload::new(mc), move |p| {
+        run(cfg, MicroWorkload::new(mc), move |p| {
             builder.build_engine(p)
         })
     };
@@ -239,11 +242,12 @@ fn lone_commit_waits_for_one_sync_and_nothing_else() {
     assert!(off.committed > 50 && on.committed > 50);
     // Every transaction of the lone client costs the same, so the mean is
     // each one's latency, to the nanosecond.
-    assert_eq!(off.latency.quantile(0.0), off.latency.quantile(1.0));
-    assert_eq!(on.latency.quantile(0.0), on.latency.quantile(1.0));
-    let committed_after = off.latency.mean() - hop_back;
+    let (off_latency, on_latency) = (&off.clients.latency, &on.clients.latency);
+    assert_eq!(off_latency.quantile(0.0), off_latency.quantile(1.0));
+    assert_eq!(on_latency.quantile(0.0), on_latency.quantile(1.0));
+    let committed_after = off_latency.mean() - hop_back;
     assert_eq!(
-        on.latency.mean(),
+        on_latency.mean(),
         committed_after + dur.sync_latency + hop_back
     );
     // One sync per record, each waited for by exactly its own result.
@@ -265,10 +269,10 @@ fn group_commit_keeps_most_of_the_memory_only_throughput() {
                 .with_clients(24)
                 .with_seed(0xC4A5);
             system.durability = dur;
-            let cfg =
-                SimConfig::new(system).with_window(Nanos::from_millis(30), Nanos::from_millis(150));
+            let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+                .with_window(Nanos::from_millis(30), Nanos::from_millis(150));
             let builder = MicroWorkload::new(mc);
-            run_with(cfg, MicroWorkload::new(mc), move |p| {
+            run(cfg, MicroWorkload::new(mc), move |p| {
                 builder.build_engine(p)
             })
         };
@@ -299,7 +303,8 @@ fn stalled_log_aborts_retryably_and_drains() {
                 DurabilityConfig::default().with_sync_deadline(Some(Nanos::from_micros(800))),
             )
             .with_retry(RetryConfig::default().with_max_attempts(3));
-        let cfg = SimConfig::new(system).with_window(Nanos::from_millis(2), Nanos::from_millis(8));
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+            .with_window(Nanos::from_millis(2), Nanos::from_millis(8));
         let builder = MicroWorkload::new(mc);
         let mut s = Simulation::new(cfg, MicroWorkload::new(mc), move |p| {
             builder.build_engine(p)
@@ -312,17 +317,17 @@ fn stalled_log_aborts_retryably_and_drains() {
                 ..FaultMode::default()
             },
         );
-        let (report, _, _, _) = s.run();
+        let (report, _) = s.run();
         assert!(
             report.durability.stalled_aborts > 0,
             "{scheme}: stall guard never fired"
         );
         assert!(
-            report.backoff_retries > 0,
+            report.clients.backoff_retries > 0,
             "{scheme}: LogStalled aborts must be retried with backoff"
         );
         assert!(
-            report.retry_exhausted > 0,
+            report.clients.retry_exhausted > 0,
             "{scheme}: a permanently stalled log must exhaust retries"
         );
         // The healthy partition kept committing and syncing throughout.
@@ -382,8 +387,8 @@ fn failed_append_never_reads_as_committed() {
                 .with_seed(0xC4A5)
                 .with_durability(DurabilityConfig::default())
                 .with_retry(RetryConfig::default().with_max_attempts(3));
-            let cfg =
-                SimConfig::new(system).with_window(Nanos::from_millis(1), Nanos::from_millis(6));
+            let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+                .with_window(Nanos::from_millis(1), Nanos::from_millis(6));
             let builder = MicroWorkload::new(mc);
             let probe = Committed {
                 inner: MicroWorkload::new(mc),
@@ -404,7 +409,7 @@ fn failed_append_never_reads_as_committed() {
         // Deterministic, so the drained run and the harvested logs are one
         // run seen twice: once for what the clients were told, once for
         // what the logs hold.
-        let (report, told, _, _) = build().run();
+        let (report, told) = build().run();
         let logs = build().run_to_crash(u64::MAX);
         assert!(!logs.crashed, "{scheme}: the run must drain");
         assert_eq!(logs.history[0].len() as u64, GOOD_APPENDS, "{scheme}");
@@ -424,7 +429,7 @@ fn failed_append_never_reads_as_committed() {
         // Everything that touched P0 after the fault bounced, was retried
         // with backoff, and ended as a final (exhausted) abort.
         assert!(report.durability.stalled_aborts > 0, "{scheme}");
-        assert!(report.backoff_retries > 0, "{scheme}");
-        assert!(report.retry_exhausted > 0, "{scheme}");
+        assert!(report.clients.backoff_retries > 0, "{scheme}");
+        assert!(report.clients.retry_exhausted > 0, "{scheme}");
     }
 }

@@ -15,7 +15,8 @@ use hcc_common::{
     CommitRecord, DurabilityConfig, FxHashMap, Nanos, PartitionId, Scheme, SystemConfig, TxnId,
 };
 use hcc_core::{recover_partition, ReplicaCore};
-use hcc_sim::{SimConfig, Simulation};
+use hcc_runtime::sim::Simulation;
+use hcc_runtime::{BackendChoice, RuntimeConfig};
 use hcc_storage::FaultMode;
 use hcc_workloads::micro::{MicroConfig, MicroFragment, MicroWorkload};
 use proptest::prelude::*;
@@ -97,7 +98,8 @@ fn check(case: &Case) -> Result<(), TestCaseError> {
             sync_latency: Nanos::from_micros(case.sync_latency_us),
             ..DurabilityConfig::default()
         });
-    let cfg = SimConfig::new(system).with_window(Nanos::from_micros(400), Nanos::from_micros(1500));
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+        .with_window(Nanos::from_micros(400), Nanos::from_micros(1500));
     let builder = MicroWorkload::new(mc);
     let mut sim = Simulation::new(cfg, MicroWorkload::new(mc), move |p| {
         builder.build_engine(p)

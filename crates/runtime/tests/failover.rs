@@ -13,9 +13,13 @@
 //!   the group keeps processing" actually converged,
 //! * the untouched group's replicas also still agree.
 //!
+//! One scenario kills by the clock instead, with downtime: both live
+//! drivers must honour every field of the failure plan on the wall clock,
+//! as the simulator does on its virtual one.
+//!
 //! All four schemes on both backends — the acceptance bar for this PR.
 
-use hcc_common::{FailurePlan, PartitionId, Scheme, SystemConfig};
+use hcc_common::{FailAt, FailurePlan, Nanos, PartitionId, Scheme, SystemConfig};
 use hcc_runtime::{run, BackendChoice, RuntimeConfig, RuntimeReport};
 use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
 use hcc_workloads::ycsb::{YcsbConfig, YcsbWorkload};
@@ -39,6 +43,24 @@ fn failover_run_sharded(
     replication: u32,
     coordinators: u32,
 ) -> RuntimeReport<MicroEngine> {
+    // Kill P1's primary after 30 commits — early enough that hundreds of
+    // transactions still flow through the promoted backup and the
+    // recovered node afterwards.
+    let plan = FailurePlan {
+        partition: PartitionId(1),
+        at: FailAt::Commits(30),
+        rejoin_delay: Nanos::ZERO,
+    };
+    failover_run_planned(scheme, backend, replication, coordinators, plan)
+}
+
+fn failover_run_planned(
+    scheme: Scheme,
+    backend: BackendChoice,
+    replication: u32,
+    coordinators: u32,
+    plan: FailurePlan,
+) -> RuntimeReport<MicroEngine> {
     let clients = 16u32;
     let requests = 40u64;
     let mc = MicroConfig {
@@ -55,13 +77,7 @@ fn failover_run_sharded(
         .with_seed(0xFA11)
         .with_replication(replication)
         .with_coordinators(coordinators);
-    // Kill P1's primary after 30 commits — early enough that hundreds of
-    // transactions still flow through the promoted backup and the
-    // recovered node afterwards.
-    let cfg = RuntimeConfig::fixed_work(system, backend, requests).with_failure(FailurePlan {
-        partition: PartitionId(1),
-        after_commits: 30,
-    });
+    let cfg = RuntimeConfig::fixed_work(system, backend, requests).with_failure(plan);
     let builder = MicroWorkload::new(mc);
     let r = run(cfg, MicroWorkload::new(mc), move |p| {
         builder.build_engine(p)
@@ -213,7 +229,8 @@ fn in_doubt_commits_survive_failover_bit_for_bit() {
     assert_eq!(promotions, 0);
     let (failed, promotions) = run_once(Some(FailurePlan {
         partition: PartitionId(0),
-        after_commits: 60,
+        at: FailAt::Commits(60),
+        rejoin_delay: Nanos::ZERO,
     }));
     assert_eq!(promotions, 1);
     assert_eq!(
@@ -268,11 +285,41 @@ fn failover_is_state_invisible_for_sp_only_workloads() {
     assert_eq!(promotions, 0);
     let (failed, promotions) = run_once(Some(FailurePlan {
         partition: PartitionId(0),
-        after_commits: 40,
+        at: FailAt::Commits(40),
+        rejoin_delay: Nanos::ZERO,
     }));
     assert_eq!(promotions, 1);
     assert_eq!(
         clean, failed,
         "a failover must not change the committed state of an SP-only run"
     );
+}
+
+/// A [`FailAt::Time`] crash with downtime: each live driver sends the
+/// crash on its wall clock and holds the membership actor's `Rejoin` for
+/// `rejoin_delay`, so the failed node recovers no sooner than that after it
+/// died — and still converges.
+#[test]
+fn timed_kill_with_downtime_recovers_on_both_backends() {
+    let rejoin_delay = Nanos::from_millis(20);
+    let plan = FailurePlan {
+        partition: PartitionId(1),
+        at: FailAt::Time(Nanos::from_millis(2)),
+        rejoin_delay,
+    };
+    for backend in BACKENDS {
+        let r = failover_run_planned(Scheme::Speculative, backend, 2, 1, plan);
+        let down = r.replication.time_to_recover().expect("timestamps");
+        assert!(
+            down >= rejoin_delay,
+            "{backend}: recovered {down} after the crash, inside its {rejoin_delay} downtime"
+        );
+        for group in 0..2 {
+            assert_eq!(
+                r.engines[group].fingerprint(),
+                r.backups[group].fingerprint(),
+                "{backend}: group {group} replicas diverged"
+            );
+        }
+    }
 }

@@ -4,9 +4,9 @@
 //! continue processing transactions that do not depend on the failed
 //! partition."
 
-use hcc_common::{ClientId, Nanos, PartitionId, Scheme, SystemConfig, TxnId};
+use hcc_common::{ClientId, FailAt, FailurePlan, Nanos, PartitionId, Scheme, SystemConfig, TxnId};
 use hcc_core::{Request, RequestGenerator};
-use hcc_sim::{SimConfig, Simulation};
+use hcc_runtime::{BackendChoice, RuntimeConfig, RuntimeReport, Simulation};
 use hcc_workloads::micro::{
     make_key, MicroConfig, MicroEngine, MicroFragment, MicroOp, MicroOutput, MicroWorkload,
     SimpleMicroProcedure,
@@ -92,15 +92,19 @@ impl RequestGenerator for SplitWorkload {
 fn run_split(
     scheme: Scheme,
     fail: Option<Nanos>,
-) -> (hcc_sim::SimReport, SplitWorkload, Vec<MicroEngine>) {
-    let system = SystemConfig::new(scheme).with_partitions(2).with_clients(6);
-    let mut cfg =
-        SimConfig::new(system).with_window(Nanos::from_millis(10), Nanos::from_millis(200));
+) -> (RuntimeReport<MicroEngine>, SplitWorkload, Vec<MicroEngine>) {
+    let mut system = SystemConfig::new(scheme).with_partitions(2).with_clients(6);
     if let Some(at) = fail {
-        cfg = cfg.with_partition_failure(at, PartitionId(1));
+        // The network splits P1 off at `at`; the coordinator expires what
+        // stalls behind it after the lock timeout.
+        system.network.split = Some((at, PartitionId(1)));
+        system.lock_timeout = Nanos::from_millis(2);
     }
-    let (report, workload, engines, _) =
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+        .with_window(Nanos::from_millis(10), Nanos::from_millis(200));
+    let (mut report, workload) =
         Simulation::new(cfg, SplitWorkload::new(), |p| MicroEngine::load(p, 6, 24)).run();
+    let engines = std::mem::take(&mut report.engines);
     (report, workload, engines)
 }
 
@@ -176,20 +180,19 @@ fn sim_kill_promote_recover_converges_and_is_deterministic() {
                 .with_partitions(2)
                 .with_clients(24)
                 .with_seed(0xDEAD);
-            let cfg = SimConfig::new(system)
+            let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
                 .with_window(Nanos::from_millis(20), Nanos::from_millis(150))
-                .with_failover(
-                    Nanos::from_millis(50),
-                    PartitionId(1),
-                    Nanos::from_millis(30),
-                );
+                .with_failure(FailurePlan {
+                    partition: PartitionId(1),
+                    at: FailAt::Time(Nanos::from_millis(50)),
+                    rejoin_delay: Nanos::from_millis(30),
+                });
             let builder = MicroWorkload::new(micro);
-            let (report, _, engines, replicas) =
-                Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
-                    builder.build_engine(p)
-                })
-                .run();
-            let replicas = replicas.expect("failover implies replicas");
+            let report = hcc_runtime::run(cfg, MicroWorkload::new(micro), move |p| {
+                builder.build_engine(p)
+            });
+            let (engines, replicas) = (&report.engines, &report.backups);
+            assert!(!replicas.is_empty(), "failover implies replicas");
             (
                 report.committed,
                 report.retries,
@@ -235,8 +238,8 @@ fn sim_kill_promote_recover_converges_and_is_deterministic() {
 }
 #[test]
 fn sim_failover_with_two_round_locking_txns_drains() {
-    use hcc_common::{Nanos, PartitionId, Scheme, SystemConfig};
-    use hcc_sim::{SimConfig, Simulation};
+    use hcc_common::{FailAt, FailurePlan, Nanos, PartitionId, Scheme, SystemConfig};
+    use hcc_runtime::{BackendChoice, RuntimeConfig};
     use hcc_workloads::micro::{MicroConfig, MicroWorkload};
     for scheme in [Scheme::Locking, Scheme::Blocking, Scheme::Speculative] {
         for seed in [0x2A, 7, 99, 1234, 0xFEED] {
@@ -252,20 +255,19 @@ fn sim_failover_with_two_round_locking_txns_drains() {
                 .with_partitions(2)
                 .with_clients(24)
                 .with_seed(seed);
-            let cfg = SimConfig::new(system)
+            let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
                 .with_window(Nanos::from_millis(20), Nanos::from_millis(120))
-                .with_failover(
-                    Nanos::from_millis(50),
-                    PartitionId(1),
-                    Nanos::from_millis(20),
-                );
+                .with_failure(FailurePlan {
+                    partition: PartitionId(1),
+                    at: FailAt::Time(Nanos::from_millis(50)),
+                    rejoin_delay: Nanos::from_millis(20),
+                });
             let builder = MicroWorkload::new(micro);
-            let (report, _, engines, replicas) =
-                Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
-                    builder.build_engine(p)
-                })
-                .run();
-            let replicas = replicas.unwrap();
+            let report = hcc_runtime::run(cfg, MicroWorkload::new(micro), move |p| {
+                builder.build_engine(p)
+            });
+            let (engines, replicas) = (&report.engines, &report.backups);
+            assert!(!replicas.is_empty());
             assert_eq!(report.replication.replay_failures, 0, "{scheme}");
             for (g, (p, r)) in engines.iter().zip(replicas.iter()).enumerate() {
                 assert_eq!(

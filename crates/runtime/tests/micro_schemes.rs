@@ -3,11 +3,15 @@
 //! relative performance relationships of the paper must hold.
 
 use hcc_common::{Nanos, Scheme, SystemConfig};
-use hcc_sim::{SimConfig, Simulation};
-use hcc_workloads::micro::{MicroConfig, MicroWorkload};
+use hcc_runtime::{BackendChoice, RuntimeConfig, RuntimeReport, Simulation};
+use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
 
-fn run(scheme: Scheme, mp: f64, mutate: impl FnOnce(&mut MicroConfig)) -> hcc_sim::SimReport {
-    let (r, _, _, _) = run_full(scheme, mp, mutate);
+fn run(
+    scheme: Scheme,
+    mp: f64,
+    mutate: impl FnOnce(&mut MicroConfig),
+) -> RuntimeReport<MicroEngine> {
+    let (r, _) = run_full(scheme, mp, mutate);
     r
 }
 
@@ -15,12 +19,7 @@ fn run_full(
     scheme: Scheme,
     mp: f64,
     mutate: impl FnOnce(&mut MicroConfig),
-) -> (
-    hcc_sim::SimReport,
-    MicroWorkload,
-    Vec<hcc_workloads::micro::MicroEngine>,
-    Option<Vec<hcc_workloads::micro::MicroEngine>>,
-) {
+) -> (RuntimeReport<MicroEngine>, MicroWorkload) {
     let mut mc = MicroConfig {
         mp_fraction: mp,
         ..Default::default()
@@ -29,9 +28,8 @@ fn run_full(
     let system = SystemConfig::new(scheme)
         .with_partitions(mc.partitions)
         .with_clients(mc.clients);
-    let cfg = SimConfig::new(system)
-        .with_window(Nanos::from_millis(50), Nanos::from_millis(300))
-        .with_shadow();
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
+        .with_window(Nanos::from_millis(50), Nanos::from_millis(300));
     let workload = MicroWorkload::new(mc);
     let build = {
         let w = MicroWorkload::new(mc);
@@ -45,12 +43,8 @@ fn run_full(
 /// replica (serial execution in commit order) must match the primary
 /// bit-for-bit — this *is* the serializability check, and doubles as the
 /// paper's primary/backup state equivalence.
-fn assert_serializable(
-    engines: &[hcc_workloads::micro::MicroEngine],
-    shadow: &Option<Vec<hcc_workloads::micro::MicroEngine>>,
-    label: &str,
-) {
-    let shadow = shadow.as_ref().expect("shadow enabled");
+fn assert_serializable(engines: &[MicroEngine], shadow: &[MicroEngine], label: &str) {
+    assert_eq!(shadow.len(), engines.len(), "shadow enabled");
     for (i, (e, s)) in engines.iter().zip(shadow.iter()).enumerate() {
         assert_eq!(e.live_undo_buffers(), 0, "{label}: P{i} undo buffers leak");
         assert_eq!(
@@ -122,10 +116,11 @@ fn locking_wins_at_high_mp_due_to_coordinator_bottleneck() {
         l.throughput_tps,
         s.throughput_tps
     );
+    let coordinator_utilization = s.virtual_time.unwrap().coordinator_utilization;
     assert!(
-        s.coordinator_utilization > 0.95,
+        coordinator_utilization > 0.95,
         "coordinator saturated: {}",
-        s.coordinator_utilization
+        coordinator_utilization
     );
 }
 
@@ -138,11 +133,11 @@ fn serializability_shadow_replica_matches_for_all_schemes() {
         Scheme::Occ,
     ] {
         // Conflict-heavy mix with aborts to stress cascades.
-        let (r, _, engines, shadow) = run_full(scheme, 0.3, |mc| {
+        let (r, _) = run_full(scheme, 0.3, |mc| {
             mc.abort_prob = 0.05;
             mc.clients = 10;
         });
         assert!(r.committed > 100, "{scheme}: {}", r.committed);
-        assert_serializable(&engines, &shadow, scheme.name());
+        assert_serializable(&r.engines, &r.backups, scheme.name());
     }
 }

@@ -11,7 +11,7 @@
 //! index, so its *ordered iteration* is compared against the surviving
 //! primary's too, not just its row set.
 
-use hcc_common::{FailurePlan, PartitionId, Scheme, SystemConfig};
+use hcc_common::{FailAt, FailurePlan, Nanos, PartitionId, Scheme, SystemConfig};
 use hcc_runtime::{run, BackendChoice, RuntimeConfig, RuntimeReport};
 use hcc_workloads::micro::MicroEngine;
 use hcc_workloads::ycsb::{YcsbEConfig, YcsbEWorkload};
@@ -52,7 +52,8 @@ fn scan_failover_run(
         .with_replication(2);
     let cfg = RuntimeConfig::fixed_work(system, backend, REQUESTS).with_failure(FailurePlan {
         partition: PartitionId(1),
-        after_commits: 20,
+        at: FailAt::Commits(20),
+        rejoin_delay: Nanos::ZERO,
     });
     let builder = YcsbEWorkload::new(yc);
     let r = run(cfg, YcsbEWorkload::new(yc), move |p| {

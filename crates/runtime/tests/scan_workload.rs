@@ -2,8 +2,8 @@
 //! §5 fragment-length trade-off, and §3.3 recovery with the ordered
 //! index populated.
 
-use hcc_common::{Nanos, PartitionId, Scheme, SystemConfig};
-use hcc_sim::{SimConfig, Simulation};
+use hcc_common::{FailAt, FailurePlan, Nanos, PartitionId, Scheme, SystemConfig};
+use hcc_runtime::{run, BackendChoice, RuntimeConfig};
 use hcc_workloads::ycsb::{ycsb_key, YcsbEConfig, YcsbEWorkload};
 
 fn scan_cfg(scan_len: u32, mp: f64, seed: u64) -> YcsbEConfig {
@@ -35,17 +35,15 @@ fn run_scan(scheme: Scheme, scan_len: u32, mp: f64, seed: u64, shadow: bool) -> 
         .with_partitions(yc.partitions)
         .with_clients(yc.clients)
         .with_seed(seed);
-    let mut cfg =
-        SimConfig::new(system).with_window(Nanos::from_millis(20), Nanos::from_millis(120));
-    if shadow {
-        cfg = cfg.with_shadow();
-    }
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow })
+        .with_window(Nanos::from_millis(20), Nanos::from_millis(120));
     let builder = YcsbEWorkload::new(yc);
-    let (r, _, engines, shadows) = Simulation::new(cfg, YcsbEWorkload::new(yc), move |p| {
+    let r = run(cfg, YcsbEWorkload::new(yc), move |p| {
         builder.build_engine(p)
-    })
-    .run();
-    if let Some(shadows) = &shadows {
+    });
+    let (engines, shadows) = (&r.engines, &r.backups);
+    if shadow {
+        assert_eq!(shadows.len(), engines.len(), "{scheme}: shadow enabled");
         for (i, (p, s)) in engines.iter().zip(shadows.iter()).enumerate() {
             assert_eq!(
                 p.ordered_fingerprint(),
@@ -62,7 +60,7 @@ fn run_scan(scheme: Scheme, scan_len: u32, mp: f64, seed: u64, shadow: bool) -> 
     assert_eq!(r.sched.stray_decisions, 0, "{scheme}");
     ScanRun {
         committed: r.committed,
-        events: r.events_processed,
+        events: r.virtual_time.unwrap().events,
         throughput: r.throughput_tps,
         fingerprints: engines.iter().map(|e| e.fingerprint()).collect(),
         ordered_fingerprints: engines.iter().map(|e| e.ordered_fingerprint()).collect(),
@@ -143,22 +141,22 @@ fn recovery_rejoin_preserves_the_ordered_index() {
         .with_partitions(2)
         .with_clients(24)
         .with_seed(0xFA57);
-    let cfg = SimConfig::new(system)
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
         .with_window(Nanos::from_millis(20), Nanos::from_millis(120))
-        .with_failover(
-            Nanos::from_millis(40),
-            PartitionId(1),
-            Nanos::from_millis(20),
-        );
+        .with_failure(FailurePlan {
+            partition: PartitionId(1),
+            at: FailAt::Time(Nanos::from_millis(40)),
+            rejoin_delay: Nanos::from_millis(20),
+        });
     let builder = YcsbEWorkload::new(yc);
-    let (r, _, engines, replicas) = Simulation::new(cfg, YcsbEWorkload::new(yc), move |p| {
+    let r = run(cfg, YcsbEWorkload::new(yc), move |p| {
         builder.build_engine(p)
-    })
-    .run();
+    });
     assert_eq!(r.replication.promotions, 1);
     assert_eq!(r.replication.recoveries, 1);
     assert_eq!(r.replication.replay_failures, 0);
-    let replicas = replicas.expect("failover runs keep replicas");
+    let (engines, replicas) = (&r.engines, &r.backups);
+    assert!(!replicas.is_empty(), "failover runs keep replicas");
     for (i, (p, b)) in engines.iter().zip(replicas.iter()).enumerate() {
         assert!(b.scans_enabled(), "P{i}: recovered replica lost scan mode");
         b.check_ordered_invariants()

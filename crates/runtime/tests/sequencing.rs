@@ -9,8 +9,8 @@
 //! regression, bit-determinism per epoch size, serial equivalence of the
 //! sequenced execution, and failover mid-epoch.
 
-use hcc_common::{Nanos, PartitionId, Scheme, SequencingConfig, SystemConfig};
-use hcc_sim::{run_with, SimConfig, SimReport, Simulation};
+use hcc_common::{FailAt, FailurePlan, Nanos, PartitionId, Scheme, SequencingConfig, SystemConfig};
+use hcc_runtime::{run, BackendChoice, RuntimeConfig, RuntimeReport};
 use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
 
 const EPOCH64: SequencingConfig = SequencingConfig::Epoch { batch: 64 };
@@ -21,7 +21,11 @@ fn unaligned_sharded(
     scheme: Scheme,
     sequencing: SequencingConfig,
     seed: u64,
-) -> (SimReport, Vec<MicroEngine>, Option<Vec<MicroEngine>>) {
+) -> (
+    RuntimeReport<MicroEngine>,
+    Vec<MicroEngine>,
+    Vec<MicroEngine>,
+) {
     let micro = MicroConfig {
         partitions: 8,
         clients: 128,
@@ -36,14 +40,16 @@ fn unaligned_sharded(
         .with_seed(seed)
         .with_coordinators(4)
         .with_sequencing(sequencing);
-    let cfg = SimConfig::new(system)
-        .with_window(Nanos::from_millis(30), Nanos::from_millis(150))
-        .with_shadow();
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
+        .with_window(Nanos::from_millis(30), Nanos::from_millis(150));
     let builder = MicroWorkload::new(micro);
-    let (r, _, engines, shadow) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+    let mut r = run(cfg, MicroWorkload::new(micro), move |p| {
         builder.build_engine(p)
-    })
-    .run();
+    });
+    let (engines, shadow) = (
+        std::mem::take(&mut r.engines),
+        std::mem::take(&mut r.backups),
+    );
     (r, engines, shadow)
 }
 
@@ -72,10 +78,10 @@ fn sequencing_eliminates_the_unaligned_retry_storm() {
             .with_coordinators(4)
             .with_sequencing(sequencing);
         system.lock_timeout = lock_timeout;
-        let cfg =
-            SimConfig::new(system).with_window(Nanos::from_millis(30), Nanos::from_millis(150));
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+            .with_window(Nanos::from_millis(30), Nanos::from_millis(150));
         let builder = MicroWorkload::new(micro);
-        run_with(cfg, MicroWorkload::new(micro), move |p| {
+        run(cfg, MicroWorkload::new(micro), move |p| {
             builder.build_engine(p)
         })
     };
@@ -167,12 +173,12 @@ fn epoch_stats_are_populated_and_consistent() {
 /// batch sizes genuinely change the schedule.
 #[test]
 fn sequencing_is_deterministic_per_epoch_size() {
-    let digest = |r: &SimReport, engines: &[MicroEngine]| {
-        let lat = r.latency.summary();
+    let digest = |r: &RuntimeReport<MicroEngine>, engines: &[MicroEngine]| {
+        let lat = r.latency();
         let hold = r.sequencer.seq_hold.summary();
         (
             r.committed,
-            r.events_processed,
+            r.virtual_time.unwrap().events,
             r.retries,
             r.sequencer.epochs_closed,
             r.sequencer.batch_sum,
@@ -219,7 +225,7 @@ fn sequencing_is_deterministic_per_epoch_size() {
 fn sequenced_execution_is_serial_equivalent_to_epoch_order() {
     for scheme in [Scheme::Blocking, Scheme::Speculative, Scheme::Occ] {
         let (r, engines, shadow) = unaligned_sharded(scheme, EPOCH64, 0xA1);
-        let shadow = shadow.expect("shadow enabled");
+        assert_eq!(shadow.len(), engines.len(), "shadow enabled");
         assert!(r.committed > 500, "{scheme}: throughput collapsed");
         assert_eq!(r.replication.replay_failures, 0, "{scheme}");
         assert_eq!(r.sequencer.cross_coord_aborts, 0, "{scheme}");
@@ -239,10 +245,10 @@ fn sequenced_execution_is_serial_equivalent_to_epoch_order() {
 /// were off.
 #[test]
 fn locking_ignores_the_sequencing_knob() {
-    let digest = |r: &SimReport, engines: &[MicroEngine]| {
+    let digest = |r: &RuntimeReport<MicroEngine>, engines: &[MicroEngine]| {
         (
             r.committed,
-            r.events_processed,
+            r.virtual_time.unwrap().events,
             engines.iter().map(|e| e.fingerprint()).collect::<Vec<_>>(),
         )
     };
@@ -282,20 +288,19 @@ fn failover_mid_epoch_retries_unclosed_work_without_losing_commits() {
                 .with_seed(0xF8)
                 .with_coordinators(2)
                 .with_sequencing(EPOCH64);
-            let cfg = SimConfig::new(system)
+            let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
                 .with_window(Nanos::from_millis(20), Nanos::from_millis(150))
-                .with_failover(
-                    Nanos::from_millis(50),
-                    PartitionId(1),
-                    Nanos::from_millis(30),
-                );
+                .with_failure(FailurePlan {
+                    partition: PartitionId(1),
+                    at: FailAt::Time(Nanos::from_millis(50)),
+                    rejoin_delay: Nanos::from_millis(30),
+                });
             let builder = MicroWorkload::new(micro);
-            let (report, _, engines, replicas) =
-                Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
-                    builder.build_engine(p)
-                })
-                .run();
-            let replicas = replicas.expect("failover implies replicas");
+            let report = run(cfg, MicroWorkload::new(micro), move |p| {
+                builder.build_engine(p)
+            });
+            let (engines, replicas) = (&report.engines, &report.backups);
+            assert!(!replicas.is_empty(), "failover implies replicas");
             (
                 report.committed,
                 report.retries,
@@ -436,16 +441,15 @@ fn golden_fixed_seed_with_sequencing_on() {
             .with_seed(0xE8)
             .with_coordinators(2)
             .with_sequencing(EPOCH64);
-        let cfg = SimConfig::new(system)
-            .with_window(Nanos::from_millis(20), Nanos::from_millis(100))
-            .with_shadow();
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
+            .with_window(Nanos::from_millis(20), Nanos::from_millis(100));
         let builder = MicroWorkload::new(micro);
-        let (r, _, engines, shadow) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+        let r = run(cfg, MicroWorkload::new(micro), move |p| {
             builder.build_engine(p)
-        })
-        .run();
-        let shadow = shadow.expect("shadow enabled");
-        let lat = r.latency.summary();
+        });
+        let (engines, shadow) = (&r.engines, &r.backups);
+        assert_eq!(shadow.len(), engines.len(), "shadow enabled");
+        let lat = r.latency();
         let hold = r.sequencer.seq_hold.summary();
         let got = SeqGolden {
             committed: r.committed,
@@ -500,18 +504,20 @@ fn single_partition_traffic_bypasses_the_sequencer() {
             .with_seed(0x51)
             .with_coordinators(4)
             .with_sequencing(sequencing);
-        let cfg =
-            SimConfig::new(system).with_window(Nanos::from_millis(20), Nanos::from_millis(100));
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+            .with_window(Nanos::from_millis(20), Nanos::from_millis(100));
         let builder = MicroWorkload::new(micro);
-        let (r, _, engines, _) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+        let r = run(cfg, MicroWorkload::new(micro), move |p| {
             builder.build_engine(p)
-        })
-        .run();
-        let lat = r.latency.summary();
+        });
+        let lat = r.latency();
         (
             r.committed,
             [lat.p50.0, lat.p99.0, lat.p999.0],
-            engines.iter().map(|e| e.fingerprint()).collect::<Vec<_>>(),
+            r.engines
+                .iter()
+                .map(|e| e.fingerprint())
+                .collect::<Vec<_>>(),
         )
     };
     let off = run_sp(SequencingConfig::Off);

@@ -5,7 +5,7 @@
 //! and a sequenced run must never issue a `CrossCoordinator` expiry
 //! abort (the merged epoch order leaves nothing for expiry to break).
 
-use hcc_common::{FailurePlan, PartitionId, Scheme, SequencingConfig, SystemConfig};
+use hcc_common::{FailAt, FailurePlan, Nanos, PartitionId, Scheme, SequencingConfig, SystemConfig};
 use hcc_runtime::{run, BackendChoice, RuntimeConfig};
 use hcc_workloads::micro::{MicroConfig, MicroWorkload};
 use hcc_workloads::ycsb::{YcsbConfig, YcsbWorkload};
@@ -149,7 +149,8 @@ fn sequenced_failover_preserves_committed_state() {
     let clean = run_once(None);
     let failed = run_once(Some(FailurePlan {
         partition: PartitionId(1),
-        after_commits: 120,
+        at: FailAt::Commits(120),
+        rejoin_delay: Nanos::ZERO,
     }));
     assert_eq!(failed.replication.promotions, 1, "the kill must have fired");
     assert_eq!(failed.replication.recoveries, 1);

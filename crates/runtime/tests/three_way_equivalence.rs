@@ -5,13 +5,14 @@
 //! `backend_equivalence.rs`'s argument (per-client request streams,
 //! commutative key-disjoint effects, order-independent fingerprints) with a
 //! third driver. Fixed work is `RunMode::FixedRequests`, the mode
-//! `ClientActor::new(.., requests)` and both live backends already have.
+//! `ClientActor::new(.., requests)` gives every driver. One report means
+//! the drivers also agree on what the window counted: committed, user
+//! aborts and committed multi-partition transactions.
 
 use hcc_common::{DurabilityConfig, PartitionId, Scheme, SystemConfig};
 use hcc_core::recover_partition;
-use hcc_runtime::{run, BackendChoice, RunMode, RuntimeConfig};
-use hcc_sim::{SimConfig, Simulation};
-use hcc_workloads::micro::{MicroConfig, MicroWorkload};
+use hcc_runtime::{run, BackendChoice, RuntimeConfig, RuntimeReport, Simulation};
+use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
 
 const SCHEMES: [Scheme; 4] = [
     Scheme::Blocking,
@@ -45,14 +46,16 @@ fn system(scheme: Scheme) -> SystemConfig {
 }
 
 fn simulation(system: SystemConfig) -> Simulation<MicroWorkload> {
-    let cfg = SimConfig {
-        mode: RunMode::FixedRequests(REQUESTS),
-        ..SimConfig::new(system)
-    };
+    let cfg = RuntimeConfig::fixed_work(system, BackendChoice::Sim { shadow: false }, REQUESTS);
     let builder = MicroWorkload::new(micro());
     Simulation::new(cfg, MicroWorkload::new(micro()), move |p| {
         builder.build_engine(p)
     })
+}
+
+/// What the window counted.
+fn outcomes(r: &RuntimeReport<MicroEngine>) -> (u64, u64, u64) {
+    (r.committed, r.user_aborts, r.committed_mp)
 }
 
 /// Replay a log image onto a birth-state engine; the recovered fingerprint.
@@ -69,16 +72,16 @@ fn recovered(p: usize, image: &[u8]) -> u64 {
 fn replicated_fixed_work_agrees_across_all_three_drivers() {
     for scheme in SCHEMES {
         let system = system(scheme).with_replication(2);
-        let (report, _, engines, backups) = simulation(system.clone()).run();
+        let (report, _) = simulation(system.clone()).run();
         assert_eq!(
             report.committed + report.user_aborts,
             u64::from(CLIENTS) * REQUESTS,
             "sim/{scheme}: wrong amount of work performed"
         );
         assert_eq!(report.replication.replay_failures, 0, "sim/{scheme}");
-        let sim: Vec<u64> = engines.iter().map(|e| e.fingerprint()).collect();
-        let backups = backups.expect("replicated");
-        let backups: Vec<u64> = backups.iter().map(|e| e.fingerprint()).collect();
+        let sim: Vec<u64> = report.engines.iter().map(|e| e.fingerprint()).collect();
+        assert!(!report.backups.is_empty(), "replicated");
+        let backups: Vec<u64> = report.backups.iter().map(|e| e.fingerprint()).collect();
         assert_eq!(sim, backups, "sim/{scheme}: backup diverged");
 
         for backend in LIVE {
@@ -95,6 +98,11 @@ fn replicated_fixed_work_agrees_across_all_three_drivers() {
                 sim, live,
                 "{scheme}: the simulator and {backend} committed different state"
             );
+            assert_eq!(
+                outcomes(&r),
+                outcomes(&report),
+                "{scheme}: the simulator and {backend} counted different outcomes"
+            );
         }
     }
 }
@@ -107,10 +115,10 @@ fn durable_fixed_work_recovers_to_the_same_state_across_all_three_drivers() {
         let system = system(scheme).with_durability(DurabilityConfig::default());
         // The simulator hands back engines from `run` and log images from
         // the crash harness; it is deterministic, so two runs are one.
-        let (_, _, engines, _) = simulation(system.clone()).run();
+        let (report, _) = simulation(system.clone()).run();
         let harvest = simulation(system.clone()).run_to_crash(u64::MAX);
         assert!(!harvest.crashed, "sim/{scheme}: the run must drain");
-        let sim: Vec<u64> = engines.iter().map(|e| e.fingerprint()).collect();
+        let sim: Vec<u64> = report.engines.iter().map(|e| e.fingerprint()).collect();
         for (p, image) in harvest.images.iter().enumerate() {
             assert_eq!(
                 recovered(p, image),
@@ -137,6 +145,11 @@ fn durable_fixed_work_recovers_to_the_same_state_across_all_three_drivers() {
             assert_eq!(
                 sim, live,
                 "{scheme}: the simulator and {backend} committed different state"
+            );
+            assert_eq!(
+                outcomes(&r),
+                outcomes(&report),
+                "{scheme}: the simulator and {backend} counted different outcomes"
             );
         }
     }

@@ -8,9 +8,9 @@
 //! ```
 
 use hcc::prelude::*;
-use hcc::workloads::micro::{MicroConfig, MicroWorkload};
+use hcc::workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
 
-fn run(abort: f64, depth: usize) -> SimReport {
+fn run(abort: f64, depth: usize) -> RuntimeReport<MicroEngine> {
     let micro = MicroConfig {
         mp_fraction: 0.3,
         abort_prob: abort,
@@ -20,13 +20,12 @@ fn run(abort: f64, depth: usize) -> SimReport {
         .with_partitions(micro.partitions)
         .with_clients(micro.clients);
     system.max_speculation_depth = depth;
-    let cfg = SimConfig::new(system).with_window(Nanos::from_millis(100), Nanos::from_millis(400));
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+        .with_window(Nanos::from_millis(100), Nanos::from_millis(400));
     let builder = MicroWorkload::new(micro);
-    let (report, _, _, _) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+    hcc::runtime::run(cfg, MicroWorkload::new(micro), move |p| {
         builder.build_engine(p)
     })
-    .run();
-    report
 }
 
 fn main() {

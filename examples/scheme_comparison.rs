@@ -8,9 +8,9 @@
 
 use hcc::model;
 use hcc::prelude::*;
-use hcc::workloads::micro::{MicroConfig, MicroWorkload};
+use hcc::workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
 
-fn run(scheme: Scheme, mp: f64) -> SimReport {
+fn run(scheme: Scheme, mp: f64) -> RuntimeReport<MicroEngine> {
     let micro = MicroConfig {
         mp_fraction: mp,
         ..Default::default()
@@ -18,13 +18,12 @@ fn run(scheme: Scheme, mp: f64) -> SimReport {
     let system = SystemConfig::new(scheme)
         .with_partitions(micro.partitions)
         .with_clients(micro.clients);
-    let cfg = SimConfig::new(system).with_window(Nanos::from_millis(100), Nanos::from_millis(400));
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+        .with_window(Nanos::from_millis(100), Nanos::from_millis(400));
     let builder = MicroWorkload::new(micro);
-    let (report, _, _, _) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+    hcc::runtime::run(cfg, MicroWorkload::new(micro), move |p| {
         builder.build_engine(p)
     })
-    .run();
-    report
 }
 
 fn main() {

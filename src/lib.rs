@@ -17,8 +17,8 @@
 //! | [`locking`] | single-threaded lock manager + deadlock detection |
 //! | [`core`] | the schedulers, coordinator, client-side 2PC |
 //! | [`workloads`] | the paper's microbenchmark and modified TPC-C |
-//! | [`sim`] | virtual-time driver of the runtime's actors (calibrated to Table 2) |
-//! | [`runtime`] | the actors and their live drivers: thread-per-actor and multiplexed |
+//! | [`runtime`] | the actors and their three drivers (thread-per-actor, multiplexed, simulator): one config, one report |
+//! | [`sim`] | the runtime's virtual-time driver, calibrated to Table 2 (`hcc_runtime::sim`) |
 //! | [`model`] | the §6 analytical throughput model |
 //!
 //! ## Quickstart
@@ -33,16 +33,17 @@
 //! let system = SystemConfig::new(Scheme::Speculative)
 //!     .with_partitions(2)
 //!     .with_clients(10);
-//! let sim = SimConfig::new(system)
+//! // The simulator; `BackendChoice::Multiplexed { workers: 2 }` runs the
+//! // same config on real threads.
+//! let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
 //!     .with_window(Nanos::from_millis(10), Nanos::from_millis(50));
 //! let builder = MicroWorkload::new(micro);
-//! let (report, _, _, _) =
-//!     Simulation::new(sim, MicroWorkload::new(micro), move |p| builder.build_engine(p)).run();
+//! let report = run(cfg, MicroWorkload::new(micro), move |p| builder.build_engine(p));
 //! assert!(report.committed > 0);
 //! println!("{}", report.summary());
 //! ```
 //!
-//! See `examples/` for the threaded runtime, TPC-C, and scheme-selection
+//! See `examples/` for the live runtime, TPC-C, and scheme-selection
 //! walkthroughs, and `crates/bench` for the harness that regenerates every
 //! figure and table of the paper.
 
@@ -53,7 +54,7 @@ pub use hcc_core as core;
 pub use hcc_locking as locking;
 pub use hcc_model as model;
 pub use hcc_runtime as runtime;
-pub use hcc_sim as sim;
+pub use hcc_runtime::sim;
 pub use hcc_storage as storage;
 pub use hcc_workloads as workloads;
 
@@ -61,7 +62,7 @@ pub use hcc_workloads as workloads;
 pub mod prelude {
     pub use hcc_common::{
         AbortReason, AdaptiveConfig, AdaptiveStats, ClientId, CommitRecord, CoordinatorRef,
-        CostModel, Decision, DurabilityConfig, FailurePlan, FragmentResponse, FragmentTask,
+        CostModel, Decision, DurabilityConfig, FailAt, FailurePlan, FragmentResponse, FragmentTask,
         LockKey, LogEncode, Nanos, PartitionId, RetryConfig, Scheme, SystemConfig, TxnId,
         TxnResult,
     };
@@ -69,11 +70,7 @@ pub mod prelude {
         make_scheduler, ExecOutcome, ExecutionEngine, Outbox, PartitionOut, Procedure, ReplicaCore,
         ReplicationSession, Request, RequestGenerator, RoundOutputs, Scheduler, Step,
     };
-    pub use hcc_runtime::{
-        run, Backend, BackendChoice, MultiplexedBackend, RunMode, RuntimeConfig, RuntimeReport,
-        ThreadedBackend,
-    };
-    pub use hcc_sim::{SimConfig, SimFailover, SimReport, Simulation};
+    pub use hcc_runtime::{run, BackendChoice, RunMode, RuntimeConfig, RuntimeReport, Simulation};
 }
 
 #[cfg(test)]

@@ -10,12 +10,12 @@ fn throughput(scheme: Scheme, micro: MicroConfig) -> f64 {
     let system = SystemConfig::new(scheme)
         .with_partitions(2)
         .with_clients(micro.clients);
-    let cfg = SimConfig::new(system).with_window(Nanos::from_millis(50), Nanos::from_millis(250));
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+        .with_window(Nanos::from_millis(50), Nanos::from_millis(250));
     let builder = MicroWorkload::new(micro);
-    let (r, _, _, _) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+    let r = run(cfg, MicroWorkload::new(micro), move |p| {
         builder.build_engine(p)
-    })
-    .run();
+    });
     r.throughput_tps
 }
 

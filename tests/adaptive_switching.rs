@@ -7,7 +7,6 @@
 //! resuming in the same scheme at the same transition epoch.
 
 use hcc::prelude::*;
-use hcc::sim::run_with;
 use hcc::workloads::micro::{MicroConfig, MicroWorkload};
 use hcc::workloads::phased::PhasedMicroWorkload;
 use hcc_common::AdaptiveConfig;
@@ -36,19 +35,19 @@ fn phased_system(start: Scheme, clients: u32, seed: u64) -> SystemConfig {
 fn sim_phased(start: Scheme, seed: u64) -> (u64, u64, AdaptiveStats, Vec<u64>) {
     let clients = 24;
     let system = phased_system(start, clients, seed);
-    let cfg = SimConfig::new(system).with_window(Nanos::from_millis(20), Nanos::from_millis(250));
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+        .with_window(Nanos::from_millis(20), Nanos::from_millis(250));
     let builder = PhasedMicroWorkload::standard(2, clients, seed, 40);
-    let (r, _, engines, _) = Simulation::new(
+    let r = run(
         cfg,
         PhasedMicroWorkload::standard(2, clients, seed, 40),
         move |p| builder.build_engine(p),
-    )
-    .run();
+    );
     (
         r.committed,
         r.retries,
         r.adaptive,
-        engines.iter().map(|e| e.fingerprint()).collect(),
+        r.engines.iter().map(|e| e.fingerprint()).collect(),
     )
 }
 
@@ -118,10 +117,10 @@ fn adaptive_tracks_the_best_pinned_scheme_on_steady_mixes() {
         }
         // 50 ms of warm-up is long enough for an adaptive run to converge
         // on the winner before the measured window opens.
-        let cfg =
-            SimConfig::new(system).with_window(Nanos::from_millis(50), Nanos::from_millis(250));
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+            .with_window(Nanos::from_millis(50), Nanos::from_millis(250));
         let builder = MicroWorkload::new(micro);
-        run_with(cfg, MicroWorkload::new(micro), move |p| {
+        run(cfg, MicroWorkload::new(micro), move |p| {
             builder.build_engine(p)
         })
     };
@@ -214,15 +213,15 @@ fn adaptive_off_report_is_empty() {
             .with_partitions(2)
             .with_clients(clients)
             .with_seed(7);
-        let cfg =
-            SimConfig::new(system).with_window(Nanos::from_millis(20), Nanos::from_millis(120));
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+            .with_window(Nanos::from_millis(20), Nanos::from_millis(120));
         let builder = PhasedMicroWorkload::standard(2, clients, 7, 40);
-        let (r, _, engines, _) = Simulation::new(
+        let mut r = hcc::runtime::run(
             cfg,
             PhasedMicroWorkload::standard(2, clients, 7, 40),
             move |p| builder.build_engine(p),
-        )
-        .run();
+        );
+        let engines = std::mem::take(&mut r.engines);
         (r, engines)
     };
     for scheme in [
@@ -301,24 +300,24 @@ fn adaptive_failover_resumes_scheme_and_stays_deterministic() {
         let clients = 24;
         let seed = 0xFA11;
         let system = phased_system(Scheme::Blocking, clients, seed);
-        let cfg = SimConfig::new(system)
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
             .with_window(Nanos::from_millis(20), Nanos::from_millis(250))
-            .with_failover(
+            .with_failure(FailurePlan {
+                partition: PartitionId(1),
                 // Late enough that phase 1 has typically forced a switch
                 // before the kill, so the promotion actually exercises
                 // scheme resume rather than the epoch-0 default.
-                Nanos::from_millis(120),
-                PartitionId(1),
-                Nanos::from_millis(30),
-            );
+                at: FailAt::Time(Nanos::from_millis(120)),
+                rejoin_delay: Nanos::from_millis(30),
+            });
         let builder = PhasedMicroWorkload::standard(2, clients, seed, 40);
-        let (report, _, engines, replicas) = Simulation::new(
+        let report = run(
             cfg,
             PhasedMicroWorkload::standard(2, clients, seed, 40),
             move |p| builder.build_engine(p),
-        )
-        .run();
-        let replicas = replicas.expect("failover implies replicas");
+        );
+        let (engines, replicas) = (&report.engines, &report.backups);
+        assert!(!replicas.is_empty(), "failover implies replicas");
         (
             report.committed,
             report.replication,

@@ -16,12 +16,12 @@ fn measured(scheme: Scheme, mp: f64, local_only: bool) -> f64 {
         .with_partitions(2)
         .with_clients(40);
     system.local_speculation_only = local_only;
-    let cfg = SimConfig::new(system).with_window(Nanos::from_millis(50), Nanos::from_millis(300));
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+        .with_window(Nanos::from_millis(50), Nanos::from_millis(300));
     let builder = MicroWorkload::new(micro);
-    let (r, _, _, _) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+    let r = run(cfg, MicroWorkload::new(micro), move |p| {
         builder.build_engine(p)
-    })
-    .run();
+    });
     r.throughput_tps
 }
 

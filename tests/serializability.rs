@@ -16,7 +16,11 @@ fn run_one(
     two_round: bool,
     clients: u32,
     seed: u64,
-) -> (SimReport, Vec<MicroEngine>, Vec<MicroEngine>) {
+) -> (
+    RuntimeReport<MicroEngine>,
+    Vec<MicroEngine>,
+    Vec<MicroEngine>,
+) {
     let micro = MicroConfig {
         mp_fraction: mp,
         conflict_prob: conflict,
@@ -30,15 +34,18 @@ fn run_one(
         .with_partitions(2)
         .with_clients(clients)
         .with_seed(seed);
-    let cfg = SimConfig::new(system)
-        .with_window(Nanos::from_millis(20), Nanos::from_millis(120))
-        .with_shadow();
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
+        .with_window(Nanos::from_millis(20), Nanos::from_millis(120));
     let builder = MicroWorkload::new(micro);
-    let (report, _, engines, shadow) = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+    let mut report = run(cfg, MicroWorkload::new(micro), move |p| {
         builder.build_engine(p)
-    })
-    .run();
-    (report, engines, shadow.expect("shadow enabled"))
+    });
+    let (engines, shadow) = (
+        std::mem::take(&mut report.engines),
+        std::mem::take(&mut report.backups),
+    );
+    assert_eq!(shadow.len(), engines.len(), "shadow enabled");
+    (report, engines, shadow)
 }
 
 fn assert_equivalent(scheme: Scheme, engines: &[MicroEngine], shadow: &[MicroEngine]) {

@@ -12,7 +12,7 @@ fn run_tpcc(
     warehouses: u32,
     partitions: u32,
     remote_item_prob: f64,
-) -> (SimReport, Vec<TpccEngine>, Vec<TpccEngine>) {
+) -> (RuntimeReport<TpccEngine>, Vec<TpccEngine>, Vec<TpccEngine>) {
     let mut tpcc = TpccConfig::new(warehouses, partitions);
     tpcc.scale = hcc::storage::tpcc::TpccScale::tiny();
     tpcc.remote_item_prob = remote_item_prob;
@@ -21,15 +21,18 @@ fn run_tpcc(
         .with_clients(12)
         .with_seed(3);
     system.lock_timeout = Nanos::from_millis(1);
-    let cfg = SimConfig::new(system)
-        .with_window(Nanos::from_millis(20), Nanos::from_millis(150))
-        .with_shadow();
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
+        .with_window(Nanos::from_millis(20), Nanos::from_millis(150));
     let builder = TpccWorkload::new(tpcc);
-    let (report, _, engines, shadow) = Simulation::new(cfg, TpccWorkload::new(tpcc), move |p| {
+    let mut report = run(cfg, TpccWorkload::new(tpcc), move |p| {
         builder.build_engine(p)
-    })
-    .run();
-    (report, engines, shadow.expect("shadow"))
+    });
+    let (engines, shadow) = (
+        std::mem::take(&mut report.engines),
+        std::mem::take(&mut report.backups),
+    );
+    assert_eq!(shadow.len(), engines.len(), "shadow");
+    (report, engines, shadow)
 }
 
 #[test]
@@ -139,12 +142,12 @@ fn by_warehouse_classification_reproduces_high_mp_fraction() {
     let system = SystemConfig::new(Scheme::Speculative)
         .with_partitions(2)
         .with_clients(12);
-    let cfg = SimConfig::new(system).with_window(Nanos::from_millis(50), Nanos::from_millis(400));
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+        .with_window(Nanos::from_millis(50), Nanos::from_millis(400));
     let builder = TpccWorkload::new(tpcc);
-    let (r, _, _, _) = Simulation::new(cfg, TpccWorkload::new(tpcc), move |p| {
+    let r = run(cfg, TpccWorkload::new(tpcc), move |p| {
         builder.build_engine(p)
-    })
-    .run();
+    });
     let f = r.mp_fraction();
     assert!(
         (0.06..=0.13).contains(&f),
