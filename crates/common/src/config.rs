@@ -514,12 +514,14 @@ pub struct SystemConfig {
     /// Cap on the number of transactions speculated while a multi-partition
     /// transaction waits for 2PC. `usize::MAX` reproduces the paper; small
     /// values implement the §5.3 suggestion to "limit the amount of
-    /// speculation to avoid wasted work" under high abort rates.
+    /// speculation to avoid wasted work" under high abort rates. Honoured
+    /// by speculation and OCC; blocking *is* depth 0, whatever this says.
     pub max_speculation_depth: usize,
-    /// Restrict the speculative scheme to *local* speculation (§4.2.1):
-    /// speculative multi-partition results are buffered in the partition
-    /// instead of being released to the coordinator with dependencies.
-    /// Used to reproduce Figure 10's "Measured Local Spec" curve.
+    /// Restrict speculation to *local* speculation (§4.2.1): speculative
+    /// multi-partition results are buffered in the partition instead of
+    /// being released to the coordinator with dependencies. Used to
+    /// reproduce Figure 10's "Measured Local Spec" curve. Honoured by
+    /// speculation and OCC (blocking, at depth 0, speculates nothing).
     pub local_speculation_only: bool,
     /// Durable command logging with group commit; `None` (default) is
     /// the paper's memory-only configuration.
@@ -528,7 +530,8 @@ pub struct SystemConfig {
     pub retry: RetryConfig,
     /// Epoch-batched deterministic cross-shard sequencing of
     /// multi-partition transactions (ISSUE 8). Off by default — the
-    /// paper's configuration. Ignored by the locking scheme (its
+    /// paper's configuration. Honoured alike by blocking, speculation and
+    /// OCC, which share one scheduler. Ignored by the locking scheme (its
     /// multi-partition 2PC is client-driven, so there is nothing for a
     /// coordinator shard to order).
     pub sequencing: SequencingConfig,

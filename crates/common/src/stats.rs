@@ -219,12 +219,14 @@ pub struct SchedulerCounters {
     /// decisions for transactions that died with its predecessor); in a
     /// healthy run this must stay 0.
     pub stray_decisions: u64,
-    /// Times the scheduler stalled behind a multi-partition transaction
-    /// from a *different* coordinator shard (§4.2.2's
-    /// same-coordinator-chain rule falling back to blocking; residual
-    /// cross-partition deadlocks are broken by coordinator timeout
-    /// expiry). Always 0 with a single coordinator; the measured price of
-    /// sharding at high multi-partition fractions.
+    /// Distinct multi-partition transactions held at the head of the
+    /// queue behind an uncommitted transaction from a *different*
+    /// coordinator shard (§4.2.2's same-coordinator-chain rule falling
+    /// back to blocking; residual cross-partition deadlocks are broken by
+    /// coordinator timeout expiry). Counted once per stall, not per
+    /// arrival, the same way under blocking, speculation and OCC. Always 0
+    /// with a single coordinator or under sequencing; the measured price
+    /// of sharding at high multi-partition fractions.
     pub cross_coord_waits: u64,
 }
 

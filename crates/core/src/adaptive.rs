@@ -4,9 +4,9 @@
 //! §5.7 observes that the best concurrency control scheme depends on the
 //! workload ("a database system could measure these statistics and use
 //! this model to select the best scheme") and §6 gives the model. This
-//! module is that sentence as code: [`AdaptiveScheduler`] wraps one of the
-//! four concrete schedulers, measures the statistics the model needs over
-//! sliding windows of transaction *outcomes*, asks
+//! module is that sentence as code: [`AdaptiveScheduler`] wraps the
+//! scheduler of one of the four schemes, measures the statistics the
+//! model needs over sliding windows of transaction *outcomes*, asks
 //! [`hcc_model::recommend`] for the winner, and — with hysteresis, so a
 //! noisy window cannot thrash — performs a live swap:
 //!
@@ -39,6 +39,7 @@
 use crate::engine::ExecutionEngine;
 use crate::outbox::Outbox;
 use crate::scheduler::Scheduler;
+use crate::speculative::{ConflictPolicy, SpeculativeScheduler};
 use hcc_common::stats::{AdaptiveStats, SchedulerCounters, SwitchRecord};
 use hcc_common::{
     AdaptiveConfig, Decision, FragmentTask, Nanos, PartitionId, Scheme, SchemeSwitch, SystemConfig,
@@ -46,53 +47,41 @@ use hcc_common::{
 use hcc_model::{recommend, ModelParams, WorkloadProfile};
 use std::collections::VecDeque;
 
-/// The four concrete schedulers as one sum type, so the wrapper can swap
-/// between them without boxing (and stays `Send` whenever they are).
+/// The two scheduler types as one sum type, so the wrapper can swap
+/// between schemes without boxing (and stays `Send` whenever they are).
 pub enum AnySched<E: ExecutionEngine> {
-    Blocking(crate::blocking::BlockingScheduler<E>),
-    Speculative(crate::speculative::SpeculativeScheduler<E>),
+    /// Blocking, speculation or OCC: one queue, parameterised.
+    Speculative(SpeculativeScheduler<E>),
     Locking(crate::locking_sched::LockingScheduler<E>),
-    Occ(crate::occ::OccScheduler<E>),
 }
 
 impl<E: ExecutionEngine> AnySched<E> {
-    /// Build the scheduler for `scheme` with the same knobs
-    /// `make_scheduler` would apply (sequencing is mutually exclusive
-    /// with adaptive, so the sequenced flags are always off here).
+    /// Build the scheduler for `scheme` on partition `me`: the one place a
+    /// scheme becomes a scheduler (`make_scheduler` unpacks this value).
+    /// Blocking is speculation at depth 0 (§4.1 is §4.2 with §5.3's cap
+    /// at zero); OCC is speculation with precise squashes (§5.7).
     pub fn build(config: &SystemConfig, me: PartitionId, scheme: Scheme) -> Self {
-        match scheme {
-            Scheme::Blocking => {
-                let mut s = crate::blocking::BlockingScheduler::new(me, config.costs);
-                s.set_sequenced(config.sequencing_active());
-                AnySched::Blocking(s)
-            }
-            Scheme::Speculative => {
-                let mut s = crate::speculative::SpeculativeScheduler::new(
+        let (max_depth, policy) = match scheme {
+            Scheme::Locking => {
+                return AnySched::Locking(crate::locking_sched::LockingScheduler::new(
                     me,
                     config.costs,
-                    config.max_speculation_depth,
-                );
-                s.set_local_only(config.local_speculation_only);
-                s.set_sequenced(config.sequencing_active());
-                AnySched::Speculative(s)
+                    config.lock_timeout,
+                ))
             }
-            Scheme::Locking => AnySched::Locking(crate::locking_sched::LockingScheduler::new(
-                me,
-                config.costs,
-                config.lock_timeout,
-            )),
-            Scheme::Occ => AnySched::Occ(crate::occ::OccScheduler::new(me, config.costs)),
-        }
+            Scheme::Blocking => (0, ConflictPolicy::AssumeAll),
+            Scheme::Speculative => (config.max_speculation_depth, ConflictPolicy::AssumeAll),
+            Scheme::Occ => (config.max_speculation_depth, ConflictPolicy::Precise),
+        };
+        AnySched::Speculative(SpeculativeScheduler::new(config, me, max_depth, policy))
     }
 }
 
 macro_rules! delegate {
     ($self:expr, $inner:pat => $body:expr) => {
         match $self {
-            AnySched::Blocking($inner) => $body,
             AnySched::Speculative($inner) => $body,
             AnySched::Locking($inner) => $body,
-            AnySched::Occ($inner) => $body,
         }
     };
 }

@@ -1,20 +1,21 @@
 //! The paper's contribution: low-overhead concurrency control for
 //! partitioned main-memory databases, as runtime-agnostic state machines.
 //!
-//! Three schedulers implement the three schemes compared in the paper:
+//! The paper's three schemes (plus the OCC extension sketched in §5.7)
+//! run on two scheduler types:
 //!
-//! * [`blocking::BlockingScheduler`] — §4.1, Figure 2: one transaction at a
-//!   time; queue everything else.
 //! * [`speculative::SpeculativeScheduler`] — §4.2, Figure 3: execute queued
 //!   transactions speculatively while a multi-partition transaction waits
 //!   for two-phase commit, assuming every pair of concurrent transactions
-//!   conflicts; cascade aborts.
+//!   conflicts; cascade aborts. At speculation depth 0 it is blocking
+//!   (§4.1, Figure 2: one transaction at a time; queue everything else),
+//!   and with [`speculative::ConflictPolicy::Precise`] it is OCC.
 //! * [`locking_sched::LockingScheduler`] — §4.3: strict two-phase locking
 //!   with a single-threaded lock manager, a no-lock fast path when no
 //!   multi-partition transaction is active, cycle detection for local
 //!   deadlocks and timeouts for distributed ones.
 //!
-//! Plus the [`occ::OccScheduler`] extension sketched in §5.7.
+//! [`AnySched::build`] is the one place a scheme becomes a scheduler.
 //!
 //! The [`coordinator::Coordinator`] implements the central coordinator of
 //! §3.3 with the speculative-result handling of §4.2.2, and
@@ -34,14 +35,12 @@
 #![forbid(unsafe_code)]
 
 pub mod adaptive;
-pub mod blocking;
 pub mod client;
 pub mod coordinator;
 pub mod engine;
 pub mod group_commit;
 pub mod locking_sched;
 pub mod membership;
-pub mod occ;
 pub mod oracle;
 pub mod outbox;
 pub mod procedure;
@@ -63,7 +62,7 @@ pub use recovery::{
     recover_partition, recover_partitions_parallel, PartitionLog, RecoveryError, RecoveryOutcome,
 };
 pub use replica::{AckTracker, ReplayError, ReplicaCore, ReplicationSession};
-pub use scheduler::{make_scheduler, make_scheduler_send, make_scheduler_send_resumed, Scheduler};
+pub use scheduler::{make_scheduler, make_scheduler_send, Scheduler};
 pub use sequencer::{
     broadcast_dests, Admit, CloseKind, ClosedEpoch, EpochLog, EpochLogDest, PartitionSequencer,
     PendingInvoke, ShardSequencer,

@@ -1,9 +1,10 @@
 //! The scheduler interface every concurrency control scheme implements.
 
+use crate::adaptive::{AdaptiveScheduler, AnySched};
 use crate::engine::ExecutionEngine;
 use crate::outbox::Outbox;
 use hcc_common::stats::{AdaptiveStats, SchedulerCounters, SwitchRecord};
-use hcc_common::{Decision, FragmentTask, Nanos, Scheme, SchemeSwitch, SystemConfig};
+use hcc_common::{Decision, FragmentTask, Nanos, SchemeSwitch, SystemConfig};
 
 /// A concurrency control scheme for one partition, driven by events.
 ///
@@ -61,9 +62,11 @@ pub trait Scheduler<E: ExecutionEngine> {
     }
 }
 
-/// One source of truth for scheduler construction: both `make_scheduler`
-/// variants expand this, differing only in the trait object's `Send`
-/// bound (a type position a generic function can't abstract over).
+/// Box the scheduler [`AnySched::build`] makes for `config.scheme` — its
+/// concrete type, so the actors dispatch straight to it — or the adaptive
+/// controller around it. Both `make_scheduler` variants expand this,
+/// differing only in the trait object's `Send` bound (a type position a
+/// generic function can't abstract over).
 macro_rules! build_scheduler {
     ($config:expr, $me:expr, $resume:expr) => {
         if $config.adaptive.is_on() {
@@ -71,32 +74,11 @@ macro_rules! build_scheduler {
             // the adaptive controller, which re-plans live from observed
             // statistics (and resumes its predecessor's scheme/epoch
             // after a promotion).
-            Box::new(crate::adaptive::AdaptiveScheduler::new(
-                $config, $me, $resume,
-            ))
+            Box::new(AdaptiveScheduler::new($config, $me, $resume))
         } else {
-            match $config.scheme {
-                Scheme::Blocking => {
-                    let mut s = crate::blocking::BlockingScheduler::new($me, $config.costs);
-                    s.set_sequenced($config.sequencing_active());
-                    Box::new(s)
-                }
-                Scheme::Speculative => {
-                    let mut s = crate::speculative::SpeculativeScheduler::new(
-                        $me,
-                        $config.costs,
-                        $config.max_speculation_depth,
-                    );
-                    s.set_local_only($config.local_speculation_only);
-                    s.set_sequenced($config.sequencing_active());
-                    Box::new(s)
-                }
-                Scheme::Locking => Box::new(crate::locking_sched::LockingScheduler::new(
-                    $me,
-                    $config.costs,
-                    $config.lock_timeout,
-                )),
-                Scheme::Occ => Box::new(crate::occ::OccScheduler::new($me, $config.costs)),
+            match AnySched::build($config, $me, $config.scheme) {
+                AnySched::Speculative(s) => Box::new(s),
+                AnySched::Locking(s) => Box::new(s),
             }
         }
     };
@@ -112,23 +94,11 @@ pub fn make_scheduler<E: ExecutionEngine + 'static>(
 
 /// As [`make_scheduler`], but a `Send` trait object, for drivers that move
 /// partition state machines across threads (the live runtime's backends).
+/// `resume` is the last [`SchemeSwitch`] a replica applied — what a
+/// promoted backup passes so it continues in the scheme (and at the
+/// transition epoch) its failed primary had reached. Ignored unless
+/// adaptive selection is on (the scheme is static then).
 pub fn make_scheduler_send<E>(
-    config: &SystemConfig,
-    me: hcc_common::PartitionId,
-) -> Box<dyn Scheduler<E> + Send>
-where
-    E: ExecutionEngine + Send + 'static,
-    E::Fragment: Send,
-    E::Output: Send,
-{
-    build_scheduler!(config, me, None)
-}
-
-/// As [`make_scheduler_send`], but resuming from the last [`SchemeSwitch`] a
-/// replica applied — what a promoted backup passes so it continues in the
-/// scheme (and at the transition epoch) its failed primary had reached.
-/// Ignored unless adaptive selection is on (the scheme is static then).
-pub fn make_scheduler_send_resumed<E>(
     config: &SystemConfig,
     me: hcc_common::PartitionId,
     resume: Option<SchemeSwitch>,

@@ -1,4 +1,18 @@
-//! The speculative concurrency control scheme (paper §4.2, Figure 3).
+//! The speculative concurrency control scheme (paper §4.2, Figure 3), and
+//! through two parameters the other two queue-based schemes:
+//!
+//! * **Blocking** (§4.1, Figure 2) is this scheduler at `max_depth = 0`.
+//!   Figure 3 is Figure 2's loop plus execution during the 2PC stall, and
+//!   §5.3's mitigation caps how much is speculated; at a cap of 0 nothing
+//!   is, so a multi-partition transaction holds the partition until its
+//!   decision and everything behind it queues ("this system assumes that
+//!   all transactions conflict, and thus can only execute one at a time").
+//! * **OCC** (§5.7) is this scheduler with [`ConflictPolicy::Precise`]: the
+//!   same speculation, validated against read/write sets instead of
+//!   assuming every pair conflicts.
+//!
+//! [`crate::adaptive::AnySched::build`] picks the depth and policy per
+//! scheme; all three honour `local_speculation_only` and sequencing.
 //!
 //! While a multi-partition transaction waits for its two-phase commit to
 //! resolve (a pure network stall), the partition executes queued
@@ -22,9 +36,12 @@
 //! Under **sharded coordinators** the same-coordinator-chain rule is
 //! enforced by falling back to *blocking*: a multi-partition fragment
 //! whose coordinator differs from the uncommitted chain's waits in the
-//! unexecuted queue (counted in `SchedulerCounters::cross_coord_waits`)
-//! instead of speculating — releasing its result with a cross-shard
-//! dependency would be unverifiable at the other shard. Because no
+//! unexecuted queue instead of speculating — releasing its result with a
+//! cross-shard dependency would be unverifiable at the other shard.
+//! `SchedulerCounters::cross_coord_waits` counts the distinct
+//! transactions held at the head of that queue for this reason, once per
+//! stall, at any depth cap: blocking, speculation and OCC count the same
+//! thing (zero under sequencing, which lifts the rule). Because no
 //! global dispatch order exists across shards, two cross-shard
 //! transactions meeting at two partitions in opposite orders can wait on
 //! each other forever; that residual distributed deadlock is resolved by
@@ -45,7 +62,7 @@ use crate::scheduler::Scheduler;
 use hcc_common::stats::SchedulerCounters;
 use hcc_common::{
     CoordinatorRef, CostModel, Decision, FragmentResponse, FragmentTask, FxHashMap, FxHashSet,
-    Nanos, PartitionId, SpecDep, TxnId, TxnResult, Vote,
+    Nanos, PartitionId, SpecDep, SystemConfig, TxnId, TxnResult, Vote,
 };
 use hcc_locking::LockMode;
 use std::collections::VecDeque;
@@ -104,7 +121,7 @@ pub struct SpeculativeScheduler<E: ExecutionEngine> {
     /// Count of entries in `uncommitted` not yet finished locally.
     unfinished: usize,
     /// Cap on outstanding speculative transactions (∞ reproduces the
-    /// paper; finite values implement the §5.3 mitigation).
+    /// paper; finite values implement the §5.3 mitigation; 0 is blocking).
     max_depth: usize,
     /// Next execution attempt for squashed transactions awaiting re-run.
     attempts: FxHashMap<TxnId, u32>,
@@ -127,28 +144,27 @@ pub struct SpeculativeScheduler<E: ExecutionEngine> {
 }
 
 impl<E: ExecutionEngine> SpeculativeScheduler<E> {
-    pub fn new(me: PartitionId, costs: CostModel, max_depth: usize) -> Self {
-        Self::with_policy(me, costs, max_depth, ConflictPolicy::AssumeAll)
-    }
-
-    pub fn with_policy(
+    /// The scheduler for partition `me` at speculation cap `max_depth`
+    /// under `policy`; costs, `local_speculation_only` and whether
+    /// sequencing runs come from `config`.
+    pub fn new(
+        config: &SystemConfig,
         me: PartitionId,
-        costs: CostModel,
         max_depth: usize,
         policy: ConflictPolicy,
     ) -> Self {
         SpeculativeScheduler {
             me,
-            costs,
+            costs: config.costs,
             unexecuted: VecDeque::new(),
             uncommitted: VecDeque::new(),
             unfinished: 0,
             max_depth,
             attempts: FxHashMap::default(),
             policy,
-            local_only: false,
+            local_only: config.local_speculation_only,
             blocked_on: None,
-            sequenced: false,
+            sequenced: config.sequencing_active(),
             stale_fragments_dropped: 0,
             counters: SchedulerCounters::default(),
         }
@@ -156,18 +172,6 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
 
     fn track_sets(&self) -> bool {
         self.policy == ConflictPolicy::Precise
-    }
-
-    /// Restrict to local speculation (Figure 10's "Local Spec" variant).
-    pub fn set_local_only(&mut self, v: bool) {
-        self.local_only = v;
-    }
-
-    /// Cross-shard sequencing is on: lift the §4.2.2 same-coordinator
-    /// restriction (arrivals are globally ordered, so cross-shard chains
-    /// are legal and `cross_coord_waits` should stay zero).
-    pub fn set_sequenced(&mut self, v: bool) {
-        self.sequenced = v;
     }
 
     /// Number of speculative (non-head) uncommitted transactions.
@@ -247,15 +251,13 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
                     self.run_sp_fast_path(task, engine, out);
                 }
             } else {
-                if self.unfinished > 0 || self.speculation_depth() >= self.max_depth {
-                    return;
-                }
                 // §4.2.2 same-coordinator-chain rule: a multi-partition
                 // transaction from a *different* coordinator waits (the
                 // blocking fallback) — speculating it would produce a
                 // dependency its own shard cannot validate. Residual
                 // cross-partition deadlocks are broken by the
-                // coordinator's timeout expiry.
+                // coordinator's timeout expiry. Checked before the depth
+                // cap so the wait is counted at depth 0 (blocking) too.
                 if let Some(front) = self.unexecuted.front() {
                     if front.multi_partition
                         && !self.local_only
@@ -268,6 +270,9 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
                         }
                         return;
                     }
+                }
+                if self.unfinished > 0 || self.speculation_depth() >= self.max_depth {
+                    return;
                 }
                 let Some(task) = self.unexecuted.pop_front() else {
                     return;
@@ -711,9 +716,14 @@ mod tests {
     use super::*;
     use crate::outbox::PartitionOut;
     use crate::testkit::{TestEngine, TestFragment};
-    use hcc_common::ClientId;
+    use hcc_common::{AbortReason, ClientId, Scheme};
 
     const NOW: Nanos = Nanos(0);
+
+    fn sched(max_depth: usize, policy: ConflictPolicy) -> SpeculativeScheduler<TestEngine> {
+        let config = SystemConfig::new(Scheme::Speculative);
+        SpeculativeScheduler::new(&config, PartitionId(0), max_depth, policy)
+    }
 
     fn sp(client: u32, seq: u32, frag: TestFragment) -> FragmentTask<TestFragment> {
         FragmentTask {
@@ -751,7 +761,7 @@ mod tests {
         Outbox<Vec<(u64, i64)>>,
     ) {
         (
-            SpeculativeScheduler::new(PartitionId(0), CostModel::default(), usize::MAX),
+            sched(usize::MAX, ConflictPolicy::AssumeAll),
             // Paper example state: x = 5 lives here (key 1).
             TestEngine::with_data(&[(1, 5), (2, 17)]),
             Outbox::new(CostModel::default()),
@@ -1175,12 +1185,7 @@ mod tests {
     #[test]
     fn max_depth_limits_speculation() {
         let (mut s, mut e, mut out) = (
-            SpeculativeScheduler::<TestEngine>::with_policy(
-                PartitionId(0),
-                CostModel::default(),
-                1,
-                ConflictPolicy::AssumeAll,
-            ),
+            sched(1, ConflictPolicy::AssumeAll),
             TestEngine::with_data(&[(1, 0)]),
             Outbox::new(CostModel::default()),
         );
@@ -1231,12 +1236,7 @@ mod tests {
 
     #[test]
     fn occ_policy_keeps_nonconflicting_survivors() {
-        let mut s = SpeculativeScheduler::<TestEngine>::with_policy(
-            PartitionId(0),
-            CostModel::default(),
-            usize::MAX,
-            ConflictPolicy::Precise,
-        );
+        let mut s = sched(usize::MAX, ConflictPolicy::Precise);
         let mut e = TestEngine::with_data(&[(1, 5), (2, 100), (3, 200)]);
         let mut out = Outbox::new(CostModel::default());
         // Head MP writes key 1.
@@ -1272,12 +1272,7 @@ mod tests {
 
     #[test]
     fn occ_policy_squashes_transitive_conflicts() {
-        let mut s = SpeculativeScheduler::<TestEngine>::with_policy(
-            PartitionId(0),
-            CostModel::default(),
-            usize::MAX,
-            ConflictPolicy::Precise,
-        );
+        let mut s = sched(usize::MAX, ConflictPolicy::Precise);
         let mut e = TestEngine::with_data(&[(1, 0), (2, 0), (3, 0)]);
         let mut out = Outbox::new(CostModel::default());
         // Head writes key 1. SP A copies key1 -> writes key 2 (conflicts
@@ -1359,5 +1354,263 @@ mod tests {
         let c = s.counters();
         assert_eq!(c.committed, 1);
         assert_eq!(c.aborted, 1);
+    }
+
+    // Blocking (§4.1, Figure 2) is this scheduler at depth 0.
+
+    fn blocking_setup() -> (
+        SpeculativeScheduler<TestEngine>,
+        TestEngine,
+        Outbox<Vec<(u64, i64)>>,
+    ) {
+        (
+            sched(0, ConflictPolicy::AssumeAll),
+            TestEngine::with_data(&[(1, 100), (2, 200)]),
+            Outbox::new(CostModel::default()),
+        )
+    }
+
+    #[test]
+    fn single_partition_commits_immediately() {
+        let (mut s, mut e, mut out) = blocking_setup();
+        s.on_fragment(sp(1, 1, TestFragment::add(1, 5)), &mut e, NOW, &mut out);
+        assert_eq!(e.get(1), 105);
+        let (msgs, cpu) = out.take();
+        assert_eq!(msgs.len(), 1);
+        assert!(matches!(
+            &msgs[0],
+            PartitionOut::ToClient {
+                result: TxnResult::Committed(_),
+                ..
+            }
+        ));
+        assert!(cpu > Nanos::ZERO);
+        assert!(s.is_idle());
+        assert_eq!(s.counters().fast_path, 1);
+        assert_eq!(e.live_undo_buffers(), 0);
+    }
+
+    #[test]
+    fn user_abort_single_partition() {
+        let (mut s, mut e, mut out) = blocking_setup();
+        let mut task = sp(1, 1, TestFragment::failing());
+        task.can_abort = true;
+        s.on_fragment(task, &mut e, NOW, &mut out);
+        let (msgs, _) = out.take();
+        assert!(matches!(
+            &msgs[0],
+            PartitionOut::ToClient {
+                result: TxnResult::Aborted(AbortReason::User),
+                ..
+            }
+        ));
+        assert_eq!(s.counters().aborted, 1);
+    }
+
+    #[test]
+    fn mp_blocks_queued_sp_until_decision() {
+        let (mut s, mut e, mut out) = blocking_setup();
+        s.on_fragment(
+            mp(1, TestFragment::add(1, 1), true, 0),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        let (msgs, _) = out.take();
+        assert!(matches!(
+            &msgs[0],
+            PartitionOut::ToCoordinator { response, .. }
+                if response.vote == Some(Vote::Commit)
+        ));
+        // SP arrives while MP active: queued, not executed.
+        s.on_fragment(sp(1, 2, TestFragment::add(1, 10)), &mut e, NOW, &mut out);
+        assert_eq!(e.get(1), 101, "queued SP must not execute");
+        assert_eq!(s.unexecuted_len(), 1);
+        assert!(out.take().0.is_empty());
+
+        // Commit decision releases the queue.
+        s.on_decision(
+            Decision {
+                txn: mp_txid(1),
+                commit: true,
+            },
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        assert_eq!(e.get(1), 111);
+        let (msgs, _) = out.take();
+        assert_eq!(msgs.len(), 1);
+        assert!(s.is_idle());
+        assert_eq!(e.live_undo_buffers(), 0);
+    }
+
+    #[test]
+    fn abort_rolls_back_mp_effects() {
+        let (mut s, mut e, mut out) = blocking_setup();
+        s.on_fragment(
+            mp(1, TestFragment::add(1, 1), true, 0),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        assert_eq!(e.get(1), 101);
+        s.on_decision(
+            Decision {
+                txn: mp_txid(1),
+                commit: false,
+            },
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        assert_eq!(e.get(1), 100, "abort must undo MP writes");
+        assert_eq!(s.counters().aborted, 1);
+        assert_eq!(e.live_undo_buffers(), 0);
+    }
+
+    #[test]
+    fn multi_round_mp_continues_without_queueing() {
+        let (mut s, mut e, mut out) = blocking_setup();
+        s.on_fragment(
+            mp(1, TestFragment::read(&[1]), false, 0),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        let (msgs, _) = out.take();
+        assert!(matches!(
+            &msgs[0],
+            PartitionOut::ToCoordinator { response, .. } if response.vote.is_none()
+        ));
+        // Round 1 continues the same transaction.
+        s.on_fragment(
+            mp(1, TestFragment::set(1, 77), true, 1),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        assert_eq!(e.get(1), 77);
+        let (msgs, _) = out.take();
+        assert!(matches!(
+            &msgs[0],
+            PartitionOut::ToCoordinator { response, .. }
+                if response.vote == Some(Vote::Commit) && response.round == 1
+        ));
+        // Abort undoes both rounds.
+        s.on_decision(
+            Decision {
+                txn: mp_txid(1),
+                commit: false,
+            },
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        assert_eq!(e.get(1), 100);
+    }
+
+    #[test]
+    fn mp_user_abort_votes_abort() {
+        let (mut s, mut e, mut out) = blocking_setup();
+        s.on_fragment(
+            mp(1, TestFragment::failing(), true, 0),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        let (msgs, _) = out.take();
+        assert!(matches!(
+            &msgs[0],
+            PartitionOut::ToCoordinator { response, .. }
+                if matches!(response.vote, Some(Vote::Abort(AbortReason::User)))
+        ));
+    }
+
+    #[test]
+    fn queued_mp_becomes_active_after_drain() {
+        let (mut s, mut e, mut out) = blocking_setup();
+        s.on_fragment(
+            mp(1, TestFragment::add(1, 1), true, 0),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        s.on_fragment(sp(1, 2, TestFragment::add(2, 1)), &mut e, NOW, &mut out);
+        s.on_fragment(
+            mp(3, TestFragment::add(2, 5), true, 0),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        s.on_fragment(sp(1, 4, TestFragment::add(2, 7)), &mut e, NOW, &mut out);
+        assert_eq!(s.unexecuted_len(), 3);
+        out.take();
+
+        s.on_decision(
+            Decision {
+                txn: mp_txid(1),
+                commit: true,
+            },
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        // SP(2) ran, MP(3) became active (executed, awaiting decision),
+        // SP(4) still queued behind it.
+        assert_eq!(e.get(2), 206);
+        assert_eq!(s.unexecuted_len(), 1);
+        assert!(!s.is_idle());
+        let (msgs, _) = out.take();
+        // One client reply (SP 2) + one coordinator response (MP 3).
+        assert_eq!(msgs.len(), 2);
+
+        s.on_decision(
+            Decision {
+                txn: mp_txid(3),
+                commit: true,
+            },
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        assert_eq!(e.get(2), 213);
+        assert!(s.is_idle());
+    }
+
+    #[test]
+    fn charges_more_cpu_for_undo_execution() {
+        let costs = CostModel::default();
+        let mut s = sched(0, ConflictPolicy::AssumeAll);
+        let mut e = TestEngine::with_data(&[(1, 0)]);
+        let mut out = Outbox::new(costs);
+        s.on_fragment(sp(1, 1, TestFragment::add(1, 1)), &mut e, NOW, &mut out);
+        let (_, plain) = out.take();
+        let mut task = sp(1, 2, TestFragment::add(1, 1));
+        task.can_abort = true; // forces undo buffer
+        s.on_fragment(task, &mut e, NOW, &mut out);
+        let (_, with_undo) = out.take();
+        assert!(with_undo > plain, "{with_undo} vs {plain}");
+    }
+
+    /// A cross-shard multi-partition transaction reaching the head of the
+    /// queue behind another shard's head is one wait at depth 0 too: the
+    /// same-coordinator check runs before the depth cap returns.
+    #[test]
+    fn depth_zero_counts_a_cross_shard_head_wait() {
+        let (mut s, mut e, mut out) = blocking_setup();
+        s.on_fragment(
+            mp(1, TestFragment::add(1, 1), true, 0),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        let mut other = mp(2, TestFragment::add(1, 10), true, 0);
+        other.coordinator = CoordinatorRef::Central(hcc_common::CoordinatorId(1));
+        s.on_fragment(other, &mut e, NOW, &mut out);
+        assert_eq!(e.get(1), 101, "the waiter does not execute");
+        assert_eq!(s.unexecuted_len(), 1);
+        assert_eq!(s.counters().cross_coord_waits, 1);
+        assert_eq!(s.counters().speculative_executions, 0);
     }
 }

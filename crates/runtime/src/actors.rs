@@ -109,8 +109,8 @@ use hcc_core::sequencer::{
 };
 use hcc_core::txn_driver::TxnDriver;
 use hcc_core::{
-    make_scheduler_send, make_scheduler_send_resumed, ExecutionEngine, Outbox, PartitionOut,
-    Procedure, Request, RequestGenerator, Scheduler,
+    make_scheduler_send, ExecutionEngine, Outbox, PartitionOut, Procedure, Request,
+    RequestGenerator, Scheduler,
 };
 use hcc_storage::DurableLog;
 use parking_lot::Mutex;
@@ -1209,7 +1209,7 @@ where
         let durable = system.durability.is_some();
         let role = if slot == 0 {
             Role::Primary {
-                sched: make_scheduler_send::<E>(system, group),
+                sched: make_scheduler_send::<E>(system, group, None),
                 // The session builds the commit records; the durable log
                 // needs them even with replication off.
                 session: (replicate || durable).then(ReplicationSession::new),
@@ -2000,7 +2000,7 @@ where
                     .collect();
                 self.repl_counters.promotions += 1;
                 self.role = Role::Primary {
-                    sched: make_scheduler_send_resumed::<E>(&self.system, self.group, resume),
+                    sched: make_scheduler_send::<E>(&self.system, self.group, resume),
                     session: Some(ReplicationSession::resume_from(watermark)),
                     targets,
                     acks,

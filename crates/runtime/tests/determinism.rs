@@ -152,6 +152,12 @@ fn golden_fixed_seed_results_survive_fast_path_rewrite() {
             r.sched.stray_decisions, 0,
             "{scheme}: stray decision in a healthy run"
         );
+        if scheme == Scheme::Blocking {
+            assert_eq!(
+                r.sched.speculative_executions, 0,
+                "blocking is speculation at depth 0: nothing is speculated"
+            );
+        }
         assert_eq!(
             r.replication.replay_failures, 0,
             "{scheme}: replica replay must be clean"

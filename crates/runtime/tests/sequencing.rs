@@ -229,6 +229,10 @@ fn sequenced_execution_is_serial_equivalent_to_epoch_order() {
         assert!(r.committed > 500, "{scheme}: throughput collapsed");
         assert_eq!(r.replication.replay_failures, 0, "{scheme}");
         assert_eq!(r.sequencer.cross_coord_aborts, 0, "{scheme}");
+        assert_eq!(
+            r.sched.cross_coord_waits, 0,
+            "{scheme}: sequencing lifts the same-coordinator rule"
+        );
         for (i, (e, s)) in engines.iter().zip(shadow.iter()).enumerate() {
             assert_eq!(
                 e.fingerprint(),
@@ -406,22 +410,24 @@ fn golden_fixed_seed_with_sequencing_on() {
         ),
         (
             Scheme::Occ,
+            // OCC honours sequencing: its chains span shards like
+            // speculation's instead of waiting behind another shard.
             SeqGolden {
-                committed: 1225,
-                user_aborts: 52,
+                committed: 1948,
+                user_aborts: 98,
                 retries: 0,
-                committed_mp: 475,
+                committed_mp: 765,
                 fingerprints: [
-                    0xfb1baa49b925ed7a,
-                    0xb771a9fc192139ca,
-                    0x20dc20a1d3726452,
-                    0xb02e30d46b552184,
+                    0xea3f107a191f3ad0,
+                    0x860c9e25f3e2f414,
+                    0x5d4403082ce16262,
+                    0x8365c6928ac15c7a,
                 ],
-                latency_ns: [2_490_000, 4_110_000, 4_870_000],
-                epochs_closed: 368,
-                batch_sum: 616,
-                batch_max: 7,
-                hold_ns: [200_000, 396_000],
+                latency_ns: [1_300_000, 5_030_000, 6_330_000],
+                epochs_closed: 380,
+                batch_sum: 983,
+                batch_max: 9,
+                hold_ns: [200_000, 488_000],
             },
         ),
     ];
