@@ -263,11 +263,12 @@ fn steady_state_transactions_stay_within_their_allocation_budget() {
     // depends on ordering — whether a partition or the client lets go of a
     // shared fragment last, and which worker runs the coordinator shard —
     // and was seen between 0.57 and 0.61, hence the wider margin there.
-    // `tpcc_durable` (parent commit: 67.2 / 5.30 / 0.64) reaches 5.47 /
-    // 0.243 / 0.16–0.18; its cross-thread frees are the same kind — half
-    // its clients live on the other worker than their warehouse, and either
-    // the client or the backup's commit record lets go of the order lines
-    // last. `ycsbe_lock` (parent commit: 2.82–2.84) was seen between 2.68
+    // `tpcc_durable` (parent commit: 5.46 / 0.242 / 0.16) reaches 3.70 /
+    // 0.248 / 0.16 with ORDER, NEW-ORDER and ORDER-LINE as per-district
+    // arrays (no B-tree node per insert); its cross-thread frees are the
+    // same kind — half its clients live on the other worker than their
+    // warehouse, and either the client or the backup's commit record lets
+    // go of the order lines last. `ycsbe_lock` (parent commit: 2.82–2.84) was seen between 2.68
     // and 2.77: the index no longer allocates for an insert of a key it
     // already holds.
     let cases = [
@@ -302,7 +303,7 @@ fn steady_state_transactions_stay_within_their_allocation_budget() {
             "tpcc_durable",
             tpcc_durable(),
             Counts {
-                allocs: 6.0,
+                allocs: 4.1,
                 reallocs: 0.27,
                 cross_frees: 0.3,
             },

@@ -7,10 +7,12 @@
 //!   supported: read a set of values, then update them.
 //! * [`tpcc`] — "a custom written execution engine that executes
 //!   transactions directly on data in memory. Each table is represented as
-//!   either a B-Tree \[or\] hash table, as appropriate." Includes the paper's
-//!   TPC-C partitioning: by warehouse, with the read-only ITEM table
-//!   replicated and the STOCK table vertically partitioned (read-only
-//!   columns replicated to every partition).
+//!   either a B-Tree \[or\] hash table, as appropriate." Here that is hash
+//!   maps, plus ORDER / NEW-ORDER / ORDER-LINE as per-district arrays
+//!   indexed by order id (order ids are dense, so no key is needed).
+//!   Includes the paper's TPC-C partitioning: by warehouse, with the
+//!   read-only ITEM table replicated and the STOCK table vertically
+//!   partitioned (read-only columns replicated to every partition).
 //!
 //! Both engines support **undo buffers**: per-transaction logs of pre-images
 //! that can roll a transaction's effects back, required for speculative

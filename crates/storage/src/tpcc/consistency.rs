@@ -11,9 +11,14 @@
 //! 5. Every NEW-ORDER row has a matching ORDER row with no carrier, and
 //!    every delivered order has a carrier.
 //! 6. Order lines exist exactly for `1..=O_OL_CNT` of each order.
+//! 7. Not TPC-C's, the store's own: order ids are array indexes. A
+//!    district's orders are `1..=n` in place, and each order's first line
+//!    index is monotone, so every order's lines are one contiguous run.
+//!
+//! Each district's order tables are walked once.
 
 use super::schema::OId;
-use super::store::TpccStore;
+use super::store::{DistrictOrders, TpccStore};
 
 /// A consistency violation, described for test failure messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,15 +57,36 @@ pub fn check(store: &TpccStore) -> Result<(), Vec<Violation>> {
         }
     }
 
+    let no_orders = DistrictOrders::default();
     for ((w_id, d_id), d) in &store.district {
-        let max_o = store
-            .order
-            .keys()
-            .filter(|(ow, od, _)| ow == w_id && od == d_id)
-            .map(|(_, _, o)| *o)
-            .max()
-            .unwrap_or(0);
+        let dist = store.orders.get(&(*w_id, *d_id)).unwrap_or(&no_orders);
+
+        // Condition 7: order `o` at index `o - 1`, lines contiguous per order.
+        let misplaced = dist
+            .orders
+            .iter()
+            .enumerate()
+            .position(|(i, o)| o.o_id as usize != i + 1);
+        let monotone = dist.first_line.len() == dist.orders.len()
+            && dist.first_line.windows(2).all(|p| p[0] <= p[1])
+            && dist
+                .first_line
+                .last()
+                .is_none_or(|&s| s as usize <= dist.lines.len());
+        if misplaced.is_some() || !monotone {
+            violations.push(Violation {
+                condition: "C7:orders_dense",
+                detail: format!(
+                    "district ({w_id},{d_id}): first misplaced order at index {misplaced:?}, \
+                     first-line index monotone over {} orders and {} lines: {monotone}",
+                    dist.orders.len(),
+                    dist.lines.len()
+                ),
+            });
+        }
+
         // Condition 2: next_o_id is one past the newest order.
+        let max_o = dist.orders.iter().map(|o| o.o_id).max().unwrap_or(0);
         if d.next_o_id != max_o + 1 {
             violations.push(Violation {
                 condition: "C2:next_o_id",
@@ -72,13 +98,9 @@ pub fn check(store: &TpccStore) -> Result<(), Vec<Violation>> {
         }
 
         // Condition 3: NEW-ORDER ids contiguous.
-        let no_ids: Vec<OId> = store
-            .new_order
-            .range((*w_id, *d_id, 0)..=(*w_id, *d_id, OId::MAX))
-            .map(|((_, _, o), ())| *o)
-            .collect();
-        if let (Some(&first), Some(&last)) = (no_ids.first(), no_ids.last()) {
-            if no_ids.len() as u32 != last - first + 1 {
+        let no_ids = &dist.new_order;
+        if let (Some(&first), Some(&last)) = (no_ids.front(), no_ids.back()) {
+            if no_ids.len() as u32 != last.wrapping_sub(first).wrapping_add(1) {
                 violations.push(Violation {
                     condition: "C3:new_order_contiguous",
                     detail: format!(
@@ -90,16 +112,8 @@ pub fn check(store: &TpccStore) -> Result<(), Vec<Violation>> {
         }
 
         // Condition 4: Σ ol_cnt matches the order-line count.
-        let ol_cnt_sum: u64 = store
-            .order
-            .iter()
-            .filter(|((ow, od, _), _)| ow == w_id && od == d_id)
-            .map(|(_, o)| o.ol_cnt as u64)
-            .sum();
-        let ol_rows = store
-            .order_line
-            .range((*w_id, *d_id, 0, 0)..=(*w_id, *d_id, OId::MAX, u8::MAX))
-            .count() as u64;
+        let ol_cnt_sum: u64 = dist.orders.iter().map(|o| o.ol_cnt as u64).sum();
+        let ol_rows = dist.lines.len() as u64;
         if ol_cnt_sum != ol_rows {
             violations.push(Violation {
                 condition: "C4:order_line_count",
@@ -108,39 +122,39 @@ pub fn check(store: &TpccStore) -> Result<(), Vec<Violation>> {
                 ),
             });
         }
-    }
 
-    // Condition 5: NEW-ORDER rows pair with undelivered orders.
-    for ((w, d, o), ()) in store.new_order.iter() {
-        match store.order.get(&(*w, *d, *o)) {
-            None => violations.push(Violation {
-                condition: "C5:new_order_has_order",
-                detail: format!("NEW-ORDER ({w},{d},{o}) has no ORDER row"),
-            }),
-            Some(ord) if ord.carrier_id.is_some() => violations.push(Violation {
-                condition: "C5:new_order_undelivered",
-                detail: format!("NEW-ORDER ({w},{d},{o}) exists but order has a carrier"),
-            }),
-            _ => {}
+        // Condition 5: NEW-ORDER rows pair with undelivered orders.
+        for o in dist.new_orders() {
+            match store.order(*w_id, *d_id, o) {
+                None => violations.push(Violation {
+                    condition: "C5:new_order_has_order",
+                    detail: format!("NEW-ORDER ({w_id},{d_id},{o}) has no ORDER row"),
+                }),
+                Some(ord) if ord.carrier_id.is_some() => violations.push(Violation {
+                    condition: "C5:new_order_undelivered",
+                    detail: format!("NEW-ORDER ({w_id},{d_id},{o}) exists but order has a carrier"),
+                }),
+                _ => {}
+            }
         }
-    }
 
-    // Condition 6: each order's lines are exactly 1..=ol_cnt.
-    for ((w, d, o), ord) in store.order.iter() {
-        let lines: Vec<u8> = store
-            .order_line
-            .range((*w, *d, *o, 0)..=(*w, *d, *o, u8::MAX))
-            .map(|((_, _, _, n), _)| *n)
-            .collect();
-        let expect: Vec<u8> = (1..=ord.ol_cnt).collect();
-        if lines != expect {
-            violations.push(Violation {
-                condition: "C6:order_lines_complete",
-                detail: format!(
-                    "order ({w},{d},{o}): ol_cnt={} but lines {:?}",
-                    ord.ol_cnt, lines
-                ),
-            });
+        // Condition 6: each order's lines are exactly 1..=ol_cnt.
+        for ord in &dist.orders {
+            let o = ord.o_id;
+            let lines: Vec<(OId, u8)> = store
+                .order_lines(*w_id, *d_id, o)
+                .map(|ol| (ol.o_id, ol.ol_number))
+                .collect();
+            let expect: Vec<(OId, u8)> = (1..=ord.ol_cnt).map(|n| (o, n)).collect();
+            if lines != expect {
+                violations.push(Violation {
+                    condition: "C6:order_lines_complete",
+                    detail: format!(
+                        "order ({w_id},{d_id},{o}): ol_cnt={} but (order, line) {:?}",
+                        ord.ol_cnt, lines
+                    ),
+                });
+            }
         }
     }
 
@@ -155,7 +169,6 @@ pub fn check(store: &TpccStore) -> Result<(), Vec<Violation>> {
 mod tests {
     use super::super::loader::load_partition;
     use super::super::scale::TpccScale;
-    use super::super::store::TpccStore;
     use super::*;
 
     fn store() -> TpccStore {
@@ -196,8 +209,7 @@ mod tests {
     #[test]
     fn detects_missing_order_line() {
         let mut s = store();
-        let key = *s.order_line.keys().next().unwrap();
-        s.order_line.remove(&key);
+        s.orders.get_mut(&(1, 1)).unwrap().lines.remove(0);
         let errs = check(&s).unwrap_err();
         assert!(errs
             .iter()
@@ -208,12 +220,28 @@ mod tests {
     #[test]
     fn detects_delivered_order_still_in_new_order() {
         let mut s = store();
-        let (w, d, o) = *s.new_order.keys().next().unwrap();
-        s.update_order((w, d, o), None, |ord| ord.carrier_id = Some(1));
+        let o = s.oldest_new_order(1, 1).unwrap();
+        s.update_order((1, 1, o), None, |ord| ord.carrier_id = Some(1));
         let errs = check(&s).unwrap_err();
         assert!(errs
             .iter()
             .any(|v| v.condition == "C5:new_order_undelivered"));
+    }
+
+    #[test]
+    fn detects_order_ids_that_are_not_indexes() {
+        let dense = |s: &TpccStore| {
+            check(s)
+                .unwrap_err()
+                .iter()
+                .any(|v| v.condition == "C7:orders_dense")
+        };
+        let mut s = store();
+        s.orders.get_mut(&(1, 1)).unwrap().orders[3].o_id += 1;
+        assert!(dense(&s), "an order out of place");
+        let mut s = store();
+        s.orders.get_mut(&(1, 1)).unwrap().first_line.swap(3, 4);
+        assert!(dense(&s), "first_line not monotone");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use super::scale::TpccScale;
 use super::schema::*;
-use super::store::TpccStore;
+use super::store::{DistrictOrders, TpccStore};
 use hcc_common::rng::SplitMix64;
 
 /// Epoch used for all load-time dates.
@@ -220,6 +220,10 @@ fn load_warehouse(store: &mut TpccStore, w_id: WId, scale: &TpccScale, rng: &mut
         }
 
         // Initial orders: a random permutation of customers, one order each.
+        store.orders.insert(
+            (w_id, d_id),
+            DistrictOrders::new(scale.customers_per_district),
+        );
         let n_orders = scale.initial_orders_per_district;
         let mut cust_perm: Vec<CId> = (1..=scale.customers_per_district).collect();
         // Fisher-Yates with our deterministic RNG.
@@ -311,7 +315,7 @@ mod tests {
         let s = tiny_store();
         let n = scale.initial_orders_per_district;
         let undelivered = n * 30 / 100;
-        let count = s.new_order.range((1, 1, 0)..=(1, 1, OId::MAX)).count() as u32;
+        let count = s.orders[&(1, 1)].new_orders().count() as u32;
         assert_eq!(count, undelivered);
         // The oldest undelivered order is the first after the cutoff.
         assert_eq!(s.oldest_new_order(1, 1), Some(n - undelivered + 1));

@@ -1,16 +1,30 @@
 //! The per-partition TPC-C store: tables, indexes, and undo.
 //!
-//! Table representations follow the paper ("Each table is represented as
-//! either a B-Tree, a binary tree, or hash table, as appropriate"):
-//! point-lookup tables (WAREHOUSE, DISTRICT, CUSTOMER, ITEM, STOCK) are hash
-//! maps; range-scanned tables (ORDER-by-customer, NEW-ORDER, ORDER-LINE) are
-//! B-trees. A secondary index maps (warehouse, district, last name) to the
-//! customer ids sharing that name, for the 60% of Payment / Order-Status
-//! transactions that select customers by last name.
+//! The point-lookup tables (WAREHOUSE, DISTRICT, CUSTOMER, ITEM, STOCK) are
+//! hash maps, as the paper has them ("Each table is represented as either a
+//! B-Tree, a binary tree, or hash table, as appropriate"). A secondary index
+//! maps (warehouse, district, last name) to the customer ids sharing that
+//! name, for the 60% of Payment / Order-Status transactions that select
+//! customers by last name.
+//!
+//! ORDER, NEW-ORDER and ORDER-LINE need no index. TPC-C assigns order ids
+//! from `D_NEXT_O_ID`, dense from 1, so within a district an order id is an
+//! array index: [`DistrictOrders`] holds a district's orders in a `Vec`
+//! (order `o` at `o - 1`), all their lines in one `Vec` in order-id order,
+//! NEW-ORDER as an ascending queue, and each customer's newest order id in
+//! a `Vec` indexed by customer id. Every scan a procedure makes (one
+//! order's lines, stock-level's recent lines, the oldest undelivered
+//! order, a customer's last order) is one slice or one index, on the
+//! primary and again on the backup that replays it. New-order appends at
+//! the tail, delivery updates in place and consumes the NEW-ORDER head, and
+//! undo pops the tail back, asserting it pops the row it recorded. Undo is
+//! thus last-in-first-out per district, which is what the ORDERS and
+//! ORDERS_HEAD lock granules (`schema::lock_tags`) give every scheme.
 
 use super::schema::*;
 use hcc_common::FxHashMap;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
+use std::ops::Range;
 
 /// The customer columns a transaction may change besides `data`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,13 +46,15 @@ pub enum TpccUndo {
     /// `data` is carried only when the update was about to rewrite it.
     CustomerPre(CustomerKey, CustomerCounters, Option<Box<str>>),
     StockPre(StockKey, StockMut),
-    OrderInserted(OrderKey, CId),
+    /// The order, and its customer's newest order before it (0: none).
+    OrderInserted(OrderKey, OId),
     OrderCarrier(OrderKey, Option<u8>),
     OrderLineInserted(OrderLineKey),
     OrderLineDelivery(OrderLineKey, Option<u64>),
     NewOrderInserted(OrderKey),
     NewOrderDeleted(OrderKey),
-    HistoryAppended,
+    /// The appended row's `date`: the payment's transaction id.
+    HistoryAppended(u64),
 }
 
 /// A per-transaction undo buffer.
@@ -74,6 +90,69 @@ impl TpccUndoBuf {
     }
 }
 
+/// One district's ORDER, NEW-ORDER and ORDER-LINE rows, indexed by order
+/// id (see the module doc). Only [`TpccStore`]'s mutations change it, so
+/// its fields stay dense.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct DistrictOrders {
+    /// Order `o` at index `o - 1`.
+    pub(crate) orders: Vec<Order>,
+    /// Parallel to `orders`: where each order's lines start in `lines`.
+    pub(crate) first_line: Vec<u32>,
+    /// Every order's lines, by order id, then line number.
+    pub(crate) lines: Vec<OrderLine>,
+    /// NEW-ORDER: the undelivered order ids, ascending.
+    pub(crate) new_order: VecDeque<OId>,
+    /// Each customer's newest order id (0: none), indexed by customer id.
+    pub(crate) last_order: Vec<OId>,
+}
+
+impl DistrictOrders {
+    /// No orders yet, for customers `1..=customers`.
+    pub(crate) fn new(customers: CId) -> Self {
+        DistrictOrders {
+            last_order: vec![0; customers as usize + 1],
+            ..Self::default()
+        }
+    }
+
+    /// Every order line of the district, by order id.
+    pub fn lines(&self) -> &[OrderLine] {
+        &self.lines
+    }
+
+    /// NEW-ORDER's order ids, oldest first.
+    pub fn new_orders(&self) -> impl Iterator<Item = OId> + '_ {
+        self.new_order.iter().copied()
+    }
+
+    fn order(&self, o: OId) -> Option<&Order> {
+        self.orders.get((o as usize).checked_sub(1)?)
+    }
+
+    fn order_mut(&mut self, o: OId) -> Option<&mut Order> {
+        self.orders.get_mut((o as usize).checked_sub(1)?)
+    }
+
+    /// Index in `lines` of order `o`'s first line; `lines.len()` past the
+    /// newest order.
+    fn line_start(&self, o: OId) -> usize {
+        match (o as usize).checked_sub(1) {
+            None => 0,
+            Some(i) => self
+                .first_line
+                .get(i)
+                .map_or(self.lines.len(), |&s| s as usize),
+        }
+    }
+
+    /// Where in `lines` the lines of orders `lo..hi` are.
+    fn line_range(&self, lo: OId, hi: OId) -> Range<usize> {
+        let start = self.line_start(lo);
+        start..self.line_start(hi).max(start)
+    }
+}
+
 /// All TPC-C state owned by one partition.
 #[derive(Debug, Default, Clone)]
 pub struct TpccStore {
@@ -91,11 +170,9 @@ pub struct TpccStore {
     /// primary and backup.
     pub customer_by_name: FxHashMap<(WId, DId), FxHashMap<String, Vec<CId>>>,
     pub history: Vec<History>,
-    pub order: FxHashMap<OrderKey, Order>,
-    /// Secondary index for "most recent order of a customer".
-    pub order_by_customer: BTreeMap<(WId, DId, CId, OId), ()>,
-    pub new_order: BTreeMap<OrderKey, ()>,
-    pub order_line: BTreeMap<OrderLineKey, OrderLine>,
+    /// ORDER, NEW-ORDER and ORDER-LINE of every local district (created by
+    /// the loader).
+    pub orders: FxHashMap<DistrictKey, DistrictOrders>,
     /// Replicated, read-only.
     pub item: FxHashMap<IId, Item>,
     /// Partitioned, updatable half of STOCK (local warehouses only).
@@ -103,6 +180,9 @@ pub struct TpccStore {
     /// Replicated, read-only half of STOCK (all warehouses).
     pub stock_info: FxHashMap<StockKey, StockInfo>,
 }
+
+/// What an order-table undo asserts: it removes its district's newest row.
+const LIFO: &str = "undo pops the newest row of its district";
 
 impl TpccStore {
     pub fn new() -> Self {
@@ -113,6 +193,12 @@ impl TpccStore {
         if let Some(u) = undo {
             u.records.push(rec);
         }
+    }
+
+    fn district_orders_mut(&mut self, w: WId, d: DId) -> &mut DistrictOrders {
+        self.orders
+            .get_mut(&(w, d))
+            .unwrap_or_else(|| panic!("district ({w}, {d}) has no order tables"))
     }
 
     // ------------------------------------------------------------------
@@ -173,27 +259,25 @@ impl TpccStore {
         }
     }
 
+    /// Order `o` of district `(w, d)`: one index.
+    pub fn order(&self, w: WId, d: DId, o: OId) -> Option<&Order> {
+        self.orders.get(&(w, d))?.order(o)
+    }
+
     /// Most recent order placed by a customer.
     pub fn last_order_of(&self, w: WId, d: DId, c: CId) -> Option<&Order> {
-        self.order_by_customer
-            .range((w, d, c, 0)..=(w, d, c, OId::MAX))
-            .next_back()
-            .and_then(|((ow, od, _, oid), ())| self.order.get(&(*ow, *od, *oid)))
+        let dist = self.orders.get(&(w, d))?;
+        dist.order(*dist.last_order.get(c as usize)?)
     }
 
     /// Oldest undelivered order in a district (head of NEW-ORDER).
     pub fn oldest_new_order(&self, w: WId, d: DId) -> Option<OId> {
-        self.new_order
-            .range((w, d, 0)..=(w, d, OId::MAX))
-            .next()
-            .map(|((_, _, o), ())| *o)
+        self.orders.get(&(w, d))?.new_order.front().copied()
     }
 
     /// All order lines of one order.
     pub fn order_lines(&self, w: WId, d: DId, o: OId) -> impl Iterator<Item = &OrderLine> {
-        self.order_line
-            .range((w, d, o, 0)..=(w, d, o, u8::MAX))
-            .map(|(_, ol)| ol)
+        self.lines_of_orders(w, d, o, o.saturating_add(1)).iter()
     }
 
     /// Order lines of the last `n` orders before `next_o_id` (Stock-Level).
@@ -204,10 +288,16 @@ impl TpccStore {
         next_o_id: OId,
         n: u32,
     ) -> impl Iterator<Item = &OrderLine> {
-        let lo = next_o_id.saturating_sub(n);
-        self.order_line
-            .range((w, d, lo, 0)..(w, d, next_o_id, 0))
-            .map(|(_, ol)| ol)
+        self.lines_of_orders(w, d, next_o_id.saturating_sub(n), next_o_id)
+            .iter()
+    }
+
+    /// The lines of orders `lo..hi` of district `(w, d)`: one slice.
+    fn lines_of_orders(&self, w: WId, d: DId, lo: OId, hi: OId) -> &[OrderLine] {
+        match self.orders.get(&(w, d)) {
+            Some(dist) => &dist.lines[dist.line_range(lo, hi)],
+            None => &[],
+        }
     }
 
     // ------------------------------------------------------------------
@@ -323,7 +413,12 @@ impl TpccStore {
         undo: Option<&mut TpccUndoBuf>,
         f: impl FnOnce(&mut Order),
     ) -> bool {
-        match self.order.get_mut(&key) {
+        let (w, d, o) = key;
+        match self
+            .orders
+            .get_mut(&(w, d))
+            .and_then(|dist| dist.order_mut(o))
+        {
             Some(row) => {
                 Self::push_undo(undo, TpccUndo::OrderCarrier(key, row.carrier_id));
                 f(row);
@@ -334,7 +429,7 @@ impl TpccStore {
     }
 
     /// Stamp `date` on every line of order `(w, d, o)` in one pass over its
-    /// key range. Returns the number of lines and the sum of their amounts.
+    /// slice. Returns the number of lines and the sum of their amounts.
     pub fn deliver_order_lines(
         &mut self,
         (w, d, o): OrderKey,
@@ -342,8 +437,12 @@ impl TpccStore {
         mut undo: Option<&mut TpccUndoBuf>,
     ) -> (u32, i64) {
         let (mut lines, mut amount) = (0u32, 0i64);
-        for (key, ol) in self.order_line.range_mut((w, d, o, 0)..=(w, d, o, u8::MAX)) {
-            let pre = TpccUndo::OrderLineDelivery(*key, ol.delivery_d);
+        let Some(dist) = self.orders.get_mut(&(w, d)) else {
+            return (lines, amount);
+        };
+        let range = dist.line_range(o, o.saturating_add(1));
+        for ol in &mut dist.lines[range] {
+            let pre = TpccUndo::OrderLineDelivery((w, d, o, ol.ol_number), ol.delivery_d);
             Self::push_undo(undo.as_deref_mut(), pre);
             ol.delivery_d = Some(date);
             lines += 1;
@@ -352,36 +451,68 @@ impl TpccStore {
         (lines, amount)
     }
 
+    /// Append `row`, which must be its district's next order.
     pub fn insert_order(&mut self, row: Order, undo: Option<&mut TpccUndoBuf>) {
         let key = (row.w_id, row.d_id, row.o_id);
-        Self::push_undo(undo, TpccUndo::OrderInserted(key, row.c_id));
-        self.order_by_customer
-            .insert((row.w_id, row.d_id, row.c_id, row.o_id), ());
-        self.order.insert(key, row);
+        let dist = self.district_orders_mut(row.w_id, row.d_id);
+        assert_eq!(
+            row.o_id as usize,
+            dist.orders.len() + 1,
+            "order ids are dense: {key:?} is not its district's next order"
+        );
+        let last = &mut dist.last_order[row.c_id as usize];
+        Self::push_undo(undo, TpccUndo::OrderInserted(key, *last));
+        *last = row.o_id;
+        dist.first_line.push(dist.lines.len() as u32);
+        dist.orders.push(row);
     }
 
+    /// Append `row`, which must be the next line of its district's newest
+    /// order.
     pub fn insert_order_line(&mut self, row: OrderLine, undo: Option<&mut TpccUndoBuf>) {
         let key = (row.w_id, row.d_id, row.o_id, row.ol_number);
+        let dist = self.district_orders_mut(row.w_id, row.d_id);
+        let newest = dist.orders.last().map(|o| o.o_id);
+        let next_line = dist.lines.len() - dist.line_start(row.o_id) + 1;
+        assert!(
+            newest == Some(row.o_id) && row.ol_number as usize == next_line,
+            "order lines are appended in order: {key:?} is not line {next_line} of order {newest:?}"
+        );
         Self::push_undo(undo, TpccUndo::OrderLineInserted(key));
-        self.order_line.insert(key, row);
+        dist.lines.push(row);
     }
 
+    /// Queue order `o` as undelivered; it must be newer than every queued
+    /// order.
     pub fn insert_new_order(&mut self, key: OrderKey, undo: Option<&mut TpccUndoBuf>) {
+        let (w, d, o) = key;
+        let queue = &mut self.district_orders_mut(w, d).new_order;
+        assert!(
+            queue.back().is_none_or(|&newest| newest < o),
+            "NEW-ORDER is queued in order: {key:?} after {:?}",
+            queue.back()
+        );
         Self::push_undo(undo, TpccUndo::NewOrderInserted(key));
-        self.new_order.insert(key, ());
+        queue.push_back(o);
     }
 
+    /// Remove order `o` from NEW-ORDER (delivery takes the head); false if
+    /// it is not queued.
     pub fn delete_new_order(&mut self, key: OrderKey, undo: Option<&mut TpccUndoBuf>) -> bool {
-        if self.new_order.remove(&key).is_some() {
-            Self::push_undo(undo, TpccUndo::NewOrderDeleted(key));
-            true
-        } else {
-            false
-        }
+        let (w, d, o) = key;
+        let Some(queue) = self.orders.get_mut(&(w, d)).map(|dist| &mut dist.new_order) else {
+            return false;
+        };
+        let Ok(i) = queue.binary_search(&o) else {
+            return false;
+        };
+        queue.remove(i);
+        Self::push_undo(undo, TpccUndo::NewOrderDeleted(key));
+        true
     }
 
     pub fn append_history(&mut self, row: History, undo: Option<&mut TpccUndoBuf>) {
-        Self::push_undo(undo, TpccUndo::HistoryAppended);
+        Self::push_undo(undo, TpccUndo::HistoryAppended(row.date));
         self.history.push(row);
     }
 
@@ -437,27 +568,49 @@ impl TpccStore {
             TpccUndo::StockPre(key, row) => {
                 *self.stock.get_mut(&key).expect(LIVE) = row;
             }
-            TpccUndo::OrderInserted(key, c_id) => {
-                self.order.remove(&key);
-                self.order_by_customer.remove(&(key.0, key.1, c_id, key.2));
+            TpccUndo::OrderInserted((w, d, o), prev_last) => {
+                let dist = self.orders.get_mut(&(w, d)).expect(LIVE);
+                let row = dist.orders.pop().expect(LIVE);
+                assert_eq!(row.o_id, o, "{LIFO}");
+                let lines_gone = dist.first_line.pop() == Some(dist.lines.len() as u32);
+                assert!(lines_gone, "{LIFO}: order ({w}, {d}, {o}) still has lines");
+                dist.last_order[row.c_id as usize] = prev_last;
             }
-            TpccUndo::OrderCarrier(key, carrier_id) => {
-                self.order.get_mut(&key).expect(LIVE).carrier_id = carrier_id;
+            TpccUndo::OrderCarrier((w, d, o), carrier_id) => {
+                let dist = self.orders.get_mut(&(w, d)).expect(LIVE);
+                dist.order_mut(o).expect(LIVE).carrier_id = carrier_id;
             }
-            TpccUndo::OrderLineInserted(key) => {
-                self.order_line.remove(&key);
+            TpccUndo::OrderLineInserted((w, d, o, n)) => {
+                let dist = self.orders.get_mut(&(w, d)).expect(LIVE);
+                let row = dist.lines.pop().expect(LIVE);
+                assert_eq!((row.o_id, row.ol_number), (o, n), "{LIFO}");
             }
-            TpccUndo::OrderLineDelivery(key, delivery_d) => {
-                self.order_line.get_mut(&key).expect(LIVE).delivery_d = delivery_d;
+            TpccUndo::OrderLineDelivery((w, d, o, n), delivery_d) => {
+                let dist = self.orders.get_mut(&(w, d)).expect(LIVE);
+                let i = dist.line_start(o) + n as usize - 1;
+                let row = dist
+                    .lines
+                    .get_mut(i)
+                    .filter(|ol| (ol.o_id, ol.ol_number) == (o, n))
+                    .expect(LIVE);
+                row.delivery_d = delivery_d;
             }
-            TpccUndo::NewOrderInserted(key) => {
-                self.new_order.remove(&key);
+            TpccUndo::NewOrderInserted((w, d, o)) => {
+                let dist = self.orders.get_mut(&(w, d)).expect(LIVE);
+                assert_eq!(dist.new_order.pop_back(), Some(o), "{LIFO}");
             }
-            TpccUndo::NewOrderDeleted(key) => {
-                self.new_order.insert(key, ());
+            TpccUndo::NewOrderDeleted((w, d, o)) => {
+                let queue = &mut self.orders.get_mut(&(w, d)).expect(LIVE).new_order;
+                let Err(i) = queue.binary_search(&o) else {
+                    panic!("NEW-ORDER ({w}, {d}, {o}) restored while queued");
+                };
+                queue.insert(i, o);
             }
-            TpccUndo::HistoryAppended => {
-                self.history.pop();
+            TpccUndo::HistoryAppended(date) => {
+                // Not `pop`: a payment that appended after this one may
+                // still commit, and its row must stay.
+                let i = self.history.iter().rposition(|h| h.date == date);
+                self.history.remove(i.expect(LIVE));
             }
         }
     }
@@ -501,29 +654,31 @@ impl TpccStore {
                 s.1.remote_cnt as u64,
             ]));
         }
-        for (k, o) in self.order.iter() {
-            mix(fnv(&[
-                k.0 as u64,
-                k.1 as u64,
-                k.2 as u64,
-                o.c_id as u64,
-                o.carrier_id.map(|c| c as u64 + 1).unwrap_or(0),
-                o.ol_cnt as u64,
-            ]));
-        }
-        for (k, ()) in self.new_order.iter() {
-            mix(fnv(&[0xA0, k.0 as u64, k.1 as u64, k.2 as u64]));
-        }
-        for (k, ol) in self.order_line.iter() {
-            mix(fnv(&[
-                k.0 as u64,
-                k.1 as u64,
-                k.2 as u64,
-                k.3 as u64,
-                ol.i_id as u64,
-                ol.amount_cents as u64,
-                ol.delivery_d.map(|d| d + 1).unwrap_or(0),
-            ]));
+        for (&(w, d), dist) in &self.orders {
+            for o in &dist.orders {
+                mix(fnv(&[
+                    w as u64,
+                    d as u64,
+                    o.o_id as u64,
+                    o.c_id as u64,
+                    o.carrier_id.map(|c| c as u64 + 1).unwrap_or(0),
+                    o.ol_cnt as u64,
+                ]));
+            }
+            for &o in &dist.new_order {
+                mix(fnv(&[0xA0, w as u64, d as u64, o as u64]));
+            }
+            for ol in &dist.lines {
+                mix(fnv(&[
+                    w as u64,
+                    d as u64,
+                    ol.o_id as u64,
+                    ol.ol_number as u64,
+                    ol.i_id as u64,
+                    ol.amount_cents as u64,
+                    ol.delivery_d.map(|d| d + 1).unwrap_or(0),
+                ]));
+            }
         }
         mix(fnv(&[self.history.len() as u64]));
         acc
@@ -602,12 +757,13 @@ mod tests {
         let mut s = store();
         let fp = s.fingerprint();
         let before_last = s.last_order_of(1, 1, 7).map(|o| o.o_id);
+        let next = s.district(1, 1).unwrap().next_o_id;
         let mut undo = TpccUndoBuf::new();
         s.insert_order(
             Order {
                 w_id: 1,
                 d_id: 1,
-                o_id: 5000,
+                o_id: next,
                 c_id: 7,
                 entry_d: 42,
                 carrier_id: None,
@@ -620,7 +776,7 @@ mod tests {
             OrderLine {
                 w_id: 1,
                 d_id: 1,
-                o_id: 5000,
+                o_id: next,
                 ol_number: 1,
                 i_id: 1,
                 supply_w_id: 1,
@@ -631,11 +787,11 @@ mod tests {
             },
             Some(&mut undo),
         );
-        s.insert_new_order((1, 1, 5000), Some(&mut undo));
+        s.insert_new_order((1, 1, next), Some(&mut undo));
         s.rollback(undo);
         assert_eq!(s.fingerprint(), fp);
         assert_eq!(s.last_order_of(1, 1, 7).map(|o| o.o_id), before_last);
-        assert!(!s.order.contains_key(&(1, 1, 5000)));
+        assert!(s.order(1, 1, next).is_none());
     }
 
     #[test]
@@ -705,7 +861,7 @@ mod tests {
     #[test]
     fn deliver_order_lines_stamps_one_order_and_rolls_back() {
         let mut s = store();
-        let before = s.order_line.clone();
+        let before = s.orders.clone();
         let o = s.oldest_new_order(1, 1).unwrap();
         let want: Vec<_> = s.order_lines(1, 1, o).map(|ol| ol.amount_cents).collect();
         let mut undo = TpccUndoBuf::new();
@@ -717,7 +873,7 @@ mod tests {
         // Neighbouring orders are untouched.
         assert!(s.order_lines(1, 1, o + 1).all(|ol| ol.delivery_d.is_none()));
         s.rollback(undo);
-        assert!(s.order_line == before);
+        assert!(s.orders == before);
     }
 
     #[test]
@@ -777,13 +933,52 @@ mod tests {
         for ol in &all {
             assert!(ol.o_id >= d.next_o_id.saturating_sub(20) && ol.o_id < d.next_o_id);
         }
+        let want: usize = (d.next_o_id - 20..d.next_o_id)
+            .map(|o| s.order(1, 1, o).unwrap().ol_cnt as usize)
+            .sum();
+        assert_eq!(all.len(), want, "every line of the last 20 orders");
+    }
+
+    fn order(s: &TpccStore, c_id: CId) -> Order {
+        Order {
+            w_id: 1,
+            d_id: 1,
+            o_id: s.district(1, 1).unwrap().next_o_id,
+            c_id,
+            entry_d: 42,
+            carrier_id: None,
+            ol_cnt: 0,
+            all_local: true,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "order ids are dense")]
+    fn inserting_an_order_out_of_sequence_panics() {
+        let mut s = store();
+        let mut row = order(&s, 7);
+        row.o_id += 1;
+        s.insert_order(row, None);
+    }
+
+    /// Per-district undo is last-in-first-out: undoing an order that a
+    /// newer one followed is a broken schedule, and must not pass quietly.
+    #[test]
+    #[should_panic(expected = "undo pops the newest row of its district")]
+    fn rolling_back_a_non_newest_order_panics() {
+        let mut s = store();
+        let (mut older, mut newer) = (TpccUndoBuf::new(), TpccUndoBuf::new());
+        s.insert_order(order(&s, 7), Some(&mut older));
+        s.update_district(1, 1, None, |d| d.next_o_id += 1);
+        s.insert_order(order(&s, 8), Some(&mut newer));
+        s.rollback(older);
     }
 
     #[test]
     fn order_lines_iter_exact() {
         let s = store();
-        let (key, ord) = s.order.iter().next().unwrap();
-        let lines: Vec<_> = s.order_lines(key.0, key.1, key.2).collect();
+        let ord = s.order(1, 1, 1).unwrap();
+        let lines: Vec<_> = s.order_lines(1, 1, 1).collect();
         assert_eq!(lines.len(), ord.ol_cnt as usize);
     }
 }

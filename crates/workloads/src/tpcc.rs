@@ -1581,8 +1581,8 @@ mod tests {
         assert!(total_cents > 0);
         assert!(out.ops >= 5 + 5 + 5);
         // The order is queryable and consistency holds.
-        assert!(e.store.order.contains_key(&(1, 1, o_id)));
-        assert!(e.store.new_order.contains_key(&(1, 1, o_id)));
+        assert!(e.store.order(1, 1, o_id).is_some());
+        assert!(e.store.orders[&(1, 1)].new_orders().any(|o| o == o_id));
         consistency::check(&e.store).expect("consistent after new-order");
     }
 
@@ -1770,7 +1770,7 @@ mod tests {
         // tiny scale has 2 districts with undelivered orders.
         assert_eq!(orders_delivered, 2);
         assert_ne!(e.store.oldest_new_order(1, 1), Some(oldest));
-        let ord = e.store.order.get(&(1, 1, oldest)).unwrap();
+        let ord = e.store.order(1, 1, oldest).unwrap();
         assert_eq!(ord.carrier_id, Some(4));
         // Delivered lines are stamped; customer balance moved.
         let ol: Vec<_> = e.store.order_lines(1, 1, oldest).collect();
@@ -2092,13 +2092,8 @@ mod tests {
         assert!(a.district == b.district, "district differs {what}");
         assert!(a.customer == b.customer, "customer differs {what}");
         assert!(a.stock == b.stock, "stock differs {what}");
-        assert!(a.order == b.order, "order differs {what}");
-        assert!(
-            a.order_by_customer == b.order_by_customer,
-            "order_by_customer differs {what}"
-        );
-        assert!(a.new_order == b.new_order, "new_order differs {what}");
-        assert!(a.order_line == b.order_line, "order_line differs {what}");
+        // ORDER, NEW-ORDER, ORDER-LINE and the last-order index, per district.
+        assert!(a.orders == b.orders, "orders differ {what}");
         assert!(a.history == b.history, "history differs {what}");
     }
 
@@ -2213,6 +2208,59 @@ mod tests {
             assert_same_tables(&with_undo[p].store, &engines[p].store, &what);
             assert_eq!(with_undo[p].live_undo_buffers(), 0);
         }
+    }
+
+    /// The TPC-C state a fixed stream leaves behind, pinned: a change to
+    /// how the store lays out its tables must reproduce it bit for bit,
+    /// not only stay self-consistent. Every fragment runs with undo and
+    /// is then forgotten, so undo recording is on the path too.
+    #[test]
+    fn tpcc_fingerprint_is_pinned() {
+        const REQUESTS: u32 = 20_000;
+        let mut w = TpccWorkload::new(cfg_tiny(4, 2));
+        let mut engines = [
+            w.build_engine(PartitionId(0)),
+            w.build_engine(PartitionId(1)),
+        ];
+        for n in 0..REQUESTS {
+            let txn = txid(n + 1);
+            for (p, frag) in fragments_of(w.next_request(ClientId(n % 8))) {
+                let e = &mut engines[p.as_usize()];
+                e.execute(txn, &frag, true);
+                e.forget(txn);
+            }
+        }
+        let got = engines.map(|e| e.store.fingerprint());
+        assert_eq!(
+            got,
+            [0x50e1_a577_9d4b_fb53, 0xe6eb_5ca8_93aa_5f9c],
+            "{got:#018x?}"
+        );
+    }
+
+    /// Rolling back a payment removes its own HISTORY row, not the newest
+    /// one: a payment that appended after it may still commit.
+    #[test]
+    fn history_undo_removes_the_aborted_payments_row() {
+        let mut e = TpccWorkload::new(cfg_tiny(2, 1)).build_engine(PartitionId(0));
+        let pay = |w_id| TpccFragment::PaymentHome {
+            w_id,
+            d_id: 1,
+            c_w_id: w_id,
+            c_d_id: 1,
+            customer: CustomerSel::ById(1),
+            amount_cents: 100,
+            customer_is_local: true,
+        };
+        let (a, b) = (txid(1), txid(2));
+        e.execute(a, &pay(1), true).result.unwrap();
+        e.execute(b, &pay(2), true).result.unwrap();
+        let n = e.store.history.len();
+        e.rollback(a);
+        e.forget(b);
+        assert_eq!(e.store.history.len(), n - 1);
+        let last = e.store.history.last().unwrap();
+        assert_eq!((last.w_id, last.date), (2, b.0), "B's row survives");
     }
 
     /// The §3.3 snapshot path (`rollback_copy` on a clone, youngest buffer

@@ -72,10 +72,8 @@ fn remote_stock_updates_apply_atomically() {
     let mut ordered: u64 = 0;
     let mut stocked: u64 = 0;
     for e in &engines {
-        for ol in e.store.order_line.values() {
-            if ol.delivery_d.is_none() || ol.delivery_d.is_some() {
-                ordered += ol.quantity as u64;
-            }
+        for ol in e.store.orders.values().flat_map(|d| d.lines()) {
+            ordered += ol.quantity as u64;
         }
         for s in e.store.stock.values() {
             stocked += s.ytd as u64;
@@ -91,16 +89,11 @@ fn remote_stock_updates_apply_atomically() {
         });
         let e0 = w.build_engine(PartitionId(0));
         let e1 = w.build_engine(PartitionId(1));
-        e0.store
-            .order_line
-            .values()
+        [e0, e1]
+            .iter()
+            .flat_map(|e| e.store.orders.values().flat_map(|d| d.lines()))
             .map(|ol| ol.quantity as u64)
             .sum::<u64>()
-            + e1.store
-                .order_line
-                .values()
-                .map(|ol| ol.quantity as u64)
-                .sum::<u64>()
     };
     assert_eq!(
         ordered - initial,
