@@ -44,6 +44,9 @@
 //!
 //! * no dependency → settled;
 //! * dependency committed with the same per-partition attempt → settled;
+//! * dependency committed, but cited at a newer membership epoch than the
+//!   recorded attempt (a re-execution at a promoted primary, not voted
+//!   yet; see [`stamp_attempt`]) → hold;
 //! * dependency aborted, or committed under a different attempt → the
 //!   response is **stale** (its execution was squashed); discard it and
 //!   wait for the partition's re-sent response;
@@ -65,6 +68,24 @@ use hcc_common::{
     FragmentTask, FxHashMap, FxHashSet, Nanos, PartitionId, TxnId, TxnResult, Vote,
 };
 use std::collections::VecDeque;
+
+/// A reported execution attempt: the partition scheduler's count below this
+/// bit, the reporting node's membership epoch above. A promoted primary
+/// counts attempts from 0 again; the epoch tells its executions from the
+/// dead primary's.
+const EPOCH_SHIFT: u32 = 24;
+
+/// `attempt` as a node at membership `epoch` reports it (a response's
+/// `attempt` and `depends_on`); epoch 0 leaves it unchanged.
+pub fn stamp_attempt(attempt: u32, epoch: u32) -> u32 {
+    debug_assert!(attempt < 1 << EPOCH_SHIFT && epoch < 1 << (32 - EPOCH_SHIFT));
+    attempt | epoch << EPOCH_SHIFT
+}
+
+/// The membership epoch a reported attempt was stamped with.
+fn epoch_of(attempt: u32) -> u32 {
+    attempt >> EPOCH_SHIFT
+}
 
 /// A decision notification broadcast to peer coordinator shards when
 /// cross-shard sequencing is on: sequenced speculation chains legally span
@@ -626,12 +647,12 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
                         .map(|(_, a)| *a);
                     match committed_attempt {
                         Some(attempt) if attempt == dep.attempt => Settle::Settled,
+                        // Cited at a newer membership epoch than recorded:
+                        // a peer's redelivered commit, re-executed at a
+                        // promoted primary and not voted yet. Hold until
+                        // its owner names the attempt that took its place.
+                        Some(attempt) if epoch_of(dep.attempt) > epoch_of(attempt) => Settle::Hold,
                         Some(_) => Settle::Stale,
-                        // Committed, but its execution at this partition
-                        // died with a failed primary and the re-execution
-                        // has not been voted yet (a peer shard's
-                        // redelivery): hold until its owner says which
-                        // attempt took its place.
                         None => Settle::Hold,
                     }
                 } else if self.aborted.contains(&dep.txn) {
@@ -1215,16 +1236,6 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
                         sent: (first_round, 0),
                     },
                 );
-                // The committed execution at `failed` died with the old
-                // primary: until the re-execution is voted, no attempt
-                // there is this transaction's — which the peer shards must
-                // hear before a dependent's response can cite the
-                // re-execution (the note travels with the fragment).
-                if let Some(attempts) = self.committed.get_mut(&txn) {
-                    attempts.retain(|(p, _)| *p != failed);
-                }
-                let notes = self.notify_peers(txn, true, out);
-                self.charge_msgs(notes);
             }
         }
         if self.recheck_redeliveries(out) {
@@ -1914,56 +1925,74 @@ mod tests {
         assert_eq!(c.in_doubt_len(), 0);
     }
 
-    /// Cross-shard (sequencing) failover: a peer's in-doubt commit is
-    /// re-executed at the promoted primary under a new attempt, and this
-    /// shard's transactions chain on the re-execution. The owner's notes —
-    /// "its execution there is void" when the redelivery starts, the new
-    /// attempt when it is voted — must hold the dependent and then settle
-    /// it; judged against the dead primary's attempt it would be discarded
-    /// as stale and never re-sent.
+    type Shard = Coordinator<TestFragment, TestOutput>;
+    type Out = CoordOut<TestFragment, TestOutput>;
+
+    /// A peer shard's note: its transaction (client 7's first) committed
+    /// with these per-partition attempts.
+    fn peer_commit(attempts: Vec<(PartitionId, u32)>) -> PeerNote {
+        let (txn, commit) = (TxnId::new(ClientId(7), 0), true);
+        PeerNote {
+            txn,
+            commit,
+            attempts,
+        }
+    }
+
+    /// Cross-shard (sequencing) failover, as this shard sees it: the peer's
+    /// transaction committed at P1's dead primary as `dead_attempt`, its
+    /// owner re-delivers it, and this shard's transaction chains on the
+    /// re-execution at the promoted primary (membership epoch 1), which
+    /// votes into `out`.
+    fn vote_behind_a_peers_re_execution(dead_attempt: u32, out: &mut Vec<Out>) -> Shard {
+        let mut c = tracking_shard();
+        c.on_peer_decision(
+            peer_commit(vec![(PartitionId(0), 0), (PartitionId(1), dead_attempt)]),
+            out,
+        );
+        c.on_invoke(txid(1), ClientId(1), simple_proc(), false, out);
+        c.on_response(ok_response(txid(1), 0, 0, Some(Vote::Commit), None), out);
+        out.clear();
+        // Attempt 0 at the promoted primary, behind attempt 0 of the peer's.
+        let mut vote = ok_response(txid(1), 1, 0, Some(Vote::Commit), None);
+        vote.attempt = stamp_attempt(0, 1);
+        let (txn, attempt) = (peer_commit(Vec::new()).txn, stamp_attempt(0, 1));
+        vote.depends_on = Some(hcc_common::SpecDep { txn, attempt });
+        c.on_response(vote, out);
+        c
+    }
+
+    /// Cited at the new epoch, the dependency must hold until the owner's
+    /// note names the re-execution's attempt, then settle; judged against
+    /// the dead primary's attempt it would be discarded as stale and never
+    /// re-sent.
     #[test]
     fn dependency_on_a_peers_redelivered_commit_holds_then_settles() {
-        let peer_txn = TxnId::new(ClientId(7), 0);
-        let note = |attempts| PeerNote {
-            txn: peer_txn,
-            commit: true,
-            attempts,
-        };
-        let dep = Some(hcc_common::SpecDep {
-            txn: peer_txn,
-            attempt: 0,
-        });
-        let mut c = tracking_shard();
         let mut out = Vec::new();
-        // Committed at the old primary of P1 as attempt 1 …
-        c.on_peer_decision(
-            note(vec![(PartitionId(0), 0), (PartitionId(1), 1)]),
-            &mut out,
-        );
-        // … which died: the owner re-delivers it.
-        c.on_peer_decision(note(vec![(PartitionId(0), 0)]), &mut out);
-        c.on_invoke(txid(1), ClientId(1), simple_proc(), false, &mut out);
-        c.on_response(
-            ok_response(txid(1), 0, 0, Some(Vote::Commit), None),
-            &mut out,
-        );
-        out.clear();
-        // Our transaction ran at the promoted primary behind the
-        // re-execution (attempt 0 there).
-        c.on_response(
-            ok_response(txid(1), 1, 0, Some(Vote::Commit), dep),
-            &mut out,
-        );
+        let mut c = vote_behind_a_peers_re_execution(1, &mut out);
         assert!(out.is_empty(), "held, not decided");
         assert_eq!(c.counters.stale_responses_discarded, 0, "and not discarded");
-        c.on_peer_decision(
-            note(vec![(PartitionId(0), 0), (PartitionId(1), 0)]),
-            &mut out,
-        );
+        let attempts = vec![(PartitionId(0), 0), (PartitionId(1), stamp_attempt(0, 1))];
+        c.on_peer_decision(peer_commit(attempts), &mut out);
         assert!(out.iter().any(|o| matches!(
             o,
             CoordOut::Decision(_, d, _) if d.commit && d.txn == txid(1)
         )));
+    }
+
+    /// The dead primary's execution was attempt 0 too — attempts restart at
+    /// 0 on a promoted primary, so only the epoch tells the two apart.
+    /// Settled against the old record, the dependent's commit would reach
+    /// P1 while the re-execution still heads P1's chain.
+    #[test]
+    fn dependent_of_a_re_execution_does_not_settle_against_the_dead_primarys_attempt() {
+        let mut out = Vec::new();
+        let c = vote_behind_a_peers_re_execution(0, &mut out);
+        assert!(
+            !out.iter().any(|o| matches!(o, CoordOut::Decision(..))),
+            "no decision before the re-execution is voted"
+        );
+        assert_eq!(c.counters.stale_responses_discarded, 0);
     }
 
     #[test]

@@ -655,8 +655,9 @@ impl<E: ExecutionEngine> Scheduler<E> for SpeculativeScheduler<E> {
         // Commits arrive in dependency order (head first). Aborts may
         // target any position: a failover can abort a transaction that
         // was speculated mid-chain (the squash machinery below handles
-        // any `pos`).
-        debug_assert!(
+        // any `pos`). Checked in release too: past it, a commit for any
+        // other transaction would commit the head in its place.
+        assert!(
             pos == 0 || !decision.commit,
             "commit decisions arrive in dependency order"
         );

@@ -6,11 +6,11 @@
 //! non-blocking [`step`](ReplicaActor::step): consume one message, emit
 //! any number of [`OutMsg`]s. Nothing here blocks, sleeps, or spawns; *how*
 //! messages move between actors, and what time it is, is entirely the
-//! driver's business — and there are three, all built by
+//! driver's business — and there are two, both built by
 //! [`crate::build_actors`] and ticked per [`crate::TickPlan`]:
-//! [`crate::threaded`] parks one OS thread per actor on a channel,
-//! [`crate::multiplexed`] drives every actor from a small worker pool, and
-//! [`crate::sim`] steps them single-threaded off a virtual-time heap.
+//! [`crate::multiplexed`], the live one, drives every actor from a small
+//! worker pool, and [`crate::sim`] steps them single-threaded off a
+//! virtual-time heap, with senders preempted mid-publish if asked.
 //!
 //! # The returned `Nanos`
 //!
@@ -97,7 +97,7 @@ use hcc_common::{
     Scheme, SchemeSwitch, SystemConfig, TxnId, TxnResult,
 };
 use hcc_core::client::{ClientCore, ClientStats, NextAction, PendingRequest};
-use hcc_core::coordinator::{CoordOut, Coordinator, PeerNote};
+use hcc_core::coordinator::{stamp_attempt, CoordOut, Coordinator, PeerNote};
 use hcc_core::group_commit::{FlushDecision, GroupCommit};
 use hcc_core::membership::MembershipCore;
 use hcc_core::replica::{
@@ -464,14 +464,9 @@ where
         }
     }
 
-    /// True once the client has retired; the backend stops delivering to it.
-    pub fn done(&self) -> bool {
-        self.done
-    }
-
     /// When the actor needs a [`Msg::Tick`] to finish a backoff wait
-    /// (`None` when no retry is parked). Backends turn this into a receive
-    /// timeout or a timer entry.
+    /// (`None` when no retry is parked). The simulator turns this into a
+    /// heap entry.
     pub fn retry_wake(&self) -> Option<Nanos> {
         self.retry_at
     }
@@ -1344,17 +1339,36 @@ where
                     result: TxnResult::Aborted(AbortReason::PartitionFailed),
                 },
             },
-            FailoverBounce::ToCoordinator { dest, response } => match dest {
-                CoordinatorRef::Central(k) => OutMsg {
-                    dest: ActorId::Coordinator(k),
-                    msg: Msg::Response(response),
-                },
-                CoordinatorRef::Client(c) => OutMsg {
-                    dest: ActorId::Client(c),
-                    msg: Msg::FragResponse(response),
-                },
-            },
+            FailoverBounce::ToCoordinator { dest, response } => self.response(dest, response),
         });
+    }
+
+    /// A fragment response on its way to its coordinator, this node's
+    /// membership epoch stamped into its execution attempts
+    /// ([`stamp_attempt`]): a promoted primary counts attempts from 0
+    /// again, and the epoch keeps its executions apart from the dead
+    /// primary's. Epoch 0 changes nothing.
+    fn response(
+        &self,
+        dest: CoordinatorRef,
+        mut response: FragmentResponse<E::Output>,
+    ) -> OutMsg<E> {
+        if self.epoch != 0 {
+            response.attempt = stamp_attempt(response.attempt, self.epoch);
+            if let Some(dep) = &mut response.depends_on {
+                dep.attempt = stamp_attempt(dep.attempt, self.epoch);
+            }
+        }
+        match dest {
+            CoordinatorRef::Central(k) => OutMsg {
+                dest: ActorId::Coordinator(k),
+                msg: Msg::Response(response),
+            },
+            CoordinatorRef::Client(c) => OutMsg {
+                dest: ActorId::Client(c),
+                msg: Msg::FragResponse(response),
+            },
+        }
     }
 
     /// The injected crash: flush results whose records are already at the
@@ -1914,17 +1928,7 @@ where
                     }
                 }
                 PartitionOut::ToCoordinator { dest, response } => {
-                    let out_msg = match dest {
-                        CoordinatorRef::Central(k) => OutMsg {
-                            dest: ActorId::Coordinator(k),
-                            msg: Msg::Response(response),
-                        },
-                        CoordinatorRef::Client(c) => OutMsg {
-                            dest: ActorId::Client(c),
-                            msg: Msg::FragResponse(response),
-                        },
-                    };
-                    out.push(out_msg);
+                    out.push(self.response(dest, response));
                 }
             }
         }

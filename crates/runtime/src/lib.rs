@@ -1,4 +1,4 @@
-//! The system's actors and the three drivers that step them: one config
+//! The system's actors and the two drivers that step them: one config
 //! ([`RuntimeConfig`]), one report ([`RuntimeReport`]), one failure
 //! vocabulary ([`FailurePlan`]).
 //!
@@ -11,11 +11,7 @@
 //! ([`build_actors`], [`TickPlan`]) for every driver. [`BackendChoice`]
 //! picks the driver per run, and [`run`] dispatches to it:
 //!
-//! * [`threaded`] — one OS thread per actor, parked on a
-//!   channel. Faithful to the paper's process model and fastest at small
-//!   client counts, but a run with `C` clients costs `C + partitions + 2`
-//!   threads: the host drowns well before "millions of users".
-//! * [`multiplexed`] — every actor multiplexed onto a
+//! * [`multiplexed`] — the live driver: every actor multiplexed onto a
 //!   small fixed worker pool: clients and partitions owned by one worker
 //!   each, batched worker-to-worker mail, and a mailbox plus ready list
 //!   only for the coordinator shards and the membership actor (a
@@ -25,14 +21,16 @@
 //! * [`sim::Simulation`] — single-threaded, off a virtual-time heap that
 //!   charges the `Nanos` every `step` returns: the calibrated Table-2
 //!   costs, so its curves reproduce the paper's hardware ratios where the
-//!   live drivers measure whatever the host delivers (in-process message
-//!   passing is ~100× faster than the paper's Ethernet, so their
+//!   live driver measures whatever the host delivers (in-process message
+//!   passing is ~100× faster than the paper's Ethernet, so its
 //!   multi-partition stalls are proportionally smaller). A run is a pure
-//!   function of `(config, seed)`.
+//!   function of `(config, seed)`: the reference the live driver is checked
+//!   against, and with [`Simulation::preempt_senders`] an explorer of its
+//!   schedules.
 //!
-//! Crossbeam channels (threaded), the worker queues and inboxes
-//! (multiplexed) and the heap's constant latency (sim) all preserve
-//! per-link FIFO order, the property the speculation protocol relies on.
+//! The reactor's worker queues and inboxes and the simulator's constant
+//! per-hop latency both preserve per-link FIFO order and causal delivery,
+//! the properties the speculation protocol relies on.
 //!
 //! Every driver counts the measurement window's outcomes through the same
 //! [`RunControl`](actors::RunControl), harvests the same actors and honours
@@ -49,7 +47,6 @@
 pub mod actors;
 pub mod multiplexed;
 pub mod sim;
-pub mod threaded;
 
 pub use sim::Simulation;
 
@@ -77,8 +74,6 @@ use std::time::{Duration, Instant};
 /// explicitly — there is no implicit default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendChoice {
-    /// One OS thread per actor.
-    Threaded,
     /// All actors on a fixed pool of `workers` threads.
     Multiplexed { workers: usize },
     /// The virtual-time simulator. With `shadow`, every partition keeps a
@@ -99,13 +94,12 @@ impl BackendChoice {
         BackendChoice::Multiplexed { workers: 0 }
     }
 
-    /// Parse a CLI-style backend name (`threaded` | `multiplexed[:N]` |
-    /// `sim[:shadow]`, where a bare `multiplexed` or `:0` sizes the pool
-    /// automatically). Rejects anything else with a message naming the bad
-    /// input — a typo must not silently fall back to a default backend.
+    /// Parse a CLI-style backend name (`multiplexed[:N]` | `sim[:shadow]`,
+    /// where a bare `multiplexed` or `:0` sizes the pool automatically).
+    /// Rejects anything else with a message naming the bad input — a typo
+    /// must not silently fall back to a default backend.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
-            "threaded" => Ok(BackendChoice::Threaded),
             "multiplexed" => Ok(BackendChoice::multiplexed()),
             "sim" => Ok(BackendChoice::Sim { shadow: false }),
             "sim:shadow" => Ok(BackendChoice::Sim { shadow: true }),
@@ -117,7 +111,7 @@ impl BackendChoice {
                         format!("bad worker count {n:?} in backend {s:?} (expected multiplexed:N)")
                     }),
                 None => Err(format!(
-                    "unknown backend {s:?} (expected `threaded`, `multiplexed[:N]` or `sim[:shadow]`)"
+                    "unknown backend {s:?} (expected `multiplexed[:N]` or `sim[:shadow]`)"
                 )),
             },
         }
@@ -127,7 +121,6 @@ impl BackendChoice {
 impl std::fmt::Display for BackendChoice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BackendChoice::Threaded => f.write_str("threaded"),
             BackendChoice::Multiplexed { workers: 0 } => f.write_str("multiplexed"),
             BackendChoice::Multiplexed { workers } => write!(f, "multiplexed:{workers}"),
             BackendChoice::Sim { shadow: false } => f.write_str("sim"),
@@ -365,7 +358,6 @@ where
     B: Fn(PartitionId) -> W::Engine,
 {
     match cfg.backend {
-        BackendChoice::Threaded => threaded::run(&cfg, workload, build_engine),
         BackendChoice::Multiplexed { workers } => {
             multiplexed::run(workers, &cfg, workload, build_engine)
         }
@@ -406,7 +398,7 @@ pub(crate) fn coordinator_expiry(system: &SystemConfig) -> Option<(Nanos, AbortR
         .then_some((system.lock_timeout, AbortReason::CrossCoordinator))
 }
 
-/// Build every actor of a run — the one wiring all three drivers share.
+/// Build every actor of a run — the one wiring both drivers share.
 /// `failure` arms a [`FailAt::Commits`] crash on its group's initial
 /// primary and turns on in-doubt commit tracking at the coordinators (a
 /// [`FailAt::Time`] crash is the driver's to send); `log` supplies each
@@ -487,8 +479,8 @@ where
 }
 
 /// Who needs periodic [`Msg::Tick`]s, and how often: one policy for every
-/// driver. The threaded backend turns it into receive timeouts, the
-/// reactor into its timer thread, the simulator into heap entries.
+/// driver. The reactor turns it into its timer thread, the simulator into
+/// heap entries.
 /// (Clients additionally expose their exact backoff deadline,
 /// [`ClientActor::retry_wake`], for drivers with a per-actor timer.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -509,9 +501,7 @@ pub struct TickPlan {
     /// tick serves (sync deadline, epoch age boundary), so none is
     /// overshot by more than half. Floored at 100 µs — the reactor's floor,
     /// which the benchmark and the soaks run on, and exactly half the
-    /// sequencer's age boundary; the threaded backend's coordinator threads
-    /// used 50 µs, a difference that only showed below a 400 µs lock
-    /// timeout, which nothing configures.
+    /// sequencer's age boundary.
     pub every: Nanos,
 }
 
@@ -543,11 +533,11 @@ pub(crate) fn now_ns(epoch: Instant) -> Nanos {
     Nanos(epoch.elapsed().as_nanos() as u64)
 }
 
-/// Mail a live driver delivers by the wall clock rather than at once: a
+/// Mail the live driver delivers by the wall clock rather than at once: a
 /// [`FailAt::Time`] crash, and the membership actor's `Rejoin`, held for
 /// the plan's `rejoin_delay` (the simulator keeps both on its event heap).
-/// Filled by the driver's [`ActorId::Control`] handler, emptied by the
-/// thread that already injects the driver's timed mail.
+/// Filled by the driver's [`ActorId::Control`] handler, emptied by its
+/// timer thread.
 pub(crate) struct TimedMail<E: ExecutionEngine> {
     rejoin_delay: Nanos,
     due: Mutex<Vec<(Nanos, OutMsg<E>)>>,
@@ -620,7 +610,7 @@ impl<E: ExecutionEngine> TimedMail<E> {
 /// declares the run hung.
 const HANG_AFTER: Duration = Duration::from_secs(30);
 
-/// The drivers' wait loop: sleep-poll until `done()`. A run in which
+/// The live driver's wait loop: sleep-poll until `done()`. A run in which
 /// `live_clients`, `pending` (the backend's undelivered-message count, if
 /// it keeps one) and the clients' progress beacon all stand still for
 /// [`HANG_AFTER`] is hung; panic with the backend's `dump()` rather than
@@ -659,7 +649,7 @@ pub(crate) fn drain_until(
     }
 }
 
-/// The live drivers' measurement protocol, on the driver thread: a timed
+/// The live driver's measurement protocol, on the driver thread: a timed
 /// run warms up, opens the window for `measure`, then tells the clients to
 /// stop (each finishes its transaction in flight). A fixed-work run's
 /// window is open from the start and its clients stop by themselves.
@@ -786,8 +776,9 @@ mod tests {
     use hcc_common::Scheme;
     use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
 
-    const BACKENDS: [BackendChoice; 2] = [
-        BackendChoice::Threaded,
+    /// The simulator as the reference, and the reactor.
+    pub(super) const BACKENDS: [BackendChoice; 2] = [
+        BackendChoice::Sim { shadow: false },
         BackendChoice::Multiplexed { workers: 4 },
     ];
 
@@ -949,8 +940,8 @@ mod tests {
     #[test]
     fn backend_choice_parses() {
         assert_eq!(
-            BackendChoice::parse("threaded"),
-            Ok(BackendChoice::Threaded)
+            BackendChoice::parse("sim"),
+            Ok(BackendChoice::Sim { shadow: false })
         );
         assert_eq!(
             BackendChoice::parse("multiplexed"),
@@ -962,7 +953,6 @@ mod tests {
         );
         // Round trip: every backend renders to a spelling that parses back.
         for b in [
-            BackendChoice::Threaded,
             BackendChoice::multiplexed(),
             BackendChoice::Multiplexed { workers: 7 },
             BackendChoice::Sim { shadow: false },
@@ -973,6 +963,9 @@ mod tests {
         // Garbage is a loud error naming the input, not a silent fallback.
         let err = BackendChoice::parse("green-threads").unwrap_err();
         assert!(err.contains("green-threads"), "{err}");
+        // There is no thread-per-actor driver: `threaded` names nothing.
+        let err = BackendChoice::parse("threaded").unwrap_err();
+        assert!(err.contains("threaded"), "{err}");
         let err = BackendChoice::parse("multiplexed:lots").unwrap_err();
         assert!(err.contains("lots"), "{err}");
     }
@@ -980,6 +973,7 @@ mod tests {
 
 #[cfg(test)]
 mod tpcc_tests {
+    use super::tests::BACKENDS;
     use super::*;
     use hcc_common::Scheme;
     use hcc_storage::tpcc::consistency;
@@ -987,10 +981,7 @@ mod tpcc_tests {
 
     #[test]
     fn tpcc_runs_live_and_stays_consistent_on_both_backends() {
-        for backend in [
-            BackendChoice::Threaded,
-            BackendChoice::Multiplexed { workers: 4 },
-        ] {
+        for backend in BACKENDS {
             for scheme in [Scheme::Speculative, Scheme::Locking] {
                 let mut tpcc = TpccConfig::new(2, 2);
                 tpcc.scale = hcc_storage::tpcc::TpccScale::tiny();
@@ -1015,10 +1006,7 @@ mod tpcc_tests {
 
     #[test]
     fn tpcc_replicated_backups_converge() {
-        for backend in [
-            BackendChoice::Threaded,
-            BackendChoice::Multiplexed { workers: 4 },
-        ] {
+        for backend in BACKENDS {
             let mut tpcc = TpccConfig::new(2, 2);
             tpcc.scale = hcc_storage::tpcc::TpccScale::tiny();
             tpcc.remote_item_prob = 0.2; // plenty of cross-partition new-orders

@@ -1,7 +1,8 @@
-//! Multiplexed reactor backend: a shared-nothing worker pool.
+//! Multiplexed reactor backend: a shared-nothing worker pool, and the one
+//! live driver (the simulator is the reference it is checked against).
 //!
 //! The ROADMAP's "async backend", hand-rolled because the build is
-//! offline (no tokio, and the vendored crossbeam has no `Select`). The
+//! offline (no tokio, no channel crate with a `Select`). The
 //! paper's point — a partition run by one thread needs no latches —
 //! applied to the runtime itself: only the actors whose load cannot be
 //! placed statically sit behind a lock.

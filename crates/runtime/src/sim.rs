@@ -4,16 +4,16 @@
 //! Reproduces the paper's testbed — single-threaded partitions, a central
 //! coordinator, closed-loop clients, a switched network — on a virtual
 //! clock. **Only time is modeled**: the driver builds its actors with
-//! [`build_actors`], the one wiring the threaded backend and the reactor
-//! use, and steps the same `ClientActor` / `CoordinatorActor` /
-//! `MembershipActor` / `ReplicaActor` objects they step. Every transaction
+//! [`build_actors`], the one wiring the reactor uses too, and steps the
+//! same `ClientActor` / `CoordinatorActor` / `MembershipActor` /
+//! `ReplicaActor` objects the reactor steps. Every transaction
 //! really executes against real storage, every `Promote`, `RoutingApplied`
 //! fence, `Commit` / `CommitAck`, `DecisionAck` and durability hold is the
 //! live runtime's, so correctness properties (serializability, 2PC
 //! atomicity, no acked commit lost, failover convergence) are checked on
 //! exactly the code the benchmarks measure. The run takes the same
 //! [`RuntimeConfig`] and hands back the same [`RuntimeReport`] as the live
-//! drivers, with [`RuntimeReport::virtual_time`] filled in.
+//! driver, with [`RuntimeReport::virtual_time`] filled in.
 //!
 //! # Three timing rules
 //!
@@ -27,12 +27,12 @@
 //!    arrives at once), ties broken by push order.
 //!
 //! Constant latency, monotone departures and the tie-break keep every link
-//! FIFO, which the speculation protocol relies on. [`ActorId::Partition`]
-//! resolves to the group's current primary on delivery, and the membership
-//! actor's `Promoted` flip is mail like any other, so it lands right
-//! behind the `Promote` it follows.
+//! FIFO and delivery causal, which the speculation protocol relies on.
+//! [`ActorId::Partition`] resolves to the group's current primary on
+//! delivery, and the membership actor's `Promoted` flip is mail like any
+//! other, so it lands right behind the `Promote` it follows.
 //!
-//! # Four driver-side models
+//! # Five driver-side models
 //!
 //! What the actors leave to their driver, this one models *around* the
 //! production call, never instead of it:
@@ -49,7 +49,14 @@
 //!   rest;
 //! * **crash counter** — [`Simulation::run_to_crash`] counts appends
 //!   across the injected logs and stops the world after the step that
-//!   lands the k-th (whole-cluster power loss, not a primary kill).
+//!   lands the k-th (whole-cluster power loss, not a primary kill);
+//! * **preempted sender** — with [`Simulation::preempt_senders`], one step
+//!   in four is cut partway through its mail (in the reactor's publish
+//!   order) and the rest of the mail leaves up to 500 µs later, the sender
+//!   stepping nothing meanwhile: the interleavings of a thread descheduled
+//!   mid-route. Departures stay monotone, so every link stays FIFO and
+//!   delivery causal, as in the reactor, where a send is an enqueue at the
+//!   destination. Off by default, and then it draws nothing.
 //!
 //! Ticks follow [`TickPlan`]: an actor is ticked on the plan's period for
 //! as long as it has work a tick could matter to (clients at their exact
@@ -73,7 +80,7 @@ use crate::{
 };
 use hcc_common::codec::decode_exact;
 use hcc_common::{
-    ClientId, CommitRecord, FailAt, FailurePlan, Nanos, PartitionId, TxnId, TxnResult,
+    ClientId, CommitRecord, FailAt, FailurePlan, Nanos, PartitionId, SplitMix64, TxnId, TxnResult,
 };
 use hcc_core::{ExecutionEngine, RequestGenerator};
 use hcc_storage::{decode_frames, DurableLog, FaultMode, MemLog};
@@ -81,6 +88,12 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex as StdMutex};
+
+/// The preempted-sender model: one step in this many is descheduled partway
+/// through sending its mail …
+const PREEMPT_ONE_IN: u64 = 4;
+/// … for up to this long (a thread descheduled for a few scheduler quanta).
+const PREEMPT_MAX: Nanos = Nanos(500_000);
 
 /// What a heap entry brings its addressee.
 enum Due<E: ExecutionEngine> {
@@ -143,6 +156,8 @@ pub struct Simulation<W: RequestGenerator> {
     syncing: Vec<bool>,
     /// Per actor: a tick for it is on the heap.
     ticking: Vec<bool>,
+    /// The preempted-sender model's draws (off: `None`).
+    preempt: Option<SplitMix64>,
 
     // Observation.
     /// Measurement window in virtual time (all of it for fixed work).
@@ -150,6 +165,9 @@ pub struct Simulation<W: RequestGenerator> {
     /// Committed results delivered to clients.
     acked: Vec<TxnId>,
     events: u64,
+    /// Every message sent, as (sender, addressee, heap key).
+    #[cfg(test)]
+    sent: Vec<(ActorId, ActorId, (Nanos, u64))>,
 }
 
 impl<W: RequestGenerator> Simulation<W>
@@ -212,11 +230,14 @@ where
             inline: Vec::new(),
             syncing: vec![false; replicas.len()],
             ticking: vec![false; actors],
+            preempt: None,
             logs,
             crash_at: u64::MAX,
             window,
             acked: Vec::new(),
             events: 0,
+            #[cfg(test)]
+            sent: Vec::new(),
             cfg,
             clients,
             coordinators,
@@ -344,14 +365,18 @@ where
             _ => unreachable!("the device answers replicas"),
         };
         let end = start + cpu;
-        self.busy[i] = self.busy[i].max(end);
         let (open, close) = self.window;
         self.used[i] += end.min(close).0.saturating_sub(start.max(open).0);
-        // Every message leaves when the step ends and crosses the network
-        // once — except mail to oneself, and the `Rejoin` that waits out the
-        // failed node's downtime.
         let mut out = std::mem::take(&mut self.out);
-        for OutMsg { dest, msg } in out.drain(..) {
+        let (cut, stall) = self.preemption(&mut out);
+        // A descheduled sender steps nothing until it is back.
+        self.busy[i] = self.busy[i].max(end + stall);
+        // Every message leaves when the step ends (or, from the cut on, when
+        // the preempted sender is back) and crosses the network once —
+        // except mail to oneself, and the `Rejoin` that waits out the failed
+        // node's downtime.
+        for (k, OutMsg { dest, msg }) in out.drain(..).enumerate() {
+            let leaves = if k < cut { end } else { end + stall };
             let (dest, delay) = match (dest, &msg) {
                 _ if dest == to => (dest, Nanos::ZERO),
                 (
@@ -365,7 +390,9 @@ where
                 ),
                 _ => (dest, self.one_way),
             };
-            self.push(end + delay, dest, Due::Mail(msg));
+            self.push(leaves + delay, dest, Due::Mail(msg));
+            #[cfg(test)]
+            self.sent.push((to, dest, (leaves + delay, self.seq)));
         }
         self.out = out;
         // Ticks: an actor is ticked, on the plan's period, for as long as
@@ -387,6 +414,25 @@ where
             self.ticking[i] = true;
             self.push(end + self.plan.every, to, Due::Mail(Msg::Tick));
         }
+    }
+
+    /// The preempted-sender model's draw for one step's mail: where the
+    /// sender is cut off, and for how long. With the model on, `out` is put
+    /// in the reactor's publish order first — worker-bound mail, then
+    /// mailbox-bound mail (coordinator shards, membership), each in program
+    /// order — since that is the order in which a preempted live sender's
+    /// mail becomes visible. Off, or with nothing to send, it draws nothing
+    /// and cuts nowhere.
+    fn preemption(&mut self, out: &mut [OutMsg<W::Engine>]) -> (usize, Nanos) {
+        let Some(rng) = self.preempt.as_mut().filter(|_| !out.is_empty()) else {
+            return (out.len(), Nanos::ZERO);
+        };
+        out.sort_by_key(|m| matches!(m.dest, ActorId::Coordinator(_) | ActorId::Membership));
+        if rng.next_u64() % PREEMPT_ONE_IN != 0 {
+            return (out.len(), Nanos::ZERO);
+        }
+        let cut = rng.range_inclusive(0, out.len() as u64 - 1) as usize;
+        (cut, Nanos(rng.range_inclusive(1, PREEMPT_MAX.0)))
     }
 
     fn step_client(&mut self, c: ClientId, msg: Msg<W::Engine>, now: Nanos) -> Nanos {
@@ -528,6 +574,14 @@ where
         log.lock().expect("log mutex poisoned").fault = fault;
     }
 
+    /// Turn on the preempted-sender model (module docs), its draws taken
+    /// from `seed`: one step in four, the stepping actor is descheduled at a
+    /// cut uniform over that step's mail for up to 500 µs — what a reactor
+    /// worker preempted mid-publish produces.
+    pub fn preempt_senders(&mut self, seed: u64) {
+        self.preempt = Some(SplitMix64::new(seed));
+    }
+
     /// Crash-point harness: run normally until the `crash_at`-th commit
     /// record (counted globally across partitions) is appended, then kill
     /// the whole partition group at the end of that step — what the step
@@ -588,4 +642,81 @@ pub struct CrashHarvest<E: ExecutionEngine> {
     pub acked: Vec<TxnId>,
     /// Total commit records appended across partitions when the sim froze.
     pub appended: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hcc_common::{Scheme, SequencingConfig, SystemConfig};
+    use hcc_workloads::micro::{MicroConfig, MicroWorkload};
+
+    /// Every message of a short failover run (P1's primary killed at 1 ms;
+    /// two sequenced shards, 50 % multi-partition), senders preempted from
+    /// `seed` if given.
+    fn failover_mail(seed: Option<u64>) -> Vec<(ActorId, ActorId, (Nanos, u64))> {
+        let micro = MicroConfig {
+            partitions: 2,
+            clients: 6,
+            mp_fraction: 0.5,
+            ..Default::default()
+        };
+        let system = SystemConfig::new(Scheme::Speculative)
+            .with_partitions(2)
+            .with_clients(6)
+            .with_replication(2)
+            .with_coordinators(2)
+            .with_sequencing(SequencingConfig::Epoch { batch: 64 });
+        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+            .with_window(Nanos::from_micros(200), Nanos::from_millis(2))
+            .with_failure(FailurePlan {
+                partition: PartitionId(1),
+                at: FailAt::Time(Nanos::from_millis(1)),
+                rejoin_delay: Nanos::from_micros(100),
+            });
+        let builder = MicroWorkload::new(micro);
+        let mut sim = Simulation::new(cfg, MicroWorkload::new(micro), move |p| {
+            builder.build_engine(p)
+        });
+        seed.inspect(|&s| sim.preempt_senders(s));
+        sim.event_loop();
+        sim.sent
+    }
+
+    /// What one actor sends another is due — so stepped — in send order,
+    /// however the sender's steps were cut; and the membership actor's
+    /// `Promote` is due ahead of the routing flip it sends after it, even
+    /// when cut off between the two.
+    #[test]
+    fn preempted_senders_keep_links_fifo_and_promote_ahead_of_the_flip() {
+        let plain = failover_mail(None);
+        let mut cut_between = 0;
+        for seed in 0..64 {
+            let sent = failover_mail(Some(seed));
+            assert_ne!(sent, plain, "seed {seed}: the model moved nothing");
+            for (i, (from, to, key)) in sent.iter().enumerate() {
+                let earlier = sent[..i].iter().rev().find(|m| (m.0, m.1) == (*from, *to));
+                assert!(
+                    earlier.is_none_or(|m| m.2 < *key),
+                    "seed {seed}: {from:?} -> {to:?}"
+                );
+            }
+            let membership = |to: ActorId| {
+                let m = sent
+                    .iter()
+                    .find(|m| (m.0, m.1) == (ActorId::Membership, to));
+                m.expect("one failover").2
+            };
+            let promote = membership(ActorId::Replica(PartitionId(1), 1));
+            let flip = membership(ActorId::Control);
+            assert!(
+                promote < flip,
+                "seed {seed}: the flip overtook the promotion"
+            );
+            cut_between += usize::from(flip.0 > promote.0);
+        }
+        assert!(
+            cut_between > 0,
+            "no seed cut the membership actor between the two"
+        );
+    }
 }

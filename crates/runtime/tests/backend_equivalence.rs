@@ -1,8 +1,9 @@
-//! Cross-backend equivalence: the threaded and multiplexed backends are
-//! two drivers for the *same* state machines, so a fixed-work run (every
-//! client drives exactly K seed-derived requests to a final outcome) must
-//! leave bit-identical committed state on every partition, regardless of
-//! how the host interleaved the actors.
+//! Cross-driver equivalence: the simulator and the reactor are two drivers
+//! for the *same* state machines, so a fixed-work run (every client drives
+//! exactly K seed-derived requests to a final outcome) must leave
+//! bit-identical committed state on every partition, regardless of how
+//! the host interleaved the actors. The simulator is the reference: its
+//! run is a pure function of the seed.
 //!
 //! Why this is a sound check: the microbenchmark's requests are generated
 //! from per-client RNG streams (interleaving-independent), its committed
@@ -17,7 +18,7 @@
 //! TPC-C is deliberately absent here: its committed state is
 //! schedule-dependent (district `next_o_id` assignment and threshold-based
 //! stock replenishment make commit *order* observable), so no two live
-//! runs — even two threaded ones — are bit-comparable. The multiplexed
+//! runs — even two on one worker — are bit-comparable. The multiplexed
 //! backend's TPC-C coverage is the consistency checks in
 //! `hcc-runtime`'s `tpcc_tests` and the 512-client soak below.
 
@@ -26,6 +27,9 @@ use hcc_runtime::{run, BackendChoice, RuntimeConfig};
 use hcc_storage::tpcc::consistency;
 use hcc_workloads::micro::{MicroConfig, MicroWorkload};
 use hcc_workloads::tpcc::{TpccConfig, TpccWorkload};
+
+/// The reference driver.
+const SIM: BackendChoice = BackendChoice::Sim { shadow: false };
 
 /// Fixed-work fingerprints for one scheme on one backend.
 fn fingerprints(
@@ -98,17 +102,17 @@ fn all_schemes_agree_across_backends() {
         Scheme::Locking,
         Scheme::Occ,
     ] {
-        let threaded = fingerprints(scheme, 16, 30, BackendChoice::Threaded);
+        let sim = fingerprints(scheme, 16, 30, SIM);
         let multiplexed = fingerprints(scheme, 16, 30, BackendChoice::Multiplexed { workers: 4 });
         assert_eq!(
-            threaded, multiplexed,
+            sim, multiplexed,
             "{scheme}: committed state diverged between backends"
         );
     }
 }
 
 /// Worker-count matrix: at every pool size {1, 2, 3, 4, 8} the
-/// multiplexed backend must reproduce the threaded backend's committed
+/// multiplexed backend must reproduce the simulator's committed
 /// state bit-for-bit, for every scheme — scaling the pool up or down
 /// (including past the host's core count) changes who runs the actors,
 /// never what commits. This is the vertical-scale-up safety contract: a
@@ -124,19 +128,19 @@ fn worker_count_matrix_agrees_across_backends() {
         Scheme::Locking,
         Scheme::Occ,
     ] {
-        let threaded = fingerprints(scheme, 16, 25, BackendChoice::Threaded);
+        let sim = fingerprints(scheme, 16, 25, SIM);
         for workers in [1usize, 2, 3, 4, 8] {
             let multiplexed = fingerprints(scheme, 16, 25, BackendChoice::Multiplexed { workers });
             assert_eq!(
-                threaded, multiplexed,
-                "{scheme}@{workers} workers: committed state diverged from threaded"
+                sim, multiplexed,
+                "{scheme}@{workers} workers: committed state diverged from the simulator"
             );
         }
     }
 }
 
 /// Coordinator scale-out equivalence: with N ∈ {1, 2, 4} coordinator
-/// shards, the threaded and multiplexed backends must still agree
+/// shards, the simulator and the reactor must still agree
 /// bit-for-bit, at 2, 3 and 4 workers (fewer workers than shared actors,
 /// and as many) — sharding changes who coordinates, not what commits. The
 /// speculative scheme is the interesting one (cross-shard chains at the
@@ -146,13 +150,12 @@ fn worker_count_matrix_agrees_across_backends() {
 fn sharded_coordinators_agree_across_backends() {
     for scheme in [Scheme::Speculative, Scheme::Blocking] {
         for coordinators in [1u32, 2, 4] {
-            let threaded =
-                fingerprints_sharded(scheme, 16, 25, BackendChoice::Threaded, coordinators);
+            let sim = fingerprints_sharded(scheme, 16, 25, SIM, coordinators);
             for workers in [2usize, 3, 4] {
                 let backend = BackendChoice::Multiplexed { workers };
                 let multiplexed = fingerprints_sharded(scheme, 16, 25, backend, coordinators);
                 assert_eq!(
-                    threaded, multiplexed,
+                    sim, multiplexed,
                     "{scheme}/N={coordinators}@{workers} workers: committed state diverged \
                      between backends"
                 );
@@ -162,17 +165,17 @@ fn sharded_coordinators_agree_across_backends() {
 }
 
 /// The headline scale case: 512 closed-loop clients on a fixed 4-worker
-/// pool, against 512 OS threads — same inputs, same committed state.
+/// pool, against the simulator — same inputs, same committed state.
 #[test]
-fn multiplexed_512_clients_matches_threaded_bit_for_bit() {
-    let threaded = fingerprints(Scheme::Speculative, 512, 4, BackendChoice::Threaded);
+fn multiplexed_512_clients_matches_sim_bit_for_bit() {
+    let sim = fingerprints(Scheme::Speculative, 512, 4, SIM);
     let multiplexed = fingerprints(
         Scheme::Speculative,
         512,
         4,
         BackendChoice::Multiplexed { workers: 4 },
     );
-    assert_eq!(threaded, multiplexed, "512-client states diverged");
+    assert_eq!(sim, multiplexed, "512-client states diverged");
 }
 
 /// Fixed work is also reproducible run-to-run *within* the multiplexed

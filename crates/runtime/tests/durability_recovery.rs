@@ -1,10 +1,10 @@
-//! End-to-end durability on the live runtimes: a fixed-work run with the
+//! End-to-end durability on both drivers: a fixed-work run with the
 //! durable command log enabled must leave, for every partition group, a
 //! log whose replay rebuilds the primary's final state bit-for-bit — on
-//! both backends, for all four schemes. Plus the prefix property behind
-//! the crash-point sweep: *every* prefix of the log is a valid recovery
-//! point (recovery is monotone in the durable watermark), and a torn tail
-//! is discarded, never applied and never fatal.
+//! the simulator and the reactor, for all four schemes. Plus the prefix
+//! property behind the crash-point sweep: *every* prefix of the log is a
+//! valid recovery point (recovery is monotone in the durable watermark),
+//! and a torn tail is discarded, never applied and never fatal.
 
 use hcc_common::codec::encode_to_vec;
 use hcc_common::{CommitRecord, DurabilityConfig, LogEncode, Scheme, SystemConfig};
@@ -13,6 +13,9 @@ use hcc_runtime::{run, BackendChoice, RuntimeConfig, RuntimeReport};
 use hcc_storage::decode_frames;
 use hcc_storage::durable::frame;
 use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroFragment, MicroWorkload};
+
+/// The reference driver.
+const SIM: BackendChoice = BackendChoice::Sim { shadow: false };
 
 const SCHEMES: [Scheme; 4] = [
     Scheme::Blocking,
@@ -86,9 +89,9 @@ fn check_run(scheme: Scheme, backend: BackendChoice) {
 }
 
 #[test]
-fn durable_log_replays_to_live_state_threaded() {
+fn durable_log_replays_to_live_state_sim() {
     for scheme in SCHEMES {
-        check_run(scheme, BackendChoice::Threaded);
+        check_run(scheme, SIM);
     }
 }
 
@@ -135,10 +138,7 @@ fn group_commit_batches_under_load_and_never_over_holds() {
         assert_eq!(r.durability.stalled_aborts, 0, "{backend}");
         r.durability
     };
-    for backend in [
-        BackendChoice::Threaded,
-        BackendChoice::Multiplexed { workers: 2 },
-    ] {
+    for backend in [SIM, BackendChoice::Multiplexed { workers: 2 }] {
         let lone = run_with(backend, 2, 200);
         assert_eq!(lone.syncs, lone.records_appended, "{backend}: over-held");
         assert_eq!(lone.results_held, lone.records_appended, "{backend}");
@@ -157,7 +157,7 @@ fn group_commit_batches_under_load_and_never_over_holds() {
 /// result against an independent serial replay of the same k records.
 #[test]
 fn every_log_prefix_is_a_valid_recovery_point() {
-    let r = durable_run(Scheme::Speculative, BackendChoice::Threaded);
+    let r = durable_run(Scheme::Speculative, SIM);
     for (g, log) in r.logs.iter().enumerate() {
         let image = log.as_ref().expect("durability on");
         let (payloads, torn) = decode_frames(image);
@@ -198,7 +198,7 @@ fn every_log_prefix_is_a_valid_recovery_point() {
 /// discard it and land exactly on the previous record's state.
 #[test]
 fn torn_tail_of_a_real_log_is_discarded() {
-    let r = durable_run(Scheme::Blocking, BackendChoice::Threaded);
+    let r = durable_run(Scheme::Blocking, SIM);
     let image = r.logs[0].as_ref().expect("durability on");
     let (payloads, _) = decode_frames(image);
     let n = payloads.len();
@@ -237,7 +237,7 @@ fn durability_off_leaves_no_trace() {
         .with_partitions(2)
         .with_clients(12)
         .with_seed(0xD0C5);
-    let cfg = RuntimeConfig::fixed_work(system, BackendChoice::Threaded, 10);
+    let cfg = RuntimeConfig::fixed_work(system, SIM, 10);
     let builder = MicroWorkload::new(mc);
     let r = run(cfg, MicroWorkload::new(mc), move |p| {
         builder.build_engine(p)

@@ -13,11 +13,12 @@
 //!   the group keeps processing" actually converged,
 //! * the untouched group's replicas also still agree.
 //!
-//! One scenario kills by the clock instead, with downtime: both live
-//! drivers must honour every field of the failure plan on the wall clock,
-//! as the simulator does on its virtual one.
+//! One scenario kills by the clock instead, with downtime: the reactor must
+//! honour every field of the failure plan on the wall clock, as the
+//! simulator does on its virtual one.
 //!
-//! All four schemes on both backends — the acceptance bar for this PR.
+//! All four schemes on both drivers: the simulator, the reference, and the
+//! reactor.
 
 use hcc_common::{FailAt, FailurePlan, Nanos, PartitionId, Scheme, SystemConfig};
 use hcc_runtime::{run, BackendChoice, RuntimeConfig, RuntimeReport};
@@ -25,17 +26,9 @@ use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
 use hcc_workloads::ycsb::{YcsbConfig, YcsbWorkload};
 
 const BACKENDS: [BackendChoice; 2] = [
-    BackendChoice::Threaded,
+    BackendChoice::Sim { shadow: false },
     BackendChoice::Multiplexed { workers: 4 },
 ];
-
-fn failover_run(
-    scheme: Scheme,
-    backend: BackendChoice,
-    replication: u32,
-) -> RuntimeReport<MicroEngine> {
-    failover_run_sharded(scheme, backend, replication, 1)
-}
 
 fn failover_run_sharded(
     scheme: Scheme,
@@ -111,7 +104,7 @@ fn kill_promote_recover_converges_for_all_schemes_on_both_backends() {
             Scheme::Locking,
             Scheme::Occ,
         ] {
-            let r = failover_run(scheme, backend, 2);
+            let r = failover_run_sharded(scheme, backend, 2, 1);
             // replication = 2: one backup per group. Group 0 is untouched
             // (primary slot 0 + backup slot 1); group 1 failed over
             // (promoted slot 1 is the primary, recovered slot 0 is the
@@ -137,7 +130,7 @@ fn kill_promote_recover_converges_for_all_schemes_on_both_backends() {
 #[test]
 fn failover_with_two_backups_keeps_every_replica_converged() {
     for backend in BACKENDS {
-        let r = failover_run(Scheme::Speculative, backend, 3);
+        let r = failover_run_sharded(Scheme::Speculative, backend, 3, 1);
         assert_eq!(r.engines.len(), 2);
         assert_eq!(r.backups.len(), 4, "{backend}: two live backups per group");
         // Backups are in (group, slot) order: [g0s1, g0s2, g1s0(recovered), g1s2].
@@ -295,8 +288,8 @@ fn failover_is_state_invisible_for_sp_only_workloads() {
     );
 }
 
-/// A [`FailAt::Time`] crash with downtime: each live driver sends the
-/// crash on its wall clock and holds the membership actor's `Rejoin` for
+/// A [`FailAt::Time`] crash with downtime: each driver sends the crash on
+/// its clock and holds the membership actor's `Rejoin` for
 /// `rejoin_delay`, so the failed node recovers no sooner than that after it
 /// died — and still converges.
 #[test]

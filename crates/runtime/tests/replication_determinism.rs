@@ -15,8 +15,9 @@ use hcc_runtime::{run, BackendChoice, RuntimeConfig};
 use hcc_workloads::micro::{MicroConfig, MicroWorkload};
 use hcc_workloads::ycsb::{YcsbConfig, YcsbWorkload};
 
+/// The simulator, the reference, and the reactor.
 const BACKENDS: [BackendChoice; 2] = [
-    BackendChoice::Threaded,
+    BackendChoice::Sim { shadow: false },
     BackendChoice::Multiplexed { workers: 4 },
 ];
 
@@ -87,10 +88,10 @@ fn replicas_match_primaries_for_all_schemes_on_both_backends() {
         Scheme::Locking,
         Scheme::Occ,
     ] {
-        let threaded = replicated_fingerprints(scheme, BACKENDS[0]);
+        let sim = replicated_fingerprints(scheme, BACKENDS[0]);
         let multiplexed = replicated_fingerprints(scheme, BACKENDS[1]);
         assert_eq!(
-            threaded, multiplexed,
+            sim, multiplexed,
             "{scheme}: replicated committed state diverged between backends"
         );
     }

@@ -16,8 +16,9 @@ use hcc_runtime::{run, BackendChoice, RuntimeConfig, RuntimeReport};
 use hcc_workloads::micro::MicroEngine;
 use hcc_workloads::ycsb::{YcsbEConfig, YcsbEWorkload};
 
+/// The simulator, the reference, and the reactor.
 const BACKENDS: [BackendChoice; 2] = [
-    BackendChoice::Threaded,
+    BackendChoice::Sim { shadow: false },
     BackendChoice::Multiplexed { workers: 4 },
 ];
 
@@ -123,8 +124,8 @@ fn scan_heavy_failover_seed_sweep_is_bit_deterministic() {
 
 /// The ROADMAP's failover-deadlock item as a test: the same kill →
 /// promote → rejoin run, 40 times per backend. A lost wake-up, a false
-/// quiescence or a failover race shows as one run in dozens (this loop is
-/// what exposed the late-`RoutingUpdate` stall on the threaded backend),
+/// quiescence or a failover race shows as one run in dozens on the reactor
+/// (the simulator's counterpart is the failover sweep's preempted senders),
 /// and a run that hangs fails by itself — the drivers' watchdog panics
 /// after 30 s without progress, with a dump of the scheduling state —
 /// instead of sitting at 0 % CPU until someone kills the test binary.
@@ -138,7 +139,7 @@ fn failover_loop_never_hangs() {
 }
 
 /// Cross-backend equivalence extends to scans: for every scheme, the
-/// threaded and multiplexed backends must commit the same final state on
+/// simulator and the reactor must commit the same final state on
 /// the scan-heavy mix (no failure injection — pure wiring check).
 #[test]
 fn scan_heavy_backends_agree_for_all_schemes() {
@@ -174,7 +175,7 @@ fn scan_heavy_backends_agree_for_all_schemes() {
         }
         assert_eq!(
             states[0], states[1],
-            "{scheme}: threaded and multiplexed diverged on the scan-heavy mix"
+            "{scheme}: the simulator and the reactor diverged on the scan-heavy mix"
         );
     }
 }

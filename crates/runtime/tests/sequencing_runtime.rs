@@ -80,14 +80,15 @@ fn sequenced_backends_agree_across_schemes_and_shard_counts() {
         Scheme::Occ,
     ] {
         for coordinators in [1u32, 2, 4] {
-            let threaded = fingerprints_sequenced(scheme, BackendChoice::Threaded, coordinators);
+            let sim =
+                fingerprints_sequenced(scheme, BackendChoice::Sim { shadow: false }, coordinators);
             let multiplexed = fingerprints_sequenced(
                 scheme,
                 BackendChoice::Multiplexed { workers: 4 },
                 coordinators,
             );
             assert_eq!(
-                threaded, multiplexed,
+                sim, multiplexed,
                 "{scheme}/N={coordinators}: committed state diverged between backends"
             );
         }

@@ -1,11 +1,12 @@
 //! The proof the simulator runs the production path: a fixed-work run
 //! (every client drives exactly K seed-derived requests to a final outcome)
 //! must leave bit-identical committed state whether the actors are stepped
-//! by the virtual-time driver, by one OS thread each, or by the reactor —
+//! by the virtual-time driver or by the reactor, on one worker or two —
 //! `backend_equivalence.rs`'s argument (per-client request streams,
-//! commutative key-disjoint effects, order-independent fingerprints) with a
-//! third driver. Fixed work is `RunMode::FixedRequests`, the mode
-//! `ClientActor::new(.., requests)` gives every driver. One report means
+//! commutative key-disjoint effects, order-independent fingerprints) with
+//! the simulator in the reference seat. Fixed work is
+//! `RunMode::FixedRequests`, the mode `ClientActor::new(.., requests)`
+//! gives every driver. One report means
 //! the drivers also agree on what the window counted: committed, user
 //! aborts and committed multi-partition transactions.
 
@@ -19,10 +20,6 @@ const SCHEMES: [Scheme; 4] = [
     Scheme::Speculative,
     Scheme::Locking,
     Scheme::Occ,
-];
-const LIVE: [BackendChoice; 2] = [
-    BackendChoice::Threaded,
-    BackendChoice::Multiplexed { workers: 2 },
 ];
 const CLIENTS: u32 = 16;
 const REQUESTS: u64 = 30;
@@ -84,7 +81,8 @@ fn replicated_fixed_work_agrees_across_all_three_drivers() {
         let backups: Vec<u64> = report.backups.iter().map(|e| e.fingerprint()).collect();
         assert_eq!(sim, backups, "sim/{scheme}: backup diverged");
 
-        for backend in LIVE {
+        for workers in [1, 2] {
+            let backend = BackendChoice::Multiplexed { workers };
             let cfg = RuntimeConfig::fixed_work(system.clone(), backend, REQUESTS);
             let builder = MicroWorkload::new(micro());
             let r = run(cfg, MicroWorkload::new(micro()), move |p| {
@@ -127,7 +125,8 @@ fn durable_fixed_work_recovers_to_the_same_state_across_all_three_drivers() {
             );
         }
 
-        for backend in LIVE {
+        for workers in [1, 2] {
+            let backend = BackendChoice::Multiplexed { workers };
             let cfg = RuntimeConfig::fixed_work(system.clone(), backend, REQUESTS);
             let builder = MicroWorkload::new(micro());
             let r = run(cfg, MicroWorkload::new(micro()), move |p| {

@@ -154,8 +154,7 @@ fn coordinator_work_spreads_across_workers() {
 
 /// Pool-size resolution: an explicit worker count on the backend choice
 /// is the pool size; `workers == 0` sizes the pool to the host's
-/// available parallelism; the threaded backend reports no worker stats
-/// at all.
+/// available parallelism; the simulator reports no worker stats at all.
 #[test]
 fn pool_size_resolution() {
     let base = SystemConfig::new(Scheme::Blocking)
@@ -177,8 +176,8 @@ fn pool_size_resolution() {
     let host = std::thread::available_parallelism().map_or(1, usize::from);
     assert_eq!(r.workers.len(), host, "auto = host parallelism");
 
-    // Threaded runs have no reactor and report no worker stats.
-    let cfg = RuntimeConfig::fixed_work(base, BackendChoice::Threaded, 10);
+    // Simulated runs have no reactor and report no worker stats.
+    let cfg = RuntimeConfig::fixed_work(base, BackendChoice::Sim { shadow: false }, 10);
     let r = run_pool(cfg);
     assert!(r.workers.is_empty());
 }

@@ -1,5 +1,5 @@
 //! Quickstart: build your own storage engine and stored procedures, then
-//! run them live on the threaded runtime under speculative concurrency
+//! run them live on the multiplexed runtime under speculative concurrency
 //! control.
 //!
 //! The "application" is a two-partition bank: accounts are sharded by id,
@@ -8,7 +8,7 @@
 //! transactions (one fragment per participant, 2PC). Overdrafts abort.
 //!
 //! ```text
-//! cargo run --release --example quickstart [threaded|multiplexed[:N]]
+//! cargo run --release --example quickstart [multiplexed[:N]|sim]
 //! ```
 
 use hcc::prelude::*;
@@ -303,7 +303,7 @@ fn main() {
     let backend = std::env::args()
         .nth(1)
         .map(|a| BackendChoice::parse(&a).unwrap_or_else(|e| panic!("{e}")))
-        .unwrap_or(BackendChoice::Threaded);
+        .unwrap_or(BackendChoice::multiplexed());
     let accounts = 1000u64;
     let system = SystemConfig::new(Scheme::Speculative)
         .with_partitions(2)

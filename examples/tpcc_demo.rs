@@ -1,10 +1,10 @@
-//! TPC-C on the live threaded runtime: the full five-transaction mix,
+//! TPC-C on the live multiplexed runtime: the full five-transaction mix,
 //! partitioned by warehouse, with the read-only ITEM table replicated and
 //! STOCK vertically partitioned — exactly the paper's §5.5 setup, executed
 //! on real OS threads, followed by TPC-C consistency verification.
 //!
 //! ```text
-//! cargo run --release --example tpcc_demo [warehouses] [scheme] [threaded|multiplexed[:N]]
+//! cargo run --release --example tpcc_demo [warehouses] [scheme] [multiplexed[:N]|sim]
 //! ```
 
 use hcc::prelude::*;
@@ -24,7 +24,7 @@ fn main() {
     let backend = args
         .get(2)
         .map(|a| BackendChoice::parse(a).unwrap_or_else(|e| panic!("{e}")))
-        .unwrap_or(BackendChoice::Threaded);
+        .unwrap_or(BackendChoice::multiplexed());
     let partitions = 2u32;
 
     println!(

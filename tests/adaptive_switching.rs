@@ -241,12 +241,12 @@ fn adaptive_off_report_is_empty() {
     }
 }
 
-/// Fixed-work runtime runs with adaptive on: both backends, every pool
-/// size, must land bit-identical committed state. Switch *points* are
-/// interleaving-dependent in a live runtime (windows close on whatever
-/// outcome order the host produced), but all four schemes are
-/// serializable over commutative key-disjoint effects, so the final
-/// store must not care which scheme committed which transaction.
+/// Fixed-work runtime runs with adaptive on: the simulator and the reactor
+/// at every pool size must land bit-identical committed state. Switch
+/// *points* are interleaving-dependent in a live runtime (windows close on
+/// whatever outcome order the host produced), but all four schemes are
+/// serializable over commutative key-disjoint effects, so the final store
+/// must not care which scheme committed which transaction.
 #[test]
 fn adaptive_runtime_backends_agree_on_committed_state() {
     let fingerprints = |backend: BackendChoice| {
@@ -279,11 +279,11 @@ fn adaptive_runtime_backends_agree_on_committed_state() {
             .map(|e| e.fingerprint())
             .collect::<Vec<_>>()
     };
-    let threaded = fingerprints(BackendChoice::Threaded);
+    let sim = fingerprints(BackendChoice::Sim { shadow: false });
     for workers in [1usize, 2, 4] {
         let multiplexed = fingerprints(BackendChoice::Multiplexed { workers });
         assert_eq!(
-            threaded, multiplexed,
+            sim, multiplexed,
             "adaptive committed state diverged at {workers} workers"
         );
     }
