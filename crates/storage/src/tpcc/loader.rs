@@ -389,6 +389,79 @@ mod tests {
         consistency::check(&s).expect("fresh load must be consistent");
     }
 
+    /// FNV-1a over everything written to it.
+    struct Fnv(u64);
+
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+
+    /// A digest of every loaded column (the `Debug` text of every table),
+    /// as (partitioned tables, replicated tables). Unlike `fingerprint()`
+    /// it covers every string, the by-name index and ITEM / STOCK-info.
+    fn content_digest(s: &TpccStore) -> (u64, u64) {
+        use std::fmt::Write;
+        let digest = |tables: &[&dyn std::fmt::Debug]| {
+            let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+            for t in tables {
+                write!(h, "{t:?}|").expect("hashing cannot fail");
+            }
+            h.0
+        };
+        // The index's map order is the hasher's: sort it.
+        let by_name: Vec<std::collections::BTreeMap<_, _>> = s
+            .customer_by_name
+            .iter()
+            .map(|m| m.iter().collect())
+            .collect();
+        let partitioned = digest(&[
+            &s.local_warehouses,
+            &s.warehouse,
+            &s.district,
+            &s.customer,
+            &by_name,
+            &s.history,
+            &s.orders,
+            &s.stock,
+        ]);
+        let r = &s.replicated;
+        (partitioned, digest(&[&r.item, &r.stock_info]))
+    }
+
+    /// What the loader produces, byte for byte: four warehouses on two
+    /// partitions at seed 7, at the tiny scale and at the benchmark's
+    /// (`TpccConfig::new(4, 2)`: the default scale). Captured from the
+    /// serial loader; a faster loader must produce the same bytes.
+    #[test]
+    fn loaded_content_is_pinned() {
+        let scales = [
+            (
+                TpccScale::tiny(),
+                [
+                    (0x304b_2a9e_2780_66c8, 0xadde_90fd_b1fa_f301),
+                    (0x9df3_f5a6_2e6e_3999, 0xadde_90fd_b1fa_f301),
+                ],
+            ),
+            (
+                TpccScale::default_scaled(),
+                [
+                    (0xc4ae_8a78_0cff_9b9d, 0xf1a8_dd15_fcc0_6113),
+                    (0x5834_97cc_17a9_8ec7, 0xf1a8_dd15_fcc0_6113),
+                ],
+            ),
+        ];
+        for (scale, want) in scales {
+            let got =
+                [[1, 2], [3, 4]].map(|local| content_digest(&load_partition(&local, 4, &scale, 7)));
+            assert_eq!(got, want, "{got:#018x?}");
+        }
+    }
+
     #[test]
     fn deterministic_given_seed() {
         let scale = TpccScale::tiny();
