@@ -198,9 +198,10 @@ pub enum Msg<E: ExecutionEngine> {
     RoutingApplied { shard: CoordinatorId },
     /// Primary → coordinator (shard or client driver): the commit decision
     /// for `txn` was processed — the transaction leaves the 2PC in-doubt
-    /// window. `logged` is false when durability is on and the record could
-    /// not be appended to the durable log: the ack still counts (the chain
-    /// is not wedged) but the held result is released as `LogStalled`.
+    /// window. `logged` is false when durability is on and the record is not
+    /// in the durable log — its append failed, or the stall guard abandoned
+    /// its batch: the ack still counts (the chain is not wedged) but the
+    /// held result is released as `LogStalled`.
     DecisionAck {
         txn: TxnId,
         partition: PartitionId,
@@ -1044,9 +1045,6 @@ enum Role<E: ExecutionEngine> {
         /// record is acked by every backup (paper §2.2), as
         /// (required seq, client, txn, result).
         held: VecDeque<(u64, ClientId, TxnId, TxnResult<E::Output>)>,
-        /// seq of each shipped-but-possibly-unacked record, for the hold
-        /// decision (pruned as the watermark advances).
-        shipped_seq: FxHashMap<TxnId, u64>,
         /// Transactions this node applied during its backup past (empty
         /// for an initial primary): the exactly-once guard that keeps a
         /// re-delivered in-doubt commit from applying twice when its
@@ -1085,8 +1083,8 @@ struct Durability<E: ExecutionEngine> {
     pending_acks: VecDeque<(u64, TxnId, CoordinatorRef)>,
     /// Stall-guard watermark: records at or below this seq belong to a
     /// batch the guard abandoned — their transactions were bounced with
-    /// `LogStalled` (or their acks released undurable) and must not park
-    /// again when a late result shows up.
+    /// `LogStalled` (or their acks said "not logged") and must not park
+    /// again when a late result or decision shows up.
     abandoned_below: u64,
     /// Scratch: the commit record being appended, encoded. Reused so a
     /// commit does not grow a fresh buffer through five reallocations.
@@ -1104,13 +1102,6 @@ impl<E: ExecutionEngine> Durability<E> {
             abandoned_below: 0,
             encode_buf: Vec::new(),
         }
-    }
-
-    /// May what waits on log record `seq` leave this node? Once the record
-    /// is durable — or was in a batch the stall guard abandoned, which
-    /// gives up durability rather than wedge the commit chain.
-    fn released(&self, seq: u64) -> bool {
-        seq <= self.log.durable() || seq <= self.abandoned_below
     }
 }
 
@@ -1217,7 +1208,6 @@ where
                     a
                 },
                 held: VecDeque::new(),
-                shipped_seq: FxHashMap::default(),
                 applied: hcc_common::FxHashSet::default(),
             }
         } else {
@@ -1433,21 +1423,18 @@ where
     }
 
     /// Primary-side: the transaction committed here — append its commit
-    /// record to the durable log, ship it to every backup, and remember its
-    /// seq for the hold decisions.
-    fn ship_commit(&mut self, txn: TxnId, now: Nanos, out: &mut Vec<OutMsg<E>>) {
+    /// record to the durable log and ship it to every backup. Returns the
+    /// record's seq if it was shipped, for the hold decision.
+    fn ship_commit(&mut self, txn: TxnId, now: Nanos, out: &mut Vec<OutMsg<E>>) -> Option<u64> {
         let Role::Primary {
             session: Some(session),
             targets,
-            shipped_seq,
             ..
         } = &mut self.role
         else {
-            return;
+            return None;
         };
-        let Some(record) = session.on_commit(txn) else {
-            return;
-        };
+        let record = session.on_commit(txn)?;
         if let Some(dur) = &mut self.dur {
             dur.encode_buf.clear();
             record.encode(&mut dur.encode_buf);
@@ -1462,26 +1449,26 @@ where
         }
         // Clone per extra backup; the last (commonly only) target moves
         // the record — zero allocations on the k=1 hot path.
-        if let Some((&last, rest)) = targets.split_last() {
-            shipped_seq.insert(txn, record.seq);
-            self.repl_counters.records_shipped += 1;
-            for &slot in rest {
-                out.push(OutMsg {
-                    dest: ActorId::Replica(self.group, slot),
-                    msg: Msg::Commit {
-                        from_slot: self.slot,
-                        record: record.clone(),
-                    },
-                });
-            }
+        let (&last, rest) = targets.split_last()?;
+        let seq = record.seq;
+        self.repl_counters.records_shipped += 1;
+        for &slot in rest {
             out.push(OutMsg {
-                dest: ActorId::Replica(self.group, last),
+                dest: ActorId::Replica(self.group, slot),
                 msg: Msg::Commit {
                     from_slot: self.slot,
-                    record,
+                    record: record.clone(),
                 },
             });
         }
+        out.push(OutMsg {
+            dest: ActorId::Replica(self.group, last),
+            msg: Msg::Commit {
+                from_slot: self.slot,
+                record,
+            },
+        });
+        Some(seq)
     }
 
     /// The backend has nothing more to hand this node right now: close the
@@ -1566,9 +1553,9 @@ where
 
     /// Tick-driven stall guard: if the oldest unsynced append blew past the
     /// sync deadline, bounce every parked result with `LogStalled`, release
-    /// the deferred acks (giving up durability for those decisions rather
-    /// than wedging 2PC), and wipe the batch slate so the log can accept
-    /// new work.
+    /// the deferred acks as "not logged" (the coordinator releases their
+    /// results as `LogStalled` rather than wedge 2PC), and wipe the batch
+    /// slate so the log can accept new work.
     fn check_log_stall(&mut self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
         let group = self.group;
         let Some(dur) = &mut self.dur else { return };
@@ -1576,9 +1563,11 @@ where
             return;
         }
         dur.abandoned_below = dur.log.appended();
+        let durable = dur.log.durable();
         let victims: Vec<_> = dur.held.drain(..).collect();
         let acks: Vec<_> = dur.pending_acks.drain(..).collect();
-        dur.gc.on_stall_abort(victims.len() as u64);
+        let unlogged = acks.iter().filter(|(seq, ..)| *seq > durable).count();
+        dur.gc.on_stall_abort((victims.len() + unlogged) as u64);
         for (_, client, txn, _) in victims {
             out.push(OutMsg {
                 dest: ActorId::Client(client),
@@ -1588,8 +1577,8 @@ where
                 },
             });
         }
-        for (_, txn, ack_to) in acks {
-            out.push(decision_ack(group, txn, ack_to, true));
+        for (seq, txn, ack_to) in acks {
+            out.push(decision_ack(group, txn, ack_to, seq <= durable));
         }
     }
 
@@ -1767,15 +1756,19 @@ where
                         // committed result until every participant acks.
                         let logged = match &mut self.dur {
                             Some(dur) => match dur.logged_seq.remove(&d.txn) {
-                                Some(Some(seq)) if !dur.released(seq) => {
+                                // Not this node's to log, or durable already.
+                                None => Some(true),
+                                Some(Some(seq)) if seq <= dur.log.durable() => Some(true),
+                                Some(Some(seq)) if seq > dur.abandoned_below => {
                                     dur.pending_acks.push_back((seq, d.txn, ack_to));
                                     None
                                 }
-                                Some(None) => {
+                                // The append failed, or the stall guard
+                                // abandoned the record's batch.
+                                Some(_) => {
                                     dur.gc.counters.stalled_aborts += 1;
                                     Some(false)
                                 }
-                                _ => Some(true),
                             },
                             None => Some(true),
                         };
@@ -1797,13 +1790,7 @@ where
             Msg::CommitAck { slot, seq } => {
                 let mut released = Vec::new();
                 {
-                    let Role::Primary {
-                        acks,
-                        held,
-                        shipped_seq,
-                        ..
-                    } = &mut self.role
-                    else {
+                    let Role::Primary { acks, held, .. } = &mut self.role else {
                         unreachable!()
                     };
                     acks.on_ack(slot as usize, seq);
@@ -1815,7 +1802,6 @@ where
                         let entry = held.pop_front().expect("checked front");
                         released.push(entry);
                     }
-                    shipped_seq.retain(|_, s| *s > watermark);
                 }
                 // A result clears the replication gate first, then the
                 // durability gate (it may park again until its batch
@@ -1894,28 +1880,25 @@ where
                     txn,
                     result,
                 } => {
-                    if result.is_committed() {
-                        self.ship_commit(txn, now, out);
-                    } else if let Role::Primary {
-                        session: Some(session),
-                        ..
-                    } = &mut self.role
-                    {
-                        session.on_abort(txn);
-                    }
+                    let shipped = if result.is_committed() {
+                        self.ship_commit(txn, now, out)
+                    } else {
+                        if let Role::Primary {
+                            session: Some(session),
+                            ..
+                        } = &mut self.role
+                        {
+                            session.on_abort(txn);
+                        }
+                        None
+                    };
                     // Replication gate first; a result under the acked
                     // watermark still has to clear the durability gate.
                     let repl_hold = {
-                        let Role::Primary {
-                            acks, shipped_seq, ..
-                        } = &self.role
-                        else {
+                        let Role::Primary { acks, .. } = &self.role else {
                             unreachable!()
                         };
-                        shipped_seq
-                            .get(&txn)
-                            .copied()
-                            .filter(|&seq| seq > acks.min_acked())
+                        shipped.filter(|&seq| seq > acks.min_acked())
                     };
                     match repl_hold {
                         Some(seq) => {
@@ -2009,7 +1992,6 @@ where
                     targets,
                     acks,
                     held: VecDeque::new(),
-                    shipped_seq: FxHashMap::default(),
                     applied,
                 };
                 // A promoted primary logs from here on into its own, so far

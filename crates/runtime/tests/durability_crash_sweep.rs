@@ -368,6 +368,35 @@ impl RequestGenerator for Committed {
     }
 }
 
+/// Twelve clients of `micro(12)` on two durable partitions, probed for what
+/// they are told, with P0's log device failing as `fault` says. Retries
+/// stop at three attempts, so a permanently broken device still drains.
+fn probed(
+    scheme: Scheme,
+    durability: DurabilityConfig,
+    warmup: Nanos,
+    fault: FaultMode,
+) -> Simulation<Committed> {
+    let mc = micro(12);
+    let system = SystemConfig::new(scheme)
+        .with_partitions(2)
+        .with_clients(12)
+        .with_seed(0xC4A5)
+        .with_durability(durability)
+        .with_retry(RetryConfig::default().with_max_attempts(3));
+    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+        .with_window(warmup, Nanos::from_millis(6));
+    let builder = MicroWorkload::new(mc);
+    let probe = Committed {
+        inner: MicroWorkload::new(mc),
+        touches: vec![Vec::new(); 12],
+        committed: Vec::new(),
+    };
+    let mut s = Simulation::new(cfg, probe, move |p| builder.build_engine(p));
+    s.set_log_fault(PartitionId(0), fault);
+    s
+}
+
 /// An append that fails after the engine committed has one answer, the
 /// strict one: the record is not in the log, so no client reads
 /// `Committed` — a single-partition result bounces at the partition, a 2PC
@@ -379,32 +408,18 @@ impl RequestGenerator for Committed {
 fn failed_append_never_reads_as_committed() {
     const GOOD_APPENDS: u64 = 40;
     for scheme in SCHEMES {
+        // P0's device rejects every write after the first forty.
+        let fault = FaultMode {
+            fail_appends_after: Some(GOOD_APPENDS),
+            ..FaultMode::default()
+        };
         let build = || {
-            let mc = micro(12);
-            let system = SystemConfig::new(scheme)
-                .with_partitions(2)
-                .with_clients(12)
-                .with_seed(0xC4A5)
-                .with_durability(DurabilityConfig::default())
-                .with_retry(RetryConfig::default().with_max_attempts(3));
-            let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
-                .with_window(Nanos::from_millis(1), Nanos::from_millis(6));
-            let builder = MicroWorkload::new(mc);
-            let probe = Committed {
-                inner: MicroWorkload::new(mc),
-                touches: vec![Vec::new(); 12],
-                committed: Vec::new(),
-            };
-            let mut s = Simulation::new(cfg, probe, move |p| builder.build_engine(p));
-            // P0's device rejects every write after the first forty.
-            s.set_log_fault(
-                PartitionId(0),
-                FaultMode {
-                    fail_appends_after: Some(GOOD_APPENDS),
-                    ..FaultMode::default()
-                },
-            );
-            s
+            probed(
+                scheme,
+                DurabilityConfig::default(),
+                Nanos::from_millis(1),
+                fault,
+            )
         };
         // Deterministic, so the drained run and the harvested logs are one
         // run seen twice: once for what the clients were told, once for
@@ -430,6 +445,47 @@ fn failed_append_never_reads_as_committed() {
         // with backoff, and ended as a final (exhausted) abort.
         assert!(report.durability.stalled_aborts > 0, "{scheme}");
         assert!(report.clients.backoff_retries > 0, "{scheme}");
+        assert!(report.clients.retry_exhausted > 0, "{scheme}");
+    }
+}
+
+/// The stall guard's twin of the test above: when P0's device stops
+/// syncing, the guard gives up on the batch in flight, and what waited on
+/// it leaves without durability. A single-partition result bounces with
+/// `LogStalled`; a 2PC participant's decision ack, whether it was parked
+/// when the guard fired or arrives later for a record in the abandoned
+/// batch, must say "not logged", so no client reads `Committed` for a
+/// transaction whose record is not in the durable log of every partition
+/// it touched.
+#[test]
+fn stalled_sync_never_reads_as_committed() {
+    for scheme in SCHEMES {
+        let durability =
+            DurabilityConfig::default().with_sync_deadline(Some(Nanos::from_micros(800)));
+        // P0's device stalls every sync after its first three.
+        let fault = FaultMode {
+            stall_syncs_after: Some(3),
+            ..FaultMode::default()
+        };
+        let build = || probed(scheme, durability, Nanos::from_millis(2), fault);
+        let (report, told) = build().run();
+        let logs = build().run_to_crash(u64::MAX);
+        assert!(!logs.crashed, "{scheme}: the run must drain");
+        assert!(
+            logs.history[0].len() as u64 > logs.durable[0],
+            "{scheme}: P0 appended records it never made durable"
+        );
+        assert!(!told.committed.is_empty(), "{scheme}");
+        for (txn, touched) in &told.committed {
+            for &p in touched {
+                let durable = &logs.history[p][..logs.durable[p] as usize];
+                assert!(
+                    durable.iter().any(|r| r.txn == *txn),
+                    "{scheme}: a client read Committed for {txn:?}, which P{p}'s durable log does not hold"
+                );
+            }
+        }
+        assert!(report.durability.stalled_aborts > 0, "{scheme}");
         assert!(report.clients.retry_exhausted > 0, "{scheme}");
     }
 }
