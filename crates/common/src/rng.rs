@@ -6,10 +6,16 @@
 //! streams; this type is for bulk data population and tests.
 
 /// SplitMix64: tiny, fast, and statistically fine for data generation.
-#[derive(Debug, Clone)]
+/// Its state after `n` draws is `seed + n·γ`, so the stream can be jumped
+/// ahead in O(1) ([`jump`](Self::jump)); two generators that compare equal
+/// draw the same stream.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }
+
+/// SplitMix64's increment, γ.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl SplitMix64 {
     pub fn new(seed: u64) -> Self {
@@ -18,11 +24,18 @@ impl SplitMix64 {
 
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Skip the next `n` draws, in O(1): afterwards the generator is where
+    /// `n` calls of [`next_u64`](Self::next_u64) would have left it.
+    #[inline]
+    pub fn jump(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Uniform integer in `[lo, hi]` (inclusive). `lo <= hi` required.
@@ -129,6 +142,20 @@ mod tests {
         let mut b = SplitMix64::new(42);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn jump_skips_exactly_n_draws() {
+        for n in [0, 1, 2, 7, 1000] {
+            let mut walked = SplitMix64::new(42);
+            for _ in 0..n {
+                walked.next_u64();
+            }
+            let mut jumped = SplitMix64::new(42);
+            jumped.jump(n);
+            assert_eq!(jumped, walked, "after {n} draws");
+            assert_eq!(jumped.next_u64(), walked.next_u64());
         }
     }
 

@@ -371,12 +371,7 @@ impl RequestGenerator for Committed {
 /// Twelve clients of `micro(12)` on two durable partitions, probed for what
 /// they are told, with P0's log device failing as `fault` says. Retries
 /// stop at three attempts, so a permanently broken device still drains.
-fn probed(
-    scheme: Scheme,
-    durability: DurabilityConfig,
-    warmup: Nanos,
-    fault: FaultMode,
-) -> Simulation<Committed> {
+fn probed(scheme: Scheme, durability: DurabilityConfig, fault: FaultMode) -> Simulation<Committed> {
     let mc = micro(12);
     let system = SystemConfig::new(scheme)
         .with_partitions(2)
@@ -385,7 +380,7 @@ fn probed(
         .with_durability(durability)
         .with_retry(RetryConfig::default().with_max_attempts(3));
     let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
-        .with_window(warmup, Nanos::from_millis(6));
+        .with_window(Nanos::from_millis(1), Nanos::from_millis(6));
     let builder = MicroWorkload::new(mc);
     let probe = Committed {
         inner: MicroWorkload::new(mc),
@@ -413,14 +408,7 @@ fn failed_append_never_reads_as_committed() {
             fail_appends_after: Some(GOOD_APPENDS),
             ..FaultMode::default()
         };
-        let build = || {
-            probed(
-                scheme,
-                DurabilityConfig::default(),
-                Nanos::from_millis(1),
-                fault,
-            )
-        };
+        let build = || probed(scheme, DurabilityConfig::default(), fault);
         // Deterministic, so the drained run and the harvested logs are one
         // run seen twice: once for what the clients were told, once for
         // what the logs hold.
@@ -467,7 +455,7 @@ fn stalled_sync_never_reads_as_committed() {
             stall_syncs_after: Some(3),
             ..FaultMode::default()
         };
-        let build = || probed(scheme, durability, Nanos::from_millis(2), fault);
+        let build = || probed(scheme, durability, fault);
         let (report, told) = build().run();
         let logs = build().run_to_crash(u64::MAX);
         assert!(!logs.crashed, "{scheme}: the run must drain");

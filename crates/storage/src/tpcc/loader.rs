@@ -1,41 +1,105 @@
-//! Initial TPC-C population (clause 4.3), deterministic per seed.
+//! Initial TPC-C population (clause 4.3), deterministic per seed, loaded on
+//! every core.
 //!
 //! [`load_replicated`] builds the replicated tables (ITEM and the read-only
 //! half of STOCK for *all* warehouses) from the seed alone, so every
 //! partition would hold an identical copy, like the paper's system where
 //! those tables are copied to every node; [`shared_replicated`] keeps one
 //! copy per process. [`load_partition`] fills a [`TpccStore`] with the
-//! partitioned data of the warehouses assigned to one partition.
+//! partitioned data of the warehouses assigned to one partition, and loads
+//! the replicated tables beside them when the process holds no copy yet.
+//!
+//! # In parallel, and byte for byte
+//!
+//! Generating rows is the whole cost of a load: one SplitMix64 draw per
+//! character, bound by the generator's multiplies, so only more cores make
+//! a load faster (as Wu et al. rebuild main-memory state with one thread
+//! per partition). A load is cut into jobs that run on at most
+//! `available_parallelism()` scoped threads, and each job's rows are a pure
+//! function of the seed, so the store holds the same bytes whatever the
+//! thread count and whichever job finishes first:
+//!
+//! * Each warehouse draws from its own stream (`seed ^ 0x10AD ^ w << 16`)
+//!   and reads nothing from the replicated tables (an order line draws its
+//!   own `dist_info`). The TPC-C database is partitioned by warehouse, so
+//!   this independence holds by construction. A warehouse is one job, and
+//!   its rows are appended in slot order.
+//! * The replicated tables are one stream, ITEM's rows and then
+//!   STOCK-info's, cut at row boundaries. SplitMix64's state after `n`
+//!   draws is `seed + n·γ`, so [`SplitMix64::jump`] skips draws in O(1). A
+//!   counting pass runs the same row functions over `Skip`, which draws
+//!   what decides a row's shape (lengths, branches) and jumps over the
+//!   characters, and notes the stream's state at the start of each chunk.
+//!   Each chunk is then a job that starts from that state.
 
 use super::scale::TpccScale;
 use super::schema::*;
 use super::store::{DistrictOrders, ReplicatedTables, TpccStore};
 use hcc_common::rng::SplitMix64;
 use hcc_common::FxHashMap;
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Epoch used for all load-time dates.
 const LOAD_DATE: u64 = 1_000_000;
 
-fn rand_str(rng: &mut SplitMix64, lo: usize, hi: usize) -> String {
+/// Where a row function's draws come from: the stream itself (a
+/// [`SplitMix64`], which writes every character), or [`Skip`].
+trait Draws {
+    fn rng(&mut self) -> &mut SplitMix64;
+    /// Draw a length in `lo..=hi` and that many alphanumerics, written into
+    /// `buf`; returns how many bytes were written.
+    fn alnum(&mut self, buf: &mut [u8], lo: usize, hi: usize) -> usize;
+}
+
+impl Draws for SplitMix64 {
+    fn rng(&mut self) -> &mut SplitMix64 {
+        self
+    }
+
+    fn alnum(&mut self, buf: &mut [u8], lo: usize, hi: usize) -> usize {
+        self.alnum_into(buf, lo, hi)
+    }
+}
+
+/// The counting pass's draws: the same stream, but a string's characters
+/// are jumped over, not drawn, and nothing is written.
+struct Skip(SplitMix64);
+
+impl Draws for Skip {
+    fn rng(&mut self) -> &mut SplitMix64 {
+        &mut self.0
+    }
+
+    fn alnum(&mut self, _: &mut [u8], lo: usize, hi: usize) -> usize {
+        // What `alnum_into` draws: the length, then one per character.
+        let len = self.0.range_inclusive(lo as u64, hi as u64);
+        self.0.jump(len);
+        0
+    }
+}
+
+fn rand_str(r: &mut impl Draws, lo: usize, hi: usize) -> String {
     let mut buf = [0u8; 64];
-    let n = rng.alnum_into(&mut buf, lo, hi);
+    let n = r.alnum(&mut buf, lo, hi);
     String::from_utf8_lossy(&buf[..n]).into_owned()
 }
 
-/// A `CHAR(24)` column: the draws of `rand_str(rng, 24, 24)`, kept inline.
-fn dist_info(rng: &mut SplitMix64) -> DistInfo {
+/// A `CHAR(24)` column: the draws of `rand_str(r, 24, 24)`, kept inline.
+fn dist_info(r: &mut impl Draws) -> DistInfo {
     let mut buf = DistInfo::default();
-    rng.alnum_into(&mut buf, 24, 24);
+    r.alnum(&mut buf, 24, 24);
     buf
 }
 
 /// `I_DATA` / `S_DATA`: 10% carry "ORIGINAL" (clause 4.3.3.1).
-fn data_column(rng: &mut SplitMix64) -> String {
-    if rng.next_f64() < 0.10 {
-        format!("{}ORIGINAL{}", rand_str(rng, 6, 12), rand_str(rng, 6, 12))
+fn data_column(r: &mut impl Draws) -> String {
+    if r.rng().next_f64() < 0.10 {
+        format!("{}ORIGINAL{}", rand_str(r, 6, 12), rand_str(r, 6, 12))
     } else {
-        rand_str(rng, 26, 50)
+        rand_str(r, 26, 50)
     }
 }
 
@@ -54,29 +118,178 @@ fn load_name_number(rng: &mut SplitMix64, c_id: CId, scale: &TpccScale) -> u64 {
     }
 }
 
-/// ITEM, and STOCK's read-only half for warehouses `1..=all_warehouses`.
-/// Seeded independently of any partition's warehouses.
-pub fn load_replicated(all_warehouses: u32, scale: &TpccScale, seed: u64) -> ReplicatedTables {
-    let mut rng = SplitMix64::new(seed ^ 0x5EED_0001);
-    let item = (1..=scale.items)
-        .map(|i_id| {
-            let data = data_column(&mut rng);
-            Item {
-                i_id,
-                im_id: rng.range_inclusive(1, 10_000) as u32,
-                name: rand_str(&mut rng, 14, 24),
-                price_cents: rng.range_inclusive(100, 10_000) as i64,
-                data,
+/// The replicated stream's first state: it is seeded independently of any
+/// partition's warehouses.
+fn replicated_stream(seed: u64) -> SplitMix64 {
+    SplitMix64::new(seed ^ 0x5EED_0001)
+}
+
+fn item_row(r: &mut impl Draws, i_id: IId) -> Item {
+    let data = data_column(r);
+    Item {
+        i_id,
+        im_id: r.rng().range_inclusive(1, 10_000) as u32,
+        name: rand_str(r, 14, 24),
+        price_cents: r.rng().range_inclusive(100, 10_000) as i64,
+        data,
+    }
+}
+
+fn stock_info_row(r: &mut impl Draws) -> StockInfo {
+    StockInfo {
+        dists: std::array::from_fn(|_| dist_info(r)),
+        data: data_column(r),
+    }
+}
+
+/// One unit of a load. Each starts from a stream state of its own, so
+/// jobs run in any order, on any thread.
+enum Job {
+    /// ITEM, from the head of the replicated stream.
+    Items(SplitMix64),
+    /// These STOCK-info rows, from the replicated stream's state at the
+    /// first of them.
+    StockInfo(Range<usize>, SplitMix64),
+    /// A local warehouse's partitioned tables, from its own stream.
+    Warehouse(WId),
+}
+
+/// What a [`Job`] produced.
+enum Rows {
+    Items(Vec<Item>),
+    StockInfo(Vec<StockInfo>),
+    /// A store of the one warehouse.
+    Warehouse(Box<TpccStore>),
+}
+
+impl Job {
+    fn run(&self, scale: &TpccScale, seed: u64) -> Rows {
+        match self {
+            Job::Items(head) => {
+                let mut rng = head.clone();
+                Rows::Items((1..=scale.items).map(|i| item_row(&mut rng, i)).collect())
             }
-        })
-        .collect();
-    let stock_info = (0..all_warehouses as usize * scale.items as usize)
-        .map(|_| StockInfo {
-            dists: std::array::from_fn(|_| dist_info(&mut rng)),
-            data: data_column(&mut rng),
-        })
-        .collect();
-    ReplicatedTables { item, stock_info }
+            Job::StockInfo(rows, start) => {
+                let mut rng = start.clone();
+                Rows::StockInfo(rows.clone().map(|_| stock_info_row(&mut rng)).collect())
+            }
+            &Job::Warehouse(w_id) => {
+                let mut store = TpccStore::empty(&[w_id], scale, Arc::default());
+                let mut rng = SplitMix64::new(seed ^ 0x10AD ^ ((w_id as u64) << 16));
+                load_warehouse(&mut store, w_id, scale, &mut rng);
+                Rows::Warehouse(Box::new(store))
+            }
+        }
+    }
+}
+
+/// The replicated stream as jobs, in stream order: ITEM, then STOCK-info
+/// (the bulk of the stream) in `chunks` runs of rows. The counting pass
+/// walks the stream over [`Skip`] to find the state at the start of each
+/// run.
+fn replicated_jobs(all_warehouses: u32, scale: &TpccScale, seed: u64, chunks: usize) -> Vec<Job> {
+    let mut skip = Skip(replicated_stream(seed));
+    let mut jobs = vec![Job::Items(skip.0.clone())];
+    for i_id in 1..=scale.items {
+        item_row(&mut skip, i_id);
+    }
+    let rows = all_warehouses as usize * scale.items as usize;
+    let mut start = 0;
+    for k in 1..=chunks {
+        let end = rows * k / chunks;
+        jobs.push(Job::StockInfo(start..end, skip.0.clone()));
+        if k < chunks {
+            for _ in start..end {
+                stock_info_row(&mut skip);
+            }
+        }
+        start = end;
+    }
+    jobs
+}
+
+/// Run every job on at most `threads` threads, the caller's among them:
+/// each thread takes the next job nobody has taken. Outputs come back in
+/// job order, whichever thread ran them.
+fn run_jobs<J: Sync, T: Send>(threads: usize, jobs: &[J], run: impl Fn(&J) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else {
+                return done;
+            };
+            done.push((i, run(job)));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads.min(jobs.len()))
+            .map(|_| s.spawn(work))
+            .collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
+}
+
+/// As many threads as the machine offers this process.
+fn machine_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// Load `local_warehouses`' partitioned tables (a warehouse's slot is its
+/// position in the list) on at most `threads` threads, with `replicated`
+/// as the store's replicated tables, or, if `None`, a fresh copy loaded
+/// beside them in `threads` chunks.
+fn load_on(
+    threads: usize,
+    local_warehouses: &[WId],
+    all_warehouses: u32,
+    scale: &TpccScale,
+    seed: u64,
+    replicated: Option<Arc<ReplicatedTables>>,
+) -> TpccStore {
+    let mut jobs = match replicated {
+        Some(_) => Vec::new(),
+        None => replicated_jobs(all_warehouses, scale, seed, threads),
+    };
+    jobs.extend(local_warehouses.iter().map(|&w| Job::Warehouse(w)));
+    let mut store = TpccStore::empty(local_warehouses, scale, Arc::default());
+    let mut tables = ReplicatedTables::default();
+    for rows in run_jobs(threads, &jobs, |job| job.run(scale, seed)) {
+        match rows {
+            Rows::Items(item) => tables.item = item,
+            Rows::StockInfo(rows) if tables.stock_info.is_empty() => tables.stock_info = rows,
+            Rows::StockInfo(rows) => tables.stock_info.extend(rows),
+            Rows::Warehouse(w) => {
+                store.warehouse.extend(w.warehouse);
+                store.stock.extend(w.stock);
+                store.district.extend(w.district);
+                store.customer.extend(w.customer);
+                store.customer_by_name.extend(w.customer_by_name);
+                store.history.extend(w.history);
+                store.orders.extend(w.orders);
+            }
+        }
+    }
+    store.replicated = replicated.unwrap_or_else(|| Arc::new(tables));
+    store
+}
+
+/// ITEM, and STOCK's read-only half for warehouses `1..=all_warehouses`: a
+/// private copy.
+pub fn load_replicated(all_warehouses: u32, scale: &TpccScale, seed: u64) -> ReplicatedTables {
+    let store = load_on(machine_threads(), &[], all_warehouses, scale, seed, None);
+    Arc::into_inner(store.replicated).expect("a fresh copy has one holder")
 }
 
 /// The replicated tables of `(seed, all_warehouses, scale.items)`, loaded
@@ -90,39 +303,43 @@ pub fn shared_replicated(
     scale: &TpccScale,
     seed: u64,
 ) -> Arc<ReplicatedTables> {
-    type Key = (u64, u32, u32);
-    static LIVE: Mutex<Vec<(Key, Weak<ReplicatedTables>)>> = Mutex::new(Vec::new());
-    let key = (seed, all_warehouses, scale.items);
-    // Every update leaves the list valid, so a panic elsewhere while it was
-    // held leaves nothing to repair.
-    let mut live = LIVE.lock().unwrap_or_else(PoisonError::into_inner);
-    live.retain(|(_, tables)| tables.strong_count() > 0);
-    let held = live.iter().filter(|(k, _)| *k == key);
-    if let Some(tables) = held.filter_map(|(_, tables)| tables.upgrade()).next() {
-        return tables;
-    }
-    let tables = Arc::new(load_replicated(all_warehouses, scale, seed));
-    live.push((key, Arc::downgrade(&tables)));
-    tables
+    load_partition(&[], all_warehouses, scale, seed).replicated
 }
 
 /// Load the partitioned tables of `local_warehouses` (a warehouse's slot is
 /// its position in the list) out of `all_warehouses` in total, with the
-/// process's shared copy of the replicated tables.
+/// process's shared copy of the replicated tables ([`shared_replicated`]),
+/// loading that copy beside them if there is none.
 pub fn load_partition(
     local_warehouses: &[WId],
     all_warehouses: u32,
     scale: &TpccScale,
     seed: u64,
 ) -> TpccStore {
-    let replicated = shared_replicated(all_warehouses, scale, seed);
-    let mut store = TpccStore::empty(local_warehouses, scale, replicated);
-    // Partitioned tables, seeded per warehouse so the same warehouse loads
-    // identically regardless of which partition owns it.
-    for &w_id in local_warehouses {
-        let mut rng = SplitMix64::new(seed ^ 0x10AD ^ ((w_id as u64) << 16));
-        load_warehouse(&mut store, w_id, scale, &mut rng);
+    type Key = (u64, u32, u32);
+    static LIVE: Mutex<Vec<(Key, Weak<ReplicatedTables>)>> = Mutex::new(Vec::new());
+    let key = (seed, all_warehouses, scale.items);
+    let threads = machine_threads();
+    // Every update leaves the list valid, so a panic elsewhere while it was
+    // held leaves nothing to repair.
+    let mut live = LIVE.lock().unwrap_or_else(PoisonError::into_inner);
+    live.retain(|(_, tables)| tables.strong_count() > 0);
+    let held = live.iter().filter(|(k, _)| *k == key);
+    if let Some(tables) = held.filter_map(|(_, tables)| tables.upgrade()).next() {
+        drop(live);
+        return load_on(
+            threads,
+            local_warehouses,
+            all_warehouses,
+            scale,
+            seed,
+            Some(tables),
+        );
     }
+    // Still holding the registry: a concurrent load of the same key waits
+    // for this copy rather than load another.
+    let store = load_on(threads, local_warehouses, all_warehouses, scale, seed, None);
+    live.push((key, Arc::downgrade(&store.replicated)));
     store
 }
 
@@ -459,6 +676,76 @@ mod tests {
             let got =
                 [[1, 2], [3, 4]].map(|local| content_digest(&load_partition(&local, 4, &scale, 7)));
             assert_eq!(got, want, "{got:#018x?}");
+        }
+    }
+
+    /// Table by table, so that a failure names the table.
+    fn assert_same_load(a: &TpccStore, b: &TpccStore, what: &str) {
+        assert_eq!(a.local_warehouses, b.local_warehouses, "{what}");
+        assert_eq!(a.warehouse, b.warehouse, "{what}: WAREHOUSE");
+        assert_eq!(a.district, b.district, "{what}: DISTRICT");
+        assert_eq!(a.customer, b.customer, "{what}: CUSTOMER");
+        assert_eq!(a.customer_by_name, b.customer_by_name, "{what}: by name");
+        assert_eq!(a.history, b.history, "{what}: HISTORY");
+        assert_eq!(a.orders, b.orders, "{what}: orders");
+        assert_eq!(a.stock, b.stock, "{what}: STOCK");
+        assert_eq!(a.replicated.item, b.replicated.item, "{what}: ITEM");
+        let (sa, sb) = (&a.replicated.stock_info, &b.replicated.stock_info);
+        assert_eq!(sa, sb, "{what}: STOCK-info");
+    }
+
+    /// However many threads a load runs on, and so however many chunks
+    /// the replicated stream is cut into, it loads what one thread loads.
+    /// Three warehouses: 300 STOCK-info rows, which no count from 2 to 4
+    /// cuts into equal chunks.
+    #[test]
+    fn any_thread_count_loads_what_one_thread_loads() {
+        let scale = TpccScale::tiny();
+        for local in [&[1, 2, 3][..], &[2], &[]] {
+            let serial = load_on(1, local, 3, &scale, 7, None);
+            for threads in 2..=4 {
+                let parallel = load_on(threads, local, 3, &scale, 7, None);
+                let what = format!("{threads} threads, warehouses {local:?}");
+                assert_same_load(&parallel, &serial, &what);
+            }
+        }
+    }
+
+    /// The counting pass jumps over characters instead of drawing them,
+    /// and still lands exactly on the serial stream's state at the first
+    /// row of every chunk.
+    #[test]
+    fn counting_pass_lands_on_the_serial_stream() {
+        let scale = TpccScale::tiny();
+        let rows = 3 * scale.items as usize;
+        for chunks in 1..=5 {
+            let jobs = replicated_jobs(3, &scale, 7, chunks);
+            assert_eq!(jobs.len(), chunks + 1);
+            let mut serial = replicated_stream(7);
+            let Job::Items(head) = &jobs[0] else {
+                panic!("ITEM heads the stream")
+            };
+            assert_eq!(*head, serial, "{chunks} chunks: ITEM");
+            for i_id in 1..=scale.items {
+                item_row(&mut serial, i_id);
+            }
+            let mut next_row = 0;
+            for job in &jobs[1..] {
+                let Job::StockInfo(run, start) = job else {
+                    panic!("STOCK-info follows ITEM")
+                };
+                assert_eq!(run.start, next_row, "{chunks} chunks: runs are contiguous");
+                assert_eq!(
+                    *start, serial,
+                    "{chunks} chunks: STOCK-info row {}",
+                    run.start
+                );
+                for _ in run.clone() {
+                    stock_info_row(&mut serial);
+                }
+                next_row = run.end;
+            }
+            assert_eq!(next_row, rows, "{chunks} chunks cover STOCK-info");
         }
     }
 
