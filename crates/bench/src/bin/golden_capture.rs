@@ -7,7 +7,7 @@
 //! fingerprints of a fixed-seed run. Captured on the naive (pre-fast-path)
 //! build; the optimized build must reproduce them bit-for-bit.
 
-use hcc_common::{Nanos, Scheme, SequencingConfig, SystemConfig};
+use hcc_common::{Nanos, Scheme, SystemConfig};
 use hcc_runtime::{run, BackendChoice, RuntimeConfig};
 use hcc_workloads::micro::{MicroConfig, MicroWorkload};
 
@@ -56,7 +56,7 @@ fn main() {
     }
 
     // Sequencing-on golden (sequencing.rs::golden_fixed_seed_with_sequencing_on):
-    // 4 partitions, 2 shards, unaligned MP traffic, epoch:64.
+    // 4 partitions, 2 shards, unaligned MP traffic.
     for scheme in [Scheme::Blocking, Scheme::Speculative, Scheme::Occ] {
         let micro = MicroConfig {
             partitions: 4,
@@ -72,7 +72,7 @@ fn main() {
             .with_clients(32)
             .with_seed(0xE8)
             .with_coordinators(2)
-            .with_sequencing(SequencingConfig::Epoch { batch: 64 });
+            .with_sequencing(true);
         let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
             .with_window(Nanos::from_millis(20), Nanos::from_millis(100));
         let builder = MicroWorkload::new(micro);

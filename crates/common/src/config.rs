@@ -46,7 +46,7 @@ impl std::fmt::Display for Scheme {
 /// and ignore it): fixed one-way latency between any two processes,
 /// mirroring the paper's single gigabit switch (measured 40 µs RTT, so
 /// 20 µs one way).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NetworkModel {
     pub one_way: Nanos,
     /// §3.3's "the network splits during execution": from the given time
@@ -76,7 +76,7 @@ impl Default for NetworkModel {
 ///
 /// Table 2 of the paper: t_sp = 64 µs, t_spS = 73 µs, t_mp = 211 µs,
 /// t_mpC = 55 µs, t_mpN = 40 µs, l = 13.2 %.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Fixed CPU cost for receiving/dispatching any message at a partition.
     pub partition_msg_fixed: Nanos,
@@ -213,7 +213,7 @@ pub enum FailAt {
 /// paper's configuration: memory-only, replication as the sole failure
 /// story, and bit-identical behaviour to every pre-durability run (the
 /// golden determinism tests pin this).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DurabilityConfig {
     /// Virtual latency of the sync itself (the fsync stand-in charged by
     /// the simulator's in-memory log; the live runtime pays the real
@@ -254,7 +254,7 @@ impl DurabilityConfig {
 /// deterministic per-attempt jitter. Scheduling aborts (deadlock victim,
 /// lock timeout, speculation failure) still retry immediately — the
 /// paper's schedulers resolve those themselves.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RetryConfig {
     /// First backoff delay; attempt `n` waits up to `base * 2^(n-1)`.
     pub base: Nanos,
@@ -295,102 +295,6 @@ impl RetryConfig {
     }
 }
 
-/// Epoch-batched deterministic cross-shard sequencing (ISSUE 8,
-/// Calvin/STAR-style).
-///
-/// With sharded coordinators and *unaligned* clients, the §4.2.2
-/// same-coordinator-chain rule degrades into blocking waits
-/// (`cross_coord_waits`) and retryable `CrossCoordinator` expiry aborts,
-/// because no global dispatch order exists across shards. Sequencing
-/// fixes that: each shard accumulates its multi-partition invocations
-/// into a per-epoch local log, epochs close on a deterministic boundary
-/// (count or age), and the global order is the round-robin interleave of
-/// the per-shard logs — the merge rule *is* the order, no consensus hop.
-/// Partitions admit multi-partition round-0 fragments in that order, so
-/// speculation chains legally span coordinator shards. Single-partition
-/// transactions never touch the sequencer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SequencingConfig {
-    /// No sequencing: PR 4 behaviour (chains never cross shards;
-    /// residual deadlocks broken by `lock_timeout` expiry).
-    Off,
-    /// Epoch sequencing: a shard closes its current epoch once `batch`
-    /// multi-partition invocations have accumulated (or earlier, on the
-    /// age boundary [`SequencingConfig::max_delay`] / a peer shard
-    /// closing the same epoch).
-    Epoch { batch: u32 },
-}
-
-impl SequencingConfig {
-    pub const DEFAULT_BATCH: u32 = 64;
-
-    pub fn is_on(self) -> bool {
-        matches!(self, SequencingConfig::Epoch { .. })
-    }
-
-    /// Count boundary: close the shard's epoch at this many entries.
-    pub fn batch(self) -> u32 {
-        match self {
-            SequencingConfig::Off => 0,
-            SequencingConfig::Epoch { batch } => batch.max(1),
-        }
-    }
-
-    /// Age boundary: an epoch with at least one entry closes after this
-    /// long even if the count boundary was not reached, bounding the
-    /// sequencing hold under light load.
-    pub fn max_delay(self) -> Nanos {
-        Nanos::from_micros(200)
-    }
-
-    /// Parses `off` | `epoch` | `epoch:N`. Malformed input is a loud
-    /// error — a typo'd knob must fail at startup, not silently fall back
-    /// to a default configuration.
-    pub fn parse(s: &str) -> Result<SequencingConfig, String> {
-        match s {
-            "off" => Ok(SequencingConfig::Off),
-            "epoch" => Ok(SequencingConfig::Epoch {
-                batch: Self::DEFAULT_BATCH,
-            }),
-            _ => {
-                let n: u32 = s
-                    .strip_prefix("epoch:")
-                    .ok_or_else(|| bad_knob("sequencing", s, "off | epoch | epoch:N"))?
-                    .parse()
-                    .map_err(|_| bad_knob("sequencing", s, "off | epoch | epoch:N"))?;
-                if n >= 1 {
-                    Ok(SequencingConfig::Epoch { batch: n })
-                } else {
-                    Err(bad_knob("sequencing", s, "off | epoch | epoch:N (N >= 1)"))
-                }
-            }
-        }
-    }
-}
-
-/// Uniform "malformed knob" startup error message.
-pub fn bad_knob(knob: &str, got: &str, expected: &str) -> String {
-    format!("invalid `{knob}` value {got:?}: expected {expected}")
-}
-
-impl std::fmt::Display for SequencingConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SequencingConfig::Off => f.write_str("off"),
-            SequencingConfig::Epoch { batch } => write!(f, "epoch:{batch}"),
-        }
-    }
-}
-
-// Serialized as its `Display` string ("off" / "epoch:64"): the vendored
-// derive only handles unit variants, and the string is what bench JSON
-// wants anyway.
-impl Serialize for SequencingConfig {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
-}
-
 /// Adaptive scheme selection (ISSUE 10, the paper's §5.7 closed loop).
 ///
 /// When on, every partition runs an `AdaptiveScheduler` wrapper that
@@ -423,8 +327,6 @@ pub enum AdaptiveConfig {
 }
 
 impl AdaptiveConfig {
-    pub const DEFAULT_MARGIN: f64 = 0.15;
-    pub const DEFAULT_WINDOW: u32 = 256;
     /// Hysteresis depth: the same non-incumbent winner must clear the
     /// margin in this many consecutive windows before a switch starts.
     pub const CONSECUTIVE_WINDOWS: u32 = 3;
@@ -432,63 +334,10 @@ impl AdaptiveConfig {
     pub fn is_on(self) -> bool {
         matches!(self, AdaptiveConfig::Model { .. })
     }
-
-    /// Parses `off` | `model` | `model:MARGIN` | `model:MARGIN,WINDOW`.
-    /// Malformed input is a loud startup error, same contract as
-    /// [`SequencingConfig::parse`].
-    pub fn parse(s: &str) -> Result<AdaptiveConfig, String> {
-        const EXPECTED: &str = "off | model | model:MARGIN | model:MARGIN,WINDOW";
-        match s {
-            "off" => Ok(AdaptiveConfig::Off),
-            "model" => Ok(AdaptiveConfig::Model {
-                margin: Self::DEFAULT_MARGIN,
-                window: Self::DEFAULT_WINDOW,
-            }),
-            _ => {
-                let rest = s
-                    .strip_prefix("model:")
-                    .ok_or_else(|| bad_knob("adaptive", s, EXPECTED))?;
-                let (margin_s, window_s) = match rest.split_once(',') {
-                    Some((m, w)) => (m, Some(w)),
-                    None => (rest, None),
-                };
-                let margin: f64 = margin_s
-                    .parse()
-                    .map_err(|_| bad_knob("adaptive", s, EXPECTED))?;
-                if !margin.is_finite() || margin < 0.0 {
-                    return Err(bad_knob("adaptive", s, "a finite margin >= 0"));
-                }
-                let window: u32 = match window_s {
-                    Some(w) => w.parse().map_err(|_| bad_knob("adaptive", s, EXPECTED))?,
-                    None => Self::DEFAULT_WINDOW,
-                };
-                if window == 0 {
-                    return Err(bad_knob("adaptive", s, "a window >= 1"));
-                }
-                Ok(AdaptiveConfig::Model { margin, window })
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for AdaptiveConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AdaptiveConfig::Off => f.write_str("off"),
-            AdaptiveConfig::Model { margin, window } => write!(f, "model:{margin},{window}"),
-        }
-    }
-}
-
-// Serialized as its `Display` string, mirroring `SequencingConfig`.
-impl Serialize for AdaptiveConfig {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
 }
 
 /// Top-level system configuration shared by every driver.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SystemConfig {
     pub scheme: Scheme,
     pub partitions: u32,
@@ -529,17 +378,25 @@ pub struct SystemConfig {
     /// Client-side backoff for infrastructure aborts.
     pub retry: RetryConfig,
     /// Epoch-batched deterministic cross-shard sequencing of
-    /// multi-partition transactions (ISSUE 8). Off by default — the
-    /// paper's configuration. Honoured alike by blocking, speculation and
-    /// OCC, which share one scheduler. Ignored by the locking scheme (its
-    /// multi-partition 2PC is client-driven, so there is nothing for a
-    /// coordinator shard to order).
-    pub sequencing: SequencingConfig,
-    /// Adaptive scheme selection (ISSUE 10): when on, [`Self::scheme`] is
-    /// only the *initial* scheme and each partition re-plans live from
-    /// observed statistics via the §6 model. Mutually exclusive with
-    /// sequencing (the epoch merge order assumes a fixed MP admission
-    /// protocol; enforced loudly by the drivers at startup).
+    /// multi-partition transactions (Calvin/STAR-style; the epoch
+    /// boundaries are `hcc_core::sequencer`'s). Off by default — the
+    /// paper's configuration. Each coordinator shard batches its
+    /// multi-partition invocations into epochs, and partitions admit
+    /// round-0 fragments in the round-robin merge of the shards' epoch
+    /// logs, so speculation chains may span shards and cross-shard
+    /// deadlocks cannot form. It orders what the shards dispatch, so it
+    /// is active wherever they dispatch multi-partition work: every
+    /// configuration but [`Self::client_2pc`]'s
+    /// ([`Self::sequencing_active`]).
+    pub sequencing: bool,
+    /// Adaptive scheme selection: when on, [`Self::scheme`] is only the
+    /// *initial* scheme and each partition re-plans live from observed
+    /// statistics via the §6 model. Multi-partition work then always goes
+    /// through the coordinator shards (a partition's scheme can change
+    /// between rounds), so it composes with [`Self::sequencing`] from
+    /// every starting scheme: the controller holds fragments the
+    /// partition's sequencer has already admitted and replays them in
+    /// that order.
     pub adaptive: AdaptiveConfig,
     /// RNG seed for workload generation; a run is a pure function of
     /// (config, workload, seed).
@@ -565,7 +422,7 @@ impl SystemConfig {
             local_speculation_only: false,
             durability: None,
             retry: RetryConfig::default(),
-            sequencing: SequencingConfig::Off,
+            sequencing: false,
             adaptive: AdaptiveConfig::Off,
             seed: 0xC0FFEE,
         }
@@ -607,8 +464,8 @@ impl SystemConfig {
         self
     }
 
-    pub fn with_sequencing(mut self, s: SequencingConfig) -> Self {
-        self.sequencing = s;
+    pub fn with_sequencing(mut self, on: bool) -> Self {
+        self.sequencing = on;
         self
     }
 
@@ -617,30 +474,23 @@ impl SystemConfig {
         self
     }
 
-    /// Startup validation shared by the drivers: adaptive switching and
-    /// epoch sequencing are mutually exclusive (the epoch merge order
-    /// assumes a fixed MP admission protocol per partition, while a live
-    /// swap changes it mid-stream). A loud error, per the ISSUE 10 config
-    /// contract.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.adaptive.is_on() && self.sequencing.is_on() {
-            return Err(
-                "`adaptive` and `sequencing` are mutually exclusive: adaptive switching \
-                 changes the MP admission protocol mid-run, which the epoch merge order \
-                 cannot follow"
-                    .to_string(),
-            );
-        }
-        Ok(())
+    /// Whether clients run their own multi-partition 2PC (§4.3): the
+    /// locking scheme, pinned. Under adaptive selection a partition's
+    /// scheme can change between rounds, so multi-partition work routes
+    /// through the scheme-agnostic coordinator shards whatever the
+    /// starting scheme.
+    #[inline]
+    pub fn client_2pc(&self) -> bool {
+        self.scheme == Scheme::Locking && !self.adaptive.is_on()
     }
 
-    /// Whether the sequencing layer actually runs: the knob is on *and*
-    /// the scheme routes multi-partition transactions through the
-    /// coordinator shards (locking is client-driven 2PC — its fragments
-    /// never pass a shard, so sequencing is inert there).
+    /// Whether the sequencing layer actually runs: the switch is on *and*
+    /// multi-partition transactions pass the coordinator shards (with
+    /// client-driven 2PC no shard sees them, so there is nothing to
+    /// order).
     #[inline]
     pub fn sequencing_active(&self) -> bool {
-        self.sequencing.is_on() && self.scheme != Scheme::Locking
+        self.sequencing && !self.client_2pc()
     }
 
     /// The coordinator shard that owns a client's multi-partition
@@ -704,117 +554,41 @@ mod tests {
     }
 
     #[test]
-    fn sequencing_parse_and_display() {
-        assert_eq!(SequencingConfig::parse("off"), Ok(SequencingConfig::Off));
-        assert_eq!(
-            SequencingConfig::parse("epoch"),
-            Ok(SequencingConfig::Epoch {
-                batch: SequencingConfig::DEFAULT_BATCH
-            })
-        );
-        assert_eq!(
-            SequencingConfig::parse("epoch:256"),
-            Ok(SequencingConfig::Epoch { batch: 256 })
-        );
-        assert!(SequencingConfig::parse("epoch:0").is_err());
-        assert!(SequencingConfig::parse("calvin").is_err());
-        // The ISSUE 10 bug case: a malformed count must be loud, not a
-        // silent fall-back to the default batch.
-        assert!(SequencingConfig::parse("epoch:64x").is_err());
-        assert_eq!(
-            SequencingConfig::Epoch { batch: 64 }.to_string(),
-            "epoch:64"
-        );
-        assert_eq!(SequencingConfig::Off.to_string(), "off");
-    }
-
-    #[test]
-    fn sequencing_parse_display_round_trip() {
-        for s in ["off", "epoch:1", "epoch:64", "epoch:256"] {
-            let parsed = SequencingConfig::parse(s).expect("valid knob");
-            assert_eq!(parsed.to_string(), s);
-            assert_eq!(SequencingConfig::parse(&parsed.to_string()), Ok(parsed));
-        }
-        // `epoch` is sugar: it round-trips through the explicit form.
-        let sugar = SequencingConfig::parse("epoch").expect("valid knob");
-        assert_eq!(SequencingConfig::parse(&sugar.to_string()), Ok(sugar));
-    }
-
-    #[test]
-    fn adaptive_parse_and_display() {
-        assert_eq!(AdaptiveConfig::parse("off"), Ok(AdaptiveConfig::Off));
-        assert_eq!(
-            AdaptiveConfig::parse("model"),
-            Ok(AdaptiveConfig::Model {
-                margin: AdaptiveConfig::DEFAULT_MARGIN,
-                window: AdaptiveConfig::DEFAULT_WINDOW,
-            })
-        );
-        assert_eq!(
-            AdaptiveConfig::parse("model:0.2"),
-            Ok(AdaptiveConfig::Model {
-                margin: 0.2,
-                window: AdaptiveConfig::DEFAULT_WINDOW,
-            })
-        );
-        assert_eq!(
-            AdaptiveConfig::parse("model:0.1,512"),
-            Ok(AdaptiveConfig::Model {
-                margin: 0.1,
-                window: 512,
-            })
-        );
-        assert!(AdaptiveConfig::parse("model:").is_err());
-        assert!(AdaptiveConfig::parse("model:-0.1").is_err());
-        assert!(AdaptiveConfig::parse("model:0.1,0").is_err());
-        assert!(AdaptiveConfig::parse("model:0.1,64x").is_err());
-        assert!(AdaptiveConfig::parse("auto").is_err());
-        assert_eq!(
-            AdaptiveConfig::Model {
-                margin: 0.1,
-                window: 512
-            }
-            .to_string(),
-            "model:0.1,512"
-        );
-        assert_eq!(AdaptiveConfig::Off.to_string(), "off");
-    }
-
-    #[test]
-    fn adaptive_parse_display_round_trip() {
-        for s in ["off", "model:0.15,256", "model:0.1,512", "model:0,1"] {
-            let parsed = AdaptiveConfig::parse(s).expect("valid knob");
-            assert_eq!(parsed.to_string(), s);
-            assert_eq!(AdaptiveConfig::parse(&parsed.to_string()), Ok(parsed));
-        }
-        let sugar = AdaptiveConfig::parse("model").expect("valid knob");
-        assert_eq!(AdaptiveConfig::parse(&sugar.to_string()), Ok(sugar));
-    }
-
-    #[test]
-    fn adaptive_excludes_sequencing() {
-        let ok = SystemConfig::new(Scheme::Speculative).with_adaptive(AdaptiveConfig::Model {
+    fn adaptive_composes_with_sequencing() {
+        let model = AdaptiveConfig::Model {
             margin: 0.1,
             window: 64,
-        });
-        assert!(ok.validate().is_ok());
-        let bad = ok.with_sequencing(SequencingConfig::Epoch { batch: 8 });
-        assert!(bad.validate().is_err());
-        assert!(SystemConfig::new(Scheme::Speculative)
-            .with_sequencing(SequencingConfig::Epoch { batch: 8 })
-            .validate()
-            .is_ok());
+        };
+        for scheme in [
+            Scheme::Blocking,
+            Scheme::Speculative,
+            Scheme::Locking,
+            Scheme::Occ,
+        ] {
+            let cfg = SystemConfig::new(scheme)
+                .with_adaptive(model)
+                .with_sequencing(true);
+            assert!(!cfg.client_2pc(), "{scheme}");
+            assert!(cfg.sequencing_active(), "{scheme}");
+        }
     }
 
     #[test]
     fn sequencing_is_inert_for_locking() {
-        let on = SequencingConfig::Epoch { batch: 8 };
         assert!(SystemConfig::new(Scheme::Speculative)
-            .with_sequencing(on)
+            .with_sequencing(true)
             .sequencing_active());
-        assert!(!SystemConfig::new(Scheme::Locking)
-            .with_sequencing(on)
-            .sequencing_active());
+        let pinned = SystemConfig::new(Scheme::Locking).with_sequencing(true);
+        assert!(pinned.client_2pc());
+        assert!(!pinned.sequencing_active());
+        // An adaptive run that starts in Locking routes its
+        // multi-partition work through the shards, so it is sequenced.
+        let adaptive = pinned.with_adaptive(AdaptiveConfig::Model {
+            margin: 0.1,
+            window: 64,
+        });
+        assert!(!adaptive.client_2pc());
+        assert!(adaptive.sequencing_active());
         assert!(!SystemConfig::new(Scheme::Speculative).sequencing_active());
     }
 

@@ -27,8 +27,7 @@ pub mod time;
 
 pub use codec::LogEncode;
 pub use config::{
-    bad_knob, AdaptiveConfig, CostModel, DurabilityConfig, NetworkModel, RetryConfig, Scheme,
-    SequencingConfig, SystemConfig,
+    AdaptiveConfig, CostModel, DurabilityConfig, NetworkModel, RetryConfig, Scheme, SystemConfig,
 };
 pub use config::{FailAt, FailurePlan};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};

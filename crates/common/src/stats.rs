@@ -437,8 +437,9 @@ pub struct SequencerStats {
     /// later) epoch arrived — the cascade that keeps the round-robin
     /// merge advancing past idle shards.
     pub forced_closes: u64,
-    /// Epochs closed by the age boundary (`SequencingConfig::max_delay`)
-    /// rather than the count boundary.
+    /// Epochs closed by the age boundary
+    /// (`hcc_core::sequencer::EPOCH_MAX_AGE`) rather than the count
+    /// boundary.
     pub age_closes: u64,
     /// Epoch logs a promoted partition primary discarded because they
     /// predate its membership era (their unacked transactions are

@@ -169,9 +169,8 @@ impl<E: ExecutionEngine> AdaptiveScheduler<E> {
     /// primary starts in the scheme (and at the epoch) its predecessor
     /// had reached, which is what makes failover land deterministically.
     pub fn new(config: &SystemConfig, me: PartitionId, resume: Option<SchemeSwitch>) -> Self {
-        let (margin, window) = match config.adaptive {
-            AdaptiveConfig::Model { margin, window } => (margin, window as u64),
-            AdaptiveConfig::Off => (AdaptiveConfig::DEFAULT_MARGIN, u64::MAX),
+        let AdaptiveConfig::Model { margin, window } = config.adaptive else {
+            unreachable!("the controller is built only when adaptive selection is on")
         };
         let (scheme, epoch) = match resume {
             Some(sw) => (sw.scheme, sw.epoch),
@@ -184,7 +183,7 @@ impl<E: ExecutionEngine> AdaptiveScheduler<E> {
             scheme,
             epoch,
             margin,
-            window: window.max(1),
+            window: u64::from(window.max(1)),
             retired: SchedulerCounters::default(),
             win_start: SchedulerCounters::default(),
             last_conflict: 0.0,

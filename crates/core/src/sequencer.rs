@@ -9,11 +9,13 @@
 //! * Each coordinator shard runs a [`ShardSequencer`]: multi-partition
 //!   invocations accumulate in the current **epoch**'s local log and are
 //!   dispatched together when the epoch closes — on a count boundary
-//!   (`SequencingConfig::Epoch { batch }`), an age boundary
-//!   (`SequencingConfig::max_delay`), or a cascade (a peer shard closed
-//!   the same epoch, see below). The closed [`EpochLog`] is broadcast to
-//!   every partition and every peer shard *before* the round-0 fragments
-//!   of its transactions, on the same FIFO links.
+//!   ([`EPOCH_BATCH`] invocations), an age boundary (the oldest has
+//!   waited [`EPOCH_MAX_AGE`]), or a cascade (a peer shard closed the
+//!   same epoch, see below). Both boundaries are constants: sequencing
+//!   is a switch (`SystemConfig::sequencing`), not a tuning surface.
+//!   The closed [`EpochLog`] is broadcast to every partition and every
+//!   peer shard *before* the round-0 fragments of its transactions, on
+//!   the same FIFO links.
 //! * Each partition primary runs a [`PartitionSequencer`]: it collects
 //!   the per-shard logs and admits multi-partition round-0 fragments in
 //!   the **round-robin interleave** of the per-shard logs (epoch by
@@ -68,6 +70,16 @@ use hcc_common::{
 use std::collections::VecDeque;
 
 use crate::procedure::Procedure;
+
+/// Count boundary: a shard closes its open epoch once this many
+/// multi-partition invocations have accumulated.
+pub const EPOCH_BATCH: u32 = 64;
+
+/// Age boundary: an open epoch holding at least one invocation closes
+/// once the oldest has waited this long (200 µs), bounding the
+/// sequencing hold under light load. Drivers tick coordinator shards at
+/// least every half of it.
+pub const EPOCH_MAX_AGE: Nanos = Nanos(200_000);
 
 /// One shard's log for one closed epoch, broadcast to every partition and
 /// every peer shard. Deliberately payload-free (transaction ids and
@@ -128,10 +140,11 @@ pub struct ClosedEpoch<F, R> {
 /// Why an epoch closed (statistics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CloseKind {
-    /// The count boundary: `batch` invocations accumulated.
+    /// The count boundary: the shard's batch size (production:
+    /// [`EPOCH_BATCH`]) of invocations accumulated.
     Count,
-    /// The age boundary: the oldest buffered invocation exceeded
-    /// `SequencingConfig::max_delay`.
+    /// The age boundary: the oldest buffered invocation waited
+    /// [`EPOCH_MAX_AGE`].
     Age,
     /// A peer shard's log for this epoch (or a later one) arrived.
     Cascade,
@@ -150,6 +163,8 @@ pub struct ShardSequencer<F, R> {
 }
 
 impl<F, R> ShardSequencer<F, R> {
+    /// A shard's sequencer closing epochs at `batch` invocations: the
+    /// drivers pass [`EPOCH_BATCH`]; unit tests close smaller ones.
     pub fn new(shard: CoordinatorId, batch: u32) -> Self {
         ShardSequencer {
             shard,
@@ -171,9 +186,11 @@ impl<F, R> ShardSequencer<F, R> {
         self.buf.len()
     }
 
-    /// Submission time of the oldest buffered invocation (age-close checks).
-    pub fn oldest_enqueued_at(&self) -> Option<Nanos> {
-        self.buf.first().map(|p| p.enqueued_at)
+    /// The age boundary: closes and returns the open epoch once its
+    /// oldest buffered invocation has waited [`EPOCH_MAX_AGE`].
+    pub fn close_if_aged(&mut self, now: Nanos) -> Option<ClosedEpoch<F, R>> {
+        let oldest = self.buf.first()?.enqueued_at;
+        (now.saturating_sub(oldest) >= EPOCH_MAX_AGE).then(|| self.close(now, CloseKind::Age))
     }
 
     /// Buffer one multi-partition invocation; closes and returns the open

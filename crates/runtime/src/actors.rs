@@ -94,7 +94,7 @@ use hcc_common::stats::{
 use hcc_common::{
     AbortReason, CachePadded, ClientId, CommitRecord, CoordinatorId, CoordinatorRef, CostModel,
     Decision, DurabilityConfig, FragmentResponse, FragmentTask, FxHashMap, Nanos, PartitionId,
-    Scheme, SchemeSwitch, SystemConfig, TxnId, TxnResult,
+    SchemeSwitch, SystemConfig, TxnId, TxnResult,
 };
 use hcc_core::client::{ClientCore, ClientStats, NextAction, PendingRequest};
 use hcc_core::coordinator::{stamp_attempt, CoordOut, Coordinator, PeerNote};
@@ -104,8 +104,8 @@ use hcc_core::replica::{
     failover_bounce, AckTracker, FailoverBounce, ReplicaCore, ReplicationSession,
 };
 use hcc_core::sequencer::{
-    broadcast_dests, Admit, CloseKind, ClosedEpoch, EpochLog, EpochLogDest, PartitionSequencer,
-    ShardSequencer,
+    broadcast_dests, Admit, ClosedEpoch, EpochLog, EpochLogDest, PartitionSequencer,
+    ShardSequencer, EPOCH_BATCH,
 };
 use hcc_core::txn_driver::TxnDriver;
 use hcc_core::{
@@ -425,10 +425,8 @@ pub struct ClientActor<W: RequestGenerator> {
     /// in-window ones.
     record_always: bool,
     /// Drive multi-partition transactions through this client's own
-    /// [`TxnDriver`] 2PC (locking scheme, §4.3). Forced off under adaptive
-    /// scheme selection: a partition's scheme can change between rounds,
-    /// so MP work must route through the scheme-agnostic central
-    /// coordinator.
+    /// [`TxnDriver`] 2PC ([`SystemConfig::client_2pc`]) instead of its
+    /// coordinator shard.
     client_2pc: bool,
     /// The coordinator shard that owns this client's multi-partition
     /// transactions (static partitioning).
@@ -458,7 +456,7 @@ where
             retry_at: None,
             remaining: requests,
             record_always: requests.is_some(),
-            client_2pc: system.scheme == Scheme::Locking && !system.adaptive.is_on(),
+            client_2pc: system.client_2pc(),
             coord_shard: system.coordinator_of(id),
             done: false,
             scratch: Vec::new(),
@@ -687,10 +685,9 @@ pub struct CoordinatorActor<E: ExecutionEngine> {
     /// Epoch sequencer (invocation buffer + log emitter); `None` when
     /// sequencing is off. Age-boundary closes ride `Msg::Tick`.
     seq: Option<ShardSequencer<E::Fragment, E::Output>>,
-    /// Broadcast geometry + age boundary for the sequencer.
+    /// Broadcast geometry for the sequencer.
     partitions: u32,
     shards: u32,
-    seq_delay: Nanos,
     /// `CrossCoordinator` expiry aborts issued by this shard (any mode;
     /// must stay zero while sequencing is on — see [`SequencerStats`]).
     cross_coord_aborts: u64,
@@ -714,7 +711,6 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
             seq: None,
             partitions: 0,
             shards: 1,
-            seq_delay: Nanos::ZERO,
             cross_coord_aborts: 0,
             scratch: Vec::new(),
         }
@@ -729,8 +725,7 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
         let shards = system.coordinators.max(1);
         self.partitions = system.partitions;
         self.shards = shards;
-        self.seq_delay = system.sequencing.max_delay();
-        self.seq = Some(ShardSequencer::new(self.id, system.sequencing.batch()));
+        self.seq = Some(ShardSequencer::new(self.id, EPOCH_BATCH));
         if shards > 1 {
             let peers = (0..shards)
                 .filter(|&j| j != self.id.0)
@@ -869,19 +864,7 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
                         "CrossCoordinator abort while sequencing is on"
                     );
                 }
-                // Age boundary: close the open epoch once its oldest
-                // buffered invocation has waited `max_delay`.
-                let closed = match &mut self.seq {
-                    Some(seq)
-                        if seq
-                            .oldest_enqueued_at()
-                            .is_some_and(|t| now.saturating_sub(t) >= self.seq_delay) =>
-                    {
-                        Some(seq.close(now, CloseKind::Age))
-                    }
-                    _ => None,
-                };
-                if let Some(closed) = closed {
+                if let Some(closed) = self.seq.as_mut().and_then(|seq| seq.close_if_aged(now)) {
                     self.emit_closed(closed, now, out);
                 }
             }
@@ -2047,6 +2030,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcc_common::Scheme;
     use hcc_core::{Request, RequestGenerator};
     use hcc_storage::{FaultMode, MemLog};
     use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};

@@ -64,6 +64,7 @@ use hcc_common::{
 };
 use hcc_core::client::ClientStats;
 use hcc_core::coordinator::CoordCounters;
+use hcc_core::sequencer::EPOCH_MAX_AGE;
 use hcc_core::{ExecutionEngine, RequestGenerator};
 use hcc_storage::DurableLog;
 use parking_lot::Mutex;
@@ -415,9 +416,6 @@ where
     <W::Engine as ExecutionEngine>::Fragment: Send,
     <W::Engine as ExecutionEngine>::Output: Send,
 {
-    if let Err(e) = system.validate() {
-        panic!("invalid SystemConfig: {e}");
-    }
     if let Some(plan) = failure {
         assert!(
             system.replication >= 2,
@@ -510,7 +508,7 @@ impl TickPlan {
         let seq_on = system.sequencing_active();
         let halves = [
             system.durability.and_then(|d| d.sync_deadline),
-            seq_on.then(|| system.sequencing.max_delay()),
+            seq_on.then_some(EPOCH_MAX_AGE),
         ];
         let every = halves
             .into_iter()

@@ -647,7 +647,7 @@ pub struct CrashHarvest<E: ExecutionEngine> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_common::{Scheme, SequencingConfig, SystemConfig};
+    use hcc_common::{Scheme, SystemConfig};
     use hcc_workloads::micro::{MicroConfig, MicroWorkload};
 
     /// Every message of a short failover run (P1's primary killed at 1 ms;
@@ -665,7 +665,7 @@ mod tests {
             .with_clients(6)
             .with_replication(2)
             .with_coordinators(2)
-            .with_sequencing(SequencingConfig::Epoch { batch: 64 });
+            .with_sequencing(true);
         let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
             .with_window(Nanos::from_micros(200), Nanos::from_millis(2))
             .with_failure(FailurePlan {

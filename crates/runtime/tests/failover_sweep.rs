@@ -15,7 +15,7 @@
 //! re-delivering commits the promoted primary already ran) needs. With the
 //! promoted primary's fence bypassed, the preempted sweep finds it.
 
-use hcc_common::{FailAt, FailurePlan, Nanos, PartitionId, Scheme, SequencingConfig, SystemConfig};
+use hcc_common::{FailAt, FailurePlan, Nanos, PartitionId, Scheme, SystemConfig};
 use hcc_runtime::{BackendChoice, RuntimeConfig, Simulation};
 use hcc_workloads::micro::{MicroConfig, MicroWorkload};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,11 +36,24 @@ struct Point {
     at: FailAt,
 }
 
+impl Point {
+    fn system(&self) -> SystemConfig {
+        SystemConfig::new(self.scheme)
+            .with_partitions(2)
+            .with_clients(12)
+            .with_seed(0x5EE9)
+            .with_replication(2)
+            .with_coordinators(self.shards)
+            .with_sequencing(self.sequenced)
+    }
+}
+
 /// Every point, in sweep order. Kill times: every 100 µs from 0.3 ms to
 /// 4.3 ms — before the window opens, all through it, and into the drain.
 /// Kill counts: right after the primary ships its first commit record, and
-/// its tenth. (Locking coordinates at the client: the sequencer never sees
-/// it.)
+/// its tenth. A sequenced point whose sequencing is inert (pinned locking
+/// coordinates at the client, so the sequencer never sees it) would repeat
+/// its unsequenced twin, and is left out.
 fn points() -> Vec<Point> {
     let schemes = [
         Scheme::Blocking,
@@ -53,18 +66,18 @@ fn points() -> Vec<Point> {
         let configs = [1, 2].into_iter().flat_map(|k| [(k, false), (k, true)]);
         configs.flat_map(move |(k, seq)| [(scheme, k, seq, 0.3), (scheme, k, seq, 1.0)])
     }) {
-        if sequenced && scheme == Scheme::Locking {
-            continue;
-        }
         let times = (3..=43).map(|i| FailAt::Time(Nanos(i * 100_000)));
         for at in times.chain([1, 10].map(FailAt::Commits)) {
-            points.push(Point {
+            let point = Point {
                 scheme,
                 shards,
                 sequenced,
                 mp,
                 at,
-            });
+            };
+            if !sequenced || point.system().sequencing_active() {
+                points.push(point);
+            }
         }
     }
     points
@@ -80,7 +93,7 @@ fn points() -> Vec<Point> {
 fn preempted_points() -> impl Iterator<Item = Point> {
     points()
         .into_iter()
-        .filter(|p| p.sequenced || p.shards == 1 || p.mp < 1.0 || p.scheme == Scheme::Locking)
+        .filter(|p| p.sequenced || p.shards == 1 || p.mp < 1.0 || p.system().client_2pc())
 }
 
 /// One kill → promote → recover run, with senders preempted from `preempt`
@@ -96,16 +109,7 @@ fn kill_at(p: Point, preempt: Option<u64>) {
         seed: 0x5EE9,
         ..Default::default()
     };
-    let mut system = SystemConfig::new(p.scheme)
-        .with_partitions(2)
-        .with_clients(12)
-        .with_seed(0x5EE9)
-        .with_replication(2)
-        .with_coordinators(p.shards);
-    if p.sequenced {
-        system = system.with_sequencing(SequencingConfig::Epoch { batch: 64 });
-    }
-    let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
+    let cfg = RuntimeConfig::new(p.system(), BackendChoice::Sim { shadow: true })
         .with_window(WARMUP, MEASURE)
         .with_failure(FailurePlan {
             partition: PartitionId(1),
@@ -160,6 +164,14 @@ fn sweep(runs: impl Iterator<Item = (Point, Option<u64>)>) {
     }
     let n = failed.lines().count().saturating_sub(1);
     assert!(failed.is_empty(), "{n} of {total} runs failed:{failed}");
+}
+
+/// The sweep's size is part of its contract: a config change that made a
+/// point inert (or live) would silently shrink (or grow) it.
+#[test]
+fn sweep_sizes_are_pinned() {
+    assert_eq!(points().len(), 1_204);
+    assert_eq!(preempted_points().count(), 1_075);
 }
 
 #[test]

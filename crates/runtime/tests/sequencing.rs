@@ -1,25 +1,24 @@
-//! Epoch-batched cross-shard sequencing (ISSUE 8): with `sequencing =
-//! epoch[:N]` on, every coordinator shard accumulates its multi-partition
+//! Epoch-batched cross-shard sequencing: with `sequencing`
+//! on, every coordinator shard accumulates its multi-partition
 //! invocations into per-epoch logs and partitions dispatch round-0
 //! fragments in the round-robin merge order of those logs — so
 //! speculation chains legally span shards and the PR 4 retry storm
 //! (`CrossCoordinator` expiry aborts on unaligned traffic) disappears.
 //!
 //! These tests pin the sim half of the contract: the retry-storm
-//! regression, bit-determinism per epoch size, serial equivalence of the
+//! regression, bit-determinism, serial equivalence of the
 //! sequenced execution, and failover mid-epoch.
 
-use hcc_common::{FailAt, FailurePlan, Nanos, PartitionId, Scheme, SequencingConfig, SystemConfig};
+use hcc_common::{FailAt, FailurePlan, Nanos, PartitionId, Scheme, SystemConfig};
+use hcc_core::sequencer::EPOCH_BATCH;
 use hcc_runtime::{run, BackendChoice, RuntimeConfig, RuntimeReport};
 use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
-
-const EPOCH64: SequencingConfig = SequencingConfig::Epoch { batch: 64 };
 
 /// The PR 4 pain point: 8 partitions, 4 shards, *unaligned* clients
 /// (`affinity_groups: 1`), half the traffic multi-partition.
 fn unaligned_sharded(
     scheme: Scheme,
-    sequencing: SequencingConfig,
+    sequencing: bool,
     seed: u64,
 ) -> (
     RuntimeReport<MicroEngine>,
@@ -62,7 +61,7 @@ fn unaligned_sharded(
 #[test]
 fn sequencing_eliminates_the_unaligned_retry_storm() {
     // 8 partitions, 128 clients, 4 shards; aligned = 4 affinity groups.
-    let point = |sequencing: SequencingConfig, mp: f64, aligned: bool, lock_timeout: Nanos| {
+    let point = |sequencing: bool, mp: f64, aligned: bool, lock_timeout: Nanos| {
         let micro = MicroConfig {
             partitions: 8,
             clients: 128,
@@ -90,7 +89,7 @@ fn sequencing_eliminates_the_unaligned_retry_storm() {
     // retry-storm shape PR 4 measured, where merely-slow cross-shard
     // chains get expired and resubmitted over and over).
     let storm = |sequencing| point(sequencing, 1.0, false, Nanos::from_millis(2));
-    let off = storm(SequencingConfig::Off);
+    let off = storm(false);
     assert!(
         off.sequencer.cross_coord_aborts > 50,
         "baseline must reproduce the PR 4 retry storm (got {} aborts)",
@@ -99,7 +98,7 @@ fn sequencing_eliminates_the_unaligned_retry_storm() {
     assert!(off.retries > 50, "expiry aborts must drive client retries");
     assert_eq!(off.sequencer.epochs_closed, 0, "sequencer off must be idle");
 
-    let on = storm(EPOCH64);
+    let on = storm(true);
     assert_eq!(
         on.sequencer.cross_coord_aborts, 0,
         "sequencing on: the merged epoch order leaves nothing for expiry to break"
@@ -118,8 +117,8 @@ fn sequencing_eliminates_the_unaligned_retry_storm() {
     // sequenced run neither aborts nor loses throughput.
     let default_timeout = SystemConfig::new(Scheme::Speculative).lock_timeout;
     let half = |sequencing, aligned| point(sequencing, 0.5, aligned, default_timeout);
-    let off = half(SequencingConfig::Off, false);
-    let on = half(EPOCH64, false);
+    let off = half(false, false);
+    let on = half(true, false);
     assert!(
         off.sched.cross_coord_waits > 0,
         "the off baseline must reproduce the PR 4 cross-shard stalls"
@@ -139,8 +138,8 @@ fn sequencing_eliminates_the_unaligned_retry_storm() {
     // such deployments leave the knob off. The bound is a regression
     // fence around the measured ~0.5× tax, not a claim that sequencing
     // is free.
-    let aligned_off = half(SequencingConfig::Off, true);
-    let aligned_on = half(EPOCH64, true);
+    let aligned_off = half(false, true);
+    let aligned_on = half(true, true);
     assert!(
         aligned_on.throughput_tps > 0.45 * aligned_off.throughput_tps,
         "sequencing's ordering tax on aligned traffic regressed ({:.0} vs {:.0} tps)",
@@ -152,7 +151,7 @@ fn sequencing_eliminates_the_unaligned_retry_storm() {
 /// Satellite (b): per-epoch stats are populated and self-consistent.
 #[test]
 fn epoch_stats_are_populated_and_consistent() {
-    let (r, _, _) = unaligned_sharded(Scheme::Speculative, EPOCH64, 0x95);
+    let (r, _, _) = unaligned_sharded(Scheme::Speculative, true, 0x95);
     let s = &r.sequencer;
     assert!(s.epochs_closed > 0);
     assert!(s.batch_sum > 0);
@@ -168,9 +167,9 @@ fn epoch_stats_are_populated_and_consistent() {
     assert_eq!(s.passthrough, 0);
 }
 
-/// Satellite (c): bit-determinism per epoch size — the sim stays a pure
-/// function of (config, seed) at every batch boundary, and different
-/// batch sizes genuinely change the schedule.
+/// Satellite (c): bit-determinism — the sim stays a pure function of
+/// (config, seed) with sequencing on, and the count boundary caps every
+/// epoch.
 #[test]
 fn sequencing_is_deterministic_per_epoch_size() {
     let digest = |r: &RuntimeReport<MicroEngine>, engines: &[MicroEngine]| {
@@ -187,30 +186,18 @@ fn sequencing_is_deterministic_per_epoch_size() {
             engines.iter().map(|e| e.fingerprint()).collect::<Vec<_>>(),
         )
     };
-    let mut epochs_closed = Vec::new();
-    for batch in [16u32, 64, 256] {
-        let seq = SequencingConfig::Epoch { batch };
-        let (ra, ea, _) = unaligned_sharded(Scheme::Speculative, seq, 0xC8);
-        let (rb, eb, _) = unaligned_sharded(Scheme::Speculative, seq, 0xC8);
-        assert_eq!(
-            digest(&ra, &ea),
-            digest(&rb, &eb),
-            "batch={batch}: sequenced run must be bit-deterministic"
-        );
-        assert_eq!(ra.sequencer.cross_coord_aborts, 0, "batch={batch}");
-        assert!(
-            ra.sequencer.batch_max <= batch as u64,
-            "batch={batch}: count boundary violated (max {})",
-            ra.sequencer.batch_max
-        );
-        epochs_closed.push(ra.sequencer.epochs_closed);
-    }
-    // Closed-loop clients rarely fill big batches (age/cascade closes
-    // dominate), but a smaller count boundary can only close *more*
-    // epochs, never fewer.
+    let (ra, ea, _) = unaligned_sharded(Scheme::Speculative, true, 0xC8);
+    let (rb, eb, _) = unaligned_sharded(Scheme::Speculative, true, 0xC8);
+    assert_eq!(
+        digest(&ra, &ea),
+        digest(&rb, &eb),
+        "sequenced run must be bit-deterministic"
+    );
+    assert_eq!(ra.sequencer.cross_coord_aborts, 0);
     assert!(
-        epochs_closed[0] >= epochs_closed[1] && epochs_closed[1] >= epochs_closed[2],
-        "a smaller count boundary cannot close fewer epochs: {epochs_closed:?}"
+        ra.sequencer.batch_max <= u64::from(EPOCH_BATCH),
+        "count boundary violated (max {})",
+        ra.sequencer.batch_max
     );
 }
 
@@ -224,7 +211,7 @@ fn sequencing_is_deterministic_per_epoch_size() {
 #[test]
 fn sequenced_execution_is_serial_equivalent_to_epoch_order() {
     for scheme in [Scheme::Blocking, Scheme::Speculative, Scheme::Occ] {
-        let (r, engines, shadow) = unaligned_sharded(scheme, EPOCH64, 0xA1);
+        let (r, engines, shadow) = unaligned_sharded(scheme, true, 0xA1);
         assert_eq!(shadow.len(), engines.len(), "shadow enabled");
         assert!(r.committed > 500, "{scheme}: throughput collapsed");
         assert_eq!(r.replication.replay_failures, 0, "{scheme}");
@@ -256,8 +243,8 @@ fn locking_ignores_the_sequencing_knob() {
             engines.iter().map(|e| e.fingerprint()).collect::<Vec<_>>(),
         )
     };
-    let (on, eon, _) = unaligned_sharded(Scheme::Locking, EPOCH64, 0xB2);
-    let (off, eoff, _) = unaligned_sharded(Scheme::Locking, SequencingConfig::Off, 0xB2);
+    let (on, eon, _) = unaligned_sharded(Scheme::Locking, true, 0xB2);
+    let (off, eoff, _) = unaligned_sharded(Scheme::Locking, false, 0xB2);
     assert_eq!(on.sequencer.epochs_closed, 0, "locking never sequences");
     assert_eq!(
         digest(&on, &eon),
@@ -291,7 +278,7 @@ fn failover_mid_epoch_retries_unclosed_work_without_losing_commits() {
                 .with_clients(48)
                 .with_seed(0xF8)
                 .with_coordinators(2)
-                .with_sequencing(EPOCH64);
+                .with_sequencing(true);
             let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
                 .with_window(Nanos::from_millis(20), Nanos::from_millis(150))
                 .with_failure(FailurePlan {
@@ -446,7 +433,7 @@ fn golden_fixed_seed_with_sequencing_on() {
             .with_clients(32)
             .with_seed(0xE8)
             .with_coordinators(2)
-            .with_sequencing(EPOCH64);
+            .with_sequencing(true);
         let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
             .with_window(Nanos::from_millis(20), Nanos::from_millis(100));
         let builder = MicroWorkload::new(micro);
@@ -496,7 +483,7 @@ fn golden_fixed_seed_with_sequencing_on() {
 /// timer events are bookkeeping, not schedule.)
 #[test]
 fn single_partition_traffic_bypasses_the_sequencer() {
-    let run_sp = |sequencing: SequencingConfig| {
+    let run_sp = |sequencing: bool| {
         let micro = MicroConfig {
             partitions: 4,
             clients: 64,
@@ -526,7 +513,7 @@ fn single_partition_traffic_bypasses_the_sequencer() {
                 .collect::<Vec<_>>(),
         )
     };
-    let off = run_sp(SequencingConfig::Off);
-    let on = run_sp(EPOCH64);
+    let off = run_sp(false);
+    let on = run_sp(true);
     assert_eq!(off, on, "SP-only traffic must be unaffected by sequencing");
 }

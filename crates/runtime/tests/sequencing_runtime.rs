@@ -5,12 +5,10 @@
 //! and a sequenced run must never issue a `CrossCoordinator` expiry
 //! abort (the merged epoch order leaves nothing for expiry to break).
 
-use hcc_common::{FailAt, FailurePlan, Nanos, PartitionId, Scheme, SequencingConfig, SystemConfig};
+use hcc_common::{FailAt, FailurePlan, Nanos, PartitionId, Scheme, SystemConfig};
 use hcc_runtime::{run, BackendChoice, RuntimeConfig};
 use hcc_workloads::micro::{MicroConfig, MicroWorkload};
 use hcc_workloads::ycsb::{YcsbConfig, YcsbWorkload};
-
-const EPOCH64: SequencingConfig = SequencingConfig::Epoch { batch: 64 };
 
 /// Fixed-work fingerprints with sequencing on: 4 partitions, unaligned
 /// clients, `coordinators` shards.
@@ -34,7 +32,7 @@ fn fingerprints_sequenced(
         .with_clients(clients)
         .with_seed(0x8E)
         .with_coordinators(coordinators)
-        .with_sequencing(EPOCH64);
+        .with_sequencing(true);
     let cfg = RuntimeConfig::fixed_work(system, backend, requests);
     let builder = MicroWorkload::new(mc);
     let r = run(cfg, MicroWorkload::new(mc), move |p| {
@@ -136,7 +134,7 @@ fn sequenced_failover_preserves_committed_state() {
             .with_seed(0x4D)
             .with_replication(2)
             .with_coordinators(2)
-            .with_sequencing(EPOCH64);
+            .with_sequencing(true);
         let mut cfg =
             RuntimeConfig::fixed_work(system, BackendChoice::Multiplexed { workers: 4 }, requests);
         cfg.failure = failure;
