@@ -223,22 +223,21 @@ pub struct DurabilityConfig {
     /// longer than this (a stalled or failed device), the partition aborts
     /// the held batch with the retryable
     /// [`crate::AbortReason::LogStalled`] instead of wedging its commit
-    /// chain. `None` disables the guard (a stalled log then holds results
-    /// forever).
-    pub sync_deadline: Option<Nanos>,
+    /// chain.
+    pub sync_deadline: Nanos,
 }
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
             sync_latency: Nanos::from_micros(100),
-            sync_deadline: Some(Nanos::from_millis(10)),
+            sync_deadline: Nanos::from_millis(10),
         }
     }
 }
 
 impl DurabilityConfig {
-    pub fn with_sync_deadline(mut self, deadline: Option<Nanos>) -> Self {
+    pub fn with_sync_deadline(mut self, deadline: Nanos) -> Self {
         self.sync_deadline = deadline;
         self
     }
@@ -250,16 +249,13 @@ impl DurabilityConfig {
 /// [`crate::AbortReason::CrossCoordinator`],
 /// [`crate::AbortReason::LogStalled`]). Immediate re-submit of these turns
 /// a failover or a stalled log into a retry storm; instead clients back
-/// off exponentially (doubling from `base`, capped at `cap`) with
-/// deterministic per-attempt jitter. Scheduling aborts (deadlock victim,
+/// off exponentially (doubling from 50 µs, capped at 5 ms: the constants
+/// beside the backoff in `hcc_core::client`) with deterministic
+/// per-attempt jitter. Scheduling aborts (deadlock victim,
 /// lock timeout, speculation failure) still retry immediately — the
 /// paper's schedulers resolve those themselves.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryConfig {
-    /// First backoff delay; attempt `n` waits up to `base * 2^(n-1)`.
-    pub base: Nanos,
-    /// Upper bound on any single backoff delay.
-    pub cap: Nanos,
     /// Give up (count the transaction as exhausted, surface the abort to
     /// the workload) after this many consecutive retryable aborts of one
     /// request. `u32::MAX` retries forever.
@@ -269,26 +265,12 @@ pub struct RetryConfig {
 impl Default for RetryConfig {
     fn default() -> Self {
         RetryConfig {
-            // A failover takes ~1 network round trip + promotion; start in
-            // that neighborhood and cap near the failure-detection scale.
-            base: Nanos::from_micros(50),
-            cap: Nanos::from_millis(5),
             max_attempts: u32::MAX,
         }
     }
 }
 
 impl RetryConfig {
-    pub fn with_base(mut self, base: Nanos) -> Self {
-        self.base = base;
-        self
-    }
-
-    pub fn with_cap(mut self, cap: Nanos) -> Self {
-        self.cap = cap;
-        self
-    }
-
     pub fn with_max_attempts(mut self, n: u32) -> Self {
         self.max_attempts = n;
         self

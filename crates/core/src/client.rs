@@ -15,6 +15,14 @@ use hcc_common::{
     AbortReason, ClientId, Nanos, PartitionId, RetryConfig, SplitMix64, TxnId, TxnResult,
 };
 
+/// First infrastructure-abort backoff: a failover takes about one network
+/// round trip plus a promotion, so retries start in that neighbourhood.
+pub const BACKOFF_BASE: Nanos = Nanos(50_000);
+
+/// Upper bound on any single backoff delay, near the failure-detection
+/// scale.
+pub const BACKOFF_CAP: Nanos = Nanos(5_000_000);
+
 /// Per-client outcome statistics.
 #[derive(Debug, Clone, Default)]
 pub struct ClientStats {
@@ -173,14 +181,14 @@ impl ClientCore {
     }
 
     /// Equal-jitter capped exponential backoff: attempt `n` draws uniformly
-    /// from `[d/2, d]` where `d = min(cap, base * 2^(n-1))`. The half-floor
-    /// keeps retries spaced out; the jitter decorrelates clients that
-    /// failed together (a failover aborts every in-flight transaction of a
-    /// partition at once).
+    /// from `[d/2, d]` where `d = min(BACKOFF_CAP, BACKOFF_BASE * 2^(n-1))`.
+    /// The half-floor keeps retries spaced out; the jitter decorrelates
+    /// clients that failed together (a failover aborts every in-flight
+    /// transaction of a partition at once).
     fn backoff_delay(&mut self) -> Nanos {
         let exp = self.attempts.saturating_sub(1).min(32);
-        let raw = self.retry.base.0.saturating_mul(1u64 << exp);
-        let d = raw.min(self.retry.cap.0);
+        let raw = BACKOFF_BASE.0.saturating_mul(1u64 << exp);
+        let d = raw.min(BACKOFF_CAP.0);
         let half = d / 2;
         Nanos(half + self.jitter.next_u64() % (d - half + 1))
     }
@@ -284,20 +292,18 @@ mod tests {
 
     #[test]
     fn infrastructure_aborts_back_off_exponentially() {
-        let retry = RetryConfig::default()
-            .with_base(Nanos::from_micros(100))
-            .with_cap(Nanos::from_micros(1_600));
-        let mut c = ClientCore::with_retry(ClientId(5), retry);
+        let mut c = ClientCore::new(ClientId(5));
         let mut delays = Vec::new();
-        for _ in 0..6 {
+        for _ in 0..8 {
             match c.on_result(&TxnResult::<u32>::Aborted(AbortReason::PartitionFailed)) {
                 NextAction::Retry { after } => delays.push(after),
                 other => panic!("expected retry, got {other:?}"),
             }
         }
         // Attempt n draws from [d/2, d] with d = min(cap, base * 2^(n-1)).
+        let (base, cap) = (BACKOFF_BASE.0, BACKOFF_CAP.0);
         for (i, after) in delays.iter().enumerate() {
-            let d = (100_000u64 << i).min(1_600_000);
+            let d = (base << i).min(cap);
             assert!(
                 (d / 2..=d).contains(&after.0),
                 "attempt {} delay {} outside [{}, {}]",
@@ -307,14 +313,15 @@ mod tests {
                 d
             );
         }
-        // Capped: attempts 5 and 6 both draw from the cap's window.
-        assert!(delays[5].0 <= 1_600_000);
-        assert_eq!(c.stats.backoff_retries, 6);
+        // Doubling up to attempt 7 (3.2 ms); attempt 8 would double to
+        // 6.4 ms, so it is the first to draw from the cap's window.
+        assert!(base << 6 < cap && base << 7 > cap);
+        assert_eq!(c.stats.backoff_retries, 8);
         // A commit resets the schedule.
         c.on_result(&TxnResult::Committed(1u32));
         match c.on_result(&TxnResult::<u32>::Aborted(AbortReason::CrossCoordinator)) {
             NextAction::Retry { after } => {
-                assert!((50_000..=100_000).contains(&after.0), "reset to base")
+                assert!((base / 2..=base).contains(&after.0), "reset to base")
             }
             other => panic!("expected retry, got {other:?}"),
         }

@@ -13,9 +13,10 @@
 //! nothing to tune: a lone transaction is synced at once, and with a
 //! blocking device the batch is whatever arrived during the previous
 //! sync. The driver owns the [`DurableLog`](hcc_storage::DurableLog)
-//! itself and performs the sync; results for records in the batch are
-//! parked until the sync completes (clients only see a commit once it is
-//! durable).
+//! itself and performs the sync; what the primary owes for records in the
+//! batch (results, 2PC decision acks) waits in its
+//! [`CommitGate`](crate::replica::CommitGate) until the sync completes
+//! (clients only see a commit once it is durable).
 //!
 //! The **stall guard** is the robustness half: a log whose sync does not
 //! complete within [`DurabilityConfig::sync_deadline`] must not wedge every
@@ -102,12 +103,11 @@ impl GroupCommit {
     }
 
     /// Absolute deadline after which the in-flight batch counts as stalled
-    /// (`None` when the stall guard is disabled or nothing is pending).
-    /// Measured from the *oldest unsynced append*, not the sync issue time,
-    /// so a sync that is never issued (driver wedged) also trips it.
+    /// (`None` when nothing is pending). Measured from the *oldest unsynced
+    /// append*, not the sync issue time, so a sync that is never issued
+    /// (driver wedged) also trips it.
     pub fn stall_deadline(&self) -> Option<Nanos> {
-        let deadline = self.cfg.sync_deadline?;
-        Some(self.first_pending_at? + deadline)
+        Some(self.first_pending_at? + self.cfg.sync_deadline)
     }
 
     /// Has the in-flight batch stalled past the sync deadline?
@@ -132,7 +132,7 @@ mod tests {
     use super::*;
 
     fn cfg() -> DurabilityConfig {
-        DurabilityConfig::default().with_sync_deadline(Some(Nanos::from_millis(10)))
+        DurabilityConfig::default().with_sync_deadline(Nanos::from_millis(10))
     }
 
     #[test]
@@ -190,13 +190,5 @@ mod tests {
         assert_eq!(gc.counters.stalled_aborts, 1);
         assert!(!gc.stalled(t0 + Nanos::from_millis(20)), "slate wiped");
         assert_eq!(gc.pending(), 0);
-    }
-
-    #[test]
-    fn stall_guard_can_be_disabled() {
-        let mut gc = GroupCommit::new(cfg().with_sync_deadline(None));
-        gc.on_append(Nanos::ZERO);
-        assert!(!gc.stalled(Nanos::from_secs(100)));
-        assert_eq!(gc.stall_deadline(), None);
     }
 }

@@ -61,7 +61,7 @@ pub use procedure::{Procedure, Request, RequestGenerator, RoundOutputs, Step};
 pub use recovery::{
     recover_partition, recover_partitions_parallel, PartitionLog, RecoveryError, RecoveryOutcome,
 };
-pub use replica::{AckTracker, ReplayError, ReplicaCore, ReplicationSession};
+pub use replica::{CommitGate, ReplayError, ReplicaCore, ReplicationSession};
 pub use scheduler::{make_scheduler, make_scheduler_send, Scheduler};
 pub use sequencer::{
     broadcast_dests, Admit, CloseKind, ClosedEpoch, EpochLog, EpochLogDest, PartitionSequencer,

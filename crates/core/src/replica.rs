@@ -15,11 +15,11 @@
 //!   §2.2), without locks or undo. A lost/reordered record or a fragment
 //!   that fails to re-execute is a [`ReplayError`] the driver must surface,
 //!   not a `debug_assert`.
-//! * [`AckTracker`] — the primary's acked watermark over its backups: the
-//!   highest sequence number every backup has confirmed applying. The
-//!   paper commits a transaction once it is on `k` replicas (§2.2); the
-//!   runtime holds single-partition results until the transaction's record
-//!   is under the watermark.
+//! * [`CommitGate`] — the primary's one release rule. A client result or
+//!   a 2PC decision ack owed for a committed record leaves the node once
+//!   that record is on every backup (the paper commits a transaction once
+//!   it is on `k` replicas, §2.2) and in the durable log (group commit,
+//!   §2.3). Its backup list is the ship-target list.
 //!
 //! Failover and §3.3 recovery are built on these pieces by the drivers:
 //! promotion turns a `ReplicaCore` position into a `ReplicationSession`
@@ -32,7 +32,7 @@ use crate::engine::ExecutionEngine;
 use hcc_common::stats::ReplicationCounters;
 use hcc_common::{
     AbortReason, ClientId, CommitRecord, CoordinatorRef, FragmentResponse, FragmentTask, FxHashMap,
-    FxHashSet, PartitionId, SchemeSwitch, TxnId, Vote,
+    FxHashSet, PartitionId, SchemeSwitch, TxnId, TxnResult, Vote,
 };
 use std::collections::VecDeque;
 
@@ -306,44 +306,153 @@ pub fn failover_bounce<F, R>(
     }
 }
 
-/// The primary's view of its backups' progress: per-backup cumulative acks
-/// and the minimum — the **acked watermark** under which results may be
-/// released (§2.2: a transaction commits once it is on `k` replicas).
-#[derive(Debug, Default)]
-pub struct AckTracker {
-    /// (backup key, highest acked seq). A handful of backups, linear scan.
-    acked: Vec<(usize, u64)>,
+/// Where a commit record sits in its primary's durable log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Logged {
+    /// Durability is off: the backups are the record's only copy.
+    Off,
+    /// Appended at this 1-based log index; durable once a sync covers it.
+    At(u64),
+    /// The append failed: the record is not in the log.
+    Failed,
 }
 
-impl AckTracker {
-    pub fn new() -> Self {
-        Self::default()
+/// What a primary owes the outside world for one committed record.
+#[derive(Debug)]
+pub enum Owed<R> {
+    /// The result of a single-partition transaction, for its client.
+    Result {
+        client: ClientId,
+        txn: TxnId,
+        result: TxnResult<R>,
+    },
+    /// A 2PC commit-decision ack, for the transaction's coordinator.
+    Ack { txn: TxnId, to: CoordinatorRef },
+}
+
+/// What one [`CommitGate::release`] let out, for the group-commit counters.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Released {
+    /// Results whose record had a log position (they waited on the log).
+    pub results: u64,
+    /// Results and acks released as not logged: their append failed or the
+    /// stall guard abandoned their batch.
+    pub unlogged: u64,
+}
+
+/// The primary's commit gate: the one rule for when a client result or a
+/// decision ack may leave the node. Entries queue in commit order (record
+/// seq and log index both ascend), and a prefix is released once each of
+/// its records is on every backup and its log position is decided —
+/// durable, or given up on: a failed append or a batch the stall guard
+/// abandoned releases as not logged (a result becomes the retryable
+/// [`AbortReason::LogStalled`], an ack says `logged: false`). With no
+/// backups only the log counts, with the log off only the backups.
+#[derive(Debug)]
+pub struct CommitGate<R> {
+    /// (slot, highest seq it acked) per backup: also where records ship.
+    /// A handful of backups, linear scan.
+    backups: Vec<(u32, u64)>,
+    /// Log indexes `1..=durable` are synced.
+    durable: u64,
+    /// Log indexes `1..=abandoned` belong to batches the stall guard gave
+    /// up on.
+    abandoned: u64,
+    queue: VecDeque<(u64, Logged, Owed<R>)>,
+}
+
+impl<R> CommitGate<R> {
+    /// A gate over `backups`, each of which already holds records
+    /// `1..=acked` (0 for an initial primary; a promoted backup's
+    /// watermark, which its surviving siblings share).
+    pub fn new(backups: impl IntoIterator<Item = u32>, acked: u64) -> Self {
+        CommitGate {
+            backups: backups.into_iter().map(|slot| (slot, acked)).collect(),
+            durable: 0,
+            abandoned: 0,
+            queue: VecDeque::new(),
+        }
     }
 
-    /// Track a backup from `seq` onward (0 for a from-the-start backup, the
-    /// snapshot watermark for a freshly recovered one).
-    pub fn add_backup(&mut self, key: usize, seq: u64) {
-        match self.acked.iter_mut().find(|(k, _)| *k == key) {
-            Some(slot) => slot.1 = seq,
-            None => self.acked.push((key, seq)),
+    /// The slots every commit record ships to.
+    pub fn targets(&self) -> impl DoubleEndedIterator<Item = u32> + '_ {
+        self.backups.iter().map(|(slot, _)| *slot)
+    }
+
+    /// A recovered backup joins holding records `1..=seq` (its snapshot).
+    pub fn join(&mut self, slot: u32, seq: u64) {
+        match self.backups.iter_mut().find(|(s, _)| *s == slot) {
+            Some(b) => b.1 = seq,
+            None => self.backups.push((slot, seq)),
         }
     }
 
     /// A backup confirmed applying records up to `seq` (cumulative).
-    pub fn on_ack(&mut self, key: usize, seq: u64) {
-        if let Some(slot) = self.acked.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = slot.1.max(seq);
+    pub fn on_ack(&mut self, slot: u32, seq: u64) {
+        if let Some(b) = self.backups.iter_mut().find(|(s, _)| *s == slot) {
+            b.1 = b.1.max(seq);
         }
     }
 
-    /// Highest sequence number *every* tracked backup has applied.
-    /// `u64::MAX` with no backups (nothing to wait for).
-    pub fn min_acked(&self) -> u64 {
-        self.acked.iter().map(|(_, s)| *s).min().unwrap_or(u64::MAX)
+    /// A sync completed: log indexes `1..=durable` are durable.
+    pub fn synced(&mut self, durable: u64) {
+        self.durable = durable;
     }
 
-    pub fn backups(&self) -> usize {
-        self.acked.len()
+    /// The stall guard gave up on every record appended so far.
+    pub fn abandon(&mut self, appended: u64) {
+        self.abandoned = appended;
+    }
+
+    /// Owe `owed` once record `seq`, logged at `log`, clears the gate.
+    pub fn hold(&mut self, seq: u64, log: Logged, owed: Owed<R>) {
+        self.queue.push_back((seq, log, owed));
+    }
+
+    /// Hand every entry at the head of the queue whose record is on every
+    /// backup and whose log position is decided to `emit`, with whether its
+    /// record is logged; a result that is not becomes `LogStalled`.
+    pub fn release(&mut self, mut emit: impl FnMut(Owed<R>, bool)) -> Released {
+        let acked = self
+            .backups
+            .iter()
+            .map(|(_, s)| *s)
+            .min()
+            .unwrap_or(u64::MAX);
+        let mut released = Released::default();
+        while let Some(&(seq, log, _)) = self.queue.front() {
+            let logged = match log {
+                Logged::Off => true,
+                Logged::At(n) if n <= self.durable => true,
+                Logged::At(n) if n <= self.abandoned => false,
+                Logged::At(_) => break,
+                Logged::Failed => false,
+            };
+            if seq > acked {
+                break;
+            }
+            let (_, _, mut owed) = self.queue.pop_front().expect("checked front");
+            if let Owed::Result { result, .. } = &mut owed {
+                released.results += u64::from(matches!(log, Logged::At(_)));
+                if !logged {
+                    *result = TxnResult::Aborted(AbortReason::LogStalled);
+                }
+            }
+            released.unlogged += u64::from(!logged);
+            emit(owed, logged);
+        }
+        released
+    }
+
+    /// The primary is crashing: release everything as it stands, as
+    /// logged. Every queued record was shipped before the crash and reaches
+    /// the backups on the same FIFO links, so the group's replication
+    /// covers it and the dying log is not waited for.
+    pub fn flush(self, emit: impl FnMut(Owed<R>)) {
+        self.queue
+            .into_iter()
+            .map(|(_, _, owed)| owed)
+            .for_each(emit);
     }
 }
 
@@ -473,20 +582,138 @@ mod tests {
         assert_eq!(replica.watermark(), 11);
     }
 
+    fn result(n: u32) -> Owed<u32> {
+        Owed::Result {
+            client: ClientId(0),
+            txn: txid(n),
+            result: TxnResult::Committed(n),
+        }
+    }
+
+    fn ack(n: u32) -> Owed<u32> {
+        Owed::Ack {
+            txn: txid(n),
+            to: CoordinatorRef::Central(hcc_common::CoordinatorId(0)),
+        }
+    }
+
+    /// (txn, logged) of what a release emitted; a result released as not
+    /// logged must read `LogStalled`.
+    fn drain(gate: &mut CommitGate<u32>) -> Vec<(u32, bool)> {
+        let mut out = Vec::new();
+        gate.release(|owed, logged| {
+            let txn = match owed {
+                Owed::Result { txn, result, .. } => {
+                    let stalled = TxnResult::Aborted(AbortReason::LogStalled);
+                    assert!(logged || result == stalled, "{txn}");
+                    txn
+                }
+                Owed::Ack { txn, .. } => txn,
+            };
+            out.push((txn.0 as u32, logged));
+        });
+        out
+    }
+
     #[test]
-    fn ack_tracker_minimum_over_backups() {
-        let mut acks = AckTracker::new();
-        assert_eq!(acks.min_acked(), u64::MAX, "no backups, nothing to wait");
-        acks.add_backup(0, 0);
-        acks.add_backup(1, 0);
-        acks.on_ack(0, 5);
-        acks.on_ack(1, 3);
-        assert_eq!(acks.min_acked(), 3);
-        acks.on_ack(1, 7);
-        assert_eq!(acks.min_acked(), 5);
-        // A recovered backup joins at its snapshot watermark.
-        acks.add_backup(2, 6);
-        assert_eq!(acks.min_acked(), 5);
+    fn gate_waits_for_every_backup_and_the_log() {
+        let mut gate = CommitGate::new([1, 2], 0);
+        assert_eq!(gate.targets().collect::<Vec<_>>(), [1, 2]);
+        gate.hold(1, Logged::At(1), result(1));
+        gate.hold(2, Logged::At(2), ack(2));
+        gate.on_ack(1, 2);
+        gate.synced(2);
+        assert_eq!(drain(&mut gate), [], "backup 2 has acked nothing");
+        gate.on_ack(2, 1);
+        assert_eq!(drain(&mut gate), [(1, true)], "a prefix, in commit order");
+        gate.on_ack(2, 2);
+        assert_eq!(drain(&mut gate), [(2, true)]);
+        // The other order: on the backups first, durable last.
+        gate.hold(3, Logged::At(3), result(3));
+        gate.on_ack(1, 3);
+        gate.on_ack(2, 3);
+        assert_eq!(drain(&mut gate), []);
+        gate.synced(3);
+        let released = gate.release(|_, logged| assert!(logged));
+        let waited = Released {
+            results: 1,
+            unlogged: 0,
+        };
+        assert_eq!(released, waited);
+    }
+
+    #[test]
+    fn gate_without_backups_or_log_checks_only_the_other() {
+        let mut gate = CommitGate::new([], 0);
+        gate.hold(1, Logged::At(1), result(1));
+        assert_eq!(drain(&mut gate), [], "no backups: the log decides");
+        gate.synced(1);
+        assert_eq!(drain(&mut gate), [(1, true)]);
+
+        let mut gate = CommitGate::new([1], 0);
+        gate.hold(1, Logged::Off, ack(1));
+        assert_eq!(drain(&mut gate), [], "no log: the backup decides");
+        gate.on_ack(1, 1);
+        assert_eq!(drain(&mut gate), [(1, true)]);
+    }
+
+    #[test]
+    fn failed_append_releases_as_not_logged_once_on_the_backups() {
+        let mut gate = CommitGate::new([1], 0);
+        gate.hold(1, Logged::Failed, result(1));
+        gate.hold(2, Logged::Failed, ack(2));
+        assert_eq!(drain(&mut gate), [], "still waits for the backup");
+        gate.on_ack(1, 2);
+        assert_eq!(drain(&mut gate), [(1, false), (2, false)]);
+    }
+
+    #[test]
+    fn abandoned_batch_releases_unlogged_when_its_ack_comes_later() {
+        let mut gate = CommitGate::new([1], 0);
+        gate.hold(1, Logged::At(1), result(1));
+        gate.hold(2, Logged::At(2), ack(2));
+        gate.on_ack(1, 1);
+        gate.abandon(2);
+        let released = gate.release(|_, logged| assert!(!logged));
+        let bounced = Released {
+            results: 1,
+            unlogged: 1,
+        };
+        assert_eq!(released, bounced);
+        gate.hold(3, Logged::At(3), result(3));
+        gate.on_ack(1, 3);
+        assert_eq!(drain(&mut gate), [(2, false)], "abandoned, then acked");
+        // A later sync covers record 3 (and, on the device, 1 and 2).
+        gate.synced(3);
+        assert_eq!(drain(&mut gate), [(3, true)]);
+    }
+
+    #[test]
+    fn recovered_backup_joins_at_its_snapshot() {
+        // A promoted primary starts over its surviving sibling at the
+        // watermark they share; the failed node rejoins later.
+        let mut gate = CommitGate::new([2], 5);
+        gate.hold(6, Logged::Off, result(6));
+        gate.join(0, 6);
+        assert_eq!(gate.targets().collect::<Vec<_>>(), [2, 0]);
+        gate.hold(7, Logged::Off, result(7));
+        gate.on_ack(2, 7);
+        assert_eq!(drain(&mut gate), [(6, true)], "slot 0 holds 1..=6");
+        gate.on_ack(0, 7);
+        assert_eq!(drain(&mut gate), [(7, true)]);
+    }
+
+    #[test]
+    fn crash_flush_releases_everything_as_it_stands() {
+        let mut gate = CommitGate::new([1], 0);
+        gate.hold(1, Logged::At(1), result(1));
+        gate.hold(2, Logged::Failed, ack(2));
+        let mut out = Vec::new();
+        gate.flush(|owed| out.push(owed));
+        let committed = TxnResult::Committed(1);
+        assert!(
+            matches!(&out[..], [Owed::Result { result, .. }, Owed::Ack { .. }] if *result == committed)
+        );
     }
 
     #[test]

@@ -33,9 +33,11 @@
 //! owns one node and changes [`Role`] over its lifetime:
 //!
 //! * **Primary** — the scheme's scheduler + engine, shipping a
-//!   [`CommitRecord`] per commit to every backup and holding
-//!   single-partition results until the record is under the group's acked
-//!   watermark (§2.2: a transaction commits once it is on `k` replicas).
+//!   [`CommitRecord`] per commit to every backup. Its
+//!   [`CommitGate`] holds each committed single-partition result and each
+//!   2PC decision ack until the record is on every backup (§2.2: a
+//!   transaction commits once it is on `k` replicas) and in the durable
+//!   log, when there is one.
 //! * **Backup** — sequence-checked replay; every applied record is acked
 //!   back to whichever slot shipped it. Replay failures are *propagated*
 //!   into [`ReplicationCounters`] and surfaced in the run report, never
@@ -93,15 +95,15 @@ use hcc_common::stats::{
 };
 use hcc_common::{
     AbortReason, CachePadded, ClientId, CommitRecord, CoordinatorId, CoordinatorRef, CostModel,
-    Decision, DurabilityConfig, FragmentResponse, FragmentTask, FxHashMap, Nanos, PartitionId,
-    SchemeSwitch, SystemConfig, TxnId, TxnResult,
+    Decision, DurabilityConfig, FragmentResponse, FragmentTask, Nanos, PartitionId, SchemeSwitch,
+    SystemConfig, TxnId, TxnResult,
 };
 use hcc_core::client::{ClientCore, ClientStats, NextAction, PendingRequest};
 use hcc_core::coordinator::{stamp_attempt, CoordOut, Coordinator, PeerNote};
 use hcc_core::group_commit::{FlushDecision, GroupCommit};
 use hcc_core::membership::MembershipCore;
 use hcc_core::replica::{
-    failover_bounce, AckTracker, FailoverBounce, ReplicaCore, ReplicationSession,
+    failover_bounce, CommitGate, FailoverBounce, Logged, Owed, ReplicaCore, ReplicationSession,
 };
 use hcc_core::sequencer::{
     broadcast_dests, Admit, ClosedEpoch, EpochLog, EpochLogDest, PartitionSequencer,
@@ -114,7 +116,6 @@ use hcc_core::{
 };
 use hcc_storage::DurableLog;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Logical address of an actor.
@@ -197,11 +198,13 @@ pub enum Msg<E: ExecutionEngine> {
     /// promoted primary's fence on the shard.
     RoutingApplied { shard: CoordinatorId },
     /// Primary → coordinator (shard or client driver): the commit decision
-    /// for `txn` was processed — the transaction leaves the 2PC in-doubt
-    /// window. `logged` is false when durability is on and the record is not
-    /// in the durable log — its append failed, or the stall guard abandoned
-    /// its batch: the ack still counts (the chain is not wedged) but the
-    /// held result is released as `LogStalled`.
+    /// for `txn` was processed and its record is on every backup and in the
+    /// durable log (the [`CommitGate`]'s rule, the same one a
+    /// single-partition result waits for) — the transaction leaves the 2PC
+    /// in-doubt window. `logged` is false when durability is on and the
+    /// record is not in the durable log — its append failed, or the stall
+    /// guard abandoned its batch: the ack still counts (the chain is not
+    /// wedged) but the held result is released as `LogStalled`.
     DecisionAck {
         txn: TxnId,
         partition: PartitionId,
@@ -993,23 +996,33 @@ impl MembershipActor {
 // Replica
 // ---------------------------------------------------------------------
 
-/// A decision ack from `group` to whoever coordinated the transaction (a
+/// What a primary sends for something it owed: a result to its client, or
+/// a decision ack from `group` to whoever coordinated the transaction (a
 /// central shard or, for client-driven 2PC, the client's driver).
-fn decision_ack<E: ExecutionEngine>(
+fn owed_out<E: ExecutionEngine>(
     group: PartitionId,
-    txn: TxnId,
-    ack_to: CoordinatorRef,
+    owed: Owed<E::Output>,
     logged: bool,
 ) -> OutMsg<E> {
-    OutMsg {
-        dest: match ack_to {
-            CoordinatorRef::Central(k) => ActorId::Coordinator(k),
-            CoordinatorRef::Client(c) => ActorId::Client(c),
-        },
-        msg: Msg::DecisionAck {
+    match owed {
+        Owed::Result {
+            client,
             txn,
-            partition: group,
-            logged,
+            result,
+        } => OutMsg {
+            dest: ActorId::Client(client),
+            msg: Msg::Result { txn, result },
+        },
+        Owed::Ack { txn, to } => OutMsg {
+            dest: match to {
+                CoordinatorRef::Central(k) => ActorId::Coordinator(k),
+                CoordinatorRef::Client(c) => ActorId::Client(c),
+            },
+            msg: Msg::DecisionAck {
+                txn,
+                partition: group,
+                logged,
+            },
         },
     }
 }
@@ -1020,14 +1033,9 @@ enum Role<E: ExecutionEngine> {
         sched: Box<dyn Scheduler<E> + Send>,
         /// Commit-order log shipping state; `None` when replication is off.
         session: Option<ReplicationSession<E::Fragment>>,
-        /// Slots this primary ships records to.
-        targets: Vec<u32>,
-        /// Per-backup acked watermark.
-        acks: AckTracker,
-        /// Committed single-partition results held until their commit
-        /// record is acked by every backup (paper §2.2), as
-        /// (required seq, client, txn, result).
-        held: VecDeque<(u64, ClientId, TxnId, TxnResult<E::Output>)>,
+        /// Where records ship, and the results and decision acks held
+        /// until their record is on every backup and in the log.
+        gate: CommitGate<E::Output>,
         /// Transactions this node applied during its backup past (empty
         /// for an initial primary): the exactly-once guard that keeps a
         /// re-delivered in-doubt commit from applying twice when its
@@ -1047,42 +1055,21 @@ enum Role<E: ExecutionEngine> {
 /// The primary appends one framed commit record per committed transaction
 /// and syncs in batches under the shared [`GroupCommit`] policy: the
 /// backend calls [`ReplicaActor::on_drained`] when it has nothing more to
-/// hand the node, and that closes the batch. Committed
-/// single-partition results park in `held` until their record's batch is
-/// durable; 2PC decision acks park in `pending_acks` the same way, which
-/// transitively parks the result the coordinator (or the locking client's
-/// driver) is holding for the transaction.
-struct Durability<E: ExecutionEngine> {
+/// hand the node, and that closes the batch. What waits for a batch to
+/// become durable waits in the primary's [`CommitGate`].
+struct Durability {
     log: Box<dyn DurableLog + Send>,
     gc: GroupCommit,
-    /// Log seq of each appended-but-not-yet-released commit record; `None`
-    /// for a record whose append failed (its result bounces with
-    /// `LogStalled`, its decision ack says so).
-    logged_seq: FxHashMap<TxnId, Option<u64>>,
-    /// Committed single-partition results awaiting durability, in log-seq
-    /// order (commit order == append order, so pushes stay sorted).
-    held: VecDeque<(u64, ClientId, TxnId, TxnResult<E::Output>)>,
-    /// Deferred 2PC decision acks awaiting durability, in log-seq order.
-    pending_acks: VecDeque<(u64, TxnId, CoordinatorRef)>,
-    /// Stall-guard watermark: records at or below this seq belong to a
-    /// batch the guard abandoned — their transactions were bounced with
-    /// `LogStalled` (or their acks said "not logged") and must not park
-    /// again when a late result or decision shows up.
-    abandoned_below: u64,
     /// Scratch: the commit record being appended, encoded. Reused so a
     /// commit does not grow a fresh buffer through five reallocations.
     encode_buf: Vec<u8>,
 }
 
-impl<E: ExecutionEngine> Durability<E> {
+impl Durability {
     fn new(cfg: DurabilityConfig, log: Box<dyn DurableLog + Send>) -> Self {
         Durability {
             log,
             gc: GroupCommit::new(cfg),
-            logged_seq: FxHashMap::default(),
-            held: VecDeque::new(),
-            pending_acks: VecDeque::new(),
-            abandoned_below: 0,
             encode_buf: Vec::new(),
         }
     }
@@ -1135,7 +1122,9 @@ pub struct ReplicaActor<E: ExecutionEngine> {
     /// node is built with its own log and only a primary writes to it, so a
     /// node promoted mid-run logs into a log that is empty until then — the
     /// prefix it applied as a backup is covered by the dead primary's log.
-    dur: Option<Durability<E>>,
+    dur: Option<Durability>,
+    /// Durable-log counters of a log retired by a crash.
+    dur_retired: DurabilityCounters,
     outbox: Outbox<E::Output>,
     scratch: Vec<PartitionOut<E::Output>>,
     /// Scheduler counters accumulated across roles (a promoted node keeps
@@ -1182,15 +1171,7 @@ where
                 // The session builds the commit records; the durable log
                 // needs them even with replication off.
                 session: (replicate || durable).then(ReplicationSession::new),
-                targets: (1..system.replication).collect(),
-                acks: {
-                    let mut a = AckTracker::new();
-                    for s in 1..system.replication {
-                        a.add_backup(s as usize, 0);
-                    }
-                    a
-                },
-                held: VecDeque::new(),
+                gate: CommitGate::new(1..system.replication, 0),
                 applied: hcc_common::FxHashSet::default(),
             }
         } else {
@@ -1214,6 +1195,7 @@ where
             crash_after,
             fenced: Vec::new(),
             dur: system.durability.map(|cfg| Durability::new(cfg, log)),
+            dur_retired: DurabilityCounters::default(),
             outbox: Outbox::new(system.costs),
             scratch: Vec::new(),
             sched_counters: SchedulerCounters::default(),
@@ -1243,15 +1225,14 @@ where
         // image's durable prefix covers everything appended before
         // shutdown (held results were all released during the run; this
         // only settles the trailing partial batch).
-        let (log_image, dur) = match self.dur.take() {
-            Some(mut d) => {
-                if d.gc.pending() > 0 && d.log.sync().is_ok() {
-                    d.gc.on_synced();
-                }
-                (is_primary.then(|| d.log.crash_image()), d.gc.counters)
+        let mut dur = self.dur_retired;
+        let log_image = self.dur.take().and_then(|mut d| {
+            if d.gc.pending() > 0 && d.log.sync().is_ok() {
+                d.gc.on_synced();
             }
-            None => (None, DurabilityCounters::default()),
-        };
+            dur.merge(&d.gc.counters);
+            is_primary.then(|| d.log.crash_image())
+        });
         let mut seq = self.seq_retired;
         if let Some(gate) = &self.seq {
             seq.merge(gate.stats());
@@ -1344,9 +1325,9 @@ where
         }
     }
 
-    /// The injected crash: flush results whose records are already at the
-    /// backups, bounce everything still in flight, notify the membership
-    /// actor (the "failure detector"), and go dark. Fires by itself after
+    /// The injected crash: flush what the commit gate holds, bounce
+    /// everything still in flight, notify the membership actor (the
+    /// "failure detector"), and go dark. Fires by itself after
     /// `crash_after` commits, or on a [`Msg::Crash`] a driver sends by its
     /// clock. Once per run at most: kept out of the step's hot body.
     #[cold]
@@ -1355,7 +1336,7 @@ where
         let Role::Primary {
             sched,
             session,
-            held,
+            gate,
             ..
         } = old
         else {
@@ -1365,35 +1346,20 @@ where
         if let Some(a) = sched.adaptive_stats(now) {
             self.adaptive_retired.merge(&a);
         }
-        // Held results are for transactions whose records the backups
-        // already have (only the ack round-trip was outstanding), so
-        // releasing them loses nothing and keeps clients from hanging.
-        for (_, client, txn, result) in held {
-            out.push(OutMsg {
-                dest: ActorId::Client(client),
-                msg: Msg::Result { txn, result },
-            });
+        // Every held record already shipped (failure injection requires
+        // replication), so the backups will have it: release rather than
+        // lose what it gates. The log dies with the node, and a crashed
+        // primary falls back on replication as its durability story.
+        let group = self.group;
+        gate.flush(|owed| out.push(owed_out(group, owed, true)));
+        if let Some(dur) = self.dur.take() {
+            self.dur_retired.merge(&dur.gc.counters);
         }
         if let Some(mut session) = session {
             for (_txn, frags) in session.take_in_flight() {
                 if let Some(task) = frags.first() {
                     self.bounce(task, out);
                 }
-            }
-        }
-        // The log dies with the node, but everything it was parking gates
-        // on records the backups already replayed (failure injection
-        // requires replication): release rather than lose them — a crashed
-        // primary falls back on replication as its durability story.
-        if let Some(mut dur) = self.dur.take() {
-            for (_, client, txn, result) in dur.held.drain(..) {
-                out.push(OutMsg {
-                    dest: ActorId::Client(client),
-                    msg: Msg::Result { txn, result },
-                });
-            }
-            for (_, txn, ack_to) in dur.pending_acks.drain(..) {
-                out.push(decision_ack(self.group, txn, ack_to, true));
             }
         }
         self.repl_counters.failed_at_ns = now.0;
@@ -1407,51 +1373,85 @@ where
 
     /// Primary-side: the transaction committed here — append its commit
     /// record to the durable log and ship it to every backup. Returns the
-    /// record's seq if it was shipped, for the hold decision.
-    fn ship_commit(&mut self, txn: TxnId, now: Nanos, out: &mut Vec<OutMsg<E>>) -> Option<u64> {
+    /// record's seq and log position, for the commit gate; `None` when no
+    /// record was made (replication and durability off, or nothing of the
+    /// transaction ran here).
+    fn ship_commit(
+        &mut self,
+        txn: TxnId,
+        now: Nanos,
+        out: &mut Vec<OutMsg<E>>,
+    ) -> Option<(u64, Logged)> {
         let Role::Primary {
             session: Some(session),
-            targets,
+            gate,
             ..
         } = &mut self.role
         else {
             return None;
         };
         let record = session.on_commit(txn)?;
-        if let Some(dur) = &mut self.dur {
-            dur.encode_buf.clear();
-            record.encode(&mut dur.encode_buf);
-            // An append *error* (injected write failure) leaves the record
-            // out of the log although the engine committed: whoever waits
-            // on it is told so (`None`), and no client reads `Committed`.
-            let seq = dur.log.append(&dur.encode_buf).ok();
-            dur.logged_seq.insert(txn, seq);
-            if seq.is_some() {
-                dur.gc.on_append(now);
+        let seq = record.seq;
+        let logged = match &mut self.dur {
+            None => Logged::Off,
+            Some(dur) => {
+                dur.encode_buf.clear();
+                record.encode(&mut dur.encode_buf);
+                // An append *error* (injected write failure) leaves the
+                // record out of the log although the engine committed:
+                // whoever waits on it is told so, and no client reads
+                // `Committed`.
+                match dur.log.append(&dur.encode_buf) {
+                    Ok(n) => {
+                        dur.gc.on_append(now);
+                        Logged::At(n)
+                    }
+                    Err(_) => Logged::Failed,
+                }
             }
-        }
+        };
         // Clone per extra backup; the last (commonly only) target moves
         // the record — zero allocations on the k=1 hot path.
-        let (&last, rest) = targets.split_last()?;
-        let seq = record.seq;
-        self.repl_counters.records_shipped += 1;
-        for &slot in rest {
-            out.push(OutMsg {
-                dest: ActorId::Replica(self.group, slot),
-                msg: Msg::Commit {
-                    from_slot: self.slot,
-                    record: record.clone(),
-                },
-            });
+        let (group, from_slot) = (self.group, self.slot);
+        let ship = |slot, record| OutMsg {
+            dest: ActorId::Replica(group, slot),
+            msg: Msg::Commit { from_slot, record },
+        };
+        let mut targets = gate.targets();
+        if let Some(last) = targets.next_back() {
+            self.repl_counters.records_shipped += 1;
+            for slot in targets {
+                out.push(ship(slot, record.clone()));
+            }
+            out.push(ship(last, record));
         }
-        out.push(OutMsg {
-            dest: ActorId::Replica(self.group, last),
-            msg: Msg::Commit {
-                from_slot: self.slot,
-                record,
-            },
-        });
-        Some(seq)
+        Some((seq, logged))
+    }
+
+    /// Owe `owed` once record `seq` clears the commit gate, and release
+    /// what the gate lets out now.
+    fn hold(&mut self, seq: u64, logged: Logged, owed: Owed<E::Output>, out: &mut Vec<OutMsg<E>>) {
+        let Role::Primary { gate, .. } = &mut self.role else {
+            unreachable!()
+        };
+        gate.hold(seq, logged, owed);
+        self.release(false, out);
+    }
+
+    /// Run the commit gate's release; `log_event` when a sync completing
+    /// is what moved it, so the results it lets out waited on the log.
+    fn release(&mut self, log_event: bool, out: &mut Vec<OutMsg<E>>) {
+        let group = self.group;
+        let Role::Primary { gate, .. } = &mut self.role else {
+            return;
+        };
+        let released = gate.release(|owed, logged| out.push(owed_out(group, owed, logged)));
+        if let Some(dur) = &mut self.dur {
+            if log_event {
+                dur.gc.counters.results_held += released.results;
+            }
+            dur.gc.counters.stalled_aborts += released.unlogged;
+        }
     }
 
     /// The backend has nothing more to hand this node right now: close the
@@ -1467,102 +1467,33 @@ where
         let Some(dur) = &mut self.dur else { return };
         if dur.gc.on_drained() == FlushDecision::SyncNow && dur.log.sync().is_ok() {
             dur.gc.on_synced();
-            self.release_durable(out);
-        }
-    }
-
-    /// Release parked results and deferred decision acks whose records are
-    /// under the log's durable watermark.
-    fn release_durable(&mut self, out: &mut Vec<OutMsg<E>>) {
-        let group = self.group;
-        let Some(dur) = &mut self.dur else { return };
-        let durable = dur.log.durable();
-        while let Some((seq, ..)) = dur.held.front() {
-            if *seq > durable {
-                break;
+            let durable = dur.log.durable();
+            if let Role::Primary { gate, .. } = &mut self.role {
+                gate.synced(durable);
             }
-            let (_, client, txn, result) = dur.held.pop_front().expect("checked front");
-            out.push(OutMsg {
-                dest: ActorId::Client(client),
-                msg: Msg::Result { txn, result },
-            });
+            self.release(true, out);
         }
-        while let Some((seq, ..)) = dur.pending_acks.front() {
-            if *seq > durable {
-                break;
-            }
-            let (_, txn, ack_to) = dur.pending_acks.pop_front().expect("checked front");
-            out.push(decision_ack(group, txn, ack_to, true));
-        }
-    }
-
-    /// Final durability gate for a committed result on its way to the
-    /// client: deliver if its record is durable (or durability is off),
-    /// park until the batch syncs, or — for a record whose append failed or
-    /// whose batch the stall guard abandoned — bounce with the retryable
-    /// `LogStalled`.
-    fn deliver_result(
-        &mut self,
-        client: ClientId,
-        txn: TxnId,
-        mut result: TxnResult<E::Output>,
-        out: &mut Vec<OutMsg<E>>,
-    ) {
-        if result.is_committed() {
-            if let Some(dur) = &mut self.dur {
-                match dur.logged_seq.remove(&txn) {
-                    // Not this node's to log, or durable already.
-                    None => {}
-                    Some(Some(seq)) if seq <= dur.log.durable() => {}
-                    Some(Some(seq)) if seq > dur.abandoned_below => {
-                        dur.gc.counters.results_held += 1;
-                        dur.held.push_back((seq, client, txn, result));
-                        return;
-                    }
-                    // The append failed, or the stall guard abandoned the
-                    // record's batch.
-                    Some(_) => {
-                        dur.gc.counters.stalled_aborts += 1;
-                        result = TxnResult::Aborted(AbortReason::LogStalled);
-                    }
-                }
-            }
-        }
-        out.push(OutMsg {
-            dest: ActorId::Client(client),
-            msg: Msg::Result { txn, result },
-        });
     }
 
     /// Tick-driven stall guard: if the oldest unsynced append blew past the
-    /// sync deadline, bounce every parked result with `LogStalled`, release
-    /// the deferred acks as "not logged" (the coordinator releases their
-    /// results as `LogStalled` rather than wedge 2PC), and wipe the batch
-    /// slate so the log can accept new work.
+    /// sync deadline, abandon everything appended so far — the commit gate
+    /// releases what it held for those records as not logged (results as
+    /// `LogStalled`, acks with `logged: false`, so the coordinator releases
+    /// its results that way rather than wedge 2PC) once they are on the
+    /// backups — and wipe the batch slate so the log can accept new work.
     fn check_log_stall(&mut self, now: Nanos, out: &mut Vec<OutMsg<E>>) {
         let group = self.group;
         let Some(dur) = &mut self.dur else { return };
         if !dur.gc.stalled(now) {
             return;
         }
-        dur.abandoned_below = dur.log.appended();
-        let durable = dur.log.durable();
-        let victims: Vec<_> = dur.held.drain(..).collect();
-        let acks: Vec<_> = dur.pending_acks.drain(..).collect();
-        let unlogged = acks.iter().filter(|(seq, ..)| *seq > durable).count();
-        dur.gc.on_stall_abort((victims.len() + unlogged) as u64);
-        for (_, client, txn, _) in victims {
-            out.push(OutMsg {
-                dest: ActorId::Client(client),
-                msg: Msg::Result {
-                    txn,
-                    result: TxnResult::Aborted(AbortReason::LogStalled),
-                },
-            });
-        }
-        for (seq, txn, ack_to) in acks {
-            out.push(decision_ack(group, txn, ack_to, seq <= durable));
-        }
+        let Role::Primary { gate, .. } = &mut self.role else {
+            unreachable!()
+        };
+        gate.abandon(dur.log.appended());
+        let released = gate.release(|owed, logged| out.push(owed_out(group, owed, logged)));
+        dur.gc.on_stall_abort(released.unlogged);
+        dur.gc.counters.results_held += released.results;
     }
 
     /// Consume one message. Returns the virtual CPU the step cost: what the
@@ -1665,8 +1596,11 @@ where
                     if let Role::Primary { applied, .. } = &self.role {
                         if applied.contains(&task.txn) {
                             if let CoordinatorRef::Central(_) = task.coordinator {
-                                let to = task.coordinator;
-                                out.push(decision_ack(self.group, task.txn, to, true));
+                                let owed = Owed::Ack {
+                                    txn: task.txn,
+                                    to: task.coordinator,
+                                };
+                                out.push(owed_out(self.group, owed, true));
                             }
                             return Nanos::ZERO;
                         }
@@ -1706,15 +1640,18 @@ where
                 }
             }
             Msg::Decision(d, ack_to) => {
-                if d.commit {
-                    self.ship_commit(d.txn, now, out);
-                } else if let Role::Primary {
-                    session: Some(session),
-                    ..
-                } = &mut self.role
-                {
-                    session.on_abort(d.txn);
-                }
+                let shipped = if d.commit {
+                    self.ship_commit(d.txn, now, out)
+                } else {
+                    if let Role::Primary {
+                        session: Some(session),
+                        ..
+                    } = &mut self.role
+                    {
+                        session.on_abort(d.txn);
+                    }
+                    None
+                };
                 let Role::Primary { sched, .. } = &mut self.role else {
                     unreachable!()
                 };
@@ -1733,30 +1670,17 @@ where
                         d.commit && sched.counters().stray_decisions == strays_before
                     };
                     if clean {
-                        // With durability on, defer the ack until the
-                        // record's batch syncs — the coordinator (or the
-                        // locking client's driver) is holding the
-                        // committed result until every participant acks.
-                        let logged = match &mut self.dur {
-                            Some(dur) => match dur.logged_seq.remove(&d.txn) {
-                                // Not this node's to log, or durable already.
-                                None => Some(true),
-                                Some(Some(seq)) if seq <= dur.log.durable() => Some(true),
-                                Some(Some(seq)) if seq > dur.abandoned_below => {
-                                    dur.pending_acks.push_back((seq, d.txn, ack_to));
-                                    None
-                                }
-                                // The append failed, or the stall guard
-                                // abandoned the record's batch.
-                                Some(_) => {
-                                    dur.gc.counters.stalled_aborts += 1;
-                                    Some(false)
-                                }
-                            },
-                            None => Some(true),
+                        // The ack waits at the commit gate like a result:
+                        // the coordinator (or the locking client's driver)
+                        // may be holding the committed result until every
+                        // participant acks.
+                        let owed = Owed::Ack {
+                            txn: d.txn,
+                            to: ack_to,
                         };
-                        if let Some(logged) = logged {
-                            out.push(decision_ack(self.group, d.txn, ack_to, logged));
+                        match shipped {
+                            Some((seq, logged)) => self.hold(seq, logged, owed, out),
+                            None => out.push(owed_out(self.group, owed, true)),
                         }
                     }
                 }
@@ -1771,27 +1695,11 @@ where
                 self.check_log_stall(now, out);
             }
             Msg::CommitAck { slot, seq } => {
-                let mut released = Vec::new();
-                {
-                    let Role::Primary { acks, held, .. } = &mut self.role else {
-                        unreachable!()
-                    };
-                    acks.on_ack(slot as usize, seq);
-                    let watermark = acks.min_acked();
-                    while let Some((required, ..)) = held.front() {
-                        if *required > watermark {
-                            break;
-                        }
-                        let entry = held.pop_front().expect("checked front");
-                        released.push(entry);
-                    }
-                }
-                // A result clears the replication gate first, then the
-                // durability gate (it may park again until its batch
-                // syncs).
-                for (_, client, txn, result) in released {
-                    self.deliver_result(client, txn, result, out);
-                }
+                let Role::Primary { gate, .. } = &mut self.role else {
+                    unreachable!()
+                };
+                gate.on_ack(slot, seq);
+                self.release(false, out);
                 return Nanos::ZERO; // pure bookkeeping: no scheduler outputs to drain
             }
             Msg::Promote { .. } => {
@@ -1801,20 +1709,11 @@ where
             }
             Msg::FetchState { requester_slot } => {
                 let seq = {
-                    let Role::Primary {
-                        session,
-                        targets,
-                        acks,
-                        ..
-                    } = &mut self.role
-                    else {
+                    let Role::Primary { session, gate, .. } = &mut self.role else {
                         unreachable!()
                     };
                     let seq = session.as_ref().map_or(0, |s| s.shipped());
-                    if !targets.contains(&requester_slot) {
-                        targets.push(requester_slot);
-                    }
-                    acks.add_backup(requester_slot as usize, seq);
+                    gate.join(requester_slot, seq);
                     seq
                 };
                 self.repl_counters.snapshots_served += 1;
@@ -1852,8 +1751,8 @@ where
         }
         // Drain the scheduler's outputs: ship records for freshly
         // committed single-partition (and speculatively released)
-        // transactions, hold committed results that are not yet under the
-        // acked watermark, route the rest.
+        // transactions and hold their results at the commit gate; route
+        // the rest.
         let mut scratch = std::mem::take(&mut self.scratch);
         let cpu = self.outbox.take_into(&mut scratch);
         for m in scratch.drain(..) {
@@ -1875,22 +1774,14 @@ where
                         }
                         None
                     };
-                    // Replication gate first; a result under the acked
-                    // watermark still has to clear the durability gate.
-                    let repl_hold = {
-                        let Role::Primary { acks, .. } = &self.role else {
-                            unreachable!()
-                        };
-                        shipped.filter(|&seq| seq > acks.min_acked())
+                    let owed = Owed::Result {
+                        client,
+                        txn,
+                        result,
                     };
-                    match repl_hold {
-                        Some(seq) => {
-                            let Role::Primary { held, .. } = &mut self.role else {
-                                unreachable!()
-                            };
-                            held.push_back((seq, client, txn, result));
-                        }
-                        None => self.deliver_result(client, txn, result, out),
+                    match shipped {
+                        Some((seq, logged)) => self.hold(seq, logged, owed, out),
+                        None => out.push(owed_out(self.group, owed, true)),
                     }
                 }
                 PartitionOut::ToCoordinator { dest, response } => {
@@ -1955,15 +1846,12 @@ where
                 // force at the watermark; resume there so failover lands
                 // in the same scheme at the same transition epoch.
                 let resume = replica.scheme_switch();
-                let targets: Vec<u32> = (1..self.system.replication)
-                    .filter(|&s| s != self.slot)
-                    .collect();
-                let mut acks = AckTracker::new();
-                for &s in &targets {
-                    // Surviving sibling backups hold the same record
-                    // prefix this node does.
-                    acks.add_backup(s as usize, watermark);
-                }
+                // Surviving sibling backups hold the same record prefix
+                // this node does.
+                let gate = CommitGate::new(
+                    (1..self.system.replication).filter(|&s| s != self.slot),
+                    watermark,
+                );
                 self.epoch = epoch;
                 self.fenced = (0..self.system.coordinators.max(1))
                     .map(CoordinatorId)
@@ -1972,9 +1860,7 @@ where
                 self.role = Role::Primary {
                     sched: make_scheduler_send::<E>(&self.system, self.group, resume),
                     session: Some(ReplicationSession::resume_from(watermark)),
-                    targets,
-                    acks,
-                    held: VecDeque::new(),
+                    gate,
                     applied,
                 };
                 // A promoted primary logs from here on into its own, so far
@@ -2048,7 +1934,7 @@ mod tests {
             ..Default::default()
         };
         let dur = DurabilityConfig::default();
-        let deadline = dur.sync_deadline.expect("guard on by default");
+        let deadline = dur.sync_deadline;
         let system = SystemConfig::new(Scheme::Speculative)
             .with_partitions(1)
             .with_clients(1)

@@ -507,7 +507,7 @@ impl TickPlan {
     pub fn new(system: &SystemConfig) -> Self {
         let seq_on = system.sequencing_active();
         let halves = [
-            system.durability.and_then(|d| d.sync_deadline),
+            system.durability.map(|d| d.sync_deadline),
             seq_on.then_some(EPOCH_MAX_AGE),
         ];
         let every = halves

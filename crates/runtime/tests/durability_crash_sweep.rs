@@ -10,8 +10,8 @@
 //! of this test exercises the same crash points.
 
 use hcc_common::{
-    ClientId, CommitRecord, DurabilityConfig, FxHashMap, Nanos, PartitionId, RetryConfig, Scheme,
-    SystemConfig, TxnId,
+    ClientId, CommitRecord, DurabilityConfig, FailAt, FailurePlan, FxHashMap, Nanos, PartitionId,
+    RetryConfig, Scheme, SystemConfig, TxnId,
 };
 use hcc_core::{recover_partition, ReplicaCore, Request, RequestGenerator};
 use hcc_runtime::sim::{CrashHarvest, Simulation};
@@ -255,6 +255,102 @@ fn lone_commit_waits_for_one_sync_and_nothing_else() {
     assert_eq!(on.durability.results_held, on.durability.records_appended);
 }
 
+/// One rule for everything a replicated, logging primary answers for: a
+/// single-partition result and a 2PC participant's decision ack (which
+/// gates the multi-partition result, at the central coordinator under
+/// speculation and at the client's own driver under locking) both leave
+/// once the record is on the backup *and* durable. A sync shorter than the
+/// backup's round trip hides behind it; a longer one adds exactly its
+/// excess.
+#[test]
+fn lone_commit_waits_for_its_backup_and_its_sync() {
+    let one_way = SystemConfig::new(Scheme::Speculative).network.one_way;
+    let round_trip = one_way + one_way;
+    for scheme in [Scheme::Speculative, Scheme::Locking] {
+        for mp_fraction in [0.0, 1.0] {
+            let latency = |sync_us: u64| {
+                let mc = MicroConfig {
+                    mp_fraction,
+                    abort_prob: 0.0,
+                    ..micro(1)
+                };
+                let dur = DurabilityConfig {
+                    sync_latency: Nanos::from_micros(sync_us),
+                    ..DurabilityConfig::default()
+                };
+                let system = SystemConfig::new(scheme)
+                    .with_partitions(2)
+                    .with_clients(1)
+                    .with_seed(0xC4A5)
+                    .with_replication(2)
+                    .with_durability(dur);
+                let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
+                    .with_window(Nanos::from_millis(1), Nanos::from_millis(20));
+                let builder = MicroWorkload::new(mc);
+                let r = run(cfg, MicroWorkload::new(mc), move |p| {
+                    builder.build_engine(p)
+                });
+                assert!(r.committed > 20, "{scheme} mp {mp_fraction}");
+                // Every transaction of the lone client costs the same.
+                let l = &r.clients.latency;
+                assert_eq!(
+                    l.quantile(0.0),
+                    l.quantile(1.0),
+                    "{scheme} mp {mp_fraction}"
+                );
+                l.mean()
+            };
+            let (short, under, long) = (latency(1), latency(30), latency(100));
+            assert!(Nanos::from_micros(30) < round_trip);
+            assert_eq!(
+                short, under,
+                "{scheme} mp {mp_fraction}: the backup decides"
+            );
+            assert_eq!(
+                long,
+                short + Nanos::from_micros(100) - round_trip,
+                "{scheme} mp {mp_fraction}: the sync decides"
+            );
+        }
+    }
+}
+
+/// A primary that crashes keeps its log counters in the report: every
+/// record shipped to the backups was appended to some primary's log, the
+/// dead one's included.
+#[test]
+fn crashed_primary_keeps_its_log_counters() {
+    let mc = MicroConfig {
+        partitions: 2,
+        clients: 16,
+        mp_fraction: 0.3,
+        abort_prob: 0.0,
+        conflict_prob: 0.0,
+        seed: 5,
+        ..Default::default()
+    };
+    let system = SystemConfig::new(Scheme::Speculative)
+        .with_partitions(2)
+        .with_clients(16)
+        .with_seed(5)
+        .with_replication(3)
+        .with_durability(DurabilityConfig::default());
+    let plan = FailurePlan {
+        partition: PartitionId(1),
+        at: FailAt::Commits(100),
+        rejoin_delay: Nanos::ZERO,
+    };
+    let cfg = RuntimeConfig::fixed_work(system, BackendChoice::Sim { shadow: false }, 40)
+        .with_failure(plan);
+    let builder = MicroWorkload::new(mc);
+    let r = run(cfg, MicroWorkload::new(mc), move |p| {
+        builder.build_engine(p)
+    });
+    assert_eq!(r.replication.promotions, 1);
+    assert!(r.replication.records_shipped > 100);
+    assert_eq!(r.durability.records_appended, r.replication.records_shipped);
+}
+
 /// Command logging must stay cheap (the paper's premise): syncs are off
 /// the execution critical path — only result *release* waits — so group
 /// commit keeps well over half the memory-only throughput under every
@@ -300,7 +396,7 @@ fn stalled_log_aborts_retryably_and_drains() {
             .with_clients(12)
             .with_seed(0xC4A5)
             .with_durability(
-                DurabilityConfig::default().with_sync_deadline(Some(Nanos::from_micros(800))),
+                DurabilityConfig::default().with_sync_deadline(Nanos::from_micros(800)),
             )
             .with_retry(RetryConfig::default().with_max_attempts(3));
         let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
@@ -448,8 +544,7 @@ fn failed_append_never_reads_as_committed() {
 #[test]
 fn stalled_sync_never_reads_as_committed() {
     for scheme in SCHEMES {
-        let durability =
-            DurabilityConfig::default().with_sync_deadline(Some(Nanos::from_micros(800)));
+        let durability = DurabilityConfig::default().with_sync_deadline(Nanos::from_micros(800));
         // P0's device stalls every sync after its first three.
         let fault = FaultMode {
             stall_syncs_after: Some(3),
