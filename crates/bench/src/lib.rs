@@ -5,10 +5,13 @@
 //! Each `figN()` function returns a [`Figure`]: named series of
 //! (x, throughput) points, plus the sweep metadata. The `repro` binary
 //! renders them as ASCII charts and CSV files under `results/`.
+//! [`goldens`] defines the fixed-seed golden table that `golden_capture`
+//! writes and the `goldens` test reads.
 
 #![forbid(unsafe_code)]
 
 pub mod figures;
+pub mod goldens;
 pub mod plot;
 pub mod tables;
 

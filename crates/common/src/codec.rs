@@ -9,9 +9,9 @@
 //! [`LogEncode`] is a deliberately tiny hand-rolled codec rather than a
 //! serde format: the encoding is a pure function of the value (no field
 //! names, no self-description), which keeps log images byte-deterministic
-//! across runs — the property the crash-point fingerprint oracle and the
-//! golden determinism tests lean on. Integers are little-endian
-//! fixed-width; variable-length sequences carry a `u32` length prefix.
+//! across runs — the property the crash-point fingerprint oracle leans
+//! on. Integers are little-endian fixed-width; variable-length sequences
+//! carry a `u32` length prefix.
 //!
 //! Decoding is *total*: every decoder returns `None` on malformed or
 //! truncated input instead of panicking, because recovery feeds these

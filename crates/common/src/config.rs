@@ -212,7 +212,8 @@ pub enum FailAt {
 /// sync over everything committed meanwhile. `None` (the default) is the
 /// paper's configuration: memory-only, replication as the sole failure
 /// story, and bit-identical behaviour to every pre-durability run (the
-/// golden determinism tests pin this).
+/// golden table, `crates/bench/goldens.tsv`, pins this: its first rows
+/// predate durability).
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilityConfig {
     /// Virtual latency of the sync itself (the fsync stand-in charged by
@@ -291,7 +292,7 @@ impl RetryConfig {
 pub enum AdaptiveConfig {
     /// No adaptation: the configured scheme is pinned for the whole run
     /// (the paper's configuration; bit-identical to every pre-adaptive
-    /// golden).
+    /// run, as the golden table's first rows, which predate it, pin).
     Off,
     /// Model-driven switching.
     Model {

@@ -312,8 +312,9 @@ pub struct SwitchRecord {
 
 /// Statistics for the adaptive scheme-selection controller (ISSUE 10),
 /// merged across partitions by the drivers. All zero / empty when
-/// `SystemConfig::adaptive` is off — the golden determinism tests pin
-/// that the paper's configuration pays nothing for this subsystem.
+/// `SystemConfig::adaptive` is off — the golden table
+/// (`crates/bench/goldens.tsv`), whose first rows predate this subsystem,
+/// pins that the paper's configuration pays nothing for it.
 #[derive(Debug, Clone, Default)]
 pub struct AdaptiveStats {
     /// Live scheme swaps performed.
@@ -420,9 +421,9 @@ impl ReplicationCounters {
 
 /// Counters for the epoch-batched cross-shard sequencing layer (ISSUE 8),
 /// merged across coordinator shards and partitions by the drivers. All
-/// zero when `SystemConfig::sequencing` is off — the golden determinism
-/// tests pin that the paper's configuration pays nothing for this
-/// subsystem.
+/// zero when `SystemConfig::sequencing` is off — the golden table
+/// (`crates/bench/goldens.tsv`), whose first rows predate this subsystem,
+/// pins that the paper's configuration pays nothing for it.
 #[derive(Debug, Clone, Default)]
 pub struct SequencerStats {
     /// Epochs closed across all coordinator shards (including the empty
@@ -484,8 +485,9 @@ impl SequencerStats {
 
 /// Counters for the durable command log (ISSUE 6), aggregated across all
 /// partitions of a run by the drivers. Zero everywhere when durability is
-/// off — the golden determinism tests pin that the paper's configuration
-/// pays nothing for this subsystem.
+/// off — the golden table (`crates/bench/goldens.tsv`), whose first rows
+/// predate this subsystem, pins that the paper's configuration pays
+/// nothing for it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurabilityCounters {
     /// Commit records appended to the durable log.

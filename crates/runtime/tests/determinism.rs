@@ -1,6 +1,7 @@
 //! The simulator is a pure function of (config, workload seed): identical
 //! runs produce identical results, and different seeds differ. This is
-//! what makes every figure in EXPERIMENTS.md exactly reproducible.
+//! what makes every figure `repro` draws, and every row of the golden
+//! table (`crates/bench/goldens.tsv`), exactly reproducible.
 
 use hcc_common::{Nanos, Scheme, SystemConfig};
 use hcc_runtime::{BackendChoice, RuntimeConfig};
@@ -31,146 +32,11 @@ fn run(scheme: Scheme, seed: u64) -> (u64, u64, u64, Vec<u64>) {
     )
 }
 
-/// Golden values for [`golden_fixed_seed_results_survive_fast_path_rewrite`].
-#[derive(Debug, PartialEq, Eq)]
-struct Golden {
-    committed: u64,
-    user_aborts: u64,
-    retries: u64,
-    committed_mp: u64,
-    /// Final primary-store fingerprint per partition (the shadow replica
-    /// must match it too, which the test checks separately).
-    fingerprints: [u64; 2],
-    /// p50/p99/p999 of committed-transaction latency, in virtual
-    /// nanoseconds — pins the whole latency *distribution* shape, proving
-    /// the histogram is a deterministic function of the seed (the property
-    /// the runtime's tail-latency tables inherit).
-    latency_ns: [u64; 3],
-}
-
-/// Perf-neutrality guard for the PR 1 fast-path rewrite (and any future
-/// hot-path work): for a fixed RNG seed the simulation must produce
-/// *bit-identical* results — same committed/aborted/retry counts, same
-/// final store state on every partition, and primary == shadow replica.
-///
-/// The constants were captured on the naive (std-hasher, allocating)
-/// build via `cargo run -p hcc-bench --bin golden_capture`. An
-/// optimization that changes them has changed scheduling semantics, not
-/// just speed.
-#[test]
-fn golden_fixed_seed_results_survive_fast_path_rewrite() {
-    let golden: [(Scheme, Golden); 4] = [
-        (
-            Scheme::Blocking,
-            Golden {
-                committed: 1233,
-                user_aborts: 64,
-                retries: 0,
-                committed_mp: 369,
-                fingerprints: [0xc3ff8d43e189e49e, 0xdabe674f6edfa9d0],
-                latency_ns: [1_880_000, 2_640_000, 2_790_000],
-            },
-        ),
-        (
-            Scheme::Speculative,
-            Golden {
-                committed: 1664,
-                user_aborts: 95,
-                retries: 0,
-                committed_mp: 490,
-                fingerprints: [0x071a68d38466ab12, 0x2ab4536c52d32d43],
-                latency_ns: [1_150_000, 4_650_000, 5_250_000],
-            },
-        ),
-        (
-            Scheme::Locking,
-            Golden {
-                committed: 1638,
-                user_aborts: 93,
-                retries: 0,
-                committed_mp: 491,
-                fingerprints: [0x4f5d0488ad7672dc, 0x6ee7ef7ba16eb8ab],
-                latency_ns: [982_000, 5_670_000, 7_430_000],
-            },
-        ),
-        (
-            Scheme::Occ,
-            Golden {
-                committed: 1632,
-                user_aborts: 90,
-                retries: 0,
-                committed_mp: 486,
-                fingerprints: [0x1db00b865ea076f9, 0xcb7903ecf7feb066],
-                latency_ns: [1_250_000, 3_710_000, 4_710_000],
-            },
-        ),
-    ];
-    for (scheme, expected) in golden {
-        let micro = MicroConfig {
-            mp_fraction: 0.3,
-            abort_prob: 0.05,
-            conflict_prob: 0.2,
-            clients: 24,
-            seed: 0xD5,
-            ..Default::default()
-        };
-        let system = SystemConfig::new(scheme)
-            .with_partitions(2)
-            .with_clients(24)
-            .with_seed(0xD5);
-        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
-            .with_window(Nanos::from_millis(20), Nanos::from_millis(100));
-        let builder = MicroWorkload::new(micro);
-        let r = hcc_runtime::run(cfg, MicroWorkload::new(micro), move |p| {
-            builder.build_engine(p)
-        });
-        let (engines, shadow) = (&r.engines, &r.backups);
-        assert_eq!(shadow.len(), engines.len(), "shadow enabled");
-        let got = Golden {
-            committed: r.committed,
-            user_aborts: r.user_aborts,
-            retries: r.retries,
-            committed_mp: r.committed_mp,
-            fingerprints: [engines[0].fingerprint(), engines[1].fingerprint()],
-            latency_ns: {
-                let lat = r.latency();
-                [lat.p50.0, lat.p99.0, lat.p999.0]
-            },
-        };
-        assert_eq!(
-            got, expected,
-            "{scheme}: fixed-seed results changed — the rewrite altered semantics"
-        );
-        for (i, (e, s)) in engines.iter().zip(shadow.iter()).enumerate() {
-            assert_eq!(
-                e.fingerprint(),
-                s.fingerprint(),
-                "{scheme}: P{i} primary and shadow replica diverged"
-            );
-        }
-        assert_eq!(
-            r.sched.stray_decisions, 0,
-            "{scheme}: stray decision in a healthy run"
-        );
-        if scheme == Scheme::Blocking {
-            assert_eq!(
-                r.sched.speculative_executions, 0,
-                "blocking is speculation at depth 0: nothing is speculated"
-            );
-        }
-        assert_eq!(
-            r.replication.replay_failures, 0,
-            "{scheme}: replica replay must be clean"
-        );
-    }
-}
-
 /// Coordinator scale-out determinism: for each shard count the simulation
-/// stays a pure function of the seed (bit-identical reruns), N = 1
-/// reproduces the singleton's exact fingerprints (the golden test above
-/// pins those), and different shard counts genuinely change the schedule
-/// (different interleavings at the partitions) while committing the same
-/// workload kinds.
+/// stays a pure function of the seed (bit-identical reruns), and
+/// different shard counts genuinely change the schedule (different
+/// interleavings at the partitions) while committing the same workload
+/// kinds.
 #[test]
 fn sharded_coordinators_are_deterministic_per_shard_count() {
     let run_n = |coordinators: u32| {

@@ -228,8 +228,8 @@ fn torn_tail_of_a_real_log_is_discarded() {
 }
 
 /// With durability off, the report carries no logs and zero counters —
-/// the hot path pays nothing (the golden determinism suites pin the
-/// committed state itself).
+/// the hot path pays nothing (the golden table's `d0` rows,
+/// `crates/bench/goldens.tsv`, pin the committed state itself).
 #[test]
 fn durability_off_leaves_no_trace() {
     let mc = micro();

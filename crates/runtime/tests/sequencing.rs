@@ -330,152 +330,6 @@ fn failover_mid_epoch_retries_unclosed_work_without_losing_commits() {
     }
 }
 
-/// Satellite (b): golden fixed-seed values with sequencing *on* — the
-/// counterpart of `determinism.rs::golden_fixed_seed_results_survive_
-/// fast_path_rewrite` (which pins the sequencing-off defaults). Pins
-/// counts, per-partition fingerprints, the full latency-quantile shape,
-/// and the epoch stats. Captured via `cargo run -p hcc-bench --bin
-/// golden_capture`; a change means sequencing semantics moved, not just
-/// speed.
-#[derive(Debug, PartialEq)]
-struct SeqGolden {
-    committed: u64,
-    user_aborts: u64,
-    retries: u64,
-    committed_mp: u64,
-    fingerprints: [u64; 4],
-    latency_ns: [u64; 3],
-    epochs_closed: u64,
-    batch_sum: u64,
-    batch_max: u64,
-    /// p50/p99 of the submission → epoch-close hold time.
-    hold_ns: [u64; 2],
-}
-
-#[test]
-fn golden_fixed_seed_with_sequencing_on() {
-    let golden: [(Scheme, SeqGolden); 3] = [
-        (
-            Scheme::Blocking,
-            SeqGolden {
-                committed: 1349,
-                user_aborts: 63,
-                retries: 0,
-                committed_mp: 524,
-                fingerprints: [
-                    0xf5512885007b4ad8,
-                    0xe8c32b7b49d395bc,
-                    0x6bedbc8df2cf2d22,
-                    0x765e3766af415c5e,
-                ],
-                latency_ns: [2_260_000, 3_510_000, 3_910_000],
-                epochs_closed: 460,
-                batch_sum: 672,
-                batch_max: 7,
-                hold_ns: [200_000, 314_000],
-            },
-        ),
-        (
-            Scheme::Speculative,
-            SeqGolden {
-                committed: 1932,
-                user_aborts: 98,
-                retries: 0,
-                committed_mp: 768,
-                fingerprints: [
-                    0xcd79bfb0643a965c,
-                    0x66d7707bc579b5de,
-                    0xe00276a4e86805da,
-                    0xfcc2712369e971c8,
-                ],
-                latency_ns: [1_390_000, 4_660_000, 6_400_000],
-                epochs_closed: 356,
-                batch_sum: 981,
-                batch_max: 9,
-                hold_ns: [204_000, 479_000],
-            },
-        ),
-        (
-            Scheme::Occ,
-            // OCC honours sequencing: its chains span shards like
-            // speculation's instead of waiting behind another shard.
-            SeqGolden {
-                committed: 1948,
-                user_aborts: 98,
-                retries: 0,
-                committed_mp: 765,
-                fingerprints: [
-                    0xea3f107a191f3ad0,
-                    0x860c9e25f3e2f414,
-                    0x5d4403082ce16262,
-                    0x8365c6928ac15c7a,
-                ],
-                latency_ns: [1_300_000, 5_030_000, 6_330_000],
-                epochs_closed: 380,
-                batch_sum: 983,
-                batch_max: 9,
-                hold_ns: [200_000, 488_000],
-            },
-        ),
-    ];
-    for (scheme, expected) in golden {
-        let micro = MicroConfig {
-            partitions: 4,
-            mp_fraction: 0.4,
-            abort_prob: 0.05,
-            conflict_prob: 0.2,
-            clients: 32,
-            seed: 0xE8,
-            ..Default::default()
-        };
-        let system = SystemConfig::new(scheme)
-            .with_partitions(4)
-            .with_clients(32)
-            .with_seed(0xE8)
-            .with_coordinators(2)
-            .with_sequencing(true);
-        let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: true })
-            .with_window(Nanos::from_millis(20), Nanos::from_millis(100));
-        let builder = MicroWorkload::new(micro);
-        let r = run(cfg, MicroWorkload::new(micro), move |p| {
-            builder.build_engine(p)
-        });
-        let (engines, shadow) = (&r.engines, &r.backups);
-        assert_eq!(shadow.len(), engines.len(), "shadow enabled");
-        let lat = r.latency();
-        let hold = r.sequencer.seq_hold.summary();
-        let got = SeqGolden {
-            committed: r.committed,
-            user_aborts: r.user_aborts,
-            retries: r.retries,
-            committed_mp: r.committed_mp,
-            fingerprints: [
-                engines[0].fingerprint(),
-                engines[1].fingerprint(),
-                engines[2].fingerprint(),
-                engines[3].fingerprint(),
-            ],
-            latency_ns: [lat.p50.0, lat.p99.0, lat.p999.0],
-            epochs_closed: r.sequencer.epochs_closed,
-            batch_sum: r.sequencer.batch_sum,
-            batch_max: r.sequencer.batch_max,
-            hold_ns: [hold.p50.0, hold.p99.0],
-        };
-        assert_eq!(
-            got, expected,
-            "{scheme}: fixed-seed sequenced results changed — semantics moved"
-        );
-        assert_eq!(r.sequencer.cross_coord_aborts, 0, "{scheme}");
-        for (i, (e, s)) in engines.iter().zip(shadow.iter()).enumerate() {
-            assert_eq!(
-                e.fingerprint(),
-                s.fingerprint(),
-                "{scheme}: P{i} primary and shadow replica diverged"
-            );
-        }
-    }
-}
-
 /// SP traffic never touches the sequencer: at `mp_fraction = 0` the knob
 /// must not change committed state, count, or a single latency quantile.
 /// (`events_processed` is deliberately not compared: the off baseline

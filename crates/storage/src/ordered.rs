@@ -35,7 +35,8 @@
 //!
 //! The index is opt-in: engines that never scan (the paper's original
 //! microbenchmark, the point-read YCSB-B mix) pay nothing, which keeps
-//! the golden fixed-seed results and the hot-path numbers untouched.
+//! the golden table's micro rows (`crates/bench/goldens.tsv`) and the
+//! hot-path numbers untouched.
 
 use bytes::Bytes;
 use std::cell::{Ref, RefCell};

@@ -156,8 +156,8 @@ pub struct MicroEngine {
     /// per-key locks, so scans can pre-declare range-covering locks and
     /// membership changes (insert/delete) conflict with covering scans.
     /// Off by default — point-only workloads keep the original hot path
-    /// and lock granularity (the golden fixed-seed results are pinned on
-    /// them).
+    /// and lock granularity (the golden table's micro rows pin them, its
+    /// scan rows this mode).
     scan_mode: bool,
 }
 
