@@ -20,7 +20,8 @@
 //! Each actor has a busy-until clock, and each `step` returns the virtual
 //! CPU it cost (from the calibrated [`hcc_common::CostModel`]):
 //!
-//! 1. a message arriving at `t` starts at `max(t, busy)`;
+//! 1. a message — or the log device's answer to a sync — arriving at `t`
+//!    starts at `max(t, busy)`;
 //! 2. the actor is busy for the virtual CPU its `step` returns;
 //! 3. every message it emitted departs then and arrives `one_way` later
 //!    (mail to oneself — a client's own 2PC driver reporting its result —
@@ -39,7 +40,8 @@
 //!
 //! * **sync latency** — a logging node left with unsynced records and no
 //!   sync at the device has one issued; the production `on_drained` runs
-//!   `sync_latency` later and covers whatever was appended by then;
+//!   `sync_latency` later, once the node is between steps (rule 1), and
+//!   covers whatever was appended by then;
 //! * **rejoin delay** — the membership actor's `Rejoin` (control mail,
 //!   like the `Promoted` flip) reaches the failed node the plan's
 //!   `rejoin_delay` after a normal hop would have; a [`FailAt::Time`]
@@ -343,12 +345,10 @@ where
             }
             ActorId::Partition(_) => unreachable!("resolved above"),
         };
-        // The device's answer is not CPU work: it does not queue behind
-        // whatever the node is executing.
-        let start = match due {
-            Due::Synced => at,
-            Due::Mail(_) => at.max(self.busy[i]),
-        };
+        // The device's answer costs no CPU, but the node takes it between
+        // steps, as the reactor runs `on_drained` on the node's own worker:
+        // what it releases leaves after the mail of the step before it.
+        let start = at.max(self.busy[i]);
         if matches!(due, Due::Mail(Msg::Tick)) {
             self.ticking[i] = false;
         }
@@ -472,8 +472,9 @@ where
                 let cpu = self.replicas[r].step(msg, now, &self.ctl, &mut self.out);
                 // Sync latency: a logging node that is left with unsynced
                 // records and has no sync at the device issues one; the
-                // production `on_drained` runs when the device answers, so
-                // the sync covers what was appended by then.
+                // production `on_drained` runs once the device has answered
+                // and the node is between steps, so the sync covers what
+                // was appended by then.
                 if self.replicas[r].has_unsynced() && !self.syncing[r] {
                     self.syncing[r] = true;
                     let latency = self.cfg.system.durability.map(|d| d.sync_latency);
@@ -647,25 +648,28 @@ pub struct CrashHarvest<E: ExecutionEngine> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_common::{Scheme, SystemConfig};
+    use hcc_common::{DurabilityConfig, Scheme, SystemConfig};
     use hcc_workloads::micro::{MicroConfig, MicroWorkload};
 
     /// Every message of a short failover run (P1's primary killed at 1 ms;
-    /// two sequenced shards, 50 % multi-partition), senders preempted from
-    /// `seed` if given.
-    fn failover_mail(seed: Option<u64>) -> Vec<(ActorId, ActorId, (Nanos, u64))> {
+    /// two sequenced shards, 50 % multi-partition), with a command log if
+    /// `durable`, senders preempted from `seed` if given.
+    fn failover_mail(durable: bool, seed: Option<u64>) -> Vec<(ActorId, ActorId, (Nanos, u64))> {
         let micro = MicroConfig {
             partitions: 2,
             clients: 6,
             mp_fraction: 0.5,
             ..Default::default()
         };
-        let system = SystemConfig::new(Scheme::Speculative)
+        let mut system = SystemConfig::new(Scheme::Speculative)
             .with_partitions(2)
             .with_clients(6)
             .with_replication(2)
             .with_coordinators(2)
             .with_sequencing(true);
+        if durable {
+            system = system.with_durability(DurabilityConfig::default());
+        }
         let cfg = RuntimeConfig::new(system, BackendChoice::Sim { shadow: false })
             .with_window(Nanos::from_micros(200), Nanos::from_millis(2))
             .with_failure(FailurePlan {
@@ -683,40 +687,45 @@ mod tests {
     }
 
     /// What one actor sends another is due — so stepped — in send order,
-    /// however the sender's steps were cut; and the membership actor's
-    /// `Promote` is due ahead of the routing flip it sends after it, even
-    /// when cut off between the two.
+    /// however the sender's steps were cut, and with a log whose syncs
+    /// answer mid-step; and the membership actor's `Promote` is due ahead
+    /// of the routing flip it sends after it, even when cut off between the
+    /// two.
     #[test]
     fn preempted_senders_keep_links_fifo_and_promote_ahead_of_the_flip() {
-        let plain = failover_mail(None);
-        let mut cut_between = 0;
-        for seed in 0..64 {
-            let sent = failover_mail(Some(seed));
-            assert_ne!(sent, plain, "seed {seed}: the model moved nothing");
+        let fifo = |sent: &[(ActorId, ActorId, (Nanos, u64))], run: &str| {
             for (i, (from, to, key)) in sent.iter().enumerate() {
                 let earlier = sent[..i].iter().rev().find(|m| (m.0, m.1) == (*from, *to));
                 assert!(
                     earlier.is_none_or(|m| m.2 < *key),
-                    "seed {seed}: {from:?} -> {to:?}"
+                    "{run}: {from:?} -> {to:?}"
                 );
             }
-            let membership = |to: ActorId| {
-                let m = sent
-                    .iter()
-                    .find(|m| (m.0, m.1) == (ActorId::Membership, to));
-                m.expect("one failover").2
-            };
-            let promote = membership(ActorId::Replica(PartitionId(1), 1));
-            let flip = membership(ActorId::Control);
+        };
+        for durable in [false, true] {
+            let plain = failover_mail(durable, None);
+            fifo(&plain, &format!("durable {durable}"));
+            let mut cut_between = 0;
+            for seed in 0..64 {
+                let sent = failover_mail(durable, Some(seed));
+                let run = format!("durable {durable}, seed {seed}");
+                assert_ne!(sent, plain, "{run}: the model moved nothing");
+                fifo(&sent, &run);
+                let membership = |to: ActorId| {
+                    let m = sent
+                        .iter()
+                        .find(|m| (m.0, m.1) == (ActorId::Membership, to));
+                    m.expect("one failover").2
+                };
+                let promote = membership(ActorId::Replica(PartitionId(1), 1));
+                let flip = membership(ActorId::Control);
+                assert!(promote < flip, "{run}: the flip overtook the promotion");
+                cut_between += usize::from(flip.0 > promote.0);
+            }
             assert!(
-                promote < flip,
-                "seed {seed}: the flip overtook the promotion"
+                cut_between > 0,
+                "durable {durable}: no seed cut the membership actor between the two"
             );
-            cut_between += usize::from(flip.0 > promote.0);
         }
-        assert!(
-            cut_between > 0,
-            "no seed cut the membership actor between the two"
-        );
     }
 }
