@@ -1,8 +1,6 @@
 //! The golden table is current: every point of `hcc_bench::goldens`, run
-//! again, reproduces its line of `crates/bench/goldens.tsv` and passes the
-//! table's checks (each live backup equals its primary, clean replay, no
-//! stray decision without a kill, no `CrossCoordinator` abort under
-//! sequencing, no speculation under blocking).
+//! again, passes the table's checks and reproduces its line of
+//! `crates/bench/goldens.tsv`.
 
 use hcc_bench::goldens;
 use std::collections::BTreeMap;

@@ -687,10 +687,9 @@ mod tests {
     }
 
     /// What one actor sends another is due — so stepped — in send order,
-    /// however the sender's steps were cut, and with a log whose syncs
-    /// answer mid-step; and the membership actor's `Promote` is due ahead
-    /// of the routing flip it sends after it, even when cut off between the
-    /// two.
+    /// with or without a command log and however the sender's steps were
+    /// cut; and the membership actor's `Promote` is due ahead of the
+    /// routing flip it sends after it, even when cut off between the two.
     #[test]
     fn preempted_senders_keep_links_fifo_and_promote_ahead_of_the_flip() {
         let fifo = |sent: &[(ActorId, ActorId, (Nanos, u64))], run: &str| {
