@@ -4,9 +4,9 @@
 //! A run is a pure function of `(config, seed)`, so a change that moves a
 //! line changed what the system does, not how fast the host does it. The
 //! `golden_capture` binary writes [`table`] to [`PATH`]; the `goldens`
-//! test runs every point again and names each moved value by key and
-//! column. A change that moves behaviour shows `git diff` of the file, with
-//! the cause named.
+//! test runs every point again through [`assert_reproduced`], which names
+//! each moved value by key and column. A change that moves behaviour shows
+//! `git diff` of the file, with the cause named.
 //!
 //! Every run must also pass the table's checks: each live backup ends in
 //! its primary's state, which — the backup re-executing the commit order
@@ -24,6 +24,7 @@ use hcc_storage::tpcc::TpccScale;
 use hcc_workloads::micro::{MicroConfig, MicroWorkload};
 use hcc_workloads::tpcc::{TpccConfig, TpccWorkload};
 use hcc_workloads::ycsb::{YcsbEConfig, YcsbEWorkload};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// The committed table.
@@ -295,11 +296,17 @@ const POISONED: &str = "no golden run panics holding a lock";
 /// Every point, run on `available_parallelism()` threads, as the table's
 /// text: a header line, then one line per point in [`POINTS`] order.
 pub fn table() -> String {
-    let work = Mutex::new(POINTS.iter().enumerate());
-    let rows = Mutex::new(vec![None; POINTS.len()]);
+    table_of(&POINTS)
+}
+
+/// The points `keys` names, run on `available_parallelism()` threads, as
+/// table text: a header line, then one line per key in `keys` order.
+pub fn table_of(keys: &[&str]) -> String {
+    let work = Mutex::new(keys.iter().enumerate());
+    let rows = Mutex::new(vec![None; keys.len()]);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(POINTS.len()) {
+        for _ in 0..threads.min(keys.len()) {
             scope.spawn(|| loop {
                 let Some((i, key)) = work.lock().expect(POISONED).next() else {
                     return;
@@ -317,4 +324,61 @@ pub fn table() -> String {
         text += &line(row.iter().map(|(_, v)| v.as_str()).collect());
     }
     text
+}
+
+/// A table's rows by key, each as (column, value) pairs in header order.
+fn rows(table: &str) -> BTreeMap<&str, Vec<(&str, &str)>> {
+    let mut lines = table.lines().map(|l| l.split('\t'));
+    let header: Vec<&str> = lines.next().map(Iterator::collect).unwrap_or_default();
+    lines
+        .map(|cells| {
+            let row: Vec<(&str, &str)> = header.iter().copied().zip(cells).collect();
+            (row[0].1, row)
+        })
+        .collect()
+}
+
+/// Run the points `keys` names again and check them against their lines
+/// of the committed table (the header, then `keys`' rows in `keys`
+/// order). Panics unless every run passes the table's checks and
+/// reproduces its line, naming each moved value by key and column
+/// (old → new).
+pub fn assert_reproduced(keys: &[&str]) {
+    let file = std::fs::read_to_string(PATH).expect("the golden table");
+    let committed = rows(&file);
+    let mut lines = file.lines();
+    let mut was = lines.next().unwrap_or_default().to_string() + "\n";
+    for key in keys {
+        if let Some(line) = lines.clone().find(|l| l.split('\t').next() == Some(key)) {
+            was += line;
+            was += "\n";
+        }
+    }
+    let now = table_of(keys);
+    if now == was {
+        return;
+    }
+    let mut moved = Vec::new();
+    for (key, row) in &rows(&now) {
+        let Some(old) = committed.get(key) else {
+            moved.push(format!("{key}: new row"));
+            continue;
+        };
+        let old_value = |col| old.iter().find(|(c, _)| *c == col).map(|(_, v)| *v);
+        for (col, value) in row {
+            let old = old_value(*col).unwrap_or("(no column)");
+            if old != *value {
+                moved.push(format!("{key}: {col} {old} → {value}"));
+            }
+        }
+    }
+    if moved.is_empty() {
+        moved.push("no value moved, but the header or the layout did".into());
+    }
+    panic!(
+        "the golden table moved:\n{}\nIf the change means to move it, run \
+         `cargo run --release -p hcc-bench --bin golden_capture` and commit the diff \
+         with its cause.",
+        moved.join("\n")
+    );
 }

@@ -1,53 +1,22 @@
-//! The golden table is current: every point of `hcc_bench::goldens`, run
-//! again, passes the table's checks and reproduces its line of
-//! `crates/bench/goldens.tsv`.
+//! The golden table is current: it holds one row per point of
+//! `hcc_bench::goldens`, in order, and every point, run again, passes the
+//! table's checks and reproduces its line of `crates/bench/goldens.tsv`.
 
 use hcc_bench::goldens;
-use std::collections::BTreeMap;
-
-/// A table's rows by key, each as (column, value) pairs in header order.
-fn rows(table: &str) -> BTreeMap<&str, Vec<(&str, &str)>> {
-    let mut lines = table.lines().map(|l| l.split('\t'));
-    let header: Vec<&str> = lines.next().map(Iterator::collect).unwrap_or_default();
-    lines
-        .map(|cells| {
-            let row: Vec<(&str, &str)> = header.iter().copied().zip(cells).collect();
-            (row[0].1, row)
-        })
-        .collect()
-}
 
 #[test]
 fn every_golden_point_reproduces_its_row() {
     let file = std::fs::read_to_string(goldens::PATH).expect("the golden table");
-    let now = goldens::table();
-    if now == file {
-        return;
-    }
-    let (was, is) = (rows(&file), rows(&now));
-    let mut moved = Vec::new();
-    for (key, row) in &is {
-        let Some(old) = was.get(key) else {
-            moved.push(format!("{key}: new row"));
-            continue;
-        };
-        let old_value = |col| old.iter().find(|(c, _)| *c == col).map(|(_, v)| *v);
-        for (col, value) in row {
-            let old = old_value(*col).unwrap_or("(no column)");
-            if old != *value {
-                moved.push(format!("{key}: {col} {old} → {value}"));
-            }
-        }
-    }
-    let gone = was.keys().filter(|k| !is.contains_key(*k));
-    moved.extend(gone.map(|k| format!("{k}: row gone")));
-    if moved.is_empty() {
-        moved.push("no value moved, but the header or the layout did".into());
-    }
-    panic!(
-        "the golden table moved:\n{}\nIf the change means to move it, run \
-         `cargo run --release -p hcc-bench --bin golden_capture` and commit the diff \
-         with its cause.",
-        moved.join("\n")
+    let keys: Vec<&str> = file
+        .lines()
+        .skip(1)
+        .filter_map(|l| l.split('\t').next())
+        .collect();
+    assert_eq!(
+        keys,
+        goldens::POINTS,
+        "the table's rows are not the points' rows: run \
+         `cargo run --release -p hcc-bench --bin golden_capture`"
     );
+    goldens::assert_reproduced(&goldens::POINTS);
 }

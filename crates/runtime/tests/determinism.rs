@@ -3,6 +3,7 @@
 //! what makes every figure `repro` draws, and every row of the golden
 //! table (`crates/bench/goldens.tsv`), exactly reproducible.
 
+use hcc_bench::goldens;
 use hcc_common::{Nanos, Scheme, SystemConfig};
 use hcc_runtime::{BackendChoice, RuntimeConfig};
 use hcc_workloads::micro::{MicroConfig, MicroWorkload};
@@ -30,6 +31,24 @@ fn run(scheme: Scheme, seed: u64) -> (u64, u64, u64, Vec<u64>) {
         r.user_aborts,
         r.engines.iter().map(|e| e.fingerprint()).collect(),
     )
+}
+
+/// Perf-neutrality guard for hot-path work: for a fixed seed the four
+/// schemes on the base point (2 partitions, 24 clients, 30 % multi-partition,
+/// a co-located shadow) reproduce their rows of the golden table bit for
+/// bit — counts, latency quantiles, every primary's and shadow's
+/// fingerprint — and pass its checks: shadow == primary, no stray
+/// decision, no replay failure, blocking speculates nothing. An
+/// optimisation that moves them changed scheduling semantics, not just
+/// speed.
+#[test]
+fn golden_fixed_seed_results_survive_fast_path_rewrite() {
+    goldens::assert_reproduced(&[
+        "micro/blocking/p2/r1/d0/sh1/seq0/ad0/kill0",
+        "micro/speculation/p2/r1/d0/sh1/seq0/ad0/kill0",
+        "micro/locking/p2/r1/d0/sh1/seq0/ad0/kill0",
+        "micro/occ/p2/r1/d0/sh1/seq0/ad0/kill0",
+    ]);
 }
 
 /// Coordinator scale-out determinism: for each shard count the simulation

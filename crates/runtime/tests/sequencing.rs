@@ -9,6 +9,7 @@
 //! regression, bit-determinism, serial equivalence of the
 //! sequenced execution, and failover mid-epoch.
 
+use hcc_bench::goldens;
 use hcc_common::{FailAt, FailurePlan, Nanos, PartitionId, Scheme, SystemConfig};
 use hcc_core::sequencer::EPOCH_BATCH;
 use hcc_runtime::{run, BackendChoice, RuntimeConfig, RuntimeReport};
@@ -328,6 +329,21 @@ fn failover_mid_epoch_retries_unclosed_work_without_losing_commits() {
             "{scheme}: mid-epoch failover must be bit-deterministic"
         );
     }
+}
+
+/// The golden rows with sequencing on: blocking, speculation and OCC on 4
+/// partitions and 2 sequenced coordinator shards (32 clients, 40 %
+/// multi-partition) reproduce their counts, fingerprints, latency
+/// quantiles, epoch stats and hold-time quantiles, with no
+/// `CrossCoordinator` abort and every shadow equal to its primary. A
+/// change means sequencing semantics moved, not just speed.
+#[test]
+fn golden_fixed_seed_with_sequencing_on() {
+    goldens::assert_reproduced(&[
+        "micro/blocking/p4/r1/d0/sh2/seq1/ad0/kill0",
+        "micro/speculation/p4/r1/d0/sh2/seq1/ad0/kill0",
+        "micro/occ/p4/r1/d0/sh2/seq1/ad0/kill0",
+    ]);
 }
 
 /// SP traffic never touches the sequencer: at `mp_fraction = 0` the knob
