@@ -239,7 +239,7 @@ pub fn fig9(effort: Effort) -> Figure {
 
 /// Figure 10: analytical model vs. measured throughput (no replication).
 pub fn fig10(effort: Effort) -> Figure {
-    let params = model::ModelParams::paper_table2();
+    let params = crate::model_params();
     let fracs = mp_fractions(Effort::Full);
     let model_series = |label: &str, f: &dyn Fn(f64) -> f64| Series {
         label: label.to_string(),

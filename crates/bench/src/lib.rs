@@ -16,6 +16,7 @@ pub mod plot;
 pub mod tables;
 
 use hcc_common::{Nanos, Scheme, SystemConfig};
+use hcc_model::ModelParams;
 use hcc_runtime::{run, BackendChoice, RuntimeConfig, RuntimeReport};
 use hcc_workloads::micro::{MicroConfig, MicroEngine, MicroWorkload};
 use hcc_workloads::tpcc::{TpccConfig, TpccEngine, TpccWorkload};
@@ -64,6 +65,12 @@ impl Effort {
 fn sim_config(system: SystemConfig, effort: Effort) -> RuntimeConfig {
     let (warmup, measure) = effort.window();
     RuntimeConfig::new(system, BackendChoice::Sim { shadow: false }).with_window(warmup, measure)
+}
+
+/// The §6 model's parameters for the system [`run_micro`] simulates.
+pub fn model_params() -> ModelParams {
+    let system = SystemConfig::new(Scheme::Blocking);
+    ModelParams::of(&system.costs, &system.network)
 }
 
 /// Run the microbenchmark once and return the report.

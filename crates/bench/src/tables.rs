@@ -1,7 +1,8 @@
 //! Tables 1 and 2 of the paper.
 
-use crate::{run_micro, Effort};
-use hcc_common::{CostModel, Scheme};
+use crate::{model_params, run_micro, Effort};
+use hcc_common::Scheme;
+use hcc_model::{fastest, recommend, ModelParams, WorkloadProfile};
 use hcc_workloads::micro::MicroConfig;
 
 /// One cell of the Table 1 grid: the measured best scheme for a workload
@@ -38,13 +39,12 @@ pub fn table1(effort: Effort) -> Vec<Table1Cell> {
                     let b = run_micro(Scheme::Blocking, micro, effort).throughput_tps;
                     let s = run_micro(Scheme::Speculative, micro, effort).throughput_tps;
                     let l = run_micro(Scheme::Locking, micro, effort).throughput_tps;
-                    let best = if s >= b && s >= l {
-                        "speculation"
-                    } else if l >= b {
-                        "locking"
-                    } else {
-                        "blocking"
-                    };
+                    let best = fastest(&[
+                        (Scheme::Blocking, b),
+                        (Scheme::Speculative, s),
+                        (Scheme::Locking, l),
+                    ])
+                    .name();
                     cells.push(Table1Cell {
                         multi_round,
                         many_mp,
@@ -120,16 +120,24 @@ pub struct Table2 {
     pub locking_overhead: f64,
 }
 
+impl Table2 {
+    /// The variables of `p`, with `t_mp_us` measured.
+    fn of(p: &ModelParams, t_mp_us: f64) -> Self {
+        let t_mp_c_us = p.t_mp_c.as_micros_f64();
+        Table2 {
+            t_sp_us: p.t_sp.as_micros_f64(),
+            t_sp_s_us: p.t_sp_s.as_micros_f64(),
+            t_mp_us,
+            t_mp_c_us,
+            t_mp_n_us: t_mp_us - t_mp_c_us,
+            locking_overhead: p.locking_overhead,
+        }
+    }
+}
+
 /// Measure Table 2 on the simulator, mirroring how the paper measured its
 /// prototype.
 pub fn table2(effort: Effort) -> Table2 {
-    let costs = CostModel::default();
-    // Pure CPU quantities come from the (calibrated) cost model — these
-    // are this system's "measured" per-transaction costs.
-    let t_sp = costs.fragment_cost(24, false, false, false).as_micros_f64();
-    let t_sp_s = costs.fragment_cost(24, true, false, false).as_micros_f64();
-    let t_mp_c = costs.fragment_cost(12, true, false, true).as_micros_f64();
-
     // t_mp: run 100% multi-partition blocking; each partition handles one
     // transaction at a time, so inverse per-partition throughput is the
     // full multi-partition turnaround including 2PC resolution.
@@ -141,36 +149,19 @@ pub fn table2(effort: Effort) -> Table2 {
         },
         effort,
     );
-    let t_mp = 1.0 / r.throughput_tps * 1e6;
-
-    Table2 {
-        t_sp_us: t_sp,
-        t_sp_s_us: t_sp_s,
-        t_mp_us: t_mp,
-        t_mp_c_us: t_mp_c,
-        t_mp_n_us: t_mp - t_mp_c,
-        locking_overhead: costs.lock_overhead - 1.0,
-    }
+    // Pure CPU quantities come from the (calibrated) cost model — these
+    // are this system's "measured" per-transaction costs.
+    Table2::of(&model_params(), 1.0 / r.throughput_tps * 1e6)
 }
 
 /// Ablation: speculation-depth limiting under abort-heavy workloads
 /// (§5.3's "limit the amount of speculation to avoid wasted work"), and
 /// the §5.7 adaptive advisor's accuracy.
 pub fn ablation(effort: Effort) -> String {
-    use hcc_model::{recommend, ModelParams, WorkloadProfile};
-    let mut out = String::new();
-    out.push_str(
-        "Speculation depth limit vs abort rate (30% multi-partition):
-
-",
-    );
-    out.push_str(
-        "abort % |  unlimited |   depth 8 |   depth 2 |   depth 0
-",
-    );
-    out.push_str(
-        "--------+------------+-----------+-----------+----------
-",
+    let mut out = String::from(
+        "Speculation depth limit vs abort rate (30% multi-partition):\n\n\
+         abort % |  unlimited |   depth 8 |   depth 2 |   depth 0\n\
+         --------+------------+-----------+-----------+----------\n",
     );
     for abort in [0.0, 0.05, 0.10, 0.20] {
         let mut row = format!("{:>7.0} |", abort * 100.0);
@@ -191,20 +182,11 @@ pub fn ablation(effort: Effort) -> String {
     }
 
     out.push_str(
-        "
-Adaptive advisor (model + runtime statistics) vs empirical winner:
-
-",
+        "\nAdaptive advisor (model + runtime statistics) vs empirical winner:\n\n\
+         mp %  confl  abort  rounds | advisor      | empirical best\n\
+         ---------------------------+--------------+---------------\n",
     );
-    out.push_str(
-        "mp %  confl  abort  rounds | advisor      | empirical best
-",
-    );
-    out.push_str(
-        "---------------------------+--------------+---------------
-",
-    );
-    let params = ModelParams::paper_table2();
+    let params = model_params();
     for (mp, conflict, abort, two_round) in [
         (0.05, 0.0, 0.0, false),
         (0.30, 0.0, 0.0, false),
@@ -220,16 +202,10 @@ Adaptive advisor (model + runtime statistics) vs empirical winner:
             two_round,
             ..MicroConfig::default()
         };
-        let b = crate::run_micro(Scheme::Blocking, micro, effort).throughput_tps;
-        let s = crate::run_micro(Scheme::Speculative, micro, effort).throughput_tps;
-        let l = crate::run_micro(Scheme::Locking, micro, effort).throughput_tps;
-        let best = if s >= b && s >= l {
-            "speculation"
-        } else if l >= b {
-            "locking"
-        } else {
-            "blocking"
-        };
+        let best = fastest(
+            &[Scheme::Blocking, Scheme::Speculative, Scheme::Locking]
+                .map(|scheme| (scheme, run_micro(scheme, micro, effort).throughput_tps)),
+        );
         let rec = recommend(
             &params,
             &WorkloadProfile {
@@ -237,12 +213,10 @@ Adaptive advisor (model + runtime statistics) vs empirical winner:
                 abort_rate: abort,
                 conflict_rate: conflict,
                 multi_round_fraction: if two_round { 1.0 } else { 0.0 },
-                coord_cost_per_mp_secs: 8.0 * 12e-6,
             },
         );
         out.push_str(&format!(
-            "{:>4.0}  {:>5.0}  {:>5.0}  {:>6} | {:<12} | {:<12} {}
-",
+            "{:>4.0}  {:>5.0}  {:>5.0}  {:>6} | {:<12} | {:<12} {}\n",
             mp * 100.0,
             conflict * 100.0,
             abort * 100.0,
@@ -255,21 +229,27 @@ Adaptive advisor (model + runtime statistics) vs empirical winner:
     out
 }
 
+/// Render Table 2: this system's measured column beside the paper's.
 pub fn render_table2(t: &Table2) -> String {
-    format!(
-        "variable | measured | paper (Table 2)\n\
-         ---------+----------+----------------\n\
-         t_sp     | {:>6.1}µs | 64µs\n\
-         t_spS    | {:>6.1}µs | 73µs\n\
-         t_mp     | {:>6.1}µs | 211µs\n\
-         t_mpC    | {:>6.1}µs | 55µs\n\
-         t_mpN    | {:>6.1}µs | 156µs (t_mp − t_mpC; raw ping RTT was 40µs)\n\
-         l        | {:>6.1}%  | 13.2%\n",
-        t.t_sp_us,
-        t.t_sp_s_us,
-        t.t_mp_us,
-        t.t_mp_c_us,
-        t.t_mp_n_us,
-        t.locking_overhead * 100.0,
-    )
+    let paper = ModelParams::paper_table2();
+    let p = Table2::of(&paper, paper.t_mp.as_micros_f64());
+    let mut out = String::from(
+        "variable | measured | paper (Table 2)\n---------+----------+----------------\n",
+    );
+    for (name, ours, theirs, note) in [
+        ("t_sp", t.t_sp_us, p.t_sp_us, ""),
+        ("t_spS", t.t_sp_s_us, p.t_sp_s_us, ""),
+        ("t_mp", t.t_mp_us, p.t_mp_us, ""),
+        ("t_mpC", t.t_mp_c_us, p.t_mp_c_us, ""),
+        (
+            "t_mpN",
+            t.t_mp_n_us,
+            p.t_mp_n_us,
+            " (t_mp − t_mpC; raw ping RTT was 40µs)",
+        ),
+    ] {
+        out += &format!("{name:<8} | {ours:>6.1}µs | {theirs}µs{note}\n");
+    }
+    let l = |t: &Table2| t.locking_overhead * 100.0;
+    out + &format!("l        | {:>6.1}%  | {:.1}%\n", l(t), l(&p))
 }

@@ -195,7 +195,11 @@ impl<E: ExecutionEngine> AdaptiveScheduler<E> {
             notes: Vec::new(),
             stats: AdaptiveStats::default(),
             residency_mark: Nanos::ZERO,
-            params: ModelParams::paper_table2(),
+            // Under adaptive every multi-partition transaction routes
+            // through the central coordinator (a partition's scheme can
+            // change mid-transaction, so clients cannot run
+            // scheme-specific 2PC): the model's coordinator cap applies.
+            params: ModelParams::of(&config.costs, &config.network),
         }
     }
 
@@ -216,8 +220,8 @@ impl<E: ExecutionEngine> AdaptiveScheduler<E> {
     }
 
     /// The model's §6 parameters, rescaled so `t_sp` matches the mean
-    /// fragment cost observed this window (the network stall `t_mpN` is
-    /// not CPU and stays fixed).
+    /// fragment cost observed this window (the network stall `t_mpN` and
+    /// the coordinator's CPU are not partition CPU and stay fixed).
     fn scaled_params(&self, d: &SchedulerCounters) -> ModelParams {
         let base = self.params;
         if d.fragments_executed == 0 || d.execution_ns == 0 {
@@ -234,7 +238,7 @@ impl<E: ExecutionEngine> AdaptiveScheduler<E> {
             t_sp_s: Nanos((base.t_sp_s.0 as f64 / base.t_sp.0 as f64 * mean_frag) as u64),
             t_mp: base.t_mp_n() + t_mp_c,
             t_mp_c,
-            locking_overhead: base.locking_overhead,
+            ..base
         }
     }
 
@@ -274,17 +278,11 @@ impl<E: ExecutionEngine> AdaptiveScheduler<E> {
         } else {
             (extra as f64 / d.committed_mp as f64).clamp(0.0, 1.0)
         };
-        // Under adaptive, every multi-partition transaction routes
-        // through the central coordinator (a partition's scheme can
-        // change mid-transaction, so clients cannot run scheme-specific
-        // 2PC); ~8 coordinator messages per MP transaction.
-        let coord_cost_per_mp_secs = 8.0 * self.config.costs.coord_per_msg.as_secs_f64();
         WorkloadProfile {
             mp_fraction,
             abort_rate,
             conflict_rate,
             multi_round_fraction,
-            coord_cost_per_mp_secs,
         }
     }
 
@@ -301,7 +299,7 @@ impl<E: ExecutionEngine> AdaptiveScheduler<E> {
         let params = self.scaled_params(&d);
         let profile = self.profile(&d);
         let rec = recommend(&params, &profile);
-        let winner = rec.as_scheme();
+        let winner = rec.scheme;
         if winner == self.scheme
             || rec.score_of(winner) < (1.0 + self.margin) * rec.score_of(self.scheme)
         {

@@ -28,34 +28,28 @@ fn run(scheme: Scheme, mp: f64) -> RuntimeReport<MicroEngine> {
 
 fn main() {
     println!("Microbenchmark: 2 partitions, 40 clients, 12-key read/write transactions");
-    println!("(simulated with the paper's Table 2 cost calibration)\n");
+    println!("(simulated on the cost model calibrated to the paper's Table 2; the model");
+    println!(" columns take their parameters from that same cost model)\n");
     println!(
         "{:>5} | {:>10} {:>10} {:>10} | {:>10} {:>10} | best",
         "MP %", "blocking", "spec", "locking", "model blk", "model spec"
     );
     println!("{}", "-".repeat(84));
 
-    let params = model::ModelParams::paper_table2();
+    let system = SystemConfig::new(Scheme::Blocking);
+    let params = model::ModelParams::of(&system.costs, &system.network);
     for mp in [0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0] {
-        let b = run(Scheme::Blocking, mp);
-        let s = run(Scheme::Speculative, mp);
-        let l = run(Scheme::Locking, mp);
-        let best = if s.throughput_tps >= b.throughput_tps && s.throughput_tps >= l.throughput_tps {
-            "speculation"
-        } else if l.throughput_tps >= b.throughput_tps {
-            "locking"
-        } else {
-            "blocking"
-        };
+        let [b, s, l] = [Scheme::Blocking, Scheme::Speculative, Scheme::Locking]
+            .map(|scheme| (scheme, run(scheme, mp).throughput_tps));
         println!(
             "{:>5.0} | {:>10.0} {:>10.0} {:>10.0} | {:>10.0} {:>10.0} | {}",
             mp * 100.0,
-            b.throughput_tps,
-            s.throughput_tps,
-            l.throughput_tps,
+            b.1,
+            s.1,
+            l.1,
             model::blocking_throughput(&params, mp),
             model::speculation_throughput(&params, mp),
-            best,
+            model::fastest(&[b, s, l]),
         );
     }
 

@@ -2,7 +2,7 @@
 //! statistics a query executor would record, and check its pick against
 //! the scheme that actually wins on the simulator for that workload.
 
-use hcc::model::{recommend, ModelParams, WorkloadProfile};
+use hcc::model::{fastest, recommend, ModelParams, WorkloadProfile};
 use hcc::prelude::*;
 use hcc::workloads::micro::{MicroConfig, MicroWorkload};
 
@@ -19,23 +19,11 @@ fn throughput(scheme: Scheme, micro: MicroConfig) -> f64 {
     r.throughput_tps
 }
 
-fn empirical_best(micro: MicroConfig) -> (&'static str, f64, f64, f64, f64) {
-    // All four schemes, OCC included: excluding a candidate from the
-    // empirical sweep would let the advisor misrank it unnoticed.
-    let b = throughput(Scheme::Blocking, micro);
-    let s = throughput(Scheme::Speculative, micro);
-    let l = throughput(Scheme::Locking, micro);
-    let o = throughput(Scheme::Occ, micro);
-    let best = if s >= b && s >= l && s >= o {
-        "speculation"
-    } else if l >= b && l >= o {
-        "locking"
-    } else if o >= b {
-        "occ"
-    } else {
-        "blocking"
-    };
-    (best, b, s, l, o)
+/// The measured throughput of all four schemes, in [`Scheme::ALL`] order,
+/// OCC included: excluding a candidate from the empirical sweep would let
+/// the advisor misrank it unnoticed.
+fn measured(micro: MicroConfig) -> [(Scheme, f64); 4] {
+    Scheme::ALL.map(|scheme| (scheme, throughput(scheme, micro)))
 }
 
 #[test]
@@ -54,7 +42,8 @@ fn advisor_agrees_with_empirical_winner_or_is_close() {
         (0.10, 0.8, 0.15, false),
         (0.60, 0.0, 0.05, false),
     ];
-    let params = ModelParams::paper_table2();
+    let system = SystemConfig::new(Scheme::Blocking);
+    let params = ModelParams::of(&system.costs, &system.network);
     let mut agreements = 0;
     for (mp, conflict, abort, two_round) in cases {
         let micro = MicroConfig {
@@ -64,24 +53,17 @@ fn advisor_agrees_with_empirical_winner_or_is_close() {
             two_round,
             ..Default::default()
         };
-        let (best, b, s, l, o) = empirical_best(micro);
+        let tps = measured(micro);
+        let best = fastest(&tps);
         let profile = WorkloadProfile {
             mp_fraction: mp,
             abort_rate: abort,
             conflict_rate: conflict,
             multi_round_fraction: if two_round { 1.0 } else { 0.0 },
-            // ~8 coordinator messages per MP transaction × 12 µs each —
-            // exactly what a deployment would measure on its coordinator.
-            coord_cost_per_mp_secs: 8.0 * 12e-6,
         };
         let rec = recommend(&params, &profile);
-        let picked_tps = match rec.scheme {
-            "blocking" => b,
-            "speculation" => s,
-            "occ" => o,
-            _ => l,
-        };
-        let best_tps = b.max(s).max(l).max(o);
+        let picked_tps = tps[rec.scheme as usize].1;
+        let best_tps = tps[best as usize].1;
         if rec.scheme == best {
             agreements += 1;
         }

@@ -25,19 +25,29 @@ fn measured(scheme: Scheme, mp: f64, local_only: bool) -> f64 {
     r.throughput_tps
 }
 
+/// The model's parameters for the system `measured` runs.
+fn params() -> ModelParams {
+    let system = SystemConfig::new(Scheme::Blocking);
+    ModelParams::of(&system.costs, &system.network)
+}
+
 #[test]
 fn blocking_matches_model_within_tolerance() {
-    let p = ModelParams::paper_table2();
-    // The model's t_mp is the paper's 211 µs; our simulated t_mp emerges
-    // from the cost model (~165 µs), so compare against the model with our
-    // own measured t_mp, exactly as the paper fits its own system.
-    let our_tmp = 1.0 / measured(Scheme::Blocking, 1.0, false);
-    let ours = ModelParams {
-        t_mp: Nanos::from_micros_f64(our_tmp * 1e6),
-        ..p
-    };
+    let p = params();
+    // At f = 1 each partition runs one multi-partition transaction at a
+    // time, so 1/throughput is t_mp: the model charges what the simulator
+    // charges.
+    let t_mp = 1.0 / measured(Scheme::Blocking, 1.0, false);
+    let err = (p.t_mp.as_secs_f64() - t_mp).abs() / t_mp;
+    assert!(
+        err < 0.005,
+        "derived t_mp {} vs measured {:.1}µs ({:.2}% off)",
+        p.t_mp,
+        t_mp * 1e6,
+        err * 100.0
+    );
     for mp in [0.0, 0.1, 0.3, 0.5, 0.8, 1.0] {
-        let m = model::blocking_throughput(&ours, mp);
+        let m = model::blocking_throughput(&p, mp);
         let s = measured(Scheme::Blocking, mp, false);
         let err = (m - s).abs() / s;
         assert!(
@@ -61,7 +71,7 @@ fn local_speculation_tracks_model_shape() {
     // supply stops covering the stall; past it, throughput falls toward
     // the blocking-like limit. Check the measured curve is between the
     // blocking and full-speculation models everywhere.
-    let p = ModelParams::paper_table2();
+    let p = params();
     for mp in [0.1, 0.3, 0.5, 0.8] {
         let s = measured(Scheme::Speculative, mp, true);
         let blocking_floor = measured(Scheme::Blocking, mp, false);
