@@ -105,6 +105,12 @@ where
 
 /// A workload: builds per-partition engines and generates the request
 /// stream for each closed-loop client. Implemented by `hcc-workloads`.
+///
+/// A generator whose state is per client splits into one share per client
+/// ([`for_client`](Self::for_client)), and each client actor then draws
+/// its requests from its own share with no lock. One that keeps state
+/// across clients (a global counter, a record of every client's outcomes)
+/// returns `None` there, and the runtime calls it under one shared lock.
 pub trait RequestGenerator {
     type Engine: ExecutionEngine;
 
@@ -122,4 +128,26 @@ pub trait RequestGenerator {
     /// Observe a completed transaction (for generators that validate
     /// results or adapt). Default: ignore.
     fn on_result(&mut self, _client: ClientId, _txn: TxnId, _committed: bool) {}
+
+    /// Take `client`'s share of this generator, or `None` if it does not
+    /// split (the default). The contract, for a share that is returned:
+    ///
+    /// * **exact stream** — the share's `next_request(client)` yields
+    ///   exactly the requests, in the same order, that `self` would have
+    ///   yielded for `client` from here on, however the other clients'
+    ///   calls interleave;
+    /// * **nothing shared** — the share holds only `client`'s state and
+    ///   touches nothing another client's share does, so no two clients
+    ///   contend for a lock or a cache line;
+    /// * **the share is the client's from now on** — `next_request` and
+    ///   `on_result` for `client` go to the share alone, never to `self`,
+    ///   which is left holding nothing the share depends on.
+    ///
+    /// The runtime asks once per client, before the first request.
+    fn for_client(&mut self, _client: ClientId) -> Option<Self>
+    where
+        Self: Sized,
+    {
+        None
+    }
 }

@@ -368,8 +368,11 @@ impl RunControl {
     }
 }
 
-/// What a client actor's `step` needs besides the message: the shared
-/// workload generator and the run control block.
+/// What a client actor's `step` needs besides the message: the run
+/// control block, and the shared generator behind its lock — the fallback
+/// for a generator that does not split into per-client shares
+/// ([`RequestGenerator::for_client`]); a client holding its own share
+/// never touches it.
 pub struct ClientCtx<'a, W> {
     pub workload: &'a Mutex<W>,
     pub ctl: &'a RunControl,
@@ -407,6 +410,9 @@ fn push_coord_out<E: ExecutionEngine>(
 /// (§4.3), so fragment responses also arrive here.
 pub struct ClientActor<W: RequestGenerator> {
     core: ClientCore,
+    /// This client's share of the generator; `None` draws from the shared
+    /// one in [`ClientCtx`] instead.
+    generator: Option<W>,
     driver:
         TxnDriver<<W::Engine as ExecutionEngine>::Fragment, <W::Engine as ExecutionEngine>::Output>,
     pending: Option<
@@ -444,7 +450,12 @@ impl<W: RequestGenerator> ClientActor<W>
 where
     W::Engine: 'static,
 {
-    pub fn new(id: ClientId, system: &SystemConfig, requests: Option<u64>) -> Self {
+    pub fn new(
+        id: ClientId,
+        system: &SystemConfig,
+        requests: Option<u64>,
+        generator: Option<W>,
+    ) -> Self {
         let mut driver = TxnDriver::new(system.costs, id);
         // Durable release for client-driven 2PC (locking): the driver
         // parks committed results until every participant acks — which
@@ -452,6 +463,7 @@ where
         driver.set_hold_results(system.durability.is_some());
         ClientActor {
             core: ClientCore::with_retry(id, system.retry),
+            generator,
             driver,
             pending: None,
             current_txn: None,
@@ -503,7 +515,8 @@ where
         match msg {
             Msg::Start => {
                 debug_assert!(self.pending.is_none());
-                let req = ctx.workload.lock().next_request(self.core.id);
+                let id = self.core.id;
+                let req = self.generate(ctx, |g| g.next_request(id));
                 self.pending = Some(req.into());
                 self.submitted_at = now;
                 self.dispatch(now, out);
@@ -592,19 +605,29 @@ where
                     }
                     None => ctx.ctl.stop.load(Ordering::Relaxed),
                 };
-                let mut wl = ctx.workload.lock();
-                wl.on_result(self.core.id, txn, result.is_committed());
-                if retire {
-                    drop(wl);
-                    self.retire(ctx);
-                } else {
-                    let req = wl.next_request(self.core.id);
-                    drop(wl);
-                    self.pending = Some(req.into());
-                    self.submitted_at = now;
-                    self.dispatch(now, out);
+                let (id, committed) = (self.core.id, result.is_committed());
+                let next = self.generate(ctx, |g| {
+                    g.on_result(id, txn, committed);
+                    (!retire).then(|| g.next_request(id))
+                });
+                match next {
+                    None => self.retire(ctx),
+                    Some(req) => {
+                        self.pending = Some(req.into());
+                        self.submitted_at = now;
+                        self.dispatch(now, out);
+                    }
                 }
             }
+        }
+    }
+
+    /// Call this client's generator: its own share, or the shared one
+    /// under its lock (the one place that lock is taken).
+    fn generate<R>(&mut self, ctx: &ClientCtx<'_, W>, f: impl FnOnce(&mut W) -> R) -> R {
+        match self.generator.as_mut() {
+            Some(own) => f(own),
+            None => f(&mut ctx.workload.lock()),
         }
     }
 

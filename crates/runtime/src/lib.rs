@@ -403,11 +403,15 @@ pub(crate) fn coordinator_expiry(system: &SystemConfig) -> Option<(Nanos, AbortR
 /// `failure` arms a [`FailAt::Commits`] crash on its group's initial
 /// primary and turns on in-doubt commit tracking at the coordinators (a
 /// [`FailAt::Time`] crash is the driver's to send); `log` supplies each
-/// replica node's durable command log, in (group, slot) order.
+/// replica node's durable command log, in (group, slot) order. Each client
+/// is handed its share of `workload` ([`RequestGenerator::for_client`]);
+/// the driver keeps `workload` itself, behind a lock, only for clients of
+/// a generator that does not split.
 pub fn build_actors<W: RequestGenerator>(
     system: &SystemConfig,
     mode: RunMode,
     failure: Option<FailurePlan>,
+    workload: &mut W,
     build_engine: impl Fn(PartitionId) -> W::Engine,
     mut log: impl FnMut() -> Box<dyn DurableLog + Send>,
 ) -> Actors<W>
@@ -428,7 +432,8 @@ where
         RunMode::Timed { .. } => None,
     };
     let clients = (0..system.clients)
-        .map(|c| ClientActor::new(ClientId(c), system, requests))
+        .map(ClientId)
+        .map(|c| ClientActor::new(c, system, requests, workload.for_client(c)))
         .collect();
     let expiry = coordinator_expiry(system);
     let coordinators = (0..system.coordinators.max(1))

@@ -23,7 +23,11 @@
 //!   durable log, the end of the batch is also what closes the worker's
 //!   group-commit batches: what its primaries committed during the batch is
 //!   synced once, and the results that waited for it are published like a
-//!   step's outputs.
+//!   step's outputs. Each client owns its share of the request generator
+//!   ([`RequestGenerator::for_client`]) as it owns the rest of its state,
+//!   so a worker draws requests under no lock and touches no other
+//!   worker's generator state. Only a generator that does not split stays
+//!   shared, behind one lock every client takes per transaction.
 //! * **Shared** — coordinator shards and the membership actor keep a
 //!   mailbox with a `scheduled` bit and one global ready list that every
 //!   worker pops at the top of its loop and before parking; `steals`
@@ -137,6 +141,8 @@ struct Shared<W: RequestGenerator> {
     /// Set by the driver once `pending` hits zero; parked workers exit.
     shutdown: AtomicBool,
     ctl: RunControl,
+    /// The generator, for clients of one that does not split into
+    /// per-client shares; the rest hold their own.
     workload: Mutex<W>,
     epoch: Instant,
     slots_per_group: usize,
@@ -523,7 +529,7 @@ where
 pub(crate) fn run<W, B>(
     workers: usize,
     cfg: &RuntimeConfig,
-    workload: W,
+    mut workload: W,
     build_engine: B,
 ) -> RuntimeReport<W::Engine>
 where
@@ -542,9 +548,14 @@ where
     let n = system.partitions as usize;
     let slots = system.replication.max(1) as usize;
     let clients = system.clients as usize;
-    let actors = build_actors::<W>(system, cfg.mode, cfg.failure, build_engine, || {
-        Box::new(MemLog::new())
-    });
+    let actors = build_actors(
+        system,
+        cfg.mode,
+        cfg.failure,
+        &mut workload,
+        build_engine,
+        || Box::new(MemLog::new()),
+    );
     let timed = TimedMail::new(cfg.failure);
 
     // Owned actors, dealt to their home workers in index order.

@@ -116,6 +116,8 @@ pub struct Simulation<W: RequestGenerator> {
     one_way: Nanos,
     rejoin_delay: Nanos,
     split: Option<(Nanos, PartitionId)>,
+    /// The generator, for clients of one that does not split into
+    /// per-client shares; the rest hold their own.
     workload: Mutex<W>,
     ctl: RunControl,
     clients: Vec<ClientActor<W>>,
@@ -183,7 +185,7 @@ where
     /// backups).
     pub fn new(
         cfg: RuntimeConfig,
-        workload: W,
+        mut workload: W,
         build_engine: impl Fn(PartitionId) -> W::Engine,
     ) -> Self {
         let BackendChoice::Sim { shadow } = cfg.backend else {
@@ -200,11 +202,18 @@ where
             coordinators,
             membership,
             replicas,
-        } = build_actors::<W>(&system, cfg.mode, cfg.failure, build_engine, || {
-            let log = Arc::new(StdMutex::new(MemLog::new()));
-            logs.push(log.clone());
-            Box::new(log)
-        });
+        } = build_actors(
+            &system,
+            cfg.mode,
+            cfg.failure,
+            &mut workload,
+            build_engine,
+            || {
+                let log = Arc::new(StdMutex::new(MemLog::new()));
+                logs.push(log.clone());
+                Box::new(log)
+            },
+        );
         let window = match cfg.mode {
             RunMode::Timed { warmup, measure } => {
                 let open = Nanos(warmup.as_nanos() as u64);
@@ -509,7 +518,9 @@ where
     }
 
     /// Run to the end of the measurement window (or of the fixed work),
-    /// drain, and report; hands back the workload too.
+    /// drain, and report; hands back the workload too — what a generator
+    /// that does not split recorded of the run (one that splits left its
+    /// clients' state in their shares).
     pub fn run(mut self) -> (RuntimeReport<W::Engine>, W) {
         self.event_loop();
         if cfg!(debug_assertions) {

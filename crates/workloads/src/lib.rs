@@ -16,11 +16,16 @@
 //! * [`phased`] — the microbenchmark with a per-client phase schedule
 //!   (the mix shifts mid-run), the driving workload for §5.7-style
 //!   adaptive scheme selection.
+//!
+//! Every generator here keeps its state per client, so each splits into
+//! one share per client ([`hcc_core::RequestGenerator::for_client`]) and
+//! the runtime draws no request under a shared lock.
 
 #![forbid(unsafe_code)]
 
 pub mod micro;
 pub mod output;
+mod per_client;
 pub mod phased;
 pub mod tpcc;
 pub mod ycsb;

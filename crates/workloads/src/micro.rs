@@ -18,6 +18,7 @@
 //!   transaction reads its keys in round 0 and writes them in round 1 —
 //!   same work, twice the messages.
 
+use crate::per_client::PerClient;
 use hcc_common::{AbortReason, ClientId, FxHashMap, LockKey, LogEncode, PartitionId, TxnId};
 use hcc_core::{
     ExecOutcome, ExecutionEngine, Procedure, Request, RequestGenerator, RoundOutputs, Step,
@@ -584,11 +585,17 @@ impl Default for MicroConfig {
 /// Request generator for the microbenchmark.
 pub struct MicroWorkload {
     cfg: MicroConfig,
-    rngs: Vec<StdRng>,
-    /// Round-robin key rotation per client so successive transactions use
-    /// different keys of the client's set (irrelevant to contention, keeps
+    streams: PerClient<MicroStream>,
+}
+
+/// One client's generator state.
+#[derive(Clone)]
+struct MicroStream {
+    rng: StdRng,
+    /// Round-robin key rotation so successive transactions use different
+    /// keys of the client's set (irrelevant to contention, keeps
     /// generation cheap and deterministic).
-    counters: Vec<u32>,
+    counter: u32,
 }
 
 /// Keys provisioned per (client, partition).
@@ -605,14 +612,15 @@ impl MicroWorkload {
             cfg.mp_fraction == 0.0 || cfg.partitions / groups >= 2,
             "multi-partition transactions need >= 2 partitions per group"
         );
-        let rngs = (0..cfg.clients)
-            .map(|c| StdRng::seed_from_u64(cfg.seed ^ ((c as u64) << 20)))
-            .collect();
-        MicroWorkload {
-            rngs,
-            counters: vec![0; cfg.clients as usize],
-            cfg,
-        }
+        let streams = PerClient::new(cfg.clients, |c| MicroStream {
+            rng: StdRng::seed_from_u64(cfg.seed ^ ((c as u64) << 20)),
+            counter: 0,
+        });
+        MicroWorkload { cfg, streams }
+    }
+
+    fn rng(&mut self, client: u32) -> &mut StdRng {
+        &mut self.streams.get(client).rng
     }
 
     pub fn config(&self) -> &MicroConfig {
@@ -660,15 +668,14 @@ impl MicroWorkload {
         if self.pinned_partition(client).is_some() {
             return (0..n).map(|i| op(make_key(client, partition, i))).collect();
         }
-        let c = &mut self.counters[client as usize];
-        let start = *c;
-        *c = (*c + n) % KEYS_PER_CLIENT;
         let p = if conflicts {
             self.cfg.conflict_prob
         } else {
             0.0
         };
-        let rng = &mut self.rngs[client as usize];
+        let MicroStream { rng, counter } = self.streams.get(client);
+        let start = *counter;
+        *counter = (*counter + n) % KEYS_PER_CLIENT;
         (0..n)
             .map(|i| {
                 op(if p > 0.0 && rng.gen_bool(p) {
@@ -696,8 +703,8 @@ impl RequestGenerator for MicroWorkload {
     fn next_request(&mut self, client: ClientId) -> Request<MicroFragment, MicroOutput> {
         let c = client.0;
         let cfg = self.cfg;
-        let is_mp = self.rngs[c as usize].gen_bool(cfg.mp_fraction);
-        let aborts = cfg.abort_prob > 0.0 && self.rngs[c as usize].gen_bool(cfg.abort_prob);
+        let is_mp = self.rng(c).gen_bool(cfg.mp_fraction);
+        let aborts = cfg.abort_prob > 0.0 && self.rng(c).gen_bool(cfg.abort_prob);
 
         if !is_mp {
             // Single partition: pinned clients stay home; others pick a
@@ -706,7 +713,7 @@ impl RequestGenerator for MicroWorkload {
                 Some(p) => p,
                 None => {
                     let (base, span) = self.group_range(c);
-                    base + self.rngs[c as usize].gen_range(0..span)
+                    base + self.rng(c).gen_range(0..span)
                 }
             };
             return Request::SinglePartition {
@@ -726,8 +733,8 @@ impl RequestGenerator for MicroWorkload {
         let (p0, p1) = if span == 2 {
             (base, base + 1)
         } else {
-            let a = self.rngs[c as usize].gen_range(0..span);
-            let mut b = self.rngs[c as usize].gen_range(0..span - 1);
+            let a = self.rng(c).gen_range(0..span);
+            let mut b = self.rng(c).gen_range(0..span - 1);
             if b >= a {
                 b += 1;
             }
@@ -737,7 +744,7 @@ impl RequestGenerator for MicroWorkload {
         // "each transaction only conflicts at one of the partitions" —
         // pick which side at random, keeping load symmetric.
         let conflict_side = (cfg.conflict_prob > 0.0 && self.pinned_partition(c).is_none())
-            .then(|| self.rngs[c as usize].gen_bool(0.5));
+            .then(|| self.rng(c).gen_bool(0.5));
         let op = move |k| {
             if cfg.two_round {
                 MicroOp::Read(k)
@@ -749,13 +756,7 @@ impl RequestGenerator for MicroWorkload {
         let ops1 = self.ops_for(c, p1, half, conflict_side == Some(false), op);
         // §5.3: "When a multi-partition transaction is selected, only one
         // partition will abort locally."
-        let fail_at = aborts.then(|| {
-            if self.rngs[c as usize].gen_bool(0.5) {
-                p0
-            } else {
-                p1
-            }
-        });
+        let fail_at = aborts.then(|| if self.rng(c).gen_bool(0.5) { p0 } else { p1 });
         let fragments = Arc::from([(p0, ops0), (p1, ops1)].map(|(p, ops)| {
             (
                 PartitionId(p),
@@ -774,6 +775,13 @@ impl RequestGenerator for MicroWorkload {
             procedure,
             can_abort: aborts,
         }
+    }
+
+    fn for_client(&mut self, client: ClientId) -> Option<Self> {
+        Some(MicroWorkload {
+            cfg: self.cfg,
+            streams: self.streams.share(client.0),
+        })
     }
 }
 

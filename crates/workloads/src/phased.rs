@@ -27,6 +27,7 @@
 //!    at higher mp the §6 model and the empirical winner part ways.)
 
 use crate::micro::{MicroConfig, MicroEngine, MicroFragment, MicroOutput, MicroWorkload};
+use crate::per_client::PerClient;
 use hcc_common::{ClientId, PartitionId};
 use hcc_core::{Request, RequestGenerator};
 
@@ -73,7 +74,7 @@ pub struct PhasedMicroWorkload {
     /// Cumulative per-client request count at which each phase ends.
     ends: Vec<u64>,
     /// Requests issued so far, per client.
-    issued: Vec<u64>,
+    issued: PerClient<u64>,
 }
 
 impl PhasedMicroWorkload {
@@ -94,7 +95,7 @@ impl PhasedMicroWorkload {
             generators,
             phases,
             ends,
-            issued: vec![0; clients as usize],
+            issued: PerClient::new(clients, |_| 0),
         }
     }
 
@@ -150,11 +151,24 @@ impl RequestGenerator for PhasedMicroWorkload {
     type Engine = MicroEngine;
 
     fn next_request(&mut self, client: ClientId) -> Request<MicroFragment, MicroOutput> {
-        let c = client.as_usize();
-        let k = self.issued[c];
-        self.issued[c] += 1;
+        let issued = self.issued.get(client.0);
+        let k = *issued;
+        *issued += 1;
         let phase = self.phase_of(k);
         self.generators[phase].next_request(client)
+    }
+
+    fn for_client(&mut self, client: ClientId) -> Option<Self> {
+        Some(PhasedMicroWorkload {
+            generators: self
+                .generators
+                .iter_mut()
+                .map(|g| g.for_client(client))
+                .collect::<Option<_>>()?,
+            phases: self.phases.clone(),
+            ends: self.ends.clone(),
+            issued: self.issued.share(client.0),
+        })
     }
 }
 

@@ -1198,10 +1198,9 @@ const INVALID_ITEM: IId = 0;
 /// Request generator for TPC-C.
 pub struct TpccWorkload {
     cfg: TpccConfig,
+    /// Per-client RNGs, made at a client's first request: the whole
+    /// population's, or one client's alone in its share.
     rngs: FxHashMap<u32, StdRng>,
-    /// Track generated multi-partition fraction (for reporting).
-    pub generated: u64,
-    pub generated_mp: u64,
 }
 
 impl TpccWorkload {
@@ -1209,8 +1208,6 @@ impl TpccWorkload {
         TpccWorkload {
             cfg,
             rngs: FxHashMap::default(),
-            generated: 0,
-            generated_mp: 0,
         }
     }
 
@@ -1321,7 +1318,6 @@ impl TpccWorkload {
             c_id,
             lines,
         };
-        self.generated += 1;
         let classified_mp = if cfg.classify_by_warehouse {
             any_remote_warehouse
         } else {
@@ -1335,7 +1331,6 @@ impl TpccWorkload {
                 can_abort: false,
             };
         }
-        self.generated_mp += 1;
         if remote.is_empty() {
             // By-warehouse classification: remote warehouses, all on the
             // home partition.
@@ -1392,7 +1387,6 @@ impl TpccWorkload {
 
         let home_p = cfg.partition_of(w_id);
         let cust_p = cfg.partition_of(c_w_id);
-        self.generated += 1;
         let classified_sp = if cfg.classify_by_warehouse {
             c_w_id == w_id
         } else {
@@ -1413,7 +1407,6 @@ impl TpccWorkload {
                 can_abort: false,
             };
         }
-        self.generated_mp += 1;
         if home_p == cust_p {
             // Remote warehouse, same partition (by-warehouse
             // classification): a single-participant multi-partition
@@ -1489,7 +1482,6 @@ impl RequestGenerator for TpccWorkload {
             let rng = self.rng(c);
             let d_id = rng.gen_range(1..=cfg.scale.districts_per_warehouse) as DId;
             let customer = Self::pick_customer(rng, &cfg.scale);
-            self.generated += 1;
             Request::SinglePartition {
                 partition: cfg.partition_of(w_id),
                 fragment: TpccFragment::OrderStatus {
@@ -1503,7 +1495,6 @@ impl RequestGenerator for TpccWorkload {
             let cfg = self.cfg;
             let w_id = self.home_warehouse(c);
             let carrier = self.rng(c).gen_range(1..=10u8);
-            self.generated += 1;
             Request::SinglePartition {
                 partition: cfg.partition_of(w_id),
                 fragment: TpccFragment::Delivery {
@@ -1518,7 +1509,6 @@ impl RequestGenerator for TpccWorkload {
             let rng = self.rng(c);
             let d_id = rng.gen_range(1..=cfg.scale.districts_per_warehouse) as DId;
             let threshold = rng.gen_range(10..=20);
-            self.generated += 1;
             Request::SinglePartition {
                 partition: cfg.partition_of(w_id),
                 fragment: TpccFragment::StockLevel {
@@ -1530,6 +1520,14 @@ impl RequestGenerator for TpccWorkload {
                 can_abort: false,
             }
         }
+    }
+
+    fn for_client(&mut self, client: ClientId) -> Option<Self> {
+        let rng = self.rng(client.0).clone();
+        Some(TpccWorkload {
+            cfg: self.cfg,
+            rngs: FxHashMap::from_iter([(client.0, rng)]),
+        })
     }
 }
 
@@ -1861,26 +1859,32 @@ mod tests {
         }
     }
 
+    /// The multi-partition share of 20,000 requests drawn round-robin
+    /// over `clients` clients.
+    fn mp_fraction(cfg: TpccConfig, clients: u32) -> f64 {
+        let mut w = TpccWorkload::new(cfg);
+        let requests = 20_000u32;
+        let mp = (0..requests)
+            .filter(|i| {
+                let r = w.next_request(ClientId(i % clients));
+                matches!(r, Request::MultiPartition { .. })
+            })
+            .count();
+        mp as f64 / requests as f64
+    }
+
     #[test]
     fn mp_fraction_matches_paper_two_warehouses() {
         // Paper §5.5: 10.7% multi-partition with 2 warehouses on 2
         // partitions.
-        let mut w = TpccWorkload::new(cfg_tiny(2, 2));
-        for i in 0..20_000u32 {
-            let _ = w.next_request(ClientId(i % 8));
-        }
-        let frac = w.generated_mp as f64 / w.generated as f64;
+        let frac = mp_fraction(cfg_tiny(2, 2), 8);
         assert!((0.09..=0.125).contains(&frac), "MP fraction {frac}");
     }
 
     #[test]
     fn mp_fraction_matches_paper_twenty_warehouses() {
         // Paper §5.5: 5.7% with 20 warehouses on 2 partitions.
-        let mut w = TpccWorkload::new(cfg_tiny(20, 2));
-        for i in 0..20_000u32 {
-            let _ = w.next_request(ClientId(i % 40));
-        }
-        let frac = w.generated_mp as f64 / w.generated as f64;
+        let frac = mp_fraction(cfg_tiny(20, 2), 40);
         assert!((0.043..=0.072).contains(&frac), "MP fraction {frac}");
     }
 
@@ -1890,11 +1894,7 @@ mod tests {
         // warehouse per partition.
         let mut cfg = cfg_tiny(6, 6);
         cfg.mix = TxnMix::new_order_only();
-        let mut w = TpccWorkload::new(cfg);
-        for i in 0..20_000u32 {
-            let _ = w.next_request(ClientId(i % 12));
-        }
-        let frac = w.generated_mp as f64 / w.generated as f64;
+        let frac = mp_fraction(cfg, 12);
         assert!((0.075..=0.115).contains(&frac), "MP fraction {frac}");
     }
 

@@ -23,6 +23,7 @@
 //! and request distribution differ.
 
 use crate::micro::{MicroEngine, MicroFragment, MicroOp, MicroOutput, SimpleMicroProcedure};
+use crate::per_client::PerClient;
 use hcc_common::rng::{SplitMix64, Zipfian};
 use hcc_common::{ClientId, PartitionId};
 use hcc_core::{Procedure, Request, RequestGenerator};
@@ -71,16 +72,16 @@ impl Default for YcsbConfig {
 pub struct YcsbWorkload {
     cfg: YcsbConfig,
     zipf: Zipfian,
-    rngs: Vec<SplitMix64>,
+    rngs: PerClient<SplitMix64>,
 }
 
 impl YcsbWorkload {
     pub fn new(cfg: YcsbConfig) -> Self {
         assert!(cfg.partitions >= 1 && cfg.clients >= 1);
         assert!(cfg.ops_per_txn >= 1);
-        let rngs = (0..cfg.clients)
-            .map(|c| SplitMix64::new(cfg.seed ^ ((c as u64 + 1) << 24)))
-            .collect();
+        let rngs = PerClient::new(cfg.clients, |c| {
+            SplitMix64::new(cfg.seed ^ ((c as u64 + 1) << 24))
+        });
         YcsbWorkload {
             zipf: Zipfian::new(cfg.keys_per_partition, cfg.theta),
             rngs,
@@ -104,7 +105,7 @@ impl YcsbWorkload {
     /// One partition's share of a transaction: `n` Zipf-popular keys,
     /// read-mostly.
     fn fragment(&mut self, client: u32, partition: u32, n: u32) -> MicroFragment {
-        let rng = &mut self.rngs[client as usize];
+        let rng = self.rngs.get(client);
         let ops = (0..n).map(|_| {
             let rank = self.zipf.sample(rng);
             let key = ycsb_key(partition, rank);
@@ -127,9 +128,10 @@ impl RequestGenerator for YcsbWorkload {
     fn next_request(&mut self, client: ClientId) -> Request<MicroFragment, MicroOutput> {
         let c = client.0;
         let cfg = self.cfg;
-        let is_mp = cfg.partitions >= 2 && self.rngs[c as usize].next_f64() < cfg.mp_fraction;
+        let rng = self.rngs.get(c);
+        let is_mp = cfg.partitions >= 2 && rng.next_f64() < cfg.mp_fraction;
         if !is_mp {
-            let p = self.rngs[c as usize].range_inclusive(0, cfg.partitions as u64 - 1) as u32;
+            let p = rng.range_inclusive(0, cfg.partitions as u64 - 1) as u32;
             return Request::SinglePartition {
                 partition: PartitionId(p),
                 fragment: self.fragment(c, p, cfg.ops_per_txn),
@@ -137,8 +139,8 @@ impl RequestGenerator for YcsbWorkload {
             };
         }
         // Two distinct partitions, half the ops each.
-        let p0 = self.rngs[c as usize].range_inclusive(0, cfg.partitions as u64 - 1) as u32;
-        let mut p1 = self.rngs[c as usize].range_inclusive(0, cfg.partitions as u64 - 2) as u32;
+        let p0 = rng.range_inclusive(0, cfg.partitions as u64 - 1) as u32;
+        let mut p1 = rng.range_inclusive(0, cfg.partitions as u64 - 2) as u32;
         if p1 >= p0 {
             p1 += 1;
         }
@@ -154,6 +156,14 @@ impl RequestGenerator for YcsbWorkload {
             procedure,
             can_abort: false,
         }
+    }
+
+    fn for_client(&mut self, client: ClientId) -> Option<Self> {
+        Some(YcsbWorkload {
+            cfg: self.cfg,
+            zipf: self.zipf.clone(),
+            rngs: self.rngs.share(client.0),
+        })
     }
 }
 
@@ -223,12 +233,18 @@ impl Default for YcsbEConfig {
 pub struct YcsbEWorkload {
     cfg: YcsbEConfig,
     zipf: Zipfian,
-    rngs: Vec<SplitMix64>,
-    /// Per-client insert/delete cursors over the client's owned odd
-    /// slots (deletes trail inserts; a delete of a not-yet-inserted slot
-    /// is a no-op, which is fine and still deterministic).
-    ins_cursor: Vec<u64>,
-    del_cursor: Vec<u64>,
+    streams: PerClient<YcsbEStream>,
+}
+
+/// One client's YCSB-E generator state.
+#[derive(Clone)]
+struct YcsbEStream {
+    rng: SplitMix64,
+    /// Insert/delete cursors over the client's owned odd slots (deletes
+    /// trail inserts; a delete of a not-yet-inserted slot is a no-op,
+    /// which is fine and still deterministic).
+    ins_cursor: u64,
+    del_cursor: u64,
 }
 
 impl YcsbEWorkload {
@@ -246,16 +262,20 @@ impl YcsbEWorkload {
              (clients <= keys_per_partition); shared churn keys would break \
              the commutativity the bit-determinism tests rely on"
         );
-        let rngs = (0..cfg.clients)
-            .map(|c| SplitMix64::new(cfg.seed ^ 0xE5CA ^ ((c as u64 + 1) << 22)))
-            .collect();
+        let streams = PerClient::new(cfg.clients, |c| YcsbEStream {
+            rng: SplitMix64::new(cfg.seed ^ 0xE5CA ^ ((c as u64 + 1) << 22)),
+            ins_cursor: 0,
+            del_cursor: 0,
+        });
         YcsbEWorkload {
             zipf: Zipfian::new(2 * cfg.keys_per_partition, cfg.theta),
-            rngs,
-            ins_cursor: vec![0; cfg.clients as usize],
-            del_cursor: vec![0; cfg.clients as usize],
+            streams,
             cfg,
         }
+    }
+
+    fn rng(&mut self, client: u32) -> &mut SplitMix64 {
+        &mut self.streams.get(client).rng
     }
 
     pub fn config(&self) -> &YcsbEConfig {
@@ -287,7 +307,7 @@ impl YcsbEWorkload {
     }
 
     fn scan_fragment(&mut self, client: u32, partition: u32, len: u64) -> MicroFragment {
-        let start = self.zipf.sample(&mut self.rngs[client as usize]);
+        let start = self.zipf.sample(&mut self.streams.get(client).rng);
         let end = (start + len).min(self.slots());
         MicroFragment {
             ops: Arc::from([MicroOp::Scan(
@@ -299,7 +319,8 @@ impl YcsbEWorkload {
     }
 
     fn pick_partition(&mut self, client: u32) -> u32 {
-        self.rngs[client as usize].range_inclusive(0, self.cfg.partitions as u64 - 1) as u32
+        let partitions = self.cfg.partitions as u64;
+        self.rng(client).range_inclusive(0, partitions - 1) as u32
     }
 }
 
@@ -309,11 +330,11 @@ impl RequestGenerator for YcsbEWorkload {
     fn next_request(&mut self, client: ClientId) -> Request<MicroFragment, MicroOutput> {
         let c = client.0;
         let cfg = self.cfg;
-        let roll = self.rngs[c as usize].next_f64();
+        let roll = self.rng(c).next_f64();
 
         if roll < cfg.scan_fraction {
-            let len = self.rngs[c as usize].range_inclusive(1, cfg.scan_len as u64);
-            let is_mp = cfg.partitions >= 2 && self.rngs[c as usize].next_f64() < cfg.mp_fraction;
+            let len = self.rng(c).range_inclusive(1, cfg.scan_len as u64);
+            let is_mp = cfg.partitions >= 2 && self.rng(c).next_f64() < cfg.mp_fraction;
             if !is_mp {
                 let p = self.pick_partition(c);
                 return Request::SinglePartition {
@@ -324,7 +345,7 @@ impl RequestGenerator for YcsbEWorkload {
             }
             // Stock-level style: half the scan on each of two partitions.
             let p0 = self.pick_partition(c);
-            let mut p1 = self.rngs[c as usize].range_inclusive(0, cfg.partitions as u64 - 2) as u32;
+            let mut p1 = self.rng(c).range_inclusive(0, cfg.partitions as u64 - 2) as u32;
             if p1 >= p0 {
                 p1 += 1;
             }
@@ -346,20 +367,22 @@ impl RequestGenerator for YcsbEWorkload {
             ((c as u64).wrapping_add(n.wrapping_mul(7)) % cfg.partitions as u64) as u32
         };
         let (p, op) = if roll < cfg.scan_fraction + cfg.insert_fraction {
-            let n = self.ins_cursor[c as usize];
-            self.ins_cursor[c as usize] += 1;
+            let s = self.streams.get(c);
+            let n = s.ins_cursor;
+            s.ins_cursor += 1;
             let slot = self.owned_slot(c, n);
             let p = churn_partition(c, n);
             (p, MicroOp::Insert(ycsb_key(p, slot), slot as u32))
         } else if roll < cfg.scan_fraction + cfg.insert_fraction + cfg.delete_fraction {
-            let n = self.del_cursor[c as usize];
-            self.del_cursor[c as usize] += 1;
+            let s = self.streams.get(c);
+            let n = s.del_cursor;
+            s.del_cursor += 1;
             let p = churn_partition(c, n);
             (p, MicroOp::Delete(ycsb_key(p, self.owned_slot(c, n))))
         } else {
             // Point update on a Zipf-popular preloaded (even) slot.
             let p = self.pick_partition(c);
-            let rank = self.zipf.sample(&mut self.rngs[c as usize]);
+            let rank = self.zipf.sample(&mut self.streams.get(c).rng);
             (p, MicroOp::Rmw(ycsb_key(p, rank & !1)))
         };
         Request::SinglePartition {
@@ -370,6 +393,14 @@ impl RequestGenerator for YcsbEWorkload {
             },
             can_abort: false,
         }
+    }
+
+    fn for_client(&mut self, client: ClientId) -> Option<Self> {
+        Some(YcsbEWorkload {
+            cfg: self.cfg,
+            zipf: self.zipf.clone(),
+            streams: self.streams.share(client.0),
+        })
     }
 }
 
