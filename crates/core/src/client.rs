@@ -9,11 +9,8 @@
 //! (execution attempts, decided-transaction history) unambiguous. User
 //! aborts are final outcomes and are not retried.
 
-use crate::procedure::{Procedure, Request};
 use hcc_common::stats::LatencyHistogram;
-use hcc_common::{
-    AbortReason, ClientId, Nanos, PartitionId, RetryConfig, SplitMix64, TxnId, TxnResult,
-};
+use hcc_common::{AbortReason, ClientId, Nanos, RetryConfig, SplitMix64, TxnId, TxnResult};
 
 /// First infrastructure-abort backoff: a failover takes about one network
 /// round trip plus a promotion, so retries start in that neighbourhood.
@@ -68,73 +65,6 @@ pub enum NextAction {
     /// deterministic jitter for infrastructure aborts (partition failover,
     /// cross-coordinator expiry, stalled log).
     Retry { after: Nanos },
-}
-
-/// The retryable copy of an in-flight request.
-pub enum PendingRequest<F, R> {
-    SinglePartition {
-        partition: PartitionId,
-        fragment: F,
-        can_abort: bool,
-    },
-    MultiPartition {
-        procedure: Box<dyn Procedure<F, R>>,
-        can_abort: bool,
-    },
-}
-
-/// Snapshot a request so it can be re-submitted on retry. Takes the
-/// request by value: each attempt then costs the one clone in
-/// [`PendingRequest::to_request`].
-impl<F, R> From<Request<F, R>> for PendingRequest<F, R> {
-    fn from(req: Request<F, R>) -> Self {
-        match req {
-            Request::SinglePartition {
-                partition,
-                fragment,
-                can_abort,
-            } => PendingRequest::SinglePartition {
-                partition,
-                fragment,
-                can_abort,
-            },
-            Request::MultiPartition {
-                procedure,
-                can_abort,
-            } => PendingRequest::MultiPartition {
-                procedure,
-                can_abort,
-            },
-        }
-    }
-}
-
-impl<F: Clone, R> PendingRequest<F, R> {
-    /// Turn the snapshot back into a request (cloning so the snapshot can
-    /// serve further retries). This runs once per attempt, first included:
-    /// a fragment never changes once generated, so workloads are expected
-    /// to make the clone a reference count (`MicroFragment` shares its op
-    /// list) rather than a copy.
-    pub fn to_request(&self) -> Request<F, R> {
-        match self {
-            PendingRequest::SinglePartition {
-                partition,
-                fragment,
-                can_abort,
-            } => Request::SinglePartition {
-                partition: *partition,
-                fragment: fragment.clone(),
-                can_abort: *can_abort,
-            },
-            PendingRequest::MultiPartition {
-                procedure,
-                can_abort,
-            } => Request::MultiPartition {
-                procedure: procedure.clone_box(),
-                can_abort: *can_abort,
-            },
-        }
-    }
 }
 
 /// Transaction-id assignment and outcome bookkeeping for one client.
@@ -254,8 +184,10 @@ impl ClientCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::procedure::Request;
     use crate::testkit::{SimpleMpProcedure, TestFragment};
     use hcc_common::AbortReason;
+    use hcc_common::PartitionId;
 
     #[test]
     fn txn_ids_are_sequential_per_client() {
@@ -414,14 +346,13 @@ mod tests {
     }
 
     #[test]
-    fn pending_request_roundtrip() {
+    fn request_clone_roundtrip() {
         let req: Request<TestFragment, Vec<(u64, i64)>> = Request::SinglePartition {
             partition: PartitionId(1),
             fragment: TestFragment::add(5, 1),
             can_abort: true,
         };
-        let pending = PendingRequest::from(req);
-        match pending.to_request() {
+        match req.clone() {
             Request::SinglePartition {
                 partition,
                 can_abort,
@@ -435,15 +366,14 @@ mod tests {
     }
 
     #[test]
-    fn pending_mp_clones_procedure() {
+    fn request_clone_clones_procedure() {
         let req: Request<TestFragment, Vec<(u64, i64)>> = Request::MultiPartition {
             procedure: Box::new(SimpleMpProcedure {
                 fragments: vec![(PartitionId(0), TestFragment::add(1, 1))],
             }),
             can_abort: false,
         };
-        let pending = PendingRequest::from(req);
-        match pending.to_request() {
+        match req.clone() {
             Request::MultiPartition { procedure, .. } => {
                 assert_eq!(procedure.participants(), vec![PartitionId(0)]);
             }

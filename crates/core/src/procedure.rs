@@ -79,6 +79,33 @@ pub enum Request<F, R> {
     },
 }
 
+/// A copy to re-submit on a retry: the fragment's clone (a fragment never
+/// changes once generated, so workloads make it a reference count, as
+/// `MicroFragment` shares its op list) or the procedure's
+/// [`clone_box`](Procedure::clone_box).
+impl<F: Clone, R> Clone for Request<F, R> {
+    fn clone(&self) -> Self {
+        match self {
+            Request::SinglePartition {
+                partition,
+                fragment,
+                can_abort,
+            } => Request::SinglePartition {
+                partition: *partition,
+                fragment: fragment.clone(),
+                can_abort: *can_abort,
+            },
+            Request::MultiPartition {
+                procedure,
+                can_abort,
+            } => Request::MultiPartition {
+                procedure: procedure.clone_box(),
+                can_abort: *can_abort,
+            },
+        }
+    }
+}
+
 impl<F, R> std::fmt::Debug for Request<F, R>
 where
     F: std::fmt::Debug,

@@ -435,21 +435,8 @@ where
         .map(ClientId)
         .map(|c| ClientActor::new(c, system, requests, workload.for_client(c)))
         .collect();
-    let expiry = coordinator_expiry(system);
     let coordinators = (0..system.coordinators.max(1))
-        .map(|k| {
-            let mut coord = CoordinatorActor::new(
-                system.costs,
-                CoordinatorId(k),
-                failure.is_some(),
-                system.durability.is_some(),
-                expiry,
-            );
-            if system.sequencing_active() {
-                coord.enable_sequencing(system);
-            }
-            coord
-        })
+        .map(|k| CoordinatorActor::new(system, CoordinatorId(k), failure.is_some()))
         .collect();
     let mut replicas = Vec::new();
     for group in (0..system.partitions).map(PartitionId) {
