@@ -168,7 +168,14 @@ impl<E: ExecutionEngine> AdaptiveScheduler<E> {
     /// [`SchemeSwitch`] when a backup is promoted mid-run: the new
     /// primary starts in the scheme (and at the epoch) its predecessor
     /// had reached, which is what makes failover land deterministically.
-    pub fn new(config: &SystemConfig, me: PartitionId, resume: Option<SchemeSwitch>) -> Self {
+    /// Scheme residency is counted from `now`, when the controller starts
+    /// to serve (a promotion's time, for a promoted backup).
+    pub fn new(
+        config: &SystemConfig,
+        me: PartitionId,
+        resume: Option<SchemeSwitch>,
+        now: Nanos,
+    ) -> Self {
         let AdaptiveConfig::Model { margin, window } = config.adaptive else {
             unreachable!("the controller is built only when adaptive selection is on")
         };
@@ -194,7 +201,7 @@ impl<E: ExecutionEngine> AdaptiveScheduler<E> {
             held: VecDeque::new(),
             notes: Vec::new(),
             stats: AdaptiveStats::default(),
-            residency_mark: Nanos::ZERO,
+            residency_mark: now,
             // Under adaptive every multi-partition transaction routes
             // through the central coordinator (a partition's scheme can
             // change mid-transaction, so clients cannot run
@@ -481,7 +488,7 @@ mod tests {
         Outbox<Vec<(u64, i64)>>,
     ) {
         (
-            AdaptiveScheduler::new(cfg, PartitionId(0), None),
+            AdaptiveScheduler::new(cfg, PartitionId(0), None, Nanos::ZERO),
             TestEngine::with_data(&[(1, 100), (2, 200)]),
             Outbox::new(CostModel::default()),
         )
@@ -648,6 +655,7 @@ mod tests {
                 epoch: 3,
                 scheme: Scheme::Locking,
             }),
+            Nanos::ZERO,
         );
         assert_eq!(s.scheme(), Scheme::Locking);
         assert_eq!(s.epoch(), 3);

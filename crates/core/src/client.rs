@@ -185,7 +185,7 @@ impl ClientCore {
 mod tests {
     use super::*;
     use crate::procedure::Request;
-    use crate::testkit::{SimpleMpProcedure, TestFragment};
+    use crate::testkit::{one_round, TestFragment};
     use hcc_common::AbortReason;
     use hcc_common::PartitionId;
 
@@ -368,9 +368,7 @@ mod tests {
     #[test]
     fn request_clone_clones_procedure() {
         let req: Request<TestFragment, Vec<(u64, i64)>> = Request::MultiPartition {
-            procedure: Box::new(SimpleMpProcedure {
-                fragments: vec![(PartitionId(0), TestFragment::add(1, 1))],
-            }),
+            procedure: one_round(vec![(PartitionId(0), TestFragment::add(1, 1))]),
             can_abort: false,
         };
         match req.clone() {

@@ -1342,7 +1342,7 @@ enum Progress {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{SimpleMpProcedure, SwapProcedure, TestFragment, TestOutput};
+    use crate::testkit::{one_round, SwapProcedure, TestFragment, TestOutput};
 
     fn txid(n: u32) -> TxnId {
         TxnId::new(ClientId(n), 0)
@@ -1353,12 +1353,10 @@ mod tests {
     }
 
     fn simple_proc() -> Box<dyn Procedure<TestFragment, TestOutput>> {
-        Box::new(SimpleMpProcedure {
-            fragments: vec![
-                (PartitionId(0), TestFragment::add(1, 1)),
-                (PartitionId(1), TestFragment::add(2, 1)),
-            ],
-        })
+        one_round(vec![
+            (PartitionId(0), TestFragment::add(1, 1)),
+            (PartitionId(1), TestFragment::add(2, 1)),
+        ])
     }
 
     fn ok_response(
@@ -1750,12 +1748,10 @@ mod tests {
         c.on_invoke(
             txid(2),
             ClientId(2),
-            Box::new(SimpleMpProcedure {
-                fragments: vec![
-                    (PartitionId(2), TestFragment::add(1, 1)),
-                    (PartitionId(3), TestFragment::add(2, 1)),
-                ],
-            }),
+            one_round(vec![
+                (PartitionId(2), TestFragment::add(1, 1)),
+                (PartitionId(3), TestFragment::add(2, 1)),
+            ]),
             false,
             &mut out,
         );

@@ -23,6 +23,12 @@
 //! locking scheme (§4.3 sends multi-partition transactions directly to
 //! partitions).
 //!
+//! A multi-partition transaction reaches the coordinator as a
+//! [`Procedure`]. The paper's *simple* transaction (§4.2.2: one round,
+//! every fragment known up front) is one type, [`OneRound`], which every
+//! workload builds as data; a hand-written `Procedure` is for a
+//! transaction whose later rounds read earlier outputs.
+//!
 //! None of these types know about threads, channels, clocks, or sockets:
 //! they consume protocol events and emit protocol messages through an
 //! [`outbox::Outbox`], pricing their own work in virtual nanoseconds.
@@ -57,7 +63,7 @@ pub use engine::{ExecOutcome, ExecutionEngine};
 pub use group_commit::{FlushDecision, GroupCommit};
 pub use membership::{MembershipCore, MembershipUpdate};
 pub use outbox::{Outbox, PartitionOut};
-pub use procedure::{Procedure, Request, RequestGenerator, RoundOutputs, Step};
+pub use procedure::{OneRound, Procedure, Request, RequestGenerator, RoundOutputs, Step};
 pub use recovery::{
     recover_partition, recover_partitions_parallel, PartitionLog, RecoveryError, RecoveryOutcome,
 };

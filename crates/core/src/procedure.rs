@@ -8,9 +8,15 @@
 //! the final result). Purity matters: when speculative inputs are
 //! discarded after a cascading abort, the coordinator simply re-evaluates
 //! the procedure on fresh responses — no hidden state to rewind.
+//!
+//! The paper's *simple* multi-partition transaction (§4.2.2: one round,
+//! every fragment known up front, which is every distributed TPC-C
+//! transaction) is one type, [`OneRound`]; only a transaction whose later
+//! rounds depend on earlier outputs implements [`Procedure`] by hand.
 
 use crate::engine::ExecutionEngine;
 use hcc_common::{ClientId, PartitionId, TxnId};
+use std::sync::Arc;
 
 /// Settled outputs of one completed round, keyed by partition.
 #[derive(Debug, Clone)]
@@ -51,14 +57,68 @@ pub trait Procedure<F, R>: std::fmt::Debug + Send {
     /// procedure under a fresh transaction id).
     fn clone_box(&self) -> Box<dyn Procedure<F, R>>;
 
-    /// The partitions this procedure touches in round 0 (used for
-    /// accounting and by tests).
-    ///
+    /// The partitions this procedure touches in round 0 (what a sequenced
+    /// shard orders the transaction by).
     fn participants(&self) -> Vec<PartitionId> {
         match self.step(&[]) {
             Step::Round { fragments, .. } => fragments.iter().map(|(p, _)| *p).collect(),
             Step::Finish(_) => Vec::new(),
         }
+    }
+}
+
+/// The paper's *simple* multi-partition transaction (§4.2.2): one round
+/// whose fragments are all known when the request is generated. Round 0
+/// dispatches `fragments` in order with the 2PC prepare piggybacked
+/// (`is_final`), and `finish` builds the result from that round's outputs,
+/// which arrive in the same order.
+///
+/// The fragments are shared: a retry copy ([`Procedure::clone_box`]) is a
+/// box and a reference count, not a copy of any fragment.
+#[derive(Debug, Clone)]
+pub struct OneRound<F, R> {
+    /// One fragment per participant, in dispatch order.
+    pub fragments: Arc<[(PartitionId, F)]>,
+    /// The transaction's result from round 0's outputs: for instance
+    /// [`first_output`], [`last_output`], or a workload's concatenation.
+    pub finish: fn(&RoundOutputs<R>) -> R,
+}
+
+/// A [`OneRound::finish`] rule: the first-dispatched participant's output.
+pub fn first_output<R: Clone>(round: &RoundOutputs<R>) -> R {
+    round.by_partition[0].1.clone()
+}
+
+/// A [`OneRound::finish`] rule: the last-dispatched participant's output.
+pub fn last_output<R: Clone>(round: &RoundOutputs<R>) -> R {
+    let (_, output) = round
+        .by_partition
+        .last()
+        .expect("a round has a participant");
+    output.clone()
+}
+
+impl<F, R> Procedure<F, R> for OneRound<F, R>
+where
+    F: Clone + std::fmt::Debug + Send + Sync + 'static,
+    R: Clone + std::fmt::Debug + 'static,
+{
+    fn step(&self, prior: &[RoundOutputs<R>]) -> Step<F, R> {
+        match prior {
+            [] => Step::Round {
+                fragments: self.fragments.to_vec(),
+                is_final: true,
+            },
+            [round, ..] => Step::Finish((self.finish)(round)),
+        }
+    }
+
+    fn clone_box(&self) -> Box<dyn Procedure<F, R>> {
+        Box::new(self.clone())
+    }
+
+    fn participants(&self) -> Vec<PartitionId> {
+        self.fragments.iter().map(|(p, _)| *p).collect()
     }
 }
 
@@ -176,5 +236,55 @@ pub trait RequestGenerator {
         Self: Sized,
     {
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::{TestFragment, TestOutput};
+
+    #[test]
+    fn one_round_dispatches_its_fragments_and_finishes_by_its_rule() {
+        let (p0, p1) = (PartitionId(3), PartitionId(1));
+        let proc: OneRound<TestFragment, TestOutput> = OneRound {
+            fragments: Arc::from([
+                (p0, TestFragment::add(1, 1)),
+                (p1, TestFragment::read(&[2])),
+            ]),
+            finish: last_output,
+        };
+        // Round 0 is every fragment, in order, with the prepare on it.
+        let Step::Round {
+            fragments,
+            is_final,
+        } = proc.step(&[])
+        else {
+            panic!("expected round 0");
+        };
+        assert!(is_final);
+        let ops: Vec<_> = fragments.into_iter().map(|(p, f)| (p, f.ops)).collect();
+        assert_eq!(
+            ops,
+            vec![
+                (p0, TestFragment::add(1, 1).ops),
+                (p1, TestFragment::read(&[2]).ops)
+            ]
+        );
+        assert_eq!(proc.participants(), vec![p0, p1]);
+        // The result comes from round 0's outputs, by the rule.
+        let round = RoundOutputs {
+            by_partition: vec![(p0, vec![(1, 5)]), (p1, vec![(2, 17)])],
+        };
+        assert_eq!(first_output(&round), vec![(1, 5)]);
+        let Step::Finish(out) = proc.step(&[round]) else {
+            panic!("expected the result");
+        };
+        assert_eq!(out, vec![(2, 17)]);
+        // A retry copy shares the fragments rather than copying them.
+        assert_eq!(Arc::strong_count(&proc.fragments), 1);
+        let copy = proc.clone_box();
+        assert_eq!(Arc::strong_count(&proc.fragments), 2);
+        assert_eq!(copy.participants(), vec![p0, p1]);
     }
 }

@@ -68,13 +68,13 @@ pub trait Scheduler<E: ExecutionEngine> {
 /// differing only in the trait object's `Send` bound (a type position a
 /// generic function can't abstract over).
 macro_rules! build_scheduler {
-    ($config:expr, $me:expr, $resume:expr) => {
+    ($config:expr, $me:expr, $resume:expr, $now:expr) => {
         if $config.adaptive.is_on() {
             // ISSUE 10: `scheme` is only the starting point — wrap it in
             // the adaptive controller, which re-plans live from observed
             // statistics (and resumes its predecessor's scheme/epoch
             // after a promotion).
-            Box::new(AdaptiveScheduler::new($config, $me, $resume))
+            Box::new(AdaptiveScheduler::new($config, $me, $resume, $now))
         } else {
             match AnySched::build($config, $me, $config.scheme) {
                 AnySched::Speculative(s) => Box::new(s),
@@ -89,24 +89,27 @@ pub fn make_scheduler<E: ExecutionEngine + 'static>(
     config: &SystemConfig,
     me: hcc_common::PartitionId,
 ) -> Box<dyn Scheduler<E>> {
-    build_scheduler!(config, me, None)
+    build_scheduler!(config, me, None, Nanos::ZERO)
 }
 
 /// As [`make_scheduler`], but a `Send` trait object, for drivers that move
 /// partition state machines across threads (the live runtime's backends).
 /// `resume` is the last [`SchemeSwitch`] a replica applied — what a
 /// promoted backup passes so it continues in the scheme (and at the
-/// transition epoch) its failed primary had reached. Ignored unless
-/// adaptive selection is on (the scheme is static then).
+/// transition epoch) its failed primary had reached, and `now` the time
+/// it starts to serve, from which the adaptive controller counts scheme
+/// residency. Both are ignored unless adaptive selection is on (the
+/// scheme is static then).
 pub fn make_scheduler_send<E>(
     config: &SystemConfig,
     me: hcc_common::PartitionId,
     resume: Option<SchemeSwitch>,
+    now: Nanos,
 ) -> Box<dyn Scheduler<E> + Send>
 where
     E: ExecutionEngine + Send + 'static,
     E::Fragment: Send,
     E::Output: Send,
 {
-    build_scheduler!(config, me, resume)
+    build_scheduler!(config, me, resume, now)
 }

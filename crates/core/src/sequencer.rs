@@ -140,8 +140,7 @@ pub struct ClosedEpoch<F, R> {
 /// Why an epoch closed (statistics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CloseKind {
-    /// The count boundary: the shard's batch size (production:
-    /// [`EPOCH_BATCH`]) of invocations accumulated.
+    /// The count boundary: [`EPOCH_BATCH`] invocations accumulated.
     Count,
     /// The age boundary: the oldest buffered invocation waited
     /// [`EPOCH_MAX_AGE`].
@@ -154,7 +153,6 @@ pub enum CloseKind {
 /// invocations into the open epoch and closes epochs deterministically.
 pub struct ShardSequencer<F, R> {
     shard: CoordinatorId,
-    batch: u32,
     era: u32,
     /// The open (not yet closed) epoch number.
     epoch: u64,
@@ -163,12 +161,10 @@ pub struct ShardSequencer<F, R> {
 }
 
 impl<F, R> ShardSequencer<F, R> {
-    /// A shard's sequencer closing epochs at `batch` invocations: the
-    /// drivers pass [`EPOCH_BATCH`]; unit tests close smaller ones.
-    pub fn new(shard: CoordinatorId, batch: u32) -> Self {
+    /// A shard's sequencer, closing epochs at [`EPOCH_BATCH`] invocations.
+    pub fn new(shard: CoordinatorId) -> Self {
         ShardSequencer {
             shard,
-            batch: batch.max(1),
             era: 0,
             epoch: 0,
             buf: Vec::new(),
@@ -212,7 +208,7 @@ impl<F, R> ShardSequencer<F, R> {
             enqueued_at: now,
             participants,
         });
-        (self.buf.len() >= self.batch as usize).then(|| self.close(now, CloseKind::Count))
+        (self.buf.len() >= EPOCH_BATCH as usize).then(|| self.close(now, CloseKind::Count))
     }
 
     /// Close the open epoch (possibly empty) and advance to the next.
@@ -563,19 +559,19 @@ impl<F> PartitionSequencer<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{SimpleMpProcedure, TestFragment, TestOutput};
+    use crate::testkit::{one_round, TestFragment, TestOutput};
 
     fn txid(n: u32) -> TxnId {
         TxnId::new(ClientId(n), 0)
     }
 
     fn proc_for(parts: &[u32]) -> Box<dyn Procedure<TestFragment, TestOutput>> {
-        Box::new(SimpleMpProcedure {
-            fragments: parts
+        one_round(
+            parts
                 .iter()
                 .map(|p| (PartitionId(*p), TestFragment::default()))
                 .collect(),
-        })
+        )
     }
 
     fn task(n: u32, shard: u32) -> FragmentTask<TestFragment> {
@@ -616,35 +612,38 @@ mod tests {
 
     #[test]
     fn shard_closes_on_count_boundary() {
-        let mut s = ShardSequencer::new(CoordinatorId(0), 2);
-        assert!(s
-            .push(txid(1), ClientId(1), proc_for(&[0, 1]), false, Nanos(10))
-            .is_none());
-        let closed = s
-            .push(txid(2), ClientId(2), proc_for(&[1, 2]), false, Nanos(20))
-            .expect("second push hits the batch boundary");
+        let mut s = ShardSequencer::new(CoordinatorId(0));
+        let push = |s: &mut ShardSequencer<_, _>, n: u32| {
+            let parts = proc_for(&[n - 1, n]);
+            s.push(txid(n), ClientId(n), parts, false, Nanos(u64::from(n) * 10))
+        };
+        for n in 1..EPOCH_BATCH {
+            assert!(push(&mut s, n).is_none());
+        }
+        let closed = push(&mut s, EPOCH_BATCH).expect("the last push hits the batch boundary");
+        let batch = EPOCH_BATCH as usize;
         assert_eq!(closed.log.epoch, 0);
-        assert_eq!(closed.log.entries.len(), 2);
+        assert_eq!(closed.log.entries.len(), batch);
         assert_eq!(closed.log.entries[0].0, txid(1));
         assert_eq!(
             closed.log.entries[1].1,
             vec![PartitionId(1), PartitionId(2)]
         );
-        assert_eq!(closed.invokes.len(), 2);
+        assert_eq!(closed.invokes.len(), batch);
         assert!(s.is_empty());
         assert_eq!(s.stats().epochs_closed, 1);
-        assert_eq!(s.stats().batch_sum, 2);
-        assert_eq!(s.stats().batch_max, 2);
-        assert_eq!(s.stats().seq_hold.count(), 2);
+        assert_eq!(s.stats().batch_sum, batch as u64);
+        assert_eq!(s.stats().batch_max, batch as u64);
+        assert_eq!(s.stats().seq_hold.count(), batch as u64);
         // Next close is epoch 1.
-        let next = s.close(Nanos(30), CloseKind::Age);
+        let next = s.close(Nanos(10_000), CloseKind::Age);
         assert_eq!(next.log.epoch, 1);
         assert_eq!(s.stats().age_closes, 1);
     }
 
     #[test]
     fn peer_log_cascades_through_empty_epochs() {
-        let mut s = ShardSequencer::new(CoordinatorId(1), 64);
+        let mut s = ShardSequencer::new(CoordinatorId(1));
         s.push(txid(7), ClientId(7), proc_for(&[0]), false, Nanos(5));
         // Peer closed epoch 2; we must close 0 (our one entry), 1, 2.
         let closed = s.on_peer_log(&log(0, 0, 2, &[99]), Nanos(9));
@@ -661,8 +660,7 @@ mod tests {
 
     #[test]
     fn era_change_bounces_buffer_and_restarts_epochs() {
-        let mut s: ShardSequencer<TestFragment, TestOutput> =
-            ShardSequencer::new(CoordinatorId(0), 64);
+        let mut s: ShardSequencer<TestFragment, TestOutput> = ShardSequencer::new(CoordinatorId(0));
         s.close(Nanos(1), CloseKind::Age); // epoch 0 closed
         s.push(txid(3), ClientId(3), proc_for(&[0, 1]), false, Nanos(2));
         let (marker, bounced) = s.on_era_change();

@@ -9,7 +9,7 @@
 //! the speculative scheduler's tests with this engine).
 
 use crate::engine::{ExecOutcome, ExecutionEngine};
-use crate::procedure::{Procedure, RoundOutputs, Step};
+use crate::procedure::{OneRound, Procedure, RoundOutputs, Step};
 use hcc_common::{AbortReason, LockKey, LogEncode, PartitionId, TxnId};
 use hcc_locking::{granule, LockMode};
 use std::collections::{BTreeMap, HashMap};
@@ -327,34 +327,20 @@ impl ExecutionEngine for TestEngine {
     }
 }
 
-/// A one-round ("simple") multi-partition procedure: apply a fragment at
-/// each participant simultaneously. This is the shape of every distributed
-/// TPC-C transaction (paper §4.2.2).
-#[derive(Debug, Clone)]
-pub struct SimpleMpProcedure {
-    pub fragments: Vec<(PartitionId, TestFragment)>,
-}
-
-impl Procedure<TestFragment, TestOutput> for SimpleMpProcedure {
-    fn clone_box(&self) -> Box<dyn Procedure<TestFragment, TestOutput>> {
-        Box::new(self.clone())
+/// A one-round ("simple") multi-partition transaction over the test
+/// engine: `fragments` run at their participants at once, and the result
+/// is every participant's reads, concatenated in dispatch order. This is
+/// the shape of every distributed TPC-C transaction (paper §4.2.2).
+pub fn one_round(
+    fragments: Vec<(PartitionId, TestFragment)>,
+) -> Box<dyn Procedure<TestFragment, TestOutput>> {
+    fn concat(r: &RoundOutputs<TestOutput>) -> TestOutput {
+        r.by_partition.iter().flat_map(|p| p.1.clone()).collect()
     }
-
-    fn step(&self, prior: &[RoundOutputs<TestOutput>]) -> Step<TestFragment, TestOutput> {
-        if prior.is_empty() {
-            Step::Round {
-                fragments: self.fragments.clone(),
-                is_final: true,
-            }
-        } else {
-            // Final result: concatenation of all partitions' reads.
-            let mut all = Vec::new();
-            for (_, r) in &prior[0].by_partition {
-                all.extend(r.iter().copied());
-            }
-            Step::Finish(all)
-        }
-    }
+    Box::new(OneRound {
+        fragments: fragments.into(),
+        finish: concat,
+    })
 }
 
 /// A two-round ("general") procedure: round 0 reads a key at each of two
@@ -611,16 +597,5 @@ mod tests {
         assert!(fragments
             .iter()
             .any(|(p, f)| *p == p2 && f.ops == vec![TestOp::Set(2, 5)]));
-    }
-
-    #[test]
-    fn simple_mp_participants() {
-        let proc = SimpleMpProcedure {
-            fragments: vec![
-                (PartitionId(0), TestFragment::add(1, 1)),
-                (PartitionId(1), TestFragment::add(2, 1)),
-            ],
-        };
-        assert_eq!(proc.participants(), vec![PartitionId(0), PartitionId(1)]);
     }
 }

@@ -86,7 +86,7 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> TxnDriver<F, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{SimpleMpProcedure, TestFragment, TestOutput};
+    use crate::testkit::{one_round, TestFragment, TestOutput};
     use hcc_common::{AbortReason, CoordinatorRef, PartitionId, TxnResult, Vote};
 
     /// Split driver outputs into network messages and the final result (if
@@ -108,12 +108,10 @@ mod tests {
     }
 
     fn proc2() -> Box<dyn Procedure<TestFragment, TestOutput>> {
-        Box::new(SimpleMpProcedure {
-            fragments: vec![
-                (PartitionId(0), TestFragment::add(1, 1)),
-                (PartitionId(1), TestFragment::add(2, 1)),
-            ],
-        })
+        one_round(vec![
+            (PartitionId(0), TestFragment::add(1, 1)),
+            (PartitionId(1), TestFragment::add(2, 1)),
+        ])
     }
 
     fn resp(txn: TxnId, p: u32, vote: Vote) -> FragmentResponse<TestOutput> {

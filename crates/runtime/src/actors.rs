@@ -117,8 +117,7 @@ use hcc_core::replica::{
     failover_bounce, CommitGate, FailoverBounce, Logged, Owed, ReplicaCore, ReplicationSession,
 };
 use hcc_core::sequencer::{
-    broadcast_dests, Admit, ClosedEpoch, EpochLog, EpochLogDest, PartitionSequencer,
-    ShardSequencer, EPOCH_BATCH,
+    broadcast_dests, Admit, ClosedEpoch, EpochLog, EpochLogDest, PartitionSequencer, ShardSequencer,
 };
 use hcc_core::txn_driver::TxnDriver;
 use hcc_core::{
@@ -765,7 +764,7 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
                 coord.set_peer_broadcast(peers.collect());
             }
             Sequencing {
-                sequencer: ShardSequencer::new(id, EPOCH_BATCH),
+                sequencer: ShardSequencer::new(id),
                 partitions: system.partitions,
                 shards,
             }
@@ -1260,7 +1259,7 @@ where
         let dur = system.durability.map(|cfg| Durability::new(cfg, log));
         let role = if slot == 0 {
             Role::Primary(Primary {
-                sched: make_scheduler_send::<E>(system, group, None),
+                sched: make_scheduler_send::<E>(system, group, None, Nanos::ZERO),
                 // The session builds the commit records; the durable log
                 // needs them even with replication off.
                 session: (replicate || dur.is_some()).then(ReplicationSession::new),
@@ -1383,7 +1382,7 @@ where
     /// Membership made this backup the group's primary under `epoch`.
     fn promote(&mut self, epoch: u32, now: Nanos) {
         if let Role::Backup(b) = self.end_role(now) {
-            self.role = Role::Primary(b.promote(&mut self.node, epoch));
+            self.role = Role::Primary(b.promote(&mut self.node, epoch, now));
         }
     }
 
@@ -1876,11 +1875,12 @@ impl Backup {
         }
     }
 
-    /// Become the group's primary under `epoch`. Every record the dead
-    /// primary shipped is already applied (it was queued ahead of this
-    /// promotion on FIFO links): resume its log without a gap. The failed
-    /// node becomes a ship target only once it rejoins (via FetchState).
-    fn promote<E>(mut self, node: &mut Node<E>, epoch: u32) -> Primary<E>
+    /// Become the group's primary under `epoch` at `now`. Every record the
+    /// dead primary shipped is already applied (it was queued ahead of
+    /// this promotion on FIFO links): resume its log without a gap. The
+    /// failed node becomes a ship target only once it rejoins (via
+    /// FetchState).
+    fn promote<E>(mut self, node: &mut Node<E>, epoch: u32, now: Nanos) -> Primary<E>
     where
         E: ExecutionEngine + Send + 'static,
         E::Fragment: Send,
@@ -1894,7 +1894,7 @@ impl Backup {
             // Adaptive runs: the commit log says which scheme was in force
             // at the watermark; resume there so failover lands in the
             // same scheme at the same transition epoch.
-            sched: make_scheduler_send::<E>(system, node.group, self.replica.scheme_switch()),
+            sched: make_scheduler_send::<E>(system, node.group, self.replica.scheme_switch(), now),
             session: Some(ReplicationSession::resume_from(watermark)),
             // Surviving sibling backups hold the same record prefix this
             // node does.
@@ -2131,7 +2131,7 @@ mod tests {
         let (_, crashed_at) = send(&mut nodes, 0, Msg::Crash);
 
         // Slot 1 is promoted and commits two more on its own.
-        send(&mut nodes, 1, Msg::Promote { epoch: 1 });
+        let (_, promoted_at) = send(&mut nodes, 1, Msg::Promote { epoch: 1 });
         let shard = CoordinatorId(0);
         send(&mut nodes, 1, Msg::RoutingApplied { shard });
         assert_eq!(committed(&send(&mut nodes, 1, task(3, false)).0), 1);
@@ -2172,10 +2172,8 @@ mod tests {
         assert_eq!((b.sched.committed, b.dur.records_appended), (3, 3));
         assert_eq!(b.dur.syncs, 3);
         assert_eq!(b.seq.passthrough, 1);
-        // Counted once: more than nothing, no more than the run. (A
-        // scheduler built at a promotion starts its residency clock at 0,
-        // not at the promotion, so the exact figure is not pinned here.)
-        assert!((1..=last.0).contains(&residency(&b)));
+        // Its scheme residency runs from its promotion, not from 0.
+        assert_eq!(residency(&b), last.0 - promoted_at.0);
         assert!(b.log_image.is_some());
     }
 }

@@ -5,11 +5,11 @@
 //! partition."
 
 use hcc_common::{ClientId, FailAt, FailurePlan, Nanos, PartitionId, Scheme, SystemConfig, TxnId};
-use hcc_core::{Request, RequestGenerator};
+use hcc_core::{OneRound, Request, RequestGenerator};
 use hcc_runtime::{BackendChoice, RuntimeConfig, RuntimeReport, Simulation};
 use hcc_workloads::micro::{
-    make_key, MicroConfig, MicroEngine, MicroFragment, MicroOp, MicroOutput, MicroWorkload,
-    SimpleMicroProcedure,
+    concat_outputs, make_key, MicroConfig, MicroEngine, MicroFragment, MicroOp, MicroOutput,
+    MicroWorkload,
 };
 use std::sync::Arc;
 
@@ -52,7 +52,7 @@ impl RequestGenerator for SplitWorkload {
         } else {
             self.last_kind_mp.insert(client.0, true);
             Request::MultiPartition {
-                procedure: Box::new(SimpleMicroProcedure {
+                procedure: Box::new(OneRound {
                     fragments: Arc::from([
                         (
                             PartitionId(0),
@@ -73,6 +73,7 @@ impl RequestGenerator for SplitWorkload {
                             },
                         ),
                     ]),
+                    finish: concat_outputs,
                 }),
                 can_abort: false,
             }

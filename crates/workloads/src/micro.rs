@@ -21,7 +21,8 @@
 use crate::per_client::PerClient;
 use hcc_common::{AbortReason, ClientId, FxHashMap, LockKey, LogEncode, PartitionId, TxnId};
 use hcc_core::{
-    ExecOutcome, ExecutionEngine, Procedure, Request, RequestGenerator, RoundOutputs, Step,
+    ExecOutcome, ExecutionEngine, OneRound, Procedure, Request, RequestGenerator, RoundOutputs,
+    Step,
 };
 use hcc_locking::{granule, LockMode};
 use hcc_storage::{KvStore, KvUndo};
@@ -454,40 +455,15 @@ impl ExecutionEngine for MicroEngine {
     }
 }
 
-/// A simple (one-round) multi-partition microbenchmark transaction.
-///
-/// The per-partition fragments are shared like their op lists: a retry
-/// copy ([`Procedure::clone_box`]) is the box and a reference count.
-#[derive(Debug, Clone)]
-pub struct SimpleMicroProcedure {
-    pub fragments: Arc<[(PartitionId, MicroFragment)]>,
-}
-
-/// The transaction's result: every participant's values, in participant
-/// order.
-fn concat_outputs(round: &RoundOutputs<MicroOutput>) -> MicroOutput {
+/// A multi-partition transaction's result: every participant's values, in
+/// participant order (the [`OneRound::finish`] rule of a simple
+/// microbenchmark transaction).
+pub fn concat_outputs(round: &RoundOutputs<MicroOutput>) -> MicroOutput {
     let mut all = MicroOutput::new();
     for (_, r) in &round.by_partition {
         all.extend(r.iter().copied());
     }
     all
-}
-
-impl Procedure<MicroFragment, MicroOutput> for SimpleMicroProcedure {
-    fn clone_box(&self) -> Box<dyn Procedure<MicroFragment, MicroOutput>> {
-        Box::new(self.clone())
-    }
-
-    fn step(&self, prior: &[RoundOutputs<MicroOutput>]) -> Step<MicroFragment, MicroOutput> {
-        if prior.is_empty() {
-            Step::Round {
-                fragments: self.fragments.to_vec(),
-                is_final: true,
-            }
-        } else {
-            Step::Finish(concat_outputs(&prior[0]))
-        }
-    }
 }
 
 /// The §5.4 "general" transaction: round 0 reads every key, round 1 writes
@@ -769,7 +745,10 @@ impl RequestGenerator for MicroWorkload {
         let procedure: Box<dyn Procedure<MicroFragment, MicroOutput>> = if cfg.two_round {
             Box::new(TwoRoundMicroProcedure { reads: fragments })
         } else {
-            Box::new(SimpleMicroProcedure { fragments })
+            Box::new(OneRound {
+                fragments,
+                finish: concat_outputs,
+            })
         };
         Request::MultiPartition {
             procedure,

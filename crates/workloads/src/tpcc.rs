@@ -25,9 +25,8 @@
 
 use hcc_common::{AbortReason, ClientId, LockKey, LogEncode, PartitionId, TxnId};
 use hcc_common::{FxHashMap, FxHashSet};
-use hcc_core::{
-    ExecOutcome, ExecutionEngine, Procedure, Request, RequestGenerator, RoundOutputs, Step,
-};
+use hcc_core::procedure::{first_output, last_output};
+use hcc_core::{ExecOutcome, ExecutionEngine, OneRound, Request, RequestGenerator};
 use hcc_locking::LockMode;
 use hcc_storage::tpcc::{
     self as db, last_name, load_partition, CId, DId, IId, Order, OrderLine, TpccScale, TpccStore,
@@ -35,6 +34,7 @@ use hcc_storage::tpcc::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::iter;
 use std::sync::Arc;
 
 /// Stock-level's whole-warehouse stock granule (see module docs).
@@ -975,95 +975,6 @@ impl ExecutionEngine for TpccEngine {
 }
 
 // ---------------------------------------------------------------------
-// Multi-partition procedures
-// ---------------------------------------------------------------------
-
-/// New-order spanning partitions: home fragment plus one stock-update
-/// fragment per remote partition. Simple (single-round), as the paper
-/// notes for all distributed TPC-C transactions.
-#[derive(Debug, Clone)]
-pub struct NewOrderProcedure {
-    pub home: (PartitionId, TpccFragment),
-    pub remotes: Vec<(PartitionId, TpccFragment)>,
-}
-
-impl Procedure<TpccFragment, TpccOutput> for NewOrderProcedure {
-    fn clone_box(&self) -> Box<dyn Procedure<TpccFragment, TpccOutput>> {
-        Box::new(self.clone())
-    }
-
-    fn step(&self, prior: &[RoundOutputs<TpccOutput>]) -> Step<TpccFragment, TpccOutput> {
-        if prior.is_empty() {
-            let mut fragments = vec![self.home.clone()];
-            fragments.extend(self.remotes.iter().cloned());
-            Step::Round {
-                fragments,
-                is_final: true,
-            }
-        } else {
-            let home = prior[0]
-                .get(self.home.0)
-                .expect("home partition responded")
-                .clone();
-            Step::Finish(home)
-        }
-    }
-}
-
-/// A transaction classified multi-partition (by warehouse) whose data all
-/// lives on one partition: a one-participant coordinated transaction.
-#[derive(Debug, Clone)]
-pub struct SinglePartitionMpProcedure {
-    pub partition: PartitionId,
-    pub fragment: TpccFragment,
-}
-
-impl Procedure<TpccFragment, TpccOutput> for SinglePartitionMpProcedure {
-    fn clone_box(&self) -> Box<dyn Procedure<TpccFragment, TpccOutput>> {
-        Box::new(self.clone())
-    }
-
-    fn step(&self, prior: &[RoundOutputs<TpccOutput>]) -> Step<TpccFragment, TpccOutput> {
-        if prior.is_empty() {
-            Step::Round {
-                fragments: vec![(self.partition, self.fragment.clone())],
-                is_final: true,
-            }
-        } else {
-            Step::Finish(prior[0].by_partition[0].1.clone())
-        }
-    }
-}
-
-/// Payment with the customer on a remote partition.
-#[derive(Debug, Clone)]
-pub struct PaymentProcedure {
-    pub home: (PartitionId, TpccFragment),
-    pub customer: (PartitionId, TpccFragment),
-}
-
-impl Procedure<TpccFragment, TpccOutput> for PaymentProcedure {
-    fn clone_box(&self) -> Box<dyn Procedure<TpccFragment, TpccOutput>> {
-        Box::new(self.clone())
-    }
-
-    fn step(&self, prior: &[RoundOutputs<TpccOutput>]) -> Step<TpccFragment, TpccOutput> {
-        if prior.is_empty() {
-            Step::Round {
-                fragments: vec![self.home.clone(), self.customer.clone()],
-                is_final: true,
-            }
-        } else {
-            let cust = prior[0]
-                .get(self.customer.0)
-                .expect("customer partition responded")
-                .clone();
-            Step::Finish(cust)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Workload generator
 // ---------------------------------------------------------------------
 
@@ -1331,34 +1242,25 @@ impl TpccWorkload {
                 can_abort: false,
             };
         }
-        if remote.is_empty() {
-            // By-warehouse classification: remote warehouses, all on the
-            // home partition.
-            return Request::MultiPartition {
-                procedure: Box::new(SinglePartitionMpProcedure {
-                    partition: home_p,
-                    fragment: home_frag,
-                }),
-                can_abort: false,
+        // Simple (single-round), as the paper notes for all distributed
+        // TPC-C transactions: the home fragment, then one stock-update
+        // fragment per remote partition in partition order; the result is
+        // the home's. With no remote partition (by-warehouse
+        // classification, every remote warehouse on the home partition) it
+        // has one participant and still pays the coordinator and 2PC.
+        let remotes = remote.into_iter().map(|(p, ls)| {
+            let stock = TpccFragment::NewOrderRemote {
+                home_w_id: w_id,
+                lines: ls.into(),
             };
-        }
-        let mut remotes: Vec<(PartitionId, TpccFragment)> = remote
-            .into_iter()
-            .map(|(p, ls)| {
-                (
-                    p,
-                    TpccFragment::NewOrderRemote {
-                        home_w_id: w_id,
-                        lines: ls.into(),
-                    },
-                )
-            })
-            .collect();
-        remotes.sort_by_key(|(p, _)| *p);
+            (p, stock)
+        });
+        let mut fragments: Vec<_> = iter::once((home_p, home_frag)).chain(remotes).collect();
+        fragments[1..].sort_by_key(|(p, _)| *p);
         Request::MultiPartition {
-            procedure: Box::new(NewOrderProcedure {
-                home: (home_p, home_frag),
-                remotes,
+            procedure: Box::new(OneRound {
+                fragments: fragments.into(),
+                finish: first_output,
             }),
             can_abort: false,
         }
@@ -1392,66 +1294,44 @@ impl TpccWorkload {
         } else {
             home_p == cust_p
         };
+        let home = |customer, customer_is_local| TpccFragment::PaymentHome {
+            w_id,
+            d_id,
+            c_w_id,
+            c_d_id,
+            customer,
+            amount_cents: amount,
+            customer_is_local,
+        };
         if classified_sp {
             return Request::SinglePartition {
                 partition: home_p,
-                fragment: TpccFragment::PaymentHome {
-                    w_id,
-                    d_id,
-                    c_w_id,
-                    c_d_id,
-                    customer,
-                    amount_cents: amount,
-                    customer_is_local: true,
-                },
+                fragment: home(customer, true),
                 can_abort: false,
             };
         }
-        if home_p == cust_p {
-            // Remote warehouse, same partition (by-warehouse
-            // classification): a single-participant multi-partition
-            // transaction — still pays the coordinator round trip and 2PC.
-            return Request::MultiPartition {
-                procedure: Box::new(SinglePartitionMpProcedure {
-                    partition: home_p,
-                    fragment: TpccFragment::PaymentHome {
-                        w_id,
-                        d_id,
-                        c_w_id,
-                        c_d_id,
-                        customer,
-                        amount_cents: amount,
-                        customer_is_local: true,
-                    },
-                }),
-                can_abort: false,
+        // The result is the customer's, whose fragment is dispatched last.
+        // A remote warehouse on the home partition (by-warehouse
+        // classification) is a one-participant transaction that still pays
+        // the coordinator round trip and 2PC.
+        let fragments = if home_p == cust_p {
+            Arc::from([(home_p, home(customer, true))])
+        } else {
+            let home = (home_p, home(customer.clone(), false));
+            let customer = TpccFragment::PaymentCustomer {
+                w_id,
+                d_id,
+                c_w_id,
+                c_d_id,
+                customer,
+                amount_cents: amount,
             };
-        }
+            Arc::from([home, (cust_p, customer)])
+        };
         Request::MultiPartition {
-            procedure: Box::new(PaymentProcedure {
-                home: (
-                    home_p,
-                    TpccFragment::PaymentHome {
-                        w_id,
-                        d_id,
-                        c_w_id,
-                        c_d_id,
-                        customer: customer.clone(),
-                        amount_cents: amount,
-                        customer_is_local: false,
-                    },
-                ),
-                customer: (
-                    cust_p,
-                    TpccFragment::PaymentCustomer {
-                        w_id,
-                        d_id,
-                        c_w_id,
-                        c_d_id,
-                        customer,
-                        amount_cents: amount,
-                    },
-                ),
+            procedure: Box::new(OneRound {
+                fragments,
+                finish: last_output,
             }),
             can_abort: false,
         }
@@ -1534,6 +1414,7 @@ impl RequestGenerator for TpccWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcc_core::Step;
     use hcc_storage::tpcc::consistency;
 
     fn cfg_tiny(warehouses: u32, partitions: u32) -> TpccConfig {

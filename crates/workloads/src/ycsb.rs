@@ -22,11 +22,11 @@
 //! The engine is the same [`MicroEngine`] KV store; only the key layout
 //! and request distribution differ.
 
-use crate::micro::{MicroEngine, MicroFragment, MicroOp, MicroOutput, SimpleMicroProcedure};
+use crate::micro::{concat_outputs, MicroEngine, MicroFragment, MicroOp, MicroOutput};
 use crate::per_client::PerClient;
 use hcc_common::rng::{SplitMix64, Zipfian};
 use hcc_common::{ClientId, PartitionId};
-use hcc_core::{Procedure, Request, RequestGenerator};
+use hcc_core::{OneRound, Request, RequestGenerator};
 use std::sync::Arc;
 
 /// A YCSB key: partition in the high half, record index in the low half —
@@ -145,15 +145,15 @@ impl RequestGenerator for YcsbWorkload {
             p1 += 1;
         }
         let half = (cfg.ops_per_txn / 2).max(1);
-        let procedure: Box<dyn Procedure<MicroFragment, MicroOutput>> =
-            Box::new(SimpleMicroProcedure {
-                fragments: Arc::from([
-                    (PartitionId(p0), self.fragment(c, p0, half)),
-                    (PartitionId(p1), self.fragment(c, p1, half)),
-                ]),
-            });
+        let fragments = Arc::from([
+            (PartitionId(p0), self.fragment(c, p0, half)),
+            (PartitionId(p1), self.fragment(c, p1, half)),
+        ]);
         Request::MultiPartition {
-            procedure,
+            procedure: Box::new(OneRound {
+                fragments,
+                finish: concat_outputs,
+            }),
             can_abort: false,
         }
     }
@@ -353,8 +353,9 @@ impl RequestGenerator for YcsbEWorkload {
             let f0 = self.scan_fragment(c, p0, half);
             let f1 = self.scan_fragment(c, p1, half);
             return Request::MultiPartition {
-                procedure: Box::new(SimpleMicroProcedure {
+                procedure: Box::new(OneRound {
                     fragments: Arc::from([(PartitionId(p0), f0), (PartitionId(p1), f1)]),
+                    finish: concat_outputs,
                 }),
                 can_abort: false,
             };

@@ -11,9 +11,11 @@
 //! cargo run --release --example quickstart [multiplexed[:N]|sim]
 //! ```
 
+use hcc::core::procedure::last_output;
 use hcc::prelude::*;
 use hcc_locking::LockMode;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -189,62 +191,42 @@ impl ExecutionEngine for BankEngine {
 }
 
 // ---------------------------------------------------------------------
-// 2. A multi-partition stored procedure: transfer between partitions.
+// 2. A multi-partition transaction: transfer between partitions.
 // ---------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct Transfer {
-    from: u64,
-    to: u64,
-    amount: i64,
-}
 
 fn partition_of(account: u64) -> PartitionId {
     PartitionId((account % 2) as u32)
 }
 
-impl Procedure<BankFragment, BankOutput> for Transfer {
-    fn clone_box(&self) -> Box<dyn Procedure<BankFragment, BankOutput>> {
-        Box::new(self.clone())
-    }
-
-    fn step(&self, prior: &[RoundOutputs<BankOutput>]) -> Step<BankFragment, BankOutput> {
-        if prior.is_empty() {
-            // One fragment per participant, single round: a "simple
-            // multi-partition transaction" — the kind speculation loves.
-            Step::Round {
-                fragments: vec![
-                    (
-                        partition_of(self.from),
-                        BankFragment {
-                            ops: vec![BankOp::Withdraw {
-                                account: self.from,
-                                amount: self.amount,
-                            }],
-                        },
-                    ),
-                    (
-                        partition_of(self.to),
-                        BankFragment {
-                            ops: vec![
-                                BankOp::Deposit {
-                                    account: self.to,
-                                    amount: self.amount,
-                                },
-                                BankOp::Read { account: self.to },
-                            ],
-                        },
-                    ),
-                ],
-                is_final: true,
-            }
-        } else {
-            let dest = prior[0]
-                .get(partition_of(self.to))
-                .cloned()
-                .unwrap_or_default();
-            Step::Finish(dest)
-        }
+/// One fragment per participant, single round: a "simple multi-partition
+/// transaction" (the kind speculation loves). Its result is the balance
+/// read at the destination, the last participant.
+fn transfer(from: u64, to: u64, amount: i64) -> OneRound<BankFragment, BankOutput> {
+    let withdraw = BankOp::Withdraw {
+        account: from,
+        amount,
+    };
+    let deposit = BankOp::Deposit {
+        account: to,
+        amount,
+    };
+    let read = BankOp::Read { account: to };
+    OneRound {
+        fragments: Arc::from([
+            (
+                partition_of(from),
+                BankFragment {
+                    ops: vec![withdraw],
+                },
+            ),
+            (
+                partition_of(to),
+                BankFragment {
+                    ops: vec![deposit, read],
+                },
+            ),
+        ]),
+        finish: last_output,
     }
 }
 
@@ -252,10 +234,13 @@ impl Procedure<BankFragment, BankOutput> for Transfer {
 // 3. The workload: random deposits and transfers from each client.
 // ---------------------------------------------------------------------
 
+/// Each client draws from its own generator state, so the generator
+/// splits into one share per client and no client waits on a lock.
 struct BankWorkload {
     accounts: u64,
     seed: u64,
-    counter: u64,
+    /// Per-client generator state; a client not yet seen starts at 1.
+    counters: HashMap<ClientId, u64>,
 }
 
 impl RequestGenerator for BankWorkload {
@@ -264,11 +249,11 @@ impl RequestGenerator for BankWorkload {
     fn next_request(&mut self, client: ClientId) -> Request<BankFragment, BankOutput> {
         // A tiny deterministic mix: 70% deposits, 30% cross-partition
         // transfers (some of which will overdraft and abort).
-        self.counter = self
-            .counter
+        let counter = self.counters.entry(client).or_insert(1);
+        *counter = counter
             .wrapping_mul(6364136223846793005)
             .wrapping_add(self.seed ^ client.0 as u64 | 1);
-        let r = self.counter >> 33;
+        let r = *counter >> 33;
         let a = r % self.accounts;
         let b = (r / self.accounts) % self.accounts;
         if r % 10 < 7 {
@@ -283,19 +268,17 @@ impl RequestGenerator for BankWorkload {
                 can_abort: false,
             }
         } else {
+            let to = b + u64::from(partition_of(b) == partition_of(a));
             Request::MultiPartition {
-                procedure: Box::new(Transfer {
-                    from: a,
-                    to: if partition_of(b) == partition_of(a) {
-                        b + 1
-                    } else {
-                        b
-                    },
-                    amount: 25,
-                }),
+                procedure: Box::new(transfer(a, to, 25)),
                 can_abort: true, // overdrafts abort after the fact
             }
         }
+    }
+
+    fn for_client(&mut self, client: ClientId) -> Option<Self> {
+        let counters = HashMap::from([(client, self.counters.remove(&client).unwrap_or(1))]);
+        Some(BankWorkload { counters, ..*self })
     }
 }
 
@@ -328,7 +311,7 @@ fn main() {
         BankWorkload {
             accounts,
             seed: 42,
-            counter: 1,
+            counters: HashMap::new(),
         },
         build,
     );

@@ -67,8 +67,8 @@ pub mod prelude {
         TxnResult,
     };
     pub use hcc_core::{
-        make_scheduler, ExecOutcome, ExecutionEngine, Outbox, PartitionOut, Procedure, ReplicaCore,
-        ReplicationSession, Request, RequestGenerator, RoundOutputs, Scheduler, Step,
+        make_scheduler, ExecOutcome, ExecutionEngine, OneRound, Outbox, PartitionOut, Procedure,
+        ReplicaCore, ReplicationSession, Request, RequestGenerator, RoundOutputs, Scheduler, Step,
     };
     pub use hcc_runtime::{run, BackendChoice, RunMode, RuntimeConfig, RuntimeReport, Simulation};
 }
