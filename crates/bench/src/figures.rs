@@ -268,7 +268,7 @@ pub fn fig10(effort: Effort) -> Figure {
                     mp_fraction: f,
                     ..micro_base()
                 },
-                effort,
+                effort.window(),
                 |sys| sys.local_speculation_only = local_only,
             );
             points.push((f * 100.0, r.throughput_tps));

@@ -97,6 +97,20 @@ pub const POINTS: [&str; 43] = [
     "micro/speculation/p2/r1/d0/sh1/seq0/ad0/kill0/depth2",
 ];
 
+/// Apply one of a key's trailing knobs to `system`: `local` (local
+/// speculation only) or `depthN` (`max_speculation_depth`). False if
+/// `knob` is neither.
+pub fn apply_knob(system: &mut SystemConfig, knob: &str) -> bool {
+    if knob == "local" {
+        system.local_speculation_only = true;
+    } else if let Some(depth) = knob.strip_prefix("depth").and_then(|d| d.parse().ok()) {
+        system.max_speculation_depth = depth;
+    } else {
+        return false;
+    }
+    true
+}
+
 /// One row: (column, value) pairs, the key first.
 type Row = Vec<(&'static str, String)>;
 
@@ -145,11 +159,7 @@ fn run_point(key: &str) -> Row {
     }
     let kill = number("kill");
     for knob in fields {
-        match knob.strip_prefix("depth") {
-            Some(depth) => system.max_speculation_depth = depth.parse().expect("depthN"),
-            None if knob == "local" => system.local_speculation_only = true,
-            None => panic!("{key}: no knob {knob:?}"),
-        }
+        assert!(apply_knob(&mut system, knob), "{key}: no knob {knob:?}");
     }
     if workload == Some("tpcc") {
         // TPC-C has real distributed deadlocks (§5.6); resolve them promptly.
@@ -270,7 +280,7 @@ fn row<E: ExecutionEngine>(
     counts!(row, "sched.", r.sched;
         fragments_executed, committed, committed_mp, aborted, speculative_executions,
         squashed_executions, fast_path, locks_granted_immediately, locks_waited,
-        local_deadlocks, lock_timeouts, stray_decisions, cross_coord_waits);
+        local_deadlocks, lock_timeouts, stray_decisions, cross_coord_waits, doomed_waits);
     counts!(row, "repl.", r.replication;
         records_shipped, records_applied, records_skipped, replay_failures, promotions,
         recoveries, snapshots_served, failover_bounces, failed_at_ns, recovered_at_ns);

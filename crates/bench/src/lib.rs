@@ -61,9 +61,8 @@ impl Effort {
     }
 }
 
-/// The simulator run of `system` over one effort's window.
-fn sim_config(system: SystemConfig, effort: Effort) -> RuntimeConfig {
-    let (warmup, measure) = effort.window();
+/// The simulator run of `system` over a (warm-up, measured) window.
+fn sim_config(system: SystemConfig, (warmup, measure): (Nanos, Nanos)) -> RuntimeConfig {
     RuntimeConfig::new(system, BackendChoice::Sim { shadow: false }).with_window(warmup, measure)
 }
 
@@ -75,14 +74,15 @@ pub fn model_params() -> ModelParams {
 
 /// Run the microbenchmark once and return the report.
 pub fn run_micro(scheme: Scheme, micro: MicroConfig, effort: Effort) -> RuntimeReport<MicroEngine> {
-    run_micro_with(scheme, micro, effort, |_| {})
+    run_micro_with(scheme, micro, effort.window(), |_| {})
 }
 
-/// Run the microbenchmark with extra system-config tweaks.
+/// Run the microbenchmark over a (warm-up, measured) window with extra
+/// system-config tweaks.
 pub fn run_micro_with(
     scheme: Scheme,
     micro: MicroConfig,
-    effort: Effort,
+    window: (Nanos, Nanos),
     tweak: impl FnOnce(&mut SystemConfig),
 ) -> RuntimeReport<MicroEngine> {
     let mut system = SystemConfig::new(scheme)
@@ -92,7 +92,7 @@ pub fn run_micro_with(
     tweak(&mut system);
     let builder = MicroWorkload::new(micro);
     run(
-        sim_config(system, effort),
+        sim_config(system, window),
         MicroWorkload::new(micro),
         move |p| builder.build_engine(p),
     )
@@ -122,7 +122,7 @@ pub fn run_tpcc(
     system.costs.per_lock = hcc_common::Nanos(1_800);
     let builder = TpccWorkload::new(tpcc);
     run(
-        sim_config(system, effort),
+        sim_config(system, effort.window()),
         TpccWorkload::new(tpcc),
         move |p| builder.build_engine(p),
     )

@@ -171,7 +171,7 @@ pub fn ablation(effort: Effort) -> String {
                 abort_prob: abort,
                 ..MicroConfig::default()
             };
-            let r = crate::run_micro_with(Scheme::Speculative, micro, effort, |sys| {
+            let r = crate::run_micro_with(Scheme::Speculative, micro, effort.window(), |sys| {
                 sys.max_speculation_depth = depth;
             });
             row.push_str(&format!(" {:>10.0} |", r.throughput_tps));

@@ -228,6 +228,13 @@ pub struct SchedulerCounters {
     /// with a single coordinator or under sequencing; the measured price
     /// of sharding at high multi-partition fractions.
     pub cross_coord_waits: u64,
+    /// Distinct multi-partition transactions that stopped speculation
+    /// because their fragment voted abort at this partition: whatever the
+    /// decision, work speculated past them would be squashed (§4.2's
+    /// assume-all-conflict rule). Counted once per transaction, as
+    /// `cross_coord_waits` is. Always 0 without aborts, under blocking
+    /// (nothing speculates) and under OCC (its survivors are not waste).
+    pub doomed_waits: u64,
 }
 
 impl SchedulerCounters {
@@ -248,6 +255,7 @@ impl SchedulerCounters {
         self.rollback_ns += o.rollback_ns;
         self.stray_decisions += o.stray_decisions;
         self.cross_coord_waits += o.cross_coord_waits;
+        self.doomed_waits += o.doomed_waits;
     }
 
     /// Snapshot-delta semantics for rate computation (ISSUE 10): the
@@ -285,6 +293,7 @@ impl SchedulerCounters {
             cross_coord_waits: self
                 .cross_coord_waits
                 .saturating_sub(prev.cross_coord_waits),
+            doomed_waits: self.doomed_waits.saturating_sub(prev.doomed_waits),
         }
     }
 
@@ -693,11 +702,13 @@ mod tests {
         let b = SchedulerCounters {
             committed: 3,
             lock_timeouts: 4,
+            doomed_waits: 6,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.committed, 5);
         assert_eq!(a.aborted, 1);
         assert_eq!(a.lock_timeouts, 4);
+        assert_eq!(a.doomed_waits, 6);
     }
 }

@@ -22,6 +22,20 @@
 //! — the stall was hidden. If it aborts, every speculative transaction is
 //! undone (tail first), re-queued in order, and re-executed.
 //!
+//! Nothing is speculated past a multi-partition transaction whose fragment
+//! voted abort *here*. Assuming all transactions conflict, such work is
+//! squashed whatever the decision: if the doomed transaction's own
+//! dependency commits, its abort stands and squashes what follows it; if
+//! the dependency aborts, everything behind it goes too. So it would only
+//! be run twice. Queued work waits in the unexecuted queue until the
+//! decision and then runs as it would have after the squash; no message,
+//! vote or decision changes. `SchedulerCounters::doomed_waits` counts the
+//! distinct transactions that held speculation back this way. The rule
+//! applies at any depth cap above 0 (at 0 nothing speculates anyway) and
+//! not under [`ConflictPolicy::Precise`], whose disjoint single-partition
+//! successors survive the abort. The squashes left follow aborts decided
+//! at another participant, which this partition cannot foresee.
+//!
 //! Two levels, as in the paper:
 //!
 //! * **Local speculation** (§4.2.1): speculative single-partition results
@@ -71,7 +85,10 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConflictPolicy {
     /// The paper's speculation: "it assumes that all transactions
-    /// conflict" — every speculative successor is squashed (§4.2).
+    /// conflict" — every speculative successor is squashed (§4.2). For
+    /// the same reason nothing is speculated past a transaction that
+    /// voted abort here: whatever its decision, that work would be
+    /// squashed, so holding it back skips only waste.
     AssumeAll,
     /// The OCC extension (§5.7): track read/write sets and squash only
     /// transactions whose sets actually intersect the aborted writes
@@ -94,6 +111,9 @@ struct Uncommitted<E: ExecutionEngine> {
     attempt: u32,
     /// True once the last fragment at this partition has executed.
     finished_locally: bool,
+    /// A fragment of this transaction failed here, so it voted abort and
+    /// will abort: under `AssumeAll` nothing is speculated past it.
+    voted_abort: bool,
     /// Result of a single-partition transaction, buffered until it becomes
     /// non-speculative (local speculation, §4.2.1).
     buffered_result: Option<TxnResult<E::Output>>,
@@ -132,6 +152,9 @@ pub struct SpeculativeScheduler<E: ExecutionEngine> {
     /// The cross-shard transaction the pump is currently stalled on
     /// (dedupes the `cross_coord_waits` count).
     blocked_on: Option<TxnId>,
+    /// The doomed transaction speculation last stopped behind (dedupes the
+    /// `doomed_waits` count).
+    doomed_on: Option<TxnId>,
     /// Cross-shard sequencing active: multi-partition arrivals are already
     /// globally ordered by the epoch merge, so the §4.2.2
     /// same-coordinator-chain rule is lifted — speculation chains legally
@@ -164,6 +187,7 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
             policy,
             local_only: config.local_speculation_only,
             blocked_on: None,
+            doomed_on: None,
             sequenced: config.sequencing_active(),
             stale_fragments_dropped: 0,
             counters: SchedulerCounters::default(),
@@ -271,12 +295,30 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
                         return;
                     }
                 }
-                if self.unfinished > 0 || self.speculation_depth() >= self.max_depth {
+                if self.unfinished > 0
+                    || self.speculation_depth() >= self.max_depth
+                    || self.unexecuted.is_empty()
+                {
                     return;
                 }
-                let Some(task) = self.unexecuted.pop_front() else {
-                    return;
-                };
+                // Speculation past a transaction that voted abort here
+                // would be squashed whatever the decision (module docs).
+                // Under `AssumeAll` such a transaction is always the tail:
+                // nothing has been speculated past it.
+                if self.policy == ConflictPolicy::AssumeAll {
+                    debug_assert!(
+                        !self.uncommitted.iter().rev().skip(1).any(|u| u.voted_abort),
+                        "speculated past a doomed transaction"
+                    );
+                    if let Some(doomed) = self.uncommitted.back().filter(|u| u.voted_abort) {
+                        if self.doomed_on != Some(doomed.txn) {
+                            self.doomed_on = Some(doomed.txn);
+                            self.counters.doomed_waits += 1;
+                        }
+                        return;
+                    }
+                }
+                let task = self.unexecuted.pop_front().expect("checked non-empty");
                 self.blocked_on = None;
                 self.speculate(task, engine, out);
             }
@@ -333,6 +375,7 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
         let outcome = engine.execute(task.txn, &task.fragment, true);
         self.charge_exec(out, outcome.ops, true);
         let finished = task.last_fragment;
+        let voted_abort = outcome.result.is_err();
         let vote = Self::vote_for(&outcome.result, task.last_fragment);
         out.send_coordinator(
             task.coordinator,
@@ -353,6 +396,7 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
             multi_partition: true,
             attempt,
             finished_locally: finished,
+            voted_abort,
             buffered_result: None,
             held_responses: Vec::new(),
             first_task: task,
@@ -391,6 +435,7 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
             multi_partition: task.multi_partition,
             attempt,
             finished_locally: task.last_fragment,
+            voted_abort: task.multi_partition && outcome.result.is_err(),
             buffered_result: None,
             held_responses: Vec::new(),
             first_task: task,
@@ -459,6 +504,7 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
         debug_assert_eq!(head.txn, task.txn);
         debug_assert!(!head.finished_locally, "fragment after prepare");
         head.lock_set.append(&mut extra_locks);
+        head.voted_abort |= outcome.result.is_err();
         if task.last_fragment {
             head.finished_locally = true;
             self.unfinished -= 1;
@@ -523,61 +569,71 @@ impl<E: ExecutionEngine> SpeculativeScheduler<E> {
     /// only transactions whose read/write sets (transitively) intersect
     /// the aborted transaction's writes.
     fn squash_after(&mut self, pos: usize, engine: &mut E, out: &mut Outbox<E::Output>) {
+        if self.policy == ConflictPolicy::AssumeAll {
+            while self.uncommitted.len() > pos + 1 {
+                let u = self.uncommitted.pop_back().expect("non-empty");
+                self.squash(u, engine, out);
+            }
+            return;
+        }
         // Decide the squash set in forward (execution) order: conflicts
         // propagate from earlier squashed writes to later readers.
-        let squash_flags: Vec<bool> = match self.policy {
-            ConflictPolicy::AssumeAll => vec![true; self.uncommitted.len().saturating_sub(pos + 1)],
-            ConflictPolicy::Precise => {
-                let mut dirty: FxHashSet<hcc_common::LockKey> = self.uncommitted[pos]
-                    .lock_set
-                    .iter()
-                    .filter(|(_, m)| *m == LockMode::Exclusive)
-                    .map(|(k, _)| *k)
-                    .collect();
-                self.uncommitted
-                    .iter()
-                    .skip(pos + 1)
-                    .map(|u| {
-                        let conflicts =
-                            u.multi_partition || u.lock_set.iter().any(|(k, _)| dirty.contains(k));
-                        if conflicts {
-                            for (k, m) in &u.lock_set {
-                                if *m == LockMode::Exclusive {
-                                    dirty.insert(*k);
-                                }
-                            }
+        let mut dirty: FxHashSet<hcc_common::LockKey> = self.uncommitted[pos]
+            .lock_set
+            .iter()
+            .filter(|(_, m)| *m == LockMode::Exclusive)
+            .map(|(k, _)| *k)
+            .collect();
+        let squash_flags: Vec<bool> = self
+            .uncommitted
+            .iter()
+            .skip(pos + 1)
+            .map(|u| {
+                let conflicts =
+                    u.multi_partition || u.lock_set.iter().any(|(k, _)| dirty.contains(k));
+                if conflicts {
+                    for (k, m) in &u.lock_set {
+                        if *m == LockMode::Exclusive {
+                            dirty.insert(*k);
                         }
-                        conflicts
-                    })
-                    .collect()
-            }
-        };
+                    }
+                }
+                conflicts
+            })
+            .collect();
         // Roll back the squash set newest-first (undo is per-key LIFO;
         // survivors touch disjoint keys, so skipping them is safe).
         let mut kept: Vec<Uncommitted<E>> = Vec::new();
         for squash in squash_flags.into_iter().rev() {
             let u = self.uncommitted.pop_back().expect("non-empty");
-            if !squash {
+            if squash {
+                self.squash(u, engine, out);
+            } else {
                 kept.push(u);
-                continue;
             }
-            let undone = engine.rollback(u.txn);
-            self.charge_rollback(out, undone);
-            self.counters.squashed_executions += 1;
-            if !u.finished_locally {
-                self.unfinished -= 1;
-            }
-            // Next execution of this transaction is a new attempt.
-            self.attempts.insert(u.txn, u.attempt + 1);
-            // Re-queue round-0 work; parked continuations are stale (the
-            // coordinator re-drives later rounds from fresh responses).
-            debug_assert_eq!(u.first_task.round, 0);
-            self.unexecuted.push_front(u.first_task);
         }
         // Survivors return in their original order.
         for u in kept.into_iter().rev() {
             self.uncommitted.push_back(u);
         }
+    }
+
+    /// Undo one speculative execution and re-queue its round-0 fragment at
+    /// the front of the unexecuted queue (callers squash newest-first, so
+    /// the queue keeps the original order).
+    fn squash(&mut self, u: Uncommitted<E>, engine: &mut E, out: &mut Outbox<E::Output>) {
+        let undone = engine.rollback(u.txn);
+        self.charge_rollback(out, undone);
+        self.counters.squashed_executions += 1;
+        if !u.finished_locally {
+            self.unfinished -= 1;
+        }
+        // Next execution of this transaction is a new attempt.
+        self.attempts.insert(u.txn, u.attempt + 1);
+        // Re-queue round-0 work; parked continuations are stale (the
+        // coordinator re-drives later rounds from fresh responses).
+        debug_assert_eq!(u.first_task.round, 0);
+        self.unexecuted.push_front(u.first_task);
     }
 }
 
@@ -1355,6 +1411,151 @@ mod tests {
         let c = s.counters();
         assert_eq!(c.committed, 1);
         assert_eq!(c.aborted, 1);
+    }
+
+    fn decide(seq: u32, commit: bool) -> Decision {
+        Decision {
+            txn: mp_txid(seq),
+            commit,
+        }
+    }
+
+    /// Head H (mp 1) votes commit, M (mp 2) fails here, then a
+    /// single-partition transaction S arrives, touching neither's key.
+    fn feed_doomed_chain(
+        s: &mut SpeculativeScheduler<TestEngine>,
+        e: &mut TestEngine,
+        out: &mut Outbox<Vec<(u64, i64)>>,
+    ) {
+        s.on_fragment(mp(1, TestFragment::add(1, 1), true, 0), e, NOW, out);
+        s.on_fragment(mp(2, TestFragment::failing(), true, 0), e, NOW, out);
+        s.on_fragment(sp(1, 0, TestFragment::add(2, 1)), e, NOW, out);
+    }
+
+    /// Work speculated past M would be squashed whatever H's decision, so
+    /// S waits unexecuted until M's abort and then runs once, unsquashed.
+    #[test]
+    fn nothing_speculates_past_a_speculated_abort_vote() {
+        let (mut s, mut e, mut out) = setup();
+        feed_doomed_chain(&mut s, &mut e, &mut out);
+        assert_eq!(s.counters().speculative_executions, 1, "M only");
+        assert_eq!(s.unexecuted_len(), 1, "S waits behind M");
+        assert_eq!(e.get(2), 17);
+
+        s.on_decision(decide(1, true), &mut e, NOW, &mut out);
+        assert_eq!(s.unexecuted_len(), 1, "M is head now, still doomed");
+        assert_eq!(s.counters().speculative_executions, 1);
+        assert_eq!(s.counters().squashed_executions, 0);
+        out.take();
+
+        s.on_decision(decide(2, false), &mut e, NOW, &mut out);
+        let (msgs, _) = out.take();
+        assert_eq!(
+            client_results(&msgs),
+            vec![(TxnId::new(ClientId(1), 0), true)]
+        );
+        assert_eq!(e.get(2), 18);
+        let c = s.counters();
+        assert_eq!(c.speculative_executions, 1);
+        assert_eq!(c.squashed_executions, 0);
+        assert_eq!(c.fast_path, 1, "S ran once, non-speculatively");
+        assert_eq!(c.doomed_waits, 1, "one transaction, counted once");
+        assert!(s.is_idle());
+        assert_eq!(e.live_undo_buffers(), 0);
+    }
+
+    #[test]
+    fn nothing_speculates_past_a_head_that_voted_abort() {
+        let (mut s, mut e, mut out) = setup();
+        s.on_fragment(
+            mp(1, TestFragment::failing(), true, 0),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        s.on_fragment(sp(1, 0, TestFragment::add(2, 1)), &mut e, NOW, &mut out);
+        s.on_fragment(
+            mp(2, TestFragment::add(1, 1), true, 0),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        assert_eq!(s.unexecuted_len(), 2);
+        assert_eq!(s.counters().speculative_executions, 0);
+        assert_eq!((e.get(1), e.get(2)), (5, 17));
+
+        // The abort lets S run on the fast path and mp 2 become head.
+        s.on_decision(decide(1, false), &mut e, NOW, &mut out);
+        assert_eq!((e.get(1), e.get(2)), (6, 18));
+        assert_eq!(s.unexecuted_len(), 0);
+        let c = s.counters();
+        assert_eq!(c.speculative_executions, 0);
+        assert_eq!(c.squashed_executions, 0);
+        assert_eq!(c.doomed_waits, 1);
+    }
+
+    /// A multi-round head whose last fragment fails here is doomed too.
+    #[test]
+    fn nothing_speculates_past_a_failed_continuation() {
+        let (mut s, mut e, mut out) = setup();
+        s.on_fragment(
+            mp(1, TestFragment::read(&[1]), false, 0),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        s.on_fragment(sp(1, 0, TestFragment::add(2, 1)), &mut e, NOW, &mut out);
+        s.on_fragment(
+            mp(1, TestFragment::failing(), true, 1),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        assert_eq!(s.unexecuted_len(), 1, "S waits behind the failed head");
+        assert_eq!(s.counters().speculative_executions, 0);
+        s.on_decision(decide(1, false), &mut e, NOW, &mut out);
+        assert_eq!(e.get(2), 18);
+        assert_eq!(s.counters().fast_path, 1);
+        assert_eq!(s.counters().doomed_waits, 1);
+        assert!(s.is_idle());
+    }
+
+    /// OCC's disjoint single-partition successors survive M's abort, so
+    /// the rule does not apply under the precise policy.
+    #[test]
+    fn precise_policy_speculates_past_an_abort_vote() {
+        let mut s = sched(usize::MAX, ConflictPolicy::Precise);
+        let mut e = TestEngine::with_data(&[(1, 5), (2, 17)]);
+        let mut out = Outbox::new(CostModel::default());
+        feed_doomed_chain(&mut s, &mut e, &mut out);
+        assert_eq!(s.unexecuted_len(), 0);
+        assert_eq!(s.counters().speculative_executions, 2, "M and S");
+        assert_eq!(s.counters().doomed_waits, 0);
+        assert_eq!(e.get(2), 18);
+    }
+
+    /// Blocking never speculates, so the rule leaves it as it was: these
+    /// are the counters the scheduler reported before the rule existed.
+    #[test]
+    fn depth_zero_counters_are_unchanged_by_the_abort_vote_rule() {
+        let (mut s, mut e, mut out) = blocking_setup();
+        feed_doomed_chain(&mut s, &mut e, &mut out);
+        assert_eq!(s.unexecuted_len(), 2);
+        s.on_decision(decide(1, true), &mut e, NOW, &mut out);
+        s.on_decision(decide(2, false), &mut e, NOW, &mut out);
+        assert!(s.is_idle());
+        assert_eq!(
+            s.counters(),
+            SchedulerCounters {
+                fragments_executed: 3,
+                committed: 2,
+                committed_mp: 1,
+                aborted: 1,
+                fast_path: 1,
+                execution_ns: 97_563,
+                ..Default::default()
+            }
+        );
     }
 
     // Blocking (§4.1, Figure 2) is this scheduler at depth 0.

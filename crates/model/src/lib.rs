@@ -392,12 +392,14 @@ impl Recommendation {
 ///   transactions, shrinking its useful-work fraction to
 ///   `1 / (1 + abort_rate · t_mp / t_spS)`; multi-round transactions
 ///   barely speculate at all (§5.4), so their share is served at blocking
-///   speed. The simulator squashes more — 33–62 executions per
-///   multi-partition abort at 40 clients, its whole speculated queue, a
-///   depth the model does not know — so with aborts the score stays above
-///   the measured throughput (`tests/adaptive_advisor.rs`: 1.5× at mp 0.1
-///   with 15 % aborts and 80 % conflicts, 1.9× at 0.6 with 5 % aborts,
-///   2.3× at 0.3 with 15 %). It is there to rank, not to predict: a waste
+///   speed. The simulator squashes more — 16–20 executions per
+///   multi-partition abort at 40 clients, the whole queue speculated
+///   behind an abort decided at another participant (nothing is
+///   speculated past a fragment that voted abort here), a depth the model
+///   does not know — so with aborts the score stays above the measured
+///   throughput (`tests/adaptive_advisor.rs`: 1.3× at mp 0.1 with 15 %
+///   aborts and 80 % conflicts, 1.7× at 0.6 with 5 % aborts, 1.9× at 0.3
+///   with 15 %). It is there to rank, not to predict: a waste
 ///   6 % larger (`1 + t_mpN / t_spS`) already sends the golden table's
 ///   adaptive blocking row into a mixed-scheme stall;
 /// * **locking** pays conflicts: waits serialize transactions behind
