@@ -39,8 +39,10 @@
 //!
 //! Partitions may return results tagged `depends_on = (T, attempt)`: the
 //! result is only valid if execution attempt `attempt` of transaction `T`
-//! at that partition commits. The coordinator *settles* a response before
-//! using it:
+//! at that partition commits. The coordinator keeps one record of how each
+//! recent transaction was decided (its `decided` map of `Decided`: the
+//! committed attempt per partition, or an abort) and *settles* a response
+//! against it before using it:
 //!
 //! * no dependency → settled;
 //! * dependency committed with the same per-partition attempt → settled;
@@ -65,7 +67,7 @@ use crate::procedure::{Procedure, RoundOutputs, Step};
 use crate::sequencer::{EpochLog, EpochLogDest};
 use hcc_common::{
     AbortReason, ClientId, CoordinatorId, CoordinatorRef, CostModel, Decision, FragmentResponse,
-    FragmentTask, FxHashMap, FxHashSet, Nanos, PartitionId, TxnId, TxnResult, Vote,
+    FragmentTask, FxHashMap, Nanos, PartitionId, TxnId, TxnResult, Vote,
 };
 use std::collections::VecDeque;
 
@@ -122,10 +124,10 @@ pub enum CoordOut<F, R> {
     /// see [`PeerNote`]).
     PeerNote(CoordinatorId, PeerNote),
     /// A closed sequencing epoch log for a partition or a peer shard
-    /// (sequencing runs only). Emitted by the driver-owned
-    /// [`crate::sequencer::ShardSequencer`], not by the [`Coordinator`]
-    /// state machine itself — it rides `CoordOut` so the drivers' existing
-    /// routing (and its cost accounting and FIFO ordering) applies.
+    /// (sequencing runs only). The coordinator actor builds it from its
+    /// [`crate::sequencer::ShardSequencer`]'s closed epochs, not the
+    /// [`Coordinator`] state machine — it rides `CoordOut` so the one
+    /// routing of coordinator output (and its FIFO ordering) applies.
     EpochLog(EpochLogDest, EpochLog),
 }
 
@@ -225,6 +227,20 @@ impl<F, R> MpTxn<F, R> {
             self.dispatched.push(p);
         }
     }
+
+    /// The current round's settled outputs, in participant order.
+    fn outputs(&self) -> RoundOutputs<R>
+    where
+        R: Clone,
+    {
+        let by_partition = self.participants.iter().map(|p| {
+            let payload = self.response(*p).payload.clone();
+            (*p, payload.expect("settled Ok response"))
+        });
+        RoundOutputs {
+            by_partition: by_partition.collect(),
+        }
+    }
 }
 
 /// The per-transaction vectors of [`MpTxn`] (`settled_rounds`,
@@ -237,6 +253,23 @@ type TxnBuffers<R> = (
     Vec<PartitionId>,
     Vec<(PartitionId, FragmentResponse<R>)>,
 );
+
+/// How a recently decided transaction ended, as dependency validation and
+/// late votes read it.
+enum Decided {
+    /// The execution attempt committed at each partition.
+    Committed(Vec<(PartitionId, u32)>),
+    /// Aborted. `Some` is a presumed abort (a failover or an expiry): some
+    /// participants may never have *executed* the transaction (its fragment
+    /// still queued behind other work), and a decision for it would be
+    /// unintelligible to their scheduler, so only the participants that
+    /// had responded were told. The list holds the participants told so
+    /// far; a later vote from any other is answered with the abort then,
+    /// and a second response from one already told (a squashed
+    /// re-execution racing the decision) draws nothing, where a duplicate
+    /// decision could only count as a stray.
+    Aborted(Option<Vec<PartitionId>>),
+}
 
 /// How many decided transactions to remember for dependency validation.
 /// In-flight dependencies only reference recently decided transactions
@@ -298,10 +331,9 @@ pub struct Coordinator<F, R> {
     /// Buffers of decided transactions awaiting reuse; never more than the
     /// peak number of transactions in flight.
     spare: Vec<TxnBuffers<R>>,
-    /// Per committed transaction: the execution attempt committed at each
-    /// partition (for dependency validation).
-    committed: FxHashMap<TxnId, Vec<(PartitionId, u32)>>,
-    aborted: FxHashSet<TxnId>,
+    /// How each recent transaction (this shard's and, in sequencing runs,
+    /// its peers') was decided; trimmed in `history_order`.
+    decided: FxHashMap<TxnId, Decided>,
     history_order: VecDeque<TxnId>,
     /// Scratch buffer for the sorted settle sweep (reused across calls).
     scan: Vec<TxnId>,
@@ -309,14 +341,6 @@ pub struct Coordinator<F, R> {
     /// (`MembershipCore` is the authority; this is the shard's view).
     /// Absent = epoch 0 (the initial primary).
     epochs: FxHashMap<PartitionId, u32>,
-    /// Transactions aborted by a failover (or timeout expiry) whose
-    /// not-yet-executed participants still owe a response; their eventual
-    /// (now moot) vote is answered with a presumed-abort decision. The
-    /// value records the partitions already sent the abort, so a squashed
-    /// re-execution's second response never draws a duplicate decision
-    /// (which the partition, having already aborted, could only count as
-    /// a stray). GC'd with the history.
-    failover_aborted: FxHashMap<TxnId, Vec<PartitionId>>,
     /// Whether to retain dispatched fragments and demand commit-decision
     /// acks — the machinery that closes the 2PC in-doubt window. Enabled
     /// by drivers for runs with failure injection; off otherwise so the
@@ -352,7 +376,7 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
     /// (failover runs).
     pub fn shard(costs: CostModel, id: CoordinatorId, track_in_doubt: bool) -> Self {
         let per_msg = costs.coord_per_msg;
-        let mut c = Self::with_ref(costs, CoordinatorRef::Central(id), per_msg);
+        let mut c = Self::with_ref(CoordinatorRef::Central(id), per_msg);
         c.track_in_doubt = track_in_doubt;
         c
     }
@@ -360,21 +384,19 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
     /// A client acting as its own coordinator (locking scheme).
     pub fn client_driver(costs: CostModel, client: ClientId) -> Self {
         let per_msg = costs.client_per_msg;
-        Self::with_ref(costs, CoordinatorRef::Client(client), per_msg)
+        Self::with_ref(CoordinatorRef::Client(client), per_msg)
     }
 
-    fn with_ref(_costs: CostModel, coord_ref: CoordinatorRef, per_msg: Nanos) -> Self {
+    fn with_ref(coord_ref: CoordinatorRef, per_msg: Nanos) -> Self {
         Coordinator {
             coord_ref,
             per_msg,
             txns: FxHashMap::default(),
             spare: Vec::new(),
-            committed: FxHashMap::default(),
-            aborted: FxHashSet::default(),
+            decided: FxHashMap::default(),
             history_order: VecDeque::new(),
             scan: Vec::new(),
             epochs: FxHashMap::default(),
-            failover_aborted: FxHashMap::default(),
             track_in_doubt: false,
             hold_results: false,
             in_doubt: FxHashMap::default(),
@@ -461,10 +483,18 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
     ) {
         self.counters.invocations += 1;
         self.cpu += self.per_msg; // receive cost
-        let step = procedure.step(&[]);
+        let Step::Round {
+            fragments,
+            is_final,
+        } = procedure.step(&[])
+        else {
+            debug_assert!(false, "procedure with no work: {txn}");
+            return;
+        };
+        debug_assert!(!fragments.is_empty(), "empty round-0 for {txn}");
         let (settled_rounds, participants, dispatched, responses) =
             self.spare.pop().unwrap_or_default();
-        let mut entry = MpTxn {
+        let entry = MpTxn {
             client,
             procedure,
             can_abort,
@@ -475,44 +505,55 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
             responses,
             sent: Vec::new(),
             round: 0,
-            is_final: false,
+            is_final,
         };
-        match step {
-            Step::Round {
-                fragments,
-                is_final,
-            } => {
-                debug_assert!(!fragments.is_empty(), "empty round-0 for {txn}");
-                entry.is_final = is_final;
-                entry.participants.extend(fragments.iter().map(|(p, _)| *p));
-                for i in 0..entry.participants.len() {
-                    let p = entry.participants[i];
-                    entry.note_dispatched(p);
-                }
-                let n = fragments.len() as u64;
-                for (pid, fragment) in fragments {
-                    let task = FragmentTask {
-                        txn,
-                        coordinator: self.coord_ref,
-                        client,
-                        fragment,
-                        multi_partition: true,
-                        last_fragment: is_final,
-                        round: 0,
-                        can_abort,
-                    };
-                    if self.track_in_doubt {
-                        entry.sent.push((pid, task.clone()));
-                    }
-                    out.push(CoordOut::Fragment(pid, task));
-                }
-                self.charge_msgs(n);
-                self.txns.insert(txn, entry);
-            }
-            Step::Finish(_) => {
-                debug_assert!(false, "procedure with no work: {txn}");
-            }
+        self.txns.insert(txn, entry);
+        self.dispatch(txn, fragments, is_final, out);
+    }
+
+    /// Send the current round of `txn` (already in `txns`): its fragments
+    /// become the round's participants, go out as tasks (the 2PC prepare
+    /// piggybacked when `is_final`), and are kept for in-doubt redelivery
+    /// when that is tracked.
+    fn dispatch(
+        &mut self,
+        txn: TxnId,
+        fragments: Vec<(PartitionId, F)>,
+        is_final: bool,
+        out: &mut Vec<CoordOut<F, R>>,
+    ) {
+        let t = self.txns.get_mut(&txn).expect("dispatching known txn");
+        t.is_final = is_final;
+        t.participants.clear();
+        t.participants.extend(fragments.iter().map(|(p, _)| *p));
+        for i in 0..t.participants.len() {
+            let p = t.participants[i];
+            t.note_dispatched(p);
         }
+        // The 2PC prepare rides the final round, so every participant must
+        // appear there (procedures pad with no-op fragments if needed).
+        debug_assert!(
+            !is_final || t.dispatched.iter().all(|p| t.participants.contains(p)),
+            "final round of {txn} drops a participant"
+        );
+        let n = fragments.len() as u64;
+        for (pid, fragment) in fragments {
+            let task = FragmentTask {
+                txn,
+                coordinator: self.coord_ref,
+                client: t.client,
+                fragment,
+                multi_partition: true,
+                last_fragment: is_final,
+                round: t.round,
+                can_abort: t.can_abort,
+            };
+            if self.track_in_doubt {
+                t.sent.push((pid, task.clone()));
+            }
+            out.push(CoordOut::Fragment(pid, task));
+        }
+        self.charge_msgs(n);
     }
 
     /// A partition responded to a fragment.
@@ -527,25 +568,13 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
             // (a decision for a never-executed transaction would be
             // unintelligible to the partition), so answer the vote with
             // presumed-abort now that the transaction is live there.
-            if let Some(sent) = self.failover_aborted.get_mut(&resp.txn) {
-                if sent.contains(&resp.partition) {
-                    // This partition was already sent the abort; a second
-                    // response can only be a squashed re-execution that
-                    // raced with the in-flight decision. The decision will
-                    // (or did) kill the transaction there — answering
-                    // again would deliver an unintelligible duplicate.
+            if let Some(Decided::Aborted(Some(told))) = self.decided.get_mut(&resp.txn) {
+                if told.contains(&resp.partition) {
                     self.counters.stale_responses_discarded += 1;
                     return;
                 }
-                sent.push(resp.partition);
-                out.push(CoordOut::Decision(
-                    resp.partition,
-                    Decision {
-                        txn: resp.txn,
-                        commit: false,
-                    },
-                    None,
-                ));
+                told.push(resp.partition);
+                out.push(self.decision_out(resp.partition, resp.txn, false));
                 self.charge_msgs(1);
                 return;
             }
@@ -581,8 +610,7 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
             // leave the transaction waiting forever on a dead node — abort
             // it regardless of round.
             if matches!(resp.payload, Err(AbortReason::PartitionFailed)) {
-                self.counters.failover_aborts += 1;
-                self.finish_failover(resp.txn, out);
+                self.finish(resp.txn, Err(AbortReason::PartitionFailed), true, out);
                 return;
             }
             // A response for an earlier round can arrive after a squash
@@ -640,28 +668,31 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
                 {
                     return Settle::Hold;
                 }
-                if let Some(attempts) = self.committed.get(&dep.txn) {
-                    let committed_attempt = attempts
-                        .iter()
-                        .find(|(p, _)| *p == resp.partition)
-                        .map(|(_, a)| *a);
-                    match committed_attempt {
-                        Some(attempt) if attempt == dep.attempt => Settle::Settled,
-                        // Cited at a newer membership epoch than recorded:
-                        // a peer's redelivered commit, re-executed at a
-                        // promoted primary and not voted yet. Hold until
-                        // its owner names the attempt that took its place.
-                        Some(attempt) if epoch_of(dep.attempt) > epoch_of(attempt) => Settle::Hold,
-                        Some(_) => Settle::Stale,
-                        None => Settle::Hold,
+                match self.decided.get(&dep.txn) {
+                    Some(Decided::Committed(attempts)) => {
+                        let committed_attempt = attempts
+                            .iter()
+                            .find(|(p, _)| *p == resp.partition)
+                            .map(|(_, a)| *a);
+                        match committed_attempt {
+                            Some(attempt) if attempt == dep.attempt => Settle::Settled,
+                            // Cited at a newer membership epoch than
+                            // recorded: a peer's redelivered commit,
+                            // re-executed at a promoted primary and not
+                            // voted yet. Hold until its owner names the
+                            // attempt that took its place.
+                            Some(attempt) if epoch_of(dep.attempt) > epoch_of(attempt) => {
+                                Settle::Hold
+                            }
+                            Some(_) => Settle::Stale,
+                            None => Settle::Hold,
+                        }
                     }
-                } else if self.aborted.contains(&dep.txn) {
-                    Settle::Stale
-                } else {
+                    Some(Decided::Aborted(_)) => Settle::Stale,
                     // Undecided (pending) or beyond the history window; the
                     // window is far larger than any in-flight horizon, so
                     // this is a pending transaction: hold.
-                    Settle::Hold
+                    None => Settle::Hold,
                 }
             }
         }
@@ -751,14 +782,14 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
                     // attempt, so the dependency-validation record must
                     // name it (the pre-crash attempt died with the old
                     // primary).
-                    if let Some(attempts) = self.committed.get_mut(&txn) {
+                    if let Some(Decided::Committed(attempts)) = self.decided.get_mut(&txn) {
                         match attempts.iter_mut().find(|(p, _)| *p == resp.partition) {
                             Some(slot) => slot.1 = resp.attempt,
                             None => attempts.push((resp.partition, resp.attempt)),
                         }
                     }
                     // Peer shards validate dependencies on it too.
-                    let notes = self.notify_peers(txn, true, out);
+                    let notes = self.notify_peers(txn, out);
                     self.charge_msgs(notes);
                 }
                 self.redeliveries.remove(&txn);
@@ -896,17 +927,10 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
             }
         });
         if let Some(reason) = abort_reason {
-            if reason == AbortReason::PartitionFailed {
-                // A participant's node died under this transaction (its
-                // bounce carried the abort vote). Other participants may
-                // hold the transaction *queued, unexecuted* — take the
-                // failover path, which defers their abort to a
-                // presumed-abort reply.
-                self.counters.failover_aborts += 1;
-                self.finish_failover(txn, out);
-            } else {
-                self.finish(txn, Err(reason), out);
-            }
+            // A `PartitionFailed` vote is a dead participant's bounce: the
+            // others may hold the transaction queued, unexecuted.
+            let presumed = reason == AbortReason::PartitionFailed;
+            self.finish(txn, Err(reason), presumed, out);
             return Progress::Decided;
         }
 
@@ -916,79 +940,21 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
                 .participants
                 .iter()
                 .all(|p| t.response(*p).vote == Some(Vote::Commit)));
-            self.finish(txn, Ok(()), out);
+            self.finish(txn, Ok(()), false, out);
             return Progress::Decided;
         }
 
         // Settle this round and dispatch the next.
-        let outputs = RoundOutputs {
-            by_partition: t
-                .participants
-                .iter()
-                .map(|p| {
-                    (
-                        *p,
-                        t.response(*p).payload.clone().expect("settled Ok response"),
-                    )
-                })
-                .collect(),
-        };
-        t.settled_rounds.push(outputs);
+        t.settled_rounds.push(t.outputs());
         t.responses.clear();
         t.round += 1;
-        let step = t.procedure.step(&t.settled_rounds);
-        match step {
+        match t.procedure.step(&t.settled_rounds) {
             Step::Round {
                 fragments,
                 is_final,
             } => {
-                // Participant sets must not shrink in later rounds: the 2PC
-                // prepare rides the final round, so every participant must
-                // appear there (procedures pad with no-op fragments if
-                // needed).
-                debug_assert!(
-                    fragments
-                        .iter()
-                        .all(|(p, _)| t.dispatched.contains(p) || t.round > 0),
-                    "new participants joining mid-transaction"
-                );
-                t.is_final = is_final;
-                t.participants.clear();
-                t.participants.extend(fragments.iter().map(|(p, _)| *p));
-                for i in 0..t.participants.len() {
-                    let p = t.participants[i];
-                    t.note_dispatched(p);
-                }
-                let round = t.round;
-                let client = t.client;
-                let can_abort = t.can_abort;
-                let n = fragments.len() as u64;
                 self.counters.rounds_dispatched += 1;
-                let mut sent: Vec<(PartitionId, FragmentTask<F>)> = Vec::new();
-                for (pid, fragment) in fragments {
-                    let task = FragmentTask {
-                        txn,
-                        coordinator: self.coord_ref,
-                        client,
-                        fragment,
-                        multi_partition: true,
-                        last_fragment: is_final,
-                        round,
-                        can_abort,
-                    };
-                    if self.track_in_doubt {
-                        sent.push((pid, task.clone()));
-                    }
-                    out.push(CoordOut::Fragment(pid, task));
-                }
-                if !sent.is_empty() {
-                    self.txns
-                        .get_mut(&txn)
-                        .expect("dispatching known txn")
-                        .sent
-                        .append(&mut sent);
-                }
-                self.charge_msgs(n);
+                self.dispatch(txn, fragments, is_final, out);
                 Progress::Dispatched
             }
             Step::Finish(_) => {
@@ -998,77 +964,61 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
         }
     }
 
-    /// Decide a transaction: send decisions to every dispatched partition
-    /// and the result to the client; record history for dependency checks.
+    /// Decide a transaction: send decisions to its participants and the
+    /// result to the client; record the decision for dependency checks.
+    /// A `presumed` abort (failover, expiry) tells only the participants
+    /// that executed the transaction, responding in some round; the rest
+    /// are answered when their vote arrives (see [`Decided::Aborted`]).
     fn finish(
         &mut self,
         txn: TxnId,
         outcome: Result<(), AbortReason>,
+        presumed: bool,
         out: &mut Vec<CoordOut<F, R>>,
     ) {
         let mut t = self.txns.remove(&txn).expect("finishing known txn");
-        let commit = outcome.is_ok();
-        let mut msgs = 0u64;
-        t.dispatched.sort_unstable();
-        if commit && self.wants_acks() {
-            // The transaction enters the 2PC in-doubt window until every
-            // participant acks its commit decision.
-            self.in_doubt.insert(
-                txn,
-                InDoubt {
-                    unacked: t.dispatched.clone(),
-                    tasks: std::mem::take(&mut t.sent),
-                    held: None,
-                },
-            );
+        if presumed {
+            let (responses, rounds) = (&t.responses, &t.settled_rounds);
+            t.dispatched.retain(|p| {
+                responses.iter().any(|(q, _)| q == p) || rounds.iter().any(|r| r.get(*p).is_some())
+            });
         }
+        t.dispatched.sort_unstable();
+        let commit = outcome.is_ok();
+        let (decided, result) = match outcome {
+            Ok(()) => {
+                self.counters.commits += 1;
+                let attempts = t.responses.iter().map(|(p, r)| (*p, r.attempt)).collect();
+                t.settled_rounds.push(t.outputs());
+                let result = match t.procedure.step(&t.settled_rounds) {
+                    Step::Finish(r) => TxnResult::Committed(r),
+                    Step::Round { .. } => {
+                        debug_assert!(false, "procedure wants a round after final");
+                        TxnResult::Aborted(AbortReason::User)
+                    }
+                };
+                (Decided::Committed(attempts), result)
+            }
+            Err(reason) => {
+                self.counters.aborts += 1;
+                if reason == AbortReason::PartitionFailed {
+                    self.counters.failover_aborts += 1;
+                }
+                let told = presumed.then(|| t.dispatched.clone());
+                (Decided::Aborted(told), TxnResult::Aborted(reason))
+            }
+        };
+        self.decided.insert(txn, decided);
+        self.history_order.push_back(txn);
         for p in &t.dispatched {
             out.push(self.decision_out(*p, txn, commit));
-            msgs += 1;
         }
-        let result = if commit {
-            self.counters.commits += 1;
-            // Record per-partition committed attempts.
-            let attempts: Vec<(PartitionId, u32)> =
-                t.responses.iter().map(|(p, r)| (*p, r.attempt)).collect();
-            self.committed.insert(txn, attempts);
-            self.history_order.push_back(txn);
-            // Final result from the procedure.
-            let outputs = RoundOutputs {
-                by_partition: t
-                    .participants
-                    .iter()
-                    .map(|p| {
-                        (
-                            *p,
-                            t.response(*p)
-                                .payload
-                                .clone()
-                                .expect("committed response is Ok"),
-                        )
-                    })
-                    .collect(),
-            };
-            t.settled_rounds.push(outputs);
-            match t.procedure.step(&t.settled_rounds) {
-                Step::Finish(r) => TxnResult::Committed(r),
-                Step::Round { .. } => {
-                    debug_assert!(false, "procedure wants a round after final");
-                    TxnResult::Aborted(AbortReason::User)
-                }
-            }
-        } else {
-            self.counters.aborts += 1;
-            self.aborted.insert(txn);
-            self.history_order.push_back(txn);
-            TxnResult::Aborted(outcome.unwrap_err())
-        };
-        if commit && self.hold_results {
-            // Durable release: park the committed result until every
-            // participant acks (i.e. has the record durably logged).
-            let entry = self.in_doubt.get_mut(&txn).expect("inserted above");
-            entry.held = Some((t.client, result));
+        let mut msgs = t.dispatched.len() as u64;
+        // Durable release parks a committed result until every
+        // participant acks (i.e. has the record durably logged).
+        let held = if commit && self.hold_results {
             self.counters.results_held += 1;
+            Some((t.client, result))
         } else {
             out.push(CoordOut::ClientResult {
                 client: t.client,
@@ -1076,8 +1026,19 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
                 result,
             });
             msgs += 1;
+            None
+        };
+        if commit && self.wants_acks() {
+            // The transaction enters the 2PC in-doubt window until every
+            // participant acks its commit decision.
+            let entry = InDoubt {
+                unacked: t.dispatched.clone(),
+                tasks: std::mem::take(&mut t.sent),
+                held,
+            };
+            self.in_doubt.insert(txn, entry);
         }
-        msgs += self.notify_peers(txn, commit, out);
+        msgs += self.notify_peers(txn, out);
         self.charge_msgs(msgs);
         self.gc();
         t.settled_rounds.clear();
@@ -1090,14 +1051,13 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
 
     /// Broadcast this decision to peer shards (sequencing runs; no-op
     /// otherwise). Returns the number of messages emitted.
-    fn notify_peers(&mut self, txn: TxnId, commit: bool, out: &mut Vec<CoordOut<F, R>>) -> u64 {
+    fn notify_peers(&mut self, txn: TxnId, out: &mut Vec<CoordOut<F, R>>) -> u64 {
         if self.peer_shards.is_empty() {
             return 0;
         }
-        let attempts = if commit {
-            self.committed.get(&txn).cloned().unwrap_or_default()
-        } else {
-            Vec::new()
+        let (commit, attempts) = match self.decided.get(&txn) {
+            Some(Decided::Committed(attempts)) => (true, attempts.clone()),
+            _ => (false, Vec::new()),
         };
         let peers = std::mem::take(&mut self.peer_shards);
         for k in &peers {
@@ -1122,11 +1082,12 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
         self.cpu += self.per_msg;
         // A commit can be noted again: its owner re-delivers it to a promoted
         // primary and says which attempt there is now the committed one.
-        let renoted = note.commit && self.committed.insert(note.txn, note.attempts).is_some();
-        if !note.commit {
-            self.aborted.insert(note.txn);
-        }
-        if !renoted {
+        let decided = if note.commit {
+            Decided::Committed(note.attempts)
+        } else {
+            Decided::Aborted(None)
+        };
+        if self.decided.insert(note.txn, decided).is_none() {
             self.history_order.push_back(note.txn);
         }
         self.gc();
@@ -1158,7 +1119,7 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
             .collect();
         stalled.sort_unstable();
         for txn in &stalled {
-            self.finish_failover_with(*txn, reason, out);
+            self.finish(*txn, Err(reason), true, out);
         }
         if !stalled.is_empty() && self.recheck_redeliveries(out) {
             self.progress(out);
@@ -1198,8 +1159,7 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
             .collect();
         doomed.sort_unstable();
         for txn in &doomed {
-            self.counters.failover_aborts += 1;
-            self.finish_failover(*txn, out);
+            self.finish(*txn, Err(AbortReason::PartitionFailed), true, out);
         }
         // Close the in-doubt window: re-deliver unacknowledged commits.
         if self.track_in_doubt {
@@ -1244,59 +1204,6 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
         doomed
     }
 
-    /// Abort one transaction killed by a failover. Unlike a normal abort,
-    /// some participants may never have *executed* the transaction (its
-    /// fragment is still queued behind other work) — a decision for it
-    /// would be unintelligible to their scheduler, so decisions go only to
-    /// participants that responded in some round; the rest are answered
-    /// with presumed-abort when their response eventually arrives (see
-    /// [`Coordinator::on_response`]).
-    fn finish_failover(&mut self, txn: TxnId, out: &mut Vec<CoordOut<F, R>>) {
-        self.finish_failover_with(txn, AbortReason::PartitionFailed, out)
-    }
-
-    /// As [`finish_failover`](Self::finish_failover) with an explicit
-    /// client-visible abort reason (timeout expiry reuses the machinery).
-    fn finish_failover_with(
-        &mut self,
-        txn: TxnId,
-        reason: AbortReason,
-        out: &mut Vec<CoordOut<F, R>>,
-    ) {
-        let t = self.txns.remove(&txn).expect("aborting known txn");
-        let mut executed: Vec<PartitionId> = t.responses.iter().map(|(p, _)| *p).collect();
-        for round in &t.settled_rounds {
-            for (p, _) in &round.by_partition {
-                if !executed.contains(p) {
-                    executed.push(*p);
-                }
-            }
-        }
-        executed.sort_unstable();
-        let mut msgs = 0u64;
-        for p in &executed {
-            out.push(CoordOut::Decision(
-                *p,
-                Decision { txn, commit: false },
-                None,
-            ));
-            msgs += 1;
-        }
-        self.counters.aborts += 1;
-        self.aborted.insert(txn);
-        self.failover_aborted.insert(txn, executed);
-        self.history_order.push_back(txn);
-        out.push(CoordOut::ClientResult {
-            client: t.client,
-            txn,
-            result: TxnResult::Aborted(reason),
-        });
-        msgs += 1;
-        msgs += self.notify_peers(txn, false, out);
-        self.charge_msgs(msgs);
-        self.gc();
-    }
-
     /// The shard's applied membership epoch for a replica group (0 = never
     /// failed over).
     pub fn epoch(&self, p: PartitionId) -> u32 {
@@ -1312,9 +1219,7 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
     fn gc(&mut self) {
         while self.history_order.len() > HISTORY_LIMIT {
             if let Some(old) = self.history_order.pop_front() {
-                self.committed.remove(&old);
-                self.aborted.remove(&old);
-                self.failover_aborted.remove(&old);
+                self.decided.remove(&old);
                 self.in_doubt.remove(&old);
                 self.redeliveries.remove(&old);
             }
@@ -1816,6 +1721,80 @@ mod tests {
         assert_eq!(decisions, vec![0], "only the executed participant");
     }
 
+    /// The readers of an aborted fate: a dependent of an expired
+    /// transaction is stale, a presumed abort reaches each late
+    /// participant once, and a peer's abort note makes a held dependent
+    /// stale.
+    #[test]
+    fn aborted_fate_stales_dependents_and_answers_each_late_vote_once() {
+        let mut c = coord();
+        let mut out = Vec::new();
+        c.on_invoke_at(
+            txid(1),
+            ClientId(1),
+            simple_proc(),
+            false,
+            Nanos(0),
+            &mut out,
+        );
+        let later = Nanos(5_000_000);
+        c.on_invoke_at(txid(2), ClientId(2), simple_proc(), false, later, &mut out);
+        let (now, timeout) = (Nanos(6_000_000), Nanos(2_000_000));
+        let expired = c.expire_stalled(now, timeout, AbortReason::CrossCoordinator, &mut out);
+        assert_eq!(expired, vec![txid(1)]);
+        out.clear();
+
+        // (a) Txn 2 speculated on the expired txn 1 at P0: stale.
+        let dep = hcc_common::SpecDep {
+            txn: txid(1),
+            attempt: 0,
+        };
+        let vote = Some(Vote::Commit);
+        c.on_response(ok_response(txid(2), 0, 0, vote, Some(dep)), &mut out);
+        c.on_response(ok_response(txid(2), 1, 0, vote, None), &mut out);
+        assert_eq!(c.counters.stale_responses_discarded, 1, "discarded");
+        assert!(out.is_empty(), "and nothing decided on it");
+
+        // (b) Txn 1's late vote at P0 draws the presumed abort; a second
+        // vote from P0 (a squashed re-execution) draws nothing.
+        c.on_response(ok_response(txid(1), 0, 0, vote, None), &mut out);
+        let abort_at_p0 = |o: &Out| {
+            matches!(o, CoordOut::Decision(p, d, _)
+                if !d.commit && d.txn == txid(1) && *p == PartitionId(0))
+        };
+        assert_eq!(out.iter().filter(|o| abort_at_p0(o)).count(), 1);
+        out.clear();
+        c.on_response(ok_response(txid(1), 0, 0, vote, None), &mut out);
+        assert!(out.is_empty(), "no second decision");
+        assert_eq!(c.counters.stale_responses_discarded, 2);
+
+        // (c) Txn 3 speculated on a peer shard's transaction at P0 and
+        // holds; the peer's abort note makes that response stale.
+        c.on_invoke(txid(3), ClientId(3), simple_proc(), false, &mut out);
+        out.clear();
+        let peer = peer_commit(Vec::new()).txn;
+        let dep = hcc_common::SpecDep {
+            txn: peer,
+            attempt: 0,
+        };
+        c.on_response(ok_response(txid(3), 0, 0, vote, Some(dep)), &mut out);
+        c.on_response(ok_response(txid(3), 1, 0, vote, None), &mut out);
+        assert!(out.is_empty(), "held on the undecided peer");
+        let note = PeerNote {
+            txn: peer,
+            commit: false,
+            attempts: Vec::new(),
+        };
+        c.on_peer_decision(note, &mut out);
+        assert!(out.is_empty(), "not decided on the stale response");
+        assert_eq!(c.counters.stale_responses_discarded, 3);
+        // The re-executed response settles and txn 3 commits.
+        let mut fresh = ok_response(txid(3), 0, 0, vote, None);
+        fresh.attempt = 1;
+        c.on_response(fresh, &mut out);
+        assert_eq!(c.counters.commits, 1);
+    }
+
     #[test]
     fn decisions_are_emitted_in_stable_partition_order() {
         // Determinism: the decision fan-out must not depend on HashSet
@@ -2067,7 +2046,7 @@ mod tests {
             c.on_response(ok_response(txn, 1, 0, Some(Vote::Commit), None), &mut out);
             out.clear();
         }
-        assert!(c.committed.len() <= HISTORY_LIMIT);
+        assert!(c.decided.len() <= HISTORY_LIMIT);
         assert_eq!(c.pending(), 0);
     }
 }

@@ -55,6 +55,12 @@ pub struct LockingScheduler<E: ExecutionEngine> {
     lock_timeout: Nanos,
     lm: LockManager,
     txns: hcc_common::FxHashMap<TxnId, LockTxn<E::Fragment>>,
+    /// Multi-partition transactions aborted here (deadlock victim, lock
+    /// timeout) whose abort vote is out: their coordinator's decision is
+    /// still to come, so the partition is not idle until it arrives. An
+    /// adaptive swap in between would hand that decision to a scheduler
+    /// that never knew the transaction.
+    voted_abort: hcc_common::FxHashSet<TxnId>,
     counters: SchedulerCounters,
 }
 
@@ -66,6 +72,7 @@ impl<E: ExecutionEngine> LockingScheduler<E> {
             lock_timeout,
             lm: LockManager::new(),
             txns: hcc_common::FxHashMap::default(),
+            voted_abort: hcc_common::FxHashSet::default(),
             counters: SchedulerCounters::default(),
         }
     }
@@ -306,6 +313,7 @@ impl<E: ExecutionEngine> LockingScheduler<E> {
         match &t.phase {
             Phase::Waiting { task, .. } => {
                 if t.multi_partition {
+                    self.voted_abort.insert(victim);
                     out.send_coordinator(
                         task.coordinator,
                         FragmentResponse {
@@ -391,6 +399,7 @@ impl<E: ExecutionEngine> Scheduler<E> for LockingScheduler<E> {
             // voted abort — so it is for a transaction that died with a
             // crashed predecessor: a stray, which the driver must not
             // acknowledge (the coordinator is about to re-deliver it).
+            self.voted_abort.remove(&decision.txn);
             if decision.commit {
                 self.counters.stray_decisions += 1;
             }
@@ -449,7 +458,7 @@ impl<E: ExecutionEngine> Scheduler<E> for LockingScheduler<E> {
     }
 
     fn is_idle(&self) -> bool {
-        self.txns.is_empty()
+        self.txns.is_empty() && self.voted_abort.is_empty()
     }
 }
 
@@ -861,6 +870,37 @@ mod tests {
         );
         assert_eq!(s.active_txns(), 1);
         assert_eq!(s.counters().aborted, 1, "not double-counted");
+    }
+
+    /// A transaction this partition aborted and voted against still has
+    /// its coordinator's decision in flight: the partition is not idle (an
+    /// adaptive swap waits for idle) until that decision arrives.
+    #[test]
+    fn a_partition_that_voted_abort_is_busy_until_the_decision() {
+        let (mut s, mut e, mut out) = setup();
+        s.on_fragment(
+            mp(1, TestFragment::add(1, 1), false, 0),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        s.on_fragment(
+            mp(2, TestFragment::add(1, 5), true, 0),
+            &mut e,
+            NOW,
+            &mut out,
+        );
+        s.on_tick(&mut e, Nanos::from_millis(10), &mut out); // t2 timed out
+        let abort = |n| Decision {
+            txn: txid(n),
+            commit: false,
+        };
+        s.on_decision(abort(1), &mut e, NOW, &mut out);
+        assert_eq!(s.active_txns(), 0);
+        assert!(!s.is_idle(), "t2's abort decision is still to come");
+        s.on_decision(abort(2), &mut e, NOW, &mut out);
+        assert!(s.is_idle());
+        assert_eq!(s.counters().stray_decisions, 0);
     }
 
     #[test]

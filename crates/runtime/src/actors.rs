@@ -837,14 +837,7 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
         let Some(seq) = &self.seq else { return };
         let before = out.len();
         for dest in broadcast_dests(seq.partitions, seq.shards, self.id) {
-            let dest = match dest {
-                EpochLogDest::Partition(p) => ActorId::Partition(p),
-                EpochLogDest::Shard(k) => ActorId::Coordinator(k),
-            };
-            out.push(OutMsg {
-                dest,
-                msg: Msg::EpochLog(log.clone()),
-            });
+            push_coord_out(CoordOut::EpochLog(dest, log.clone()), out);
         }
         self.coord.charge_extra_msgs((out.len() - before) as u64);
     }
@@ -881,21 +874,11 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
                     // across shards, or a dead participant): abort with the
                     // configured reason — §4.3's timeout resolution, applied
                     // to coordinator chains.
-                    let before = self.scratch.len();
-                    self.coord
-                        .expire_stalled(now, timeout, reason, &mut self.scratch);
-                    let expired = self.scratch[before..]
-                        .iter()
-                        .filter(|m| {
-                            matches!(
-                                m,
-                                CoordOut::ClientResult {
-                                    result: TxnResult::Aborted(AbortReason::CrossCoordinator),
-                                    ..
-                                }
-                            )
-                        })
-                        .count() as u64;
+                    let aborted =
+                        self.coord
+                            .expire_stalled(now, timeout, reason, &mut self.scratch);
+                    let cross = reason == AbortReason::CrossCoordinator;
+                    let expired = if cross { aborted.len() as u64 } else { 0 };
                     self.cross_coord_aborts += expired;
                     // Backends disable expiry under sequencing; an abort
                     // here with the sequencer live is a wiring bug.
