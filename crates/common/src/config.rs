@@ -281,11 +281,11 @@ impl RetryConfig {
 
 /// Adaptive scheme selection (ISSUE 10, the paper's §5.7 closed loop).
 ///
-/// When on, every partition runs an `AdaptiveScheduler` wrapper that
-/// measures its own workload over sliding windows (mp-fraction, abort
+/// When on, every partition's scheduler carries an adaptive controller
+/// that measures its own workload over sliding windows (mp-fraction, abort
 /// rate, conflict rate, mean fragment length — from `SchedulerCounters`
 /// *deltas*, not lifetime totals), feeds the observations into the §6
-/// analytical model, and live-swaps the underlying scheduler when the
+/// analytical model, and live-swaps the partition's scheme when the
 /// predicted winner beats the incumbent by `margin` for
 /// [`AdaptiveConfig::CONSECUTIVE_WINDOWS`] consecutive windows. The
 /// configured [`SystemConfig::scheme`] is the *initial* scheme.

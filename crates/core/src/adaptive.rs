@@ -4,11 +4,14 @@
 //! §5.7 observes that the best concurrency control scheme depends on the
 //! workload ("a database system could measure these statistics and use
 //! this model to select the best scheme") and §6 gives the model. This
-//! module is that sentence as code: [`AdaptiveScheduler`] wraps the
-//! scheduler of one of the four schemes, measures the statistics the
-//! model needs over sliding windows of transaction *outcomes*, asks
-//! [`hcc_model::recommend`] for the winner, and — with hysteresis, so a
-//! noisy window cannot thrash — performs a live swap:
+//! module is that sentence as code. The [`Controller`] is part of the
+//! partition's scheduler, not a wrapper around it: a
+//! [`PartitionScheduler`](crate::scheduler::PartitionScheduler) holds one
+//! when adaptive selection is on, next to the scheme it runs. The
+//! controller measures the statistics the model needs over sliding
+//! windows of transaction *outcomes*, asks [`hcc_model::recommend`] for
+//! the winner, and — with hysteresis, so a noisy window cannot thrash —
+//! swaps the partition's scheme live:
 //!
 //! 1. **Decide.** A window closes every `window` outcomes
 //!    (commits + aborts, a deterministic event count — never wall time,
@@ -18,14 +21,14 @@
 //!    share and mean fragment cost; the model's verdict must beat the
 //!    incumbent by `margin` for [`AdaptiveConfig::CONSECUTIVE_WINDOWS`]
 //!    windows in a row before a switch is scheduled.
-//! 2. **Quiesce.** New transactions (round-0 fragments) are held in the
-//!    wrapper; in-flight rounds and 2PC decisions pass through, so every
+//! 2. **Quiesce.** New transactions (round-0 fragments) are held by the
+//!    controller; in-flight rounds and 2PC decisions pass through, so every
 //!    speculation chain resolves and every prepared transaction gets its
 //!    decision. The held work never deadlocks the drain: nothing the
-//!    inner scheduler is waiting for depends on admitting a new
+//!    running scheme is waiting for depends on admitting a new
 //!    transaction.
-//! 3. **Swap.** The moment the inner scheduler reports
-//!    [`Scheduler::is_idle`], its counters are folded into the wrapper's
+//! 3. **Swap.** The moment the running scheme reports
+//!    [`Scheduler::is_idle`], its counters are folded into the controller's
 //!    running total, the new scheme's scheduler is built, the transition
 //!    epoch is bumped, a [`SwitchRecord`] is queued for the driver (which
 //!    ships it to replicas inside the commit log, so failover lands in
@@ -38,107 +41,28 @@
 
 use crate::engine::ExecutionEngine;
 use crate::outbox::Outbox;
-use crate::scheduler::Scheduler;
-use crate::speculative::{ConflictPolicy, SpeculativeScheduler};
+use crate::scheduler::{delegate, AnySched, Scheduler};
 use hcc_common::stats::{AdaptiveStats, SchedulerCounters, SwitchRecord};
 use hcc_common::{
-    AdaptiveConfig, Decision, FragmentTask, Nanos, PartitionId, Scheme, SchemeSwitch, SystemConfig,
+    AdaptiveConfig, FragmentTask, Nanos, PartitionId, Scheme, SchemeSwitch, SystemConfig,
 };
 use hcc_model::{recommend, ModelParams, WorkloadProfile};
 use std::collections::VecDeque;
 
-/// The two scheduler types as one sum type, so the wrapper can swap
-/// between schemes without boxing (and stays `Send` whenever they are).
-pub enum AnySched<E: ExecutionEngine> {
-    /// Blocking, speculation or OCC: one queue, parameterised.
-    Speculative(SpeculativeScheduler<E>),
-    Locking(crate::locking_sched::LockingScheduler<E>),
-}
-
-impl<E: ExecutionEngine> AnySched<E> {
-    /// Build the scheduler for `scheme` on partition `me`: the one place a
-    /// scheme becomes a scheduler (`make_scheduler` unpacks this value).
-    /// Blocking is speculation at depth 0 (§4.1 is §4.2 with §5.3's cap
-    /// at zero); OCC is speculation with precise squashes (§5.7).
-    pub fn build(config: &SystemConfig, me: PartitionId, scheme: Scheme) -> Self {
-        let (max_depth, policy) = match scheme {
-            Scheme::Locking => {
-                return AnySched::Locking(crate::locking_sched::LockingScheduler::new(
-                    me,
-                    config.costs,
-                    config.lock_timeout,
-                ))
-            }
-            Scheme::Blocking => (0, ConflictPolicy::AssumeAll),
-            Scheme::Speculative => (config.max_speculation_depth, ConflictPolicy::AssumeAll),
-            Scheme::Occ => (config.max_speculation_depth, ConflictPolicy::Precise),
-        };
-        AnySched::Speculative(SpeculativeScheduler::new(config, me, max_depth, policy))
-    }
-}
-
-macro_rules! delegate {
-    ($self:expr, $inner:pat => $body:expr) => {
-        match $self {
-            AnySched::Speculative($inner) => $body,
-            AnySched::Locking($inner) => $body,
-        }
-    };
-}
-
-impl<E: ExecutionEngine> Scheduler<E> for AnySched<E> {
-    fn on_fragment(
-        &mut self,
-        task: FragmentTask<E::Fragment>,
-        engine: &mut E,
-        now: Nanos,
-        out: &mut Outbox<E::Output>,
-    ) {
-        delegate!(self, s => s.on_fragment(task, engine, now, out))
-    }
-
-    fn on_decision(
-        &mut self,
-        decision: Decision,
-        engine: &mut E,
-        now: Nanos,
-        out: &mut Outbox<E::Output>,
-    ) {
-        delegate!(self, s => s.on_decision(decision, engine, now, out))
-    }
-
-    fn on_tick(
-        &mut self,
-        engine: &mut E,
-        now: Nanos,
-        out: &mut Outbox<E::Output>,
-    ) -> Option<Nanos> {
-        delegate!(self, s => s.on_tick(engine, now, out))
-    }
-
-    fn counters(&self) -> SchedulerCounters {
-        delegate!(self, s => s.counters())
-    }
-
-    fn is_idle(&self) -> bool {
-        delegate!(self, s => s.is_idle())
-    }
-}
-
-/// The adaptive controller for one partition. See the module docs for the
+/// The adaptive controller of one partition. See the module docs for the
 /// decide → quiesce → swap protocol.
-pub struct AdaptiveScheduler<E: ExecutionEngine> {
+pub struct Controller<E: ExecutionEngine> {
     me: PartitionId,
     config: SystemConfig,
-    inner: AnySched<E>,
-    scheme: Scheme,
+    /// The scheme running now (or being switched away from).
+    pub(crate) scheme: Scheme,
     /// Dense transition counter: 0 = the initial scheme, bumped at every
     /// swap. Replicas assert failover parity on (epoch, scheme).
     epoch: u32,
     margin: f64,
     window: u64,
-    /// Counters of every retired inner scheduler, so [`Self::counters`]
-    /// is monotonic across swaps (the fresh inner restarts from zero).
+    /// Counters of every retired scheme's scheduler, so the partition's
+    /// counters are monotonic across swaps (a fresh one starts from zero).
     retired: SchedulerCounters,
     /// Cumulative snapshot at the open of the current window.
     win_start: SchedulerCounters,
@@ -147,46 +71,40 @@ pub struct AdaptiveScheduler<E: ExecutionEngine> {
     last_conflict: f64,
     /// Scheme the model proposed last window, and for how many
     /// consecutive windows — the hysteresis state.
-    streak_for: Option<Scheme>,
-    streak: u32,
-    /// Set while quiescing: the scheme to swap to once the inner drains.
-    target: Option<Scheme>,
-    quiesce_from: Nanos,
+    streak: Option<(Scheme, u32)>,
+    /// Set while quiescing: the scheme to swap to once the running one
+    /// drains, and when the quiesce began.
+    target: Option<(Scheme, Nanos)>,
     /// Round-0 fragments held during the quiesce, replayed after the swap.
-    held: VecDeque<FragmentTask<E::Fragment>>,
+    pub(crate) held: VecDeque<FragmentTask<E::Fragment>>,
     /// Switches not yet drained by the driver (stamped into the commit
     /// log so replicas follow).
-    notes: Vec<SwitchRecord>,
+    pub(crate) notes: Vec<SwitchRecord>,
     stats: AdaptiveStats,
     /// Start of the current scheme's residency segment.
     residency_mark: Nanos,
     params: ModelParams,
 }
 
-impl<E: ExecutionEngine> AdaptiveScheduler<E> {
-    /// Build the controller. `resume` carries the last applied
-    /// [`SchemeSwitch`] when a backup is promoted mid-run: the new
-    /// primary starts in the scheme (and at the epoch) its predecessor
-    /// had reached, which is what makes failover land deterministically.
-    /// Scheme residency is counted from `now`, when the controller starts
-    /// to serve (a promotion's time, for a promoted backup).
-    pub fn new(
+impl<E: ExecutionEngine> Controller<E> {
+    /// Build the controller, or `None` when adaptive selection is off.
+    /// A backup promoted mid-run passes the last [`SchemeSwitch`] it
+    /// applied as `resume`, so it starts in the scheme and at the epoch
+    /// its predecessor had reached, and the time of its promotion as `now`,
+    /// from which scheme residency counts.
+    pub(crate) fn new(
         config: &SystemConfig,
         me: PartitionId,
         resume: Option<SchemeSwitch>,
         now: Nanos,
-    ) -> Self {
+    ) -> Option<Self> {
         let AdaptiveConfig::Model { margin, window } = config.adaptive else {
-            unreachable!("the controller is built only when adaptive selection is on")
+            return None;
         };
-        let (scheme, epoch) = match resume {
-            Some(sw) => (sw.scheme, sw.epoch),
-            None => (config.scheme, 0),
-        };
-        AdaptiveScheduler {
+        let (scheme, epoch) = resume.map_or((config.scheme, 0), |sw| (sw.scheme, sw.epoch));
+        Some(Controller {
             me,
             config: config.clone(),
-            inner: AnySched::build(config, me, scheme),
             scheme,
             epoch,
             margin,
@@ -194,36 +112,43 @@ impl<E: ExecutionEngine> AdaptiveScheduler<E> {
             retired: SchedulerCounters::default(),
             win_start: SchedulerCounters::default(),
             last_conflict: 0.0,
-            streak_for: None,
-            streak: 0,
+            streak: None,
             target: None,
-            quiesce_from: Nanos::ZERO,
             held: VecDeque::new(),
             notes: Vec::new(),
             stats: AdaptiveStats::default(),
             residency_mark: now,
-            // Under adaptive every multi-partition transaction routes
-            // through the central coordinator (a partition's scheme can
-            // change mid-transaction, so clients cannot run
-            // scheme-specific 2PC): the model's coordinator cap applies.
+            // Under adaptive every multi-partition transaction passes the
+            // central coordinator, so the model's coordinator cap applies.
             params: ModelParams::of(&config.costs, &config.network),
-        }
+        })
     }
 
-    /// The scheme currently executing (or being switched away from).
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
-    /// Current transition epoch (0 until the first swap).
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    fn cumulative(&self) -> SchedulerCounters {
+    /// The partition's counters: every retired scheme's plus `inner`'s.
+    pub(crate) fn cumulative(&self, inner: &AnySched<E>) -> SchedulerCounters {
         let mut c = self.retired;
-        c.merge(&self.inner.counters());
+        c.merge(&delegate!(inner, s => s.counters()));
         c
+    }
+
+    /// Quiescing: a new transaction (a round-0 fragment) is held. Later
+    /// rounds pass — an in-flight transaction's next round is something
+    /// the drain *waits for*, so holding it would deadlock the swap.
+    pub(crate) fn holds(&self, task: &FragmentTask<E::Fragment>) -> bool {
+        self.target.is_some() && task.round == 0
+    }
+
+    pub(crate) fn hold(&mut self, task: FragmentTask<E::Fragment>) {
+        self.stats.held_fragments += 1;
+        self.held.push_back(task);
+    }
+
+    /// The statistics, with the open residency segment closed at `now`
+    /// so the report covers the whole run.
+    pub(crate) fn stats(&self, now: Nanos) -> AdaptiveStats {
+        let mut stats = self.stats.clone();
+        stats.residency_ns[self.scheme as usize] += now.0.saturating_sub(self.residency_mark.0);
+        stats
     }
 
     /// The model's §6 parameters, rescaled so `t_sp` matches the mean
@@ -295,8 +220,8 @@ impl<E: ExecutionEngine> AdaptiveScheduler<E> {
 
     /// Close the window if enough outcomes accumulated, score it, and
     /// arm a quiesce when the hysteresis threshold is crossed.
-    fn maybe_plan(&mut self, now: Nanos) {
-        let cum = self.cumulative();
+    fn maybe_plan(&mut self, inner: &AnySched<E>, now: Nanos) {
+        let cum = self.cumulative(inner);
         let d = cum.delta_since(&self.win_start);
         if d.outcomes() < self.window {
             return;
@@ -310,36 +235,38 @@ impl<E: ExecutionEngine> AdaptiveScheduler<E> {
         if winner == self.scheme
             || rec.score_of(winner) < (1.0 + self.margin) * rec.score_of(self.scheme)
         {
-            self.streak_for = None;
-            self.streak = 0;
+            self.streak = None;
             return;
         }
-        if self.streak_for == Some(winner) {
-            self.streak += 1;
-        } else {
-            self.streak_for = Some(winner);
-            self.streak = 1;
-        }
-        if self.streak >= AdaptiveConfig::CONSECUTIVE_WINDOWS {
-            self.streak_for = None;
-            self.streak = 0;
-            self.target = Some(winner);
-            self.quiesce_from = now;
+        let streak = match self.streak {
+            Some((s, n)) if s == winner => n + 1,
+            _ => 1,
+        };
+        self.streak = Some((winner, streak));
+        if streak >= AdaptiveConfig::CONSECUTIVE_WINDOWS {
+            self.streak = None;
+            self.target = Some((winner, now));
         }
     }
 
-    fn swap(&mut self, to: Scheme, engine: &mut E, now: Nanos, out: &mut Outbox<E::Output>) {
-        debug_assert!(self.inner.is_idle());
-        self.retired.merge(&self.inner.counters());
+    fn swap(
+        &mut self,
+        inner: &mut AnySched<E>,
+        (to, quiesce_from): (Scheme, Nanos),
+        engine: &mut E,
+        now: Nanos,
+        out: &mut Outbox<E::Output>,
+    ) {
+        self.retired.merge(&delegate!(&*inner, s => s.counters()));
         self.stats.residency_ns[self.scheme as usize] +=
             now.0.saturating_sub(self.residency_mark.0);
         self.residency_mark = now;
         self.stats
             .quiesce_stall
-            .record(Nanos(now.0.saturating_sub(self.quiesce_from.0)));
+            .record(Nanos(now.0.saturating_sub(quiesce_from.0)));
         self.epoch += 1;
         self.scheme = to;
-        self.inner = AnySched::build(&self.config, self.me, to);
+        *inner = AnySched::build(&self.config, self.me, to);
         self.target = None;
         self.stats.switches += 1;
         let record = SwitchRecord {
@@ -350,98 +277,42 @@ impl<E: ExecutionEngine> AdaptiveScheduler<E> {
         };
         self.stats.switch_log.push(record);
         self.notes.push(record);
-        // The fresh inner counts from zero; open a fresh window so rates
-        // reflect the new scheme only.
-        self.win_start = self.cumulative();
+        // The fresh scheduler counts from zero; open a fresh window so
+        // rates reflect the new scheme only.
+        self.win_start = self.cumulative(inner);
         // Replay the held transactions in arrival order.
         while let Some(task) = self.held.pop_front() {
-            self.inner.on_fragment(task, engine, now, out);
+            delegate!(&mut *inner, s => s.on_fragment(task, engine, now, out));
         }
     }
 
-    /// Runs after every delegated event: completes a pending swap the
-    /// moment the drain finishes, otherwise evaluates the window. Both
+    /// Runs after every event `inner` handled: completes a pending swap
+    /// the moment the drain finishes, otherwise evaluates the window. Both
     /// are functions of the event sequence alone — deterministic.
-    fn after_event(&mut self, engine: &mut E, now: Nanos, out: &mut Outbox<E::Output>) {
+    pub(crate) fn after_event(
+        &mut self,
+        inner: &mut AnySched<E>,
+        engine: &mut E,
+        now: Nanos,
+        out: &mut Outbox<E::Output>,
+    ) {
         match self.target {
-            Some(to) => {
-                if self.inner.is_idle() {
-                    self.swap(to, engine, now, out);
+            Some(target) => {
+                if delegate!(&*inner, s => s.is_idle()) {
+                    self.swap(inner, target, engine, now, out);
                 }
             }
-            None => self.maybe_plan(now),
+            None => self.maybe_plan(inner, now),
         }
-    }
-}
-
-impl<E: ExecutionEngine> Scheduler<E> for AdaptiveScheduler<E> {
-    fn on_fragment(
-        &mut self,
-        task: FragmentTask<E::Fragment>,
-        engine: &mut E,
-        now: Nanos,
-        out: &mut Outbox<E::Output>,
-    ) {
-        // Quiescing: hold new transactions, pass later rounds through —
-        // an in-flight transaction's next round is something the drain
-        // *waits for*, so holding it would deadlock the swap.
-        if self.target.is_some() && task.round == 0 {
-            self.stats.held_fragments += 1;
-            self.held.push_back(task);
-        } else {
-            self.inner.on_fragment(task, engine, now, out);
-        }
-        self.after_event(engine, now, out);
-    }
-
-    fn on_decision(
-        &mut self,
-        decision: Decision,
-        engine: &mut E,
-        now: Nanos,
-        out: &mut Outbox<E::Output>,
-    ) {
-        self.inner.on_decision(decision, engine, now, out);
-        self.after_event(engine, now, out);
-    }
-
-    fn on_tick(
-        &mut self,
-        engine: &mut E,
-        now: Nanos,
-        out: &mut Outbox<E::Output>,
-    ) -> Option<Nanos> {
-        let next = self.inner.on_tick(engine, now, out);
-        self.after_event(engine, now, out);
-        next
-    }
-
-    fn counters(&self) -> SchedulerCounters {
-        self.cumulative()
-    }
-
-    fn is_idle(&self) -> bool {
-        self.inner.is_idle() && self.held.is_empty()
-    }
-
-    fn adaptive_stats(&self, now: Nanos) -> Option<AdaptiveStats> {
-        let mut stats = self.stats.clone();
-        // Close the open residency segment so the report covers the
-        // whole run.
-        stats.residency_ns[self.scheme as usize] += now.0.saturating_sub(self.residency_mark.0);
-        Some(stats)
-    }
-
-    fn take_switch_notes(&mut self) -> Vec<SwitchRecord> {
-        std::mem::take(&mut self.notes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::PartitionScheduler;
     use crate::testkit::{TestEngine, TestFragment};
-    use hcc_common::{ClientId, CoordinatorId, CoordinatorRef, CostModel, TxnId};
+    use hcc_common::{ClientId, CoordinatorId, CoordinatorRef, CostModel, Decision, TxnId};
 
     fn sp_task(txn: u32, frag: TestFragment) -> FragmentTask<TestFragment> {
         FragmentTask {
@@ -483,15 +354,19 @@ mod tests {
     fn setup(
         cfg: &SystemConfig,
     ) -> (
-        AdaptiveScheduler<TestEngine>,
+        PartitionScheduler<TestEngine>,
         TestEngine,
         Outbox<Vec<(u64, i64)>>,
     ) {
         (
-            AdaptiveScheduler::new(cfg, PartitionId(0), None, Nanos::ZERO),
+            PartitionScheduler::new(cfg, PartitionId(0), None, Nanos::ZERO),
             TestEngine::with_data(&[(1, 100), (2, 200)]),
             Outbox::new(CostModel::default()),
         )
+    }
+
+    fn ctl(s: &PartitionScheduler<TestEngine>) -> &Controller<TestEngine> {
+        s.adaptive.as_ref().expect("adaptive selection is on")
     }
 
     #[test]
@@ -508,8 +383,8 @@ mod tests {
         }
         assert_eq!(s.counters().committed, 5);
         assert_eq!(s.counters().committed_mp, 0);
-        assert_eq!(s.scheme(), Scheme::Blocking);
-        assert_eq!(s.epoch(), 0);
+        assert_eq!(ctl(&s).scheme, Scheme::Blocking);
+        assert_eq!(ctl(&s).epoch, 0);
         assert!(s.is_idle());
         assert_eq!(s.adaptive_stats(Nanos(100)).unwrap().switches, 0);
         assert!(s.take_switch_notes().is_empty());
@@ -532,7 +407,7 @@ mod tests {
         let stats = s.adaptive_stats(Nanos(1000)).unwrap();
         assert_eq!(stats.switches, 0);
         assert!(stats.windows_evaluated >= 16);
-        assert_eq!(s.scheme(), Scheme::Blocking);
+        assert_eq!(ctl(&s).scheme, Scheme::Blocking);
         // All residency accrues to the initial scheme.
         assert_eq!(stats.residency_ns[Scheme::Blocking as usize], 1000);
         assert_eq!(stats.residency_ns[Scheme::Speculative as usize], 0);
@@ -559,8 +434,8 @@ mod tests {
         }
         let stats = s.adaptive_stats(Nanos(now)).unwrap();
         assert!(stats.switches >= 1, "expected a switch: {stats:?}");
-        assert_ne!(s.scheme(), Scheme::Blocking);
-        assert_eq!(s.epoch() as u64, stats.switches);
+        assert_ne!(ctl(&s).scheme, Scheme::Blocking);
+        assert_eq!(ctl(&s).epoch as u64, stats.switches);
         let notes = s.take_switch_notes();
         assert_eq!(notes.len() as u64, stats.switches);
         assert_eq!(notes[0].epoch, 1);
@@ -612,7 +487,11 @@ mod tests {
         now += 1000;
         s.on_decision(decision(6, false), &mut e, Nanos(now), &mut out);
         assert_eq!(s.adaptive_stats(Nanos(now)).unwrap().switches, 0);
-        assert_eq!(s.scheme(), Scheme::Speculative, "swap waits for the drain");
+        assert_eq!(
+            ctl(&s).scheme,
+            Scheme::Speculative,
+            "swap waits for the drain"
+        );
         // A new transaction arriving mid-quiesce is held, not executed.
         out.take();
         s.on_fragment(
@@ -632,7 +511,7 @@ mod tests {
         s.on_decision(decision(7, true), &mut e, Nanos(now), &mut out);
         let stats = s.adaptive_stats(Nanos(now)).unwrap();
         assert_eq!(stats.switches, 1);
-        assert_ne!(s.scheme(), Scheme::Speculative);
+        assert_ne!(ctl(&s).scheme, Scheme::Speculative);
         let (msgs, _) = out.take();
         assert!(
             msgs.iter().any(|m| matches!(
@@ -648,7 +527,7 @@ mod tests {
     #[test]
     fn resume_carries_scheme_and_epoch_for_failover() {
         let cfg = adaptive_config(Scheme::Blocking, 0.15, 256);
-        let s: AdaptiveScheduler<TestEngine> = AdaptiveScheduler::new(
+        let s: PartitionScheduler<TestEngine> = PartitionScheduler::new(
             &cfg,
             PartitionId(1),
             Some(SchemeSwitch {
@@ -657,7 +536,7 @@ mod tests {
             }),
             Nanos::ZERO,
         );
-        assert_eq!(s.scheme(), Scheme::Locking);
-        assert_eq!(s.epoch(), 3);
+        assert_eq!(ctl(&s).scheme, Scheme::Locking);
+        assert_eq!(ctl(&s).epoch, 3);
     }
 }

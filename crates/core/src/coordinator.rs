@@ -985,31 +985,39 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
         }
         t.dispatched.sort_unstable();
         let commit = outcome.is_ok();
-        let (decided, result) = match outcome {
+        // Only a shard reads the record (dependency validation, late
+        // votes, expiry, failover, peer notes). A client's own driver
+        // meets none of them: the locking scheme emits no dependencies,
+        // and no driver is expired, failed over or sent a peer note.
+        if let CoordinatorRef::Central(_) = self.coord_ref {
+            let decided = if commit {
+                Decided::Committed(t.responses.iter().map(|(p, r)| (*p, r.attempt)).collect())
+            } else {
+                Decided::Aborted(presumed.then(|| t.dispatched.clone()))
+            };
+            self.decided.insert(txn, decided);
+            self.history_order.push_back(txn);
+        }
+        let result = match outcome {
             Ok(()) => {
                 self.counters.commits += 1;
-                let attempts = t.responses.iter().map(|(p, r)| (*p, r.attempt)).collect();
                 t.settled_rounds.push(t.outputs());
-                let result = match t.procedure.step(&t.settled_rounds) {
+                match t.procedure.step(&t.settled_rounds) {
                     Step::Finish(r) => TxnResult::Committed(r),
                     Step::Round { .. } => {
                         debug_assert!(false, "procedure wants a round after final");
                         TxnResult::Aborted(AbortReason::User)
                     }
-                };
-                (Decided::Committed(attempts), result)
+                }
             }
             Err(reason) => {
                 self.counters.aborts += 1;
                 if reason == AbortReason::PartitionFailed {
                     self.counters.failover_aborts += 1;
                 }
-                let told = presumed.then(|| t.dispatched.clone());
-                (Decided::Aborted(told), TxnResult::Aborted(reason))
+                TxnResult::Aborted(reason)
             }
         };
-        self.decided.insert(txn, decided);
-        self.history_order.push_back(txn);
         for p in &t.dispatched {
             out.push(self.decision_out(*p, txn, commit));
         }
@@ -2047,6 +2055,35 @@ mod tests {
             out.clear();
         }
         assert!(c.decided.len() <= HISTORY_LIMIT);
+        assert_eq!(c.pending(), 0);
+    }
+
+    /// Nothing reads a client driver's record of what it decided, so it
+    /// keeps none: the lock-timeout aborts and the commits leave both the
+    /// record and its trim order empty.
+    #[test]
+    fn a_client_driver_records_no_decided_transaction() {
+        let mut c = Coordinator::client_driver(CostModel::default(), ClientId(7));
+        let mut out = Vec::new();
+        for i in 0..6 {
+            let txn = TxnId::new(ClientId(7), i);
+            c.on_invoke(txn, ClientId(7), simple_proc(), false, &mut out);
+            c.on_response(ok_response(txn, 0, 0, Some(Vote::Commit), None), &mut out);
+            let mut second = ok_response(txn, 1, 0, Some(Vote::Commit), None);
+            if i % 3 == 2 {
+                second.payload = Err(AbortReason::LockTimeout);
+                second.vote = Some(Vote::Abort(AbortReason::LockTimeout));
+            }
+            c.on_response(second, &mut out);
+        }
+        let results = out
+            .iter()
+            .filter(|o| matches!(o, CoordOut::ClientResult { .. }))
+            .count();
+        assert_eq!(results, 6);
+        assert_eq!((c.counters.commits, c.counters.aborts), (4, 2));
+        assert!(c.decided.is_empty());
+        assert!(c.history_order.is_empty());
         assert_eq!(c.pending(), 0);
     }
 }

@@ -15,7 +15,10 @@
 //!   multi-partition transaction is active, cycle detection for local
 //!   deadlocks and timeouts for distributed ones.
 //!
-//! [`AnySched::build`] is the one place a scheme becomes a scheduler.
+//! [`AnySched::build`] is the one place a scheme becomes a scheduler, and
+//! a partition runs one [`PartitionScheduler`]: the scheme it executes
+//! plus, when adaptive selection is on, the [`adaptive::Controller`] that
+//! swaps that scheme live from observed statistics (§5.7).
 //!
 //! The [`coordinator::Coordinator`] implements the central coordinator of
 //! §3.3 with the speculative-result handling of §4.2.2, and
@@ -47,7 +50,8 @@ pub mod engine;
 pub mod group_commit;
 pub mod locking_sched;
 pub mod membership;
-pub mod oracle;
+#[cfg(test)]
+mod oracle;
 pub mod outbox;
 pub mod procedure;
 pub mod recovery;
@@ -55,10 +59,10 @@ pub mod replica;
 pub mod scheduler;
 pub mod sequencer;
 pub mod speculative;
-pub mod testkit;
+#[cfg(test)]
+mod testkit;
 pub mod txn_driver;
 
-pub use adaptive::{AdaptiveScheduler, AnySched};
 pub use engine::{ExecOutcome, ExecutionEngine};
 pub use group_commit::{FlushDecision, GroupCommit};
 pub use membership::{MembershipCore, MembershipUpdate};
@@ -68,7 +72,7 @@ pub use recovery::{
     recover_partition, recover_partitions_parallel, PartitionLog, RecoveryError, RecoveryOutcome,
 };
 pub use replica::{CommitGate, ReplayError, ReplicaCore, ReplicationSession};
-pub use scheduler::{make_scheduler, make_scheduler_send, Scheduler};
+pub use scheduler::{make_scheduler, AnySched, PartitionScheduler, Scheduler};
 pub use sequencer::{
     broadcast_dests, Admit, CloseKind, ClosedEpoch, EpochLog, EpochLogDest, PartitionSequencer,
     PendingInvoke, ShardSequencer,

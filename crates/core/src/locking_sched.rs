@@ -391,7 +391,7 @@ impl<E: ExecutionEngine> Scheduler<E> for LockingScheduler<E> {
         engine: &mut E,
         now: Nanos,
         out: &mut Outbox<E::Output>,
-    ) {
+    ) -> bool {
         let Some(t) = self.txns.get(&decision.txn) else {
             // An abort for a transaction already aborted locally (deadlock
             // victim / timeout): the coordinator's abort raced with ours.
@@ -403,7 +403,7 @@ impl<E: ExecutionEngine> Scheduler<E> for LockingScheduler<E> {
             if decision.commit {
                 self.counters.stray_decisions += 1;
             }
-            return;
+            return decision.commit;
         };
         if decision.commit {
             debug_assert!(matches!(t.phase, Phase::Prepared));
@@ -418,14 +418,10 @@ impl<E: ExecutionEngine> Scheduler<E> for LockingScheduler<E> {
             self.counters.aborted += 1;
         }
         self.finish_txn(decision.txn, engine, now, out);
+        false
     }
 
-    fn on_tick(
-        &mut self,
-        engine: &mut E,
-        now: Nanos,
-        out: &mut Outbox<E::Output>,
-    ) -> Option<Nanos> {
+    fn on_tick(&mut self, engine: &mut E, now: Nanos, out: &mut Outbox<E::Output>) {
         // Timeout only multi-partition waits: local chains resolve via
         // cycle detection; a long multi-partition wait indicates a
         // distributed deadlock this partition cannot see (§4.3).
@@ -445,11 +441,6 @@ impl<E: ExecutionEngine> Scheduler<E> for LockingScheduler<E> {
                 self.lm.stats.timeouts += 1;
                 self.abort_txn(txn, AbortReason::LockTimeout, engine, now, out);
             }
-        }
-        if self.lm.waiters().next().is_some() {
-            Some(Nanos(self.lock_timeout.0 / 4).max(Nanos(1)))
-        } else {
-            None
         }
     }
 
@@ -735,8 +726,7 @@ mod tests {
         );
         out.take();
         // Before the timeout: nothing.
-        let next = s.on_tick(&mut e, Nanos::from_millis(1), &mut out);
-        assert!(next.is_some());
+        s.on_tick(&mut e, Nanos::from_millis(1), &mut out);
         assert_eq!(s.counters().lock_timeouts, 0);
         // After the timeout: t2 aborted with LockTimeout.
         s.on_tick(&mut e, Nanos::from_millis(6), &mut out);

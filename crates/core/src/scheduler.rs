@@ -1,10 +1,23 @@
-//! The scheduler interface every concurrency control scheme implements.
+//! The scheduler a partition runs.
+//!
+//! [`Scheduler`] is the event interface of one concurrency control scheme.
+//! Two types implement it: [`SpeculativeScheduler`] (blocking, speculation
+//! and OCC) and [`LockingScheduler`]. [`AnySched`] is either of them, and
+//! [`AnySched::build`] is the one place a scheme becomes a scheduler.
+//!
+//! A partition runs one [`PartitionScheduler`]: the scheme it executes
+//! now, and — when adaptive selection is on — the
+//! [`Controller`](crate::adaptive::Controller) that measures the workload
+//! and swaps that scheme live (§5.7). With the scheme pinned the
+//! controller is absent and every event goes straight to the scheme.
 
-use crate::adaptive::{AdaptiveScheduler, AnySched};
+use crate::adaptive::Controller;
 use crate::engine::ExecutionEngine;
+use crate::locking_sched::LockingScheduler;
 use crate::outbox::Outbox;
+use crate::speculative::{ConflictPolicy, SpeculativeScheduler};
 use hcc_common::stats::{AdaptiveStats, SchedulerCounters, SwitchRecord};
-use hcc_common::{Decision, FragmentTask, Nanos, SchemeSwitch, SystemConfig};
+use hcc_common::{Decision, FragmentTask, Nanos, PartitionId, Scheme, SchemeSwitch, SystemConfig};
 
 /// A concurrency control scheme for one partition, driven by events.
 ///
@@ -22,94 +35,224 @@ pub trait Scheduler<E: ExecutionEngine> {
         out: &mut Outbox<E::Output>,
     );
 
-    /// A two-phase-commit decision arrived from the coordinator.
+    /// A two-phase-commit decision arrived from the coordinator. Returns
+    /// `true` if it was a *stray*: a decision for a transaction this
+    /// partition does not know (counted in
+    /// [`SchedulerCounters::stray_decisions`]), which only a failover
+    /// produces. A stray commit must not be acknowledged.
     fn on_decision(
         &mut self,
         decision: Decision,
         engine: &mut E,
         now: Nanos,
         out: &mut Outbox<E::Output>,
-    );
+    ) -> bool;
 
     /// Periodic maintenance (the locking scheme checks lock-wait timeouts
-    /// here). Returns the delay until the scheduler next wants a tick, or
-    /// `None` if it has no timers pending.
-    fn on_tick(&mut self, engine: &mut E, now: Nanos, out: &mut Outbox<E::Output>)
-        -> Option<Nanos>;
+    /// here). The driver decides when ticks happen.
+    fn on_tick(&mut self, engine: &mut E, now: Nanos, out: &mut Outbox<E::Output>);
 
     /// Aggregated counters (merged across partitions by the driver).
     fn counters(&self) -> SchedulerCounters;
 
     /// True when no transaction is active, queued, or awaiting a decision.
     fn is_idle(&self) -> bool;
+}
 
-    /// Adaptive-controller statistics (ISSUE 10), closed out at `now` so
-    /// the final residency segment is included. `None` for every concrete
-    /// scheme — only the [`crate::adaptive::AdaptiveScheduler`] wrapper
-    /// reports.
-    fn adaptive_stats(&self, now: Nanos) -> Option<AdaptiveStats> {
-        let _ = now;
-        None
-    }
+/// The two scheduler types as one sum type, so a partition can swap
+/// between schemes without boxing (and stays `Send` whenever they are).
+pub enum AnySched<E: ExecutionEngine> {
+    /// Blocking, speculation or OCC: one queue, parameterised.
+    Speculative(SpeculativeScheduler<E>),
+    Locking(LockingScheduler<E>),
+}
 
-    /// Drain the scheme switches performed since the last drain. Drivers
-    /// call this after every event batch and stamp the records into the
-    /// next commit record, so replicas (and a promoted backup) follow the
-    /// primary through the same transitions. Empty for every concrete
-    /// scheme.
-    fn take_switch_notes(&mut self) -> Vec<SwitchRecord> {
-        Vec::new()
+impl<E: ExecutionEngine> AnySched<E> {
+    /// Build the scheduler for `scheme` on partition `me`: the one place a
+    /// scheme becomes a scheduler. Blocking is speculation at depth 0
+    /// (§4.1 is §4.2 with §5.3's cap at zero); OCC is speculation with
+    /// precise squashes (§5.7).
+    pub fn build(config: &SystemConfig, me: PartitionId, scheme: Scheme) -> Self {
+        let (max_depth, policy) = match scheme {
+            Scheme::Locking => {
+                let (costs, timeout) = (config.costs, config.lock_timeout);
+                return AnySched::Locking(LockingScheduler::new(me, costs, timeout));
+            }
+            Scheme::Blocking => (0, ConflictPolicy::AssumeAll),
+            Scheme::Speculative => (config.max_speculation_depth, ConflictPolicy::AssumeAll),
+            Scheme::Occ => (config.max_speculation_depth, ConflictPolicy::Precise),
+        };
+        AnySched::Speculative(SpeculativeScheduler::new(config, me, max_depth, policy))
     }
 }
 
-/// Box the scheduler [`AnySched::build`] makes for `config.scheme` — its
-/// concrete type, so the actors dispatch straight to it — or the adaptive
-/// controller around it. Both `make_scheduler` variants expand this,
-/// differing only in the trait object's `Send` bound (a type position a
-/// generic function can't abstract over).
-macro_rules! build_scheduler {
-    ($config:expr, $me:expr, $resume:expr, $now:expr) => {
-        if $config.adaptive.is_on() {
-            // ISSUE 10: `scheme` is only the starting point — wrap it in
-            // the adaptive controller, which re-plans live from observed
-            // statistics (and resumes its predecessor's scheme/epoch
-            // after a promotion).
-            Box::new(AdaptiveScheduler::new($config, $me, $resume, $now))
-        } else {
-            match AnySched::build($config, $me, $config.scheme) {
-                AnySched::Speculative(s) => Box::new(s),
-                AnySched::Locking(s) => Box::new(s),
-            }
+/// Evaluate `$body` with `$inner` bound to the scheduler an [`AnySched`]
+/// holds.
+macro_rules! delegate {
+    ($sched:expr, $inner:pat => $body:expr) => {
+        match $sched {
+            AnySched::Speculative($inner) => $body,
+            AnySched::Locking($inner) => $body,
         }
     };
 }
+pub(crate) use delegate;
 
-/// Construct the scheduler selected by `config.scheme` for partition `me`.
-pub fn make_scheduler<E: ExecutionEngine + 'static>(
-    config: &SystemConfig,
-    me: hcc_common::PartitionId,
-) -> Box<dyn Scheduler<E>> {
-    build_scheduler!(config, me, None, Nanos::ZERO)
+/// The scheduler of one partition: the scheme it runs and, when adaptive
+/// selection is on, the controller that may swap that scheme.
+pub struct PartitionScheduler<E: ExecutionEngine> {
+    inner: AnySched<E>,
+    /// `None` when the scheme is pinned (`SystemConfig::adaptive` off).
+    pub(crate) adaptive: Option<Controller<E>>,
 }
 
-/// As [`make_scheduler`], but a `Send` trait object, for drivers that move
-/// partition state machines across threads (the live runtime's backends).
-/// `resume` is the last [`SchemeSwitch`] a replica applied — what a
-/// promoted backup passes so it continues in the scheme (and at the
-/// transition epoch) its failed primary had reached, and `now` the time
-/// it starts to serve, from which the adaptive controller counts scheme
-/// residency. Both are ignored unless adaptive selection is on (the
-/// scheme is static then).
-pub fn make_scheduler_send<E>(
+impl<E: ExecutionEngine> PartitionScheduler<E> {
+    /// Build partition `me`'s scheduler. A promoted backup passes the last
+    /// [`SchemeSwitch`] it applied as `resume` and its promotion time as
+    /// `now`; both matter only under adaptive selection.
+    pub fn new(
+        config: &SystemConfig,
+        me: PartitionId,
+        resume: Option<SchemeSwitch>,
+        now: Nanos,
+    ) -> Self {
+        let adaptive = Controller::new(config, me, resume, now);
+        let scheme = adaptive.as_ref().map_or(config.scheme, |c| c.scheme);
+        PartitionScheduler {
+            inner: AnySched::build(config, me, scheme),
+            adaptive,
+        }
+    }
+
+    /// Adaptive-controller statistics, closed out at `now` so the final
+    /// residency segment is included. `None` when the scheme is pinned.
+    pub fn adaptive_stats(&self, now: Nanos) -> Option<AdaptiveStats> {
+        self.adaptive.as_ref().map(|c| c.stats(now))
+    }
+
+    /// Drain the scheme switches made since the last drain. The primary
+    /// stamps them into its next commit record, so replicas (and a promoted
+    /// backup) follow it through the same transitions.
+    pub fn take_switch_notes(&mut self) -> Vec<SwitchRecord> {
+        let notes = self.adaptive.as_mut().map(|c| &mut c.notes);
+        notes.map_or_else(Vec::new, std::mem::take)
+    }
+
+    /// Runs after every event: lets the controller complete a pending swap
+    /// or close a window.
+    fn after_event(&mut self, engine: &mut E, now: Nanos, out: &mut Outbox<E::Output>) {
+        if let Some(c) = &mut self.adaptive {
+            c.after_event(&mut self.inner, engine, now, out);
+        }
+    }
+}
+
+impl<E: ExecutionEngine> Scheduler<E> for PartitionScheduler<E> {
+    fn on_fragment(
+        &mut self,
+        task: FragmentTask<E::Fragment>,
+        engine: &mut E,
+        now: Nanos,
+        out: &mut Outbox<E::Output>,
+    ) {
+        match &mut self.adaptive {
+            Some(c) if c.holds(&task) => c.hold(task),
+            _ => delegate!(&mut self.inner, s => s.on_fragment(task, engine, now, out)),
+        }
+        self.after_event(engine, now, out);
+    }
+
+    fn on_decision(
+        &mut self,
+        decision: Decision,
+        engine: &mut E,
+        now: Nanos,
+        out: &mut Outbox<E::Output>,
+    ) -> bool {
+        let stray = delegate!(&mut self.inner, s => s.on_decision(decision, engine, now, out));
+        self.after_event(engine, now, out);
+        stray
+    }
+
+    fn on_tick(&mut self, engine: &mut E, now: Nanos, out: &mut Outbox<E::Output>) {
+        delegate!(&mut self.inner, s => s.on_tick(engine, now, out));
+        self.after_event(engine, now, out);
+    }
+
+    fn counters(&self) -> SchedulerCounters {
+        match &self.adaptive {
+            Some(c) => c.cumulative(&self.inner),
+            None => delegate!(&self.inner, s => s.counters()),
+        }
+    }
+
+    fn is_idle(&self) -> bool {
+        let held = self.adaptive.as_ref().map_or(0, |c| c.held.len());
+        held == 0 && delegate!(&self.inner, s => s.is_idle())
+    }
+}
+
+/// Construct partition `me`'s scheduler as a trait object, for drivers
+/// that step schedulers directly (the serial-equivalence oracle, the
+/// benchmark's pump).
+pub fn make_scheduler<E: ExecutionEngine + 'static>(
     config: &SystemConfig,
-    me: hcc_common::PartitionId,
-    resume: Option<SchemeSwitch>,
-    now: Nanos,
-) -> Box<dyn Scheduler<E> + Send>
-where
-    E: ExecutionEngine + Send + 'static,
-    E::Fragment: Send,
-    E::Output: Send,
-{
-    build_scheduler!(config, me, resume, now)
+    me: PartitionId,
+) -> Box<dyn Scheduler<E>> {
+    Box::new(PartitionScheduler::new(config, me, None, Nanos::ZERO))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::{TestEngine, TestFragment};
+    use hcc_common::{ClientId, CoordinatorId, CoordinatorRef, CostModel, TxnId};
+
+    /// With the scheme pinned a partition has no controller: `resume` is
+    /// ignored, there are no statistics or switch notes, and
+    /// `on_decision` tells a known decision from a stray.
+    #[test]
+    fn a_pinned_partition_runs_its_scheme_without_a_controller() {
+        for scheme in [Scheme::Locking, Scheme::Speculative] {
+            let cfg = SystemConfig::new(scheme);
+            let resume = Some(SchemeSwitch {
+                epoch: 3,
+                scheme: Scheme::Blocking,
+            });
+            let mut s =
+                PartitionScheduler::<TestEngine>::new(&cfg, PartitionId(0), resume, Nanos(0));
+            assert!(s.adaptive.is_none());
+            let locking = matches!(s.inner, AnySched::Locking(_));
+            assert_eq!(locking, scheme == Scheme::Locking, "{scheme:?}");
+            let mut e = TestEngine::with_data(&[(1, 100)]);
+            let mut out = Outbox::new(CostModel::default());
+            let txn = TxnId::new(ClientId(9), 1);
+            let task = FragmentTask {
+                txn,
+                coordinator: CoordinatorRef::Central(CoordinatorId(0)),
+                client: ClientId(9),
+                fragment: TestFragment::add(1, 1),
+                multi_partition: true,
+                last_fragment: true,
+                round: 0,
+                can_abort: false,
+            };
+            s.on_fragment(task, &mut e, Nanos(0), &mut out);
+            assert!(!s.is_idle(), "{scheme:?}");
+            let commit = Decision { txn, commit: true };
+            assert!(
+                !s.on_decision(commit, &mut e, Nanos(1), &mut out),
+                "{scheme:?}"
+            );
+            assert!(
+                s.on_decision(commit, &mut e, Nanos(2), &mut out),
+                "{scheme:?}: stray"
+            );
+            assert!(s.is_idle(), "{scheme:?}");
+            let c = s.counters();
+            assert_eq!((c.committed, c.stray_decisions), (1, 1), "{scheme:?}");
+            assert!(s.adaptive_stats(Nanos(3)).is_none());
+            assert!(s.take_switch_notes().is_empty());
+        }
+    }
 }

@@ -11,7 +11,7 @@
 //!   same speculation, validated against read/write sets instead of
 //!   assuming every pair conflicts.
 //!
-//! [`crate::adaptive::AnySched::build`] picks the depth and policy per
+//! [`crate::scheduler::AnySched::build`] picks the depth and policy per
 //! scheme; all three honour `local_speculation_only` and sequencing.
 //!
 //! While a multi-partition transaction waits for its two-phase commit to
@@ -676,7 +676,7 @@ impl<E: ExecutionEngine> Scheduler<E> for SpeculativeScheduler<E> {
         engine: &mut E,
         _now: Nanos,
         out: &mut Outbox<E::Output>,
-    ) {
+    ) -> bool {
         let Some(pos) = self.position(decision.txn) else {
             if !decision.commit {
                 // An abort can reach us while the transaction's round-0
@@ -698,7 +698,7 @@ impl<E: ExecutionEngine> Scheduler<E> for SpeculativeScheduler<E> {
                         self.blocked_on = None;
                     }
                     self.pump(engine, out);
-                    return;
+                    return false;
                 }
             }
             // Unknown transaction: only possible after a failover, when the
@@ -706,7 +706,7 @@ impl<E: ExecutionEngine> Scheduler<E> for SpeculativeScheduler<E> {
             // transaction that died with the old primary. Counted so
             // healthy runs can assert it never happens.
             self.counters.stray_decisions += 1;
-            return;
+            return true;
         };
         // Commits arrive in dependency order (head first). Aborts may
         // target any position: a failover can abort a transaction that
@@ -748,16 +748,10 @@ impl<E: ExecutionEngine> Scheduler<E> for SpeculativeScheduler<E> {
             self.promote(engine, out);
         }
         self.pump(engine, out);
+        false
     }
 
-    fn on_tick(
-        &mut self,
-        _engine: &mut E,
-        _now: Nanos,
-        _out: &mut Outbox<E::Output>,
-    ) -> Option<Nanos> {
-        None
-    }
+    fn on_tick(&mut self, _engine: &mut E, _now: Nanos, _out: &mut Outbox<E::Output>) {}
 
     fn counters(&self) -> SchedulerCounters {
         self.counters

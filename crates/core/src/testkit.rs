@@ -1,5 +1,5 @@
 //! A miniature execution engine and procedures for exercising the
-//! schedulers in unit and integration tests.
+//! schedulers in this crate's unit tests (compiled only for them).
 //!
 //! The engine is an integer key/value map supporting read and
 //! read-modify-write operations with full undo support, plus a forced-abort

@@ -339,11 +339,6 @@ impl LockManager {
         out
     }
 
-    /// All transactions currently waiting.
-    pub fn waiters(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.waiting_on.keys().copied()
-    }
-
     /// Total number of keys with any lock state (table size).
     pub fn table_len(&self) -> usize {
         self.table.len()

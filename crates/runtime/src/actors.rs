@@ -121,7 +121,7 @@ use hcc_core::sequencer::{
 };
 use hcc_core::txn_driver::TxnDriver;
 use hcc_core::{
-    make_scheduler_send, ExecutionEngine, Outbox, PartitionOut, Procedure, Request,
+    ExecutionEngine, Outbox, PartitionOut, PartitionScheduler, Procedure, Request,
     RequestGenerator, Scheduler,
 };
 use hcc_storage::DurableLog;
@@ -1062,7 +1062,7 @@ enum Role<E: ExecutionEngine> {
 /// A primary's state: the scheme's scheduler and everything that turns
 /// its commits into shipped, logged, acknowledged records.
 struct Primary<E: ExecutionEngine> {
-    sched: Box<dyn Scheduler<E> + Send>,
+    sched: PartitionScheduler<E>,
     /// Commit-order log shipping state; `None` when replication and
     /// durability are both off.
     session: Option<ReplicationSession<E::Fragment>>,
@@ -1242,7 +1242,7 @@ where
         let dur = system.durability.map(|cfg| Durability::new(cfg, log));
         let role = if slot == 0 {
             Role::Primary(Primary {
-                sched: make_scheduler_send::<E>(system, group, None, Nanos::ZERO),
+                sched: PartitionScheduler::new(system, group, None, Nanos::ZERO),
                 // The session builds the commit records; the durable log
                 // needs them even with replication off.
                 session: (replicate || dur.is_some()).then(ReplicationSession::new),
@@ -1554,8 +1554,8 @@ where
             }
             Msg::Decision(d, ack_to) => {
                 let shipped = self.end_txn(node, d.txn, d.commit, now, out);
-                let strays_before = self.sched.counters().stray_decisions;
-                self.sched
+                let stray = self
+                    .sched
                     .on_decision(d, &mut node.engine, now, &mut self.outbox);
                 // Acknowledge a processed commit so the shard can drop it
                 // from the 2PC in-doubt window. A *stray* commit (a
@@ -1567,13 +1567,13 @@ where
                 // holding the committed result until every participant
                 // acks.
                 if let Some(to) = ack_to {
-                    if d.commit && self.sched.counters().stray_decisions == strays_before {
+                    if d.commit && !stray {
                         self.owe(node.group, shipped, Owed::Ack { txn: d.txn, to }, out);
                     }
                 }
             }
             Msg::Tick => {
-                let _ = self.sched.on_tick(&mut node.engine, now, &mut self.outbox);
+                self.sched.on_tick(&mut node.engine, now, &mut self.outbox);
                 self.check_log_stall(node.group, now, out);
             }
             Msg::CommitAck { slot, seq } => {
@@ -1600,14 +1600,12 @@ where
         // *before* shipping this step's commit records, so the next
         // shipped record carries the switch and a promoted backup resumes
         // in the same scheme at the same point of the commit order.
-        if node.system.adaptive.is_on() {
-            for note in self.sched.take_switch_notes() {
-                if let Some(session) = &mut self.session {
-                    session.mark_scheme_switch(SchemeSwitch {
-                        epoch: note.epoch,
-                        scheme: note.scheme,
-                    });
-                }
+        for note in self.sched.take_switch_notes() {
+            if let Some(session) = &mut self.session {
+                session.mark_scheme_switch(SchemeSwitch {
+                    epoch: note.epoch,
+                    scheme: note.scheme,
+                });
             }
         }
         // Drain the scheduler's outputs: ship records for freshly
@@ -1877,7 +1875,7 @@ impl Backup {
             // Adaptive runs: the commit log says which scheme was in force
             // at the watermark; resume there so failover lands in the
             // same scheme at the same transition epoch.
-            sched: make_scheduler_send::<E>(system, node.group, self.replica.scheme_switch(), now),
+            sched: PartitionScheduler::new(system, node.group, self.replica.scheme_switch(), now),
             session: Some(ReplicationSession::resume_from(watermark)),
             // Surviving sibling backups hold the same record prefix this
             // node does.
@@ -2158,5 +2156,107 @@ mod tests {
         // Its scheme residency runs from its promotion, not from 0.
         assert_eq!(residency(&b), last.0 - promoted_at.0);
         assert!(b.log_image.is_some());
+    }
+
+    /// A promoted primary tells a stray commit (for a transaction it never
+    /// saw, which died with its predecessor) from a known one by what its
+    /// scheduler's `on_decision` returns. The stray is never acked: the
+    /// ack would close the in-doubt window the coordinator is about to
+    /// re-deliver into. A known commit is acked once its record is on the
+    /// surviving backup, behind the commit gate.
+    #[test]
+    fn a_promoted_primary_acks_a_known_commit_behind_its_gate_and_never_a_stray() {
+        type Node = ReplicaActor<MicroEngine>;
+        for scheme in [Scheme::Speculative, Scheme::Locking] {
+            let system = SystemConfig::new(scheme)
+                .with_partitions(1)
+                .with_clients(1)
+                .with_replication(3);
+            let group = PartitionId(0);
+            let mut workload = MicroWorkload::new(MicroConfig {
+                partitions: 1,
+                clients: 1,
+                ..Default::default()
+            });
+            let mut nodes: Vec<Node> = (0..3)
+                .map(|slot| {
+                    let engine = workload.build_engine(group);
+                    Node::new(group, slot, &system, engine, Box::new(MemLog::new()), None)
+                })
+                .collect();
+            let ctl = RunControl::new(1, RunMode::FixedRequests(1));
+            let now = Nanos::from_micros(1);
+            let step = |node: &mut Node, msg: Msg<MicroEngine>| {
+                let mut out = Vec::new();
+                node.step(msg, now, &ctl, &mut out);
+                node.on_drained(&mut out);
+                out
+            };
+            let coordinator = CoordinatorRef::Central(CoordinatorId(0));
+            let decide = |seq: u32| {
+                let txn = TxnId::new(ClientId(0), seq);
+                Msg::Decision(Decision { txn, commit: true }, Some(coordinator))
+            };
+            let acks = |out: &[OutMsg<MicroEngine>]| {
+                let acked = |m: &OutMsg<MicroEngine>| match m.msg {
+                    Msg::DecisionAck { txn, .. } => Some(txn.seq()),
+                    _ => None,
+                };
+                out.iter().filter_map(acked).collect::<Vec<_>>()
+            };
+
+            // Slot 1 takes over from slot 0, which dies having decided
+            // transaction 1: slot 1 never saw it.
+            step(&mut nodes[1], Msg::Promote { epoch: 1 });
+            let shard = CoordinatorId(0);
+            step(&mut nodes[1], Msg::RoutingApplied { shard });
+            let out = step(&mut nodes[1], decide(1));
+            assert!(
+                acks(&out).is_empty(),
+                "{scheme:?}: a stray commit is not acked"
+            );
+
+            // Transaction 2 runs on slot 1; its commit ships to slot 2, and
+            // the ack waits for slot 2's answer.
+            let Request::SinglePartition { fragment, .. } = workload.next_request(ClientId(0))
+            else {
+                panic!("one partition: every request is single-partition");
+            };
+            let task = FragmentTask {
+                txn: TxnId::new(ClientId(0), 2),
+                coordinator,
+                client: ClientId(0),
+                fragment,
+                multi_partition: true,
+                last_fragment: true,
+                round: 0,
+                can_abort: false,
+            };
+            step(&mut nodes[1], Msg::Fragment(task));
+            let mut mail = step(&mut nodes[1], decide(2));
+            assert!(
+                acks(&mail).is_empty(),
+                "{scheme:?}: the ack waits at the gate"
+            );
+            let mut external = Vec::new();
+            while !mail.is_empty() {
+                let mut next = Vec::new();
+                for m in mail {
+                    match m.dest {
+                        ActorId::Replica(_, s) => next.extend(step(&mut nodes[s as usize], m.msg)),
+                        _ => external.push(m),
+                    }
+                }
+                mail = next;
+            }
+            assert_eq!(
+                acks(&external),
+                [2],
+                "{scheme:?}: the known commit is acked"
+            );
+            let parts = nodes.remove(1).into_parts();
+            assert_eq!(parts.sched.stray_decisions, 1, "{scheme:?}");
+            assert_eq!(parts.sched.committed, 1, "{scheme:?}");
+        }
     }
 }
