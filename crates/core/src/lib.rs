@@ -50,8 +50,8 @@ pub mod engine;
 pub mod group_commit;
 pub mod locking_sched;
 pub mod membership;
-#[cfg(test)]
-mod oracle;
+#[cfg(any(test, feature = "testkit"))]
+pub mod oracle;
 pub mod outbox;
 pub mod procedure;
 pub mod recovery;
@@ -59,8 +59,8 @@ pub mod replica;
 pub mod scheduler;
 pub mod sequencer;
 pub mod speculative;
-#[cfg(test)]
-mod testkit;
+#[cfg(any(test, feature = "testkit"))]
+pub mod testkit;
 pub mod txn_driver;
 
 pub use engine::{ExecOutcome, ExecutionEngine};

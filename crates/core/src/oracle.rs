@@ -18,8 +18,8 @@
 //! fingerprint: a phantom read (a scan observing rows inserted — or
 //! missing rows deleted — by a transaction that later aborts) corrupts
 //! only the reader's output, never the final state. This is exactly how
-//! the delete-phantom in scan lock sets was caught (see the
-//! `regression_seed_*` tests and the scan properties below).
+//! the delete-phantom in scan lock sets was caught (see the scan tests
+//! below and the `regression_seed_*` tests in `tests/scan_serial_oracle.rs`).
 //!
 //! The runner drives one partition's scheduler directly, playing client,
 //! coordinator, and network: multi-partition transactions execute their
@@ -366,7 +366,6 @@ pub fn assert_serial_equivalent(
 mod tests {
     use super::*;
     use crate::testkit::TestOp;
-    use proptest::prelude::*;
 
     fn sp(ops: Vec<TestOp>) -> OracleTxn {
         OracleTxn {
@@ -488,177 +487,5 @@ mod tests {
             sp(vec![TestOp::Read(0)]),
         ];
         assert_serial_equivalent(2, INITIAL, &txns);
-    }
-
-    // Property-based oracle over scan/insert/delete workloads. Random
-    // single-fragment transactions — point reads/writes, range scans,
-    // inserts, deletes, user aborts, and 2PC-aborted multi-partition
-    // transactions with randomized decision delays — run through all four
-    // schemes and must match a one-at-a-time serial execution of the same
-    // input bit for bit (outputs, aborted set, final fingerprint). The
-    // `regression_seed_*` tests pin inputs that caught (or nearly caught)
-    // real bugs, most prominently the delete-phantom in member-enumerated
-    // scan lock sets, fixed by range-covering stripe locks. The vendored
-    // proptest seeds each property from its test name alone, so every
-    // input reproduces without seed files.
-
-    /// Key space: 64 keys, stripe shift 3 → 8 stripes of 8 keys. Small
-    /// enough that scans, inserts, and deletes collide constantly.
-    const KEYS: u64 = 64;
-    const STRIPE_SHIFT: u32 = 3;
-
-    fn op() -> impl Strategy<Value = TestOp> {
-        prop_oneof![
-            (0..KEYS).prop_map(TestOp::Read),
-            (0..KEYS, -100i64..100).prop_map(|(k, v)| TestOp::Set(k, v)),
-            (0..KEYS, -10i64..10).prop_map(|(k, d)| TestOp::Add(k, d)),
-            (0..KEYS).prop_map(TestOp::Del),
-            (0..KEYS, 1u64..24).prop_map(|(s, len)| TestOp::Scan(s, (s + len).min(KEYS))),
-            // Scans are the point of this harness: weight them up.
-            (0..KEYS, 1u64..24).prop_map(|(s, len)| TestOp::Scan(s, (s + len).min(KEYS))),
-        ]
-    }
-
-    fn txn() -> impl Strategy<Value = OracleTxn> {
-        (
-            proptest::collection::vec(op(), 1..5),
-            proptest::bool::ANY, // multi-partition
-            0u32..8,             // forced-abort roll (1-in-8 when MP)
-            0u32..4,             // decision delay
-            0u32..16,            // user-abort roll (1-in-16)
-        )
-            .prop_map(|(ops, mp, abort_roll, delay, fail_roll)| OracleTxn {
-                fragment: TestFragment {
-                    ops,
-                    fail: fail_roll == 0,
-                },
-                multi_partition: mp,
-                forced_abort: mp && abort_roll == 0,
-                decision_delay: delay,
-            })
-    }
-
-    fn initial() -> impl Strategy<Value = Vec<(u64, i64)>> {
-        proptest::collection::vec((0..KEYS, 0i64..1000), 8..32)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-        /// The headline property: every scheme ≡ serial execution, for any
-        /// mix of scans, inserts, deletes, aborts, and decision delays.
-        #[test]
-        fn all_schemes_match_serial_execution(
-            init in initial(),
-            txns in proptest::collection::vec(txn(), 1..24),
-        ) {
-            assert_serial_equivalent(STRIPE_SHIFT, &init, &txns);
-        }
-
-        /// Scan-only readers against membership churn: the pure phantom
-        /// stress (every reader output must match serial exactly).
-        #[test]
-        fn scan_readers_survive_membership_churn(
-            init in initial(),
-            churn in proptest::collection::vec(
-                (0..KEYS, proptest::bool::ANY, 0u32..3, 0u32..4),
-                1..12,
-            ),
-        ) {
-            let mut txns = Vec::new();
-            for (k, is_insert, abort_roll, delay) in churn {
-                // An MP membership change (possibly later aborted)...
-                txns.push(OracleTxn {
-                    fragment: TestFragment {
-                        ops: vec![if is_insert { TestOp::Set(k, k as i64) } else { TestOp::Del(k) }],
-                        fail: false,
-                    },
-                    multi_partition: true,
-                    forced_abort: abort_roll == 0,
-                    decision_delay: delay,
-                });
-                // ...immediately chased by a full-range scan that must never
-                // observe the aborted version of the membership change.
-                txns.push(OracleTxn {
-                    fragment: TestFragment {
-                        ops: vec![TestOp::Scan(0, KEYS)],
-                        fail: false,
-                    },
-                    multi_partition: false,
-                    forced_abort: false,
-                    decision_delay: 0,
-                });
-            }
-            assert_serial_equivalent(STRIPE_SHIFT, &init, &txns);
-        }
-    }
-
-    // Pinned regressions: concrete inputs kept out of the random stream so
-    // they run on every `cargo test` at full strength.
-
-    /// The delete-phantom that member-enumerated scan lock sets miss: the
-    /// deleted row is alone in its stripe, so no surviving neighbour drags
-    /// the stripe into the scan's set, and under OCC the scan survives the
-    /// deleter's abort having observed the row's absence.
-    #[test]
-    fn regression_seed_delete_phantom_lone_stripe() {
-        let init = vec![(0, 10), (8, 18), (40, 41)];
-        let txns = vec![
-            mp(vec![TestOp::Del(8)], true, 3),
-            sp(vec![TestOp::Scan(4, 12)]),
-            sp(vec![TestOp::Scan(0, KEYS)]),
-            sp(vec![TestOp::Read(40)]),
-        ];
-        let serial = assert_serial_equivalent(STRIPE_SHIFT, &init, &txns);
-        assert_eq!(serial.committed[&1], vec![(8, 18)]);
-    }
-
-    /// Insert-phantom twin: a scan speculated behind a later-aborted insert
-    /// must not keep the phantom row.
-    #[test]
-    fn regression_seed_insert_phantom() {
-        let init = vec![(0, 10)];
-        let txns = vec![
-            mp(vec![TestOp::Set(21, 7)], true, 2),
-            sp(vec![TestOp::Scan(16, 32)]),
-            sp(vec![TestOp::Scan(0, KEYS)]),
-        ];
-        let serial = assert_serial_equivalent(STRIPE_SHIFT, &init, &txns);
-        assert_eq!(serial.committed[&1], Vec::<(u64, i64)>::new());
-    }
-
-    /// Stacked membership churn: two MP transactions touching the same
-    /// stripe range, the first aborted, the second committed, with scans in
-    /// between — exercises squash-set transitivity over stripe granules.
-    #[test]
-    fn regression_seed_stacked_churn_over_one_stripe() {
-        let init = vec![(17, 1), (19, 2)];
-        let txns = vec![
-            mp(vec![TestOp::Del(17), TestOp::Set(18, 3)], true, 4),
-            sp(vec![TestOp::Scan(16, 24)]),
-            mp(vec![TestOp::Set(20, 4)], false, 2),
-            sp(vec![TestOp::Scan(16, 24)]),
-            sp(vec![TestOp::Scan(0, KEYS)]),
-        ];
-        assert_serial_equivalent(STRIPE_SHIFT, &init, &txns);
-    }
-
-    /// Forced-abort MP whose rollback must restore both a delete and an
-    /// overwrite while speculative scans and point reads pile up behind it.
-    #[test]
-    fn regression_seed_mixed_rollback_under_load() {
-        let init = vec![(1, 11), (2, 12), (33, 3), (34, 4)];
-        let txns = vec![
-            mp(
-                vec![TestOp::Set(1, 99), TestOp::Del(33), TestOp::Set(40, 1)],
-                true,
-                4,
-            ),
-            sp(vec![TestOp::Scan(0, 8)]),
-            sp(vec![TestOp::Read(33), TestOp::Scan(32, 48)]),
-            mp(vec![TestOp::Add(2, 5)], false, 1),
-            sp(vec![TestOp::Scan(0, KEYS)]),
-        ];
-        assert_serial_equivalent(STRIPE_SHIFT, &init, &txns);
     }
 }

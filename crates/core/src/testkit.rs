@@ -1,5 +1,6 @@
 //! A miniature execution engine and procedures for exercising the
-//! schedulers in this crate's unit tests (compiled only for them).
+//! schedulers in unit and integration tests (compiled only for tests and
+//! under the `testkit` feature).
 //!
 //! The engine is an integer key/value map supporting read and
 //! read-modify-write operations with full undo support, plus a forced-abort
