@@ -985,11 +985,12 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
         }
         t.dispatched.sort_unstable();
         let commit = outcome.is_ok();
-        // Only a shard reads the record (dependency validation, late
-        // votes, expiry, failover, peer notes). A client's own driver
-        // meets none of them: the locking scheme emits no dependencies,
+        // A shard reads the record for dependency validation, late votes,
+        // expiry, failover and peer notes. A client's own driver reads it
+        // only to answer a late vote after a presumed abort (a dead
+        // participant's bounce): the locking scheme emits no dependencies,
         // and no driver is expired, failed over or sent a peer note.
-        if let CoordinatorRef::Central(_) = self.coord_ref {
+        if presumed || matches!(self.coord_ref, CoordinatorRef::Central(_)) {
             let decided = if commit {
                 Decided::Committed(t.responses.iter().map(|(p, r)| (*p, r.attempt)).collect())
             } else {
@@ -2058,9 +2059,9 @@ mod tests {
         assert_eq!(c.pending(), 0);
     }
 
-    /// Nothing reads a client driver's record of what it decided, so it
-    /// keeps none: the lock-timeout aborts and the commits leave both the
-    /// record and its trim order empty.
+    /// A client driver records only presumed aborts (see the next test):
+    /// the lock-timeout aborts and the commits leave both the record and
+    /// its trim order empty.
     #[test]
     fn a_client_driver_records_no_decided_transaction() {
         let mut c = Coordinator::client_driver(CostModel::default(), ClientId(7));
@@ -2085,5 +2086,63 @@ mod tests {
         assert!(c.decided.is_empty());
         assert!(c.history_order.is_empty());
         assert_eq!(c.pending(), 0);
+    }
+
+    /// Round 0 at P0 and P1; the final round 1 reaches P2 as well.
+    #[derive(Debug, Clone)]
+    struct ReachesP2;
+
+    impl Procedure<TestFragment, TestOutput> for ReachesP2 {
+        fn clone_box(&self) -> Box<dyn Procedure<TestFragment, TestOutput>> {
+            Box::new(self.clone())
+        }
+
+        fn step(&self, prior: &[RoundOutputs<TestOutput>]) -> Step<TestFragment, TestOutput> {
+            let reached = match prior.len() {
+                0 => 2,
+                1 => 3,
+                _ => return Step::Finish(Vec::new()),
+            };
+            Step::Round {
+                fragments: (0..reached)
+                    .map(|p| (PartitionId(p), TestFragment::add(1, 1)))
+                    .collect(),
+                is_final: reached == 3,
+            }
+        }
+    }
+
+    #[test]
+    fn a_client_driver_answers_a_late_vote_after_a_bounce_with_one_abort() {
+        let mut c = Coordinator::client_driver(CostModel::default(), ClientId(7));
+        let txn = TxnId::new(ClientId(7), 0);
+        let mut out = Vec::new();
+        c.on_invoke(txn, ClientId(7), Box::new(ReachesP2), false, &mut out);
+        c.on_response(ok_response(txn, 0, 0, None, None), &mut out);
+        c.on_response(ok_response(txn, 1, 0, None, None), &mut out);
+        // P1 dies in round 1; its bounce carries the round it recorded
+        // first. P2 has not executed round 1, so it is not told yet.
+        let mut bounce = ok_response(txn, 1, 0, None, None);
+        bounce.payload = Err(AbortReason::PartitionFailed);
+        out.clear();
+        c.on_response(bounce, &mut out);
+        let told = |out: &[CoordOut<TestFragment, TestOutput>]| -> Vec<u32> {
+            out.iter()
+                .filter_map(|o| match o {
+                    CoordOut::Decision(p, d, _) if !d.commit && d.txn == txn => Some(p.0),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(told(&out), vec![0, 1]);
+        assert_eq!(c.pending(), 0);
+        // P2's vote arrives after the decision: it holds its locks until
+        // it hears the abort, which it hears once.
+        out.clear();
+        c.on_response(ok_response(txn, 2, 1, Some(Vote::Commit), None), &mut out);
+        assert_eq!(told(&out), vec![2]);
+        out.clear();
+        c.on_response(ok_response(txn, 2, 1, Some(Vote::Commit), None), &mut out);
+        assert_eq!(told(&out), Vec::<u32>::new());
     }
 }

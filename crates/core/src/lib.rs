@@ -50,7 +50,6 @@ pub mod engine;
 pub mod group_commit;
 pub mod locking_sched;
 pub mod membership;
-#[cfg(any(test, feature = "testkit"))]
 pub mod oracle;
 pub mod outbox;
 pub mod procedure;
@@ -59,7 +58,6 @@ pub mod replica;
 pub mod scheduler;
 pub mod sequencer;
 pub mod speculative;
-#[cfg(any(test, feature = "testkit"))]
 pub mod testkit;
 pub mod txn_driver;
 

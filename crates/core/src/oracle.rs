@@ -18,8 +18,9 @@
 //! fingerprint: a phantom read (a scan observing rows inserted — or
 //! missing rows deleted — by a transaction that later aborts) corrupts
 //! only the reader's output, never the final state. This is exactly how
-//! the delete-phantom in scan lock sets was caught (see the scan tests
-//! below and the `regression_seed_*` tests in `tests/scan_serial_oracle.rs`).
+//! the delete-phantom in scan lock sets was caught (see
+//! `speculative_scan_*` regression tests in `tests/scan_serial_oracle.rs`
+//! at the workspace root).
 //!
 //! The runner drives one partition's scheduler directly, playing client,
 //! coordinator, and network: multi-partition transactions execute their

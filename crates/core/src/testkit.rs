@@ -1,6 +1,5 @@
 //! A miniature execution engine and procedures for exercising the
-//! schedulers in unit and integration tests (compiled only for tests and
-//! under the `testkit` feature).
+//! schedulers in unit and integration tests.
 //!
 //! The engine is an integer key/value map supporting read and
 //! read-modify-write operations with full undo support, plus a forced-abort

@@ -1,6 +1,5 @@
 //! Property-based serial-equivalence oracle over scan/insert/delete
-//! workloads. `hcc_core`'s `oracle` and `testkit` modules exist for tests
-//! only; this crate's dev-dependency turns on their `testkit` feature.
+//! workloads (ISSUE 5 satellite).
 //!
 //! Random single-fragment transactions — point reads/writes, range
 //! scans, inserts, deletes, user aborts, and 2PC-aborted multi-partition
