@@ -112,7 +112,7 @@ pub fn apply_knob(system: &mut SystemConfig, knob: &str) -> bool {
 }
 
 /// One row: (column, value) pairs, the key first.
-type Row = Vec<(&'static str, String)>;
+type Row = Vec<(String, String)>;
 
 /// Run the point `key` names and check it.
 fn run_point(key: &str) -> Row {
@@ -224,16 +224,11 @@ fn run_point(key: &str) -> Row {
     }
 }
 
-/// Push `$src.field` as column `$prefix field`, for each field.
-macro_rules! counts {
-    ($row:ident, $prefix:literal, $src:expr; $($field:ident),+ $(,)?) => {
-        $($row.push((concat!($prefix, stringify!($field)), $src.$field.to_string()));)+
-    };
-}
-
-/// A report as a row: outcomes, virtual latency, every counter that
-/// counts (no `*_ns` field that times the host), and every primary's and
-/// live backup's store fingerprint. Every row has the same columns.
+/// A report as a row: outcomes, virtual latency, every `count` and `max`
+/// field of the scheduler, replication, durability, sequencer and adaptive
+/// blocks (each block's `visit`, so an `ns` field that times the host is
+/// left out), and every primary's and live backup's store fingerprint.
+/// Every row has the same columns.
 /// Panics, naming the key, unless the run passes the table's checks
 /// (module docs).
 fn row<E: ExecutionEngine>(
@@ -268,36 +263,29 @@ fn row<E: ExecutionEngine>(
 
     let (lat, events) = (r.latency(), r.virtual_time.expect("a sim run").events);
     let hold = r.sequencer.seq_hold.summary();
-    let mut row: Row = vec![("key", key.to_string())];
-    counts!(row, "", r; committed, committed_mp, user_aborts, retries);
-    counts!(row, "", r.clients; backoff_retries, retry_exhausted);
-    row.extend([
-        ("p50_ns", lat.p50.0.to_string()),
-        ("p99_ns", lat.p99.0.to_string()),
-        ("p999_ns", lat.p999.0.to_string()),
-        ("events", events.to_string()),
-    ]);
-    counts!(row, "sched.", r.sched;
-        fragments_executed, committed, committed_mp, aborted, speculative_executions,
-        squashed_executions, fast_path, locks_granted_immediately, locks_waited,
-        local_deadlocks, lock_timeouts, stray_decisions, cross_coord_waits, doomed_waits);
-    counts!(row, "repl.", r.replication;
-        records_shipped, records_applied, records_skipped, replay_failures, promotions,
-        recoveries, snapshots_served, failover_bounces, failed_at_ns, recovered_at_ns);
-    counts!(row, "dur.", r.durability;
-        records_appended, syncs, results_held, stalled_aborts, torn_tails_discarded);
-    counts!(row, "seq.", r.sequencer;
-        epochs_closed, batch_sum, batch_max, forced_closes, age_closes, logs_discarded,
-        passthrough, cross_coord_aborts);
-    row.extend([
-        ("seq.hold_p50_ns", hold.p50.0.to_string()),
-        ("seq.hold_p99_ns", hold.p99.0.to_string()),
-    ]);
-    counts!(row, "adaptive.", r.adaptive; switches, windows_evaluated, held_fragments);
-    row.extend([
-        ("primaries", primaries.join(",")),
-        ("backups", backups.join(",")),
-    ]);
+    let mut row: Row = vec![("key".into(), key.to_string())];
+    let mut put = |prefix: &str, name: &str, value: u64| {
+        row.push((format!("{prefix}{name}"), value.to_string()))
+    };
+    put("", "committed", r.committed);
+    put("", "committed_mp", r.committed_mp);
+    put("", "user_aborts", r.user_aborts);
+    put("", "retries", r.retries);
+    put("", "backoff_retries", r.clients.backoff_retries);
+    put("", "retry_exhausted", r.clients.retry_exhausted);
+    put("", "p50_ns", lat.p50.0);
+    put("", "p99_ns", lat.p99.0);
+    put("", "p999_ns", lat.p999.0);
+    put("", "events", events);
+    r.sched.visit(|name, v| put("sched.", name, v));
+    r.replication.visit(|name, v| put("repl.", name, v));
+    r.durability.visit(|name, v| put("dur.", name, v));
+    r.sequencer.visit(|name, v| put("seq.", name, v));
+    put("seq.", "hold_p50_ns", hold.p50.0);
+    put("seq.", "hold_p99_ns", hold.p99.0);
+    r.adaptive.visit(|name, v| put("adaptive.", name, v));
+    row.push(("primaries".into(), primaries.join(",")));
+    row.push(("backups".into(), backups.join(",")));
     row
 }
 
@@ -329,7 +317,7 @@ pub fn table_of(keys: &[&str]) -> String {
     let rows = rows.into_inner().expect(POISONED);
     let rows: Vec<Row> = rows.into_iter().flatten().collect();
     let line = |cells: Vec<&str>| cells.join("\t") + "\n";
-    let mut text = line(rows[0].iter().map(|(c, _)| *c).collect());
+    let mut text = line(rows[0].iter().map(|(c, _)| c.as_str()).collect());
     for row in &rows {
         text += &line(row.iter().map(|(_, v)| v.as_str()).collect());
     }

@@ -1,6 +1,17 @@
 //! Lightweight statistics helpers used by the drivers and the benchmark
 //! harness: online mean/variance, fixed-bucket latency histograms, and the
-//! counter block every scheduler exports.
+//! counter blocks every actor exports.
+//!
+//! A counter block is declared once, with [`counters!`](crate::counters):
+//! each field has a doc and a kind, and the block's `merge`, `visit` and
+//! `delta_since` follow from the kinds.
+//! - `count`: summed;
+//! - `max`: the larger value wins (a batch maximum, a timestamp recorded
+//!   once per run);
+//! - `ns`: CPU time, summed, and not visited (the golden table leaves out
+//!   what times the host);
+//! - `part`: a value that merges itself through [`Merge`] (a histogram, a
+//!   per-scheme array, the time-sorted switch log, a nested block).
 
 use crate::time::Nanos;
 
@@ -162,8 +173,16 @@ impl LatencyHistogram {
             p999: self.quantile(0.999),
         }
     }
+}
 
-    pub fn merge(&mut self, other: &LatencyHistogram) {
+/// A value that folds in another of its kind: what a `part` field of a
+/// [`counters!`](crate::counters) block is.
+pub trait Merge {
+    fn merge(&mut self, other: &Self);
+}
+
+impl Merge for LatencyHistogram {
+    fn merge(&mut self, other: &Self) {
         for (a, b) in self.fine.iter_mut().zip(&other.fine) {
             *a += b;
         }
@@ -179,124 +198,158 @@ impl LatencyHistogram {
     }
 }
 
-/// Counters exported by every partition scheduler; the drivers aggregate
-/// them across partitions. These back the §5.6-style breakdowns (deadlocks,
-/// lock-manager time) and the Table 2 parameter measurement.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedulerCounters {
-    /// Fragments executed, including speculative and repeated executions.
-    pub fragments_executed: u64,
-    /// Transactions committed at this partition.
-    pub committed: u64,
-    /// Multi-partition transactions committed at this partition (subset of
-    /// `committed`); `committed_mp / committed` is the observed
-    /// mp-fraction the adaptive controller feeds the §6 model.
-    pub committed_mp: u64,
-    /// Transactions aborted at this partition (any reason, counted once).
-    pub aborted: u64,
-    /// Fragment executions performed speculatively.
-    pub speculative_executions: u64,
-    /// Fragment executions that were later squashed and re-run.
-    pub squashed_executions: u64,
-    /// Transactions executed on the no-undo, no-lock fast path.
-    pub fast_path: u64,
-    /// Lock acquisitions that were granted immediately.
-    pub locks_granted_immediately: u64,
-    /// Lock acquisitions that had to wait.
-    pub locks_waited: u64,
-    /// Local deadlocks resolved by cycle detection.
-    pub local_deadlocks: u64,
-    /// Lock waits resolved by timeout (presumed distributed deadlock).
-    pub lock_timeouts: u64,
-    /// Virtual CPU charged to lock management (acquire/release/detect).
-    pub lock_manager_ns: u64,
-    /// Virtual CPU charged to fragment execution.
-    pub execution_ns: u64,
-    /// Virtual CPU charged to rollbacks.
-    pub rollback_ns: u64,
-    /// Decisions received for transactions this scheduler never saw.
-    /// Nonzero only around a failover (a promoted primary receives
-    /// decisions for transactions that died with its predecessor); in a
-    /// healthy run this must stay 0.
-    pub stray_decisions: u64,
-    /// Distinct multi-partition transactions held at the head of the
-    /// queue behind an uncommitted transaction from a *different*
-    /// coordinator shard (§4.2.2's same-coordinator-chain rule falling
-    /// back to blocking; residual cross-partition deadlocks are broken by
-    /// coordinator timeout expiry). Counted once per stall, not per
-    /// arrival, the same way under blocking, speculation and OCC. Always 0
-    /// with a single coordinator or under sequencing; the measured price
-    /// of sharding at high multi-partition fractions.
-    pub cross_coord_waits: u64,
-    /// Distinct multi-partition transactions that stopped speculation
-    /// because their fragment voted abort at this partition: whatever the
-    /// decision, work speculated past them would be squashed (§4.2's
-    /// assume-all-conflict rule). Counted once per transaction, as
-    /// `cross_coord_waits` is. Always 0 without aborts, under blocking
-    /// (nothing speculates) and under OCC (its survivors are not waste).
-    pub doomed_waits: u64,
+/// A per-scheme array of totals, summed element by element.
+impl<const N: usize> Merge for [u64; N] {
+    fn merge(&mut self, other: &Self) {
+        for (a, b) in self.iter_mut().zip(other) {
+            *a += b;
+        }
+    }
+}
+
+/// The switch log stays in time order (partitions interleaved by time).
+impl Merge for Vec<SwitchRecord> {
+    fn merge(&mut self, other: &Self) {
+        self.extend_from_slice(other);
+        self.sort_by_key(|r| (r.at_ns, r.partition, r.epoch));
+    }
+}
+
+/// Declare a counter block: a struct whose every field is `pub` and has a
+/// kind, `count`, `max`, `ns` or `part` (module docs). The block gets
+/// - `merge`, which folds another block in field by field, and [`Merge`];
+/// - `visit(|name, value|)`, over its `count` and `max` fields in
+///   declaration order (the golden table's columns);
+/// - a saturating `delta_since`, when it has no `part` field.
+///
+/// [`SchedulerCounters`](crate::stats::SchedulerCounters) is one; a new
+/// counter is one more line in its declaration.
+#[macro_export]
+macro_rules! counters {
+    (@merge count, $a:expr, $b:expr) => { $a += $b };
+    (@merge ns, $a:expr, $b:expr) => { $a += $b };
+    (@merge max, $a:expr, $b:expr) => { $a = $a.max($b) };
+    (@merge part, $a:expr, $b:expr) => { $crate::stats::Merge::merge(&mut $a, &$b) };
+    (@visit count, $f:ident, $field:ident, $v:expr) => { $f(stringify!($field), $v) };
+    (@visit max, $f:ident, $field:ident, $v:expr) => { $f(stringify!($field), $v) };
+    (@visit ns, $($skip:tt)*) => {};
+    (@visit part, $($skip:tt)*) => {};
+    // `delta_since` only for a block with no `part` field: walk the kinds.
+    (@delta [part $($kind:ident)*] $($skip:tt)*) => {};
+    (@delta [$k:ident $($kind:ident)*] $($block:tt)*) => {
+        $crate::counters!(@delta [$($kind)*] $($block)*);
+    };
+    (@delta [] $name:ident { $($field:ident)* }) => {
+        impl $name {
+            /// Snapshot-delta semantics for rate computation: the counters
+            /// accumulated since `prev` was captured. Every field
+            /// saturates at zero, so a counter *reset* across a scheme
+            /// swap (the new scheduler starts from zero) yields a zero
+            /// delta for that window instead of a huge underflowed — or
+            /// negative, if signed — rate. Consumers computing rates must
+            /// use this, never lifetime totals (which average away phase
+            /// shifts).
+            pub fn delta_since(&self, prev: &$name) -> $name {
+                $name { $($field: self.$field.saturating_sub(prev.$field),)* }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $kind:ident $field:ident: $ty:ty),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// Fold `o` in, each field by its kind.
+            pub fn merge(&mut self, o: &$name) {
+                $($crate::counters!(@merge $kind, self.$field, o.$field);)*
+            }
+
+            /// Each `count` and `max` field's name and value, in
+            /// declaration order.
+            #[allow(unused_mut, unused_variables)]
+            pub fn visit(&self, mut f: impl FnMut(&'static str, u64)) {
+                $($crate::counters!(@visit $kind, f, $field, self.$field);)*
+            }
+        }
+
+        impl $crate::stats::Merge for $name {
+            fn merge(&mut self, o: &$name) {
+                $name::merge(self, o)
+            }
+        }
+
+        $crate::counters!(@delta [$($kind)*] $name { $($field)* });
+    };
+}
+
+counters! {
+    /// Counters exported by every partition scheduler; the drivers aggregate
+    /// them across partitions. These back the §5.6-style breakdowns (deadlocks,
+    /// lock-manager time) and the Table 2 parameter measurement.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SchedulerCounters {
+        /// Fragments executed, including speculative and repeated executions.
+        count fragments_executed: u64,
+        /// Transactions committed at this partition.
+        count committed: u64,
+        /// Multi-partition transactions committed at this partition (subset of
+        /// `committed`); `committed_mp / committed` is the observed
+        /// mp-fraction the adaptive controller feeds the §6 model.
+        count committed_mp: u64,
+        /// Transactions aborted at this partition (any reason, counted once).
+        count aborted: u64,
+        /// Fragment executions performed speculatively.
+        count speculative_executions: u64,
+        /// Fragment executions that were later squashed and re-run.
+        count squashed_executions: u64,
+        /// Transactions executed on the no-undo, no-lock fast path.
+        count fast_path: u64,
+        /// Lock acquisitions that were granted immediately.
+        count locks_granted_immediately: u64,
+        /// Lock acquisitions that had to wait.
+        count locks_waited: u64,
+        /// Local deadlocks resolved by cycle detection.
+        count local_deadlocks: u64,
+        /// Lock waits resolved by timeout (presumed distributed deadlock).
+        count lock_timeouts: u64,
+        /// Virtual CPU charged to lock management (acquire/release/detect).
+        ns lock_manager_ns: u64,
+        /// Virtual CPU charged to fragment execution.
+        ns execution_ns: u64,
+        /// Virtual CPU charged to rollbacks.
+        ns rollback_ns: u64,
+        /// Decisions received for transactions this scheduler never saw.
+        /// Nonzero only around a failover (a promoted primary receives
+        /// decisions for transactions that died with its predecessor); in a
+        /// healthy run this must stay 0.
+        count stray_decisions: u64,
+        /// Distinct multi-partition transactions held at the head of the
+        /// queue behind an uncommitted transaction from a *different*
+        /// coordinator shard (§4.2.2's same-coordinator-chain rule falling
+        /// back to blocking; residual cross-partition deadlocks are broken by
+        /// coordinator timeout expiry). Counted once per stall, not per
+        /// arrival, the same way under blocking, speculation and OCC. Always 0
+        /// with a single coordinator or under sequencing; the measured price
+        /// of sharding at high multi-partition fractions.
+        count cross_coord_waits: u64,
+        /// Distinct multi-partition transactions that stopped speculation
+        /// because their fragment voted abort at this partition: whatever the
+        /// decision, work speculated past them would be squashed (§4.2's
+        /// assume-all-conflict rule). Counted once per transaction, as
+        /// `cross_coord_waits` is. Always 0 without aborts, under blocking
+        /// (nothing speculates) and under OCC (its survivors are not waste).
+        count doomed_waits: u64,
+    }
 }
 
 impl SchedulerCounters {
-    pub fn merge(&mut self, o: &SchedulerCounters) {
-        self.fragments_executed += o.fragments_executed;
-        self.committed += o.committed;
-        self.committed_mp += o.committed_mp;
-        self.aborted += o.aborted;
-        self.speculative_executions += o.speculative_executions;
-        self.squashed_executions += o.squashed_executions;
-        self.fast_path += o.fast_path;
-        self.locks_granted_immediately += o.locks_granted_immediately;
-        self.locks_waited += o.locks_waited;
-        self.local_deadlocks += o.local_deadlocks;
-        self.lock_timeouts += o.lock_timeouts;
-        self.lock_manager_ns += o.lock_manager_ns;
-        self.execution_ns += o.execution_ns;
-        self.rollback_ns += o.rollback_ns;
-        self.stray_decisions += o.stray_decisions;
-        self.cross_coord_waits += o.cross_coord_waits;
-        self.doomed_waits += o.doomed_waits;
-    }
-
-    /// Snapshot-delta semantics for rate computation (ISSUE 10): the
-    /// counters accumulated since `prev` was captured. Every field
-    /// saturates at zero, so a counter *reset* across a scheme swap (the
-    /// new scheduler starts from zero) yields a zero delta for that
-    /// window instead of a huge underflowed — or negative, if signed —
-    /// rate. Consumers computing rates must use this, never lifetime
-    /// totals (which average away phase shifts).
-    pub fn delta_since(&self, prev: &SchedulerCounters) -> SchedulerCounters {
-        SchedulerCounters {
-            fragments_executed: self
-                .fragments_executed
-                .saturating_sub(prev.fragments_executed),
-            committed: self.committed.saturating_sub(prev.committed),
-            committed_mp: self.committed_mp.saturating_sub(prev.committed_mp),
-            aborted: self.aborted.saturating_sub(prev.aborted),
-            speculative_executions: self
-                .speculative_executions
-                .saturating_sub(prev.speculative_executions),
-            squashed_executions: self
-                .squashed_executions
-                .saturating_sub(prev.squashed_executions),
-            fast_path: self.fast_path.saturating_sub(prev.fast_path),
-            locks_granted_immediately: self
-                .locks_granted_immediately
-                .saturating_sub(prev.locks_granted_immediately),
-            locks_waited: self.locks_waited.saturating_sub(prev.locks_waited),
-            local_deadlocks: self.local_deadlocks.saturating_sub(prev.local_deadlocks),
-            lock_timeouts: self.lock_timeouts.saturating_sub(prev.lock_timeouts),
-            lock_manager_ns: self.lock_manager_ns.saturating_sub(prev.lock_manager_ns),
-            execution_ns: self.execution_ns.saturating_sub(prev.execution_ns),
-            rollback_ns: self.rollback_ns.saturating_sub(prev.rollback_ns),
-            stray_decisions: self.stray_decisions.saturating_sub(prev.stray_decisions),
-            cross_coord_waits: self
-                .cross_coord_waits
-                .saturating_sub(prev.cross_coord_waits),
-            doomed_waits: self.doomed_waits.saturating_sub(prev.doomed_waits),
-        }
-    }
-
     /// Transaction outcomes (commits + aborts) in this block — the window
     /// clock of the adaptive controller.
     pub fn outcomes(&self) -> u64 {
@@ -319,44 +372,33 @@ pub struct SwitchRecord {
     pub at_ns: u64,
 }
 
-/// Statistics for the adaptive scheme-selection controller (ISSUE 10),
-/// merged across partitions by the drivers. All zero / empty when
-/// `SystemConfig::adaptive` is off — the golden table
-/// (`crates/bench/goldens.tsv`), whose first rows predate this subsystem,
-/// pins that the paper's configuration pays nothing for it.
-#[derive(Debug, Clone, Default)]
-pub struct AdaptiveStats {
-    /// Live scheme swaps performed.
-    pub switches: u64,
-    /// Sliding windows closed and scored against the model.
-    pub windows_evaluated: u64,
-    /// Fragments held during quiesces and replayed after the swap.
-    pub held_fragments: u64,
-    /// Quiesce stall: time from the switch decision to the partition
-    /// draining idle (speculation chains resolved, 2PC settled) so the
-    /// swap could happen.
-    pub quiesce_stall: LatencyHistogram,
-    /// Virtual/wall time spent resident in each scheme, indexed by
-    /// `Scheme as usize` (blocking, speculation, locking, occ).
-    pub residency_ns: [u64; 4],
-    /// Every switch, in order (partitions interleaved by time).
-    pub switch_log: Vec<SwitchRecord>,
+counters! {
+    /// Statistics for the adaptive scheme-selection controller, merged
+    /// across partitions by the drivers. All zero / empty when
+    /// `SystemConfig::adaptive` is off — the golden table
+    /// (`crates/bench/goldens.tsv`), whose first rows predate this subsystem,
+    /// pins that the paper's configuration pays nothing for it.
+    #[derive(Debug, Clone, Default)]
+    pub struct AdaptiveStats {
+        /// Live scheme swaps performed.
+        count switches: u64,
+        /// Sliding windows closed and scored against the model.
+        count windows_evaluated: u64,
+        /// Fragments held during quiesces and replayed after the swap.
+        count held_fragments: u64,
+        /// Quiesce stall: time from the switch decision to the partition
+        /// draining idle (speculation chains resolved, 2PC settled) so the
+        /// swap could happen.
+        part quiesce_stall: LatencyHistogram,
+        /// Virtual/wall time spent resident in each scheme, indexed by
+        /// `Scheme as usize` (blocking, speculation, locking, occ).
+        part residency_ns: [u64; 4],
+        /// Every switch, in order (partitions interleaved by time).
+        part switch_log: Vec<SwitchRecord>,
+    }
 }
 
 impl AdaptiveStats {
-    pub fn merge(&mut self, o: &AdaptiveStats) {
-        self.switches += o.switches;
-        self.windows_evaluated += o.windows_evaluated;
-        self.held_fragments += o.held_fragments;
-        self.quiesce_stall.merge(&o.quiesce_stall);
-        for (a, b) in self.residency_ns.iter_mut().zip(&o.residency_ns) {
-            *a += b;
-        }
-        self.switch_log.extend_from_slice(&o.switch_log);
-        self.switch_log
-            .sort_by_key(|r| (r.at_ns, r.partition, r.epoch));
-    }
-
     /// Fraction of total resident time spent in each scheme (zeros when
     /// nothing was recorded).
     pub fn residency_fractions(&self) -> [f64; 4] {
@@ -372,54 +414,43 @@ impl AdaptiveStats {
     }
 }
 
-/// Counters for the replication subsystem (`hcc-core`'s `ReplicaCore`),
-/// aggregated across all replicas of a run by the drivers. These back the
-/// PR 3 availability/overhead sweep and the "replay failures must be 0 in
-/// healthy runs" invariant every replication test asserts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplicationCounters {
-    /// Commit records shipped by primaries.
-    pub records_shipped: u64,
-    /// Commit records applied by replicas.
-    pub records_applied: u64,
-    /// Duplicate records skipped by replicas (idempotent re-delivery).
-    pub records_skipped: u64,
-    /// Replay errors: a fragment failed to re-execute on a replica, or a
-    /// sequence gap was detected. **Must be 0 in a healthy run** — each one
-    /// is a replica that silently diverged from its primary.
-    pub replay_failures: u64,
-    /// Backup→primary promotions (failovers) performed.
-    pub promotions: u64,
-    /// §3.3 recoveries completed (failed node rejoined from a snapshot).
-    pub recoveries: u64,
-    /// State snapshots served by live replicas to recovering nodes.
-    pub snapshots_served: u64,
-    /// Transactions bounced with `PartitionFailed` by a crashed/recovering
-    /// node (clients transparently retry them against the new primary).
-    pub failover_bounces: u64,
-    /// Wall/virtual clock when the primary crashed (0 = no failure).
-    pub failed_at_ns: u64,
-    /// Wall/virtual clock when the failed node finished rejoining
-    /// (snapshot installed; 0 = no recovery).
-    pub recovered_at_ns: u64,
+counters! {
+    /// Counters for the replication subsystem (`hcc-core`'s `ReplicaCore`),
+    /// aggregated across all replicas of a run by the drivers. These back the
+    /// failover measurements and the "replay failures must be 0 in healthy
+    /// runs" invariant every replication test asserts.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ReplicationCounters {
+        /// Commit records shipped by primaries.
+        count records_shipped: u64,
+        /// Commit records applied by replicas.
+        count records_applied: u64,
+        /// Duplicate records skipped by replicas (idempotent re-delivery).
+        count records_skipped: u64,
+        /// Replay errors: a fragment failed to re-execute on a replica, or a
+        /// sequence gap was detected. **Must be 0 in a healthy run** — each one
+        /// is a replica that silently diverged from its primary.
+        count replay_failures: u64,
+        /// Backup→primary promotions (failovers) performed.
+        count promotions: u64,
+        /// §3.3 recoveries completed (failed node rejoined from a snapshot).
+        count recoveries: u64,
+        /// State snapshots served by live replicas to recovering nodes.
+        count snapshots_served: u64,
+        /// Transactions bounced with `PartitionFailed` by a crashed/recovering
+        /// node (clients transparently retry them against the new primary).
+        count failover_bounces: u64,
+        /// Wall/virtual clock when the primary crashed (0 = no failure). At
+        /// most one failure is injected per run, so the merge keeps the one
+        /// replica's timestamp.
+        max failed_at_ns: u64,
+        /// Wall/virtual clock when the failed node finished rejoining
+        /// (snapshot installed; 0 = no recovery).
+        max recovered_at_ns: u64,
+    }
 }
 
 impl ReplicationCounters {
-    pub fn merge(&mut self, o: &ReplicationCounters) {
-        self.records_shipped += o.records_shipped;
-        self.records_applied += o.records_applied;
-        self.records_skipped += o.records_skipped;
-        self.replay_failures += o.replay_failures;
-        self.promotions += o.promotions;
-        self.recoveries += o.recoveries;
-        self.snapshots_served += o.snapshots_served;
-        self.failover_bounces += o.failover_bounces;
-        // At most one failure is injected per run, so max() folds the
-        // one replica that recorded each timestamp.
-        self.failed_at_ns = self.failed_at_ns.max(o.failed_at_ns);
-        self.recovered_at_ns = self.recovered_at_ns.max(o.recovered_at_ns);
-    }
-
     /// Crash → rejoined duration, when a failure was injected and the node
     /// came back.
     pub fn time_to_recover(&self) -> Option<Nanos> {
@@ -428,60 +459,50 @@ impl ReplicationCounters {
     }
 }
 
-/// Counters for the epoch-batched cross-shard sequencing layer (ISSUE 8),
-/// merged across coordinator shards and partitions by the drivers. All
-/// zero when `SystemConfig::sequencing` is off — the golden table
-/// (`crates/bench/goldens.tsv`), whose first rows predate this subsystem,
-/// pins that the paper's configuration pays nothing for it.
-#[derive(Debug, Clone, Default)]
-pub struct SequencerStats {
-    /// Epochs closed across all coordinator shards (including the empty
-    /// epochs a shard emits to catch up with its peers).
-    pub epochs_closed: u64,
-    /// Sum of per-epoch batch sizes (entries in closed epochs);
-    /// `batch_sum / epochs_closed` is the mean batch.
-    pub batch_sum: u64,
-    /// Largest single epoch batch observed.
-    pub batch_max: u64,
-    /// Epochs closed because a *peer shard's* log for the same (or a
-    /// later) epoch arrived — the cascade that keeps the round-robin
-    /// merge advancing past idle shards.
-    pub forced_closes: u64,
-    /// Epochs closed by the age boundary
-    /// (`hcc_core::sequencer::EPOCH_MAX_AGE`) rather than the count
-    /// boundary.
-    pub age_closes: u64,
-    /// Epoch logs a promoted partition primary discarded because they
-    /// predate its membership era (their unacked transactions are
-    /// re-sequenced by the shards in the new era).
-    pub logs_discarded: u64,
-    /// Multi-partition round-0 fragments a partition admitted without an
-    /// epoch-log entry (failover redelivery, era-discarded stragglers) —
-    /// nonzero only around failures.
-    pub passthrough: u64,
-    /// `CrossCoordinator` aborts observed while sequencing was on. Under
-    /// sequencing these should be impossible (the merged epoch order
-    /// leaves nothing for expiry to break); the satellite assert fires
-    /// on this counter.
-    pub cross_coord_aborts: u64,
-    /// Time multi-partition invocations spent held in a shard's open
-    /// epoch before dispatch (submission → epoch close).
-    pub seq_hold: LatencyHistogram,
+counters! {
+    /// Counters for the epoch-batched cross-shard sequencing layer, merged
+    /// across coordinator shards and partitions by the drivers. All
+    /// zero when `SystemConfig::sequencing` is off — the golden table
+    /// (`crates/bench/goldens.tsv`), whose first rows predate this subsystem,
+    /// pins that the paper's configuration pays nothing for it.
+    #[derive(Debug, Clone, Default)]
+    pub struct SequencerStats {
+        /// Epochs closed across all coordinator shards (including the empty
+        /// epochs a shard emits to catch up with its peers).
+        count epochs_closed: u64,
+        /// Sum of per-epoch batch sizes (entries in closed epochs);
+        /// `batch_sum / epochs_closed` is the mean batch.
+        count batch_sum: u64,
+        /// Largest single epoch batch observed.
+        max batch_max: u64,
+        /// Epochs closed because a *peer shard's* log for the same (or a
+        /// later) epoch arrived — the cascade that keeps the round-robin
+        /// merge advancing past idle shards.
+        count forced_closes: u64,
+        /// Epochs closed by the age boundary
+        /// (`hcc_core::sequencer::EPOCH_MAX_AGE`) rather than the count
+        /// boundary.
+        count age_closes: u64,
+        /// Epoch logs a promoted partition primary discarded because they
+        /// predate its membership era (their unacked transactions are
+        /// re-sequenced by the shards in the new era).
+        count logs_discarded: u64,
+        /// Multi-partition round-0 fragments a partition admitted without an
+        /// epoch-log entry (failover redelivery, era-discarded stragglers) —
+        /// nonzero only around failures.
+        count passthrough: u64,
+        /// `CrossCoordinator` aborts observed while sequencing was on. Under
+        /// sequencing these should be impossible (the merged epoch order
+        /// leaves nothing for expiry to break); the golden table asserts it
+        /// is 0 under sequencing.
+        count cross_coord_aborts: u64,
+        /// Time multi-partition invocations spent held in a shard's open
+        /// epoch before dispatch (submission → epoch close).
+        part seq_hold: LatencyHistogram,
+    }
 }
 
 impl SequencerStats {
-    pub fn merge(&mut self, o: &SequencerStats) {
-        self.epochs_closed += o.epochs_closed;
-        self.batch_sum += o.batch_sum;
-        self.batch_max = self.batch_max.max(o.batch_max);
-        self.forced_closes += o.forced_closes;
-        self.age_closes += o.age_closes;
-        self.logs_discarded += o.logs_discarded;
-        self.passthrough += o.passthrough;
-        self.cross_coord_aborts += o.cross_coord_aborts;
-        self.seq_hold.merge(&o.seq_hold);
-    }
-
     /// Mean entries per closed epoch (0 when no epoch closed).
     pub fn mean_batch(&self) -> f64 {
         if self.epochs_closed == 0 {
@@ -492,35 +513,27 @@ impl SequencerStats {
     }
 }
 
-/// Counters for the durable command log (ISSUE 6), aggregated across all
-/// partitions of a run by the drivers. Zero everywhere when durability is
-/// off — the golden table (`crates/bench/goldens.tsv`), whose first rows
-/// predate this subsystem, pins that the paper's configuration pays
-/// nothing for it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurabilityCounters {
-    /// Commit records appended to the durable log.
-    pub records_appended: u64,
-    /// Group-commit syncs performed.
-    pub syncs: u64,
-    /// Committed results whose release waited on a group-commit sync
-    /// (the rest found their batch already durable).
-    pub results_held: u64,
-    /// Batches aborted by the stalled-log guard; their transactions were
-    /// bounced to clients with the retryable `LogStalled`.
-    pub stalled_aborts: u64,
-    /// Records discarded at recovery because the tail write was torn
-    /// (partial final record detected by length/checksum framing).
-    pub torn_tails_discarded: u64,
-}
-
-impl DurabilityCounters {
-    pub fn merge(&mut self, o: &DurabilityCounters) {
-        self.records_appended += o.records_appended;
-        self.syncs += o.syncs;
-        self.results_held += o.results_held;
-        self.stalled_aborts += o.stalled_aborts;
-        self.torn_tails_discarded += o.torn_tails_discarded;
+counters! {
+    /// Counters for the durable command log, aggregated across all
+    /// partitions of a run by the drivers. Zero everywhere when durability is
+    /// off — the golden table (`crates/bench/goldens.tsv`), whose first rows
+    /// predate this subsystem, pins that the paper's configuration pays
+    /// nothing for it.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DurabilityCounters {
+        /// Commit records appended to the durable log.
+        count records_appended: u64,
+        /// Group-commit syncs performed.
+        count syncs: u64,
+        /// Committed results whose release waited on a group-commit sync
+        /// (the rest found their batch already durable).
+        count results_held: u64,
+        /// Batches aborted by the stalled-log guard; their transactions were
+        /// bounced to clients with the retryable `LogStalled`.
+        count stalled_aborts: u64,
+        /// Records discarded at recovery because the tail write was torn
+        /// (partial final record detected by length/checksum framing).
+        count torn_tails_discarded: u64,
     }
 }
 
@@ -690,6 +703,61 @@ mod tests {
         assert_eq!(a.switch_log[0].at_ns, 200);
         let f = a.residency_fractions();
         assert!((f[0] - 10.0 / 30.0).abs() < 1e-12);
+    }
+
+    crate::counters! {
+        /// Every field a `u64`, so the block has a `delta_since`.
+        #[derive(Debug, Default, PartialEq)]
+        struct Window {
+            count sent: u64,
+            max largest: u64,
+            ns send_ns: u64,
+        }
+    }
+
+    crate::counters! {
+        /// One field of each kind.
+        #[derive(Debug, Default)]
+        struct Probe {
+            count sent: u64,
+            ns send_ns: u64,
+            max largest: u64,
+            part window: Window,
+        }
+    }
+
+    #[test]
+    fn counters_macro_follows_each_kind() {
+        let window = |sent, largest, send_ns| Window {
+            sent,
+            largest,
+            send_ns,
+        };
+        let mut a = Probe {
+            sent: 2,
+            send_ns: 10,
+            largest: 7,
+            window: window(1, 3, 5),
+        };
+        let b = Probe {
+            sent: 3,
+            send_ns: 20,
+            largest: 4,
+            window: window(4, 9, 6),
+        };
+        a.merge(&b);
+        assert_eq!((a.sent, a.send_ns, a.largest), (5, 30, 7));
+        assert_eq!(a.window, window(5, 9, 11), "a part merges itself");
+
+        let mut columns = Vec::new();
+        a.visit(|name, value| columns.push((name, value)));
+        assert_eq!(columns, [("sent", 5), ("largest", 7)], "no ns, no part");
+        columns.clear();
+        a.window.visit(|name, value| columns.push((name, value)));
+        assert_eq!(columns, [("sent", 5), ("largest", 9)]);
+
+        let later = window(3, 2, 40);
+        assert_eq!(later.delta_since(&window(1, 5, 50)), window(2, 0, 0));
     }
 
     #[test]

@@ -20,37 +20,27 @@ pub const BACKOFF_BASE: Nanos = Nanos(50_000);
 /// scale.
 pub const BACKOFF_CAP: Nanos = Nanos(5_000_000);
 
-/// Per-client outcome statistics.
-#[derive(Debug, Clone, Default)]
-pub struct ClientStats {
-    /// Transactions that committed.
-    pub committed: u64,
-    /// Transactions that ended in a (final) user abort.
-    pub user_aborted: u64,
-    /// Scheduling aborts that triggered a transparent retry.
-    pub retries: u64,
-    /// The subset of [`retries`](ClientStats::retries) that waited out a
-    /// nonzero backoff delay (infrastructure aborts under
-    /// [`RetryConfig`]).
-    pub backoff_retries: u64,
-    /// Requests abandoned after [`RetryConfig::max_attempts`] consecutive
-    /// retryable aborts.
-    pub retry_exhausted: u64,
-    /// End-to-end latency of committed transactions (submission of the
-    /// first attempt → result), recorded by
-    /// [`ClientCore::on_result_at`].
-    pub latency: LatencyHistogram,
-}
-
-impl ClientStats {
-    /// Fold another client's stats in (drivers aggregate across clients).
-    pub fn merge(&mut self, other: &ClientStats) {
-        self.committed += other.committed;
-        self.user_aborted += other.user_aborted;
-        self.retries += other.retries;
-        self.backoff_retries += other.backoff_retries;
-        self.retry_exhausted += other.retry_exhausted;
-        self.latency.merge(&other.latency);
+hcc_common::counters! {
+    /// Per-client outcome statistics; the drivers merge them across clients.
+    #[derive(Debug, Clone, Default)]
+    pub struct ClientStats {
+        /// Transactions that committed.
+        count committed: u64,
+        /// Transactions that ended in a (final) user abort.
+        count user_aborted: u64,
+        /// Scheduling aborts that triggered a transparent retry.
+        count retries: u64,
+        /// The subset of [`retries`](ClientStats::retries) that waited out a
+        /// nonzero backoff delay (infrastructure aborts under
+        /// [`RetryConfig`]).
+        count backoff_retries: u64,
+        /// Requests abandoned after [`RetryConfig::max_attempts`] consecutive
+        /// retryable aborts.
+        count retry_exhausted: u64,
+        /// End-to-end latency of committed transactions (submission of the
+        /// first attempt → result), recorded by
+        /// [`ClientCore::on_result_at`].
+        part latency: LatencyHistogram,
     }
 }
 

@@ -131,47 +131,32 @@ pub enum CoordOut<F, R> {
     EpochLog(EpochLogDest, EpochLog),
 }
 
-/// Counters for coordinator behaviour (saturation analysis, tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CoordCounters {
-    pub invocations: u64,
-    pub responses: u64,
-    pub stale_responses_discarded: u64,
-    pub commits: u64,
-    pub aborts: u64,
-    pub messages_sent: u64,
-    pub rounds_dispatched: u64,
-    /// Transactions aborted because a participant's primary failed
-    /// (failover; the clients transparently retry them).
-    pub failover_aborts: u64,
-    /// Commit-decision acknowledgements received (in-doubt tracking).
-    pub decision_acks: u64,
-    /// Committed results parked until every participant acknowledged the
-    /// commit decision (durable-release mode).
-    pub results_held: u64,
-    /// In-doubt committed transactions re-delivered to a promoted primary
-    /// after a failover (the 2PC in-doubt window being closed).
-    pub in_doubt_redeliveries: u64,
-    /// Re-delivered commits the new primary executed and was told to
-    /// commit — the window actually closed, not just attempted.
-    pub in_doubt_commits_recovered: u64,
-}
-
-impl CoordCounters {
-    /// Fold another shard's counters in (drivers aggregate across shards).
-    pub fn merge(&mut self, o: &CoordCounters) {
-        self.invocations += o.invocations;
-        self.responses += o.responses;
-        self.stale_responses_discarded += o.stale_responses_discarded;
-        self.commits += o.commits;
-        self.aborts += o.aborts;
-        self.messages_sent += o.messages_sent;
-        self.rounds_dispatched += o.rounds_dispatched;
-        self.failover_aborts += o.failover_aborts;
-        self.decision_acks += o.decision_acks;
-        self.results_held += o.results_held;
-        self.in_doubt_redeliveries += o.in_doubt_redeliveries;
-        self.in_doubt_commits_recovered += o.in_doubt_commits_recovered;
+hcc_common::counters! {
+    /// Counters for coordinator behaviour (saturation analysis, tests); the
+    /// drivers merge them across shards.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct CoordCounters {
+        count invocations: u64,
+        count responses: u64,
+        count stale_responses_discarded: u64,
+        count commits: u64,
+        count aborts: u64,
+        count messages_sent: u64,
+        count rounds_dispatched: u64,
+        /// Transactions aborted because a participant's primary failed
+        /// (failover; the clients transparently retry them).
+        count failover_aborts: u64,
+        /// Commit-decision acknowledgements received (in-doubt tracking).
+        count decision_acks: u64,
+        /// Committed results parked until every participant acknowledged the
+        /// commit decision (durable-release mode).
+        count results_held: u64,
+        /// In-doubt committed transactions re-delivered to a promoted primary
+        /// after a failover (the 2PC in-doubt window being closed).
+        count in_doubt_redeliveries: u64,
+        /// Re-delivered commits the new primary executed and was told to
+        /// commit — the window actually closed, not just attempted.
+        count in_doubt_commits_recovered: u64,
     }
 }
 

@@ -1114,19 +1114,33 @@ struct Node<E> {
     retired: Retired,
 }
 
-/// A node's counters across its roles. A role that ends — crashed,
-/// promoted, or still running at teardown — folds in what its scheduler,
-/// log, sequencer gate and replay core counted, once, through
-/// [`retire`](Self::retire). The node's own replication events (records
-/// shipped, bounces, snapshots served, promotions, recoveries) belong to no
-/// role's state and are counted in `repl` as they happen.
-#[derive(Default)]
-struct Retired {
-    sched: SchedulerCounters,
-    repl: ReplicationCounters,
-    dur: DurabilityCounters,
-    seq: SequencerStats,
-    adaptive: AdaptiveStats,
+hcc_common::counters! {
+    /// A node's counters across its roles, and the per-node set of blocks the
+    /// drivers merge into a run's report. A role that ends — crashed,
+    /// promoted, or still running at teardown — folds in what its
+    /// scheduler, log, sequencer gate and replay core counted, once,
+    /// through [`retire`](Self::retire). The node's own replication events
+    /// (records shipped, bounces, snapshots served, promotions, recoveries)
+    /// belong to no role's state and are counted in `repl` as they happen.
+    #[derive(Default)]
+    pub struct Retired {
+        /// Scheduler counters (all zero when the node never served as a
+        /// primary).
+        part sched: SchedulerCounters,
+        /// Replication counters: the node's own events and its backup
+        /// roles' replay.
+        part repl: ReplicationCounters,
+        /// Durable-log counters (all zero when durability was off or the
+        /// node never served as a logging primary).
+        part dur: DurabilityCounters,
+        /// Partition-side sequencer counters (all zero when sequencing was
+        /// off or the node never served as a primary).
+        part seq: SequencerStats,
+        /// Adaptive scheme-selection statistics (all zero/empty when
+        /// `SystemConfig::adaptive` was off or the node never served as a
+        /// primary).
+        part adaptive: AdaptiveStats,
+    }
 }
 
 impl Retired {
@@ -1188,21 +1202,11 @@ pub struct ReplicaParts<E> {
     pub is_primary: bool,
     /// True if the node ended the run as a live backup.
     pub is_backup: bool,
-    pub sched: SchedulerCounters,
-    pub repl: ReplicationCounters,
     /// Framed bytes of the node's durable command log after a final clean
     /// sync (primary with durability on; `None` otherwise).
     pub log_image: Option<Vec<u8>>,
-    /// Durable-log counters (all zero when durability was off or the node
-    /// never served as a logging primary).
-    pub dur: DurabilityCounters,
-    /// Partition-side sequencer counters (all zero when sequencing was off
-    /// or the node never served as a primary).
-    pub seq: SequencerStats,
-    /// Adaptive scheme-selection statistics (all zero/empty when
-    /// `SystemConfig::adaptive` was off or the node never served as a
-    /// primary).
-    pub adaptive: AdaptiveStats,
+    /// Every role's counters, each retired once.
+    pub counters: Retired,
 }
 
 /// One physical replica node (paper §2.3's single-threaded partition
@@ -1288,7 +1292,7 @@ where
             group,
             slot,
             engine,
-            retired,
+            retired: counters,
             ..
         } = self.node;
         ReplicaParts {
@@ -1297,12 +1301,8 @@ where
             engine,
             is_primary,
             is_backup,
-            sched: retired.sched,
-            repl: retired.repl,
             log_image,
-            dur: retired.dur,
-            seq: retired.seq,
-            adaptive: retired.adaptive,
+            counters,
         }
     }
 
@@ -2006,7 +2006,7 @@ mod tests {
             ),
             "the next batch syncs and releases"
         );
-        let counters = node.into_parts().dur;
+        let counters = node.into_parts().counters.dur;
         assert_eq!((counters.syncs, counters.stalled_aborts), (1, 2));
     }
 
@@ -2134,25 +2134,41 @@ mod tests {
         let b = nodes.pop().expect("slot 1").into_parts();
         let a = nodes.pop().expect("slot 0").into_parts();
         assert!(!a.is_primary && a.is_backup && b.is_primary && !b.is_backup);
-        let residency = |p: &ReplicaParts<MicroEngine>| p.adaptive.residency_ns.iter().sum::<u64>();
+        let residency =
+            |p: &ReplicaParts<MicroEngine>| p.counters.adaptive.residency_ns.iter().sum::<u64>();
         // Slot 0: its primary's counters (retired by the crash) and those
         // of the backup it rejoined as (retired at teardown).
-        assert_eq!((a.sched.committed, a.dur.records_appended), (2, 2));
-        assert_eq!(a.dur.syncs, 2);
-        assert_eq!(a.seq.passthrough, 1);
+        assert_eq!(
+            (a.counters.sched.committed, a.counters.dur.records_appended),
+            (2, 2)
+        );
+        assert_eq!(a.counters.dur.syncs, 2);
+        assert_eq!(a.counters.seq.passthrough, 1);
         assert_eq!(residency(&a), crashed_at.0);
-        assert_eq!(a.repl.records_shipped, 2);
-        assert_eq!((a.repl.records_applied, a.repl.recoveries), (1, 1));
-        assert_eq!((a.repl.promotions, a.repl.snapshots_served), (0, 0));
+        assert_eq!(a.counters.repl.records_shipped, 2);
+        assert_eq!(
+            (a.counters.repl.records_applied, a.counters.repl.recoveries),
+            (1, 1)
+        );
+        assert_eq!(
+            (a.counters.repl.promotions, a.counters.repl.snapshots_served),
+            (0, 0)
+        );
         assert!(a.log_image.is_none());
         // Slot 1: its backup's (retired by the promotion) and its
         // primary's (retired at teardown).
-        assert_eq!(b.repl.records_applied, 2);
-        assert_eq!((b.repl.promotions, b.repl.snapshots_served), (1, 1));
-        assert_eq!(b.repl.records_shipped, 1);
-        assert_eq!((b.sched.committed, b.dur.records_appended), (3, 3));
-        assert_eq!(b.dur.syncs, 3);
-        assert_eq!(b.seq.passthrough, 1);
+        assert_eq!(b.counters.repl.records_applied, 2);
+        assert_eq!(
+            (b.counters.repl.promotions, b.counters.repl.snapshots_served),
+            (1, 1)
+        );
+        assert_eq!(b.counters.repl.records_shipped, 1);
+        assert_eq!(
+            (b.counters.sched.committed, b.counters.dur.records_appended),
+            (3, 3)
+        );
+        assert_eq!(b.counters.dur.syncs, 3);
+        assert_eq!(b.counters.seq.passthrough, 1);
         // Its scheme residency runs from its promotion, not from 0.
         assert_eq!(residency(&b), last.0 - promoted_at.0);
         assert!(b.log_image.is_some());
@@ -2255,8 +2271,8 @@ mod tests {
                 "{scheme:?}: the known commit is acked"
             );
             let parts = nodes.remove(1).into_parts();
-            assert_eq!(parts.sched.stray_decisions, 1, "{scheme:?}");
-            assert_eq!(parts.sched.committed, 1, "{scheme:?}");
+            assert_eq!(parts.counters.sched.stray_decisions, 1, "{scheme:?}");
+            assert_eq!(parts.counters.sched.committed, 1, "{scheme:?}");
         }
     }
 }

@@ -52,7 +52,7 @@ pub use sim::Simulation;
 
 use crate::actors::{
     ActorId, ClientActor, CoordinatorActor, MembershipActor, Msg, OutMsg, Outcome, ReplicaActor,
-    ReplicaParts, RunControl,
+    ReplicaParts, Retired, RunControl,
 };
 use hcc_common::stats::{
     AdaptiveStats, DurabilityCounters, LatencySummary, ReplicationCounters, SchedulerCounters,
@@ -667,7 +667,9 @@ pub(crate) fn window_secs(mode: RunMode, elapsed: Duration) -> f64 {
 pub(crate) struct Harvest<E: ExecutionEngine> {
     clients: ClientStats,
     coord: CoordCounters,
-    sequencer: SequencerStats,
+    /// The per-node blocks summed: the coordinators' sequencer counters as
+    /// they are harvested, every node's at [`finish`](Self::finish).
+    total: Retired,
     replicas: Vec<ReplicaParts<E>>,
 }
 
@@ -676,7 +678,7 @@ impl<E: ExecutionEngine> Harvest<E> {
         Harvest {
             clients: ClientStats::default(),
             coord: CoordCounters::default(),
-            sequencer: SequencerStats::default(),
+            total: Retired::default(),
             replicas: Vec::new(),
         }
     }
@@ -687,7 +689,7 @@ impl<E: ExecutionEngine> Harvest<E> {
 
     pub(crate) fn coordinator(&mut self, c: &CoordinatorActor<E>) {
         self.coord.merge(c.counters());
-        self.sequencer.merge(&c.seq_stats());
+        self.total.seq.merge(&c.seq_stats());
     }
 
     pub(crate) fn replica(&mut self, parts: ReplicaParts<E>) {
@@ -701,23 +703,15 @@ impl<E: ExecutionEngine> Harvest<E> {
         let Harvest {
             clients,
             coord,
-            mut sequencer,
+            mut total,
             mut replicas,
         } = self;
         replicas.sort_by_key(|p| (p.group, p.slot));
-        let mut sched = SchedulerCounters::default();
-        let mut replication = ReplicationCounters::default();
-        let mut durability = DurabilityCounters::default();
-        let mut adaptive = AdaptiveStats::default();
         let mut engines: Vec<Option<E>> = (0..groups).map(|_| None).collect();
         let mut logs: Vec<Option<Vec<u8>>> = (0..groups).map(|_| None).collect();
         let mut backups = Vec::new();
         for part in replicas {
-            sched.merge(&part.sched);
-            replication.merge(&part.repl);
-            durability.merge(&part.dur);
-            sequencer.merge(&part.seq);
-            adaptive.merge(&part.adaptive);
+            total.merge(&part.counters);
             if part.is_primary {
                 let slot = engines
                     .get_mut(part.group.as_usize())
@@ -745,16 +739,16 @@ impl<E: ExecutionEngine> Harvest<E> {
             committed_mp,
             throughput_tps: committed as f64 / secs,
             clients,
-            sched,
+            sched: total.sched,
             coord,
-            replication,
+            replication: total.repl,
             engines,
             backups,
-            durability,
+            durability: total.dur,
             logs,
             workers: Vec::new(),
-            sequencer,
-            adaptive,
+            sequencer: total.seq,
+            adaptive: total.adaptive,
             virtual_time: None,
         }
     }
