@@ -6,10 +6,10 @@
 //! [`AnySched::build`] is the one place a scheme becomes a scheduler.
 //!
 //! A partition runs one [`PartitionScheduler`]: the scheme it executes
-//! now, and — when adaptive selection is on — the
-//! [`Controller`](crate::adaptive::Controller) that measures the workload
-//! and swaps that scheme live (§5.7). With the scheme pinned the
-//! controller is absent and every event goes straight to the scheme.
+//! now, and — when adaptive selection is on — the [`Controller`] that
+//! measures the workload and swaps that scheme live (§5.7). With the
+//! scheme pinned the controller is absent and every event goes straight
+//! to the scheme.
 
 use crate::adaptive::Controller;
 use crate::engine::ExecutionEngine;

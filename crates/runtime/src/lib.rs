@@ -33,10 +33,10 @@
 //! the properties the speculation protocol relies on.
 //!
 //! Every driver counts the measurement window's outcomes through the same
-//! [`RunControl`](actors::RunControl), harvests the same actors and honours
-//! every field of the same [`FailurePlan`], each on its own clock. What
-//! only one driver has, the report marks as such: per-worker reactor
-//! counters ([`RuntimeReport::workers`]) and virtual-time figures
+//! [`RunControl`], harvests the same actors and honours every field of
+//! the same [`FailurePlan`], each on its own clock. What only one driver
+//! has, the report marks as such: per-worker reactor counters
+//! ([`RuntimeReport::workers`]) and virtual-time figures
 //! ([`RuntimeReport::virtual_time`]).
 
 // Associated-type generics make some signatures long; aliases would

@@ -8,17 +8,36 @@
 //! buffer restores the exact prior state. Schedulers keep one buffer per
 //! in-flight transaction and roll them back in reverse execution order.
 //!
+//! **Hashed or ordered.** The paper keeps each table "as either a B-Tree,
+//! a binary tree, or hash table, as appropriate", and a store is one of
+//! the two, never both:
+//! - *hashed* (the default): a fast-hash open-addressing [`Table`], for
+//!   stores that only ever see point operations — the paper's
+//!   microbenchmark and the point-read YCSB-B mix;
+//! - *ordered* ([`KvStore::enable_ordered_index`]): std's `BTreeMap`,
+//!   for stores that serve range scans (YCSB-E). A scan walks the map's
+//!   range and yields its rows in place. A point operation pays a tree
+//!   descent instead of a hash probe: on YCSB-E's shape (8 Ki rows of
+//!   8-byte keys, keys drawn uniformly) a `get` measured 141–195 ns
+//!   against 11–18 ns on a table (release build, one thread of a 2-vCPU
+//!   x86-64 host). YCSB-E's only point operations are its 5 % inserts;
+//!   a scan of ~4 rows costs 234–256 ns.
+//!
+//! Every mutation path, undo replay included, writes the one structure
+//! the store has, so rollback and the birth-ordered committed-state
+//! `snapshot()` (§3.3 recovery) restore the scannable view exactly.
+//!
 //! Hot-path design (the paper's whole point is that these fixed costs
-//! decide throughput): the store is a fast-hash open-addressing
-//! [`Table`], short keys/values are inline `Bytes` (no allocation), the
-//! [`KvStore::update`] path probes the table once per read-modify-write,
-//! and undo buffers are meant to be **recycled** via
+//! decide throughput): short keys/values are inline `Bytes` (no
+//! allocation), the [`KvStore::update`] path finds its row once per
+//! read-modify-write, and undo buffers are meant to be **recycled** via
 //! [`KvStore::rollback_reuse`] / [`KvUndo::clear`] so steady state
 //! allocates nothing per transaction.
 
-use crate::ordered::OrderedIndex;
 use crate::table::Table;
 use bytes::Bytes;
+use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// One recorded pre-image: the value (or absence) a key had before a
 /// mutation.
@@ -68,21 +87,29 @@ impl KvUndo {
     }
 }
 
-/// An in-memory hash table of byte-string keys and values, with an
-/// optional ordered key view for range scans.
+/// A store's rows, in the one structure its mode keeps.
+#[derive(Debug, Clone)]
+enum Rows {
+    Hashed(Table),
+    Ordered(BTreeMap<Bytes, Bytes>),
+}
+
+impl Default for Rows {
+    fn default() -> Self {
+        Rows::Hashed(Table::new())
+    }
+}
+
+/// An in-memory store of byte-string keys and values: a hash table, or a
+/// B-tree once [`enable_ordered_index`](KvStore::enable_ordered_index)
+/// has made it scannable (module doc).
 ///
-/// `Clone` copies the table and the index as they are: committed-state
-/// snapshots (§3.3; failover and rejoin only) clone the store and roll
-/// the live undo buffers back on the copy with
-/// [`rollback_copy`](KvStore::rollback_copy), which maintains the copied
-/// index like any other mutation.
+/// `Clone` copies the rows as they are: committed-state snapshots (§3.3;
+/// failover and rejoin only) clone the store and roll the live undo
+/// buffers back on the copy with [`rollback_copy`](KvStore::rollback_copy).
 #[derive(Debug, Default, Clone)]
 pub struct KvStore {
-    map: Table,
-    /// Ordered key index (see [`OrderedIndex`]), maintained by every
-    /// mutation path — including undo replay — once enabled. `None` keeps
-    /// point-only stores at their original hot-path cost.
-    ordered: Option<OrderedIndex>,
+    rows: Rows,
 }
 
 impl KvStore {
@@ -90,61 +117,58 @@ impl KvStore {
         Self::default()
     }
 
-    /// Pre-sized store (loaders know the row count).
+    /// Pre-sized hashed store (loaders know the row count).
     pub fn with_capacity(n: usize) -> Self {
         KvStore {
-            map: Table::with_capacity(n),
-            ordered: None,
+            rows: Rows::Hashed(Table::with_capacity(n)),
         }
     }
 
-    /// Build (or rebuild) the ordered key index from the current
-    /// contents, enabling [`scan_range`](KvStore::scan_range). Idempotent.
+    /// Switch the store to ordered mode, moving its rows into a B-tree,
+    /// which enables [`scan_range`](KvStore::scan_range). Idempotent.
+    /// Loaders that scan call it before they preload, so the rows go
+    /// straight into the tree.
     pub fn enable_ordered_index(&mut self) {
-        let ix = OrderedIndex::new();
-        for (k, _) in self.map.iter() {
-            ix.insert(k.clone());
+        if let Rows::Hashed(table) = &mut self.rows {
+            self.rows = Rows::Ordered(std::mem::take(table).into_rows().collect());
         }
-        self.ordered = Some(ix);
     }
 
     pub fn has_ordered_index(&self) -> bool {
-        self.ordered.is_some()
+        matches!(self.rows, Rows::Ordered(_))
     }
 
-    /// Rows with keys in `[start, end)`, ascending by key byte order.
-    ///
-    /// # Panics
-    /// If the ordered index was never enabled — scans require an engine
-    /// loaded scan-capable (the workloads that generate `Scan` ops build
-    /// their engines with the index on).
+    /// The B-tree of an ordered store. Panics on a hashed one: workloads
+    /// that scan build their engines in ordered mode.
+    fn ordered(&self, what: &str) -> &BTreeMap<Bytes, Bytes> {
+        match &self.rows {
+            Rows::Ordered(rows) => rows,
+            Rows::Hashed(_) => panic!("{what} on a store without an ordered index"),
+        }
+    }
+
+    /// Rows with keys in `[start, end)`, ascending by key byte order. An
+    /// empty or inverted range yields nothing; a hashed store panics.
     pub fn scan_range<'a>(
         &'a self,
         start: &'a [u8],
         end: &'a [u8],
     ) -> impl Iterator<Item = (&'a Bytes, &'a Bytes)> {
-        let ix = self
-            .ordered
-            .as_ref()
-            .expect("scan on a store without an ordered index");
-        ix.range(start, end).map(move |k| {
-            self.map
-                .get_key_value(&k)
-                .expect("ordered index entry missing from table")
-        })
+        // Open above, `end` tested per row: a two-bound range also searches
+        // the path to `end` (255–344 ns per scan against 236–290 ns, on the
+        // module doc's shape). An inverted range, which `BTreeMap::range`
+        // panics on, needs no guard: its first key is already past `end`.
+        self.ordered("scan")
+            .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
+            .take_while(move |(key, _)| key.as_slice() < end)
     }
 
     /// Order-*sensitive* fingerprint: a sequential hash over the ordered
-    /// iteration of the index, probing the table per member. Two stores
-    /// agree iff their ordered views walk identical (key, value) rows in
-    /// identical order — so a stale or partial index after rollback,
-    /// snapshot, or recovery shows up even when the order-independent
-    /// [`fingerprint`](KvStore::fingerprint) still matches.
+    /// walk of the rows. Two stores agree iff they walk identical
+    /// (key, value) rows in identical order — so a wrong scannable view
+    /// after rollback, snapshot, or recovery shows up even when the
+    /// order-independent [`fingerprint`](KvStore::fingerprint) matches.
     pub fn ordered_fingerprint(&self) -> u64 {
-        let ix = self
-            .ordered
-            .as_ref()
-            .expect("ordered_fingerprint on a store without an ordered index");
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mix = |h: &mut u64, bytes: &[u8]| {
             for &b in bytes {
@@ -156,69 +180,66 @@ impl KvStore {
             *h ^= bytes.len() as u64;
             *h = h.wrapping_mul(0x0000_0100_0000_01b3);
         };
-        for k in ix.iter() {
-            let v = self
-                .map
-                .get(&k)
-                .expect("ordered index entry missing from table");
-            mix(&mut h, &k);
+        for (k, v) in self.ordered("ordered_fingerprint") {
+            mix(&mut h, k);
             mix(&mut h, v);
         }
         h
     }
 
-    /// Index/table consistency check for tests: every indexed key has a
-    /// row and every row is indexed. `Ok(())` when no index is enabled.
+    /// The scannable view's invariants, for tests: on an ordered store
+    /// the walk is strictly ascending and has [`len`](KvStore::len)
+    /// rows. `Ok(())` on a hashed store. (With one structure per mode
+    /// there is no index left to disagree with a table.)
     pub fn check_ordered_invariants(&self) -> Result<(), String> {
-        let Some(ix) = self.ordered.as_ref() else {
+        let Rows::Ordered(rows) = &self.rows else {
             return Ok(());
         };
-        if ix.len() != self.map.len() {
-            return Err(format!(
-                "ordered index has {} keys, table has {} rows",
-                ix.len(),
-                self.map.len()
-            ));
+        if let Some((a, b)) = rows.keys().zip(rows.keys().skip(1)).find(|(a, b)| a >= b) {
+            return Err(format!("ordered walk not ascending: {a:?} then {b:?}"));
         }
-        for k in ix.iter() {
-            if self.map.get(&k).is_none() {
-                return Err(format!("indexed key {k:?} missing from table"));
-            }
+        let walked = rows.iter().count();
+        if walked != self.len() {
+            return Err(format!("ordered walk has {walked} of {} rows", self.len()));
         }
         Ok(())
     }
 
     pub fn len(&self) -> usize {
-        self.map.len()
+        match &self.rows {
+            Rows::Hashed(rows) => rows.len(),
+            Rows::Ordered(rows) => rows.len(),
+        }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Read a value.
     #[inline]
     pub fn get(&self, key: &[u8]) -> Option<&Bytes> {
-        self.map.get(key)
+        match &self.rows {
+            Rows::Hashed(rows) => rows.get(key),
+            Rows::Ordered(rows) => rows.get(key),
+        }
     }
 
     /// Write a value, optionally recording the pre-image for rollback.
+    /// Not routed through `set`: its `Some` slowed preloads (`setup_s` +23–41 %).
     pub fn put(&mut self, key: Bytes, value: Bytes, undo: Option<&mut KvUndo>) {
-        let prior = self.map.insert(key.clone(), value);
-        // The table's answer says whether the key set changed: an
-        // overwrite leaves the index alone.
-        if let (None, Some(ix)) = (&prior, &self.ordered) {
-            ix.insert(key.clone());
-        }
+        let prior = match &mut self.rows {
+            Rows::Hashed(rows) => rows.insert(key.clone(), value),
+            Rows::Ordered(rows) => rows.insert(key.clone(), value),
+        };
         if let Some(u) = undo {
             u.records.push(UndoRecord { key, prior });
         }
     }
 
-    /// Read-modify-write an **existing** key with one table probe:
+    /// Read-modify-write an **existing** key, finding its row once:
     /// `f(current)` produces the new value; the pre-image is recorded if
-    /// requested. Returns the prior value's bytes via the closure.
-    /// Falls back to an insert when the key is absent.
+    /// requested. Falls back to an insert when the key is absent.
     #[inline]
     pub fn update(
         &mut self,
@@ -226,7 +247,11 @@ impl KvStore {
         undo: Option<&mut KvUndo>,
         f: impl FnOnce(Option<&Bytes>) -> Bytes,
     ) {
-        match self.map.get_mut(key) {
+        let slot = match &mut self.rows {
+            Rows::Hashed(rows) => rows.get_mut(key),
+            Rows::Ordered(rows) => rows.get_mut(key),
+        };
+        match slot {
             Some(slot) => {
                 let next = f(Some(slot));
                 if let Some(u) = undo {
@@ -248,10 +273,7 @@ impl KvStore {
     /// Delete a key, optionally recording the pre-image. Returns the removed
     /// value, if any.
     pub fn delete(&mut self, key: &Bytes, undo: Option<&mut KvUndo>) -> Option<Bytes> {
-        let prior = self.map.remove(key);
-        if let (Some(_), Some(ix)) = (&prior, &self.ordered) {
-            ix.remove(key);
-        }
+        let prior = self.set(key.clone(), None);
         if let Some(u) = undo {
             u.records.push(UndoRecord {
                 key: key.clone(),
@@ -271,7 +293,7 @@ impl KvStore {
     /// buffer's allocation intact so the caller can pool it.
     pub fn rollback_reuse(&mut self, undo: &mut KvUndo) {
         for rec in undo.records.drain(..).rev() {
-            self.apply_undo_record(rec.key, rec.prior);
+            self.set(rec.key, rec.prior);
         }
     }
 
@@ -281,31 +303,29 @@ impl KvStore {
     /// youngest-[`birth`](KvUndo::birth) first.
     pub fn rollback_copy(&mut self, undo: &KvUndo) {
         for rec in undo.records.iter().rev() {
-            self.apply_undo_record(rec.key.clone(), rec.prior.clone());
+            self.set(rec.key.clone(), rec.prior.clone());
         }
     }
 
-    /// Restore one pre-image: the single source of truth both rollback
-    /// flavors share. Keeps the ordered index in sync so rollback of
-    /// inserts/deletes restores the scannable view exactly.
-    fn apply_undo_record(&mut self, key: Bytes, prior: Option<Bytes>) {
-        match prior {
-            Some(v) => {
-                if let (None, Some(ix)) = (self.map.insert(key.clone(), v), &self.ordered) {
-                    ix.insert(key);
-                }
-            }
-            None => {
-                if let (Some(_), Some(ix)) = (self.map.remove(&key), &self.ordered) {
-                    ix.remove(&key);
-                }
-            }
+    /// Set `key`'s row to `value` (no row for `None`) and return the
+    /// prior value: the one write that `delete` and both rollback flavors
+    /// share.
+    fn set(&mut self, key: Bytes, value: Option<Bytes>) -> Option<Bytes> {
+        match (&mut self.rows, value) {
+            (Rows::Hashed(rows), Some(value)) => rows.insert(key, value),
+            (Rows::Hashed(rows), None) => rows.remove(&key),
+            (Rows::Ordered(rows), Some(value)) => rows.insert(key, value),
+            (Rows::Ordered(rows), None) => rows.remove(&key),
         }
     }
 
-    /// Iterate over all entries (test/verification support).
-    pub fn iter(&self) -> impl Iterator<Item = (&Bytes, &Bytes)> {
-        self.map.iter()
+    /// Iterate over all entries (test/verification support): in key
+    /// order on an ordered store, in table order on a hashed one.
+    pub fn iter(&self) -> Box<dyn Iterator<Item = (&Bytes, &Bytes)> + '_> {
+        match &self.rows {
+            Rows::Hashed(rows) => Box::new(rows.iter()),
+            Rows::Ordered(rows) => Box::new(rows.iter()),
+        }
     }
 
     /// A stable fingerprint of the full store contents, used by tests to
@@ -313,7 +333,7 @@ impl KvStore {
     pub fn fingerprint(&self) -> u64 {
         // XOR of per-entry FNV hashes: order-independent, cheap.
         let mut acc = 0u64;
-        for (k, v) in self.map.iter() {
+        for (k, v) in self.iter() {
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             for &b in k.iter().chain(v.iter()) {
                 h ^= b as u64;
@@ -570,15 +590,77 @@ mod tests {
         assert_eq!(a.ordered_fingerprint(), c.ordered_fingerprint());
     }
 
+    /// Every row, in scan order.
+    fn scan_all(kv: &KvStore) -> Vec<(Bytes, Bytes)> {
+        kv.scan_range(b"", b"\xff")
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn empty_and_inverted_ranges_yield_nothing() {
+        let mut kv = KvStore::new();
+        kv.enable_ordered_index();
+        assert_eq!(kv.scan_range(b"a", b"z").count(), 0, "empty store");
+        for k in ["a", "b", "c"] {
+            kv.put(b(k), b("v"), None);
+        }
+        assert_eq!(kv.scan_range(b"b", b"b").count(), 0, "empty range");
+        assert_eq!(kv.scan_range(b"c", b"a").count(), 0, "inverted range");
+        assert_eq!(
+            kv.scan_range(b"z", b"a").count(),
+            0,
+            "inverted, past the end"
+        );
+    }
+
     #[test]
     fn enable_ordered_index_is_idempotent_and_late() {
         let mut kv = KvStore::new();
-        kv.put(b("x"), b("1"), None);
-        kv.put(b("y"), b("2"), None);
-        kv.enable_ordered_index(); // built from existing contents
-        kv.enable_ordered_index(); // rebuild is a no-op semantically
-        assert_eq!(kv.scan_range(b"", b"z").count(), 2);
+        for i in 0..100u8 {
+            kv.put(
+                Bytes::copy_from_slice(&[i]),
+                Bytes::copy_from_slice(&[i, i]),
+                None,
+            );
+        }
+        let hashed: std::collections::BTreeMap<_, _> =
+            kv.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        let fp = kv.fingerprint();
+        kv.enable_ordered_index();
+        assert!(kv.has_ordered_index());
+        assert_eq!(kv.len(), 100);
+        assert_eq!(kv.fingerprint(), fp);
+        let rows = scan_all(&kv);
+        assert_eq!(rows, hashed.into_iter().collect::<Vec<_>>());
+        let ofp = kv.ordered_fingerprint();
+        kv.enable_ordered_index();
+        assert_eq!(kv.ordered_fingerprint(), ofp);
+        assert_eq!(scan_all(&kv), rows);
         kv.check_ordered_invariants().unwrap();
+    }
+
+    #[test]
+    fn ordering_first_or_last_builds_the_same_store() {
+        let fill = |kv: &mut KvStore| {
+            for k in ["m", "c", "x", "a", "q"] {
+                kv.put(b(k), b(&format!("v{k}")), None);
+            }
+            kv.delete(&b("x"), None);
+            kv.update(b"c", None, |_| b("w"));
+        };
+        let mut first = KvStore::new();
+        first.enable_ordered_index();
+        fill(&mut first);
+        let mut last = KvStore::new();
+        fill(&mut last);
+        let hashed_fp = last.fingerprint();
+        last.enable_ordered_index();
+        assert_eq!(first.fingerprint(), hashed_fp);
+        assert_eq!(last.fingerprint(), hashed_fp);
+        assert_eq!(first.ordered_fingerprint(), last.ordered_fingerprint());
+        assert_eq!(scan_all(&first), scan_all(&last));
+        assert_eq!(scan_all(&first).len(), 4);
     }
 
     #[test]

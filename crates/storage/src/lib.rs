@@ -4,7 +4,8 @@
 //!
 //! * [`kv`] — "a simple key/value store, where keys and values are arbitrary
 //!   byte strings" used by the microbenchmarks. One transaction type is
-//!   supported: read a set of values, then update them.
+//!   supported: read a set of values, then update them. A store is a
+//!   hash table, or a B-tree when it serves range scans (YCSB-E).
 //! * [`tpcc`] — "a custom written execution engine that executes
 //!   transactions directly on data in memory. Each table is represented as
 //!   either a B-Tree \[or\] hash table, as appropriate." Here every table

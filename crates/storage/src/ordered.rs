@@ -1,28 +1,21 @@
-//! An ordered key view over a hash-table store, for range scans.
+//! A sorted set of byte-string keys, for the benchmark's layer drive.
 //!
-//! The paper's microbenchmark engine is a pure hash table: every
-//! fragment is a point read or write, so nothing in the seed system can
-//! express a *range* — yet fragment length is exactly the axis §5 says
-//! separates blocking from speculation (long fragments hold partitions
-//! hostage under blocking and make mis-speculation expensive). The
-//! ordered view makes scans a first-class storage operation:
-//! [`crate::KvStore`] keeps an [`OrderedIndex`] of its keys in byte
-//! order next to the open-addressing [`crate::Table`], maintained by
-//! every mutation path — including undo replay, so rollback and the
-//! birth-ordered committed-state `snapshot()` (§3.3 recovery) preserve
-//! the index exactly.
+//! **No transaction path uses this type.** A scan-capable
+//! [`crate::KvStore`] keeps its rows in one `BTreeMap` (its ordered
+//! mode). This type stays only because the benchmark's `ordered_drive`
+//! (`benchmark/src/drives.rs`) names it: until that drive is rewritten
+//! over `KvStore`'s ordered mode, the `storage.ordered.*` layer rows
+//! measure this set, not the store the workloads run on.
 //!
-//! **Why a B-tree.** An index has one owner — its `KvStore`, inside one
-//! engine, run by one worker thread (§3: a partition run by one thread
-//! needs no latches) — so it is std's `BTreeSet`, the structure the TPC-C
-//! tables already sit on, and not the lock-free skiplist it used to be.
+//! **Why a B-tree.** An index has one owner, run by one thread (§3: a
+//! partition run by one thread needs no latches), so it is std's
+//! `BTreeSet` and not the lock-free skiplist it used to be.
 //!
 //! **Why `&self`.** `insert` and `remove` go through a `RefCell` for one
 //! reason: the benchmark's layer drive (`benchmark/src/drives.rs`, frozen
 //! between benchmark issues) calls them on a non-`mut` binding. Mutating
 //! an index under an open scan of it therefore panics (`BorrowMutError`)
-//! rather than showing the scan a half-updated tree; `KvStore` mutates
-//! its index from `&mut self` only, so engine code cannot get there.
+//! rather than showing the scan a half-updated tree.
 //!
 //! **Why a chunked cursor.** A `RefCell` cannot lend out a
 //! `btree_set::Range`, so [`OrderedIndex::range`] returns a cursor that
@@ -32,11 +25,6 @@
 //! keys, scans of up to 16 slots) and lose: re-seeking from the last key
 //! for every row pays a descent per row (3.3× the time per row); a chunk
 //! of 8 refills in the middle of those scans (+10 % per row).
-//!
-//! The index is opt-in: engines that never scan (the paper's original
-//! microbenchmark, the point-read YCSB-B mix) pay nothing, which keeps
-//! the golden table's micro rows (`crates/bench/goldens.tsv`) and the
-//! hot-path numbers untouched.
 
 use bytes::Bytes;
 use std::cell::{Ref, RefCell};
@@ -46,9 +34,7 @@ use std::ops::Bound;
 /// Keys a cursor copies out per descent of the tree.
 const CHUNK: usize = 16;
 
-/// A sorted set of the keys present in a store, in lexicographic byte
-/// order. Values stay in the hash table; a scan walks the index and
-/// probes the table per member.
+/// A sorted set of keys, in lexicographic byte order.
 #[derive(Debug, Default, Clone)]
 pub struct OrderedIndex {
     keys: RefCell<BTreeSet<Bytes>>,

@@ -1,6 +1,6 @@
 //! A small table abstraction over a fast-hash open-addressing map.
 //!
-//! `Table` is the storage primitive behind [`crate::KvStore`]: byte-string
+//! `Table` holds the rows of a hashed [`crate::KvStore`]: byte-string
 //! keys and values in std's SwissTable (open addressing, quadratic
 //! probing) with the Fx hash function from `hcc_common::hash` instead of
 //! SipHash. For the microbenchmark's 8-byte keys this cuts the per-probe
@@ -44,14 +44,6 @@ impl Table {
         self.map.get(key)
     }
 
-    /// As [`get`](Table::get), but also returns the table's own key —
-    /// scans yield borrowed rows while walking an index that hands out
-    /// owned keys.
-    #[inline]
-    pub fn get_key_value(&self, key: &[u8]) -> Option<(&Bytes, &Bytes)> {
-        self.map.get_key_value(key)
-    }
-
     /// Mutable access to an existing row — the probe-once path for
     /// read-modify-write, which would otherwise hash the key twice.
     #[inline]
@@ -71,6 +63,11 @@ impl Table {
 
     pub fn iter(&self) -> impl Iterator<Item = (&Bytes, &Bytes)> {
         self.map.iter()
+    }
+
+    /// Every row, moved out (a store switching to ordered mode).
+    pub fn into_rows(self) -> impl Iterator<Item = (Bytes, Bytes)> {
+        self.map.into_iter()
     }
 }
 

@@ -11,7 +11,7 @@
 //! * [`ycsb`] — a YCSB-style read-mostly workload over a shared Zipfian
 //!   key space (skewed popularity, 95/5 read/update), on the same KV
 //!   engine as the microbenchmark — plus the YCSB-E style **scan-heavy**
-//!   mix (range scans + insert/delete churn over an ordered index), the
+//!   mix (range scans + insert/delete churn over an ordered store), the
 //!   fragment-length axis of the paper's §5 trade-off.
 //! * [`phased`] — the microbenchmark with a per-client phase schedule
 //!   (the mix shifts mid-run), the driving workload for §5.7-style

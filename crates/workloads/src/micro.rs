@@ -153,7 +153,7 @@ pub struct MicroEngine {
     undo_pool: Vec<KvUndo>,
     /// Monotone stamp for undo-buffer creation order (see `KvUndo::birth`).
     undo_births: u64,
-    /// Scan mode: the store keeps an ordered key index, and lock sets use
+    /// Scan mode: the store keeps its rows in a B-tree, and lock sets use
     /// stripe granules of [`SCAN_STRIPES_PER`] adjacent keys instead of
     /// per-key locks, so scans can pre-declare range-covering locks and
     /// membership changes (insert/delete) conflict with covering scans.
@@ -178,8 +178,9 @@ impl MicroEngine {
         }
     }
 
-    /// Turn on scan support: builds the ordered key index over the
-    /// current contents and switches lock sets to stripe granularity.
+    /// Turn on scan support: moves the store's rows into a B-tree
+    /// (`KvStore`'s ordered mode) and switches lock sets to stripe
+    /// granularity. Call it before preloading, so rows go straight in.
     /// Engines that execute [`MicroOp::Scan`] must be loaded with this on.
     pub fn enable_scans(&mut self) {
         self.kv.enable_ordered_index();
@@ -190,7 +191,7 @@ impl MicroEngine {
         self.scan_mode
     }
 
-    /// Order-sensitive fingerprint over the ordered index (scan mode
+    /// Order-sensitive fingerprint over the ordered store (scan mode
     /// only): proves the scannable *view* — not just the row set — of two
     /// stores is identical. See `KvStore::ordered_fingerprint`.
     pub fn ordered_fingerprint(&self) -> u64 {
@@ -212,7 +213,8 @@ impl MicroEngine {
             .collect()
     }
 
-    /// Index/table consistency (tests).
+    /// The ordered walk's invariants (tests; `Ok(())` outside scan mode).
+    /// See `KvStore::check_ordered_invariants`.
     pub fn check_ordered_invariants(&self) -> Result<(), String> {
         self.kv.check_ordered_invariants()
     }
@@ -326,7 +328,7 @@ impl ExecutionEngine for MicroEngine {
                 }
                 MicroOp::Scan(start, end) => {
                     // One unit per row actually read (at least one for the
-                    // index probe) — fragment *length* is the whole point
+                    // tree descent) — fragment *length* is the whole point
                     // of the scan workloads (§5's blocking-vs-speculation
                     // axis), so the cost model must see it.
                     ops += 1;

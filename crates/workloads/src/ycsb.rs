@@ -287,15 +287,15 @@ impl YcsbEWorkload {
         2 * self.cfg.keys_per_partition
     }
 
-    /// Build one partition's engine: even slots preloaded, ordered index
-    /// + stripe locks on (scan mode).
+    /// Build one partition's engine: ordered store + stripe locks on
+    /// (scan mode), then even slots preloaded straight into the B-tree.
     pub fn build_engine(&self, partition: PartitionId) -> MicroEngine {
         let mut e = MicroEngine::new();
+        e.enable_scans();
         for i in 0..self.cfg.keys_per_partition {
             let slot = 2 * i;
             e.preload(ycsb_key(partition.0, slot), slot as u32);
         }
-        e.enable_scans();
         e
     }
 
