@@ -12,9 +12,24 @@
 //! §4.2.2's dependency chains are only valid within one shard, and
 //! partitions enforce that by blocking a multi-partition arrival behind a
 //! different shard's chain (see `speculative.rs`); the shards break
-//! residual cross-partition deadlocks by expiring stalled transactions
-//! ([`Coordinator::expire_stalled`] with the retryable
-//! `CrossCoordinator`).
+//! residual cross-partition deadlocks by expiring stalled transactions on
+//! [`Coordinator::on_tick`] with the retryable `CrossCoordinator`
+//! ([`stall_expiry`] says when a shard expires, and with which reason).
+//!
+//! # Sequencing
+//!
+//! With [`SystemConfig::sequencing_active`], a shard orders its
+//! multi-partition invocations in epochs (`crate::sequencer`) instead of
+//! dispatching each on arrival: it buffers them, closes an epoch on the
+//! count boundary, the age boundary (checked on [`Coordinator::on_tick`])
+//! or a peer's log ([`Coordinator::on_peer_log`]), sends the closed log to
+//! every partition and peer shard, and only then dispatches the epoch's
+//! invocations, so every log is ahead of the fragments it orders on each
+//! FIFO link. A cascade of closes sends all of its logs before any of its
+//! fragments. A membership update ends the sequencing era: the shard
+//! sends an era-end marker and bounces its still-buffered invocations to
+//! their clients with the retryable `PartitionFailed`. Drivers only route
+//! what the shard emits.
 //!
 //! # Membership updates and the 2PC in-doubt window
 //!
@@ -64,10 +79,11 @@
 //! uses 100% of the CPU and cannot handle more messages").
 
 use crate::procedure::{Procedure, RoundOutputs, Step};
-use crate::sequencer::{EpochLog, EpochLogDest};
+use crate::sequencer::{ClosedEpoch, EpochLog, EpochLogDest, ShardSequencer};
+use hcc_common::stats::SequencerStats;
 use hcc_common::{
     AbortReason, ClientId, CoordinatorId, CoordinatorRef, CostModel, Decision, FragmentResponse,
-    FragmentTask, FxHashMap, Nanos, PartitionId, TxnId, TxnResult, Vote,
+    FragmentTask, FxHashMap, Nanos, PartitionId, SystemConfig, TxnId, TxnResult, Vote,
 };
 use std::collections::VecDeque;
 
@@ -123,11 +139,9 @@ pub enum CoordOut<F, R> {
     /// A decision notification for a peer shard (sequencing runs only;
     /// see [`PeerNote`]).
     PeerNote(CoordinatorId, PeerNote),
-    /// A closed sequencing epoch log for a partition or a peer shard
-    /// (sequencing runs only). The coordinator actor builds it from its
-    /// [`crate::sequencer::ShardSequencer`]'s closed epochs, not the
-    /// [`Coordinator`] state machine — it rides `CoordOut` so the one
-    /// routing of coordinator output (and its FIFO ordering) applies.
+    /// A closed sequencing epoch log (or era-end marker) for a partition
+    /// or a peer shard (sequencing runs only), emitted ahead of the
+    /// round-0 fragments it orders.
     EpochLog(EpochLogDest, EpochLog),
 }
 
@@ -297,6 +311,29 @@ struct Redelivery<R> {
     sent: (u32, u32),
 }
 
+/// A shard's stall expiry: a transaction pending longer than
+/// `lock_timeout` is aborted. Under a planned network split
+/// ([`NetworkModel::split`](hcc_common::NetworkModel::split)) the abort is
+/// a final `RemoteAbort` — §3.3: the survivors roll back and continue — and
+/// needs the paper's singleton coordinator. Otherwise, with N > 1 shards
+/// and sequencing off, the transaction is presumed caught in a distributed
+/// deadlock across shards and aborted with the retryable
+/// `CrossCoordinator`. `None` for the healthy singleton (its global
+/// dispatch order cannot deadlock) and under sequencing (the merged epoch
+/// order leaves nothing for expiry to break).
+pub fn stall_expiry(system: &SystemConfig) -> Option<(Nanos, AbortReason)> {
+    if system.network.split.is_some() {
+        assert!(
+            system.coordinators <= 1,
+            "a network split is a single-coordinator scenario: its RemoteAbort expiry \
+             and the shards' CrossCoordinator expiry would share one timeout"
+        );
+        return Some((system.lock_timeout, AbortReason::RemoteAbort));
+    }
+    (system.coordinators > 1 && !system.sequencing_active())
+        .then_some((system.lock_timeout, AbortReason::CrossCoordinator))
+}
+
 /// The coordinator state machine.
 ///
 /// Constructed as [`Coordinator::central`] for the shared central
@@ -345,6 +382,13 @@ pub struct Coordinator<F, R> {
     /// only when cross-shard sequencing is on and there is more than one
     /// shard.
     peer_shards: Vec<CoordinatorId>,
+    /// Epoch sequencing: multi-partition invocations wait here for their
+    /// epoch to close. `None` when sequencing is off.
+    seq: Option<ShardSequencer<F, R>>,
+    /// The timeout and abort reason of stall expiry ([`stall_expiry`]).
+    expiry: Option<(Nanos, AbortReason)>,
+    /// `CrossCoordinator` expiry aborts, reported in [`SequencerStats`].
+    cross_coord_aborts: u64,
     pub counters: CoordCounters,
     /// Virtual CPU consumed since the last drain.
     cpu: Nanos,
@@ -352,17 +396,33 @@ pub struct Coordinator<F, R> {
 
 impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
     /// The paper's singleton central coordinator: shard 0 of 1, no
-    /// in-doubt tracking.
+    /// in-doubt tracking, sequencing or expiry.
     pub fn central(costs: CostModel) -> Self {
-        Self::shard(costs, CoordinatorId(0), false)
+        Self::with_ref(
+            CoordinatorRef::Central(CoordinatorId(0)),
+            costs.coord_per_msg,
+        )
     }
 
-    /// One coordinator shard of N, optionally tracking in-doubt commits
-    /// (failover runs).
-    pub fn shard(costs: CostModel, id: CoordinatorId, track_in_doubt: bool) -> Self {
-        let per_msg = costs.coord_per_msg;
-        let mut c = Self::with_ref(CoordinatorRef::Central(id), per_msg);
+    /// Shard `id` of `system`'s coordinators. `track_in_doubt` keeps each
+    /// commit until every participant acks it (failover runs). Durable runs
+    /// hold results for those acks; sequenced runs order invocations in
+    /// epochs and, with peer shards, broadcast decisions so speculation
+    /// chains can span shards; [`stall_expiry`] says whether the shard
+    /// expires stalled transactions.
+    pub fn shard(system: &SystemConfig, id: CoordinatorId, track_in_doubt: bool) -> Self {
+        let mut c = Self::with_ref(CoordinatorRef::Central(id), system.costs.coord_per_msg);
         c.track_in_doubt = track_in_doubt;
+        c.hold_results = system.durability.is_some();
+        c.expiry = stall_expiry(system);
+        if system.sequencing_active() {
+            let shards = system.coordinators.max(1);
+            c.peer_shards = (0..shards)
+                .filter(|&k| k != id.0)
+                .map(CoordinatorId)
+                .collect();
+            c.seq = Some(ShardSequencer::new(id, system.partitions, shards));
+        }
         c
     }
 
@@ -387,6 +447,9 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
             in_doubt: FxHashMap::default(),
             redeliveries: FxHashMap::default(),
             peer_shards: Vec::new(),
+            seq: None,
+            expiry: None,
+            cross_coord_aborts: 0,
             counters: CoordCounters::default(),
             cpu: Nanos::ZERO,
         }
@@ -397,15 +460,6 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
     /// participant has acknowledged its commit decision.
     pub fn set_hold_results(&mut self, on: bool) {
         self.hold_results = on;
-    }
-
-    /// Enable decision broadcast to peer shards (sequencing runs): every
-    /// commit/abort this shard takes is also emitted as a
-    /// [`CoordOut::PeerNote`] to each listed peer, so their dependency
-    /// checks can settle cross-shard speculation chains.
-    pub fn set_peer_broadcast(&mut self, mut peers: Vec<CoordinatorId>) {
-        peers.sort_unstable();
-        self.peer_shards = peers;
     }
 
     /// Whether this coordinator demands commit-decision acks at all.
@@ -425,6 +479,21 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
         self.txns.len()
     }
 
+    /// True when a tick could do nothing here: no transaction is pending
+    /// (stall expiry) and no invocation is buffered (age close).
+    pub fn is_idle(&self) -> bool {
+        self.txns.is_empty() && self.seq.as_ref().is_none_or(|s| s.is_empty())
+    }
+
+    /// Sequencing counters for the run report: the sequencer's (zero when
+    /// sequencing is off) and the `CrossCoordinator` expiry aborts.
+    pub fn seq_stats(&self) -> SequencerStats {
+        let seq = self.seq.as_ref();
+        let mut stats = seq.map_or_else(SequencerStats::default, |s| s.stats().clone());
+        stats.cross_coord_aborts = self.cross_coord_aborts;
+        stats
+    }
+
     /// Drain accumulated virtual CPU (drivers advance the coordinator's
     /// busy-clock by this much).
     pub fn take_cpu(&mut self) -> Nanos {
@@ -434,13 +503,6 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
     fn charge_msgs(&mut self, n: u64) {
         self.cpu += Nanos(self.per_msg.0 * n);
         self.counters.messages_sent += n;
-    }
-
-    /// Charge `n` driver-emitted messages (epoch-log broadcast fan-out) to
-    /// this shard's clock and message counter. The sequencing layer lives
-    /// in the driver, but its traffic is still this coordinator's work.
-    pub fn charge_extra_msgs(&mut self, n: u64) {
-        self.charge_msgs(n);
     }
 
     /// A client submitted a multi-partition transaction.
@@ -456,8 +518,53 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
     }
 
     /// As [`on_invoke`](Coordinator::on_invoke), with an explicit clock
-    /// reading so stalled transactions can be expired later.
+    /// reading so stalled transactions can be expired later. A sequencing
+    /// shard buffers the invocation until its epoch closes; the receive
+    /// cost is charged then.
     pub fn on_invoke_at(
+        &mut self,
+        txn: TxnId,
+        client: ClientId,
+        procedure: Box<dyn Procedure<F, R>>,
+        can_abort: bool,
+        now: Nanos,
+        out: &mut Vec<CoordOut<F, R>>,
+    ) {
+        let Some(seq) = &mut self.seq else {
+            return self.start(txn, client, procedure, can_abort, now, out);
+        };
+        if let Some(closed) = seq.push(txn, client, procedure, can_abort, now) {
+            self.release(vec![closed], now, out);
+        }
+    }
+
+    /// Send each closed epoch's log to every partition and peer shard,
+    /// then start the epochs' invocations: all logs go ahead of all
+    /// fragments, so on each FIFO link a log precedes what it orders.
+    fn release(
+        &mut self,
+        closed: Vec<ClosedEpoch<F, R>>,
+        now: Nanos,
+        out: &mut Vec<CoordOut<F, R>>,
+    ) {
+        for c in &closed {
+            self.broadcast(&c.log, out);
+        }
+        for inv in closed.into_iter().flat_map(|c| c.invokes) {
+            self.start(inv.txn, inv.client, inv.procedure, inv.can_abort, now, out);
+        }
+    }
+
+    /// Send `log` to every partition and peer shard, charging the fan-out.
+    fn broadcast(&mut self, log: &EpochLog, out: &mut Vec<CoordOut<F, R>>) {
+        let Some(seq) = &self.seq else { return };
+        let before = out.len();
+        out.extend(seq.dests().map(|d| CoordOut::EpochLog(d, log.clone())));
+        self.charge_msgs((out.len() - before) as u64);
+    }
+
+    /// Start a transaction: record it and dispatch its round 0.
+    fn start(
         &mut self,
         txn: TxnId,
         client: ClientId,
@@ -1088,8 +1195,22 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
         self.progress(out);
     }
 
-    /// Abort transactions that have been pending longer than `timeout`,
-    /// reporting `reason` to their clients — the recovery path for
+    /// Periodic maintenance: the sequencer's age close and stall expiry.
+    /// The aged epoch's log goes out first, then the expiry's aborts, then
+    /// the epoch's fragments.
+    pub fn on_tick(&mut self, now: Nanos, out: &mut Vec<CoordOut<F, R>>) {
+        let aged = self.seq.as_mut().and_then(|s| s.close_if_aged(now));
+        if let Some(closed) = &aged {
+            self.broadcast(&closed.log, out);
+        }
+        self.expire_stalled(now, out);
+        for inv in aged.into_iter().flat_map(|c| c.invokes) {
+            self.start(inv.txn, inv.client, inv.procedure, inv.can_abort, now, out);
+        }
+    }
+
+    /// Abort transactions pending longer than the expiry's timeout,
+    /// reporting its reason to their clients — the recovery path for
     /// participant failure (§3.3, with the final `RemoteAbort`) and the
     /// distributed-deadlock breaker for cross-shard waits (with the
     /// retryable `CrossCoordinator`). Uses presumed-abort semantics:
@@ -1097,14 +1218,11 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
     /// the rest are answered with presumed-abort when their response
     /// eventually arrives — a stalled transaction's fragment may still be
     /// queued unexecuted at a participant, where an eager decision would
-    /// be an unintelligible stray. Returns the transactions aborted.
-    pub fn expire_stalled(
-        &mut self,
-        now: Nanos,
-        timeout: Nanos,
-        reason: AbortReason,
-        out: &mut Vec<CoordOut<F, R>>,
-    ) -> Vec<TxnId> {
+    /// be an unintelligible stray.
+    fn expire_stalled(&mut self, now: Nanos, out: &mut Vec<CoordOut<F, R>>) {
+        let Some((timeout, reason)) = self.expiry else {
+            return;
+        };
         let mut stalled: Vec<TxnId> = self
             .txns
             .iter()
@@ -1115,10 +1233,21 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
         for txn in &stalled {
             self.finish(*txn, Err(reason), true, out);
         }
+        if reason == AbortReason::CrossCoordinator {
+            self.cross_coord_aborts += stalled.len() as u64;
+        }
         if !stalled.is_empty() && self.recheck_redeliveries(out) {
             self.progress(out);
         }
-        stalled
+    }
+
+    /// A peer shard's epoch log arrived: close this shard's epochs up to
+    /// the peer's (a cascade; see `crate::sequencer`) and release them.
+    pub fn on_peer_log(&mut self, log: EpochLog, now: Nanos, out: &mut Vec<CoordOut<F, R>>) {
+        if let Some(seq) = &mut self.seq {
+            let closed = seq.on_peer_log(&log, now);
+            self.release(closed, now, out);
+        }
     }
 
     /// Apply a control-plane membership update: the failed group's primary
@@ -1137,6 +1266,12 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
     /// the promoted primary (the emitted `CoordOut::Fragment`s route
     /// through the flipped membership table), closing the classic 2PC
     /// in-doubt window.
+    ///
+    /// A sequencing shard first ends its era: the era-end marker goes to
+    /// every partition and peer shard, then each still-buffered invocation
+    /// bounces to its client with the retryable `PartitionFailed` (no CPU
+    /// or message is charged for a bounce), ahead of the aborts and
+    /// re-deliveries.
     pub fn on_partition_failed(
         &mut self,
         failed: PartitionId,
@@ -1144,6 +1279,15 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> Coordinator<F, R> {
         out: &mut Vec<CoordOut<F, R>>,
     ) -> Vec<TxnId> {
         self.cpu += self.per_msg;
+        if let Some(seq) = &mut self.seq {
+            let (marker, bounced) = seq.on_era_change();
+            self.broadcast(&marker, out);
+            out.extend(bounced.into_iter().map(|inv| CoordOut::ClientResult {
+                client: inv.client,
+                txn: inv.txn,
+                result: TxnResult::Aborted(AbortReason::PartitionFailed),
+            }));
+        }
         self.epochs.insert(failed, epoch);
         let mut doomed: Vec<TxnId> = self
             .txns
@@ -1241,7 +1385,9 @@ enum Progress {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequencer::{EPOCH_BATCH, EPOCH_MAX_AGE};
     use crate::testkit::{one_round, SwapProcedure, TestFragment, TestOutput};
+    use hcc_common::Scheme;
 
     fn txid(n: u32) -> TxnId {
         TxnId::new(ClientId(n), 0)
@@ -1580,9 +1726,151 @@ mod tests {
         assert_eq!(c.counters.commits, 1);
     }
 
+    /// Shard 0 of two, sequencing, over partitions 0 and 1.
+    fn sequenced_shard() -> Shard {
+        let system = SystemConfig::new(Scheme::Speculative)
+            .with_coordinators(2)
+            .with_sequencing(true);
+        Coordinator::shard(&system, CoordinatorId(0), false)
+    }
+
+    /// One letter per message: epoch `L`og, `F`ragment, `D`ecision, client
+    /// `R`esult, peer `N`ote.
+    fn kinds(out: &[Out]) -> String {
+        let kind = |o: &Out| match o {
+            CoordOut::EpochLog(..) => 'L',
+            CoordOut::Fragment(..) => 'F',
+            CoordOut::Decision(..) => 'D',
+            CoordOut::ClientResult { .. } => 'R',
+            CoordOut::PeerNote(..) => 'N',
+        };
+        out.iter().map(kind).collect()
+    }
+
+    /// Each epoch log's (epoch, era end), in order.
+    fn logs(out: &[Out]) -> Vec<(u64, bool)> {
+        let log = |o: &Out| match o {
+            CoordOut::EpochLog(_, log) => Some((log.epoch, log.era_end)),
+            _ => None,
+        };
+        out.iter().filter_map(log).collect()
+    }
+
+    /// A closed epoch's log reaches the two partitions and the peer shard
+    /// ahead of the round-0 fragments it orders, whichever boundary closed
+    /// it; a cascade sends all of its logs first. The receive cost of a
+    /// buffered invocation is charged when its epoch closes.
+    #[test]
+    fn a_sequenced_shard_sends_each_epoch_log_before_its_fragments() {
+        let per_msg = CostModel::default().coord_per_msg.0;
+        let invoke = |c: &mut Shard, n: u32, now: Nanos, out: &mut Vec<Out>| {
+            c.on_invoke_at(txid(n), ClientId(n), simple_proc(), false, now, out)
+        };
+        // Count close: the batch's last invocation closes epoch 0.
+        let (mut c, mut out) = (sequenced_shard(), Vec::new());
+        for n in 1..EPOCH_BATCH {
+            invoke(&mut c, n, Nanos(0), &mut out);
+        }
+        assert!(out.is_empty() && c.take_cpu() == Nanos::ZERO, "buffered");
+        invoke(&mut c, EPOCH_BATCH, Nanos(0), &mut out);
+        let batch = u64::from(EPOCH_BATCH);
+        assert_eq!(
+            kinds(&out),
+            format!("LLL{}", "F".repeat(2 * batch as usize))
+        );
+        assert_eq!(c.take_cpu(), Nanos(per_msg * (batch + 3 + 2 * batch)));
+        assert_eq!(c.counters.invocations, batch);
+
+        // Age close, on a tick once the oldest invocation waited its age.
+        let (mut c, mut out) = (sequenced_shard(), Vec::new());
+        invoke(&mut c, 1, Nanos(0), &mut out);
+        c.on_tick(Nanos(EPOCH_MAX_AGE.0 - 1), &mut out);
+        assert!(out.is_empty() && !c.is_idle(), "still young");
+        c.on_tick(EPOCH_MAX_AGE, &mut out);
+        assert_eq!(kinds(&out), "LLLFF");
+        assert_eq!(c.seq_stats().age_closes, 1);
+
+        // Cascade: shard 1's epoch-1 log closes epoch 0 (one invocation)
+        // and the empty epoch 1.
+        let (mut c, mut out) = (sequenced_shard(), Vec::new());
+        invoke(&mut c, 1, Nanos(0), &mut out);
+        let peer = EpochLog {
+            shard: CoordinatorId(1),
+            era: 0,
+            epoch: 1,
+            entries: Vec::new(),
+            era_end: false,
+        };
+        c.on_peer_log(peer, Nanos(5), &mut out);
+        assert_eq!(kinds(&out), "LLLLLLFF");
+        let epochs: Vec<u64> = logs(&out).iter().map(|(e, _)| *e).collect();
+        assert_eq!(epochs, vec![0, 0, 0, 1, 1, 1]);
+        assert_eq!(c.take_cpu(), Nanos(per_msg * (1 + 6 + 2)));
+    }
+
+    /// A routing update ends a sequencing shard's era: the era-end marker
+    /// goes out first (charged), then the bounce of the buffered invocation
+    /// (free), then the failover abort of the dispatched one.
+    #[test]
+    fn an_era_change_bounces_buffered_invokes_before_the_failover_aborts() {
+        let per_msg = CostModel::default().coord_per_msg.0;
+        let (mut c, mut out) = (sequenced_shard(), Vec::new());
+        // Txn 1 is dispatched (its epoch aged out) and P0 voted; txn 2
+        // waits in the open epoch.
+        c.on_invoke_at(
+            txid(1),
+            ClientId(1),
+            simple_proc(),
+            false,
+            Nanos(0),
+            &mut out,
+        );
+        c.on_tick(EPOCH_MAX_AGE, &mut out);
+        let vote = ok_response(txid(1), 0, 0, Some(Vote::Commit), None);
+        c.on_response(vote, &mut out);
+        let now = EPOCH_MAX_AGE;
+        c.on_invoke_at(txid(2), ClientId(2), simple_proc(), false, now, &mut out);
+        out.clear();
+        c.take_cpu();
+        let sent = c.counters.messages_sent;
+
+        c.on_partition_failed(PartitionId(1), 1, &mut out);
+        // The marker to P0, P1 and shard 1; txn 2's bounce; txn 1's abort
+        // at P0 (the participant that executed it), its result and the
+        // peer's note.
+        assert_eq!(kinds(&out), "LLLRDRN");
+        assert_eq!(logs(&out), vec![(1, true); 3]);
+        assert_eq!(results(&out), vec![txid(2), txid(1)]);
+        assert!(out.iter().all(|o| !matches!(
+            o,
+            CoordOut::ClientResult { result, .. }
+                if *result != TxnResult::Aborted(AbortReason::PartitionFailed)
+        )));
+        assert_eq!(c.counters.messages_sent - sent, 3 + 3);
+        assert_eq!(c.take_cpu(), Nanos(per_msg * (1 + 3 + 3)));
+        assert_eq!((c.counters.invocations, c.counters.aborts), (1, 1));
+        assert!(c.is_idle());
+    }
+
+    /// A shard that expires transactions pending 2 ms with `reason`.
+    fn expiring(reason: AbortReason) -> Shard {
+        let mut c = coord();
+        c.expiry = Some((Nanos(2_000_000), reason));
+        c
+    }
+
+    /// The transactions whose client results are in `out`, in order.
+    fn results(out: &[Out]) -> Vec<TxnId> {
+        let txn = |o: &Out| match o {
+            CoordOut::ClientResult { txn, .. } => Some(*txn),
+            _ => None,
+        };
+        out.iter().filter_map(txn).collect()
+    }
+
     #[test]
     fn expire_stalled_aborts_only_old_transactions() {
-        let mut c = coord();
+        let mut c = expiring(AbortReason::RemoteAbort);
         let mut out = Vec::new();
         c.on_invoke_at(
             txid(1),
@@ -1601,14 +1889,10 @@ mod tests {
             &mut out,
         );
         out.clear();
-        let aborted = c.expire_stalled(
-            Nanos(6_000_000),
-            Nanos(2_000_000),
-            AbortReason::RemoteAbort,
-            &mut out,
-        );
-        assert_eq!(aborted, vec![txid(1)], "only the stalled txn expires");
+        c.on_tick(Nanos(6_000_000), &mut out);
+        assert_eq!(results(&out), vec![txid(1)], "only the stalled txn expires");
         assert_eq!(c.pending(), 1);
+        assert_eq!(c.seq_stats().cross_coord_aborts, 0, "a RemoteAbort");
         assert!(out.iter().any(|o| matches!(
             o,
             CoordOut::ClientResult {
@@ -1721,7 +2005,7 @@ mod tests {
     /// stale.
     #[test]
     fn aborted_fate_stales_dependents_and_answers_each_late_vote_once() {
-        let mut c = coord();
+        let mut c = expiring(AbortReason::CrossCoordinator);
         let mut out = Vec::new();
         c.on_invoke_at(
             txid(1),
@@ -1733,9 +2017,10 @@ mod tests {
         );
         let later = Nanos(5_000_000);
         c.on_invoke_at(txid(2), ClientId(2), simple_proc(), false, later, &mut out);
-        let (now, timeout) = (Nanos(6_000_000), Nanos(2_000_000));
-        let expired = c.expire_stalled(now, timeout, AbortReason::CrossCoordinator, &mut out);
-        assert_eq!(expired, vec![txid(1)]);
+        out.clear();
+        c.on_tick(Nanos(6_000_000), &mut out);
+        assert_eq!(results(&out), vec![txid(1)]);
+        assert_eq!(c.seq_stats().cross_coord_aborts, 1);
         out.clear();
 
         // (a) Txn 2 speculated on the expired txn 1 at P0: stale.
@@ -1818,7 +2103,11 @@ mod tests {
     }
 
     fn tracking_shard() -> Coordinator<TestFragment, TestOutput> {
-        Coordinator::shard(CostModel::default(), CoordinatorId(0), true)
+        Coordinator::shard(
+            &SystemConfig::new(Scheme::Speculative),
+            CoordinatorId(0),
+            true,
+        )
     }
 
     /// Drive one simple MP transaction to commit on a tracking shard.

@@ -21,7 +21,8 @@
 //! swaps that scheme live from observed statistics (§5.7).
 //!
 //! The [`coordinator::Coordinator`] implements the central coordinator of
-//! §3.3 with the speculative-result handling of §4.2.2, and
+//! §3.3 with the speculative-result handling of §4.2.2 — a whole shard,
+//! with its epoch sequencing and stall expiry — and
 //! [`txn_driver::TxnDriver`] the client-side two-phase commit used by the
 //! locking scheme (§4.3 sends multi-partition transactions directly to
 //! partitions).
@@ -71,7 +72,4 @@ pub use recovery::{
 };
 pub use replica::{CommitGate, ReplayError, ReplicaCore, ReplicationSession};
 pub use scheduler::{make_scheduler, AnySched, PartitionScheduler, Scheduler};
-pub use sequencer::{
-    broadcast_dests, Admit, CloseKind, ClosedEpoch, EpochLog, EpochLogDest, PartitionSequencer,
-    PendingInvoke, ShardSequencer,
-};
+pub use sequencer::{Admit, EpochLog, EpochLogDest, PartitionSequencer};

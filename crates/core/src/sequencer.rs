@@ -6,16 +6,20 @@
 //! no global dispatch order exists across shards. This module supplies
 //! that order, Calvin/STAR style, with no extra consensus hop:
 //!
-//! * Each coordinator shard runs a [`ShardSequencer`]: multi-partition
-//!   invocations accumulate in the current **epoch**'s local log and are
-//!   dispatched together when the epoch closes — on a count boundary
+//! * Each coordinator shard's
+//!   [`Coordinator`](crate::coordinator::Coordinator) runs a
+//!   `ShardSequencer`: multi-partition invocations accumulate in the
+//!   current **epoch**'s local log and are dispatched together when the
+//!   epoch closes — on a count boundary
 //!   ([`EPOCH_BATCH`] invocations), an age boundary (the oldest has
 //!   waited [`EPOCH_MAX_AGE`]), or a cascade (a peer shard closed the
 //!   same epoch, see below). Both boundaries are constants: sequencing
 //!   is a switch (`SystemConfig::sequencing`), not a tuning surface.
-//!   The closed [`EpochLog`] is broadcast to every partition and every
-//!   peer shard *before* the round-0 fragments of its transactions, on
-//!   the same FIFO links.
+//!   The coordinator broadcasts the closed [`EpochLog`] to every
+//!   partition and every peer shard *before* the round-0 fragments of its
+//!   transactions, on the same FIFO links. This shard half is private to
+//!   the coordinator, which owns the closes, the broadcast and the era
+//!   change; a driver only routes what the coordinator emits.
 //! * Each partition primary runs a [`PartitionSequencer`]: it collects
 //!   the per-shard logs and admits multi-partition round-0 fragments in
 //!   the **round-robin interleave** of the per-shard logs (epoch by
@@ -101,7 +105,7 @@ pub struct EpochLog {
     pub era_end: bool,
 }
 
-/// Where a [`ShardSequencer`] output log should be delivered.
+/// Where a shard's epoch log should be delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochLogDest {
     Partition(PartitionId),
@@ -109,37 +113,27 @@ pub enum EpochLogDest {
 }
 
 /// A buffered multi-partition invocation, held until its epoch closes.
-pub struct PendingInvoke<F, R> {
-    pub txn: TxnId,
-    pub client: ClientId,
-    pub procedure: Box<dyn Procedure<F, R>>,
-    pub can_abort: bool,
-    pub enqueued_at: Nanos,
+pub(crate) struct PendingInvoke<F, R> {
+    pub(crate) txn: TxnId,
+    pub(crate) client: ClientId,
+    pub(crate) procedure: Box<dyn Procedure<F, R>>,
+    pub(crate) can_abort: bool,
+    enqueued_at: Nanos,
     /// Round-0 participants, peeked via [`Procedure::participants`] (the
     /// procedure is pure, so the later dispatch sees the same set).
-    pub participants: Vec<PartitionId>,
-}
-
-impl<F, R> std::fmt::Debug for PendingInvoke<F, R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingInvoke")
-            .field("txn", &self.txn)
-            .field("client", &self.client)
-            .field("participants", &self.participants)
-            .finish()
-    }
+    participants: Vec<PartitionId>,
 }
 
 /// A closed epoch: the log to broadcast, then the invocations to dispatch
 /// (in log order, *after* the log, on the same links).
-pub struct ClosedEpoch<F, R> {
-    pub log: EpochLog,
-    pub invokes: Vec<PendingInvoke<F, R>>,
+pub(crate) struct ClosedEpoch<F, R> {
+    pub(crate) log: EpochLog,
+    pub(crate) invokes: Vec<PendingInvoke<F, R>>,
 }
 
 /// Why an epoch closed (statistics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CloseKind {
+pub(crate) enum CloseKind {
     /// The count boundary: [`EPOCH_BATCH`] invocations accumulated.
     Count,
     /// The age boundary: the oldest buffered invocation waited
@@ -151,8 +145,12 @@ pub enum CloseKind {
 
 /// Per-coordinator-shard sequencing state: buffers multi-partition
 /// invocations into the open epoch and closes epochs deterministically.
-pub struct ShardSequencer<F, R> {
+pub(crate) struct ShardSequencer<F, R> {
     shard: CoordinatorId,
+    /// Partition and shard counts: every log goes to each partition and
+    /// each peer shard ([`broadcast_dests`]).
+    partitions: u32,
+    shards: u32,
     era: u32,
     /// The open (not yet closed) epoch number.
     epoch: u64,
@@ -161,10 +159,13 @@ pub struct ShardSequencer<F, R> {
 }
 
 impl<F, R> ShardSequencer<F, R> {
-    /// A shard's sequencer, closing epochs at [`EPOCH_BATCH`] invocations.
-    pub fn new(shard: CoordinatorId) -> Self {
+    /// Shard `shard`'s sequencer among `shards` over `partitions`,
+    /// closing epochs at [`EPOCH_BATCH`] invocations.
+    pub(crate) fn new(shard: CoordinatorId, partitions: u32, shards: u32) -> Self {
         ShardSequencer {
             shard,
+            partitions,
+            shards,
             era: 0,
             epoch: 0,
             buf: Vec::new(),
@@ -174,24 +175,25 @@ impl<F, R> ShardSequencer<F, R> {
 
     /// True when no invocation is buffered (nothing for an age-close to
     /// close).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
-    pub fn pending(&self) -> usize {
-        self.buf.len()
+    /// Every destination of this shard's logs.
+    pub(crate) fn dests(&self) -> impl Iterator<Item = EpochLogDest> {
+        broadcast_dests(self.partitions, self.shards, self.shard)
     }
 
     /// The age boundary: closes and returns the open epoch once its
     /// oldest buffered invocation has waited [`EPOCH_MAX_AGE`].
-    pub fn close_if_aged(&mut self, now: Nanos) -> Option<ClosedEpoch<F, R>> {
+    pub(crate) fn close_if_aged(&mut self, now: Nanos) -> Option<ClosedEpoch<F, R>> {
         let oldest = self.buf.first()?.enqueued_at;
         (now.saturating_sub(oldest) >= EPOCH_MAX_AGE).then(|| self.close(now, CloseKind::Age))
     }
 
     /// Buffer one multi-partition invocation; closes and returns the open
     /// epoch when the count boundary is reached.
-    pub fn push(
+    pub(crate) fn push(
         &mut self,
         txn: TxnId,
         client: ClientId,
@@ -212,7 +214,7 @@ impl<F, R> ShardSequencer<F, R> {
     }
 
     /// Close the open epoch (possibly empty) and advance to the next.
-    pub fn close(&mut self, now: Nanos, kind: CloseKind) -> ClosedEpoch<F, R> {
+    pub(crate) fn close(&mut self, now: Nanos, kind: CloseKind) -> ClosedEpoch<F, R> {
         let invokes = std::mem::take(&mut self.buf);
         self.stats.epochs_closed += 1;
         self.stats.batch_sum += invokes.len() as u64;
@@ -246,7 +248,7 @@ impl<F, R> ShardSequencer<F, R> {
     /// advance past us even when we are idle. Ignores logs from other
     /// eras (eras re-synchronize via the membership updates every shard
     /// consumes) and epochs we already closed.
-    pub fn on_peer_log(&mut self, log: &EpochLog, now: Nanos) -> Vec<ClosedEpoch<F, R>> {
+    pub(crate) fn on_peer_log(&mut self, log: &EpochLog, now: Nanos) -> Vec<ClosedEpoch<F, R>> {
         let mut closed = Vec::new();
         if log.era == self.era {
             while self.epoch <= log.epoch {
@@ -257,11 +259,11 @@ impl<F, R> ShardSequencer<F, R> {
     }
 
     /// A membership update ended the current era: every still-buffered
-    /// invocation is returned for the driver to bounce back to its client
+    /// invocation is returned for the coordinator to bounce back to its client
     /// with a retryable abort (the old order can no longer be completed),
     /// an `era_end` marker log is returned for broadcast, and epoch
     /// numbering restarts in the next era.
-    pub fn on_era_change(&mut self) -> (EpochLog, Vec<PendingInvoke<F, R>>) {
+    pub(crate) fn on_era_change(&mut self) -> (EpochLog, Vec<PendingInvoke<F, R>>) {
         let bounced = std::mem::take(&mut self.buf);
         let marker = EpochLog {
             shard: self.shard,
@@ -275,15 +277,14 @@ impl<F, R> ShardSequencer<F, R> {
         (marker, bounced)
     }
 
-    pub fn stats(&self) -> &SequencerStats {
+    pub(crate) fn stats(&self) -> &SequencerStats {
         &self.stats
     }
 }
 
 /// All destinations of a closed log: every partition, then every peer
-/// shard (broadcast fan-out for the drivers). A free function so drivers
-/// can call it without naming the sequencer's engine type parameters.
-pub fn broadcast_dests(
+/// shard.
+pub(crate) fn broadcast_dests(
     partitions: u32,
     shards: u32,
     me: CoordinatorId,
@@ -612,7 +613,7 @@ mod tests {
 
     #[test]
     fn shard_closes_on_count_boundary() {
-        let mut s = ShardSequencer::new(CoordinatorId(0));
+        let mut s = ShardSequencer::new(CoordinatorId(0), 2, 1);
         let push = |s: &mut ShardSequencer<_, _>, n: u32| {
             let parts = proc_for(&[n - 1, n]);
             s.push(txid(n), ClientId(n), parts, false, Nanos(u64::from(n) * 10))
@@ -643,7 +644,7 @@ mod tests {
 
     #[test]
     fn peer_log_cascades_through_empty_epochs() {
-        let mut s = ShardSequencer::new(CoordinatorId(1));
+        let mut s = ShardSequencer::new(CoordinatorId(1), 2, 2);
         s.push(txid(7), ClientId(7), proc_for(&[0]), false, Nanos(5));
         // Peer closed epoch 2; we must close 0 (our one entry), 1, 2.
         let closed = s.on_peer_log(&log(0, 0, 2, &[99]), Nanos(9));
@@ -660,7 +661,8 @@ mod tests {
 
     #[test]
     fn era_change_bounces_buffer_and_restarts_epochs() {
-        let mut s: ShardSequencer<TestFragment, TestOutput> = ShardSequencer::new(CoordinatorId(0));
+        let mut s: ShardSequencer<TestFragment, TestOutput> =
+            ShardSequencer::new(CoordinatorId(0), 2, 1);
         s.close(Nanos(1), CloseKind::Age); // epoch 0 closed
         s.push(txid(3), ClientId(3), proc_for(&[0, 1]), false, Nanos(2));
         let (marker, bounced) = s.on_era_change();

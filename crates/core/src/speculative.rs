@@ -59,9 +59,8 @@
 //! global dispatch order exists across shards, two cross-shard
 //! transactions meeting at two partitions in opposite orders can wait on
 //! each other forever; that residual distributed deadlock is resolved by
-//! the coordinator's timeout expiry
-//! (`Coordinator::expire_stalled` with the retryable
-//! [`hcc_common::AbortReason::CrossCoordinator`]), exactly how §4.3
+//! the coordinator's timeout expiry (on `Coordinator::on_tick`, with the
+//! retryable [`hcc_common::AbortReason::CrossCoordinator`]), exactly how §4.3
 //! resolves distributed deadlocks under locking.
 //!
 //! Speculation is only legal once the transaction ahead has "finished

@@ -77,6 +77,12 @@ impl<F: Clone + std::fmt::Debug, R: Clone + std::fmt::Debug> TxnDriver<F, R> {
         self.inner.pending()
     }
 
+    /// Committed transactions whose held result still waits for a
+    /// participant's ack.
+    pub fn in_doubt_len(&self) -> usize {
+        self.inner.in_doubt_len()
+    }
+
     /// Virtual CPU consumed since last drained.
     pub fn take_cpu(&mut self) -> hcc_common::Nanos {
         self.inner.take_cpu()

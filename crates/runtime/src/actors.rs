@@ -88,12 +88,15 @@
 //! kill → promote → recover scenario deterministic.
 //!
 //! Coordinators are sharded ([`ActorId::Coordinator`] carries a
-//! [`CoordinatorId`]): clients are statically partitioned across shards
-//! and each shard runs its own `Coordinator` core. In failover runs the
-//! shards also track the 2PC in-doubt window: primaries acknowledge
-//! commit decisions ([`Msg::DecisionAck`]), and a routing update makes
-//! the owning shard re-deliver any unacknowledged commit's fragments to
-//! the promoted primary — closing the window instead of documenting it.
+//! [`CoordinatorId`]): clients are statically partitioned across shards,
+//! and each shard's `Coordinator` core is the whole shard — 2PC,
+//! speculation chains, epoch sequencing and stall expiry — so
+//! [`CoordinatorActor`], like [`MembershipActor`], only routes. In
+//! failover runs the shards also track the 2PC in-doubt window: primaries
+//! acknowledge commit decisions ([`Msg::DecisionAck`]), and a routing
+//! update makes the owning shard re-deliver any unacknowledged commit's
+//! fragments to the promoted primary — closing the window instead of
+//! documenting it.
 //!
 //! One failover per group per run is supported (the `FailurePlan` is
 //! one-shot).
@@ -116,9 +119,7 @@ use hcc_core::membership::MembershipCore;
 use hcc_core::replica::{
     failover_bounce, CommitGate, FailoverBounce, Logged, Owed, ReplicaCore, ReplicationSession,
 };
-use hcc_core::sequencer::{
-    broadcast_dests, Admit, ClosedEpoch, EpochLog, EpochLogDest, PartitionSequencer, ShardSequencer,
-};
+use hcc_core::sequencer::{Admit, EpochLog, EpochLogDest, PartitionSequencer};
 use hcc_core::txn_driver::TxnDriver;
 use hcc_core::{
     ExecutionEngine, Outbox, PartitionOut, PartitionScheduler, Procedure, Request,
@@ -513,6 +514,15 @@ where
         self.core.stats
     }
 
+    /// Commits this client's own 2PC still holds for a participant's ack
+    /// (0 when a shard coordinates its transactions).
+    pub fn in_doubt(&self) -> usize {
+        match &self.route {
+            Route::Own(driver) => driver.in_doubt_len(),
+            Route::Shard(_) => 0,
+        }
+    }
+
     /// Consume one message. Returns the virtual CPU the step cost (nonzero
     /// only while this client drives its own 2PC).
     pub fn step(
@@ -718,63 +728,24 @@ where
 // ---------------------------------------------------------------------
 
 /// One central coordinator shard (paper §3.3) as an actor: a routing
-/// shell over [`Coordinator`]. Clients are statically partitioned across
-/// shards; each shard owns its own 2PC, speculation-chain, and (in
-/// failover runs) in-doubt commit state. Membership authority lives in
-/// [`MembershipActor`], whose routing updates this actor consumes.
+/// shell over [`Coordinator`], which owns the shard's whole protocol — 2PC,
+/// speculation chains, in-doubt commits, epoch sequencing and stall
+/// expiry. Clients are statically partitioned across shards. Membership
+/// authority lives in [`MembershipActor`], whose routing updates this actor
+/// acknowledges to the failed group ([`Msg::RoutingApplied`]) before the
+/// core acts on them.
 pub struct CoordinatorActor<E: ExecutionEngine> {
     coord: Coordinator<E::Fragment, E::Output>,
     id: CoordinatorId,
-    /// Stall expiry, driven by `Msg::Tick`: transactions pending longer
-    /// than the timeout are aborted with the reason
-    /// ([`coordinator_expiry`](crate::coordinator_expiry): the retryable
-    /// `CrossCoordinator` breaker for distributed deadlocks across shards,
-    /// or a final `RemoteAbort` when the network splits).
-    expiry: Option<(Nanos, AbortReason)>,
-    /// Epoch sequencing; `None` when it is off. Age-boundary closes ride
-    /// `Msg::Tick`.
-    seq: Option<Sequencing<E::Fragment, E::Output>>,
-    /// `CrossCoordinator` expiry aborts issued by this shard (any mode;
-    /// must stay zero while sequencing is on — see [`SequencerStats`]).
-    cross_coord_aborts: u64,
     scratch: Vec<CoordOut<E::Fragment, E::Output>>,
 }
 
-/// A sequencing shard's epoch sequencer (invocation buffer + log emitter)
-/// and the geometry its logs are broadcast over.
-struct Sequencing<F, R> {
-    sequencer: ShardSequencer<F, R>,
-    partitions: u32,
-    shards: u32,
-}
-
 impl<E: ExecutionEngine> CoordinatorActor<E> {
-    /// Shard `id` of `system`'s coordinators. `track_in_doubt` keeps each
-    /// commit until every participant acks it (failover runs). Durable runs
-    /// hold results for those acks; sequenced runs order invocations in
-    /// epochs and, with peer shards, broadcast decisions so speculation
-    /// chains can span shards.
+    /// Shard `id` of `system`'s coordinators ([`Coordinator::shard`]).
     pub fn new(system: &SystemConfig, id: CoordinatorId, track_in_doubt: bool) -> Self {
-        let mut coord = Coordinator::shard(system.costs, id, track_in_doubt);
-        coord.set_hold_results(system.durability.is_some());
-        let shards = system.coordinators.max(1);
-        let seq = system.sequencing_active().then(|| {
-            if shards > 1 {
-                let peers = (0..shards).filter(|&j| j != id.0).map(CoordinatorId);
-                coord.set_peer_broadcast(peers.collect());
-            }
-            Sequencing {
-                sequencer: ShardSequencer::new(id),
-                partitions: system.partitions,
-                shards,
-            }
-        });
         CoordinatorActor {
-            coord,
+            coord: Coordinator::shard(system, id, track_in_doubt),
             id,
-            expiry: crate::coordinator_expiry(system),
-            seq,
-            cross_coord_aborts: 0,
             scratch: Vec::new(),
         }
     }
@@ -790,111 +761,29 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
         self.coord.in_doubt_len()
     }
 
-    /// True when nothing here could need a [`Msg::Tick`]: no transaction is
-    /// pending (stall expiry) and no invocation is buffered (age-close).
+    /// True when nothing here could need a [`Msg::Tick`].
     pub fn is_idle(&self) -> bool {
-        self.coord.pending() == 0 && self.seq.as_ref().is_none_or(|s| s.sequencer.is_empty())
+        self.coord.is_idle()
     }
 
-    /// Sequencer counters for the run report (zero when sequencing is
-    /// off, except `cross_coord_aborts`, counted in any mode).
+    /// Sequencer counters for the run report.
     pub fn seq_stats(&self) -> SequencerStats {
-        let mut stats = self
-            .seq
-            .as_ref()
-            .map(|s| s.sequencer.stats().clone())
-            .unwrap_or_default();
-        stats.cross_coord_aborts += self.cross_coord_aborts;
-        stats
-    }
-
-    /// Emit a closed epoch: the log broadcast goes into `out` *before* the
-    /// epoch's invocations dispatch fragments (also via `out`, drained
-    /// from the scratch at the end of `step`), so per-mailbox FIFO lands
-    /// each log ahead of the round-0 fragments it orders.
-    fn emit_closed(
-        &mut self,
-        closed: ClosedEpoch<E::Fragment, E::Output>,
-        now: Nanos,
-        out: &mut Vec<OutMsg<E>>,
-    ) {
-        self.broadcast(&closed.log, out);
-        for inv in closed.invokes {
-            self.coord.on_invoke_at(
-                inv.txn,
-                inv.client,
-                inv.procedure,
-                inv.can_abort,
-                now,
-                &mut self.scratch,
-            );
-        }
-    }
-
-    /// Send `log` to every partition and every peer shard, charging the
-    /// fan-out to this shard's virtual clock and message counter.
-    fn broadcast(&mut self, log: &EpochLog, out: &mut Vec<OutMsg<E>>) {
-        let Some(seq) = &self.seq else { return };
-        let before = out.len();
-        for dest in broadcast_dests(seq.partitions, seq.shards, self.id) {
-            push_coord_out(CoordOut::EpochLog(dest, log.clone()), out);
-        }
-        self.coord.charge_extra_msgs((out.len() - before) as u64);
+        self.coord.seq_stats()
     }
 
     /// Consume one message. Returns the virtual CPU the step cost.
     pub fn step(&mut self, msg: Msg<E>, now: Nanos, out: &mut Vec<OutMsg<E>>) -> Nanos {
         debug_assert!(self.scratch.is_empty());
+        let (coord, scratch) = (&mut self.coord, &mut self.scratch);
         match msg {
             Msg::Invoke {
                 txn,
                 client,
                 procedure,
                 can_abort,
-            } => match &mut self.seq {
-                Some(s) => {
-                    let closed = s.sequencer.push(txn, client, procedure, can_abort, now);
-                    if let Some(closed) = closed {
-                        self.emit_closed(closed, now, out);
-                    }
-                }
-                None => self.coord.on_invoke_at(
-                    txn,
-                    client,
-                    procedure,
-                    can_abort,
-                    now,
-                    &mut self.scratch,
-                ),
-            },
-            Msg::Response(r) => self.coord.on_response(r, &mut self.scratch),
-            Msg::Tick => {
-                if let Some((timeout, reason)) = self.expiry {
-                    // Presumed stalled for good (a distributed deadlock
-                    // across shards, or a dead participant): abort with the
-                    // configured reason — §4.3's timeout resolution, applied
-                    // to coordinator chains.
-                    let aborted =
-                        self.coord
-                            .expire_stalled(now, timeout, reason, &mut self.scratch);
-                    let cross = reason == AbortReason::CrossCoordinator;
-                    let expired = if cross { aborted.len() as u64 } else { 0 };
-                    self.cross_coord_aborts += expired;
-                    // Backends disable expiry under sequencing; an abort
-                    // here with the sequencer live is a wiring bug.
-                    debug_assert!(
-                        self.seq.is_none() || expired == 0,
-                        "CrossCoordinator abort while sequencing is on"
-                    );
-                }
-                let aged = self
-                    .seq
-                    .as_mut()
-                    .and_then(|s| s.sequencer.close_if_aged(now));
-                if let Some(closed) = aged {
-                    self.emit_closed(closed, now, out);
-                }
-            }
+            } => coord.on_invoke_at(txn, client, procedure, can_abort, now, scratch),
+            Msg::Response(r) => coord.on_response(r, scratch),
+            Msg::Tick => coord.on_tick(now, scratch),
             Msg::RoutingUpdate { partition, epoch } => {
                 // The marker goes first: the re-deliveries queued below
                 // must find the promoted primary's fence already down.
@@ -902,44 +791,15 @@ impl<E: ExecutionEngine> CoordinatorActor<E> {
                     dest: ActorId::Partition(partition),
                     msg: Msg::RoutingApplied { shard: self.id },
                 });
-                let _aborted = self
-                    .coord
-                    .on_partition_failed(partition, epoch, &mut self.scratch);
-                if let Some(seq) = self.seq.as_mut() {
-                    // Membership changed: end the era. Buffered
-                    // invocations bounce to their clients for a retry in
-                    // the new era; the era-end marker tells every
-                    // partition where the old era's merge stops.
-                    let (marker, bounced) = seq.sequencer.on_era_change();
-                    self.broadcast(&marker, out);
-                    for inv in bounced {
-                        out.push(OutMsg {
-                            dest: ActorId::Client(inv.client),
-                            msg: Msg::Result {
-                                txn: inv.txn,
-                                result: TxnResult::Aborted(AbortReason::PartitionFailed),
-                            },
-                        });
-                    }
-                }
+                coord.on_partition_failed(partition, epoch, scratch);
             }
             Msg::DecisionAck {
                 txn,
                 partition,
                 logged,
-            } => self
-                .coord
-                .on_decision_ack(txn, partition, logged, &mut self.scratch),
-            Msg::EpochLog(log) => {
-                let closed = match &mut self.seq {
-                    Some(s) => s.sequencer.on_peer_log(&log, now),
-                    None => Vec::new(),
-                };
-                for c in closed {
-                    self.emit_closed(c, now, out);
-                }
-            }
-            Msg::PeerNote(note) => self.coord.on_peer_decision(note, &mut self.scratch),
+            } => coord.on_decision_ack(txn, partition, logged, scratch),
+            Msg::EpochLog(log) => coord.on_peer_log(log, now, scratch),
+            Msg::PeerNote(note) => coord.on_peer_decision(note, scratch),
             _ => debug_assert!(false, "unexpected message at coordinator"),
         }
         for o in self.scratch.drain(..) {

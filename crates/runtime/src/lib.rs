@@ -59,11 +59,10 @@ use hcc_common::stats::{
     SequencerStats,
 };
 use hcc_common::{
-    AbortReason, ClientId, CoordinatorId, FailAt, FailurePlan, Nanos, PartitionId, Scheme,
-    SystemConfig,
+    ClientId, CoordinatorId, FailAt, FailurePlan, Nanos, PartitionId, Scheme, SystemConfig,
 };
 use hcc_core::client::ClientStats;
-use hcc_core::coordinator::CoordCounters;
+use hcc_core::coordinator::{stall_expiry, CoordCounters};
 use hcc_core::sequencer::EPOCH_MAX_AGE;
 use hcc_core::{ExecutionEngine, RequestGenerator};
 use hcc_storage::DurableLog;
@@ -376,29 +375,6 @@ pub struct Actors<W: RequestGenerator> {
     pub replicas: Vec<ReplicaActor<W::Engine>>,
 }
 
-/// The coordinators' stall expiry: a transaction pending longer than
-/// `lock_timeout` is aborted. Under a planned network split
-/// ([`NetworkModel::split`](hcc_common::NetworkModel::split)) the abort is
-/// a final `RemoteAbort` — §3.3: the survivors roll back and continue — and
-/// needs the paper's singleton coordinator. Otherwise, with N > 1 shards
-/// and sequencing off, the transaction is presumed caught in a distributed
-/// deadlock across shards and aborted with the retryable
-/// `CrossCoordinator`. `None` for the healthy singleton (its global
-/// dispatch order cannot deadlock) and under sequencing (the merged epoch
-/// order leaves nothing for expiry to break).
-pub(crate) fn coordinator_expiry(system: &SystemConfig) -> Option<(Nanos, AbortReason)> {
-    if system.network.split.is_some() {
-        assert!(
-            system.coordinators <= 1,
-            "a network split is a single-coordinator scenario: its RemoteAbort expiry \
-             and the shards' CrossCoordinator expiry would share one timeout"
-        );
-        return Some((system.lock_timeout, AbortReason::RemoteAbort));
-    }
-    (system.coordinators > 1 && !system.sequencing_active())
-        .then_some((system.lock_timeout, AbortReason::CrossCoordinator))
-}
-
 /// Build every actor of a run — the one wiring both drivers share.
 /// `failure` arms a [`FailAt::Commits`] crash on its group's initial
 /// primary and turns on in-doubt commit tracking at the coordinators (a
@@ -510,7 +486,7 @@ impl TickPlan {
             partitions: system.scheme == Scheme::Locking
                 || system.adaptive.is_on()
                 || system.durability.is_some(),
-            coordinators: coordinator_expiry(system).is_some() || seq_on,
+            coordinators: stall_expiry(system).is_some() || seq_on,
             clients: system.replication > 1
                 || system.coordinators > 1
                 || system.durability.is_some(),
@@ -952,6 +928,47 @@ mod tests {
         assert!(err.contains("threaded"), "{err}");
         let err = BackendChoice::parse("multiplexed:lots").unwrap_err();
         assert!(err.contains("lots"), "{err}");
+    }
+
+    /// Which actors a run ticks, and how often, for each configuration
+    /// that changes the answer.
+    #[test]
+    fn tick_plan_ticks_what_each_configuration_needs() {
+        let plan = |system: &SystemConfig| {
+            let p = TickPlan::new(system);
+            ((p.partitions, p.coordinators, p.clients), p.every)
+        };
+        let base = SystemConfig::new(Scheme::Speculative);
+        let quarter = Nanos(base.lock_timeout.0 / 4);
+        assert_eq!(plan(&base), ((false, false, false), quarter));
+        // Client-side 2PC: lock-timeout scans at the partitions, and no
+        // shard sees a multi-partition transaction, so sequencing is inert.
+        let locking = SystemConfig::new(Scheme::Locking);
+        assert_eq!(plan(&locking), ((true, false, false), quarter));
+        assert_eq!(plan(&locking.clone().with_sequencing(true)), plan(&locking));
+        // Two shards expire cross-shard stalls, and clients back off from
+        // those aborts; sequenced, the shards age-close epochs instead.
+        let two = base.clone().with_coordinators(2);
+        assert_eq!(plan(&two), ((false, true, true), quarter));
+        let sequenced = two.with_sequencing(true);
+        let half_age = Nanos(EPOCH_MAX_AGE.0 / 2);
+        assert_eq!(plan(&sequenced), ((false, true, true), half_age));
+        // A split: the singleton expires what stalls behind it.
+        let mut split = base.clone();
+        split.network.split = Some((Nanos::from_millis(1), PartitionId(1)));
+        assert_eq!(plan(&split), ((false, true, false), quarter));
+        // A sync deadline under the quarter sets the period to its half.
+        let deadline = Nanos(quarter.0 / 2);
+        let log = hcc_common::DurabilityConfig::default().with_sync_deadline(deadline);
+        let durable = base.clone().with_durability(log);
+        assert_eq!(plan(&durable), ((true, false, true), Nanos(deadline.0 / 2)));
+        // A quarter of 200 µs is under the floor.
+        let mut fast = base;
+        fast.lock_timeout = Nanos::from_micros(200);
+        assert_eq!(
+            plan(&fast),
+            ((false, false, false), Nanos::from_micros(100))
+        );
     }
 }
 

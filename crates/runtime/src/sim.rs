@@ -534,7 +534,10 @@ where
                 );
             }
         }
-        let unacked: usize = self.coordinators.iter().map(|c| c.in_doubt()).sum();
+        let shards = self.coordinators.iter().map(|c| c.in_doubt());
+        let unacked: usize = shards
+            .chain(self.clients.iter().map(|c| c.in_doubt()))
+            .sum();
         assert_eq!(unacked, 0, "drained with commits still in doubt");
         if self.cfg.failure.is_some() {
             assert!(

@@ -1,5 +1,5 @@
 //! Epoch sequencing on the live runtime (ISSUE 8): both backends drive
-//! the same `ShardSequencer`/`PartitionSequencer` state machines the sim
+//! the same coordinator and `PartitionSequencer` state machines the sim
 //! does, so a fixed-work run with sequencing on must leave bit-identical
 //! committed state regardless of backend, worker pool, or shard count —
 //! and a sequenced run must never issue a `CrossCoordinator` expiry
